@@ -23,7 +23,7 @@ import numpy as np
 
 from .entourage import GaugeBall, MetricBall
 from .report import Report
-from .systems import TorusAutomorphism
+from .systems import LinearSaddle, TorusAutomorphism
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +71,76 @@ class _CellIndex:
 # chain graphs
 
 
-@dataclass
+def _concat_ranges(starts, counts):
+    """The indices starts[k], ..., starts[k] + counts[k] - 1 for every k, in
+    order, as one array."""
+    ends = np.cumsum(counts)
+    shift = np.repeat(starts - ends + counts, counts)
+    return np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64) + shift
+
+
+def _csr(node_count, src, dst):
+    """int32 CSR arrays of the edges (src[k], dst[k]), each row sorted."""
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+    if indptr[-1] > np.iinfo(np.int32).max:
+        raise ValueError("The chain graph has too many edges for int32 CSR.")
+    return indptr.astype(np.int32), np.asarray(dst)[order].astype(np.int32)
+
+
+class _Rows:
+    """Successor rows of a CSR graph as plain Python sequences: row v is a
+    memoryview slice of the int32 indices, so the pure-Python graph walks
+    (Tarjan, the certificate BFS) read ints, never numpy scalars, and no
+    list is built per edge."""
+
+    __slots__ = ("indptr", "indices")
+
+    def __init__(self, indptr, indices):
+        self.indptr = indptr.tolist()
+        self.indices = memoryview(np.ascontiguousarray(indices))
+
+    def __len__(self):
+        return len(self.indptr) - 1
+
+    def __getitem__(self, v):
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+
+
+@dataclass(eq=False)
 class ChainGraph:
     """Directed graph of one-step chains on a fixed node set.
 
-    Edge (i, j) exists iff (f(node_i), node_j) lies in the entourage the
-    graph was built with. The SCC partition is computed once on demand.
+    Edges are held in CSR form: the successors of node i are
+    indices[indptr[i]:indptr[i + 1]], sorted, in int32 arrays. Edge (i, j)
+    exists iff (f(node_i), node_j) lies in the entourage the graph was
+    built with. The SCC partition is computed once on demand.
     """
 
     nodes: tuple
-    adjacency: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
     entourage_id: str
     _scc: list = field(default=None, repr=False)
-    _comp_of: list = field(default=None, repr=False)
+    _comp_of: np.ndarray = field(default=None, repr=False)
+    _rows: _Rows = field(default=None, repr=False)
+
+    @classmethod
+    def from_successors(cls, nodes, successors, entourage_id):
+        """The graph with successors[i] (any iterable of node indices) as
+        the successors of node i."""
+        nodes = tuple(nodes)
+        rows = [sorted(set(row)) for row in successors]
+        if len(rows) != len(nodes):
+            raise ValueError("Give one successor list per node.")
+        if any(not 0 <= j < len(nodes) for row in rows for j in row):
+            raise ValueError("A successor index is outside the node set.")
+        src = np.repeat(np.arange(len(rows), dtype=np.int64),
+                        [len(row) for row in rows])
+        dst = np.fromiter((j for row in rows for j in row), dtype=np.int64,
+                          count=len(src))
+        return cls(nodes, *_csr(len(nodes), src, dst), entourage_id)
 
     @property
     def node_count(self):
@@ -91,54 +148,82 @@ class ChainGraph:
 
     @property
     def edge_count(self):
-        return sum(len(a) for a in self.adjacency)
+        return int(self.indptr[-1])
 
     def successors(self, i):
-        return self.adjacency[i]
+        return tuple(self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
 
     def has_edge(self, i, j):
-        return j in self.adjacency[i]
+        row = self.indices[self.indptr[i]:self.indptr[i + 1]]
+        k = int(np.searchsorted(row, j))
+        return k < len(row) and int(row[k]) == j
+
+    def rows(self):
+        """Successor rows as plain Python sequences, made once per graph."""
+        if self._rows is None:
+            self._rows = _Rows(self.indptr, self.indices)
+        return self._rows
+
+    def _sources(self):
+        return np.repeat(np.arange(self.node_count, dtype=np.int32),
+                         np.diff(self.indptr))
 
     def scc(self):
         if self._scc is None:
-            self._scc = strongly_connected_components(self.adjacency)
-            self._comp_of = [0] * len(self.nodes)
+            rows = self.rows()
+            self._scc = strongly_connected_components(rows.indptr, rows.indices)
+            self._comp_of = np.empty(self.node_count, dtype=np.int32)
             for ci, comp in enumerate(self._scc):
-                for v in comp:
-                    self._comp_of[v] = ci
+                self._comp_of[list(comp)] = ci
         return self._scc
 
-    def component_of(self, i):
+    def component_labels(self):
+        """SCC index of every node, as an int32 array."""
         self.scc()
-        return self._comp_of[i]
+        return self._comp_of
+
+    def recurrent_mask(self):
+        """Boolean array of the nodes on a directed cycle: an SCC of size
+        >= 2, or a self-loop."""
+        labels = self.component_labels()
+        mask = np.bincount(labels, minlength=len(self._scc))[labels] >= 2
+        src = self._sources()
+        mask[src[self.indices == src]] = True
+        return mask
 
     def recurrent_indices(self):
         """Indices lying on a directed cycle: SCC of size >= 2 or self-loop."""
-        out = set()
-        for comp in self.scc():
-            if len(comp) >= 2:
-                out.update(comp)
-        for i, adj in enumerate(self.adjacency):
-            if i in adj:
-                out.add(i)
-        return frozenset(out)
+        return frozenset(np.flatnonzero(self.recurrent_mask()).tolist())
 
-    def verify_edges(self, system, D):
-        """Re-check every stored edge against the entourage predicate."""
-        for i, adj in enumerate(self.adjacency):
-            fx = system.forward(self.nodes[i])
-            for j in adj:
-                if not D.accepts(fx, self.nodes[j]):
-                    return False
-        return True
+    def is_strongly_connected(self):
+        """Whether every node reaches every other: one forward and one
+        backward reachability sweep from node 0, without the SCC partition."""
+        if not self.nodes:
+            return False
+        return (_reaches_all(self.indptr, self.indices) and _reaches_all(
+            *_csr(self.node_count, self.indices, self._sources())))
 
     def to_text(self, node_id=None):
         """Adjacency listing, one `node_id: succ_id succ_id ...` line per node."""
         label = node_id or (lambda i: str(i))
         lines = []
-        for i, adj in enumerate(self.adjacency):
+        for i, adj in enumerate(self.rows()):
             lines.append(f"{label(i)}: " + " ".join(label(j) for j in adj))
         return "\n".join(lines) + "\n"
+
+
+def _reaches_all(indptr, indices):
+    """Whether a breadth-first sweep from node 0 along the CSR rows reaches
+    every node; each level is one batch of array operations."""
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        starts = indptr[frontier]
+        reached = indices[_concat_ranges(starts, indptr[frontier + 1] - starts)]
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    return bool(seen.all())
 
 
 def is_chain(system, seq, D):
@@ -162,37 +247,30 @@ def _ball_radius(D):
 def build_chain_graph(system, samples, D, entourage_id=None):
     """Edges exactly {(i, j) : (f(node_i), node_j) in D}.
 
-    Uses a cell index over embedded coordinates when D is a metric ball (or
-    a bounded gauge read at departure) and the system embeds its points;
-    otherwise falls back to the full pairwise scan.
+    A metric ball in the own metric of a torus automorphism or a planar
+    linear saddle is built on arrays (`_ball_edges`). Otherwise a cell index
+    over embedded coordinates narrows the candidates when D has a known
+    radius (a metric ball, or a bounded gauge read at departure) and the
+    system embeds its points, and the full pairwise scan runs when not.
     """
     nodes = tuple(samples)
     if not nodes:
         raise ValueError("Chain graphs need a nonempty sample set.")
-    images = _batch_forward(system, nodes)
+    entourage_id = entourage_id or _describe(D)
+    edges = _ball_edges(system, nodes, D)
+    if edges is not None:
+        return ChainGraph(nodes, *_csr(len(nodes), *edges), entourage_id)
+    images = [system.forward(x) for x in nodes]
     radius = _ball_radius(D)
-    embeds = None
     if radius is not None and system.embedding_metric is not None:
-        embeds = [system.embed(x) for x in nodes]
-
-    adjacency = []
-    if embeds is not None:
         wrap = 1.0 if system.embedding_metric == "torus" else None
-        index = _CellIndex(embeds, radius, wrap=wrap)
-        for i in range(len(nodes)):
-            fx = images[i]
-            cand = index.near(system.embed(fx))
-            adjacency.append(tuple(sorted(
-                j for j in set(cand) if D.accepts(fx, nodes[j])
-            )))
+        index = _CellIndex([system.embed(x) for x in nodes], radius, wrap=wrap)
+        rows = ([j for j in set(index.near(system.embed(fx)))
+                 if D.accepts(fx, nodes[j])] for fx in images)
     else:
-        for i in range(len(nodes)):
-            fx = images[i]
-            adjacency.append(tuple(
-                j for j in range(len(nodes)) if D.accepts(fx, nodes[j])
-            ))
-    return ChainGraph(nodes=nodes, adjacency=tuple(adjacency),
-                      entourage_id=entourage_id or _describe(D))
+        rows = ([j for j, y in enumerate(nodes) if D.accepts(fx, y)]
+                for fx in images)
+    return ChainGraph.from_successors(nodes, rows, entourage_id)
 
 
 def _describe(D):
@@ -203,12 +281,131 @@ def _describe(D):
     return D.kind
 
 
-def _batch_forward(system, nodes):
+# ---------------------------------------------------------------------------
+# metric balls on arrays
+
+# relative room between a hash cell and the ball radius, so that rounding in
+# the cell keys cannot hide a neighbor two cells away
+_CELL_ROOM = 1.0 + 1e-9
+# candidate pairs measured per batch, which bounds the batch arrays
+_PAIR_BATCH = 1 << 18
+
+
+def _array_metric(system, D):
+    """The metric kind, torus or euclidean, when `_ball_edges` reproduces D
+    on this system bit for bit: D is a metric ball in the system's own
+    metric, and the system is a plain torus automorphism or planar linear
+    saddle with int or float matrix entries. None otherwise."""
+    cls = type(system)
+    if cls not in (TorusAutomorphism, LinearSaddle) or type(D) is not MetricBall:
+        return None
+    if getattr(D.metric, "__func__", None) is not cls.metric:
+        return None
+    if any(type(v) not in (int, float) for row in system.matrix for v in row):
+        return None
+    return cls.embedding_metric
+
+
+def _linear_images(system, pts):
+    """f at every row of pts by the float operations of `forward`: a*x + b*y
+    per coordinate, then mod 1 on the torus."""
+    (a, b), (c, d) = system.matrix
+    x, y = pts[:, 0], pts[:, 1]
+    out = np.stack([float(a) * x + float(b) * y,
+                    float(c) * x + float(d) * y], axis=1)
     if isinstance(system, TorusAutomorphism):
-        pts = np.asarray(nodes, dtype=float)
-        out = (pts @ np.asarray(system.matrix, dtype=float).T) % 1.0
-        return [tuple(row) for row in out]
-    return [system.forward(x) for x in nodes]
+        out %= 1.0
+    return out
+
+
+def _distances(p, q, torus):
+    """Row-wise distances by the float operations of `torus_metric` or
+    `euclidean`, so each equals the scalar metric's value exactly."""
+    t = np.abs(p - q)
+    if torus:
+        t %= 1.0
+        t = np.minimum(t, 1.0 - t)
+    return np.sqrt(t[:, 0] * t[:, 0] + t[:, 1] * t[:, 1])
+
+
+def _ball_edges(system, nodes, D):
+    """Edge arrays (src, dst) of {(i, j) : D.accepts(f(x_i), x_j)} for a
+    metric ball that `_array_metric` accepts, over nodes that are pairs of
+    finite floats; None when any of that fails.
+
+    Candidates come from one sorted hash of the nodes' cells, with cells at
+    least as wide as the radius, so every node within the radius of an
+    image sits in one of the 3 x 3 cells around it; then every candidate
+    pair is measured with `_distances` and kept when closer than delta.
+    """
+    kind = _array_metric(system, D)
+    if kind is None or not all(
+            type(p) is tuple and len(p) == 2
+            and type(p[0]) is float and type(p[1]) is float for p in nodes):
+        return None
+    torus = kind == "torus"
+    pts = np.array(nodes, dtype=float)
+    images = _linear_images(system, pts)
+    if not (np.isfinite(pts).all() and np.isfinite(images).all()):
+        return None
+    delta = D.delta
+    if torus:
+        ncells = max(1, int(1.0 / (delta * _CELL_ROOM)))
+        if ncells > 1 << 30:
+            return None
+        width = 1.0 / ncells
+        node_keys = (np.floor((pts % 1.0) / width) % ncells).astype(np.int64)
+        image_keys = (np.floor((images % 1.0) / width) % ncells).astype(np.int64)
+        low, span = np.zeros(2, dtype=np.int64), (ncells, ncells)
+        steps = np.unique(np.array([-1, 0, 1]) % ncells)
+    else:
+        width = delta * _CELL_ROOM
+        node_cells, image_cells = np.floor(pts / width), np.floor(images / width)
+        if max(np.abs(node_cells).max(), np.abs(image_cells).max()) > 2.0 ** 52:
+            return None
+        node_keys = node_cells.astype(np.int64)
+        image_keys = image_cells.astype(np.int64)
+        low = node_keys.min(axis=0) - 1
+        span = tuple(int(v) for v in node_keys.max(axis=0) - low + 2)
+        if span[0] * span[1] > 1 << 62:
+            return None
+        steps = np.array([-1, 0, 1])
+    node_keys -= low
+    image_keys -= low
+    flat = node_keys[:, 0] * span[1] + node_keys[:, 1]
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    starts, counts = [], []
+    for dx in steps:
+        for dy in steps:
+            kx, ky = image_keys[:, 0] + dx, image_keys[:, 1] + dy
+            if torus:
+                kx %= ncells
+                ky %= ncells
+            key = kx * span[1] + ky
+            first = np.searchsorted(flat, key, "left")
+            count = np.searchsorted(flat, key, "right") - first
+            if not torus:
+                count[(kx < 0) | (kx >= span[0]) | (ky < 0) | (ky >= span[1])] = 0
+            starts.append(first)
+            counts.append(count)
+    starts, counts = np.stack(starts, axis=1), np.stack(counts, axis=1)
+    per_image = counts.sum(axis=1)
+    reach = np.cumsum(per_image)
+    src_parts, dst_parts = [], []
+    begin = 0
+    while begin < len(nodes):
+        done = int(reach[begin - 1]) if begin else 0
+        end = max(begin + 1,
+                  int(np.searchsorted(reach, done + _PAIR_BATCH, "right")))
+        dst = order[_concat_ranges(starts[begin:end].ravel(),
+                                   counts[begin:end].ravel())]
+        src = np.repeat(np.arange(begin, end), per_image[begin:end])
+        keep = _distances(images[src], pts[dst], torus) < delta
+        src_parts.append(src[keep])
+        dst_parts.append(dst[keep])
+        begin = end
+    return np.concatenate(src_parts), np.concatenate(dst_parts)
 
 
 def torus_grid_graph(system, n, delta, entourage_id=None):
@@ -217,38 +414,44 @@ def torus_grid_graph(system, n, delta, entourage_id=None):
 
     The lattice is invariant under integer matrices, so f(node) is again a
     lattice point and the delta-ball around it is a fixed set of integer
-    offsets; no floating-point distances enter the construction.
+    offsets; the edges are one broadcast of the lattice images against the
+    offset table, mod n, and no floating-point distances enter.
     """
-    a, b = system.matrix[0]
-    c, d = system.matrix[1]
+    (a, b), (c, d) = ((v % n for v in row) for row in system.matrix)
     reach = int(delta * n) + 1
-    offsets = []
+    offsets = set()
     for di in range(-reach, reach + 1):
         for dj in range(-reach, reach + 1):
             wi = min(di % n, (-di) % n) / n
             wj = min(dj % n, (-dj) % n) / n
             if math.sqrt(wi * wi + wj * wj) < delta:
-                offsets.append((di, dj))
+                offsets.add((di % n, dj % n))
+    if n * n > np.iinfo(np.int32).max:
+        raise ValueError("The lattice has too many nodes for int32 CSR.")
+    di, dj = np.array(sorted(offsets), dtype=np.int32).reshape(-1, 2).T
+    row, col = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    fi = ((a * row + b * col) % n).astype(np.int32)
+    fj = ((c * row + d * col) % n).astype(np.int32)
+    indices = (fi[:, None] + di) % n * n + (fj[:, None] + dj) % n
+    indices.sort(axis=1)
+    indptr = np.arange(n * n + 1, dtype=np.int64) * len(di)
+    if indptr[-1] > np.iinfo(np.int32).max:
+        raise ValueError("The chain graph has too many edges for int32 CSR.")
     nodes = tuple((i / n, j / n) for i in range(n) for j in range(n))
-    adjacency = []
-    for i in range(n):
-        for j in range(n):
-            fi, fj = (a * i + b * j) % n, (c * i + d * j) % n
-            adjacency.append(tuple(sorted(
-                ((fi + di) % n) * n + ((fj + dj) % n) for di, dj in offsets
-            )))
-    return ChainGraph(nodes=nodes, adjacency=tuple(adjacency),
-                      entourage_id=entourage_id or f"ball({delta!r})")
+    return ChainGraph(nodes, indptr.astype(np.int32), indices.ravel(),
+                      entourage_id or f"ball({delta!r})")
 
 
 # ---------------------------------------------------------------------------
 # strongly connected components, iterative
 
 
-def strongly_connected_components(adjacency):
+def strongly_connected_components(indptr, indices):
     """Tarjan's algorithm with an explicit stack; safe on graphs whose
-    longest path is proportional to the node count."""
-    n = len(adjacency)
+    longest path is proportional to the node count. The successors of v are
+    indices[indptr[v]:indptr[v + 1]]; pass plain Python sequences (a list,
+    a memoryview), which index far faster than numpy arrays."""
+    n = len(indptr) - 1
     order = [0] * n
     low = [0] * n
     on_stack = bytearray(n)
@@ -258,22 +461,22 @@ def strongly_connected_components(adjacency):
     for root in range(n):
         if order[root]:
             continue
-        work = [(root, 0)]
+        work = [(root, indptr[root])]
         while work:
-            v, i = work.pop()
-            if i == 0:
+            v, k = work.pop()
+            if k == indptr[v]:
                 counter += 1
                 order[v] = low[v] = counter
                 stack.append(v)
                 on_stack[v] = 1
             descend = False
-            adj = adjacency[v]
-            while i < len(adj):
-                w = adj[i]
-                i += 1
+            end = indptr[v + 1]
+            while k < end:
+                w = indices[k]
+                k += 1
                 if not order[w]:
-                    work.append((v, i))
-                    work.append((w, 0))
+                    work.append((v, k))
+                    work.append((w, indptr[w]))
                     descend = True
                     break
                 if on_stack[w] and order[w] < low[v]:
@@ -294,26 +497,6 @@ def strongly_connected_components(adjacency):
                 if low[v] < low[parent]:
                     low[parent] = low[v]
     return components
-
-
-def brute_force_cycle_nodes(adjacency):
-    """Reference recurrence check: i is recurrent iff some walk returns to
-    it. Quadratic; for cross-checking the SCC route on small graphs."""
-    n = len(adjacency)
-    out = set()
-    for s in range(n):
-        seen = set()
-        queue = deque(adjacency[s])
-        while queue:
-            v = queue.popleft()
-            if v == s:
-                out.add(s)
-                break
-            if v in seen:
-                continue
-            seen.add(v)
-            queue.extend(adjacency[v])
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +534,9 @@ def chain_components(graphs):
 
     All graphs must share one node set. A node stays recurrent if it lies on
     a cycle at every ladder step; two nodes stay equivalent if every step
-    keeps them in one SCC.
+    keeps them in one SCC. Each step refines the running cells with that
+    step's SCC labels: `np.unique` on the pair (cell, label) of each node,
+    packed into one int64.
     """
     graphs = list(graphs)
     if not graphs:
@@ -361,32 +546,34 @@ def chain_components(graphs):
         if g.nodes != nodes:
             raise ValueError("Ladder graphs disagree on the node set.")
 
-    recurrent = None
-    labels = {}
+    recurrent = np.ones(len(nodes), dtype=bool)
+    cells = np.zeros(len(nodes), dtype=np.int64)  # running cell of each node
     history = []
     stabilization = None
-    previous = None
     for step, g in enumerate(graphs):
-        g.scc()
-        step_recurrent = g.recurrent_indices()
-        recurrent = step_recurrent if recurrent is None else recurrent & step_recurrent
-        labels = {
-            i: labels.get(i, ()) + (g.component_of(i),)
-            for i in recurrent
-        }
-        cells = {}
-        for i, key in labels.items():
-            cells.setdefault(key, set()).add(i)
-        snapshot = frozenset(frozenset(c) for c in cells.values())
-        history.append((len(recurrent), len(snapshot)))
-        if previous is not None and snapshot == previous and stabilization is None:
+        kept = recurrent & g.recurrent_mask()
+        pairs = cells[kept] * len(g.scc()) + g.component_labels()[kept]
+        distinct, inverse = np.unique(pairs, return_inverse=True)
+        cells[kept] = inverse
+        count = len(distinct)
+        # cells only split from step to step, so on an unchanged recurrent
+        # set an unchanged cell count means an unchanged partition
+        if (step and stabilization is None and count == history[-1][1]
+                and np.array_equal(kept, recurrent)):
             stabilization = step
-        previous = snapshot
+        recurrent = kept
+        history.append((int(recurrent.sum()), count))
 
-    components = sorted(previous, key=lambda c: (-len(c), sorted(c)[:1]))
+    members = np.flatnonzero(recurrent)
+    order = np.argsort(cells[members], kind="stable")
+    groups = np.split(members[order],
+                      np.flatnonzero(np.diff(cells[members][order])) + 1)
+    groups = sorted((grp for grp in groups if len(grp)),
+                    key=lambda grp: (-len(grp), int(grp[0])))
     return ChainComponentSet(
-        recurrent_nodes=frozenset(nodes[i] for i in recurrent),
-        components=tuple(frozenset(nodes[i] for i in comp) for comp in components),
+        recurrent_nodes=frozenset(nodes[i] for i in members.tolist()),
+        components=tuple(frozenset(nodes[i] for i in grp.tolist())
+                         for grp in groups),
         entourage_ladder=tuple(g.entourage_id for g in graphs),
         stabilization_index=stabilization,
         history=tuple(history),

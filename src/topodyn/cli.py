@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
 
@@ -45,6 +46,26 @@ class _Parser(argparse.ArgumentParser):
     # resolution-limited verdict; route usage problems to exit 1 instead
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
+
+
+def _positive_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
 
 
 def _build_system(name, parser):
@@ -295,9 +316,9 @@ def build_parser():
 
     p = sub.add_parser("decompose", parents=[], help="spectral decomposition")
     p.add_argument("system")
-    p.add_argument("--resolution", type=int, default=64,
+    p.add_argument("--resolution", type=_positive_int, default=64,
                    help="grid side for torus systems (default 64)")
-    p.add_argument("--ladder", type=float, default=None,
+    p.add_argument("--ladder", type=_positive_float, default=None,
                    help="coarsest entourage radius; halved twice "
                         "(default 4 grid cells)")
     p.add_argument("--seed", type=int, default=0)
@@ -317,10 +338,10 @@ def build_parser():
     p = sub.add_parser("chain-recurrent",
                        help="chain recurrence vs the nonwandering probe")
     p.add_argument("system")
-    p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--radius", type=float, required=True,
+    p.add_argument("--resolution", type=_positive_int, default=64)
+    p.add_argument("--radius", type=_positive_float, required=True,
                    help="entourage ball radius")
-    p.add_argument("--horizon", type=int, default=128,
+    p.add_argument("--horizon", type=_positive_int, default=128,
                    help="return-time budget for the nonwandering probe")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -350,6 +371,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a bad --out must fail before the work, not after it
+    if args.out is not None:
+        where = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(where):
+            parser.error(f"--out: directory {where} does not exist")
+        if os.path.isdir(args.out):
+            parser.error(f"--out: {args.out} is a directory")
     return args.fn(args, parser)
 
 

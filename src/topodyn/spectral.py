@@ -26,6 +26,8 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .chains import ChainGraph, build_chain_graph, chain_components, is_chain, torus_grid_graph
 from .entourage import finite_relation, metric_ball
 from .report import FAIL, PASS, RESOLUTION_LIMITED, Report
@@ -52,7 +54,9 @@ class WalkDemo:
     store a single periodic sequence instead, since it carries its whole
     orbit. Metric demos keep rational coordinates so periodicity is an exact
     statement; re-checks step through the stored orbit rather than iterating
-    the map around the loop, which would amplify rounding by rate_u^period.
+    the float map around the loop, which would amplify rounding by
+    rate_u^period. Lattice density demos (`CycleDemo`) avoid float orbits
+    the same way: their re-check is in integers.
     """
 
     x: object
@@ -86,7 +90,10 @@ class Certificate:
       symbolic        walks are symbol sequences checked against transitions
       metric-walk     walks are point sequences checked with is_chain + trace
       exact-orbit     walks are true orbits of a finite system
-      lattice-cycle   density on the torus grid, re-proved in integers
+      lattice-cycle   density on the torus grid, re-proved in integers: each
+                      node must be exactly the double (i/n, j/n) of a lattice
+                      index, and its integer orbit must first close after
+                      cycle_length steps; no float orbit is iterated
     """
 
     kind: str
@@ -162,10 +169,11 @@ def _revalidate_metric(cert, system):
     bad = []
     D = cert.chain_entourage
     E = cert.entourage
+    # strong connectivity, from a graph built afresh by the float
+    # predicate of D and not from the integer offsets that built the ladder
     if cert.kind == "transitivity":
         sub = build_chain_graph(system, cert.component, D)
-        sccs = sub.scc()
-        if len(sccs) != 1 or len(sccs[0]) != len(cert.component):
+        if not sub.is_strongly_connected():
             bad.append("component is not strongly connected under D")
     for demo in cert.demos:
         walk = demo.walk
@@ -223,28 +231,81 @@ def _revalidate_exact_orbit(cert, system):
     return bad
 
 
+def _lattice_index(points, n):
+    """Lattice coordinates of points stored as the doubles (i/n, j/n).
+
+    Returns an (m, 2) int array of (i, j) and a mask of the points that are
+    exactly such a pair of Python floats with 0 <= i, j < n; a point off
+    the lattice by one ulp is masked out, and its row means nothing.
+    """
+    m = len(points)
+    if type(n) is not int or n < 1:
+        return np.zeros((m, 2), dtype=np.int64), np.zeros(m, dtype=bool)
+    typed = [type(p) is tuple and len(p) == 2 and type(p[0]) is float
+             and type(p[1]) is float for p in points]
+    pts = np.array([p if ok else (math.nan, math.nan)
+                    for p, ok in zip(points, typed)], dtype=float).reshape(m, 2)
+    with np.errstate(invalid="ignore"):
+        scaled = np.rint(pts * n)
+        on = ((scaled >= 0) & (scaled < n)).all(axis=1)
+    idx = np.where(on[:, None], scaled, 0).astype(np.int64)
+    on &= (idx / n == pts).all(axis=1)
+    return idx, on
+
+
+def _lattice_map(system, n):
+    """The integer matrix as a map of lattice coordinate arrays, mod n."""
+    (a, b), (c, d) = ((v % n for v in row) for row in system.matrix)
+    return lambda i, j: ((a * i + b * j) % n, (c * i + d * j) % n)
+
+
+def _first_returns(system, n, idx, limit):
+    """For each lattice point, the first k in 1..limit with f^k(point) =
+    point, or 0 when there is none. All points step together; those back
+    home drop out. (An integer matrix of determinant +-1 permutes the n x n
+    lattice, so every point returns within n * n steps.)"""
+    step = _lattice_map(system, n)
+    first = np.zeros(len(idx), dtype=np.int64)
+    pending = np.arange(len(idx))
+    i0, j0 = idx[:, 0], idx[:, 1]
+    i, j = i0, j0
+    k = 0
+    while len(pending) and k < limit:
+        k += 1
+        i, j = step(i, j)
+        back = (i == i0) & (j == j0)
+        if back.any():
+            first[pending[back]] = k
+            away = ~back
+            pending, i0, j0, i, j = (pending[away], i0[away], j0[away],
+                                     i[away], j[away])
+    return first
+
+
 def _revalidate_lattice(cert, system):
     bad = []
     n = cert.params["resolution"]
     radius = cert.params["radius"]
-    (a, b), (c, d) = system.matrix
-    for demo in cert.demos:
-        i = round(demo.node[0] * n)
-        j = round(demo.node[1] * n)
-        u, v = i, j
-        for _ in range(demo.cycle_length):
-            u, v = (a * u + b * v) % n, (c * u + d * v) % n
-        if (u, v) != (i, j):
+    demos = cert.demos
+    if type(n) is not int or n < 1:
+        return [f"grid resolution {n!r} is not a positive integer"]
+    idx, on = _lattice_index([demo.node for demo in demos], n)
+    limit = max((d.cycle_length for d in demos if type(d.cycle_length) is int),
+                default=0)
+    first = np.zeros(len(demos), dtype=np.int64)
+    first[on] = _first_returns(system, n, idx[on], min(limit, n * n))
+    for demo, lattice, k in zip(demos, on.tolist(), first.tolist()):
+        if not lattice:
+            bad.append(f"{demo.node} is not a lattice node (i/{n}, j/{n})")
+        elif k == 0 or k != demo.cycle_length:
             bad.append(f"lattice orbit of {demo.node} does not close in "
-                       f"{demo.cycle_length} steps")
-            continue
-        z = demo.node
-        for _ in range(demo.cycle_length):
-            z = system.forward(z)
-        if system.metric(z, demo.node) > 1e-9:
-            bad.append(f"float orbit of {demo.node} drifts past 1e-9")
-        if demo.gap > radius:
+                       f"exactly {demo.cycle_length} steps")
+        if demo.traced != demo.node:
+            bad.append(f"certified point at {demo.node} is not the node itself")
+        if not demo.gap <= radius:
             bad.append(f"gap at {demo.node} exceeds the entourage radius")
+    if {demo.node for demo in demos} != set(cert.component):
+        bad.append("density demos do not cover the component")
     return bad
 
 
@@ -343,9 +404,8 @@ def transitivity_certificate(graph, component, system, E, D=None, seed=0,
     if not component:
         raise ValueError("The component is empty.")
     comp_set = set(component)
-    scc = graph.scc()
-    owners = {graph.component_of(i) for i in component}
-    if len(owners) != 1 or len(scc[owners.pop()]) != len(component):
+    owners = set(graph.component_labels()[component].tolist())
+    if len(owners) != 1 or len(graph.scc()[owners.pop()]) != len(component):
         raise ValueError("The nodes do not form one strongly connected "
                          "component of the graph.")
     rng = random.Random(seed)
@@ -353,7 +413,7 @@ def transitivity_certificate(graph, component, system, E, D=None, seed=0,
         demos = []
         for xi, yi in _sample_pairs(rng, component, pairs):
             a, b = graph.nodes[xi], graph.nodes[yi]
-            walk_idx, y_pos = _closed_walk_through(graph.adjacency, comp_set,
+            walk_idx, y_pos = _closed_walk_through(graph.rows(), comp_set,
                                                    xi, yi)
             if walk_idx is None:
                 raise CertificateError(f"No closed walk through {a} and {b}.")
@@ -373,7 +433,7 @@ def transitivity_certificate(graph, component, system, E, D=None, seed=0,
     exact_orbit = isinstance(system, FiniteSystem)
     for xi, yi in _sample_pairs(rng, component, pairs):
         x, y = graph.nodes[xi], graph.nodes[yi]
-        walk_idx, y_pos = _closed_walk_through(graph.adjacency, comp_set,
+        walk_idx, y_pos = _closed_walk_through(graph.rows(), comp_set,
                                                xi, yi)
         if walk_idx is None:
             raise CertificateError(
@@ -441,7 +501,7 @@ def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
         comp = set(range(len(graph.nodes)))
         pos = {s: i for i, s in enumerate(graph.nodes)}
         for a in recurrent_nodes:
-            walk_idx = _bfs_path(graph.adjacency, comp, pos[a], pos[a])
+            walk_idx = _bfs_path(graph.rows(), comp, pos[a], pos[a])
             if walk_idx is None:
                 raise CertificateError(f"Recurrent symbol {a} has no cycle; "
                                        "internal inconsistency.")
@@ -546,27 +606,49 @@ class SpectralDecomposition:
     def _invariance_failures(self, system):
         bad = []
         for bs in self.basic_sets:
-            members = set(bs.nodes)
             if self.family == "symbolic":
+                members = set(bs.nodes)
                 for a in bs.nodes:
                     if not any(b in members for b in system.successors(a)):
                         bad.append(f"symbol {a} has no successor inside its "
                                    f"basic set {bs.ident}")
             elif self.family == "finite":
+                members = set(bs.nodes)
                 for x in bs.nodes:
                     if system.forward(x) not in members:
                         bad.append(f"image of {x} leaves basic set {bs.ident}")
             else:
-                cell = 1.0 / self.resolution
-                tol = cell * math.sqrt(2.0) / 2.0 + 1e-12
-                for x in bs.nodes:
-                    fx = system.forward(x)
-                    if fx in members:
-                        continue
-                    if min(system.metric(fx, y) for y in members) > tol:
-                        bad.append(f"image of {system.point_to_text(x)} is "
-                                   f"more than one grid cell from basic set "
-                                   f"{bs.ident}")
+                bad.extend(self._torus_invariance_failures(system, bs))
+        return bad
+
+    def _torus_invariance_failures(self, system, bs):
+        """Lattice nodes are mapped by the integer matrix and looked up in a
+        mask of the basic set's cells. Lattice cells are one cell apart, so
+        for a lattice node this is the float test "f(x) lies within half a
+        cell diagonal of a member", made exact. Members off the lattice can
+        still be near the float image, so a node that misses the mask is
+        measured against them in floats; a node off the lattice is measured
+        against every member, as before."""
+        n = self.resolution
+        tol = (1.0 / n) * math.sqrt(2.0) / 2.0 + 1e-12
+        idx, on = _lattice_index(bs.nodes, n)
+        hit = np.zeros(len(bs.nodes), dtype=bool)
+        if on.any():
+            inside = np.zeros((n, n), dtype=bool)
+            inside[idx[on, 0], idx[on, 1]] = True
+            hit[on] = inside[_lattice_map(system, n)(idx[on, 0], idx[on, 1])]
+        off = {x for x, flag in zip(bs.nodes, on.tolist()) if not flag}
+        every = set(bs.nodes)
+        bad = []
+        for k in np.flatnonzero(~hit).tolist():
+            x = bs.nodes[k]
+            pool = every if x in off else off
+            fx = system.forward(x)
+            if fx in pool:
+                continue
+            if min((system.metric(fx, y) for y in pool), default=math.inf) > tol:
+                bad.append(f"image of {system.point_to_text(x)} is more than "
+                           f"one grid cell from basic set {bs.ident}")
         return bad
 
     def to_report(self):
@@ -627,9 +709,8 @@ def symbol_graph_chain(system):
     """The transition graph of a shift system packaged as a ChainGraph with
     symbols for nodes."""
     nodes = tuple(range(system.size))
-    adjacency = tuple(tuple(system.successors(a)) for a in nodes)
-    return ChainGraph(nodes=nodes, adjacency=adjacency,
-                      entourage_id="symbol-transitions")
+    return ChainGraph.from_successors(
+        nodes, (system.successors(a) for a in nodes), "symbol-transitions")
 
 
 def _decompose_sft(system, seed, pairs):

@@ -27,19 +27,31 @@ class NotHyperbolicError(ValueError):
 # metrics and small geometry helpers
 
 
+# The two metrics below square by multiplication, which rounds once, rather
+# than with `** 2` (libm pow, which can miss by an ulp); the array metrics in
+# `chains` repeat these exact operations and so return the same floats.
+
+
 def euclidean(p, q):
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+    total = 0
+    for a, b in zip(p, q):
+        d = a - b
+        total += d * d
+    return math.sqrt(total)
 
 
 def _wrap_unit(t):
-    # distance between two circle coordinates, shortest way around
+    # distance between two circle coordinates, shortest way around; for t
+    # in [0.5, 1) the difference 1 - t is exact, so this is min(t, 1 - t)
     t = abs(t) % 1.0
-    return min(t, 1.0 - t)
+    return 1.0 - t if t > 0.5 else t
 
 
 def torus_metric(p, q):
     """Quotient metric on the unit 2-torus (min over integer lifts)."""
-    return math.sqrt(_wrap_unit(p[0] - q[0]) ** 2 + _wrap_unit(p[1] - q[1]) ** 2)
+    s = _wrap_unit(p[0] - q[0])
+    t = _wrap_unit(p[1] - q[1])
+    return math.sqrt(s * s + t * t)
 
 
 def stereographic_preimage(p):

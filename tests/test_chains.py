@@ -1,6 +1,10 @@
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from topodyn.chains import (
     ChainGraph,
@@ -14,10 +18,12 @@ from topodyn.chains import (
     strong_chain_recurrent_set,
     torus_grid_graph,
 )
+from topodyn.chains import _ball_edges
 from topodyn.entourage import finite_relation, gauge_entourage, metric_ball
 from topodyn.systems import (
     catalog,
     harmonic_points,
+    linear_hyperbolic,
     permutation_from_cycles,
     sft_shift,
     torus_automorphism,
@@ -78,9 +84,8 @@ def test_scc_matches_reachability_oracle():
     for trial in range(60):
         n = rng.randint(1, 12)
         matrix = random_digraph(rng, n)
-        graph = ChainGraph(nodes=tuple(range(n)),
-                           adjacency=as_successor_lists(matrix),
-                           entourage_id="test")
+        graph = ChainGraph.from_successors(tuple(range(n)),
+                                           as_successor_lists(matrix), "test")
         classes, recurrent = oracle_partition(matrix)
         assert graph.recurrent_indices() == recurrent, trial
         got = frozenset(
@@ -94,10 +99,10 @@ def test_scc_handles_long_path_iteratively():
     # a path of 30000 nodes would blow the recursion limit if Tarjan
     # recursed; the iterative form must cope
     n = 30000
-    graph = ChainGraph(
-        nodes=tuple(range(n)),
-        adjacency=tuple((i + 1,) if i < n - 1 else () for i in range(n)),
-        entourage_id="path",
+    graph = ChainGraph.from_successors(
+        tuple(range(n)),
+        ((i + 1,) if i < n - 1 else () for i in range(n)),
+        "path",
     )
     assert graph.recurrent_indices() == frozenset()
     assert len(graph.scc()) == n
@@ -121,7 +126,99 @@ def test_torus_grid_graph_agrees_with_generic_builder():
     fast = torus_grid_graph(CAT, n, delta)
     slow = build_chain_graph(CAT, torus_grid(n), metric_ball(CAT, delta))
     assert fast.nodes == slow.nodes
-    assert fast.adjacency == slow.adjacency
+    assert np.array_equal(fast.indptr, slow.indptr)
+    assert np.array_equal(fast.indices, slow.indices)
+
+
+def test_csr_graph_api():
+    graph = ChainGraph.from_successors("abcd", [(2, 1, 2), (), (0, 3), (3,)],
+                                       "test")
+    assert graph.indptr.dtype == np.int32 and graph.indices.dtype == np.int32
+    assert graph.indptr.tolist() == [0, 2, 2, 4, 5]
+    assert graph.edge_count == 5
+    assert graph.successors(0) == (1, 2)
+    assert graph.successors(1) == ()
+    assert graph.has_edge(2, 3) and not graph.has_edge(3, 2)
+    assert [list(row) for row in graph.rows()] == [[1, 2], [], [0, 3], [3]]
+    assert graph.recurrent_indices() == frozenset({0, 2, 3})
+    assert graph.to_text() == "0: 1 2\n1: \n2: 0 3\n3: 3\n"
+    with pytest.raises(ValueError):
+        ChainGraph.from_successors("ab", [(1,), (2,)], "test")
+    with pytest.raises(ValueError):
+        ChainGraph.from_successors("ab", [(1,)], "test")
+
+
+def test_strong_connectivity_sweep_matches_scc():
+    rng = random.Random(7)
+    for trial in range(80):
+        n = rng.randint(1, 10)
+        matrix = tuple(tuple(1 if rng.random() < 0.3 else 0 for _ in range(n))
+                       for _ in range(n))
+        graph = ChainGraph.from_successors(range(n),
+                                           as_successor_lists(matrix), "test")
+        want = len(graph.scc()) == 1
+        assert graph.is_strongly_connected() == want, trial
+
+
+def _edge_set(graph):
+    return {(i, j) for i in range(graph.node_count) for j in graph.successors(i)}
+
+
+def _brute_edges(system, nodes, D):
+    return {(i, j) for i, x in enumerate(nodes) for j, y in enumerate(nodes)
+            if D.accepts(system.forward(x), y)}
+
+
+SADDLE = linear_hyperbolic(((2.0, 1.0), (1.0, 1.0)), name="saddle")
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)),
+                min_size=1, max_size=50),
+       st.floats(0.005, 0.8))
+def test_array_ball_graph_matches_pairwise_predicate_on_torus(points, radius):
+    D = metric_ball(CAT, radius)
+    assert _ball_edges(CAT, tuple(points), D) is not None
+    graph = build_chain_graph(CAT, points, D)
+    assert _edge_set(graph) == _brute_edges(CAT, points, D)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                min_size=1, max_size=50),
+       st.floats(0.005, 2.0))
+def test_array_ball_graph_matches_pairwise_predicate_on_plane(points, radius):
+    D = metric_ball(SADDLE, radius)
+    assert _ball_edges(SADDLE, tuple(points), D) is not None
+    graph = build_chain_graph(SADDLE, points, D)
+    assert _edge_set(graph) == _brute_edges(SADDLE, points, D)
+
+
+def test_ball_graph_keeps_scalar_route_for_other_metrics():
+    # a ball in a metric the array route does not reproduce goes pair by pair
+    D = metric_ball(CAT, 0.2, metric=lambda x, y: CAT.metric(x, y) * 2.0)
+    nodes = torus_grid(5)
+    assert _ball_edges(CAT, nodes, D) is None
+    assert _edge_set(build_chain_graph(CAT, nodes, D)) == _brute_edges(CAT, nodes, D)
+
+
+@PROPERTY
+@given(st.integers(3, 40).filter(lambda n: n & (n - 1)),
+       st.floats(0.01, 0.6))
+def test_torus_grid_graph_matches_generic_builder_off_dyadic_grids(n, delta):
+    # the radius must avoid exact grid distances, where float rounding of
+    # the generic builder's images would decide the edge
+    gaps = [abs(delta * n - math.hypot(p, q))
+            for p in range(n + 1) for q in range(n + 1)]
+    assume(min(gaps) > 1e-6)
+    fast = torus_grid_graph(CAT, n, delta)
+    slow = build_chain_graph(CAT, torus_grid(n), metric_ball(CAT, delta))
+    assert fast.nodes == slow.nodes
+    assert np.array_equal(fast.indptr, slow.indptr)
+    assert np.array_equal(fast.indices, slow.indices)
 
 
 def test_is_chain():
@@ -136,11 +233,8 @@ def test_is_chain():
 def test_two_block_symbol_recurrence():
     sft = sft_shift(("110001", "110000", "000100", "000010", "001000",
                      "001000"), name="two-block-sft")
-    graph = ChainGraph(
-        nodes=tuple(range(6)),
-        adjacency=sft.symbol_graph(),
-        entourage_id="symbol-transitions",
-    )
+    graph = ChainGraph.from_successors(tuple(range(6)), sft.symbol_graph(),
+                                       "symbol-transitions")
     assert chain_recurrent_set(graph) == frozenset({0, 1, 2, 3, 4})
 
 
@@ -155,6 +249,48 @@ def test_chain_components_ladder_stabilization():
     # stabilized scale comes from truncating the ladder there
     stabilized = chain_components(graphs[:ccs.stabilization_index + 1])
     assert len(stabilized.components) == 1
+
+
+def _reference_ladder(graphs):
+    """The ladder intersection from its definition: a node's key is the
+    tuple of its SCC indices so far, cells group equal keys, and a step
+    stabilizes when its cells equal the previous step's."""
+    recurrent, labels, history, stabilization, previous = None, {}, [], None, None
+    for step, g in enumerate(graphs):
+        comp_of = {v: k for k, comp in enumerate(g.scc()) for v in comp}
+        rec = g.recurrent_indices()
+        recurrent = rec if recurrent is None else recurrent & rec
+        labels = {i: labels.get(i, ()) + (comp_of[i],) for i in recurrent}
+        cells = {}
+        for i, key in labels.items():
+            cells.setdefault(key, set()).add(i)
+        snapshot = frozenset(frozenset(c) for c in cells.values())
+        history.append((len(recurrent), len(snapshot)))
+        if previous is not None and snapshot == previous and stabilization is None:
+            stabilization = step
+        previous = snapshot
+    order = sorted(previous, key=lambda c: (-len(c), min(c)))
+    return tuple(order), tuple(history), stabilization
+
+
+def test_chain_components_match_reference_on_random_ladders():
+    rng = random.Random(11)
+    for trial in range(60):
+        n = rng.randint(1, 14)
+        edges = {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.35}
+        graphs = []
+        for _ in range(rng.randint(1, 4)):
+            graphs.append(ChainGraph.from_successors(
+                range(n), [[j for a, j in edges if a == i] for i in range(n)],
+                "test"))
+            if rng.random() < 0.6:
+                edges = {e for e in edges if rng.random() < 0.8}
+        ccs = chain_components(graphs)
+        components, history, stabilization = _reference_ladder(graphs)
+        assert ccs.components == tuple(frozenset(c) for c in components), trial
+        assert ccs.history == history, trial
+        assert ccs.stabilization_index == stabilization, trial
+        assert ccs.recurrent_nodes == frozenset().union(*components), trial
 
 
 def test_chain_components_needs_shared_nodes():

@@ -150,3 +150,47 @@ def test_same_seed_is_deterministic(capsys):
     code1, out1, _ = run_cli(argv, capsys)
     code2, out2, _ = run_cli(argv, capsys)
     assert (code1, out1) == (code2, out2)
+
+
+def test_decompose_cat_passes_at_non_dyadic_resolution(capsys):
+    code, out, _ = run_cli(
+        ["decompose", "cat-map", "--resolution", "40", "--seed", "3"], capsys)
+    assert code == 0
+    rep = parse_report(out)
+    assert rep.header["validation"] == "clean"
+    assert rep.header["recurrent_nodes"] == "1600"
+
+
+def _one_line_usage_error(argv, capsys, flag):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-4", "2.5", "many"])
+@pytest.mark.parametrize("command", [
+    ["decompose", "cat-map"],
+    ["chain-recurrent", "cat-map", "--radius", "0.1"],
+])
+def test_resolution_must_be_a_positive_int(capsys, command, value):
+    _one_line_usage_error(command + ["--resolution", value], capsys,
+                          "--resolution")
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "wide"])
+def test_ladder_must_be_a_positive_finite_float(capsys, value):
+    _one_line_usage_error(["decompose", "cat-map", "--ladder", value], capsys,
+                          "--ladder")
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose", "cat-map", "--resolution", "256"],
+    ["chain-recurrent", "cat-map", "--radius", "0.05", "--resolution", "96"],
+])
+def test_out_directory_is_checked_before_any_work(tmp_path, capsys, command):
+    # both commands would take seconds; the check must come first
+    missing = tmp_path / "missing" / "report.txt"
+    _one_line_usage_error(command + ["--out", str(missing)], capsys, "--out")
+    _one_line_usage_error(command + ["--out", str(tmp_path)], capsys, "--out")

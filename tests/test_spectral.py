@@ -1,6 +1,7 @@
 """Decomposition into basic sets, and the certificates that back it."""
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from topodyn import (
     torus_automorphism,
     transitivity_certificate,
 )
+from topodyn.entourage import metric_ball
 from topodyn.spectral import CertificateError, WalkDemo
 from topodyn.systems import _north_south
 
@@ -176,6 +178,82 @@ def test_corrupted_lattice_cycle_is_rejected():
     assert any("does not close" in msg for msg in failures)
 
 
+# the torus route: every failure kind must survive the array re-checks
+
+
+def _torus_dec(n=20):
+    return spectral_decompose(CAT, resolution=n, seed=1, pairs=4)
+
+
+def _with_density_demo(dec, k, **changes):
+    """dec with density demo k of basic set 0 altered."""
+    bs = dec.basic_sets[0]
+    cert = bs.periodic_density
+    demos = list(cert.demos)
+    demos[k] = dataclasses.replace(demos[k], **changes)
+    bs = dataclasses.replace(
+        bs, periodic_density=dataclasses.replace(cert, demos=tuple(demos)))
+    return dataclasses.replace(dec, basic_sets=(bs,))
+
+
+def test_lattice_node_moved_by_one_ulp_is_rejected():
+    dec = _torus_dec()
+    x, y = dec.basic_sets[0].periodic_density.demos[7].node
+    moved = (math.nextafter(x, 2.0), y)
+    failures = _with_density_demo(dec, 7, node=moved, traced=moved).validate(CAT)
+    assert any("is not a lattice node" in msg for msg in failures)
+
+
+def test_wrong_cycle_length_is_rejected():
+    dec = _torus_dec()
+    demo = next(d for d in dec.basic_sets[0].periodic_density.demos
+                if d.cycle_length > 1)
+    k = dec.basic_sets[0].periodic_density.demos.index(demo)
+    for wrong in (demo.cycle_length - 1, 2 * demo.cycle_length, 0):
+        failures = _with_density_demo(dec, k, cycle_length=wrong).validate(CAT)
+        assert any(f"does not close in exactly {wrong} steps" in msg
+                   for msg in failures), wrong
+
+
+def test_gap_above_radius_is_rejected():
+    dec = _torus_dec()
+    radius = dec.basic_sets[0].periodic_density.params["radius"]
+    failures = _with_density_demo(dec, 3, gap=2.0 * radius).validate(CAT)
+    assert any("exceeds the entourage radius" in msg for msg in failures)
+
+
+def test_basic_set_missing_an_image_fails_invariance():
+    n = 20
+    dec = _torus_dec(n)
+    # drop the image of lattice node (3, 5); the cat map sends (3, 5) to (11, 8)
+    gone = (11 / n, 8 / n)
+    bs = dec.basic_sets[0]
+    bs = dataclasses.replace(bs, nodes=tuple(x for x in bs.nodes if x != gone))
+    failures = dataclasses.replace(dec, basic_sets=(bs,)).validate(CAT)
+    assert any(msg.startswith(f"image of {CAT.point_to_text((3 / n, 5 / n))} ")
+               for msg in failures)
+    assert sum(msg.startswith("image of ") for msg in failures) == 1
+
+
+def test_too_small_chain_entourage_breaks_transitivity():
+    n = 20
+    dec = _torus_dec(n)
+    bs = dec.basic_sets[0]
+    tight = dataclasses.replace(bs.transitivity,
+                                chain_entourage=metric_ball(CAT, 0.5 / n))
+    bs = dataclasses.replace(bs, transitivity=tight)
+    failures = dataclasses.replace(dec, basic_sets=(bs,)).validate(CAT)
+    assert any("not strongly connected under D" in msg for msg in failures)
+
+
+@pytest.mark.parametrize("n", [10, 20, 50])
+def test_cat_grid_validates_clean_off_dyadic_resolutions(n):
+    dec = spectral_decompose(CAT, resolution=n, seed=n)
+    assert dec.component_count == 1
+    assert len(dec.recurrent_nodes) == n * n
+    assert dec.validate(CAT) == []
+
+
 # ---------------------------------------------------------------------------
 # finite systems
 
@@ -250,8 +328,8 @@ def test_transitivity_needs_a_whole_scc():
 def test_symbol_graph_chain_mirrors_transitions():
     graph = symbol_graph_chain(TWO_BLOCK)
     assert graph.nodes == (0, 1, 2, 3, 4, 5)
-    assert graph.adjacency[0] == (0, 1, 5)
-    assert graph.adjacency[5] == (2,)
+    assert graph.successors(0) == (0, 1, 5)
+    assert graph.successors(5) == (2,)
 
 
 def test_density_certificate_needs_resolution_on_torus():
