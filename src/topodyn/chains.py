@@ -23,7 +23,7 @@ import numpy as np
 
 from .entourage import GaugeBall, MetricBall
 from .report import Report
-from .systems import LinearSaddle, TorusAutomorphism
+from .systems import TorusAutomorphism
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +247,11 @@ def _ball_radius(D):
 def build_chain_graph(system, samples, D, entourage_id=None):
     """Edges exactly {(i, j) : (f(node_i), node_j) in D}.
 
-    A metric ball in the own metric of a torus automorphism or a planar
-    linear saddle is built on arrays (`_ball_edges`). Otherwise a cell index
-    over embedded coordinates narrows the candidates when D has a known
-    radius (a metric ball, or a bounded gauge read at departure) and the
-    system embeds its points, and the full pairwise scan runs when not.
+    A metric ball in the own metric of a torus automorphism is built on
+    arrays (`_ball_edges`). Otherwise a cell index over embedded coordinates
+    narrows the candidates when D has a known radius (a metric ball, or a
+    bounded gauge read at departure) and the system embeds its points, and
+    the full pairwise scan runs when not.
     """
     nodes = tuple(samples)
     if not nodes:
@@ -284,111 +284,82 @@ def _describe(D):
 # ---------------------------------------------------------------------------
 # metric balls on arrays
 
-# relative room between a hash cell and the ball radius, so that rounding in
-# the cell keys cannot hide a neighbor two cells away
-_CELL_ROOM = 1.0 + 1e-9
+# absolute room between a hash cell and the ball radius, per unit of the
+# largest node coordinate; the rounding of coordinate differences and of cell
+# keys stays under 2**-48 per unit, so no accepted pair sits two cells apart
+_CELL_ROOM = 2.0 ** -40
 # candidate pairs measured per batch, which bounds the batch arrays
 _PAIR_BATCH = 1 << 18
 
 
-def _array_metric(system, D):
-    """The metric kind, torus or euclidean, when `_ball_edges` reproduces D
-    on this system bit for bit: D is a metric ball in the system's own
-    metric, and the system is a plain torus automorphism or planar linear
-    saddle with int or float matrix entries. None otherwise."""
-    cls = type(system)
-    if cls not in (TorusAutomorphism, LinearSaddle) or type(D) is not MetricBall:
-        return None
-    if getattr(D.metric, "__func__", None) is not cls.metric:
-        return None
-    if any(type(v) not in (int, float) for row in system.matrix for v in row):
-        return None
-    return cls.embedding_metric
+def _array_ball(system, D):
+    """True when `_ball_edges` reproduces D on this system bit for bit: D
+    is a metric ball in the own metric of a plain torus automorphism with
+    int or float matrix entries."""
+    return (type(system) is TorusAutomorphism and type(D) is MetricBall
+            and getattr(D.metric, "__func__", None) is TorusAutomorphism.metric
+            and all(type(v) in (int, float)
+                    for row in system.matrix for v in row))
 
 
-def _linear_images(system, pts):
+def _torus_images(system, pts):
     """f at every row of pts by the float operations of `forward`: a*x + b*y
-    per coordinate, then mod 1 on the torus."""
+    per coordinate, then mod 1."""
     (a, b), (c, d) = system.matrix
     x, y = pts[:, 0], pts[:, 1]
     out = np.stack([float(a) * x + float(b) * y,
                     float(c) * x + float(d) * y], axis=1)
-    if isinstance(system, TorusAutomorphism):
-        out %= 1.0
+    out %= 1.0
     return out
 
 
-def _distances(p, q, torus):
-    """Row-wise distances by the float operations of `torus_metric` or
-    `euclidean`, so each equals the scalar metric's value exactly."""
+def _torus_distances(p, q):
+    """Row-wise distances by the float operations of `torus_metric`, so each
+    equals the scalar metric's value exactly."""
     t = np.abs(p - q)
-    if torus:
-        t %= 1.0
-        t = np.minimum(t, 1.0 - t)
+    t %= 1.0
+    t = np.minimum(t, 1.0 - t)
     return np.sqrt(t[:, 0] * t[:, 0] + t[:, 1] * t[:, 1])
 
 
 def _ball_edges(system, nodes, D):
     """Edge arrays (src, dst) of {(i, j) : D.accepts(f(x_i), x_j)} for a
-    metric ball that `_array_metric` accepts, over nodes that are pairs of
+    metric ball that `_array_ball` accepts, over nodes that are pairs of
     finite floats; None when any of that fails.
 
-    Candidates come from one sorted hash of the nodes' cells, with cells at
-    least as wide as the radius, so every node within the radius of an
-    image sits in one of the 3 x 3 cells around it; then every candidate
-    pair is measured with `_distances` and kept when closer than delta.
+    Candidates come from one sorted hash of the nodes' cells, with cells
+    wider than the radius by `_CELL_ROOM` times the largest coordinate, so
+    every node within the radius of an image sits in one of the 3 x 3 cells
+    around it; then every candidate pair is measured with
+    `_torus_distances` and kept when closer than delta.
     """
-    kind = _array_metric(system, D)
-    if kind is None or not all(
+    if not _array_ball(system, D) or not all(
             type(p) is tuple and len(p) == 2
             and type(p[0]) is float and type(p[1]) is float for p in nodes):
         return None
-    torus = kind == "torus"
     pts = np.array(nodes, dtype=float)
-    images = _linear_images(system, pts)
+    images = _torus_images(system, pts)
     if not (np.isfinite(pts).all() and np.isfinite(images).all()):
         return None
     delta = D.delta
-    if torus:
-        ncells = max(1, int(1.0 / (delta * _CELL_ROOM)))
-        if ncells > 1 << 30:
-            return None
-        width = 1.0 / ncells
-        node_keys = (np.floor((pts % 1.0) / width) % ncells).astype(np.int64)
-        image_keys = (np.floor((images % 1.0) / width) % ncells).astype(np.int64)
-        low, span = np.zeros(2, dtype=np.int64), (ncells, ncells)
-        steps = np.unique(np.array([-1, 0, 1]) % ncells)
-    else:
-        width = delta * _CELL_ROOM
-        node_cells, image_cells = np.floor(pts / width), np.floor(images / width)
-        if max(np.abs(node_cells).max(), np.abs(image_cells).max()) > 2.0 ** 52:
-            return None
-        node_keys = node_cells.astype(np.int64)
-        image_keys = image_cells.astype(np.int64)
-        low = node_keys.min(axis=0) - 1
-        span = tuple(int(v) for v in node_keys.max(axis=0) - low + 2)
-        if span[0] * span[1] > 1 << 62:
-            return None
-        steps = np.array([-1, 0, 1])
-    node_keys -= low
-    image_keys -= low
-    flat = node_keys[:, 0] * span[1] + node_keys[:, 1]
+    room = _CELL_ROOM * (1.0 + float(np.abs(pts).max()))
+    # wider cells only add candidates; the cap keeps the flat keys in int64
+    ncells = min(1 << 30, max(1, int(1.0 / (delta + room))))
+    width = 1.0 / ncells
+    node_keys = (np.floor((pts % 1.0) / width) % ncells).astype(np.int64)
+    image_keys = (np.floor(images / width) % ncells).astype(np.int64)
+    flat = node_keys[:, 0] * ncells + node_keys[:, 1]
     order = np.argsort(flat, kind="stable")
     flat = flat[order]
+    steps = np.unique(np.array([-1, 0, 1]) % ncells)
     starts, counts = [], []
     for dx in steps:
         for dy in steps:
-            kx, ky = image_keys[:, 0] + dx, image_keys[:, 1] + dy
-            if torus:
-                kx %= ncells
-                ky %= ncells
-            key = kx * span[1] + ky
+            key = ((image_keys[:, 0] + dx) % ncells * ncells
+                   + (image_keys[:, 1] + dy) % ncells)
             first = np.searchsorted(flat, key, "left")
-            count = np.searchsorted(flat, key, "right") - first
-            if not torus:
-                count[(kx < 0) | (kx >= span[0]) | (ky < 0) | (ky >= span[1])] = 0
             starts.append(first)
-            counts.append(count)
+            counts.append(np.searchsorted(flat, key, "right") - first)
     starts, counts = np.stack(starts, axis=1), np.stack(counts, axis=1)
     per_image = counts.sum(axis=1)
     reach = np.cumsum(per_image)
@@ -401,7 +372,7 @@ def _ball_edges(system, nodes, D):
         dst = order[_concat_ranges(starts[begin:end].ravel(),
                                    counts[begin:end].ravel())]
         src = np.repeat(np.arange(begin, end), per_image[begin:end])
-        keep = _distances(images[src], pts[dst], torus) < delta
+        keep = _torus_distances(images[src], pts[dst]) < delta
         src_parts.append(src[keep])
         dst_parts.append(dst[keep])
         begin = end

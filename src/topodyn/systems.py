@@ -28,8 +28,9 @@ class NotHyperbolicError(ValueError):
 
 
 # The two metrics below square by multiplication, which rounds once, rather
-# than with `** 2` (libm pow, which can miss by an ulp); the array metrics in
-# `chains` repeat these exact operations and so return the same floats.
+# than with `** 2` (libm pow, which can miss by an ulp); the array torus
+# metric in `chains` repeats these exact operations and so returns the same
+# floats.
 
 
 def euclidean(p, q):
@@ -41,10 +42,9 @@ def euclidean(p, q):
 
 
 def _wrap_unit(t):
-    # distance between two circle coordinates, shortest way around; for t
-    # in [0.5, 1) the difference 1 - t is exact, so this is min(t, 1 - t)
+    # distance between two circle coordinates, shortest way around
     t = abs(t) % 1.0
-    return 1.0 - t if t > 0.5 else t
+    return min(t, 1.0 - t)
 
 
 def torus_metric(p, q):

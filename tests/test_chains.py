@@ -190,11 +190,33 @@ def test_array_ball_graph_matches_pairwise_predicate_on_torus(points, radius):
 @given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
                 min_size=1, max_size=50),
        st.floats(0.005, 2.0))
-def test_array_ball_graph_matches_pairwise_predicate_on_plane(points, radius):
+def test_cell_index_ball_graph_matches_pairwise_predicate_on_plane(points, radius):
+    # planar balls keep the cell-index route
     D = metric_ball(SADDLE, radius)
-    assert _ball_edges(SADDLE, tuple(points), D) is not None
+    assert _ball_edges(SADDLE, tuple(points), D) is None
     graph = build_chain_graph(SADDLE, points, D)
     assert _edge_set(graph) == _brute_edges(SADDLE, points, D)
+
+
+@pytest.mark.parametrize("delta, lift", [(0.000999999998, 2.0 ** 20),
+                                         (0.000999999998, 1e12),
+                                         (1e-9, 3.0)])
+def test_array_ball_graph_keeps_pairs_at_cell_edges(delta, lift):
+    # images just below a cell boundary, and lifted nodes whose distance
+    # to them rounds across the radius: the cell hash must still reach every
+    # node the float predicate accepts
+    nodes = []
+    for k in range(1, 6):
+        y = (k / 1000.0 - 1e-13, 0.3)
+        x = ((y[0] - y[1]) % 1.0, (2 * y[1] - y[0]) % 1.0)  # inverse cat map
+        fx = CAT.forward(x)
+        nodes.append(x)
+        nodes.extend((lift + fx[0] + delta + m * 2.0 ** -34, fx[1])
+                     for m in range(-12, 13))
+    D = metric_ball(CAT, delta)
+    assert _ball_edges(CAT, tuple(nodes), D) is not None
+    graph = build_chain_graph(CAT, nodes, D)
+    assert _edge_set(graph) == _brute_edges(CAT, nodes, D)
 
 
 def test_ball_graph_keeps_scalar_route_for_other_metrics():
