@@ -15,7 +15,6 @@ from fractions import Fraction
 from topodyn import (
     PERIODIC,
     PseudoOrbit,
-    compute_defects,
     linear_hyperbolic,
     metric_ball,
     perturbed_pseudo_orbit,
@@ -51,8 +50,7 @@ print()
 
 w = tuple((Fraction(k, 7) % 1, Fraction(3 * k + 1, 11) % 1)
           for k in range(4))
-po = PseudoOrbit(w, PERIODIC, 0.0)
-po = PseudoOrbit(w, PERIODIC, max(compute_defects(cat, po)))
+po = PseudoOrbit.measured(cat, w, PERIODIC)
 exact = trace_linear_hyperbolic(cat, po, exact=True)
 z = exact.point
 for _ in range(4):

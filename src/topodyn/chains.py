@@ -11,10 +11,17 @@ Everything here is sound per entourage: every reported edge satisfies the
 entourage predicate exactly, so reported chains are genuine chains. What a
 finite sample set cannot do is witness chains passing between samples;
 callers state their grid resolution for that reason.
+
+One spatial hash, `_near_pairs`, finds the candidate pairs wherever a
+radius bounds the search: the chain graphs of entourages with a radius,
+the nonwandering probe on the torus, and the injectivity check of the
+stability conjugacy in `hyperbolic`. Each caller then measures its
+candidates with its own exact test.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -23,52 +30,21 @@ import numpy as np
 
 from .entourage import GaugeBall, MetricBall
 from .report import Report
-from .systems import TorusAutomorphism
+from .systems import TorusAutomorphism, torus_grid
 
 
 # ---------------------------------------------------------------------------
-# spatial index for candidate lookup
+# spatial hash
 
-
-class _CellIndex:
-    """Uniform bins over embedded coordinates. Query radius must not exceed
-    the cell width, so all candidates sit in the 3^dim neighboring cells."""
-
-    def __init__(self, coords, cell, wrap=None):
-        self.wrap = wrap
-        if wrap is not None:
-            self.ncells = max(1, int(wrap / cell))
-            self.cell = wrap / self.ncells
-        else:
-            self.ncells = None
-            self.cell = cell
-        self.bins = {}
-        for i, c in enumerate(coords):
-            self.bins.setdefault(self._key(c), []).append(i)
-        self.dim = len(coords[0]) if coords else 0
-
-    def _key(self, c):
-        if self.wrap is not None:
-            return tuple(int((v % self.wrap) / self.cell) % self.ncells for v in c)
-        return tuple(int(math.floor(v / self.cell)) for v in c)
-
-    def near(self, c):
-        base = self._key(c)
-        out = []
-        deltas = [(-1, 0, 1)] * len(base)
-        stack = [()]
-        for choices in deltas:
-            stack = [prefix + (d,) for prefix in stack for d in choices]
-        for offs in stack:
-            key = tuple(b + o for b, o in zip(base, offs))
-            if self.ncells is not None:
-                key = tuple(k % self.ncells for k in key)
-            out.extend(self.bins.get(key, ()))
-        return out
-
-
-# ---------------------------------------------------------------------------
-# chain graphs
+# absolute room between a hash cell and the radius, per unit of the largest
+# coordinate; the rounding of coordinate differences and of cell keys stays
+# under 2**-48 per unit, so no pair closer than the radius sits two cells
+# apart
+_CELL_ROOM = 2.0 ** -40
+# cells per axis at most, which keeps the flat cell keys in int64
+_MAX_CELLS = 1 << 30
+# candidate pairs per batch, which bounds the batch arrays
+_PAIR_BATCH = 1 << 14
 
 
 def _concat_ranges(starts, counts):
@@ -77,6 +53,82 @@ def _concat_ranges(starts, counts):
     ends = np.cumsum(counts)
     shift = np.repeat(starts - ends + counts, counts)
     return np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64) + shift
+
+
+def _near_pairs(points, queries, radius, wrap):
+    """Candidate pairs for every query row and point row closer than radius:
+    Euclidean distance of the (N, d) and (M, d) float arrays, d = 1 or 2,
+    with every coordinate taken mod 1 when wrap is set (the unit torus).
+
+    Yields (query, point) index arrays in batches of at most `_PAIR_BATCH`
+    pairs, queries in order, split between queries except where one query
+    alone has more. Rows with a non-finite coordinate are closer than
+    nothing and take no part. The points go into one sorted hash of cells
+    wider than the radius by `_CELL_ROOM` times (1 + the largest
+    coordinate), at most `_MAX_CELLS` per axis, so every pair closer than
+    the radius has its point in one of the 3^d cells around its query.
+    """
+    p_rows = np.flatnonzero(np.isfinite(points).all(axis=1))
+    q_rows = np.flatnonzero(np.isfinite(queries).all(axis=1))
+    points, queries = points[p_rows], queries[q_rows]
+    top = max(np.abs(points).max(initial=0.0), np.abs(queries).max(initial=0.0))
+    room = _CELL_ROOM * (1.0 + top)
+    if wrap:  # span cells of width 1/span per unit, keys taken mod span
+        span = min(_MAX_CELLS, max(1, int(1.0 / (radius + room))))
+        width = 1.0 / span
+    else:
+        width = max(radius + room, top / _MAX_CELLS)
+        # every key and its neighbours lie in [-top/width - 2, top/width + 1]
+        span = 2 * int(top / width) + 5
+    # cell keys, flattened mod span per axis: below span**2 < 2**63
+    shape = (span,) * points.shape[1]
+    p_keys = np.floor(points / width).astype(np.int64)
+    q_keys = np.floor(queries / width).astype(np.int64)
+    p_flat = np.ravel_multi_index(tuple(p_keys.T), shape, mode="wrap")
+    order = np.argsort(p_flat, kind="stable")
+    p_flat = p_flat[order]
+    order = p_rows[order]
+    steps = sorted({-1 % span, 0, 1 % span})  # no cell twice
+    cells = list(itertools.product(steps, repeat=points.shape[1]))
+    starts = np.empty((len(q_rows), len(cells)), dtype=np.int64)
+    counts = np.empty_like(starts)
+    for col, step in enumerate(cells):
+        key = np.ravel_multi_index(tuple((q_keys + step).T), shape, mode="wrap")
+        starts[:, col] = np.searchsorted(p_flat, key, "left")
+        counts[:, col] = np.searchsorted(p_flat, key, "right") - starts[:, col]
+    per_query = counts.sum(axis=1)
+    reach = np.cumsum(per_query)
+    begin = 0
+    while begin < len(q_rows):
+        done = int(reach[begin - 1]) if begin else 0
+        end = int(np.searchsorted(reach, done + _PAIR_BATCH, "right"))
+        if end > begin:
+            yield (np.repeat(q_rows[begin:end], per_query[begin:end]),
+                   order[_concat_ranges(starts[begin:end].ravel(),
+                                        counts[begin:end].ravel())])
+        else:  # one query with more candidates than a batch holds
+            near = order[_concat_ranges(starts[begin], counts[begin])]
+            for lo in range(0, len(near), _PAIR_BATCH):
+                part = near[lo:lo + _PAIR_BATCH]
+                yield np.full(len(part), q_rows[begin]), part
+            end = begin + 1
+        begin = end
+
+
+def _torus_distances(p, q):
+    """Distances of the unit torus between matching rows (broadcast over
+    leading axes), by the float operations of `torus_metric`, so each
+    equals the scalar metric's value exactly."""
+    t = np.subtract(p, q)
+    np.abs(t, out=t)
+    if not t.max(initial=0.0) < 1.0:  # t % 1.0 is t itself below 1
+        t %= 1.0
+    np.minimum(t, 1.0 - t, out=t)
+    return np.sqrt(t[..., 0] * t[..., 0] + t[..., 1] * t[..., 1])
+
+
+# ---------------------------------------------------------------------------
+# chain graphs
 
 
 def _csr(node_count, src, dst):
@@ -236,41 +288,44 @@ def is_chain(system, seq, D):
     )
 
 
-def _ball_radius(D):
-    if isinstance(D, MetricBall):
-        return D.delta
-    if isinstance(D, GaugeBall) and not D.at_arrival and D.sup_bound is not None:
-        return D.sup_bound
-    return None
-
-
 def build_chain_graph(system, samples, D, entourage_id=None):
     """Edges exactly {(i, j) : (f(node_i), node_j) in D}.
 
-    A metric ball in the own metric of a torus automorphism is built on
-    arrays (`_ball_edges`). Otherwise a cell index over embedded coordinates
-    narrows the candidates when D has a known radius (a metric ball, or a
-    bounded gauge read at departure) and the system embeds its points, and
-    the full pairwise scan runs when not.
+    When D has a radius in the system's own metric and the system embeds
+    its points, `_near_pairs` gives the candidate pairs: a metric ball of a
+    torus automorphism (`_array_ball`) measures them on arrays, bit for bit
+    as the scalar metric, and any other entourage with D.accepts. Without a
+    radius every pair is tested.
     """
     nodes = tuple(samples)
     if not nodes:
         raise ValueError("Chain graphs need a nonempty sample set.")
     entourage_id = entourage_id or _describe(D)
-    edges = _ball_edges(system, nodes, D)
-    if edges is not None:
-        return ChainGraph(nodes, *_csr(len(nodes), *edges), entourage_id)
-    images = [system.forward(x) for x in nodes]
-    radius = _ball_radius(D)
-    if radius is not None and system.embedding_metric is not None:
-        wrap = 1.0 if system.embedding_metric == "torus" else None
-        index = _CellIndex([system.embed(x) for x in nodes], radius, wrap=wrap)
-        rows = ([j for j in set(index.near(system.embed(fx)))
-                 if D.accepts(fx, nodes[j])] for fx in images)
+    radius = D.radius
+    hashed = (radius is not None and system.embedding_metric is not None
+              and D.metric == system.metric)
+    if hashed and _array_ball(system, D, nodes):
+        pts = np.array(nodes, dtype=float)
+        images = system.forward_batch(pts)
+        keep = lambda q, p: _torus_distances(images[q], pts[p]) < radius
     else:
-        rows = ([j for j, y in enumerate(nodes) if D.accepts(fx, y)]
-                for fx in images)
-    return ChainGraph.from_successors(nodes, rows, entourage_id)
+        fnodes = [system.forward(x) for x in nodes]
+        if not hashed:
+            rows = ([j for j, y in enumerate(nodes) if D.accepts(fx, y)]
+                    for fx in fnodes)
+            return ChainGraph.from_successors(nodes, rows, entourage_id)
+        pts = np.array([system.embed(x) for x in nodes], dtype=float)
+        images = np.array([system.embed(fx) for fx in fnodes], dtype=float)
+        keep = lambda q, p: np.fromiter(
+            (D.accepts(fnodes[i], nodes[j]) for i, j in zip(q.tolist(), p.tolist())),
+            dtype=bool, count=len(q))
+    src, dst = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for q, p in _near_pairs(pts, images, radius, system.embedding_metric == "torus"):
+        kept = keep(q, p)
+        src.append(q[kept])
+        dst.append(p[kept])
+    return ChainGraph(nodes, *_csr(len(nodes), np.concatenate(src),
+                                   np.concatenate(dst)), entourage_id)
 
 
 def _describe(D):
@@ -281,102 +336,23 @@ def _describe(D):
     return D.kind
 
 
-# ---------------------------------------------------------------------------
-# metric balls on arrays
-
-# absolute room between a hash cell and the ball radius, per unit of the
-# largest node coordinate; the rounding of coordinate differences and of cell
-# keys stays under 2**-48 per unit, so no accepted pair sits two cells apart
-_CELL_ROOM = 2.0 ** -40
-# candidate pairs measured per batch, which bounds the batch arrays
-_PAIR_BATCH = 1 << 18
-
-
-def _array_ball(system, D):
-    """True when `_ball_edges` reproduces D on this system bit for bit: D
-    is a metric ball in the own metric of a plain torus automorphism with
-    int or float matrix entries."""
+def _array_ball(system, D, nodes):
+    """True when the array route of `build_chain_graph` reproduces D on
+    these nodes bit for bit: D is a metric ball in the own metric of a plain
+    torus automorphism with int or float matrix entries, and the nodes are
+    pairs of floats."""
     return (type(system) is TorusAutomorphism and type(D) is MetricBall
             and getattr(D.metric, "__func__", None) is TorusAutomorphism.metric
             and all(type(v) in (int, float)
-                    for row in system.matrix for v in row))
+                    for row in system.matrix for v in row)
+            and all(type(p) is tuple and len(p) == 2 and type(p[0]) is float
+                    and type(p[1]) is float for p in nodes))
 
 
-def _torus_images(system, pts):
-    """f at every row of pts by the float operations of `forward`: a*x + b*y
-    per coordinate, then mod 1."""
-    (a, b), (c, d) = system.matrix
-    x, y = pts[:, 0], pts[:, 1]
-    out = np.stack([float(a) * x + float(b) * y,
-                    float(c) * x + float(d) * y], axis=1)
-    out %= 1.0
-    return out
-
-
-def _torus_distances(p, q):
-    """Row-wise distances by the float operations of `torus_metric`, so each
-    equals the scalar metric's value exactly."""
-    t = np.abs(p - q)
-    t %= 1.0
-    t = np.minimum(t, 1.0 - t)
-    return np.sqrt(t[:, 0] * t[:, 0] + t[:, 1] * t[:, 1])
-
-
-def _ball_edges(system, nodes, D):
-    """Edge arrays (src, dst) of {(i, j) : D.accepts(f(x_i), x_j)} for a
-    metric ball that `_array_ball` accepts, over nodes that are pairs of
-    finite floats; None when any of that fails.
-
-    Candidates come from one sorted hash of the nodes' cells, with cells
-    wider than the radius by `_CELL_ROOM` times the largest coordinate, so
-    every node within the radius of an image sits in one of the 3 x 3 cells
-    around it; then every candidate pair is measured with
-    `_torus_distances` and kept when closer than delta.
-    """
-    if not _array_ball(system, D) or not all(
-            type(p) is tuple and len(p) == 2
-            and type(p[0]) is float and type(p[1]) is float for p in nodes):
-        return None
-    pts = np.array(nodes, dtype=float)
-    images = _torus_images(system, pts)
-    if not (np.isfinite(pts).all() and np.isfinite(images).all()):
-        return None
-    delta = D.delta
-    room = _CELL_ROOM * (1.0 + float(np.abs(pts).max()))
-    # wider cells only add candidates; the cap keeps the flat keys in int64
-    ncells = min(1 << 30, max(1, int(1.0 / (delta + room))))
-    width = 1.0 / ncells
-    node_keys = (np.floor((pts % 1.0) / width) % ncells).astype(np.int64)
-    image_keys = (np.floor(images / width) % ncells).astype(np.int64)
-    flat = node_keys[:, 0] * ncells + node_keys[:, 1]
-    order = np.argsort(flat, kind="stable")
-    flat = flat[order]
-    steps = np.unique(np.array([-1, 0, 1]) % ncells)
-    starts, counts = [], []
-    for dx in steps:
-        for dy in steps:
-            key = ((image_keys[:, 0] + dx) % ncells * ncells
-                   + (image_keys[:, 1] + dy) % ncells)
-            first = np.searchsorted(flat, key, "left")
-            starts.append(first)
-            counts.append(np.searchsorted(flat, key, "right") - first)
-    starts, counts = np.stack(starts, axis=1), np.stack(counts, axis=1)
-    per_image = counts.sum(axis=1)
-    reach = np.cumsum(per_image)
-    src_parts, dst_parts = [], []
-    begin = 0
-    while begin < len(nodes):
-        done = int(reach[begin - 1]) if begin else 0
-        end = max(begin + 1,
-                  int(np.searchsorted(reach, done + _PAIR_BATCH, "right")))
-        dst = order[_concat_ranges(starts[begin:end].ravel(),
-                                   counts[begin:end].ravel())]
-        src = np.repeat(np.arange(begin, end), per_image[begin:end])
-        keep = _torus_distances(images[src], pts[dst]) < delta
-        src_parts.append(src[keep])
-        dst_parts.append(dst[keep])
-        begin = end
-    return np.concatenate(src_parts), np.concatenate(dst_parts)
+def _lattice_map(system, n):
+    """The integer matrix as a map of lattice coordinate arrays, mod n."""
+    (a, b), (c, d) = ((v % n for v in row) for row in system.matrix)
+    return lambda i, j: ((a * i + b * j) % n, (c * i + d * j) % n)
 
 
 def torus_grid_graph(system, n, delta, entourage_id=None):
@@ -388,7 +364,6 @@ def torus_grid_graph(system, n, delta, entourage_id=None):
     offsets; the edges are one broadcast of the lattice images against the
     offset table, mod n, and no floating-point distances enter.
     """
-    (a, b), (c, d) = ((v % n for v in row) for row in system.matrix)
     reach = int(delta * n) + 1
     offsets = set()
     for di in range(-reach, reach + 1):
@@ -401,15 +376,13 @@ def torus_grid_graph(system, n, delta, entourage_id=None):
         raise ValueError("The lattice has too many nodes for int32 CSR.")
     di, dj = np.array(sorted(offsets), dtype=np.int32).reshape(-1, 2).T
     row, col = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    fi = ((a * row + b * col) % n).astype(np.int32)
-    fj = ((c * row + d * col) % n).astype(np.int32)
+    fi, fj = (v.astype(np.int32) for v in _lattice_map(system, n)(row, col))
     indices = (fi[:, None] + di) % n * n + (fj[:, None] + dj) % n
     indices.sort(axis=1)
     indptr = np.arange(n * n + 1, dtype=np.int64) * len(di)
     if indptr[-1] > np.iinfo(np.int32).max:
         raise ValueError("The chain graph has too many edges for int32 CSR.")
-    nodes = tuple((i / n, j / n) for i in range(n) for j in range(n))
-    return ChainGraph(nodes, indptr.astype(np.int32), indices.ravel(),
+    return ChainGraph(torus_grid(n), indptr.astype(np.int32), indices.ravel(),
                       entourage_id or f"ball({delta!r})")
 
 
@@ -584,27 +557,19 @@ def nonwandering_set(system, samples, probe, horizon):
 
 def _nonwandering_torus(system, samples, radius, horizon):
     pts = np.asarray(samples, dtype=float)
-    m = np.asarray(system.matrix, dtype=float).T
-    orbits = np.empty((horizon + 1,) + pts.shape)
-    orbits[0] = pts
+    # the orbit of each sample is one contiguous row
+    orbits = np.empty((len(pts), horizon + 1, 2))
+    orbits[:, 0] = pts
     for k in range(1, horizon + 1):
-        orbits[k] = (orbits[k - 1] @ m) % 1.0
-    index = _CellIndex([tuple(p) for p in pts], radius, wrap=1.0)
-    out = []
-    for i, x in enumerate(samples):
-        cand = sorted(set(index.near(x)))
-        gap = np.abs(pts[cand] - pts[i])
-        gap = np.minimum(gap, 1.0 - gap)
-        inside = np.sqrt((gap ** 2).sum(axis=1)) < radius
-        cand = [c for c, keep in zip(cand, inside) if keep]
-        if not cand:
-            continue
-        tail = orbits[1:, cand, :]
-        gap = np.abs(tail - pts[i])
-        gap = np.minimum(gap, 1.0 - gap)
-        if (np.sqrt((gap ** 2).sum(axis=2)) < radius).any():
-            out.append(samples[i])
-    return frozenset(out)
+        orbits[:, k] = system.forward_batch(orbits[:, k - 1])
+    found = np.zeros(len(samples), dtype=bool)
+    for q, p in _near_pairs(pts, pts, radius, wrap=True):
+        heads, first = np.unique(q, return_index=True)
+        for i, cand in zip(heads.tolist(), np.split(p, first[1:])):
+            near = cand[_torus_distances(pts[cand], pts[i]) < radius]
+            if (_torus_distances(orbits[near, 1:], pts[i]) < radius).any():
+                found[i] = True
+    return frozenset(samples[i] for i in np.flatnonzero(found).tolist())
 
 
 # ---------------------------------------------------------------------------

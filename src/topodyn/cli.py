@@ -12,6 +12,7 @@ the chosen resolution. All randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import random
@@ -23,9 +24,8 @@ from .demos import DEMOS, run_demo
 from .hyperbolic import sft_flip_perturbation, stability_conjugacy_h, trig_perturbation
 from .report import FAIL, PASS, RESOLUTION_LIMITED, Report
 from .shadowing import (
-    ORBIT_TAIL,
     PseudoOrbit,
-    compute_defects,
+    noisy_window,
     trace_linear_hyperbolic,
     trace_sft,
     trace_strips,
@@ -111,68 +111,24 @@ def _cmd_decompose(args, parser):
 # trace
 
 
-def _linear_pseudo(system, delta, length, rng):
-    if isinstance(system, TorusAutomorphism):
-        x = (rng.random(), rng.random())
-    else:
-        x = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-    window = [x]
-    for _ in range(length):
-        fx = system.forward(window[-1])
-        y = (fx[0] + rng.uniform(-delta / 2.0, delta / 2.0),
-             fx[1] + rng.uniform(-delta / 2.0, delta / 2.0))
-        if isinstance(system, TorusAutomorphism):
-            y = (y[0] % 1.0, y[1] % 1.0)
-        window.append(y)
-    return tuple(window)
-
-
-def _sft_pseudo(system, delta, length, rng):
-    half = max(2, math.ceil(math.log2(1.0 / min(delta, 0.5))))
-    word = [rng.randrange(system.size)]
-    while len(word) < length + 2 * half + 1:
-        succ = system.successors(word[-1])
-        if not succ:
-            raise ValueError(f"Symbol {word[-1]} has no successor.")
-        word.append(rng.choice(succ))
-    return tuple(
-        system.window_point(word[j:j + 2 * half + 1], offset=-half)
-        for j in range(length + 1)
-    )
-
-
-def _strip_pseudo(system, delta, length, rng):
-    n0 = rng.randint(-6, 2)
-    window = [(n0, rng.uniform(0.0, system.fiber_height(n0)))]
-    for _ in range(length):
-        nxt = system.forward(window[-1])
-        lift = nxt[1] + rng.uniform(-delta, delta)
-        window.append((nxt[0],
-                       min(max(lift, 0.0), system.fiber_height(nxt[0]))))
-    return tuple(window)
-
-
 def _cmd_trace(args, parser):
     system = _build_system(args.system, parser)
-    rng = random.Random(args.seed)
-    if args.delta <= 0:
-        parser.error("--delta must be positive")
     if isinstance(system, (LinearSaddle, TorusAutomorphism)):
-        window = _linear_pseudo(system, args.delta, args.length, rng)
         tracer = trace_linear_hyperbolic
     elif isinstance(system, ShiftOfFiniteType):
-        window = _sft_pseudo(system, args.delta, args.length, rng)
         tracer = trace_sft
     elif isinstance(system, StripFamily) and system.variant == "shrinking":
-        window = _strip_pseudo(system, args.delta, args.length, rng)
         tracer = trace_strips
     else:
         parser.error(f"no tracer for system {system.name!r}; supported: "
                      "linear saddles, torus automorphisms, shifts, and "
                      "shrinking strips")
-    probe = PseudoOrbit(window, ORBIT_TAIL, max(args.delta, 1.0))
-    defect = max(compute_defects(system, probe))
-    pseudo = PseudoOrbit(window, ORBIT_TAIL, defect if defect > 0 else args.delta)
+    window = noisy_window(system, args.delta, args.length,
+                          random.Random(args.seed))
+    pseudo = PseudoOrbit.measured(system, window)
+    defect = pseudo.defect_bound
+    if not defect > 0:
+        pseudo = dataclasses.replace(pseudo, defect_bound=args.delta)
     result = tracer(system, pseudo)
     ok = result.error_bound <= result.guaranteed_bound + 1e-12
     rep = Report(
@@ -327,9 +283,9 @@ def build_parser():
 
     p = sub.add_parser("trace", help="trace a seeded pseudo-orbit")
     p.add_argument("system")
-    p.add_argument("--delta", type=float, required=True,
+    p.add_argument("--delta", type=_positive_float, required=True,
                    help="defect bound for the generated pseudo-orbit")
-    p.add_argument("--length", type=int, required=True,
+    p.add_argument("--length", type=_positive_int, required=True,
                    help="number of pseudo-orbit steps")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -350,11 +306,11 @@ def build_parser():
     p = sub.add_parser("stability",
                        help="perturb a model system and verify the conjugacy")
     p.add_argument("system")
-    p.add_argument("--epsilon", type=float, required=True,
+    p.add_argument("--epsilon", type=_positive_float, required=True,
                    help="perturbation magnitude; the comparison domain is "
                         "the ball of three epsilon")
-    p.add_argument("--window", type=int, default=60)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--window", type=_positive_int, default=60)
+    p.add_argument("--samples", type=_positive_int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_stability)

@@ -33,6 +33,7 @@ from .shadowing import (
     ORBIT_TAIL,
     compute_defects,
     harmonic_stall_walk,
+    noisy_window,
     strip_climb_pseudo_orbit,
     trace_strips,
 )
@@ -83,7 +84,7 @@ def demo_two_metrics(seed=0, horizon=60):
     far = pairs[0]
     rows = []
     for n in range(-horizon, horizon + 1, 20):
-        fx, fy = plane.pair_orbit(far[0], far[1], n)
+        fx, fy = plane.iterate(far[0], n), plane.iterate(far[1], n)
         rows.append([n, plane.metric(fx, fy),
                      plane.metrics["sphere"](fx, fy)])
     rep.add_table("far-pair-distances",
@@ -114,15 +115,9 @@ def demo_strips(seed=0, delta=0.05, trials=40):
 
     rows_a, worst = [], 0.0
     for _ in range(trials):
-        n0 = rng.randint(-6, 2)
-        y0 = rng.uniform(0.0, sys_a.fiber_height(n0))
-        window = [(n0, y0)]
-        for _ in range(12):
-            nxt = sys_a.forward(window[-1])
-            lift = nxt[1] + rng.uniform(-delta, delta)
-            window.append((nxt[0],
-                           min(max(lift, 0.0), sys_a.fiber_height(nxt[0]))))
-        pseudo = PseudoOrbit(tuple(window), ORBIT_TAIL, delta)
+        window = noisy_window(sys_a, delta, 12, rng)
+        n0, y0 = window[0]
+        pseudo = PseudoOrbit(window, ORBIT_TAIL, delta)
         result = trace_strips(sys_a, pseudo)
         worst = max(worst, result.error_bound)
         rows_a.append([n0, round(y0, 6), max(compute_defects(sys_a, pseudo)),

@@ -109,9 +109,13 @@ class CrossSection:
 
 
 class Entourage:
-    """Base interface: a pair predicate containing the diagonal."""
+    """Base interface: a pair predicate containing the diagonal.
+
+    radius, when not None, bounds d(x, y) over every accepted pair, in the
+    metric the entourage measures with."""
 
     kind = "abstract"
+    radius = None
 
     def __init__(self, space_id, symmetric_flag=None, space_diameter=math.inf):
         self.space_id = space_id
@@ -142,6 +146,12 @@ class _TransposedEntourage(Entourage):
         return self.base
 
 
+def _ball_is_all(r, diameter):
+    # a ball of radius r is the whole space when r exceeds the diameter and
+    # never is when the space is unbounded; otherwise its form cannot tell
+    return True if r > diameter else (False if math.isinf(diameter) else None)
+
+
 class MetricBall(Entourage):
     """U_delta = {(x,y) : d(x,y) < delta}, the strict metric entourage."""
 
@@ -157,17 +167,14 @@ class MetricBall(Entourage):
     def accepts(self, x, y):
         return self.metric(x, y) < self.delta
 
+    @property
+    def radius(self):
+        return self.delta
+
     def cross_section(self, x):
-        if self.delta > self.space_diameter:
-            is_all = True
-        elif math.isinf(self.space_diameter):
-            is_all = False
-        else:
-            is_all = None
-        return CrossSection(
-            predicate=lambda y: self.accepts(x, y),
-            center=x, radius=self.delta, is_all=is_all,
-        )
+        return CrossSection(predicate=lambda y: self.accepts(x, y), center=x,
+                            radius=self.delta,
+                            is_all=_ball_is_all(self.delta, self.space_diameter))
 
     def transpose(self):
         return self
@@ -193,14 +200,17 @@ class GaugeBall(Entourage):
         at = y if self.at_arrival else x
         return self.metric(x, y) < self.gauge(at)
 
+    @property
+    def radius(self):
+        # d(x, y) < gauge(at) <= sup_bound, read at departure or at arrival
+        return self.sup_bound
+
     def cross_section(self, x):
         if self.at_arrival:
             return CrossSection(predicate=lambda y: self.accepts(x, y), center=x)
         r = self.gauge(x)
-        is_all = True if r > self.space_diameter else (
-            False if math.isinf(self.space_diameter) else None)
-        return CrossSection(predicate=lambda y: self.accepts(x, y),
-                            center=x, radius=r, is_all=is_all)
+        return CrossSection(predicate=lambda y: self.accepts(x, y), center=x,
+                            radius=r, is_all=_ball_is_all(r, self.space_diameter))
 
     def transpose(self):
         return GaugeBall(self.metric, self.gauge, self.space_id,
@@ -448,17 +458,11 @@ def is_wide(U, candidate_core):
         # a point of S outside the candidate core has cross-section S != X
         return bool(inside)
     if isinstance(U, MetricBall):
-        if U.delta > U.space_diameter:
-            return True
-        if math.isinf(U.space_diameter):
-            return False
-        return None
+        return _ball_is_all(U.delta, U.space_diameter)
     if isinstance(U, GaugeBall):
         if U.inf_bound is not None and U.inf_bound > U.space_diameter:
             return True
-        if U.sup_bound is not None and math.isinf(U.space_diameter):
-            return False
-        return None
+        return False if U.radius is not None and math.isinf(U.space_diameter) else None
     if isinstance(U, FiniteRelation):
         for x in U.points:
             if region_contains(candidate_core, x):

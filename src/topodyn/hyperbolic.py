@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chains import _near_pairs
 from .entourage import Entourage, MetricBall, PredicateEntourage, metric_ball
 from .report import FAIL, PASS, Report
-from .shadowing import ORBIT_TAIL, PERIODIC, PseudoOrbit, compute_defects, trace_linear_hyperbolic, trace_sft
+from .shadowing import ORBIT_TAIL, PERIODIC, PseudoOrbit, trace_linear_hyperbolic, trace_sft
 from .systems import (
     GenericSystem,
     LinearSaddle,
@@ -657,10 +658,10 @@ def trig_perturbation(system, magnitude):
             axis=1,
         )
 
-    def forward_np(p):
+    def forward_batch(p):
         return (p @ a.T + s_np(p)) % 1.0
 
-    def backward_np(q):
+    def backward_batch(q):
         x = q @ a_inv.T
         for _ in range(80):
             nxt = (q - s_np(x)) @ a_inv.T
@@ -691,8 +692,8 @@ def trig_perturbation(system, magnitude):
             # sup distance d(f(x), g(x)) is m * sup |(sin a, sin b)|
             "sup_defect": magnitude * math.sqrt(2.0),
         },
-        forward_np=forward_np,
-        backward_np=backward_np,
+        forward_batch=forward_batch,
+        backward_batch=backward_batch,
     )
 
 
@@ -739,24 +740,6 @@ def sft_flip_perturbation(system):
 
 # ---------------------------------------------------------------------------
 # topological stability
-
-
-def _collision_pairs(points, tol, metric):
-    """Index pairs closer than tol, found by grid hashing: every pair within
-    tol shares a bucket or sits in adjacent buckets."""
-    grid = {}
-    for idx, p in enumerate(points):
-        key = tuple(int(math.floor(c / tol)) for c in p)
-        grid.setdefault(key, []).append(idx)
-    hits = []
-    for idx, p in enumerate(points):
-        base = tuple(int(math.floor(c / tol)) for c in p)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                for j in grid.get((base[0] + di, base[1] + dj), ()):
-                    if j < idx and metric(points[j], p) < tol:
-                        hits.append((j, idx))
-    return hits
 
 
 @dataclass(frozen=True)
@@ -818,53 +801,23 @@ class StabilityReport:
         return rep
 
 
-def _batch_maps(g):
-    """Vectorized forward/backward for g when available, else None pair."""
-    fwd = getattr(g, "forward_np", None)
-    bwd = getattr(g, "backward_np", None)
-    if fwd is not None and bwd is not None:
-        return fwd, bwd
-    if isinstance(g, TorusAutomorphism):
-        a = np.array(g.matrix, dtype=float)
-        ai = np.array(g.inverse_matrix, dtype=float)
-        return (lambda p: (p @ a.T) % 1.0), (lambda p: (p @ ai.T) % 1.0)
-    if isinstance(g, LinearSaddle):
-        a = np.array(g.matrix, dtype=float)
-        ai = np.array(g.inverse_matrix, dtype=float)
-        return (lambda p: p @ a.T), (lambda p: p @ ai.T)
-    return None, None
-
-
 def _stability_linear(f, g, D, samples, window):
     wrap = isinstance(f, TorusAutomorphism)
     a = np.array(f.matrix, dtype=float)
     vu, vs = f.v_u, f.v_s
     det_v = vu[0] * vs[1] - vu[1] * vs[0]
     lam_u, lam_s = f.lam_u, f.lam_s
-    g_fwd, g_bwd = _batch_maps(g)
 
     def orbit_block(pts):
         # g-orbit windows for a batch of points, shape (2W+1, N, 2)
         n = pts.shape[0]
         block = np.empty((2 * window + 1, n, 2))
         block[window] = pts
-        cur = pts
-        if g_fwd is not None:
-            for k in range(1, window + 1):
-                cur = g_fwd(cur)
-                block[window + k] = cur
+        for step, sign in ((g.forward_batch, 1), (g.backward_batch, -1)):
             cur = pts
             for k in range(1, window + 1):
-                cur = g_bwd(cur)
-                block[window - k] = cur
-        else:
-            for k in range(1, window + 1):
-                cur = np.array([g.forward(tuple(p)) for p in cur])
-                block[window + k] = cur
-            cur = pts
-            for k in range(1, window + 1):
-                cur = np.array([g.backward(tuple(p)) for p in cur])
-                block[window - k] = cur
+                cur = step(cur)
+                block[window + sign * k] = cur
         return block
 
     def h_batch(pts):
@@ -888,9 +841,7 @@ def _stability_linear(f, g, D, samples, window):
         return out, dmax
 
     pts = np.array(samples, dtype=float)
-    gpts = (g_fwd(pts) if g_fwd is not None
-            else np.array([g.forward(tuple(p)) for p in pts]))
-    combined = np.concatenate([pts, gpts])
+    combined = np.concatenate([pts, g.forward_batch(pts)])
     images, defect_sup = h_batch(combined)
     n = len(samples)
     h_x, h_gx = images[:n], images[n:]
@@ -910,7 +861,10 @@ def _stability_linear(f, g, D, samples, window):
         return (float(out[0, 0]), float(out[0, 1]))
 
     image_points = [tuple(map(float, p)) for p in h_x]
-    collisions = _collision_pairs(image_points, 1e-8, f.metric)
+    # pairs of samples whose images are closer than 1e-8
+    collisions = [(j, i) for q, p in _near_pairs(h_x, h_x, 1e-8, wrap)
+                  for i, j in zip(q.tolist(), p.tolist())
+                  if j < i and f.metric(image_points[j], image_points[i]) < 1e-8]
     coeff = f.tracing_coefficient()
     return StabilityReport(
         f_name=f.name, g_name=g.name, D_used=D,
@@ -944,22 +898,15 @@ def _sft_window_pseudo(f, g, x, window):
         orbit.append(cur)
         if cur == x:
             # exact periodic g-orbit found; hand the tracer a closed loop
-            block = tuple(orbit[:-1])
-            pseudo = PseudoOrbit(block, PERIODIC, 1.0, start_index=0,
-                                 period=len(block))
-            defect = max(compute_defects(f, pseudo))
-            return PseudoOrbit(block, PERIODIC, defect, start_index=0,
-                               period=len(block)), True
+            block = orbit[:-1]
+            return PseudoOrbit.measured(f, block, PERIODIC, period=len(block))
     cur = x
     back = []
     for _ in range(window):
         cur = g.backward(cur)
         back.append(cur)
     back.reverse()
-    win = tuple(back) + tuple(orbit)
-    pseudo = PseudoOrbit(win, ORBIT_TAIL, 1.0, start_index=-window)
-    defect = max(compute_defects(f, pseudo))
-    return PseudoOrbit(win, ORBIT_TAIL, defect, start_index=-window), False
+    return PseudoOrbit.measured(f, back + orbit, start_index=-window)
 
 
 def _stability_sft(f, g, D, samples, window):
@@ -967,12 +914,12 @@ def _stability_sft(f, g, D, samples, window):
     defect_sup = 0.0
 
     def h_point(x):
-        pseudo, _ = _sft_window_pseudo(f, g, x, window)
+        pseudo = _sft_window_pseudo(f, g, x, window)
         # the sample sits at window index 0, not at the window start
         return trace_sft(f, pseudo).traced_orbit[-pseudo.start_index]
 
     for x in samples:
-        pseudo, _ = _sft_window_pseudo(f, g, x, window)
+        pseudo = _sft_window_pseudo(f, g, x, window)
         defect_sup = max(defect_sup, pseudo.defect_bound)
         hx = trace_sft(f, pseudo).traced_orbit[-pseudo.start_index]
         images.append(hx)

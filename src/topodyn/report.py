@@ -2,11 +2,14 @@
 
 Every pipeline stage that produces evidence (decompositions, tracing runs,
 stability checks, demos) renders to this one format so reports stay diffable
-and machine-readable without a serialization dependency.
+and machine-readable without a serialization dependency. Table blocks are
+written and read by the stdlib `csv` module, so any cell text round-trips.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import tempfile
 
@@ -39,8 +42,6 @@ class Report:
         self.header[key] = value
 
     def add_table(self, name, columns, rows):
-        if any("," in str(c) for c in columns):
-            raise ValueError("Table column names must not contain commas.")
         self.tables[name] = (list(columns), [list(r) for r in rows])
 
     @property
@@ -52,16 +53,19 @@ class Report:
         return EXIT_CODES.get(self.verdict, 1)
 
     def to_text(self):
-        lines = []
+        out = io.StringIO()
         for key, value in self.header.items():
-            lines.append(f"{key}: {_format_value(value)}")
+            out.write(f"{key}: {_format_value(value)}\n")
+        minimal = csv.writer(out, lineterminator="\n")
+        # minimal quoting leaves a carriage return bare, and csv.reader would
+        # take it for a line end; rows holding one quote every cell
+        quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
         for name, (columns, rows) in self.tables.items():
-            lines.append("")
-            lines.append(f"[table {name}]")
-            lines.append(",".join(str(c) for c in columns))
-            for row in rows:
-                lines.append(",".join(_format_value(v) for v in row))
-        return "\n".join(lines) + "\n"
+            out.write(f"\n[table {name}]\n")
+            for row in [columns] + rows:
+                cells = [_format_value(v) for v in row]
+                (quoted if any("\r" in c for c in cells) else minimal).writerow(cells)
+        return out.getvalue()
 
     def write(self, path):
         """Atomically write the rendered report (temp file + rename)."""
@@ -80,23 +84,23 @@ class Report:
 def parse_report(text):
     """Inverse of Report.to_text, for round-trip tests and CLI consumers."""
     report = Report()
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines) and lines[i].strip():
-        key, _, value = lines[i].partition(":")
+    # csv.reader pulls the lines of a table block from the same iterator,
+    # so a quoted cell may span lines
+    lines = io.StringIO(text)
+    for line in lines:
+        if not line.strip():
+            break
+        key, _, value = line.partition(":")
         report.header[key.strip()] = value.strip()
-        i += 1
-    while i < len(lines):
-        line = lines[i].strip()
+    reader = csv.reader(lines)
+    for line in lines:
+        line = line.strip()
         if line.startswith("[table ") and line.endswith("]"):
-            name = line[len("[table "):-1]
-            columns = lines[i + 1].split(",")
+            columns = next(reader, [])
             rows = []
-            i += 2
-            while i < len(lines) and lines[i].strip() and not lines[i].startswith("[table"):
-                rows.append(lines[i].split(","))
-                i += 1
-            report.tables[name] = (columns, rows)
-        else:
-            i += 1
+            for row in reader:
+                if not row:  # the blank line that ends the block
+                    break
+                rows.append(row)
+            report.tables[line[len("[table "):-1]] = (columns, rows)
     return report

@@ -20,13 +20,12 @@ the expansion rate to the window length).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .entourage import GaugeBall, MetricBall
-from .report import Report
 from .systems import (
     FiniteSystem,
     HarmonicPoints,
@@ -71,6 +70,15 @@ class PseudoOrbit:
                         f"Window is not {p}-periodic at position {k}."
                     )
             object.__setattr__(self, "period", p)
+
+    @classmethod
+    def measured(cls, system, window, extension=ORBIT_TAIL, start_index=0,
+                 period=None):
+        """The pseudo-orbit on `window` whose defect bound is its largest
+        measured gap, or 0.0 when it has no gaps."""
+        probe = cls(tuple(window), extension, 0.0, start_index, period)
+        gaps = compute_defects(system, probe)
+        return dataclasses.replace(probe, defect_bound=max(gaps) if gaps else 0.0)
 
     @property
     def end_index(self):
@@ -165,17 +173,61 @@ def perturbed_pseudo_orbit(system, x0, length, noise, seed, extension=ORBIT_TAIL
     for _ in range(length):
         window.append(_perturb(system, system.forward(window[-1]), noise, rng))
     if extension == PERIODIC:
-        window = window[:length]
-        pseudo = PseudoOrbit(window=tuple(window), extension=PERIODIC,
-                             defect_bound=0.0, start_index=0, period=length)
-        bound = max(compute_defects(system, pseudo))
-        return PseudoOrbit(window=tuple(window), extension=PERIODIC,
-                           defect_bound=bound, start_index=0, period=length)
-    pseudo = PseudoOrbit(window=tuple(window), extension=ORBIT_TAIL,
-                         defect_bound=0.0)
-    gaps = compute_defects(system, pseudo)
-    return PseudoOrbit(window=tuple(window), extension=ORBIT_TAIL,
-                       defect_bound=max(gaps) if gaps else 0.0)
+        return PseudoOrbit.measured(system, window[:length], PERIODIC,
+                                    period=length)
+    return PseudoOrbit.measured(system, window)
+
+
+def noisy_window(system, delta, length, rng):
+    """The window x_0 ... x_length of a random pseudo-orbit with defects of
+    order delta, drawn from rng in a fixed order, for linear saddles, torus
+    automorphisms, shifts and strips."""
+    if isinstance(system, (LinearSaddle, TorusAutomorphism)):
+        return _linear_window(system, delta, length, rng)
+    if isinstance(system, ShiftOfFiniteType):
+        return _sft_window(system, delta, length, rng)
+    if isinstance(system, StripFamily):
+        return _strip_window(system, delta, length, rng)
+    raise TypeError(f"No pseudo-orbit generator for system {system.name!r}.")
+
+
+def _linear_window(system, delta, length, rng):
+    if isinstance(system, TorusAutomorphism):
+        x = (rng.random(), rng.random())
+    else:
+        x = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    window = [x]
+    for _ in range(length):
+        fx = system.forward(window[-1])
+        y = (fx[0] + rng.uniform(-delta / 2.0, delta / 2.0),
+             fx[1] + rng.uniform(-delta / 2.0, delta / 2.0))
+        if isinstance(system, TorusAutomorphism):
+            y = (y[0] % 1.0, y[1] % 1.0)
+        window.append(y)
+    return tuple(window)
+
+
+def _sft_window(system, delta, length, rng):
+    half = max(2, math.ceil(math.log2(1.0 / min(delta, 0.5))))
+    word = [rng.randrange(system.size)]
+    while len(word) < length + 2 * half + 1:
+        succ = system.successors(word[-1])
+        if not succ:
+            raise ValueError(f"Symbol {word[-1]} has no successor.")
+        word.append(rng.choice(succ))
+    return tuple(
+        system.window_point(word[j:j + 2 * half + 1], offset=-half)
+        for j in range(length + 1)
+    )
+
+
+def _strip_window(system, delta, length, rng):
+    n0 = rng.randint(-6, 2)
+    window = [(n0, rng.uniform(0.0, system.fiber_height(n0)))]
+    for _ in range(length):
+        nxt = system.forward(window[-1])
+        window.append(system.clamp(nxt[0], nxt[1] + rng.uniform(-delta, delta)))
+    return tuple(window)
 
 
 def exact_orbit(system, x0, length, extension=ORBIT_TAIL, start_index=0):
@@ -184,13 +236,8 @@ def exact_orbit(system, x0, length, extension=ORBIT_TAIL, start_index=0):
         window.append(system.forward(window[-1]))
     if extension == PERIODIC:
         # the seam defect is zero only if x0 really is length-periodic
-        window = window[:length]
-        pseudo = PseudoOrbit(window=tuple(window), extension=PERIODIC,
-                             defect_bound=0.0, start_index=start_index,
-                             period=length)
-        return PseudoOrbit(window=tuple(window), extension=PERIODIC,
-                           defect_bound=max(compute_defects(system, pseudo)),
-                           start_index=start_index, period=length)
+        return PseudoOrbit.measured(system, window[:length], PERIODIC,
+                                    start_index, period=length)
     return PseudoOrbit(window=tuple(window), extension=extension,
                        defect_bound=0.0, start_index=start_index)
 
@@ -352,9 +399,6 @@ def _trace_linear_exact(system, cover, pseudo):
     p = pseudo.period
     a = tuple(tuple(Fraction(v) for v in row) for row in cover.matrix)
 
-    def mat_vec(m, v):
-        return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-
     def mat_mul(m, q):
         return (
             (m[0][0] * q[0][0] + m[0][1] * q[1][0], m[0][0] * q[0][1] + m[0][1] * q[1][1]),
@@ -364,7 +408,7 @@ def _trace_linear_exact(system, cover, pseudo):
     window = [_frac_pair(x) for x in pseudo.window]
     defects = []
     for k in range(p):
-        fa = mat_vec(a, window[k])
+        fa = cover.apply_matrix(a, window[k])
         nxt = window[(k + 1) % p]
         d = (nxt[0] - fa[0], nxt[1] - fa[1])
         if isinstance(system, TorusAutomorphism):
@@ -375,7 +419,7 @@ def _trace_linear_exact(system, cover, pseudo):
     rhs = (Fraction(0), Fraction(0))
     # (I - A^p) e_0 = -(A^{p-1} d_0 + ... + A^0 d_{p-1})
     for k in range(p - 1, -1, -1):
-        term = mat_vec(a_pow, defects[k])
+        term = cover.apply_matrix(a_pow, defects[k])
         rhs = (rhs[0] - term[0], rhs[1] - term[1])
         a_pow = mat_mul(a, a_pow)
     m = ((1 - a_pow[0][0], -a_pow[0][1]), (-a_pow[1][0], 1 - a_pow[1][1]))
@@ -393,7 +437,7 @@ def _trace_linear_exact(system, cover, pseudo):
         traced.append(y)
         gaps.append(system.metric((float(y[0]), float(y[1])),
                                   (float(window[k][0]), float(window[k][1]))))
-        fe = mat_vec(a, e)
+        fe = cover.apply_matrix(a, e)
         e = (fe[0] - defects[k][0], fe[1] - defects[k][1])
 
     return TracingResult(
@@ -561,16 +605,7 @@ class UniqueTracingResult:
     separations: tuple = ()
 
 
-def _entourage_radius(E):
-    if isinstance(E, MetricBall):
-        return E.delta
-    if isinstance(E, GaugeBall) and E.sup_bound is not None:
-        return E.sup_bound
-    raise TypeError("Uniqueness checking needs an entourage with a known radius.")
-
-
-def _default_candidates(system, pseudo, E):
-    r = _entourage_radius(E)
+def _default_candidates(system, pseudo, E, r):
     if isinstance(system, FiniteSystem):
         return trace_finite_bruteforce(system, pseudo, E)
     if isinstance(system, ShiftOfFiniteType):
@@ -580,10 +615,8 @@ def _default_candidates(system, pseudo, E):
         return (y, other) if other != y else (y,)
     result = trace_linear_hyperbolic(system, pseudo)
     y = result.point
-    cover = system.cover if isinstance(system, TorusAutomorphism) else system
-    offsets = [cover.v_u, cover.v_s]
     out = [y]
-    for v in offsets:
+    for v in (system.v_u, system.v_s):
         cand = (y[0] + 0.5 * r * v[0], y[1] + 0.5 * r * v[1])
         if isinstance(system, TorusAutomorphism):
             cand = (cand[0] % 1.0, cand[1] % 1.0)
@@ -604,9 +637,11 @@ def unique_tracing_check(system, pseudo, E, horizon, candidates=None):
            remains E-close forever: a proven pair of distinct tracers.
       undetermined: the horizon ran out before either proof appeared.
     """
-    r = _entourage_radius(E)
+    r = E.radius
+    if r is None:
+        raise TypeError("Uniqueness checking needs an entourage with a known radius.")
     if candidates is None:
-        candidates = _default_candidates(system, pseudo, E)
+        candidates = _default_candidates(system, pseudo, E, r)
     candidates = list(dict.fromkeys(candidates))
     if len(candidates) < 2:
         return UniqueTracingResult(verdict="yes", separations=())
@@ -704,21 +739,3 @@ def pseudo_orbit_from_text(text, system):
     )
     return pseudo, header
 
-
-def tracing_report(system, result):
-    """Structured document for a tracing run, gaps in a CSV block."""
-    rep = Report(
-        system=system.name,
-        point=system.point_to_text(result.point),
-        error_bound=result.error_bound,
-        guaranteed_bound=(
-            "none" if result.guaranteed_bound is None else result.guaranteed_bound
-        ),
-        indices_checked=f"{result.indices_checked[0]}..{result.indices_checked[1]}",
-        unique=result.unique,
-        periodic=str(result.periodic).lower(),
-    )
-    lo = result.indices_checked[0]
-    rows = [(lo + k, repr(g)) for k, g in enumerate(result.gaps)]
-    rep.add_table("gaps", ("index", "gap"), rows)
-    return rep

@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import ChainGraph, build_chain_graph, chain_components, is_chain, torus_grid_graph
+from .chains import (ChainGraph, _lattice_map, build_chain_graph, chain_components,
+                     is_chain, torus_grid_graph)
 from .entourage import finite_relation, metric_ball
 from .report import FAIL, PASS, RESOLUTION_LIMITED, Report
-from .shadowing import PERIODIC, PseudoOrbit, compute_defects, trace_linear_hyperbolic
+from .shadowing import PERIODIC, PseudoOrbit, trace_linear_hyperbolic
 from .systems import FiniteSystem, ShiftOfFiniteType, TorusAutomorphism, sft_metric
 
 NONCOMPACT_NOTE = (
@@ -253,12 +254,6 @@ def _lattice_index(points, n):
     return idx, on
 
 
-def _lattice_map(system, n):
-    """The integer matrix as a map of lattice coordinate arrays, mod n."""
-    (a, b), (c, d) = ((v % n for v in row) for row in system.matrix)
-    return lambda i, j: ((a * i + b * j) % n, (c * i + d * j) % n)
-
-
 def _first_returns(system, n, idx, limit):
     """For each lattice point, the first k in 1..limit with f^k(point) =
     point, or 0 when there is none. All points step together; those back
@@ -459,12 +454,9 @@ def _trace_periodic_walk(system, walk):
     (orbit, gap). A walk with zero defect is a true periodic orbit and
     traces to itself; otherwise the rational tracer runs, so the orbit is
     exactly periodic."""
-    window = tuple(walk[:-1])
-    probe = PseudoOrbit(window, PERIODIC, 1.0, period=len(window))
-    defect = max(compute_defects(system, probe))
-    if defect == 0.0:
-        return window, 0.0
-    pseudo = PseudoOrbit(window, PERIODIC, defect, period=len(window))
+    pseudo = PseudoOrbit.measured(system, walk[:-1], PERIODIC)
+    if pseudo.defect_bound == 0.0:
+        return pseudo.window, 0.0
     result = trace_linear_hyperbolic(system, pseudo, exact=True)
     return result.traced_orbit, result.error_bound
 

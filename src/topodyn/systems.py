@@ -14,9 +14,12 @@ sequence exactly as left cycle + central word + right cycle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 
 class NotHyperbolicError(ValueError):
@@ -221,8 +224,12 @@ class DynamicalSystem:
     """An invertible map on a metric space, queried one point at a time.
 
     Subclasses fill in forward/backward/metric and the indexing hooks.
-    Systems are immutable once built; all methods are pure, so callers may
-    fan work out over points freely.
+    forward_batch/backward_batch map every row of an (N, 2) float array at
+    once; the base class loops over forward/backward, and systems with
+    array arithmetic override them with the same float operations, so a
+    batch row equals the scalar map's value bit for bit. Systems are
+    immutable once built; all methods are pure, so callers may fan work out
+    over points freely.
     """
 
     name = "system"
@@ -240,6 +247,12 @@ class DynamicalSystem:
     def metric(self, x, y):
         raise NotImplementedError
 
+    def forward_batch(self, pts):
+        return _map_rows(self.forward, pts)
+
+    def backward_batch(self, pts):
+        return _map_rows(self.backward, pts)
+
     @property
     def metrics(self):
         return {"default": self.metric}
@@ -254,11 +267,6 @@ class DynamicalSystem:
             x = step(x)
         return x
 
-    def pair_orbit(self, x, y, n):
-        x = self.iterate(x, n)
-        y = self.iterate(y, n)
-        return x, y
-
     def point_to_text(self, x):
         if isinstance(x, tuple):
             return " ".join(repr(c) for c in x)
@@ -272,6 +280,21 @@ class DynamicalSystem:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
+
+
+def _map_rows(step, pts):
+    """step at every row of an (N, 2) float array, one point at a time."""
+    rows = [step(p) for p in map(tuple, pts.tolist())]
+    return np.array(rows, dtype=float).reshape(pts.shape)
+
+
+def _apply_rows(m, pts):
+    """apply_matrix at every row of pts: a*x + b*y per coordinate, the
+    float operations of the scalar product."""
+    (a, b), (c, d) = m
+    x, y = pts[:, 0], pts[:, 1]
+    return np.stack([float(a) * x + float(b) * y,
+                     float(c) * x + float(d) * y], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +322,6 @@ def _matrix_inverse_exact(m):
             cells.append(int(v) if v.denominator == 1 else float(v))
         out.append(tuple(cells))
     return tuple(out)
-
-
-def _matrix_mul(m, n):
-    return (
-        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
-        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
-    )
-
-
-def _matrix_power(m, k):
-    if k < 0:
-        return _matrix_power(_matrix_inverse_exact(m), -k)
-    out = ((1, 0), (0, 1))
-    base = m
-    while k:
-        if k & 1:
-            out = _matrix_mul(out, base)
-        base = _matrix_mul(base, base)
-        k >>= 1
-    return out
 
 
 class LinearSaddle(DynamicalSystem):
@@ -392,6 +395,12 @@ class LinearSaddle(DynamicalSystem):
 
     def backward(self, x):
         return self.apply_matrix(self.inverse_matrix, x)
+
+    def forward_batch(self, pts):
+        return _apply_rows(self.matrix, pts)
+
+    def backward_batch(self, pts):
+        return _apply_rows(self.inverse_matrix, pts)
 
     def metric(self, x, y):
         return euclidean(x, y)
@@ -470,6 +479,12 @@ class TorusAutomorphism(DynamicalSystem):
     def backward(self, x):
         y = self.cover.backward(x)
         return (y[0] % 1, y[1] % 1)
+
+    def forward_batch(self, pts):
+        return self.cover.forward_batch(pts) % 1.0
+
+    def backward_batch(self, pts):
+        return self.cover.backward_batch(pts) % 1.0
 
     def metric(self, x, y):
         return torus_metric(x, y)
@@ -578,10 +593,6 @@ class ShiftOfFiniteType(DynamicalSystem):
     def metric(self, x, y):
         return sft_metric(x, y)
 
-    def symbol_graph(self):
-        """Adjacency lists of the symbol (1-cylinder) graph."""
-        return tuple(self.successors(a) for a in range(self.size))
-
     def _greedy_cycle_forward(self, start):
         # sequence from `start` reads start, tail..., cycle, cycle, ...
         walk = [start]
@@ -623,15 +634,6 @@ class ShiftOfFiniteType(DynamicalSystem):
             symbolic_point(bcycle, word, fcycle, -len(btail))
         )
 
-    def transition_pair_point(self, a, b):
-        """A canonical point with symbols a,b at indices 0,1."""
-        if not self.allowed(a, b):
-            raise ValueError(f"Word contains forbidden transition {a}->{b}.")
-        btail, bcycle = self._greedy_cycle_backward(a)
-        ftail, fcycle = self._greedy_cycle_forward(b)
-        word = btail + (a, b) + ftail
-        return self.validate_point(symbolic_point(bcycle, word, fcycle, -len(btail)))
-
     def window_point(self, word, offset=0):
         """An admissible point matching `word` on [offset, offset+len), with
         canonical greedy tails grown from the word's end symbols."""
@@ -642,13 +644,6 @@ class ShiftOfFiniteType(DynamicalSystem):
         btail, bcycle = self._greedy_cycle_backward(word[0])
         return self.validate_point(symbolic_point(
             bcycle, btail + word + ftail, fcycle, offset - len(btail)))
-
-    def admissible_words(self, length):
-        """All admissible words of the given length (small lengths only)."""
-        words = [(a,) for a in range(self.size)]
-        for _ in range(length - 1):
-            words = [w + (b,) for w in words for b in self.successors(w[-1])]
-        return words
 
     def random_point(self, rng, half_width):
         """Random admissible central window with greedy tails, for sampling."""
@@ -889,18 +884,19 @@ def harmonic_points():
 
 
 # ---------------------------------------------------------------------------
-# generic wrapper: perturbations, conjugates, ad-hoc test maps
+# generic wrapper: perturbations and ad-hoc test maps
 
 
 class GenericSystem(DynamicalSystem):
     """A system assembled from callables; used for perturbations and
-    conjugates where no special structure is available."""
+    ad-hoc maps where no special structure is available. forward_batch and
+    backward_batch, when given, replace the point-by-point batch maps."""
 
     kind = "generic"
 
     def __init__(self, name, space_id, forward, backward, metric,
                  embed=None, embedding_metric=None, space_diameter=math.inf,
-                 payload=None, forward_np=None, backward_np=None):
+                 payload=None, forward_batch=None, backward_batch=None):
         self.name = name
         self.space_id = space_id
         self._forward = forward
@@ -910,8 +906,10 @@ class GenericSystem(DynamicalSystem):
         self.embedding_metric = embedding_metric
         self.space_diameter = space_diameter
         self.payload = dict(payload or {})
-        self.forward_np = forward_np
-        self.backward_np = backward_np
+        if forward_batch is not None:
+            self.forward_batch = forward_batch
+        if backward_batch is not None:
+            self.backward_batch = backward_batch
 
     def forward(self, x):
         return self._forward(x)
@@ -924,57 +922,6 @@ class GenericSystem(DynamicalSystem):
 
     def embed(self, x):
         return self._embed(x) if self._embed else None
-
-
-def iterate_system(system, k):
-    """The k-th power system. Linear and torus systems stay typed, with the
-    matrix power computed exactly; everything else wraps composed maps."""
-    if k == 0:
-        raise NotHyperbolicError("The zeroth power is the identity, not a saddle.")
-    if isinstance(system, TorusAutomorphism):
-        return TorusAutomorphism(_matrix_power(system.matrix, k),
-                                 name=f"{system.name}^{k}")
-    if isinstance(system, LinearSaddle):
-        return LinearSaddle(_matrix_power(system.matrix, k), name=f"{system.name}^{k}",
-                            extra_metrics=system._extra_metrics)
-    return GenericSystem(
-        name=f"{system.name}^{k}",
-        space_id=system.space_id,
-        forward=lambda x: system.iterate(x, k),
-        backward=lambda x: system.iterate(x, -k),
-        metric=system.metric,
-        embed=system.embed if system.embedding_metric else None,
-        embedding_metric=system.embedding_metric,
-        space_diameter=system.space_diameter,
-    )
-
-
-def conjugate_system(system, h, h_inv, name=None, space_id=None, metric=None,
-                     embed=None, embedding_metric=None, check_points=(), tol=1e-9):
-    """The conjugate h o f o h^{-1} on the image space.
-
-    By default the metric is transported through h (making the conjugacy an
-    isometry); pass `metric` to use the image space's own metric instead.
-    Round-trip failure h_inv(h(x)) != x at any check point is an error.
-    """
-    for x in check_points:
-        back = h_inv(h(x))
-        if system.metric(back, x) > tol:
-            raise ValueError(f"Inverse check failed at {x!r}: h_inv(h(x)) = {back!r}.")
-    return GenericSystem(
-        name=name or f"{system.name}-conjugate",
-        space_id=space_id or f"{system.space_id}-conjugate",
-        forward=lambda x: h(system.forward(h_inv(x))),
-        backward=lambda x: h(system.backward(h_inv(x))),
-        metric=metric or (lambda x, y: system.metric(h_inv(x), h_inv(y))),
-        embed=embed,
-        embedding_metric=embedding_metric,
-    )
-
-
-def transport_map(h):
-    """Lift a point map to a pair map, for carrying entourages along h x h."""
-    return lambda pair: (h(pair[0]), h(pair[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -1014,26 +961,12 @@ def _north_south():
     )
 
 
+@functools.lru_cache(maxsize=1)
 def torus_grid(n):
-    """The n x n dyadic lattice on the torus (exact floats for n a power of 2)."""
-    return [(i / n, j / n) for i in range(n) for j in range(n)]
-
-
-def interval_grid(lo, hi, count):
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
-
-
-def box_grid(lo, hi, pitch):
-    xs = []
-    x = lo[0]
-    while x <= hi[0] + 1e-12:
-        y = lo[1]
-        while y <= hi[1] + 1e-12:
-            xs.append((x, y))
-            y += pitch
-        x += pitch
-    return xs
+    """The n x n lattice (i/n, j/n) on the torus, as one tuple (exact floats
+    for n a power of 2). The last lattice is kept, so the graphs of one
+    ladder share their nodes."""
+    return tuple((i / n, j / n) for i in range(n) for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -1087,16 +1020,3 @@ def catalog():
     ]
     return {e.name: e for e in entries}
 
-
-def catalog_text():
-    """The catalog as a key: value listing, one block per entry."""
-    blocks = []
-    for entry in catalog().values():
-        lines = [f"name: {entry.name}"]
-        system = entry.build()
-        lines.append(f"kind: {system.kind}")
-        for key, value in entry.parameters.items():
-            lines.append(f"{key}: {value}")
-        lines.append(f"provenance: {entry.provenance}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +19,15 @@ from topodyn.chains import (
     strong_chain_recurrent_set,
     torus_grid_graph,
 )
-from topodyn.chains import _ball_edges
-from topodyn.entourage import finite_relation, gauge_entourage, metric_ball
+from topodyn import chains
+from topodyn.chains import _array_ball, _near_pairs
+from topodyn.entourage import (
+    GaugeBall,
+    finite_relation,
+    gauge_entourage,
+    metric_ball,
+)
+from topodyn.spectral import symbol_graph_chain
 from topodyn.systems import (
     catalog,
     harmonic_points,
@@ -181,7 +189,7 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
        st.floats(0.005, 0.8))
 def test_array_ball_graph_matches_pairwise_predicate_on_torus(points, radius):
     D = metric_ball(CAT, radius)
-    assert _ball_edges(CAT, tuple(points), D) is not None
+    assert _array_ball(CAT, D, tuple(points))
     graph = build_chain_graph(CAT, points, D)
     assert _edge_set(graph) == _brute_edges(CAT, points, D)
 
@@ -191,9 +199,9 @@ def test_array_ball_graph_matches_pairwise_predicate_on_torus(points, radius):
                 min_size=1, max_size=50),
        st.floats(0.005, 2.0))
 def test_cell_index_ball_graph_matches_pairwise_predicate_on_plane(points, radius):
-    # planar balls keep the cell-index route
+    # planar balls take the shared hash with the per-pair predicate
     D = metric_ball(SADDLE, radius)
-    assert _ball_edges(SADDLE, tuple(points), D) is None
+    assert not _array_ball(SADDLE, D, tuple(points))
     graph = build_chain_graph(SADDLE, points, D)
     assert _edge_set(graph) == _brute_edges(SADDLE, points, D)
 
@@ -214,17 +222,118 @@ def test_array_ball_graph_keeps_pairs_at_cell_edges(delta, lift):
         nodes.extend((lift + fx[0] + delta + m * 2.0 ** -34, fx[1])
                      for m in range(-12, 13))
     D = metric_ball(CAT, delta)
-    assert _ball_edges(CAT, tuple(nodes), D) is not None
+    assert _array_ball(CAT, D, tuple(nodes))
     graph = build_chain_graph(CAT, nodes, D)
     assert _edge_set(graph) == _brute_edges(CAT, nodes, D)
 
 
 def test_ball_graph_keeps_scalar_route_for_other_metrics():
-    # a ball in a metric the array route does not reproduce goes pair by pair
-    D = metric_ball(CAT, 0.2, metric=lambda x, y: CAT.metric(x, y) * 2.0)
-    nodes = torus_grid(5)
-    assert _ball_edges(CAT, nodes, D) is None
-    assert _edge_set(build_chain_graph(CAT, nodes, D)) == _brute_edges(CAT, nodes, D)
+    # a ball in another metric than the system's goes pair by pair: its
+    # radius says nothing about distances in the embedding
+    plane = catalog()["plane-two-metrics"].build()
+    far = [(2.0 ** 20 + k, 0.0) for k in range(5)] + [(0.5 * k, 0.25)
+                                                     for k in range(5)]
+    double = metric_ball(CAT, 0.2, metric=lambda x, y: CAT.metric(x, y) * 2.0)
+    half = metric_ball(CAT, 0.2, metric=lambda x, y: CAT.metric(x, y) * 0.5)
+    sphere = metric_ball(plane, 0.1, metric=plane.metrics["sphere"])
+    for system, nodes, D in ((CAT, torus_grid(5), double),
+                             (CAT, torus_grid(10), half), (plane, far, sphere)):
+        assert not _array_ball(system, D, nodes)
+        graph = build_chain_graph(system, nodes, D)
+        assert _edge_set(graph) == _brute_edges(system, nodes, D)
+
+
+def _gauge_at_arrival(system):
+    # radius 0.02 to 0.14 by sample, read at the arrival point
+    def gauge(y):
+        return 0.02 + 0.12 * abs(math.sin(7.0 * sum(system.embed(y))))
+    return GaugeBall(system.metric, gauge, space_id=system.space_id,
+                     at_arrival=True, sup_bound=0.14)
+
+
+@pytest.mark.parametrize("name", ["cat-map", "diag-saddle", "north-south",
+                                  "strips-unit"])
+def test_at_arrival_gauge_graph_matches_pairwise_predicate(name):
+    # a bounded gauge read at arrival has a radius, so its graph is built
+    # from the shared hash; it must keep every pair the predicate accepts
+    system = catalog()[name].build()
+    rng = random.Random(5)
+    if name == "north-south":
+        nodes = [rng.uniform(-1.0, 1.0) for _ in range(150)]
+    elif name == "strips-unit":
+        nodes = [(rng.randint(-2, 2), rng.random()) for _ in range(150)]
+    else:
+        nodes = [(rng.random(), rng.random()) for _ in range(150)]
+    D = _gauge_at_arrival(system)
+    assert D.radius == 0.14
+    graph = build_chain_graph(system, nodes, D)
+    assert _edge_set(graph) == _brute_edges(system, nodes, D)
+    assert graph.edge_count > len(nodes) // 2
+
+
+_SEAM = (0.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+         math.nextafter(0.0, 1.0), math.nextafter(0.0, -1.0))
+
+
+@st.composite
+def _clouds(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    wrap = draw(st.booleans())
+    radius = draw(st.one_of(st.sampled_from([1e-9, 1e-6, 1e-3]),
+                            st.floats(1e-9, 0.7)))
+    lift = draw(st.sampled_from([0.0, 1.0, -3.0, 2.0 ** 20, 1e12]))
+    coord = st.one_of(st.floats(-1.5, 1.5), st.sampled_from(_SEAM))
+    points = draw(st.lists(st.tuples(*[coord.map(lambda v: v + lift)] * dim),
+                           min_size=1, max_size=25))
+    near = st.builds(
+        lambda p, s, w: tuple(c + t * radius + w for c, t in zip(p, s)),
+        st.sampled_from(points), st.tuples(*[st.floats(-1.5, 1.5)] * dim),
+        st.sampled_from([0.0, 1.0, -1.0]))
+    queries = draw(st.lists(st.one_of(near, st.tuples(*[coord] * dim)),
+                            min_size=1, max_size=25))
+    return np.array(points), np.array(queries), radius, wrap
+
+
+def _embedding_distance(p, q, wrap):
+    gaps = [a - b for a, b in zip(p, q)]
+    if wrap:
+        gaps = [min(t, 1.0 - t) for t in (abs(g) % 1.0 for g in gaps)]
+    return math.sqrt(sum(t * t for t in gaps))
+
+
+@PROPERTY
+@given(_clouds(), st.sampled_from([3, 1 << 18]))
+def test_near_pairs_cover_every_close_pair(cloud, batch):
+    points, queries, radius, wrap = cloud
+    with mock.patch.object(chains, "_PAIR_BATCH", batch):
+        batches = list(_near_pairs(points, queries, radius, wrap))
+    assert all(len(q) == len(p) <= batch for q, p in batches)
+    q = np.concatenate([q for q, _ in batches])
+    p = np.concatenate([p for _, p in batches])
+    assert np.all(np.diff(q) >= 0)  # queries in order
+    found = set(zip(q.tolist(), p.tolist()))
+    assert len(found) == len(q)  # no pair twice
+    want = {(i, j) for i, a in enumerate(queries.tolist())
+            for j, b in enumerate(points.tolist())
+            if _embedding_distance(a, b, wrap) < radius}
+    assert want <= found
+
+
+def test_near_pairs_split_a_crowded_query():
+    # one query with more candidates than a batch holds is split across
+    # batches; the other queries stay whole
+    points = np.random.default_rng(3).random((40, 2))
+    queries = np.array([[0.5, 0.5], [0.2, 0.2]])
+    with mock.patch.object(chains, "_PAIR_BATCH", 16):
+        batches = list(_near_pairs(points, queries, 0.9, True))
+    sizes = [(sorted(set(q.tolist())), len(q)) for q, _ in batches]
+    assert sizes == [([0], 16), ([0], 16), ([0], 8), ([1], 16), ([1], 16),
+                     ([1], 8)]
+
+
+def test_ladder_graphs_share_the_lattice_nodes():
+    graphs = [torus_grid_graph(CAT, 12, r) for r in (0.3, 0.15)]
+    assert graphs[0].nodes is graphs[1].nodes is torus_grid(12)
 
 
 @PROPERTY
@@ -255,8 +364,7 @@ def test_is_chain():
 def test_two_block_symbol_recurrence():
     sft = sft_shift(("110001", "110000", "000100", "000010", "001000",
                      "001000"), name="two-block-sft")
-    graph = ChainGraph.from_successors(tuple(range(6)), sft.symbol_graph(),
-                                       "symbol-transitions")
+    graph = symbol_graph_chain(sft)
     assert chain_recurrent_set(graph) == frozenset({0, 1, 2, 3, 4})
 
 

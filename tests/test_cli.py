@@ -1,5 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
+import hashlib
+
 import pytest
 
 from topodyn import parse_report
@@ -194,3 +196,49 @@ def test_out_directory_is_checked_before_any_work(tmp_path, capsys, command):
     missing = tmp_path / "missing" / "report.txt"
     _one_line_usage_error(command + ["--out", str(missing)], capsys, "--out")
     _one_line_usage_error(command + ["--out", str(tmp_path)], capsys, "--out")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["trace", "cat-map", "--delta", "1e-3", "--length", "0"], "--length"),
+    (["trace", "cat-map", "--delta", "1e-3", "--length", "-3"], "--length"),
+    (["trace", "cat-map", "--delta", "nan", "--length", "10"], "--delta"),
+    (["stability", "cat-map", "--epsilon", "0"], "--epsilon"),
+    (["stability", "cat-map", "--epsilon", "0.01", "--window", "0"],
+     "--window"),
+    (["stability", "cat-map", "--epsilon", "0.01", "--samples", "0"],
+     "--samples"),
+])
+def test_trace_and_stability_inputs_are_checked(capsys, argv, flag):
+    _one_line_usage_error(argv, capsys, flag)
+
+
+# sha256 of the default stdout; any change to these reports shows here
+GOLDEN = [
+    (["decompose", "cat-map", "--resolution", "32"],
+     "dba36ec4313486303dea74c67666aefa47dc7ba4c937abede3b7584305fb15b2"),
+    (["decompose", "two-block-sft"],
+     "3d866a98cb7ebad0ef86140fd4b2b173320f1e12ee76d8ee4484d5e620416bfa"),
+    (["chain-recurrent", "cat-map", "--radius", "0.1", "--resolution", "32"],
+     "95684d5d5f4edd6a3fefaf68f26dc50b45b59769b8c802459bf692e27dc32aea"),
+    (["trace", "cat-map", "--delta", "0.001", "--length", "200"],
+     "728a52ff4111fa0ec9a166173a851649ccd0b3f56337d4be1074fb94d0ed8f59"),
+    (["trace", "golden-mean", "--delta", "0.001", "--length", "200"],
+     "f8b1969c738c4197c1c29da7ecb51e7eea5e599b4497f1b7dedb230ab8f685b7"),
+    (["trace", "strips-shrinking", "--delta", "0.001", "--length", "200"],
+     "cbf75129e43a09cec77eab12b1a7c3706f1e4df69272c28bba9133fc2b903853"),
+    (["stability", "cat-map", "--epsilon", "0.01", "--samples", "200"],
+     "fdee2a5f3a736dcddde88dd083a65ee186fc51b41c107b28bf71b5d7d998af39"),
+    (["stability", "full-2", "--epsilon", "0.1", "--samples", "20"],
+     "8e56e10df3862b7df5e13f5ded7da8da97e3067a588c754928f1e588753da67b"),
+    (["demo", "strips"],
+     "09acffb04935f7fd6fda5cf2c884909404622d79805ac037c81c49c272ccf021"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN,
+                         ids=[" ".join(argv[:2]) + f"-{k}"
+                              for k, (argv, _) in enumerate(GOLDEN)])
+def test_default_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

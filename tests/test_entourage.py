@@ -54,6 +54,16 @@ def test_gauge_ball_reads_departure_and_arrival():
     assert transpose(flipped).accepts(a, b)
 
 
+def test_radius_bounds_every_accepted_pair():
+    assert metric_ball(CAT, 0.25).radius == 0.25
+    bounded = gauge_entourage(CAT, lambda x: 0.1 + 0.1 * x[0], sup_bound=0.2)
+    for U in (bounded, transpose(bounded)):
+        assert U.radius == 0.2
+    assert gauge_entourage(CAT, lambda x: 0.1).radius is None
+    assert finite_relation({("a", "a")}).radius is None
+    assert predicate_entourage(lambda x, y: True).radius is None
+
+
 def test_finite_relation_sections_and_symmetrize():
     U = finite_relation({("a", "b"), ("b", "a"), ("b", "c"), ("a", "a")})
     assert U.accepts("a", "b") and not U.accepts("c", "b")

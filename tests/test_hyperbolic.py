@@ -363,10 +363,12 @@ def test_trig_perturbation_batch_matches_pointwise():
     g = trig_perturbation(CAT, 0.005)
     rng = random.Random(9)
     pts = [(rng.random(), rng.random()) for _ in range(20)]
-    batch = g.forward_np(np.array(pts))
-    for p, row in zip(pts, batch):
+    batch = g.forward_batch(np.array(pts))
+    back = g.backward_batch(batch)
+    for p, row, prev in zip(pts, batch, back):
         q = g.forward(p)
         assert CAT.metric(q, tuple(row)) < 1e-12
+        assert CAT.metric(g.backward(q), tuple(prev)) < 1e-12
 
 
 def test_trig_perturbation_guards():
@@ -428,6 +430,17 @@ def test_stability_trig_perturbation_linear_path():
     assert rep.exit_code == 0
     hx = stab.h(samples[0])
     assert CAT.metric(hx, stab.images[0]) < 1e-12
+
+
+def test_stability_flags_collisions_across_the_torus_seam():
+    # the two images are 2e-9 apart across x = 0; a hash that does not wrap
+    # puts them in cells at opposite ends of the square and misses them
+    g = trig_perturbation(CAT, 0.0)
+    for samples in ([(1e-9, 0.5), (1 - 1e-9, 0.5)],
+                    [(0.4 + 1e-9, 0.5), (0.4 - 1e-9, 0.5)]):
+        stab = stability_conjugacy_h(CAT, g, metric_ball(CAT, 0.03), samples)
+        assert stab.injective_flag is False
+        assert stab.collisions == ((0, 1),)
 
 
 def test_stability_sft_flip_closeness_stays_bounded():

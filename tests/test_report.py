@@ -1,6 +1,7 @@
 import os
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topodyn.report import (
     EXIT_CODES,
@@ -56,10 +57,26 @@ def test_float_values_render_full_precision():
     assert "0.30000000000000004" in rep.to_text()
 
 
-def test_comma_in_column_name_rejected():
+def test_comma_in_column_name_round_trips():
     rep = Report()
-    with pytest.raises(ValueError):
-        rep.add_table("t", ["a,b"], [])
+    rep.add_table("t", ["a,b", "c"], [["1,5", "x"]])
+    assert rep.to_text() == '\n[table t]\n"a,b",c\n"1,5",x\n'
+    assert parse_report(rep.to_text()).tables["t"] == (["a,b", "c"],
+                                                      [["1,5", "x"]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(st.text(), min_size=k, max_size=k),
+    st.lists(st.lists(st.text(), min_size=k, max_size=k), max_size=5))))
+def test_tables_round_trip_any_cell_text(table):
+    columns, rows = table
+    rep = Report(operation="round-trip", verdict=PASS)
+    rep.add_table("cells", columns, rows)
+    rep.add_table("after", ["k"], [["v"]])
+    back = parse_report(rep.to_text())
+    assert back.header == {"operation": "round-trip", "verdict": PASS}
+    assert back.tables == {"cells": (columns, rows), "after": (["k"], [["v"]])}
 
 
 def test_write_atomic(tmp_path):

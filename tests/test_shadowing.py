@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from topodyn.entourage import metric_ball
+from topodyn.entourage import gauge_entourage, metric_ball, predicate_entourage
 from topodyn.shadowing import (
     ORBIT_TAIL,
     PERIODIC,
@@ -12,6 +12,7 @@ from topodyn.shadowing import (
     compute_defects,
     exact_orbit,
     harmonic_stall_walk,
+    noisy_window,
     perturbed_pseudo_orbit,
     pseudo_orbit_from_text,
     pseudo_orbit_to_text,
@@ -296,3 +297,37 @@ def test_pseudo_orbit_text_roundtrip():
 def test_exact_orbit_has_zero_defect():
     po = exact_orbit(CAT, (0.3, 0.4), length=8)
     assert max(compute_defects(CAT, po)) < 1e-9
+
+
+def test_measured_pseudo_orbit_takes_its_largest_gap():
+    w = ((0.1, 0.2), (0.2, 0.1), (0.45, 0.05))
+    po = PseudoOrbit.measured(DIAG, w, start_index=-1)
+    assert po.defect_bound == max(compute_defects(DIAG, po))
+    assert (po.window, po.extension, po.start_index) == (w, ORBIT_TAIL, -1)
+    loop = PseudoOrbit.measured(CAT, [(0.0, 0.0), (0.5, 0.5)], PERIODIC)
+    assert loop.period == 2
+    assert loop.defect_bound == max(compute_defects(CAT, loop))
+    assert PseudoOrbit.measured(DIAG, [(1.0, 1.0)]).defect_bound == 0.0
+
+
+def test_noisy_window_dispatches_on_the_system():
+    strips = shrinking_intervals().system_a
+    for system, delta in ((CAT, 1e-3), (DIAG, 1e-3), (GOLDEN, 0.05),
+                          (strips, 0.05)):
+        window = noisy_window(system, delta, 30, random.Random(4))
+        assert window == noisy_window(system, delta, 30, random.Random(4))
+        assert len(window) == 31
+        assert max(compute_defects(system, PseudoOrbit(window, ORBIT_TAIL,
+                                                       1.0))) <= delta
+    with pytest.raises(TypeError):
+        noisy_window(harmonic_points(), 0.1, 5, random.Random(0))
+
+
+def test_unique_tracing_needs_a_radius():
+    po = exact_orbit(DIAG, (0.1, 0.2), 4)
+    for E in (gauge_entourage(DIAG, lambda x: 0.5),
+              predicate_entourage(lambda x, y: True)):
+        with pytest.raises(TypeError):
+            unique_tracing_check(DIAG, po, E, horizon=10)
+    bounded = gauge_entourage(DIAG, lambda x: 0.5, sup_bound=0.5)
+    assert unique_tracing_check(DIAG, po, bounded, horizon=80).verdict == "yes"

@@ -2,10 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from topodyn.systems import (
     FiniteSystem,
+    GenericSystem,
     ShiftOfFiniteType,
     catalog,
     harmonic_points,
@@ -219,6 +221,31 @@ def test_torus_grid_size_and_range():
     pts = torus_grid(8)
     assert len(pts) == 64
     assert all(0.0 <= x < 1.0 and 0.0 <= y < 1.0 for x, y in pts)
+    assert type(pts) is tuple and torus_grid(8) is pts
+
+
+def test_batch_evaluation_equals_the_scalar_maps_bit_for_bit():
+    cat = torus_automorphism(((2, 1), (1, 1)))
+    systems = [
+        cat,
+        torus_automorphism(((3, 2), (7, 5))),
+        linear_hyperbolic(((2, 0), (0, 0.5))),
+        linear_hyperbolic(((2.0, 1.0), (1.0, 1.0))),
+        linear_hyperbolic(((0.3, 1.7), (1.1, 2.9))),
+        # the base class maps point by point
+        GenericSystem("cat-loop", "torus", cat.forward, cat.backward,
+                      cat.metric),
+    ]
+    rng = random.Random(2)
+    pts = [(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(200)]
+    pts += [(0.0, 0.0), (1e-300, -1e-300), (1e12 + 0.5, -7.25)]
+    arr = np.array(pts)
+    for system in systems:
+        for batch, step in ((system.forward_batch, system.forward),
+                            (system.backward_batch, system.backward)):
+            out = batch(arr)
+            assert out.shape == arr.shape
+            assert [tuple(row) for row in out.tolist()] == [step(p) for p in pts]
 
 
 # ---------------------------------------------------------------------------
