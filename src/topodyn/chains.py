@@ -121,8 +121,7 @@ def _torus_distances(p, q):
     equals the scalar metric's value exactly."""
     t = np.subtract(p, q)
     np.abs(t, out=t)
-    if not t.max(initial=0.0) < 1.0:  # t % 1.0 is t itself below 1
-        t %= 1.0
+    t -= np.floor(t)  # t % 1.0 exactly, as t >= 0, and cheaper than np.remainder
     np.minimum(t, 1.0 - t, out=t)
     return np.sqrt(t[..., 0] * t[..., 0] + t[..., 1] * t[..., 1])
 
@@ -302,15 +301,14 @@ def build_chain_graph(system, samples, D, entourage_id=None):
         raise ValueError("Chain graphs need a nonempty sample set.")
     entourage_id = entourage_id or _describe(D)
     radius = D.radius
-    hashed = (radius is not None and system.embedding_metric is not None
-              and D.metric == system.metric)
-    if hashed and _array_ball(system, D, nodes):
+    if _array_ball(system, D, nodes):
         pts = np.array(nodes, dtype=float)
         images = system.forward_batch(pts)
         keep = lambda q, p: _torus_distances(images[q], pts[p]) < radius
     else:
         fnodes = [system.forward(x) for x in nodes]
-        if not hashed:
+        if (radius is None or system.embedding_metric is None
+                or D.metric != system.metric):
             rows = ([j for j, y in enumerate(nodes) if D.accepts(fx, y)]
                     for fx in fnodes)
             return ChainGraph.from_successors(nodes, rows, entourage_id)
@@ -337,10 +335,11 @@ def _describe(D):
 
 
 def _array_ball(system, D, nodes):
-    """True when the array route of `build_chain_graph` reproduces D on
-    these nodes bit for bit: D is a metric ball in the own metric of a plain
-    torus automorphism with int or float matrix entries, and the nodes are
-    pairs of floats."""
+    """True when the array routes of `build_chain_graph` and
+    `nonwandering_set` reproduce D on these nodes bit for bit: D is a metric
+    ball in the metric of torus automorphisms (one function for every
+    instance), the system a plain torus automorphism with int or float
+    matrix entries, and the nodes are pairs of floats."""
     return (type(system) is TorusAutomorphism and type(D) is MetricBall
             and getattr(D.metric, "__func__", None) is TorusAutomorphism.metric
             and all(type(v) in (int, float)
@@ -534,7 +533,7 @@ def nonwandering_set(system, samples, probe, horizon):
     if horizon < 1:
         raise ValueError("Horizon must be at least 1.")
     samples = list(samples)
-    if isinstance(system, TorusAutomorphism) and isinstance(probe, MetricBall):
+    if _array_ball(system, probe, samples):
         return _nonwandering_torus(system, samples, probe.delta, horizon)
     out = []
     for x in samples:

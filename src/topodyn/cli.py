@@ -23,19 +23,11 @@ from .entourage import metric_ball
 from .demos import DEMOS, run_demo
 from .hyperbolic import sft_flip_perturbation, stability_conjugacy_h, trig_perturbation
 from .report import FAIL, PASS, RESOLUTION_LIMITED, Report
-from .shadowing import (
-    PseudoOrbit,
-    noisy_window,
-    trace_linear_hyperbolic,
-    trace_sft,
-    trace_strips,
-)
+from .shadowing import PseudoOrbit, tracing_tools
 from .spectral import spectral_decompose, symbol_graph_chain
 from .systems import (
     FiniteSystem,
-    LinearSaddle,
     ShiftOfFiniteType,
-    StripFamily,
     TorusAutomorphism,
     catalog,
 )
@@ -113,18 +105,15 @@ def _cmd_decompose(args, parser):
 
 def _cmd_trace(args, parser):
     system = _build_system(args.system, parser)
-    if isinstance(system, (LinearSaddle, TorusAutomorphism)):
-        tracer = trace_linear_hyperbolic
-    elif isinstance(system, ShiftOfFiniteType):
-        tracer = trace_sft
-    elif isinstance(system, StripFamily) and system.variant == "shrinking":
-        tracer = trace_strips
-    else:
+    try:
+        generate, tracer = tracing_tools(system)
+    except TypeError:
+        tracer = None
+    if tracer is None:
         parser.error(f"no tracer for system {system.name!r}; supported: "
                      "linear saddles, torus automorphisms, shifts, and "
                      "shrinking strips")
-    window = noisy_window(system, args.delta, args.length,
-                          random.Random(args.seed))
+    window = generate(system, args.delta, args.length, random.Random(args.seed))
     pseudo = PseudoOrbit.measured(system, window)
     defect = pseudo.defect_bound
     if not defect > 0:

@@ -178,17 +178,24 @@ def perturbed_pseudo_orbit(system, x0, length, noise, seed, extension=ORBIT_TAIL
     return PseudoOrbit.measured(system, window)
 
 
+def tracing_tools(system):
+    """The pair (window generator, tracer) for the system's type, for linear
+    saddles, torus automorphisms, shifts and strips. The tracer is None on
+    the unit strips, where pseudo-orbits exist but no tracer does."""
+    if isinstance(system, (LinearSaddle, TorusAutomorphism)):
+        return _linear_window, trace_linear_hyperbolic
+    if isinstance(system, ShiftOfFiniteType):
+        return _sft_window, trace_sft
+    if isinstance(system, StripFamily):
+        return _strip_window, (trace_strips if system.variant == "shrinking"
+                               else None)
+    raise TypeError(f"No pseudo-orbit generator for system {system.name!r}.")
+
+
 def noisy_window(system, delta, length, rng):
     """The window x_0 ... x_length of a random pseudo-orbit with defects of
-    order delta, drawn from rng in a fixed order, for linear saddles, torus
-    automorphisms, shifts and strips."""
-    if isinstance(system, (LinearSaddle, TorusAutomorphism)):
-        return _linear_window(system, delta, length, rng)
-    if isinstance(system, ShiftOfFiniteType):
-        return _sft_window(system, delta, length, rng)
-    if isinstance(system, StripFamily):
-        return _strip_window(system, delta, length, rng)
-    raise TypeError(f"No pseudo-orbit generator for system {system.name!r}.")
+    order delta, drawn from rng in a fixed order (see `tracing_tools`)."""
+    return tracing_tools(system)[0](system, delta, length, rng)
 
 
 def _linear_window(system, delta, length, rng):

@@ -243,6 +243,17 @@ def test_ball_graph_keeps_scalar_route_for_other_metrics():
         assert _edge_set(graph) == _brute_edges(system, nodes, D)
 
 
+def test_ball_on_an_equal_torus_map_takes_the_array_route():
+    # a ball made on a second, equal cat map measures in the same metric,
+    # so it keeps the array route and never calls the per-pair predicate
+    D = metric_ball(torus_automorphism(((2, 1), (1, 1)), name="cat-map"), 0.1)
+    nodes = torus_grid(12)
+    assert _array_ball(CAT, D, nodes)
+    with mock.patch.object(D, "accepts", side_effect=AssertionError):
+        graph = build_chain_graph(CAT, nodes, D)
+    assert _edge_set(graph) == _brute_edges(CAT, nodes, D)
+
+
 def _gauge_at_arrival(system):
     # radius 0.02 to 0.14 by sample, read at the arrival point
     def gauge(y):
@@ -438,30 +449,42 @@ def test_nonwandering_three_cycle():
     assert omega == frozenset(perm.points)
 
 
+def _direct_nonwandering(nodes, probe, horizon):
+    out = []
+    for x in nodes:
+        near = [u for u in nodes if probe.accepts(x, u)]
+        hit = False
+        for u in near:
+            z = u
+            for _ in range(horizon):
+                z = CAT.forward(z)
+                if probe.accepts(x, z):
+                    hit = True
+                    break
+            if hit:
+                break
+        if hit:
+            out.append(x)
+    return frozenset(out)
+
+
 def test_nonwandering_torus_fast_path_matches_direct():
     nodes = torus_grid(8)
     probe = metric_ball(CAT, 0.26)
     fast = nonwandering_set(CAT, nodes, probe, horizon=12)
+    assert fast == _direct_nonwandering(nodes, probe, 12)
 
-    def direct():
-        out = []
-        for x in nodes:
-            near = [u for u in nodes if probe.accepts(x, u)]
-            hit = False
-            for u in near:
-                z = u
-                for _ in range(12):
-                    z = CAT.forward(z)
-                    if probe.accepts(x, z):
-                        hit = True
-                        break
-                if hit:
-                    break
-            if hit:
-                out.append(x)
-        return frozenset(out)
 
-    assert fast == direct()
+def test_nonwandering_probe_in_another_metric_is_not_a_torus_ball():
+    # a ball in half the cat-map metric must not be measured in the torus
+    # metric itself: it takes the generic loop
+    rng = random.Random(3)
+    nodes = [(rng.random(), rng.random()) for _ in range(64)]
+    half = metric_ball(CAT, 0.1, metric=lambda x, y: 0.5 * CAT.metric(x, y))
+    omega = nonwandering_set(CAT, nodes, half, horizon=4)
+    assert omega == _direct_nonwandering(nodes, half, 4)
+    assert len(omega) > len(nonwandering_set(CAT, nodes, metric_ball(CAT, 0.1),
+                                             horizon=4))
 
 
 def test_nonwandering_rejects_zero_horizon():

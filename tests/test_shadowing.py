@@ -21,6 +21,7 @@ from topodyn.shadowing import (
     trace_linear_hyperbolic,
     trace_sft,
     trace_strips,
+    tracing_tools,
     unique_tracing_check,
     verify_defect_bound,
 )
@@ -321,6 +322,18 @@ def test_noisy_window_dispatches_on_the_system():
                                                        1.0))) <= delta
     with pytest.raises(TypeError):
         noisy_window(harmonic_points(), 0.1, 5, random.Random(0))
+
+
+def test_tracing_tools_pair_each_generator_with_its_tracer():
+    pair = shrinking_intervals()
+    unit = pair.system_b
+    assert tracing_tools(CAT)[1] is trace_linear_hyperbolic
+    assert tracing_tools(DIAG)[1] is trace_linear_hyperbolic
+    assert tracing_tools(GOLDEN)[1] is trace_sft
+    assert tracing_tools(pair.system_a)[1] is trace_strips
+    # the unit strips have pseudo-orbits but no tracer
+    assert tracing_tools(unit)[1] is None
+    assert len(tracing_tools(unit)[0](unit, 0.05, 8, random.Random(1))) == 9
 
 
 def test_unique_tracing_needs_a_radius():
