@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,7 +271,9 @@ def _reaches_all(indptr, indices):
     while frontier.size:
         starts = indptr[frontier]
         reached = indices[_concat_ranges(starts, indptr[frontier + 1] - starts)]
-        frontier = np.unique(reached[~seen[reached]])
+        # sort and drop repeats by hand: a bare np.unique imports numpy.ma
+        fresh = np.sort(reached[~seen[reached]])
+        frontier = fresh[np.diff(fresh, prepend=-1) != 0]
         seen[frontier] = True
     return bool(seen.all())
 
@@ -294,7 +295,9 @@ def build_chain_graph(system, samples, D, entourage_id=None):
     its points, `_near_pairs` gives the candidate pairs: a metric ball of a
     torus automorphism (`_array_ball`) measures them on arrays, bit for bit
     as the scalar metric, and any other entourage with D.accepts. Without a
-    radius every pair is tested.
+    radius every pair is tested: a gauge ball read at departure through
+    `_gauge_steps`, which reads the gauge once per image, and any other
+    entourage with D.accepts.
     """
     nodes = tuple(samples)
     if not nodes:
@@ -309,6 +312,9 @@ def build_chain_graph(system, samples, D, entourage_id=None):
         fnodes = [system.forward(x) for x in nodes]
         if (radius is None or system.embedding_metric is None
                 or D.metric != system.metric):
+            if type(D) is GaugeBall and not D.at_arrival:
+                src, dst = np.nonzero(_gauge_steps(D.metric, D.gauge, fnodes, nodes))
+                return ChainGraph(nodes, *_csr(len(nodes), src, dst), entourage_id)
             rows = ([j for j, y in enumerate(nodes) if D.accepts(fx, y)]
                     for fx in fnodes)
             return ChainGraph.from_successors(nodes, rows, entourage_id)
@@ -477,11 +483,21 @@ def chain_components(graphs):
 
     All graphs must share one node set. A node stays recurrent if it lies on
     a cycle at every ladder step; two nodes stay equivalent if every step
-    keeps them in one SCC. Each step refines the running cells with that
-    step's SCC labels: `np.unique` on the pair (cell, label) of each node,
-    packed into one int64.
+    keeps them in one SCC.
     """
     graphs = list(graphs)
+    states, history, stabilization = _refine_ladder(graphs)
+    return _component_set(graphs, states[-1], history, stabilization)
+
+
+def _refine_ladder(graphs):
+    """The running (recurrent mask, cell labels) after each ladder step,
+    the (recurrent count, cell count) history and the stabilization index.
+
+    Each step refines the running cells with that step's SCC labels:
+    `np.unique` on the pair (cell, label) of each recurrent node, packed
+    into one int64. Cell labels of nodes no longer recurrent are 0.
+    """
     if not graphs:
         raise ValueError("The entourage ladder is empty.")
     nodes = graphs[0].nodes
@@ -490,13 +506,14 @@ def chain_components(graphs):
             raise ValueError("Ladder graphs disagree on the node set.")
 
     recurrent = np.ones(len(nodes), dtype=bool)
-    cells = np.zeros(len(nodes), dtype=np.int64)  # running cell of each node
-    history = []
+    cells = np.zeros(len(nodes), dtype=np.int64)
+    states, history = [], []
     stabilization = None
     for step, g in enumerate(graphs):
         kept = recurrent & g.recurrent_mask()
         pairs = cells[kept] * len(g.scc()) + g.component_labels()[kept]
         distinct, inverse = np.unique(pairs, return_inverse=True)
+        cells = np.zeros(len(nodes), dtype=np.int64)
         cells[kept] = inverse
         count = len(distinct)
         # cells only split from step to step, so on an unchanged recurrent
@@ -505,8 +522,16 @@ def chain_components(graphs):
                 and np.array_equal(kept, recurrent)):
             stabilization = step
         recurrent = kept
+        states.append((recurrent, cells))
         history.append((int(recurrent.sum()), count))
+    return states, history, stabilization
 
+
+def _component_set(graphs, state, history, stabilization):
+    """The ChainComponentSet of the ladder `graphs` whose last refinement
+    state is `state`."""
+    nodes = graphs[0].nodes
+    recurrent, cells = state
     members = np.flatnonzero(recurrent)
     order = np.argsort(cells[members], kind="stable")
     groups = np.split(members[order],
@@ -575,39 +600,43 @@ def _nonwandering_torus(system, samples, radius, horizon):
 # strong (gauge-weighted) chains
 
 
+def _gauge_steps(metric, gauge, images, nodes):
+    """The gauge step relation as a boolean matrix: [i, j] iff
+    metric(images[i], nodes[j]) < gauge(images[i]). The gauge is read once
+    per image, and every pair is measured by the scalar metric."""
+    steps = np.zeros((len(images), len(nodes)), dtype=bool)
+    for i, fx in enumerate(images):
+        r = gauge(fx)
+        steps[i] = [metric(fx, y) < r for y in nodes]
+    return steps
+
+
+def _strong_reach(system, nodes, gauge):
+    """reach[i, j] iff a chain of one or more steps d(f(u), v) < gauge(f(u))
+    leads from nodes[i] to nodes[j] through the nodes: the transitive
+    closure of the step relation, by Warshall's algorithm. No SCC is
+    computed, so this route stays independent of the chain graphs."""
+    reach = _gauge_steps(system.metric, gauge,
+                         [system.forward(u) for u in nodes], nodes)
+    for k in range(len(nodes)):
+        reach[reach[:, k]] |= reach[k]
+    return reach
+
+
 def strong_chain_reachable(system, x, y, gauge, samples):
-    """Whether a chain from x to y exists with each step measured against
-    the gauge at the mapped point: d(f(u), v) < gauge(f(u))."""
-    nodes = list(samples)
-    for extra in (x, y):
-        if extra not in nodes:
-            nodes.append(extra)
-    images = {u: system.forward(u) for u in nodes}
-
-    def step_ok(u, v):
-        fu = images[u]
-        return system.metric(fu, v) < gauge(fu)
-
-    seen = set()
-    queue = deque()
-    for v in nodes:
-        if step_ok(x, v):
-            seen.add(v)
-            queue.append(v)
-    while queue:
-        u = queue.popleft()
-        for v in nodes:
-            if v not in seen and step_ok(u, v):
-                seen.add(v)
-                queue.append(v)
-    return y in seen
+    """Whether a chain of one or more steps leads from x to y through the
+    samples, with each step measured against the gauge at the mapped point:
+    d(f(u), v) < gauge(f(u))."""
+    nodes = list(dict.fromkeys([*samples, x, y]))
+    reach = _strong_reach(system, nodes, gauge)
+    return bool(reach[nodes.index(x), nodes.index(y)])
 
 
 def strong_chain_recurrent_set(system, samples, gauge):
     """Samples that reach themselves through a gauge-weighted chain."""
-    return frozenset(
-        x for x in samples if strong_chain_reachable(system, x, x, gauge, samples)
-    )
+    nodes = list(dict.fromkeys(samples))
+    reach = _strong_reach(system, nodes, gauge)
+    return frozenset(itertools.compress(nodes, reach.diagonal()))
 
 
 # ---------------------------------------------------------------------------

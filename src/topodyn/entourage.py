@@ -507,7 +507,9 @@ class SampledGauge:
     h(y) is the distance from y to the complement of U[y]. The minimum of
     1-Lipschitz functions is 1-Lipschitz, and the halving keeps the value
     strictly between 0 and h(x) at every sample, so the gauge ball at x
-    always sits strictly inside U[x].
+    always sits strictly inside U[x]. A point found in `values` (the
+    samples, filled by `smooth_gauge` with this formula) is looked up
+    there instead of being computed again.
     """
 
     metric: object
@@ -515,7 +517,10 @@ class SampledGauge:
     values: dict = field(default_factory=dict)
 
     def __call__(self, x):
-        return 0.5 * min(h + self.metric(x, y) for y, h in self.h_values.items())
+        value = self.values.get(x)
+        if value is None:
+            value = 0.5 * min(h + self.metric(x, y) for y, h in self.h_values.items())
+        return value
 
 
 def _section_floor(U, x, samples, metric):

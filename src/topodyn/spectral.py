@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import (ChainGraph, _lattice_map, build_chain_graph, chain_components,
-                     is_chain, torus_grid_graph)
+from .chains import (ChainGraph, _component_set, _lattice_map, _refine_ladder,
+                     build_chain_graph, is_chain, torus_grid_graph)
 from .entourage import finite_relation, metric_ball
 from .report import FAIL, PASS, RESOLUTION_LIMITED, Report
 from .shadowing import PERIODIC, PseudoOrbit, trace_linear_hyperbolic
@@ -744,11 +744,12 @@ def _decompose_torus(system, n, r0, seed, pairs):
     r0 = r0 if r0 is not None else 4.0 * cell
     radii = (r0, r0 / 2.0, r0 / 4.0)
     graphs = [torus_grid_graph(system, n, r) for r in radii]
-    full = chain_components(graphs)
-    stab = full.stabilization_index
-    chosen = (chain_components(graphs[:stab + 1]) if stab is not None
-              else full)
+    states, history, stab = _refine_ladder(graphs)
     step = stab if stab is not None else len(radii) - 1
+    # the basic sets come from the ladder cut at its stabilization step;
+    # the reported history is the whole ladder's
+    chosen = _component_set(graphs[:step + 1], states[step],
+                            history[:step + 1], stab)
     graph = graphs[step]
     delta = radii[step]
     pos = {node: i for i, node in enumerate(graph.nodes)}
@@ -773,7 +774,7 @@ def _decompose_torus(system, n, r0, seed, pairs):
         basic_sets=tuple(basic),
         recurrent_nodes=tuple(sorted(chosen.recurrent_nodes)),
         stabilization_index=stab,
-        history=full.history,
+        history=tuple(history),
         finite_flag=True,
         exact=False,
     )

@@ -202,6 +202,8 @@ def splice_symbolic(left_point, right_point, seam=0):
 
 def sft_metric(p, q):
     """2^(-k) where k = min |i| with p_i != q_i, and 0 for equal sequences."""
+    if p == q:  # equal records denote equal sequences
+        return 0.0
     bound_r = max(p.span_end, q.span_end, 0) + math.lcm(len(p.right), len(q.right)) + 1
     bound_l = -min(p.span_start, q.span_start, 0) + math.lcm(len(p.left), len(q.left)) + 1
     for k in range(0, max(bound_r, bound_l) + 1):

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -514,6 +518,112 @@ def test_strong_chains_cross_when_gauge_is_generous():
     samples = h.points(10)
     gauge = lambda x: 1.5  # larger than every gap in the sample range
     assert strong_chain_reachable(h, samples[0], samples[5], gauge, samples)
+
+
+def _reachable_by_search(system, x, y, gauge, samples):
+    """Reference for strong chains: a breadth-first search from x over the
+    samples, x and y, reading the gauge afresh for every pair it tests."""
+    nodes = list(samples)
+    for extra in (x, y):
+        if extra not in nodes:
+            nodes.append(extra)
+    images = {u: system.forward(u) for u in nodes}
+
+    def step_ok(u, v):
+        fu = images[u]
+        return system.metric(fu, v) < gauge(fu)
+
+    seen = set()
+    queue = deque()
+    for v in nodes:
+        if step_ok(x, v):
+            seen.add(v)
+            queue.append(v)
+    while queue:
+        u = queue.popleft()
+        for v in nodes:
+            if v not in seen and step_ok(u, v):
+                seen.add(v)
+                queue.append(v)
+    return y in seen
+
+
+NORTH_SOUTH = catalog()["north-south"].build()
+HARMONIC = harmonic_points()
+
+
+@st.composite
+def _strong_chain_cases(draw):
+    """A system, samples with repeats, x and y that may lie outside the
+    samples, and a gauge that varies from point to point."""
+    if draw(st.booleans()):
+        system, point = NORTH_SOUTH, st.floats(-1.0, 1.0)
+    else:
+        system, point = HARMONIC, st.integers(1, 40).map(HARMONIC.point)
+    samples = draw(st.lists(point, min_size=1, max_size=16))
+    samples += draw(st.lists(st.sampled_from(samples), max_size=4))
+    x, y = (draw(st.one_of(st.sampled_from(samples), point)) for _ in range(2))
+    base, swing, freq = (draw(st.floats(lo, hi)) for lo, hi in
+                         ((0.0, 0.15), (0.0, 0.3), (0.5, 30.0)))
+    gauge = lambda p: base + swing * abs(math.sin(freq * p))
+    return system, samples, x, y, gauge
+
+
+@PROPERTY
+@given(_strong_chain_cases())
+def test_strong_chains_match_a_per_pair_search(case):
+    system, samples, x, y, gauge = case
+    assert (strong_chain_reachable(system, x, y, gauge, samples)
+            == _reachable_by_search(system, x, y, gauge, samples))
+    assert strong_chain_recurrent_set(system, samples, gauge) == frozenset(
+        u for u in samples if _reachable_by_search(system, u, u, gauge, samples))
+
+
+def test_gauge_is_read_once_per_image():
+    rng = random.Random(8)
+    samples = [rng.uniform(-1.0, 1.0) for _ in range(30)]
+    samples += samples[:5]
+    calls = []
+
+    def gauge(p):
+        calls.append(p)
+        return 0.02 + 0.1 * abs(math.sin(20.0 * p))
+
+    # strong chains: once per distinct node, and no SCC
+    with mock.patch.object(chains, "strongly_connected_components",
+                           side_effect=AssertionError):
+        strong_chain_recurrent_set(NORTH_SOUTH, samples, gauge)
+        assert len(calls) == 30
+        calls.clear()
+        strong_chain_reachable(NORTH_SOUTH, samples[0], 1.5, gauge, samples)
+        assert len(calls) == 31
+    # a gauge ball read at departure with no bound: once per graph node
+    calls.clear()
+    D = gauge_entourage(NORTH_SOUTH, gauge)
+    assert D.radius is None
+    graph = build_chain_graph(NORTH_SOUTH, samples, D)
+    assert len(calls) == len(samples)
+    assert _edge_set(graph) == _brute_edges(NORTH_SOUTH, samples, D)
+    # read at arrival, the same gauge gives other edges, pair by pair
+    arrival = D.transpose()
+    assert (_edge_set(build_chain_graph(NORTH_SOUTH, samples, arrival))
+            == _brute_edges(NORTH_SOUTH, samples, arrival) != _edge_set(graph))
+
+
+def test_strong_connectivity_sweep_leaves_numpy_ma_unloaded():
+    # a bare np.unique imports numpy.ma on first use (numpy 2.4)
+    code = ("import sys\n"
+            "from topodyn.chains import ChainGraph\n"
+            "g = ChainGraph.from_successors(range(5), "
+            "[[1, 2], [2, 3], [3, 1], [4, 2], [0]], 'test')\n"
+            "assert g.is_strongly_connected()\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(chains.__file__))
+    run = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_gauge_graph_equals_strong_chains_on_a_seeded_mix():

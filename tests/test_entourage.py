@@ -7,6 +7,7 @@ from topodyn.entourage import (
     Box,
     CompactWitness,
     GaugeComputationError,
+    SampledGauge,
     compose,
     compose_n,
     contains_diagonal,
@@ -196,6 +197,25 @@ def test_smooth_gauge_closed_form_radius():
     gauge = smooth_gauge(metric_ball(h, 0.05), samples)
     for x in samples:
         assert abs(gauge(x) - 0.025) < 1e-15
+
+
+def test_smooth_gauge_looks_up_its_samples():
+    # a sample's value is read from gauge.values with no metric call, and
+    # equals the value the formula computes, bit for bit
+    samples = (0.0, 1.0, 3.0, 6.0)
+    calls = []
+
+    def metric(a, b):
+        calls.append((a, b))
+        return ABS(a, b)
+
+    gauge = smooth_gauge(line_relation(), samples, metric=metric)
+    computed = SampledGauge(metric=ABS, h_values=gauge.h_values)
+    calls.clear()
+    for x in samples:
+        assert gauge(x).hex() == computed(x).hex()
+    assert calls == []
+    assert gauge(2.0) == 1.5 and len(calls) == len(samples)
 
 
 def test_smooth_gauge_names_culprits():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topodyn.systems import (
     FiniteSystem,
@@ -16,6 +18,7 @@ from topodyn.systems import (
     permutation_from_cycles,
     plane_two_metrics,
     rotate_cycle,
+    sequences_agree_on,
     sft_metric,
     sft_shift,
     shrinking_intervals,
@@ -89,6 +92,41 @@ def test_sft_metric_values():
     d = GOLDEN.point((1, 0, 0, 0, 0), offset=-2, left=(0,), right=(0,))
     # c and d first disagree at indices +2 and -2
     assert sft_metric(c, d) == 0.25
+
+
+_CYCLES = st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple)
+_RECORDS = st.builds(symbolic_point, _CYCLES,
+                     st.lists(st.integers(0, 2), max_size=6), _CYCLES,
+                     st.integers(-5, 5))
+
+
+def _spelled_out(p, pad_left, pad_right, repeats):
+    """The sequence of p presented afresh: a word widened past p's span on
+    both sides, tail cycles re-phased to the new word ends and repeated."""
+    lo, hi = p.span_start - pad_left, p.span_end + pad_right
+    return symbolic_point(rotate_cycle(p.left, lo - p.span_start) * repeats,
+                          p.window(lo, hi),
+                          rotate_cycle(p.right, hi - p.span_end) * repeats, lo)
+
+
+def _agree(p, q):
+    # a window covering both words and one common period of each tail
+    lo = min(p.span_start, q.span_start) - math.lcm(len(p.left), len(q.left))
+    hi = max(p.span_end, q.span_end) + math.lcm(len(p.right), len(q.right))
+    return sequences_agree_on(p, q, lo, hi)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_RECORDS, _RECORDS, st.integers(0, 4), st.integers(0, 4),
+       st.integers(1, 3))
+def test_symbolic_records_are_equal_exactly_when_sequences_are(
+        p, q, pad_left, pad_right, repeats):
+    again = _spelled_out(p, pad_left, pad_right, repeats)
+    assert sequences_agree_on(p, again, p.span_start - 12, p.span_end + 12)
+    assert again == p
+    for a, b in ((p, q), (q, p), (p.shifted(len(p.right)), p), (p, again)):
+        assert (a == b) == _agree(a, b)
+        assert (sft_metric(a, b) == 0.0) == (a == b)
 
 
 def test_splice_matches_symbolwise_reference():
