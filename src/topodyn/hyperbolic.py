@@ -25,7 +25,14 @@ import numpy as np
 from .chains import _near_pairs
 from .entourage import Entourage, MetricBall, PredicateEntourage, metric_ball
 from .report import FAIL, PASS, Report
-from .shadowing import ORBIT_TAIL, PERIODIC, PseudoOrbit, trace_linear_hyperbolic, trace_sft
+from .shadowing import (
+    ORBIT_TAIL,
+    PERIODIC,
+    PseudoOrbit,
+    _eigen_series,
+    trace_linear_hyperbolic,
+    trace_sft,
+)
 from .systems import (
     GenericSystem,
     LinearSaddle,
@@ -42,6 +49,10 @@ from .systems import (
 
 CONSISTENT = "consistent-with-expansive"
 REFUTED = "refuted"
+
+# g-orbit points traced per stability chunk: bounds the block and its
+# defect and series arrays to a few MB however many samples there are
+_BLOCK_POINTS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -803,52 +814,33 @@ class StabilityReport:
 
 def _stability_linear(f, g, D, samples, window):
     wrap = isinstance(f, TorusAutomorphism)
-    a = np.array(f.matrix, dtype=float)
-    vu, vs = f.v_u, f.v_s
-    det_v = vu[0] * vs[1] - vu[1] * vs[0]
-    lam_u, lam_s = f.lam_u, f.lam_s
+    cover = f.cover if wrap else f
 
-    def orbit_block(pts):
-        # g-orbit windows for a batch of points, shape (2W+1, N, 2)
-        n = pts.shape[0]
-        block = np.empty((2 * window + 1, n, 2))
+    def h_batch(pts):
+        # the g-orbit windows through a batch of points, shape (2W+1, N, 2),
+        # traced under f; returns h at the batch and the window defects
+        block = np.empty((2 * window + 1, pts.shape[0], 2))
         block[window] = pts
         for step, sign in ((g.forward_batch, 1), (g.backward_batch, -1)):
             cur = pts
             for k in range(1, window + 1):
                 cur = step(cur)
                 block[window + sign * k] = cur
-        return block
-
-    def h_batch(pts):
-        block = orbit_block(pts)
-        defects = block[1:] - block[:-1] @ a.T
-        if wrap:
-            defects -= np.round(defects)
-        du = (defects[..., 0] * vs[1] - defects[..., 1] * vs[0]) / det_v
-        ds = (vu[0] * defects[..., 1] - vu[1] * defects[..., 0]) / det_v
-        n = pts.shape[0]
-        es = np.zeros(n)
-        for k in range(window):  # defect indices -W .. -1
-            es = lam_s * es - ds[k]
-        eu = np.zeros(n)
-        for k in range(2 * window - 1, window - 1, -1):  # indices W-1 .. 0
-            eu = (eu + du[k]) / lam_u
-        out = pts + np.outer(eu, vu) + np.outer(es, vs)
-        if wrap:
-            out %= 1.0
-        dmax = float(np.max(np.hypot(defects[..., 0], defects[..., 1])))
-        return out, dmax
+        traced, defects = _eigen_series(cover, block, wrap=wrap)
+        return traced[window], defects
 
     pts = np.array(samples, dtype=float)
-    combined = np.concatenate([pts, g.forward_batch(pts)])
-    images, defect_sup = h_batch(combined)
-    n = len(samples)
-    h_x, h_gx = images[:n], images[n:]
-    fh = h_x @ a.T
-    if wrap:
-        fh %= 1.0
-    gaps = fh - h_gx
+    h_x, h_gx = np.empty_like(pts), np.empty_like(pts)
+    defect_sup = 0.0
+    # each sample brings two windows of 2W+1 points: through x and g(x)
+    chunk = max(1, _BLOCK_POINTS // (2 * (2 * window + 1)))
+    for lo in range(0, len(pts), chunk):
+        part = pts[lo:lo + chunk]
+        images, defects = h_batch(np.concatenate([part, g.forward_batch(part)]))
+        h_x[lo:lo + chunk], h_gx[lo:lo + chunk] = np.split(images, 2)
+        defect_sup = max(defect_sup, float(np.max(np.hypot(
+            defects[..., 0], defects[..., 1]))))
+    gaps = f.forward_batch(h_x) - h_gx
     close = h_x - pts
     if wrap:
         gaps -= np.round(gaps)
@@ -874,8 +866,8 @@ def _stability_linear(f, g, D, samples, window):
         images=tuple(image_points),
         residuals=tuple(float(r) for r in residuals),
         closenesses=tuple(float(c) for c in closenesses),
-        semiconjugacy_residual=float(np.max(residuals)) if n else 0.0,
-        closeness=float(np.max(closenesses)) if n else 0.0,
+        semiconjugacy_residual=float(np.max(residuals)),
+        closeness=float(np.max(closenesses)),
         defect_sup=defect_sup,
         guaranteed_closeness=coeff * defect_sup,
         injective_flag=not collisions,

@@ -26,6 +26,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .systems import (
     FiniteSystem,
     HarmonicPoints,
@@ -295,23 +297,46 @@ class TracingResult:
     period: object = None
 
 
-def _wrap_half(v):
-    return (v + 0.5) % 1.0 - 0.5
+def _eigen_series(cover, windows, period=None, wrap=False):
+    """Trace N pseudo-orbit windows of the linear saddle `cover` at once.
 
-
-def _defect_vectors(system, pseudo, cover):
-    """d_k = x_{k+1} - A x_k, lifted to the plane for torus systems."""
-    window = list(pseudo.window)
-    if pseudo.extension == PERIODIC:
-        window.append(pseudo.point_at(pseudo.start_index + len(window)))
-    out = []
-    for a, b in zip(window, window[1:]):
-        fa = cover.forward(a)
-        d = (b[0] - fa[0], b[1] - fa[1])
-        if isinstance(system, TorusAutomorphism):
-            d = (_wrap_half(d[0]), _wrap_half(d[1]))
-        out.append(d)
-    return out
+    windows is an (n, N, 2) float array with x_k of every window at
+    windows[k]. The defects d_k = x_{k+1} - A x_k (lifted to the plane by
+    d - round(d) when wrap is set) split into eigen-coordinates; the stable
+    coefficient runs forward, e_{k+1} = lam_s e_k - ds_k, and the unstable
+    one backward, e_k = (e_{k+1} + du_k) / lam_u. Orbit tails start both
+    from zero; periodic windows (x_n = x_0) start them from the closed
+    periodic sums. Returns the traced points (mod 1 when wrap is set) and
+    the defects, one row fewer for orbit tails. An orbit that overflows
+    yields inf or nan, without warnings; the measured gaps report it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = len(windows)
+        nxt = windows[1:] if period is None else np.roll(windows, -1, axis=0)
+        d = nxt - np.stack(cover.forward((windows[:len(nxt), :, 0],
+                                          windows[:len(nxt), :, 1])), axis=-1)
+        if wrap:
+            d -= np.round(d)
+            d[d == 0.5] = -0.5  # lifts land in [-1/2, 1/2), as exact ones do
+        du, ds = cover.split((d[..., 0], d[..., 1]))
+        lam_u, lam_s = cover.lam_u, cover.lam_s
+        es, eu = np.zeros((2, n, windows.shape[1]))
+        if period is not None:
+            p = period
+            powers = np.arange(p)
+            # e^s_0 = -sum_{i<p} lam_s^i ds_{p-1-i} / (1 - lam_s^p) and
+            # e^u_{n-1} = sum_{i<p} lam_u^-(i+1) du_{n-1+i} / (1 - lam_u^-p)
+            es[0] = -(lam_s ** powers @ ds[p - 1::-1]) / (1.0 - lam_s ** p)
+            eu[-1] = (lam_u ** -(powers + 1.0) @ du[(n - 1 + powers) % p]) \
+                / (1.0 - lam_u ** -p)
+        for k in range(n - 1):
+            es[k + 1] = lam_s * es[k] - ds[k]
+        for k in range(n - 2, -1, -1):
+            eu[k] = (eu[k + 1] + du[k]) / lam_u
+        traced = windows + np.stack(cover.combine(eu, es), axis=-1)
+        if wrap:
+            traced %= 1.0
+    return traced, d
 
 
 def trace_linear_hyperbolic(system, pseudo, exact=False):
@@ -322,8 +347,9 @@ def trace_linear_hyperbolic(system, pseudo, exact=False):
     eigendirections: the stable coefficient is the series over past defects
     (summed forward from the window start, where orbit-tail extensions have
     zero defect), the unstable coefficient the series over future defects
-    (summed backward from the window end). Periodic windows instead use the
-    closed periodic-series form, yielding a periodic tracing point.
+    (summed backward from the window end). Periodic windows start both
+    recursions from the closed periodic-series form, yielding a periodic
+    tracing point.
 
     Torus systems are lifted to the cover for the series and projected back
     at the end. With exact=True (periodic windows) everything runs in
@@ -344,52 +370,22 @@ def trace_linear_hyperbolic(system, pseudo, exact=False):
             raise ValueError("Exact tracing is defined for periodic windows.")
         return _trace_linear_exact(system, cover, pseudo)
 
-    defects = _defect_vectors(system, pseudo, cover)
-    split = [cover.split(d) for d in defects]
-    du = [c[0] for c in split]
-    ds = [c[1] for c in split]
-    lam_u, lam_s = cover.lam_u, cover.lam_s
-    n = len(pseudo.window)
-
-    if pseudo.extension == PERIODIC:
-        p = pseudo.period
-        wu = 1.0 / (1.0 - lam_u ** (-p))
-        ws = 1.0 / (1.0 - lam_s ** p)
-        es, eu = [], []
-        for k in range(n):
-            acc = 0.0
-            for i in range(1, p + 1):
-                acc += (lam_s ** (i - 1)) * ds[(k - i) % p]
-            es.append(-ws * acc)
-            acc = 0.0
-            for i in range(p):
-                acc += (lam_u ** (-(i + 1))) * du[(k + i) % p]
-            eu.append(wu * acc)
-    else:
-        es = [0.0] * n
-        for k in range(n - 1):
-            es[k + 1] = lam_s * es[k] - ds[k]
-        eu = [0.0] * n
-        for k in range(n - 2, -1, -1):
-            eu[k] = (eu[k + 1] + du[k]) / lam_u
-
-    traced, gaps = [], []
-    for k in range(n):
-        e = cover.combine(eu[k], es[k])
-        y = (pseudo.window[k][0] + e[0], pseudo.window[k][1] + e[1])
-        if isinstance(system, TorusAutomorphism):
-            y = (y[0] % 1.0, y[1] % 1.0)
-        traced.append(y)
-        gaps.append(system.metric(y, pseudo.window[k]))
+    periodic = pseudo.extension == PERIODIC
+    windows = np.array(pseudo.window, dtype=float).reshape(-1, 1, 2)
+    points, _ = _eigen_series(cover, windows,
+                              period=pseudo.period if periodic else None,
+                              wrap=isinstance(system, TorusAutomorphism))
+    traced = tuple(map(tuple, points[:, 0].tolist()))
+    gaps = tuple(system.metric(y, x) for y, x in zip(traced, pseudo.window))
 
     return TracingResult(
         point=traced[0],
         error_bound=max(gaps),
         indices_checked=(pseudo.start_index, pseudo.end_index),
-        traced_orbit=tuple(traced),
-        gaps=tuple(gaps),
+        traced_orbit=traced,
+        gaps=gaps,
         guaranteed_bound=cover.tracing_coefficient() * pseudo.defect_bound,
-        periodic=pseudo.extension == PERIODIC,
+        periodic=periodic,
         period=pseudo.period,
     )
 

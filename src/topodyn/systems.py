@@ -228,10 +228,14 @@ class DynamicalSystem:
     Subclasses fill in forward/backward/metric and the indexing hooks.
     forward_batch/backward_batch map every row of an (N, 2) float array at
     once; the base class loops over forward/backward, and systems with
-    array arithmetic override them with the same float operations, so a
-    batch row equals the scalar map's value bit for bit. Systems are
-    immutable once built; all methods are pure, so callers may fan work out
-    over points freely.
+    array arithmetic override them with the same float operations. A batch
+    row then equals the scalar map's value bit for bit, except where an
+    iteration stops on a batch-wide test: `trig_perturbation`'s inverse
+    stops once every row has converged, so its rows can differ from the
+    scalar `backward`, and from the same row mapped alone, in the last bit
+    (802 and 1,015 of 4,096 random cat-map points at m = 0.01, by at most
+    4.4e-16). Systems are immutable once built; all methods are pure, so
+    callers may fan work out over points freely.
     """
 
     name = "system"

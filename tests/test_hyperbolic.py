@@ -29,11 +29,12 @@ from topodyn import (
     splice_symbolic,
     stability_conjugacy_h,
     torus_automorphism,
+    trace_linear_hyperbolic,
     trig_perturbation,
     v_n_box_halfwidths,
     v_n_entourage,
 )
-from topodyn.hyperbolic import ProductStructure
+from topodyn.hyperbolic import _BLOCK_POINTS, ProductStructure
 from topodyn.systems import _north_south, sft_metric
 
 DIAG = linear_hyperbolic(((2, 0), (0, 0.5)), name="diag-saddle")
@@ -471,6 +472,39 @@ def test_stability_semiconjugacy_property_spot_check():
         lhs = CAT.forward(stab.h(x))
         rhs = stab.h(g.forward(x))
         assert CAT.metric(lhs, rhs) < 1e-9
+
+
+def test_stability_h_is_the_tracer_at_the_sample_index():
+    import numpy as np
+
+    # h(x) is the f-tracing point of the g-orbit window through x; the
+    # window here is built from the same batch rows that h steps through
+    W = 25
+    g = trig_perturbation(CAT, 0.003)
+    rng = random.Random(23)
+    samples = [(rng.random(), rng.random()) for _ in range(12)]
+    stab = stability_conjugacy_h(CAT, g, metric_ball(CAT, 0.05), samples,
+                                 window=W)
+    for x in samples:
+        rows = {0: np.array([x])}
+        for step, sign in ((g.forward_batch, 1), (g.backward_batch, -1)):
+            for k in range(1, W + 1):
+                rows[sign * k] = step(rows[sign * (k - 1)])
+        window = tuple(tuple(rows[k][0].tolist()) for k in range(-W, W + 1))
+        po = PseudoOrbit(window, "orbit-tail", 0.0, start_index=-W)
+        assert stab.h(x) == trace_linear_hyperbolic(CAT, po).traced_orbit[W]
+
+
+def test_stability_chunks_match_one_sample_at_a_time():
+    W = 10
+    chunk = _BLOCK_POINTS // (2 * (2 * W + 1))  # samples per chunk
+    g = trig_perturbation(CAT, 0.002)
+    rng = random.Random(5)
+    samples = [(rng.random(), rng.random()) for _ in range(chunk + 12)]
+    stab = stability_conjugacy_h(CAT, g, metric_ball(CAT, 0.05), samples,
+                                 window=W)
+    for i in list(range(12)) + list(range(chunk - 12, chunk + 12)):
+        assert CAT.metric(stab.images[i], stab.h(samples[i])) <= 1e-15
 
 
 def test_stability_rejects_non_d_perturbation():

@@ -1,8 +1,12 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topodyn.entourage import gauge_entourage, metric_ball, predicate_entourage
 from topodyn.shadowing import (
@@ -26,6 +30,7 @@ from topodyn.shadowing import (
     verify_defect_bound,
 )
 from topodyn.systems import (
+    LinearSaddle,
     finite_system,
     harmonic_points,
     linear_hyperbolic,
@@ -158,6 +163,81 @@ def test_float_iteration_would_have_drifted():
     assert result.error_bound <= result.guaranteed_bound + 1e-15
     # lam_u^100 is astronomically larger than the error bound achieved
     assert CAT.rate_u ** 100 * 1e-16 > 1e20
+
+
+# ---------------------------------------------------------------------------
+# the tracer bound on random saddles
+
+
+def _torus_or_none(m):
+    try:
+        return torus_automorphism(m)
+    except ValueError:  # |det| != 1, or no hyperbolic splitting
+        return None
+
+
+# every hyperbolic torus automorphism with entries in -3..3 and |det| = 1
+_TORI = [t for t in (_torus_or_none(((a, b), (c, d)))
+                     for a, b, c, d in itertools.product(range(-3, 4), repeat=4))
+         if t is not None]
+
+
+@st.composite
+def _plane_saddles(draw):
+    """A = V diag(lam_u, lam_s) V^-1 for unit eigenvectors at any angle,
+    orthogonal or not, and eigenvalues of either sign."""
+    lam_u = draw(st.sampled_from([-1, 1])) * draw(st.floats(1.25, 3.0))
+    lam_s = draw(st.sampled_from([-1, 1])) * draw(st.floats(0.2, 0.8))
+    tu = draw(st.floats(0.0, math.pi))
+    ts = tu + draw(st.one_of(st.just(math.pi / 2), st.floats(0.3, math.pi - 0.3)))
+    v = np.array([[math.cos(tu), math.cos(ts)], [math.sin(tu), math.sin(ts)]])
+    return LinearSaddle((v @ np.diag([lam_u, lam_s]) @ np.linalg.inv(v)).tolist())
+
+
+_SADDLES = st.one_of(_plane_saddles(), st.sampled_from(_TORI))
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+@PROPERTY
+@given(_SADDLES, st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.floats(0.0, 0.01), st.integers(1, 12),
+       st.sampled_from([ORBIT_TAIL, PERIODIC]), st.integers(0, 10 ** 6))
+def test_tracer_meets_its_bound_on_random_saddles(
+        system, u, v, noise, length, extension, seed):
+    po = perturbed_pseudo_orbit(system, (u, v), length, noise, seed, extension)
+    result = trace_linear_hyperbolic(system, po)
+    scale = 1.0 + max(abs(c) for x in po.window for c in x)
+    assert result.error_bound <= result.guaranteed_bound + 1e-12 * scale
+    orbit = result.traced_orbit
+    assert result.gaps == tuple(system.metric(y, x)
+                                for y, x in zip(orbit, po.window))
+    steps = list(zip(orbit, orbit[1:]))
+    if extension == PERIODIC:
+        steps.append((orbit[-1], orbit[0]))
+    for y, z in steps:
+        assert system.metric(system.forward(y), z) < 1e-9 * scale
+
+
+@PROPERTY
+@given(_SADDLES, st.integers(1, 8), st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16]),
+       st.data())
+def test_float_tracer_agrees_with_exact_on_rational_loops(
+        system, period, denominator, data):
+    """Coordinates k/q with q odd or a power of two: a torus defect is then
+    exactly half a unit (both routes lift it to -1/2) or at least 1/(2q)
+    away from it, never within rounding of the tie, where no float route
+    can tell which lift is nearest."""
+    torus = not isinstance(system, LinearSaddle)
+    lo, hi = (0, denominator - 1) if torus else (-denominator, denominator)
+    coords = st.integers(lo, hi).map(lambda k: k / denominator)
+    window = tuple(data.draw(st.tuples(coords, coords))
+                   for _ in range(period))
+    po = PseudoOrbit(window, PERIODIC, 1.0)
+    fast = trace_linear_hyperbolic(system, po)
+    exact = trace_linear_hyperbolic(system, po, exact=True)
+    for y, z in zip(fast.traced_orbit, exact.traced_orbit):
+        assert system.metric(y, (float(z[0]), float(z[1]))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

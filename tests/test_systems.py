@@ -129,6 +129,27 @@ def test_symbolic_records_are_equal_exactly_when_sequences_are(
         assert (sft_metric(a, b) == 0.0) == (a == b)
 
 
+def _reads(z, p, q, seam):
+    """z agrees with p below the seam and with q from the seam on, checked
+    on a window that reaches one common period into every tail."""
+    lo = min(z.span_start, p.span_start, seam) - math.lcm(len(z.left), len(p.left))
+    hi = max(z.span_end, q.span_end, seam) + math.lcm(len(z.right), len(q.right))
+    return all(z.symbol_at(i) == (p if i < seam else q).symbol_at(i)
+               for i in range(lo, hi + 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_RECORDS, _RECORDS, st.integers(-8, 8), st.integers(-8, 8),
+       st.integers(-8, 8))
+def test_shift_and_splice_identities(p, q, n, m, seam):
+    assert p.shifted(n).shifted(m) == p.shifted(n + m)
+    spliced = splice_symbolic(p, q, seam)
+    assert _reads(spliced, p, q, seam)
+    assert splice_symbolic(p, p, seam) == p
+    assert spliced.shifted(n) == splice_symbolic(p.shifted(n), q.shifted(n),
+                                                 seam - n)
+
+
 def test_splice_matches_symbolwise_reference():
     """splice(left, right, seam) must read left's symbols strictly below the
     seam and right's at and above it, including deep into both tails."""
