@@ -14,9 +14,12 @@ callers state their grid resolution for that reason.
 
 One spatial hash, `_near_pairs`, finds the candidate pairs wherever a
 radius bounds the search: the chain graphs of entourages with a radius,
-the nonwandering probe on the torus, and the injectivity check of the
-stability conjugacy in `hyperbolic`. Each caller then measures its
-candidates with its own exact test.
+and the injectivity check of the stability conjugacy in `hyperbolic`.
+Each caller then measures its candidates with its own exact test.
+
+On the n x n torus lattice the chain questions have closed forms in the
+group (Z/n)^2, on which an integer matrix acts as a bijection: the SCCs
+of a grid graph and the nonwandering probe need no graph search.
 """
 
 from __future__ import annotations
@@ -139,25 +142,6 @@ def _csr(node_count, src, dst):
     return indptr.astype(np.int32), np.asarray(dst)[order].astype(np.int32)
 
 
-class _Rows:
-    """Successor rows of a CSR graph as plain Python sequences: row v is a
-    memoryview slice of the int32 indices, so the pure-Python graph walks
-    (Tarjan, the certificate BFS) read ints, never numpy scalars, and no
-    list is built per edge."""
-
-    __slots__ = ("indptr", "indices")
-
-    def __init__(self, indptr, indices):
-        self.indptr = indptr.tolist()
-        self.indices = memoryview(np.ascontiguousarray(indices))
-
-    def __len__(self):
-        return len(self.indptr) - 1
-
-    def __getitem__(self, v):
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-
 @dataclass(eq=False)
 class ChainGraph:
     """Directed graph of one-step chains on a fixed node set.
@@ -165,16 +149,18 @@ class ChainGraph:
     Edges are held in CSR form: the successors of node i are
     indices[indptr[i]:indptr[i + 1]], sorted, in int32 arrays. Edge (i, j)
     exists iff (f(node_i), node_j) lies in the entourage the graph was
-    built with. The SCC partition is computed once on demand.
+    built with. `labels` holds the SCC index of every node: code that
+    knows the partition in closed form may give it (the torus grid does),
+    and otherwise Tarjan's algorithm computes it once on demand. The list
+    of SCCs as frozensets is built only when `scc()` asks for it.
     """
 
     nodes: tuple
     indptr: np.ndarray
     indices: np.ndarray
     entourage_id: str
+    labels: np.ndarray = field(default=None, repr=False)
     _scc: list = field(default=None, repr=False)
-    _comp_of: np.ndarray = field(default=None, repr=False)
-    _rows: _Rows = field(default=None, repr=False)
 
     @classmethod
     def from_successors(cls, nodes, successors, entourage_id):
@@ -208,35 +194,37 @@ class ChainGraph:
         k = int(np.searchsorted(row, j))
         return k < len(row) and int(row[k]) == j
 
-    def rows(self):
-        """Successor rows as plain Python sequences, made once per graph."""
-        if self._rows is None:
-            self._rows = _Rows(self.indptr, self.indices)
-        return self._rows
-
     def _sources(self):
         return np.repeat(np.arange(self.node_count, dtype=np.int32),
                          np.diff(self.indptr))
 
     def scc(self):
+        """The SCCs as frozensets of node indices; SCC k holds the nodes
+        labelled k."""
         if self._scc is None:
-            rows = self.rows()
-            self._scc = strongly_connected_components(rows.indptr, rows.indices)
-            self._comp_of = np.empty(self.node_count, dtype=np.int32)
-            for ci, comp in enumerate(self._scc):
-                self._comp_of[list(comp)] = ci
+            if self.labels is None:
+                self._scc = strongly_connected_components(
+                    self.indptr.tolist(), self.indices.tolist())
+                self.labels = np.empty(self.node_count, dtype=np.int32)
+                for ci, comp in enumerate(self._scc):
+                    self.labels[list(comp)] = ci
+            else:
+                order = np.argsort(self.labels, kind="stable")
+                cuts = np.cumsum(np.bincount(self.labels))[:-1]
+                self._scc = [frozenset(p.tolist()) for p in np.split(order, cuts)]
         return self._scc
 
     def component_labels(self):
         """SCC index of every node, as an int32 array."""
-        self.scc()
-        return self._comp_of
+        if self.labels is None:
+            self.scc()
+        return self.labels
 
     def recurrent_mask(self):
         """Boolean array of the nodes on a directed cycle: an SCC of size
         >= 2, or a self-loop."""
         labels = self.component_labels()
-        mask = np.bincount(labels, minlength=len(self._scc))[labels] >= 2
+        mask = np.bincount(labels)[labels] >= 2
         src = self._sources()
         mask[src[self.indices == src]] = True
         return mask
@@ -256,10 +244,8 @@ class ChainGraph:
     def to_text(self, node_id=None):
         """Adjacency listing, one `node_id: succ_id succ_id ...` line per node."""
         label = node_id or (lambda i: str(i))
-        lines = []
-        for i, adj in enumerate(self.rows()):
-            lines.append(f"{label(i)}: " + " ".join(label(j) for j in adj))
-        return "\n".join(lines) + "\n"
+        return "\n".join(f"{label(i)}: " + " ".join(map(label, self.successors(i)))
+                         for i in range(self.node_count)) + "\n"
 
 
 def _reaches_all(indptr, indices):
@@ -360,6 +346,71 @@ def _lattice_map(system, n):
     return lambda i, j: ((a * i + b * j) % n, (c * i + d * j) % n)
 
 
+def _lattice_offsets(n, delta):
+    """The offset table O of the delta-ball on the n x n lattice: the
+    offsets (di, dj) mod n whose shortest displacement on the torus is
+    shorter than delta in floats, as two int32 arrays in sorted order."""
+    reach = min(int(delta * n) + 1, n)  # every residue mod n lies within n
+    span = np.arange(-reach, reach + 1)
+    w = np.minimum(span % n, -span % n) / n
+    i, j = np.nonzero(np.sqrt(w[:, None] * w[:, None] + w * w) < delta)
+    table = np.zeros((n, n), dtype=bool)
+    table[span[i] % n, span[j] % n] = True
+    return tuple(v.astype(np.int32) for v in np.nonzero(table))
+
+
+def _invariant_subgroup(matrix, n, di, dj):
+    """The smallest subgroup S of (Z/n)^2 that holds every offset (di, dj)
+    and is invariant under the matrix, as the Hermite normal form (a, b, d):
+    the lattice S + nZ^2 is spanned by (a, b) and (0, d), 0 <= b < d.
+
+    A vector (u, v) outside joins through g = gcd(a, u) = s a + t u: the
+    first row becomes s (a, b) + t (u, v), and the second takes in the
+    combination with first entry 0, (0, (u b - a v) / g). Every change
+    queues the images of both rows, so the lattice ends closed under A."""
+    (p, q), (r, w) = matrix
+    a, b, d = n, 0, n
+    todo = list(zip(di.tolist(), dj.tolist()))
+    while todo:
+        u, v = (x % n for x in todo.pop())
+        if u % a == 0 and (v - u // a * b) % d == 0:
+            continue
+        g = math.gcd(a, u)
+        t = pow(u // g, -1, a // g)  # t u = g mod a
+        d = math.gcd(d, (u * b - a * v) // g)
+        a, b = g, ((g - t * u) // a * b + t * v) % d
+        todo += [(p * a + q * b, r * a + w * b), (q * d, w * d)]
+    return a, b, d
+
+
+def _orbit_labels(perm):
+    """Dense labels of the cycles of a permutation array, by pointer
+    doubling: after k rounds, low[x] is the least of the first 2^k points
+    of the orbit of x, so after log2(len) rounds it is the least of the
+    cycle."""
+    low, step, span = np.arange(len(perm)), np.asarray(perm), 1
+    while span < len(perm):
+        low = np.minimum(low, low[step])
+        step, span = step[step], 2 * span
+    return np.unique(low, return_inverse=True)[1].astype(np.int32)
+
+
+def _lattice_scc_labels(system, n, di, dj):
+    """SCC labels of the lattice graph x -> A x + O. With 0 in O, x reaches
+    exactly the points A^k x + S, S the smallest A-invariant subgroup
+    holding O, so the SCCs are the A-orbits on the cosets of S."""
+    if not len(di):  # delta <= 0: no edges, and every node is its own SCC
+        return np.arange(n * n, dtype=np.int32)
+    a, b, d = _invariant_subgroup(system.matrix, n, di, dj)
+
+    def coset(i, j):  # (i, j) = q (a, b) + (i mod a, c), c mod d indexes
+        q, r = np.divmod(i, a)
+        return r * d + (j - q * b) % d
+
+    perm = coset(*_lattice_map(system, n)(*np.divmod(np.arange(a * d), d)))
+    return _orbit_labels(perm)[coset(*np.divmod(np.arange(n * n), n))]
+
+
 def torus_grid_graph(system, n, delta, entourage_id=None):
     """Chain graph of a torus automorphism on the n x n lattice, built with
     integer arithmetic only.
@@ -367,19 +418,13 @@ def torus_grid_graph(system, n, delta, entourage_id=None):
     The lattice is invariant under integer matrices, so f(node) is again a
     lattice point and the delta-ball around it is a fixed set of integer
     offsets; the edges are one broadcast of the lattice images against the
-    offset table, mod n, and no floating-point distances enter.
+    offset table, mod n, and no floating-point distances enter. The SCC
+    labels come from the lattice group (`_lattice_scc_labels`), with no
+    graph search.
     """
-    reach = int(delta * n) + 1
-    offsets = set()
-    for di in range(-reach, reach + 1):
-        for dj in range(-reach, reach + 1):
-            wi = min(di % n, (-di) % n) / n
-            wj = min(dj % n, (-dj) % n) / n
-            if math.sqrt(wi * wi + wj * wj) < delta:
-                offsets.add((di % n, dj % n))
+    di, dj = _lattice_offsets(n, delta)
     if n * n > np.iinfo(np.int32).max:
         raise ValueError("The lattice has too many nodes for int32 CSR.")
-    di, dj = np.array(sorted(offsets), dtype=np.int32).reshape(-1, 2).T
     row, col = np.divmod(np.arange(n * n, dtype=np.int64), n)
     fi, fj = (v.astype(np.int32) for v in _lattice_map(system, n)(row, col))
     indices = (fi[:, None] + di) % n * n + (fj[:, None] + dj) % n
@@ -388,7 +433,8 @@ def torus_grid_graph(system, n, delta, entourage_id=None):
     if indptr[-1] > np.iinfo(np.int32).max:
         raise ValueError("The chain graph has too many edges for int32 CSR.")
     return ChainGraph(torus_grid(n), indptr.astype(np.int32), indices.ravel(),
-                      entourage_id or f"ball({delta!r})")
+                      entourage_id or f"ball({delta!r})",
+                      labels=_lattice_scc_labels(system, n, di, dj))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +444,8 @@ def torus_grid_graph(system, n, delta, entourage_id=None):
 def strongly_connected_components(indptr, indices):
     """Tarjan's algorithm with an explicit stack; safe on graphs whose
     longest path is proportional to the node count. The successors of v are
-    indices[indptr[v]:indptr[v + 1]]; pass plain Python sequences (a list,
-    a memoryview), which index far faster than numpy arrays."""
+    indices[indptr[v]:indptr[v + 1]]; pass plain lists, which index far
+    faster than numpy arrays."""
     n = len(indptr) - 1
     order = [0] * n
     low = [0] * n
@@ -511,7 +557,8 @@ def _refine_ladder(graphs):
     stabilization = None
     for step, g in enumerate(graphs):
         kept = recurrent & g.recurrent_mask()
-        pairs = cells[kept] * len(g.scc()) + g.component_labels()[kept]
+        labels = g.component_labels()
+        pairs = cells[kept] * (int(labels.max(initial=0)) + 1) + labels[kept]
         distinct, inverse = np.unique(pairs, return_inverse=True)
         cells = np.zeros(len(nodes), dtype=np.int64)
         cells[kept] = inverse
@@ -554,46 +601,56 @@ def _component_set(graphs, state, history, stabilization):
 
 def nonwandering_set(system, samples, probe, horizon):
     """Samples x where some sample in probe[x] returns to probe[x] within
-    the horizon: a sound inner approximation of the nonwandering set."""
+    the horizon: a sound inner approximation of the nonwandering set. On
+    the samples `torus_grid(n)` with a torus metric ball, the answer is
+    exact in integers, with the graph's offset table as the ball."""
     if horizon < 1:
         raise ValueError("Horizon must be at least 1.")
     samples = list(samples)
-    if _array_ball(system, probe, samples):
-        return _nonwandering_torus(system, samples, probe.delta, horizon)
-    out = []
-    for x in samples:
-        section = probe.cross_section(x)
-        candidates = [z for z in samples if section.contains(z)]
-        found = False
-        for z in candidates:
-            w = z
+    n = math.isqrt(len(samples))
+    if (n and n * n == len(samples) and _array_ball(system, probe, samples)
+            and tuple(samples) == torus_grid(n)):
+        found = _nonwandering_lattice(system, n, probe.delta, horizon)
+        return frozenset(samples[i] for i in np.flatnonzero(found).tolist())
+    return frozenset(x for x in samples if _returns_to(
+        system, probe.cross_section(x), samples, horizon))
+
+
+def _returns_to(system, section, samples, horizon):
+    """Whether some sample in the section maps back into it within the
+    horizon."""
+    for w in samples:
+        if section.contains(w):
             for _ in range(horizon):
                 w = system.forward(w)
                 if section.contains(w):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            out.append(x)
-    return frozenset(out)
+                    return True
+    return False
 
 
-def _nonwandering_torus(system, samples, radius, horizon):
-    pts = np.asarray(samples, dtype=float)
-    # the orbit of each sample is one contiguous row
-    orbits = np.empty((len(pts), horizon + 1, 2))
-    orbits[:, 0] = pts
-    for k in range(1, horizon + 1):
-        orbits[:, k] = system.forward_batch(orbits[:, k - 1])
-    found = np.zeros(len(samples), dtype=bool)
-    for q, p in _near_pairs(pts, pts, radius, wrap=True):
-        heads, first = np.unique(q, return_index=True)
-        for i, cand in zip(heads.tolist(), np.split(p, first[1:])):
-            near = cand[_torus_distances(pts[cand], pts[i]) < radius]
-            if (_torus_distances(orbits[near, 1:], pts[i]) < radius).any():
-                found[i] = True
-    return frozenset(samples[i] for i in np.flatnonzero(found).tolist())
+def _nonwandering_lattice(system, n, delta, horizon):
+    """Mask of the lattice nodes x where some z in x + O returns to x + O
+    within the horizon, O the offset table: A^k (x + o) = x + o' says
+    (A^k - I) x lies in O - A^k O (mod n), one table lookup per k. A^k mod n
+    repeats after the order of A mod n, so the search stops there, or once
+    every node is found; with 2 |O| > n^2 the table is full at every k."""
+    di, dj = (v.astype(np.int64) for v in _lattice_offsets(n, delta))
+    row, col = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    found = np.full(n * n, 2 * len(di) > n * n)
+    step = _lattice_map(system, n)
+    pi, pj, ai, aj = row, col, di, dj
+    for _ in range(horizon):
+        if found.all():
+            break
+        pi, pj = step(pi, pj)
+        ai, aj = step(ai, aj)
+        table = np.zeros((n, n), dtype=bool)
+        for u, v in zip(ai.tolist(), aj.tolist()):
+            table[(di - u) % n, (dj - v) % n] = True
+        found |= table[(pi - row) % n, (pj - col) % n]
+        if (pi == row).all() and (pj == col).all():
+            break
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -648,13 +705,8 @@ def _component_diameter(system, comp, cap=1200):
     if len(pts) > cap:
         stride = len(pts) // 512 + 1
         pts = pts[::stride]
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = system.metric(pts[i], pts[j])
-            if d > best:
-                best = d
-    return best
+    return max(itertools.chain([0.0], (system.metric(p, q) for p, q
+                                       in itertools.combinations(pts, 2))))
 
 
 def component_report(system, ccs):
@@ -669,8 +721,7 @@ def component_report(system, ccs):
             "none" if ccs.stabilization_index is None else ccs.stabilization_index
         ),
     )
-    rows = []
-    for k, comp in enumerate(ccs.components):
-        rows.append((k, len(comp), repr(_component_diameter(system, comp))))
-    rep.add_table("components", ("id", "nodes", "diameter"), rows)
+    rep.add_table("components", ("id", "nodes", "diameter"),
+                  [(k, len(comp), repr(_component_diameter(system, comp)))
+                   for k, comp in enumerate(ccs.components)])
     return rep

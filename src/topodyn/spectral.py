@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import (ChainGraph, _component_set, _lattice_map, _refine_ladder,
-                     build_chain_graph, is_chain, torus_grid_graph)
+from .chains import (ChainGraph, _component_set, _concat_ranges, _lattice_map,
+                     _orbit_labels, _refine_ladder, build_chain_graph, is_chain,
+                     torus_grid_graph)
 from .entourage import finite_relation, metric_ball
 from .report import FAIL, PASS, RESOLUTION_LIMITED, Report
 from .shadowing import PERIODIC, PseudoOrbit, trace_linear_hyperbolic
@@ -305,66 +305,67 @@ def _revalidate_lattice(cert, system):
 
 
 def _symbols_strongly_connected(system, symbols):
-    symbols = set(symbols)
-    if not symbols:
-        return False
-    start = next(iter(symbols))
-    for srcs in (system.successors, system.predecessors):
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in srcs(u):
-                if w in symbols and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if seen != symbols:
-            return False
-    return True
+    """Whether the symbols are mutually reachable through transitions among
+    themselves, from the transition matrix alone."""
+    symbols = sorted(set(symbols))
+    index = {a: k for k, a in enumerate(symbols)}
+    return ChainGraph.from_successors(symbols, (
+        [index[w] for w in system.successors(a) if w in index] for a in symbols),
+        "symbols").is_strongly_connected()
 
 
 # ---------------------------------------------------------------------------
 # walk search
 
 
-def _bfs_path(adjacency, inside, src, dst):
-    """Shortest path src -> dst through `inside` nodes, as an index list;
-    None when unreachable. src == dst asks for a shortest closed walk."""
+def _bfs_path(graph, inside, src, dst):
+    """Shortest path src -> dst through nodes whose `inside` mask entry is
+    set, as an index list; None when unreachable. src == dst asks for a
+    shortest closed walk.
+
+    The search runs one level at a time on the CSR arrays. The frontier
+    stays in discovery order, and each new node takes as its parent the
+    first frontier node whose sorted row holds it, which is the parent a
+    first-in first-out queue gives it, so the path is the queue's path."""
     if src == dst:
         best = None
-        for s in adjacency[src]:
+        for s in graph.successors(src):
             if s == src:
                 return [src, src]
-            if s not in inside:
+            if not inside[s]:
                 continue
-            tail = _bfs_path(adjacency, inside, s, dst)
+            tail = _bfs_path(graph, inside, s, dst)
             if tail is not None and (best is None or len(tail) + 1 < len(best)):
                 best = [src] + tail
         return best
-    parent = {src: None}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for w in adjacency[u]:
-            if w not in inside or w in parent:
-                continue
-            parent[w] = u
-            if w == dst:
-                path = [w]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            queue.append(w)
-    return None
+    parent = np.full(graph.node_count, -1, dtype=np.int64)
+    parent[src] = src
+    frontier = np.array([src], dtype=np.int64)
+    while frontier.size and parent[dst] < 0:
+        starts = graph.indptr[frontier]
+        counts = graph.indptr[frontier + 1] - starts
+        reached = graph.indices[_concat_ranges(starts, counts)]
+        owner = np.repeat(frontier, counts)
+        fresh = inside[reached] & (parent[reached] < 0)
+        reached, owner = reached[fresh], owner[fresh]
+        first = np.sort(np.unique(reached, return_index=True)[1])
+        frontier = reached[first].astype(np.int64)
+        parent[frontier] = owner[first]
+    if parent[dst] < 0:
+        return None
+    path = [dst]
+    while path[-1] != src:
+        path.append(int(parent[path[-1]]))
+    return path[::-1]
 
 
-def _closed_walk_through(adjacency, inside, x, y):
+def _closed_walk_through(graph, inside, x, y):
     """A closed walk x -> y -> x inside the component, or None."""
     if x == y:
-        walk = _bfs_path(adjacency, inside, x, x)
+        walk = _bfs_path(graph, inside, x, x)
         return walk, 0 if walk else None
-    there = _bfs_path(adjacency, inside, x, y)
-    back = _bfs_path(adjacency, inside, y, x)
+    there = _bfs_path(graph, inside, x, y)
+    back = _bfs_path(graph, inside, y, x)
     if there is None or back is None:
         return None, None
     return there + back[1:], len(there) - 1
@@ -374,11 +375,7 @@ def _sample_pairs(rng, members, count):
     members = list(members)
     if len(members) == 1:
         return [(members[0], members[0])]
-    pairs = []
-    for _ in range(count):
-        x, y = rng.sample(members, 2)
-        pairs.append((x, y))
-    return pairs
+    return [tuple(rng.sample(members, 2)) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -398,55 +395,40 @@ def transitivity_certificate(graph, component, system, E, D=None, seed=0,
     component = sorted(component)
     if not component:
         raise ValueError("The component is empty.")
-    comp_set = set(component)
-    owners = set(graph.component_labels()[component].tolist())
-    if len(owners) != 1 or len(graph.scc()[owners.pop()]) != len(component):
+    labels = graph.component_labels()
+    inside = labels == labels[component[0]]
+    if inside.sum() != len(component) or not inside[component].all():
         raise ValueError("The nodes do not form one strongly connected "
                          "component of the graph.")
     rng = random.Random(seed)
-    if isinstance(system, ShiftOfFiniteType):
-        demos = []
-        for xi, yi in _sample_pairs(rng, component, pairs):
-            a, b = graph.nodes[xi], graph.nodes[yi]
-            walk_idx, y_pos = _closed_walk_through(graph.rows(), comp_set,
-                                                   xi, yi)
-            if walk_idx is None:
-                raise CertificateError(f"No closed walk through {a} and {b}.")
-            walk = tuple(graph.nodes[i] for i in walk_idx)
-            traced = system.periodic_point(walk[:-1])
-            gap = sft_metric(traced, system.representative_point(a))
-            demos.append(WalkDemo(x=a, y=b, walk=walk, y_pos=y_pos,
-                                  traced=traced, period=len(walk) - 1,
-                                  gap=gap))
-        return Certificate(
-            kind="transitivity", mode="symbolic",
-            component=tuple(graph.nodes[i] for i in component),
-            demos=tuple(demos),
-            note="walks are admissible words; periodic points are exact",
-        )
+    symbolic = isinstance(system, ShiftOfFiniteType)
+    show = str if symbolic else system.point_to_text
     demos = []
-    exact_orbit = isinstance(system, FiniteSystem)
     for xi, yi in _sample_pairs(rng, component, pairs):
         x, y = graph.nodes[xi], graph.nodes[yi]
-        walk_idx, y_pos = _closed_walk_through(graph.rows(), comp_set,
-                                               xi, yi)
+        walk_idx, y_pos = _closed_walk_through(graph, inside, xi, yi)
         if walk_idx is None:
             raise CertificateError(
-                f"No closed walk through {system.point_to_text(x)} and "
-                f"{system.point_to_text(y)}."
-            )
+                f"No closed walk through {show(x)} and {show(y)}.")
         walk = tuple(graph.nodes[i] for i in walk_idx)
-        traced, gap = _trace_periodic_walk(system, walk)
+        if symbolic:
+            traced = system.periodic_point(walk[:-1])
+            gap = sft_metric(traced, system.representative_point(x))
+        else:
+            traced, gap = _trace_periodic_walk(system, walk)
         demos.append(WalkDemo(x=x, y=y, walk=walk, y_pos=y_pos, traced=traced,
                               period=len(walk) - 1, gap=gap))
+    component = tuple(graph.nodes[i] for i in component)
+    if symbolic:
+        return Certificate(
+            kind="transitivity", mode="symbolic", component=component,
+            demos=tuple(demos),
+            note="walks are admissible words; periodic points are exact")
     return Certificate(
         kind="transitivity",
-        mode="exact-orbit" if exact_orbit else "metric-walk",
-        component=tuple(graph.nodes[i] for i in component),
-        demos=tuple(demos),
-        entourage=E,
-        chain_entourage=D,
-    )
+        mode="exact-orbit" if isinstance(system, FiniteSystem) else "metric-walk",
+        component=component, demos=tuple(demos), entourage=E,
+        chain_entourage=D)
 
 
 def _trace_periodic_walk(system, walk):
@@ -490,10 +472,10 @@ def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
         )
     if isinstance(system, ShiftOfFiniteType):
         demos = []
-        comp = set(range(len(graph.nodes)))
+        everywhere = np.ones(graph.node_count, dtype=bool)
         pos = {s: i for i, s in enumerate(graph.nodes)}
         for a in recurrent_nodes:
-            walk_idx = _bfs_path(graph.rows(), comp, pos[a], pos[a])
+            walk_idx = _bfs_path(graph, everywhere, pos[a], pos[a])
             if walk_idx is None:
                 raise CertificateError(f"Recurrent symbol {a} has no cycle; "
                                        "internal inconsistency.")
@@ -521,26 +503,14 @@ def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
 
 
 def _lattice_cycle_demos(system, nodes, n):
-    (a, b), (c, d) = system.matrix
-    length = {}
-    seen = set()
-    for node in nodes:
-        i, j = round(node[0] * n), round(node[1] * n)
-        if (i, j) in seen:
-            continue
-        cycle = [(i, j)]
-        u, v = (a * i + b * j) % n, (c * i + d * j) % n
-        while (u, v) != (i, j):
-            cycle.append((u, v))
-            u, v = (a * u + b * v) % n, (c * u + d * v) % n
-        for k, cell in enumerate(cycle):
-            seen.add(cell)
-            length[cell] = len(cycle)
-    return [
-        CycleDemo(node=node, traced=node, gap=0.0,
-                  cycle_length=length[round(node[0] * n), round(node[1] * n)])
-        for node in nodes
-    ]
+    """One CycleDemo per lattice node, its cycle length the size of its
+    orbit under the lattice permutation x -> A x mod n."""
+    fi, fj = _lattice_map(system, n)(*np.divmod(np.arange(n * n), n))
+    labels = _orbit_labels(fi * n + fj)
+    size = np.bincount(labels)[labels]
+    idx = np.rint(np.array(nodes, dtype=float).reshape(-1, 2) * n).astype(np.int64)
+    return [CycleDemo(node=node, traced=node, gap=0.0, cycle_length=length)
+            for node, length in zip(nodes, size[idx[:, 0] * n + idx[:, 1]].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -706,27 +676,33 @@ def symbol_graph_chain(system):
 
 
 def _decompose_sft(system, seed, pairs):
-    graph = symbol_graph_chain(system)
+    return _decompose_exact(
+        system, symbol_graph_chain(system), "symbolic", seed,
+        lambda comp: pairs, None, 1.0,
+        note="basic sets are the cycle-containing SCCs of the symbol graph, "
+             "computed exactly; the count is the true number of basic sets")
+
+
+def _decompose_exact(system, graph, family, seed, pairs, D, radius, note=""):
+    """Basic sets that are the cycle-bearing SCCs of an exact graph, each
+    with certificates: walks of `pairs(component)` sampled pairs and one
+    density demo per node at the given radius."""
     recurrent = graph.recurrent_indices()
-    comps = [sorted(c) for c in graph.scc()
-             if set(c) <= recurrent and c]
-    comps = sorted(comps)
+    comps = sorted(sorted(c) for c in graph.scc() if c and set(c) <= recurrent)
     basic = []
     for ident, comp in enumerate(comps):
-        trans = transitivity_certificate(graph, comp, system, E=None,
-                                         seed=seed + ident, pairs=pairs)
-        dens = periodic_density_certificate(
-            system, tuple(graph.nodes[i] for i in comp), radii=(1.0,),
-            graph=graph,
-        )
-        basic.append(BasicSet(ident=ident,
-                              nodes=tuple(graph.nodes[i] for i in comp),
-                              transitivity=trans, periodic_density=dens))
+        nodes = tuple(graph.nodes[i] for i in comp)
+        trans = transitivity_certificate(graph, comp, system, E=None, D=D,
+                                         seed=seed + ident, pairs=pairs(comp))
+        dens = periodic_density_certificate(system, nodes, radii=(radius,),
+                                            graph=graph)
+        basic.append(BasicSet(ident=ident, nodes=nodes, transitivity=trans,
+                              periodic_density=dens))
     return SpectralDecomposition(
         system_name=system.name,
-        family="symbolic",
+        family=family,
         resolution=None,
-        ladder=("symbol-transitions",),
+        ladder=(graph.entourage_id,),
         seed=seed,
         basic_sets=tuple(basic),
         recurrent_nodes=tuple(sorted(graph.nodes[i] for i in recurrent)),
@@ -734,8 +710,7 @@ def _decompose_sft(system, seed, pairs):
         history=((len(recurrent), len(comps)),),
         finite_flag=True,
         exact=True,
-        note="basic sets are the cycle-containing SCCs of the symbol graph, "
-             "computed exactly; the count is the true number of basic sets",
+        note=note,
     )
 
 
@@ -757,14 +732,13 @@ def _decompose_torus(system, n, r0, seed, pairs):
     D = metric_ball(system, delta)
     basic = []
     for ident, comp_nodes in enumerate(chosen.components):
-        comp = sorted(pos[x] for x in comp_nodes)
-        trans = transitivity_certificate(graph, comp, system, E=E, D=D,
-                                         seed=seed + ident, pairs=pairs)
-        dens = periodic_density_certificate(
-            system, tuple(sorted(comp_nodes)), radii=radii, resolution=n,
-        )
-        basic.append(BasicSet(ident=ident, nodes=tuple(sorted(comp_nodes)),
-                              transitivity=trans, periodic_density=dens))
+        nodes = tuple(sorted(comp_nodes))
+        trans = transitivity_certificate(graph, [pos[x] for x in nodes], system,
+                                         E=E, D=D, seed=seed + ident, pairs=pairs)
+        dens = periodic_density_certificate(system, nodes, radii=radii,
+                                            resolution=n)
+        basic.append(BasicSet(ident=ident, nodes=nodes, transitivity=trans,
+                              periodic_density=dens))
     return SpectralDecomposition(
         system_name=system.name,
         family="torus-grid",
@@ -784,31 +758,6 @@ def _decompose_finite(system, seed):
     points = tuple(system.points)
     D = finite_relation({(x, x) for x in points}, space_id=system.space_id,
                         points=points)
-    graph = build_chain_graph(system, points, D,
-                              entourage_id="diagonal")
-    recurrent = graph.recurrent_indices()
-    comps = sorted(sorted(c) for c in graph.scc() if set(c) <= recurrent)
-    basic = []
-    for ident, comp in enumerate(comps):
-        trans = transitivity_certificate(graph, comp, system, E=None, D=D,
-                                         seed=seed + ident,
-                                         pairs=min(4, len(comp) ** 2))
-        dens = periodic_density_certificate(
-            system, tuple(graph.nodes[i] for i in comp), radii=(0.5,),
-        )
-        basic.append(BasicSet(ident=ident,
-                              nodes=tuple(graph.nodes[i] for i in comp),
-                              transitivity=trans, periodic_density=dens))
-    return SpectralDecomposition(
-        system_name=system.name,
-        family="finite",
-        resolution=None,
-        ladder=("diagonal",),
-        seed=seed,
-        basic_sets=tuple(basic),
-        recurrent_nodes=tuple(sorted(graph.nodes[i] for i in recurrent)),
-        stabilization_index=0,
-        history=((len(recurrent), len(comps)),),
-        finite_flag=True,
-        exact=True,
-    )
+    graph = build_chain_graph(system, points, D, entourage_id="diagonal")
+    return _decompose_exact(system, graph, "finite", seed,
+                            lambda comp: min(4, len(comp) ** 2), D, 0.5)

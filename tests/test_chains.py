@@ -1,9 +1,12 @@
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
 from collections import deque
+from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -25,13 +28,14 @@ from topodyn.chains import (
 )
 from topodyn import chains
 from topodyn.chains import _array_ball, _near_pairs
+from topodyn.cli import main
 from topodyn.entourage import (
     GaugeBall,
     finite_relation,
     gauge_entourage,
     metric_ball,
 )
-from topodyn.spectral import symbol_graph_chain
+from topodyn.spectral import spectral_decompose, symbol_graph_chain
 from topodyn.systems import (
     catalog,
     harmonic_points,
@@ -151,7 +155,7 @@ def test_csr_graph_api():
     assert graph.successors(0) == (1, 2)
     assert graph.successors(1) == ()
     assert graph.has_edge(2, 3) and not graph.has_edge(3, 2)
-    assert [list(row) for row in graph.rows()] == [[1, 2], [], [0, 3], [3]]
+    assert [graph.successors(i) for i in range(4)] == [(1, 2), (), (0, 3), (3,)]
     assert graph.recurrent_indices() == frozenset({0, 2, 3})
     assert graph.to_text() == "0: 1 2\n1: \n2: 0 3\n3: 3\n"
     with pytest.raises(ValueError):
@@ -185,6 +189,71 @@ SADDLE = linear_hyperbolic(((2.0, 1.0), (1.0, 1.0)), name="saddle")
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None,
                     suppress_health_check=[HealthCheck.too_slow])
+
+
+UNIMODULAR = [m for m in itertools.product(range(-3, 4), repeat=4)
+              if abs(m[0] * m[3] - m[1] * m[2]) == 1]
+
+
+@st.composite
+def _lattice_graphs(draw):
+    """A random integer matrix with entries in -3..3 and |det| = 1, which
+    permutes every lattice, hyperbolic or not (the identity and the shears
+    give many SCCs); a grid size; and a radius from below one cell (O = {0},
+    so the SCCs are the periodic orbits) up to 0.5, capped so that Tarjan
+    stays quick. The lattice graph reads only the matrix."""
+    a, b, c, d = draw(st.sampled_from(UNIMODULAR))
+    n = draw(st.integers(1, 130))
+    # about pi cells^2 offsets per node, so about 3 * 10^4 edges at most
+    cells = min(n / 2, 100 / n)
+    radius = draw(st.floats(0.05, cells)) / n
+    return SimpleNamespace(matrix=((a, b), (c, d))), n, radius
+
+
+@PROPERTY
+@given(_lattice_graphs())
+def test_lattice_scc_labels_match_tarjan(case):
+    system, n, radius = case
+    graph = torus_grid_graph(system, n, radius)
+    oracle = ChainGraph(graph.nodes, graph.indptr, graph.indices, "oracle")
+    want = _partition(oracle.component_labels())
+    assert _partition(graph.component_labels()) == want
+    assert set(graph.scc()) == want
+    assert np.array_equal(graph.recurrent_mask(), oracle.recurrent_mask())
+
+
+@PROPERTY
+@given(st.sampled_from(UNIMODULAR), st.integers(1, 60),
+       st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=3))
+def test_lattice_scc_labels_match_tarjan_on_any_offset_table(matrix, n, extra):
+    # a round ball holds either no offset but 0 or the unit offsets, whose
+    # invariant subgroup is everything; other tables reach proper subgroups
+    # (a lattice basis with b != 0 and 1 < a < n)
+    table = sorted({(0, 0)} | {(u % n, v % n) for u, v in extra})
+    di, dj = (np.array(c, dtype=np.int32) for c in zip(*table))
+    system = SimpleNamespace(matrix=(matrix[:2], matrix[2:]))
+    (a, b), (c, d) = system.matrix
+    rows = [sorted({((a * i + b * j + u) % n) * n + (c * i + d * j + v) % n
+                    for u, v in table}) for i in range(n) for j in range(n)]
+    oracle = ChainGraph.from_successors(range(n * n), rows, "oracle")
+    assert _partition(chains._lattice_scc_labels(system, n, di, dj)) == (
+        _partition(oracle.component_labels()))
+
+
+def _partition(labels):
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return {frozenset(part.tolist()) for part in np.split(order, cuts)}
+
+
+def test_torus_graphs_never_reach_tarjan(capsys):
+    with mock.patch.object(chains, "strongly_connected_components",
+                           side_effect=AssertionError):
+        decomposition = spectral_decompose(CAT, resolution=64)
+        assert decomposition.validate(CAT) == []
+        assert main(["chain-recurrent", "cat-map", "--radius", "0.1",
+                     "--resolution", "24"]) == 0
+    assert "symmetric_difference: 0" in capsys.readouterr().out
 
 
 @PROPERTY
@@ -494,6 +563,64 @@ def test_nonwandering_probe_in_another_metric_is_not_a_torus_ball():
 def test_nonwandering_rejects_zero_horizon():
     with pytest.raises(ValueError):
         nonwandering_set(CAT, torus_grid(4), metric_ball(CAT, 0.3), horizon=0)
+
+
+def _lattice_nonwandering_reference(matrix, n, radius, horizon):
+    """The probe from its definition on the lattice, in integers: x is kept
+    when some z = x + o, o in the ball, has an orbit point A^k z with
+    1 <= k <= horizon back in x's ball. The ball is decided in exact
+    rationals: o = (di, dj) with |di|^2 + |dj|^2 < (radius n)^2, each the
+    shorter way round."""
+    bound = (Fraction(radius) * n) ** 2
+    ball = np.zeros((n, n), dtype=bool)
+    for di in range(n):
+        for dj in range(n):
+            ball[di, dj] = min(di, n - di) ** 2 + min(dj, n - dj) ** 2 < bound
+    (a, b), (c, d) = matrix
+    i, j = np.divmod(np.arange(n * n), n)
+    kept = np.zeros(n * n, dtype=bool)
+    for oi, oj in zip(*np.nonzero(ball)):
+        u, v = (i + oi) % n, (j + oj) % n
+        for _ in range(horizon):
+            u, v = (a * u + b * v) % n, (c * u + d * v) % n
+            kept |= ball[(u - i) % n, (v - j) % n]
+    return frozenset(torus_grid(n)[k] for k in np.flatnonzero(kept).tolist())
+
+
+@pytest.mark.parametrize("n, radius, horizon", [
+    (100, 0.005, 128), (90, 0.005, 50), (60, 0.01, 40), (50, 0.03, 4),
+    (36, 0.045, 3), (70, 0.02, 6)])
+def test_lattice_probe_matches_integer_reference(n, radius, horizon):
+    # at non-dyadic n a float orbit is noise after about 35 steps, so the
+    # probe must follow lattice orbits in integers; the last three balls
+    # hold 5 to 13 offsets and keep 220, 224 and 148 nodes
+    got = nonwandering_set(CAT, torus_grid(n), metric_ball(CAT, radius),
+                           horizon=horizon)
+    assert got == _lattice_nonwandering_reference(CAT.matrix, n, radius,
+                                                  horizon)
+    if (n, radius, horizon) == (100, 0.005, 128):
+        assert len(got) == 2500
+
+
+def _lattice_order(matrix, n):
+    """The least p >= 1 with A^p = I mod n."""
+    (a, b), (c, d) = matrix
+    p, (w, x, y, z) = 1, (a % n, b % n, c % n, d % n)
+    while (w, x, y, z) != (1 % n, 0, 0, 1 % n):
+        w, x, y, z = ((a * w + b * y) % n, (a * x + b * z) % n,
+                      (c * w + d * y) % n, (c * x + d * z) % n)
+        p += 1
+    return p
+
+
+def test_lattice_probe_stops_at_the_order_of_the_matrix():
+    n, probe = 64, metric_ball(CAT, 0.01)
+    order = _lattice_order(CAT.matrix, n)
+    full = nonwandering_set(CAT, torus_grid(n), probe, horizon=order)
+    assert nonwandering_set(CAT, torus_grid(n), probe, horizon=10 ** 9) == full
+    # below the order, the nodes of longer period are not seen to return
+    assert len(nonwandering_set(CAT, torus_grid(n), probe,
+                                horizon=order - 1)) < len(full)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,18 @@ def test_chain_recurrent_cat_grid(capsys):
     assert int(rep.header["symmetric_difference"]) == 0
 
 
+def test_chain_recurrent_probe_is_exact_off_dyadic_grids(capsys):
+    # 7,500 of the 10,000 lattice nodes have period 150 > 128 under cat-map
+    # mod 100; a float probe loses the others to rounding after ~35 steps
+    code, out, _ = run_cli(
+        ["chain-recurrent", "cat-map", "--radius", "0.005", "--resolution",
+         "100", "--horizon", "128"], capsys)
+    assert code == 1
+    rep = parse_report(out)
+    assert rep.header["chain_recurrent"] == "10000"
+    assert rep.header["nonwandering"] == "2500"
+
+
 def test_chain_recurrent_sft(capsys):
     code, out, _ = run_cli(
         ["chain-recurrent", "two-block-sft", "--radius", "0.5"], capsys)

@@ -3,7 +3,9 @@
 import dataclasses
 import math
 import random
+from collections import deque
 
+import numpy as np
 import pytest
 
 from topodyn import (
@@ -19,7 +21,8 @@ from topodyn import (
     transitivity_certificate,
 )
 from topodyn.entourage import metric_ball
-from topodyn.spectral import CertificateError, WalkDemo
+from topodyn.chains import ChainGraph
+from topodyn.spectral import CertificateError, WalkDemo, _bfs_path
 from topodyn.systems import _north_south
 
 GOLDEN = sft_shift(("11", "10"), name="golden-mean")
@@ -335,3 +338,61 @@ def test_symbol_graph_chain_mirrors_transitions():
 def test_density_certificate_needs_resolution_on_torus():
     with pytest.raises(ValueError):
         periodic_density_certificate(CAT, ((0.0, 0.0),), radii=(0.1,))
+
+
+# ---------------------------------------------------------------------------
+# walk search: the level-synchronous array BFS against a queue BFS
+
+
+def _queue_bfs_path(adjacency, inside, src, dst):
+    """Shortest path src -> dst through the set `inside`, by a first-in
+    first-out queue over sorted successor lists; src == dst asks for a
+    shortest closed walk, the first shortest one over the successors."""
+    if src == dst:
+        best = None
+        for s in adjacency[src]:
+            if s == src:
+                return [src, src]
+            if s not in inside:
+                continue
+            tail = _queue_bfs_path(adjacency, inside, s, dst)
+            if tail is not None and (best is None or len(tail) + 1 < len(best)):
+                best = [src] + tail
+        return best
+    parent = {src: None}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for w in adjacency[u]:
+            if w not in inside or w in parent:
+                continue
+            parent[w] = u
+            if w == dst:
+                path = [w]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            queue.append(w)
+    return None
+
+
+def test_array_bfs_returns_the_queue_bfs_paths():
+    rng = random.Random(23)
+    outcomes = set()
+    for trial in range(400):
+        n = rng.randint(1, 40)
+        density = rng.choice((0.03, 0.08, 0.2, 0.5))
+        rows = [[j for j in range(n) if rng.random() < density]
+                for _ in range(n)]
+        graph = ChainGraph.from_successors(range(n), rows, "test")
+        inside = {v for v in range(n) if rng.random() < 0.8}
+        mask = np.zeros(n, dtype=bool)
+        mask[sorted(inside)] = True
+        adjacency = [graph.successors(i) for i in range(n)]
+        src = rng.randrange(n)
+        dst = src if rng.random() < 0.3 else rng.randrange(n)
+        want = _queue_bfs_path(adjacency, inside, src, dst)
+        assert _bfs_path(graph, mask, src, dst) == want, trial
+        outcomes.add((src == dst, want is None))
+    assert outcomes == {(True, True), (True, False), (False, True),
+                        (False, False)}
