@@ -53,6 +53,8 @@ REFUTED = "refuted"
 # g-orbit points traced per stability chunk: bounds the block and its
 # defect and series arrays to a few MB however many samples there are
 _BLOCK_POINTS = 1 << 18
+# Newton steps a row of the trig perturbation's inverse may take
+_NEWTON_STEPS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +617,17 @@ def trig_perturbation(system, magnitude):
     """g(x) = A x + m (sin 2 pi x_2, sin 2 pi x_1) mod 1 on the torus.
 
     Invertibility certificate: the perturbation is 2 pi m Lipschitz, so
-    2 pi m < sigma_min(A) makes the lifted map injective and the inverse a
-    contraction fixed point; construction refuses magnitudes that break the
-    certificate. The inverse iterates x <- A^{-1}(y - m s(x)), converging at
-    rate (2 pi m) / sigma_min per step.
+    2 pi m < sigma_min(A) makes the lifted map injective; construction
+    refuses magnitudes that break the certificate. The inverse solves
+    A x + m s(x) = q row by row by Newton's method with the closed-form
+    Jacobian A + 2 pi m [[0, cos 2 pi x_2], [cos 2 pi x_1, 0]], halving a
+    step that does not shrink |A x + m s(x) - q|. The Jacobian moves by at
+    most m (2 pi)^2 per unit and the lifted map parts points by at least
+    sigma_min - 2 pi m, so a full step d lands within C |d|^2 of the root,
+    C = m (2 pi)^2 / (2 (sigma_min - 2 pi m)). A row stops once that bound
+    is below 2^-60, so no confirming step is needed; a row still moving
+    after _NEWTON_STEPS steps raises. At m = 0 the inverse is the one exact
+    step A^-1 q.
     """
     if not isinstance(system, TorusAutomorphism):
         raise TypeError("The trig perturbation family lives on the torus.")
@@ -632,55 +641,61 @@ def trig_perturbation(system, magnitude):
             f"below sigma_min(A) = {sigma_min:.6f}."
         )
     matrix = system.matrix
-    inverse = system.inverse_matrix
     m = magnitude
-
-    def s(x):
-        return (math.sin(2.0 * math.pi * x[1]), math.sin(2.0 * math.pi * x[0]))
+    (a, b), (c, d) = ((float(v) for v in row) for row in matrix)
+    quad = m * (2.0 * math.pi) ** 2 / (2.0 * (sigma_min - lipschitz))  # C
 
     def forward(x):
-        sx = s(x)
-        return (
-            (matrix[0][0] * x[0] + matrix[0][1] * x[1] + m * sx[0]) % 1,
-            (matrix[1][0] * x[0] + matrix[1][1] * x[1] + m * sx[1]) % 1,
-        )
+        s1, s2 = math.sin(2.0 * math.pi * x[1]), math.sin(2.0 * math.pi * x[0])
+        return ((matrix[0][0] * x[0] + matrix[0][1] * x[1] + m * s1) % 1,
+                (matrix[1][0] * x[0] + matrix[1][1] * x[1] + m * s2) % 1)
 
-    def apply_inverse(v):
-        return (inverse[0][0] * v[0] + inverse[0][1] * v[1],
-                inverse[1][0] * v[0] + inverse[1][1] * v[1])
-
-    def backward(y):
-        x = apply_inverse(y)
-        for _ in range(80):
-            sx = s(x)
-            nxt = apply_inverse((y[0] - m * sx[0], y[1] - m * sx[1]))
-            if math.hypot(nxt[0] - x[0], nxt[1] - x[1]) < 1e-15:
-                x = nxt
-                break
-            x = nxt
-        return (x[0] % 1, x[1] % 1)
-
-    a = np.array(matrix, dtype=float)
-    a_inv = np.array(inverse, dtype=float)
-
-    def s_np(p):
-        return m * np.stack(
-            [np.sin(2.0 * np.pi * p[:, 1]), np.sin(2.0 * np.pi * p[:, 0])],
-            axis=1,
-        )
+    mat = np.array(matrix, dtype=float)
 
     def forward_batch(p):
-        return (p @ a.T + s_np(p)) % 1.0
+        s = np.stack([np.sin(2.0 * np.pi * p[:, 1]), np.sin(2.0 * np.pi * p[:, 0])],
+                     axis=1)
+        return (p @ mat.T + m * s) % 1.0
+
+    def newton(x1, x2, q1, q2):
+        # |F|^2 and the Newton step J^-1 F at x, F(x) = A x + m s(x) - q
+        u1, u2 = 2.0 * np.pi * x1, 2.0 * np.pi * x2
+        f1 = a * x1 + b * x2 + m * np.sin(u2) - q1
+        f2 = c * x1 + d * x2 + m * np.sin(u1) - q2
+        j12, j21 = b + lipschitz * np.cos(u2), c + lipschitz * np.cos(u1)
+        det = a * d - j12 * j21
+        return (f1 * f1 + f2 * f2, (d * f1 - j12 * f2) / det,
+                (a * f2 - j21 * f1) / det)
 
     def backward_batch(q):
-        x = q @ a_inv.T
-        for _ in range(80):
-            nxt = (q - s_np(x)) @ a_inv.T
-            if float(np.max(np.abs(nxt - x))) < 1e-15:
-                x = nxt
-                break
-            x = nxt
-        return x % 1.0
+        if m == 0:
+            return system.backward_batch(q)  # one exact step: A^-1 q
+        out, rows = np.empty_like(q), np.arange(len(q))
+        q1, q2 = q.T.copy()
+        x1, x2 = system.cover.backward_batch(q).T.copy()  # the lift of A^-1 q
+        r, d1, d2 = newton(x1, x2, q1, q2)
+        t = np.ones_like(r)
+        for _ in range(_NEWTON_STEPS):
+            y1, y2 = x1 - t * d1, x2 - t * d2
+            # only a full step carries the certified bound C |d|^2
+            done = (t == 1.0) & (quad * (d1 * d1 + d2 * d2) < 2.0 ** -60)
+            if done.any():
+                out[rows[done]] = np.stack([y1[done], y2[done]], axis=1)
+                rows, q1, q2, x1, x2, y1, y2, r, d1, d2, t = (
+                    v[~done] for v in (rows, q1, q2, x1, x2, y1, y2, r, d1, d2, t))
+            if not rows.size:
+                return out % 1.0
+            ry, e1, e2 = newton(y1, y2, q1, q2)
+            ok = ry <= (1.0 - 1e-4 * t) * r  # Armijo: keep y, else halve t
+            if not ok.all():
+                y1, y2, ry, e1, e2 = (np.where(ok, v, w) for v, w in (
+                    (y1, x1), (y2, x2), (ry, r), (e1, d1), (e2, d2)))
+            x1, x2, r, d1, d2, t = y1, y2, ry, e1, e2, np.where(ok, 1.0, 0.5 * t)
+        raise ArithmeticError(f"{len(rows)} rows of the trig inverse did not "
+                              f"stop within {_NEWTON_STEPS} Newton steps.")
+
+    def backward(y):
+        return tuple(backward_batch(np.array([y], dtype=float))[0].tolist())
 
     return GenericSystem(
         name=f"{system.name}+trig({magnitude:g})",
@@ -816,18 +831,17 @@ def _stability_linear(f, g, D, samples, window):
     wrap = isinstance(f, TorusAutomorphism)
     cover = f.cover if wrap else f
 
-    def h_batch(pts):
-        # the g-orbit windows through a batch of points, shape (2W+1, N, 2),
-        # traced under f; returns h at the batch and the window defects
-        block = np.empty((2 * window + 1, pts.shape[0], 2))
+    def orbit_block(pts):
+        # the g-orbit of a batch of points at k = -W .. W+1, shape
+        # (2W+2, N, 2): block[:-1] is the window through x, block[1:] the
+        # window through g(x), the same window moved one step on
+        block = np.empty((2 * window + 2, pts.shape[0], 2))
         block[window] = pts
-        for step, sign in ((g.forward_batch, 1), (g.backward_batch, -1)):
-            cur = pts
-            for k in range(1, window + 1):
-                cur = step(cur)
-                block[window + sign * k] = cur
-        traced, defects = _eigen_series(cover, block, wrap=wrap)
-        return traced[window], defects
+        for k in range(window + 1, 2 * window + 2):
+            block[k] = g.forward_batch(block[k - 1])
+        for k in range(window - 1, -1, -1):
+            block[k] = g.backward_batch(block[k + 1])
+        return block
 
     pts = np.array(samples, dtype=float)
     h_x, h_gx = np.empty_like(pts), np.empty_like(pts)
@@ -835,11 +849,12 @@ def _stability_linear(f, g, D, samples, window):
     # each sample brings two windows of 2W+1 points: through x and g(x)
     chunk = max(1, _BLOCK_POINTS // (2 * (2 * window + 1)))
     for lo in range(0, len(pts), chunk):
-        part = pts[lo:lo + chunk]
-        images, defects = h_batch(np.concatenate([part, g.forward_batch(part)]))
-        h_x[lo:lo + chunk], h_gx[lo:lo + chunk] = np.split(images, 2)
-        defect_sup = max(defect_sup, float(np.max(np.hypot(
-            defects[..., 0], defects[..., 1]))))
+        block = orbit_block(pts[lo:lo + chunk])
+        for images, windows in ((h_x, block[:-1]), (h_gx, block[1:])):
+            traced, defects = _eigen_series(cover, windows, wrap=wrap)
+            images[lo:lo + chunk] = traced[window]
+            defect_sup = max(defect_sup, float(np.max(np.hypot(
+                defects[..., 0], defects[..., 1]))))
     gaps = f.forward_batch(h_x) - h_gx
     close = h_x - pts
     if wrap:
@@ -849,8 +864,9 @@ def _stability_linear(f, g, D, samples, window):
     closenesses = np.hypot(close[:, 0], close[:, 1])
 
     def h_point(x):
-        out, _ = h_batch(np.array([x], dtype=float))
-        return (float(out[0, 0]), float(out[0, 1]))
+        block = orbit_block(np.array([x], dtype=float))
+        traced, _ = _eigen_series(cover, block[:-1], wrap=wrap)
+        return (float(traced[window, 0, 0]), float(traced[window, 0, 1]))
 
     image_points = [tuple(map(float, p)) for p in h_x]
     # pairs of samples whose images are closer than 1e-8

@@ -104,7 +104,11 @@ class SymbolicPoint:
         return self.right[(j - len(self.word)) % len(self.right)]
 
     def shifted(self, n=1):
-        """The image under the n-th shift power: new sequence i -> old i+n."""
+        """The image under the n-th shift power: new sequence i -> old i+n.
+        A record with a word or a seam only moves its offset; a periodic
+        one re-phases its block."""
+        if self.word or self.left != self.right:
+            return SymbolicPoint(self.left, self.word, self.right, self.offset - n)
         return symbolic_point(self.left, self.word, self.right, self.offset - n)
 
     def window(self, lo, hi):
@@ -228,14 +232,10 @@ class DynamicalSystem:
     Subclasses fill in forward/backward/metric and the indexing hooks.
     forward_batch/backward_batch map every row of an (N, 2) float array at
     once; the base class loops over forward/backward, and systems with
-    array arithmetic override them with the same float operations. A batch
-    row then equals the scalar map's value bit for bit, except where an
-    iteration stops on a batch-wide test: `trig_perturbation`'s inverse
-    stops once every row has converged, so its rows can differ from the
-    scalar `backward`, and from the same row mapped alone, in the last bit
-    (802 and 1,015 of 4,096 random cat-map points at m = 0.01, by at most
-    4.4e-16). Systems are immutable once built; all methods are pure, so
-    callers may fan work out over points freely.
+    array arithmetic override them with the same float operations, so a
+    batch row equals the scalar map's value bit for bit. Systems are
+    immutable once built; all methods are pure, so callers may fan work
+    out over points freely.
     """
 
     name = "system"

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from topodyn.chains import (
@@ -186,9 +186,7 @@ def _brute_edges(system, nodes, D):
 
 
 SADDLE = linear_hyperbolic(((2.0, 1.0), (1.0, 1.0)), name="saddle")
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
-                    database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+PROPERTY = settings(max_examples=60)
 
 
 UNIMODULAR = [m for m in itertools.product(range(-3, 4), repeat=4)

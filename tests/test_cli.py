@@ -250,7 +250,7 @@ GOLDEN = [
     (["trace", "strips-shrinking", "--delta", "0.001", "--length", "200"],
      "cbf75129e43a09cec77eab12b1a7c3706f1e4df69272c28bba9133fc2b903853"),
     (["stability", "cat-map", "--epsilon", "0.01", "--samples", "200"],
-     "708d9983ab4be79e921a6c9364149dd8d6d759f20cd66e9839be47a41b1373f8"),
+     "ad36b537d09a6dfe50829ea94bfb498f5ca1124edd44eb40e90ef08989847313"),
     (["stability", "full-2", "--epsilon", "0.1", "--samples", "20"],
      "8e56e10df3862b7df5e13f5ded7da8da97e3067a588c754928f1e588753da67b"),
     (["demo", "strips"],

@@ -1,9 +1,13 @@
 """Expansivity checks, local sets, the bracket map, and stability."""
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topodyn import (
     CONSISTENT,
@@ -34,6 +38,7 @@ from topodyn import (
     v_n_box_halfwidths,
     v_n_entourage,
 )
+from topodyn import hyperbolic
 from topodyn.hyperbolic import _BLOCK_POINTS, ProductStructure
 from topodyn.systems import _north_south, sft_metric
 
@@ -359,8 +364,6 @@ def test_trig_perturbation_certificate_and_inverse():
 
 
 def test_trig_perturbation_batch_matches_pointwise():
-    import numpy as np
-
     g = trig_perturbation(CAT, 0.005)
     rng = random.Random(9)
     pts = [(rng.random(), rng.random()) for _ in range(20)]
@@ -370,6 +373,7 @@ def test_trig_perturbation_batch_matches_pointwise():
         q = g.forward(p)
         assert CAT.metric(q, tuple(row)) < 1e-12
         assert CAT.metric(g.backward(q), tuple(prev)) < 1e-12
+    assert g.backward_batch(np.empty((0, 2))).shape == (0, 2)
 
 
 def test_trig_perturbation_guards():
@@ -379,6 +383,67 @@ def test_trig_perturbation_guards():
         trig_perturbation(CAT, -0.001)
     with pytest.raises(TypeError):
         trig_perturbation(DIAG, 0.01)
+
+
+def _torus_or_none(entries):
+    try:
+        return torus_automorphism((entries[:2], entries[2:]))
+    except ValueError:  # |det| != 1, or no hyperbolic splitting
+        return None
+
+
+# every hyperbolic torus automorphism with entries in -3..3 and |det| = 1
+TORI = [t for t in map(_torus_or_none, itertools.product(range(-3, 4), repeat=4))
+        if t is not None]
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(TORI), st.floats(0.0, 0.99), st.integers(0, 2 ** 32 - 1))
+def test_trig_inverse_meets_its_residual_row_by_row(system, share, seed):
+    # m from 0 up to 0.99 of the certificate's limit sigma_min / (2 pi)
+    sigma_min = trig_perturbation(system, 0.0).payload["certificate"]["sigma_min"]
+    g = trig_perturbation(system, share * sigma_min / (2.0 * math.pi))
+    q = np.random.default_rng(seed).random((24, 2))
+    back = g.backward_batch(q)
+    lifted = g.forward_batch(back) - q
+    lifted -= np.round(lifted)
+    # g's own float evaluation of A x rounds at about eps |A|; the matrices
+    # with row sums up to 3 (cat-map's) meet 1e-15
+    norm = max(abs(a) + abs(b) for a, b in system.matrix)
+    tol = 1e-15 if norm <= 3 else 4 * np.finfo(float).eps * norm
+    assert np.max(np.hypot(lifted[:, 0], lifted[:, 1])) <= tol
+    for i, row in enumerate(back.tolist()):
+        assert g.backward_batch(q[i:i + 1]).tolist() == [row]
+
+
+def test_trig_inverse_halves_a_step_that_does_not_shrink_the_residual():
+    # near the certificate's limit, full Newton steps from A^-1 q wander on
+    # this row past the step cap; halving them lets it stop
+    system = torus_automorphism(((1, -1), (-2, 1)))
+    sigma_min = trig_perturbation(system, 0.0).payload["certificate"]["sigma_min"]
+    g = trig_perturbation(system, 0.99 * sigma_min / (2.0 * math.pi))
+    q = np.array([[0.9824650929766877, 0.98523575531838]])
+    lifted = g.forward_batch(g.backward_batch(q)) - q
+    assert np.max(np.abs(lifted - np.round(lifted))) <= 1e-15
+
+
+def test_trig_inverse_rows_equal_the_scalar_inverse():
+    # a stop on a batch-wide test made 783 of these rows differ
+    g = trig_perturbation(CAT, 0.01)
+    rng = random.Random(3)
+    pts = [(rng.random(), rng.random()) for _ in range(4096)]
+    rows = g.backward_batch(np.array(pts)).tolist()
+    assert [tuple(row) for row in rows] == [g.backward(p) for p in pts]
+
+
+def test_trig_inverse_raises_on_a_row_that_has_not_stopped(monkeypatch):
+    q = np.array([[0.3, 0.7], [0.9, 0.1]])
+    monkeypatch.setattr(hyperbolic, "_NEWTON_STEPS", 1)
+    with pytest.raises(ArithmeticError, match="2 rows"):
+        trig_perturbation(CAT, 0.01).backward_batch(q)
+    # at m = 0 the one step is exact: the automorphism's own inverse
+    assert (trig_perturbation(CAT, 0.0).backward_batch(q).tolist()
+            == CAT.backward_batch(q).tolist())
 
 
 def test_sft_flip_perturbation_displacement():
@@ -475,8 +540,6 @@ def test_stability_semiconjugacy_property_spot_check():
 
 
 def test_stability_h_is_the_tracer_at_the_sample_index():
-    import numpy as np
-
     # h(x) is the f-tracing point of the g-orbit window through x; the
     # window here is built from the same batch rows that h steps through
     W = 25
@@ -504,7 +567,20 @@ def test_stability_chunks_match_one_sample_at_a_time():
     stab = stability_conjugacy_h(CAT, g, metric_ball(CAT, 0.05), samples,
                                  window=W)
     for i in list(range(12)) + list(range(chunk - 12, chunk + 12)):
-        assert CAT.metric(stab.images[i], stab.h(samples[i])) <= 1e-15
+        assert stab.images[i] == stab.h(samples[i])
+
+
+def test_stability_defect_sup_does_not_depend_on_the_batch():
+    # the CLI's 200-sample case; a batch-wide stop in the inverse gave
+    # 0.014141304645206531 for the batch, 0.014141820540369875 one by one
+    g = trig_perturbation(CAT, 0.01)
+    rng = random.Random(0)
+    samples = [(rng.random(), rng.random()) for _ in range(200)]
+    D = metric_ball(CAT, 0.03)
+    batch = stability_conjugacy_h(CAT, g, D, samples, window=60)
+    assert batch.defect_sup == max(
+        stability_conjugacy_h(CAT, g, D, [x], window=60).defect_sup
+        for x in samples)
 
 
 def test_stability_rejects_non_d_perturbation():

@@ -65,7 +65,7 @@ def test_comma_in_column_name_round_trips():
                                                       [["1,5", "x"]])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
     st.lists(st.text(), min_size=k, max_size=k),
     st.lists(st.lists(st.text(), min_size=k, max_size=k), max_size=5))))

@@ -195,8 +195,7 @@ def _plane_saddles(draw):
 
 
 _SADDLES = st.one_of(_plane_saddles(), st.sampled_from(_TORI))
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=150)
 
 
 @PROPERTY

@@ -116,7 +116,7 @@ def _agree(p, q):
     return sequences_agree_on(p, q, lo, hi)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_RECORDS, _RECORDS, st.integers(0, 4), st.integers(0, 4),
        st.integers(1, 3))
 def test_symbolic_records_are_equal_exactly_when_sequences_are(
@@ -138,7 +138,7 @@ def _reads(z, p, q, seam):
                for i in range(lo, hi + 1))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_RECORDS, _RECORDS, st.integers(-8, 8), st.integers(-8, 8),
        st.integers(-8, 8))
 def test_shift_and_splice_identities(p, q, n, m, seam):
@@ -148,6 +148,15 @@ def test_shift_and_splice_identities(p, q, n, m, seam):
     assert splice_symbolic(p, p, seam) == p
     assert spliced.shifted(n) == splice_symbolic(p.shifted(n), q.shifted(n),
                                                  seam - n)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_RECORDS, _CYCLES.map(periodic_symbolic_point)),
+       st.integers(-8, 8))
+def test_shifted_equals_a_fresh_build_at_the_moved_offset(p, n):
+    # a record with a word or a seam only moves its offset under the shift;
+    # a periodic one re-phases its block
+    assert p.shifted(n) == symbolic_point(p.left, p.word, p.right, p.offset - n)
 
 
 def test_splice_matches_symbolwise_reference():
