@@ -668,16 +668,21 @@ def _gauge_steps(metric, gauge, images, nodes):
     return steps
 
 
+def _transitive_closure(reach):
+    """Close a square boolean array in place by Warshall's algorithm:
+    afterwards reach[i, j] iff a path of one or more steps leads from i to
+    j. No SCC is computed, so callers stay independent of Tarjan's route."""
+    for k in range(len(reach)):
+        reach[reach[:, k]] |= reach[k]
+    return reach
+
+
 def _strong_reach(system, nodes, gauge):
     """reach[i, j] iff a chain of one or more steps d(f(u), v) < gauge(f(u))
     leads from nodes[i] to nodes[j] through the nodes: the transitive
-    closure of the step relation, by Warshall's algorithm. No SCC is
-    computed, so this route stays independent of the chain graphs."""
-    reach = _gauge_steps(system.metric, gauge,
-                         [system.forward(u) for u in nodes], nodes)
-    for k in range(len(nodes)):
-        reach[reach[:, k]] |= reach[k]
-    return reach
+    closure of the step relation."""
+    return _transitive_closure(_gauge_steps(
+        system.metric, gauge, [system.forward(u) for u in nodes], nodes))
 
 
 def strong_chain_reachable(system, x, y, gauge, samples):

@@ -18,7 +18,10 @@ import os
 import random
 import sys
 
-from .chains import chain_recurrent_set, nonwandering_set, torus_grid_graph
+import numpy as np
+
+from .chains import (_transitive_closure, chain_recurrent_set, nonwandering_set,
+                     torus_grid_graph)
 from .entourage import metric_ball
 from .demos import DEMOS, run_demo
 from .hyperbolic import sft_flip_perturbation, stability_conjugacy_h, trig_perturbation
@@ -143,15 +146,8 @@ def _cmd_trace(args, parser):
 
 def _symbol_cycle_closure(system):
     """Symbols on admissible cycles, by boolean reachability closure."""
-    k = system.size
-    reach = [[system.allowed(a, b) for b in range(k)] for a in range(k)]
-    for _ in range(k):
-        reach = [
-            [reach[a][b] or any(reach[a][c] and reach[c][b] for c in range(k))
-             for b in range(k)]
-            for a in range(k)
-        ]
-    return frozenset(a for a in range(k) if reach[a][a])
+    reach = _transitive_closure(np.array(system.transitions, dtype=bool))
+    return frozenset(np.flatnonzero(reach.diagonal()).tolist())
 
 
 def _cmd_chain_recurrent(args, parser):

@@ -129,21 +129,8 @@ class Entourage:
         return CrossSection(predicate=lambda y: self.accepts(x, y), center=x)
 
     def transpose(self):
-        return _TransposedEntourage(self)
-
-
-class _TransposedEntourage(Entourage):
-    kind = "transposed"
-
-    def __init__(self, base):
-        super().__init__(base.space_id, base.symmetric_flag, base.space_diameter)
-        self.base = base
-
-    def accepts(self, x, y):
-        return self.base.accepts(y, x)
-
-    def transpose(self):
-        return self.base
+        return PredicateEntourage(lambda x, y: self.accepts(y, x), self.space_id,
+                                  self.symmetric_flag, self.space_diameter)
 
 
 def _ball_is_all(r, diameter):
@@ -293,25 +280,6 @@ class CoreWideEntourage(Entourage):
         )
 
 
-class IntersectionEntourage(Entourage):
-    kind = "intersection"
-
-    def __init__(self, factors, symmetric_flag=None):
-        factors = tuple(factors)
-        super().__init__(factors[0].space_id,
-                         symmetric_flag,
-                         min(f.space_diameter for f in factors))
-        self.factors = factors
-
-    def accepts(self, x, y):
-        return all(f.accepts(x, y) for f in self.factors)
-
-    def transpose(self):
-        if self.symmetric_flag:
-            return self
-        return IntersectionEntourage([f.transpose() for f in self.factors])
-
-
 class ComposedEntourage(Entourage):
     """U_1 o ... o U_n evaluated through chains of witness points.
 
@@ -365,27 +333,6 @@ class ComposedEntourage(Entourage):
                                  self.samples)
 
 
-class BoxRestrictedEntourage(Entourage):
-    """A intersected with a union of box squares V x V; cross-sections
-    inherit the boxes' bounded diameter."""
-
-    kind = "box-restricted"
-
-    def __init__(self, base, boxes):
-        super().__init__(base.space_id, base.symmetric_flag,
-                         min(base.space_diameter, max(b.width for b in boxes)))
-        self.base = base
-        self.boxes = tuple(boxes)
-
-    def accepts(self, x, y):
-        return self.base.accepts(x, y) and any(
-            b.contains(x) and b.contains(y) for b in self.boxes
-        )
-
-    def transpose(self):
-        return BoxRestrictedEntourage(self.base.transpose(), self.boxes)
-
-
 # ---------------------------------------------------------------------------
 # constructors bound to a system
 
@@ -431,7 +378,10 @@ def symmetrize(U):
         return U.symmetrized()
     if U.symmetric_flag:
         return U
-    return IntersectionEntourage([U, U.transpose()], symmetric_flag=True)
+    T = U.transpose()
+    return PredicateEntourage(lambda x, y: U.accepts(x, y) and T.accepts(x, y),
+                              U.space_id, True,
+                              min(U.space_diameter, T.space_diameter))
 
 
 def compose_n(U, n, samples=()):
@@ -478,7 +428,12 @@ def proper_restrict(A, witness):
     cross-section over the sample region by a box diameter."""
     if not isinstance(witness, CompactWitness):
         raise TypeError("proper_restrict needs a CompactWitness.")
-    return BoxRestrictedEntourage(A, witness.boxes)
+    boxes = witness.boxes
+    return PredicateEntourage(
+        lambda x, y: A.accepts(x, y) and any(
+            b.contains(x) and b.contains(y) for b in boxes),
+        A.space_id, A.symmetric_flag,
+        min(A.space_diameter, max(b.width for b in boxes)))
 
 
 def contains_diagonal(U, samples):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import _near_pairs
-from .entourage import Entourage, MetricBall, PredicateEntourage, metric_ball
+from .entourage import MetricBall, PredicateEntourage, metric_ball
 from .report import FAIL, PASS, Report
 from .shadowing import (
     ORBIT_TAIL,
@@ -118,35 +118,17 @@ class ExpansivityReport:
         return rep
 
 
-def _scan_direction(system, x, y, N, horizon, step):
-    """Advance the joint orbit one way. Returns ("separated", signed index),
-    ("cycle", entry step) when the exact joint state repeats while staying
-    inside N, or ("horizon", horizon) when the budget runs out."""
-    move = system.forward if step > 0 else system.backward
-    state = (x, y)
-    seen = {state: 0}
-    for n in range(1, horizon + 1):
-        state = (move(state[0]), move(state[1]))
-        if not N.accepts(state[0], state[1]):
-            return ("separated", step * n)
-        if state in seen:
-            return ("cycle", n)
-        seen[state] = n
-    return ("horizon", horizon)
-
-
 def _scan_pair(system, x, y, N, horizon):
     if not N.accepts(x, y):
         return ("separated", 0)
-    fwd = _scan_direction(system, x, y, N, horizon, +1)
-    bwd = _scan_direction(system, x, y, N, horizon, -1)
-    hits = [r[1] for r in (fwd, bwd) if r[0] == "separated"]
+    ends = [system.pair_exit(x, y, N.accepts, horizon, step) for step in (1, -1)]
+    hits = [n for end, n in ends if end == "left"]
     if hits:
         return ("separated", min(hits, key=abs))
-    if fwd[0] == "cycle" and bwd[0] == "cycle":
+    if all(end == "cycle" for end, _ in ends):
         # the joint orbit is eventually periodic in both directions and every
         # visited state was inside N, so the pair never leaves N
-        return ("cycle", max(fwd[1], bwd[1]))
+        return ("cycle", max(n for _, n in ends))
     return ("horizon", horizon)
 
 
@@ -253,46 +235,21 @@ def expansive_check(system, N, pair_samples, horizon=60):
 # iterate-constrained entourages V_N(A)
 
 
-class IterateConstrainedEntourage(Entourage):
+def v_n_entourage(system, base, depth):
     """V_N(A): pairs whose joint iterates F^n(x, y) stay in A for all
     |n| <= depth. Decreasing in depth, with V_0 = A."""
-
-    kind = "iterate-constrained"
-
-    def __init__(self, system, base, depth):
-        super().__init__(base.space_id, base.symmetric_flag, base.space_diameter)
-        self.system = system
-        self.base = base
-        self.depth = depth
-
-    def accepts(self, x, y):
-        if not self.base.accepts(x, y):
-            return False
-        fx, fy = x, y
-        for _ in range(self.depth):
-            fx, fy = self.system.forward(fx), self.system.forward(fy)
-            if not self.base.accepts(fx, fy):
-                return False
-        bx, by = x, y
-        for _ in range(self.depth):
-            bx, by = self.system.backward(bx), self.system.backward(by)
-            if not self.base.accepts(bx, by):
-                return False
-        return True
-
-    def transpose(self):
-        if self.symmetric_flag:
-            return self
-        return IterateConstrainedEntourage(self.system, self.base.transpose(),
-                                           self.depth)
-
-
-def v_n_entourage(system, base, depth):
     if depth < 0:
         raise ValueError("The constraint depth must be nonnegative.")
     if depth == 0:
         return base
-    return IterateConstrainedEntourage(system, base, depth)
+
+    def accepts(x, y):
+        return base.accepts(x, y) and all(
+            system.pair_exit(x, y, base.accepts, depth, step)[0] != "left"
+            for step in (1, -1))
+
+    return PredicateEntourage(accepts, base.space_id, base.symmetric_flag,
+                              base.space_diameter)
 
 
 def v_n_box_halfwidths(system, base, depth):
@@ -349,25 +306,15 @@ class LocalInvariantSet:
     is an over-approximation.
     """
 
-    system: object
-    center: object
-    side: str
-    entourage: object
     kind: str
     description: str
     membership: object = field(repr=False)
-    direction: tuple = None
-    radius: float = None
-    agreement_start: int = None
-    agreement_end: int = None
-    horizon: int = None
 
     def contains(self, y):
         return bool(self.membership(y))
 
 
 def _linear_segment(system, x, B, side, coord_tol=1e-9):
-    unit = system.v_s if side == "stable" else system.v_u
     wrap = isinstance(system, TorusAutomorphism)
 
     def member(y):
@@ -379,56 +326,40 @@ def _linear_segment(system, x, B, side, coord_tol=1e-9):
         return abs(off) <= coord_tol and abs(along) < B.delta
 
     return LocalInvariantSet(
-        system=system, center=x, side=side, entourage=B, kind="segment",
+        kind="segment",
         description=(f"{{x + c*v : |c| < {B.delta:g}}} along the "
                      f"{side} eigendirection"),
-        membership=member, direction=unit, radius=B.delta,
+        membership=member,
     )
 
 
-def _sft_cylinder(system, x, B, side):
+def _sft_cylinder(x, B, side):
     m = _agreement_radius(B.delta)
     if side == "stable":
-        start = -m
-
-        def member(y):
-            return _agrees_from(x, y, start)
-
         return LocalInvariantSet(
-            system=system, center=x, side=side, entourage=B, kind="cylinder",
-            description=f"sequences agreeing with the center on [{start}, inf)",
-            membership=member, agreement_start=start,
+            kind="cylinder",
+            description=f"sequences agreeing with the center on [{-m}, inf)",
+            membership=lambda y: _agrees_from(x, y, -m),
         )
-    end = m
-
-    def member(y):
-        return _agrees_until(x, y, end)
-
     return LocalInvariantSet(
-        system=system, center=x, side=side, entourage=B, kind="cylinder",
-        description=f"sequences agreeing with the center on (-inf, {end}]",
-        membership=member, agreement_end=end,
+        kind="cylinder",
+        description=f"sequences agreeing with the center on (-inf, {m}]",
+        membership=lambda y: _agrees_until(x, y, m),
     )
 
 
 def _sampled_local_set(system, x, B, side, horizon):
-    move = system.forward if side == "stable" else system.backward
+    step = 1 if side == "stable" else -1
 
     def member(y):
-        a, b = x, y
-        if not B.accepts(a, b):
-            return False
-        for _ in range(horizon):
-            a, b = move(a), move(b)
-            if not B.accepts(a, b):
-                return False
-        return True
+        return B.accepts(x, y) and \
+            system.pair_exit(x, y, B.accepts, horizon, step)[0] != "left"
 
     return LocalInvariantSet(
-        system=system, center=x, side=side, entourage=B, kind="sampled",
+        kind="sampled",
         description=(f"joint orbit checked {side}-ward for {horizon} steps "
                      "only; membership is an over-approximation"),
-        membership=member, horizon=horizon,
+        membership=member,
     )
 
 
@@ -438,7 +369,7 @@ def _local_set(system, x, B, side, horizon):
         return _linear_segment(system, x, B, side)
     if isinstance(system, ShiftOfFiniteType) and isinstance(B, MetricBall) \
             and B.metric == system.metric and B.delta <= 1.0:
-        return _sft_cylinder(system, x, B, side)
+        return _sft_cylinder(x, B, side)
     return _sampled_local_set(system, x, B, side, horizon)
 
 
@@ -779,8 +710,6 @@ class StabilityReport:
 
     f_name: str
     g_name: str
-    D_used: object
-    B_used: object
     h: object = field(repr=False)
     samples: tuple = field(repr=False)
     images: tuple = field(repr=False)
@@ -827,7 +756,7 @@ class StabilityReport:
         return rep
 
 
-def _stability_linear(f, g, D, samples, window):
+def _stability_linear(f, g, samples, window):
     wrap = isinstance(f, TorusAutomorphism)
     cover = f.cover if wrap else f
 
@@ -873,10 +802,8 @@ def _stability_linear(f, g, D, samples, window):
     collisions = [(j, i) for q, p in _near_pairs(h_x, h_x, 1e-8, wrap)
                   for i, j in zip(q.tolist(), p.tolist())
                   if j < i and f.metric(image_points[j], image_points[i]) < 1e-8]
-    coeff = f.tracing_coefficient()
     return StabilityReport(
-        f_name=f.name, g_name=g.name, D_used=D,
-        B_used=metric_ball(f, coeff * defect_sup) if defect_sup > 0 else None,
+        f_name=f.name, g_name=g.name,
         h=h_point,
         samples=tuple(tuple(map(float, p)) for p in pts),
         images=tuple(image_points),
@@ -885,7 +812,7 @@ def _stability_linear(f, g, D, samples, window):
         semiconjugacy_residual=float(np.max(residuals)),
         closeness=float(np.max(closenesses)),
         defect_sup=defect_sup,
-        guaranteed_closeness=coeff * defect_sup,
+        guaranteed_closeness=f.tracing_coefficient() * defect_sup,
         injective_flag=not collisions,
         collisions=tuple(collisions),
         uniqueness_note=(
@@ -917,7 +844,7 @@ def _sft_window_pseudo(f, g, x, window):
     return PseudoOrbit.measured(f, back + orbit, start_index=-window)
 
 
-def _stability_sft(f, g, D, samples, window):
+def _stability_sft(f, g, samples, window):
     images, residuals, closenesses = [], [], []
     defect_sup = 0.0
 
@@ -939,8 +866,7 @@ def _stability_sft(f, g, D, samples, window):
         if images[i] == images[j] and samples[i] != samples[j]
     ]
     return StabilityReport(
-        f_name=f.name, g_name=g.name, D_used=D,
-        B_used=metric_ball(f, 2.0 * defect_sup) if defect_sup > 0 else None,
+        f_name=f.name, g_name=g.name,
         h=h_point,
         samples=tuple(samples),
         images=tuple(images),
@@ -984,9 +910,9 @@ def stability_conjugacy_h(f, g, D, samples, window=30):
                 f"{f.point_to_text(x)} leaves D."
             )
     if isinstance(f, (LinearSaddle, TorusAutomorphism)):
-        return _stability_linear(f, g, D, samples, window)
+        return _stability_linear(f, g, samples, window)
     if isinstance(f, ShiftOfFiniteType):
-        return _stability_sft(f, g, D, samples, window)
+        return _stability_sft(f, g, samples, window)
     raise TypeError(
         "Stability tracing needs a linear, torus, or shift model for f."
     )

@@ -288,8 +288,6 @@ class TracingResult:
 
     point: object
     error_bound: float
-    indices_checked: tuple
-    unique: str = "undetermined"
     traced_orbit: tuple = ()
     gaps: tuple = ()
     guaranteed_bound: float = None
@@ -381,7 +379,6 @@ def trace_linear_hyperbolic(system, pseudo, exact=False):
     return TracingResult(
         point=traced[0],
         error_bound=max(gaps),
-        indices_checked=(pseudo.start_index, pseudo.end_index),
         traced_orbit=traced,
         gaps=gaps,
         guaranteed_bound=cover.tracing_coefficient() * pseudo.defect_bound,
@@ -446,7 +443,6 @@ def _trace_linear_exact(system, cover, pseudo):
     return TracingResult(
         point=traced[0],
         error_bound=max(gaps),
-        indices_checked=(pseudo.start_index, pseudo.end_index),
         traced_orbit=tuple(traced),
         gaps=tuple(gaps),
         guaranteed_bound=cover.tracing_coefficient() * pseudo.defect_bound,
@@ -516,7 +512,6 @@ def trace_sft(system, pseudo):
     return TracingResult(
         point=traced[0],
         error_bound=max(gaps),
-        indices_checked=(m, pseudo.end_index),
         traced_orbit=tuple(traced),
         gaps=tuple(gaps),
         guaranteed_bound=2.0 * pseudo.defect_bound,
@@ -590,7 +585,6 @@ def trace_strips(system, pseudo):
     return TracingResult(
         point=traced[0],
         error_bound=max(gaps),
-        indices_checked=(m, pseudo.end_index),
         traced_orbit=tuple(traced),
         gaps=tuple(gaps),
         guaranteed_bound=2.0 * pseudo.defect_bound,
@@ -677,28 +671,19 @@ def _pair_outcome(system, a, b, E, radius, horizon):
     and remains inside E (hence inside E's composition) for every integer.
     Anything else within the horizon stays undetermined.
     """
-
-    def scan(step):
-        x, y = a, b
-        states = {(x, y)}
-        inside = E.accepts(x, y) and E.accepts(y, x)
-        for n in range(1, horizon + 1):
-            x, y = step(x), step(y)
-            if system.metric(x, y) >= 2.0 * radius:
-                return "separated", n, inside
-            inside = inside and E.accepts(x, y) and E.accepts(y, x)
-            if (x, y) in states:
-                return "cycle", n, inside
-            states.add((x, y))
-        return "exhausted", horizon, inside
-
-    fwd, n_fwd, in_fwd = scan(system.forward)
-    if fwd == "separated":
-        return "separated", n_fwd
-    bwd, n_bwd, in_bwd = scan(system.backward)
-    if bwd == "separated":
-        return "separated", -n_bwd
-    if fwd == "cycle" and bwd == "cycle" and in_fwd and in_bwd:
+    # a NaN distance does not count as separated
+    near = lambda x, y: not system.metric(x, y) >= 2.0 * radius
+    ends = []
+    for step in (1, -1):
+        end, n = system.pair_exit(a, b, near, horizon, step)
+        if end == "left":
+            return "separated", n
+        ends.append(end)
+    inside = lambda x, y: E.accepts(x, y) and E.accepts(y, x)
+    # the same states again, so the same first repeat, now held to E
+    if ends == ["cycle", "cycle"] and inside(a, b) and all(
+            system.pair_exit(a, b, inside, horizon, step)[0] == "cycle"
+            for step in (1, -1)):
         return "trapped", 0
     return "undetermined", None
 

@@ -108,15 +108,32 @@ class Certificate:
 
     def revalidate(self, system):
         """Re-check every demo from scratch; returns failure strings."""
-        if self.mode == "symbolic":
-            return _revalidate_symbolic(self, system)
-        if self.mode == "metric-walk":
-            return _revalidate_metric(self, system)
-        if self.mode == "exact-orbit":
-            return _revalidate_exact_orbit(self, system)
-        if self.mode == "lattice-cycle":
-            return _revalidate_lattice(self, system)
-        return [f"unknown certificate mode {self.mode!r}"]
+        routine = _REVALIDATE.get(self.mode)
+        if routine is None:
+            return [f"unknown certificate mode {self.mode!r}"]
+        return self._binding_failures() + routine(self, system)
+
+    def _binding_failures(self):
+        """The demos must be evidence about `component`: at least one walk,
+        each from and to a member, for transitivity; one density demo per
+        member, each member once, for periodic density."""
+        comp, demos = self.component, self.demos
+        if self.kind == "transitivity":
+            if not demos:
+                return ["no walk demo"]
+            if not all(isinstance(d, WalkDemo) for d in demos):
+                return ["a transitivity demo is not a walk"]
+            ends = {d.x for d in demos} | {d.y for d in demos}
+            if len(ends.intersection(comp)) != len(ends):
+                return ["a walk starts or aims outside the component"]
+            return []
+        if not all(isinstance(d, CycleDemo) for d in demos):
+            return ["a density demo is not a cycle demo"]
+        if len(demos) != len(comp) or (
+                any(d.node != c for d, c in zip(demos, comp))
+                and {d.node for d in demos} != set(comp)):
+            return ["density demos do not cover the component once each"]
+        return []
 
 
 def _revalidate_symbolic(cert, system):
@@ -299,9 +316,15 @@ def _revalidate_lattice(cert, system):
             bad.append(f"certified point at {demo.node} is not the node itself")
         if not demo.gap <= radius:
             bad.append(f"gap at {demo.node} exceeds the entourage radius")
-    if {demo.node for demo in demos} != set(cert.component):
-        bad.append("density demos do not cover the component")
     return bad
+
+
+_REVALIDATE = {
+    "symbolic": _revalidate_symbolic,
+    "metric-walk": _revalidate_metric,
+    "exact-orbit": _revalidate_exact_orbit,
+    "lattice-cycle": _revalidate_lattice,
+}
 
 
 def _symbols_strongly_connected(system, symbols):
@@ -561,6 +584,9 @@ class SpectralDecomposition:
         bad.extend(self._invariance_failures(system))
         for bs in self.basic_sets:
             for cert in (bs.transitivity, bs.periodic_density):
+                if cert.component != bs.nodes:
+                    bad.append(f"basic set {bs.ident} [{cert.kind}]: "
+                               "certificate is for another node set")
                 for msg in cert.revalidate(system):
                     bad.append(f"basic set {bs.ident} [{cert.kind}]: {msg}")
         return bad

@@ -273,6 +273,24 @@ class DynamicalSystem:
             x = step(x)
         return x
 
+    def pair_exit(self, x, y, stay, horizon, step=1):
+        """Step the pair (x, y) under f x f, or under its inverse when step
+        is -1, for at most `horizon` steps. Returns ("left", step * n) at
+        the first pair that stay(., .) rejects, ("cycle", n) at the first
+        pair that exactly repeats an earlier one (every later pair repeats
+        one that stay accepted), and ("horizon", horizon) otherwise. The
+        starting pair itself is not tested."""
+        move = self.forward if step > 0 else self.backward
+        seen = {(x, y)}
+        for n in range(1, horizon + 1):
+            x, y = move(x), move(y)
+            if not stay(x, y):
+                return "left", step * n
+            if (x, y) in seen:
+                return "cycle", n
+            seen.add((x, y))
+        return "horizon", horizon
+
     def point_to_text(self, x):
         if isinstance(x, tuple):
             return " ".join(repr(c) for c in x)
@@ -599,46 +617,29 @@ class ShiftOfFiniteType(DynamicalSystem):
     def metric(self, x, y):
         return sft_metric(x, y)
 
-    def _greedy_cycle_forward(self, start):
-        # sequence from `start` reads start, tail..., cycle, cycle, ...
+    def _greedy_tail(self, start, forward=True):
+        """Follow first successors (first predecessors when not forward)
+        from `start` until a symbol repeats. Returns (tail, cycle) in
+        sequence order: the sequence reads start, tail, cycle, cycle, ...
+        forward and ..., cycle, cycle, tail, start backward."""
+        step, what = ((self.successors, "successor") if forward
+                      else (self.predecessors, "predecessor"))
         walk = [start]
         seen = {start: 0}
         while True:
-            succ = self.successors(walk[-1])
-            if not succ:
-                raise ValueError(f"Symbol {walk[-1]} has no admissible successor.")
-            nxt = succ[0]
+            options = step(walk[-1])
+            if not options:
+                raise ValueError(f"Symbol {walk[-1]} has no admissible {what}.")
+            nxt = options[0]
             if nxt in seen:
-                cycle = tuple(walk[seen[nxt]:])
-                tail = tuple(walk[1:])
-                return tail, cycle
-            seen[nxt] = len(walk)
-            walk.append(nxt)
-
-    def _greedy_cycle_backward(self, start):
-        # sequence reads ..., cycle, cycle, tail..., start left to right
-        walk = [start]
-        seen = {start: 0}
-        while True:
-            pred = self.predecessors(walk[-1])
-            if not pred:
-                raise ValueError(f"Symbol {walk[-1]} has no admissible predecessor.")
-            nxt = pred[0]
-            if nxt in seen:
-                cycle = tuple(reversed(walk[seen[nxt]:]))
-                tail = tuple(reversed(walk[1:]))
-                return tail, cycle
+                tail, cycle = tuple(walk[1:]), tuple(walk[seen[nxt]:])
+                return (tail, cycle) if forward else (tail[::-1], cycle[::-1])
             seen[nxt] = len(walk)
             walk.append(nxt)
 
     def representative_point(self, symbol):
         """A canonical admissible point with `symbol` at index 0."""
-        ftail, fcycle = self._greedy_cycle_forward(symbol)
-        btail, bcycle = self._greedy_cycle_backward(symbol)
-        word = btail + (symbol,) + ftail
-        return self.validate_point(
-            symbolic_point(bcycle, word, fcycle, -len(btail))
-        )
+        return self.window_point((symbol,))
 
     def window_point(self, word, offset=0):
         """An admissible point matching `word` on [offset, offset+len), with
@@ -646,8 +647,8 @@ class ShiftOfFiniteType(DynamicalSystem):
         word = self._coerce(word)
         if not word:
             raise ValueError("Central word must be nonempty.")
-        ftail, fcycle = self._greedy_cycle_forward(word[-1])
-        btail, bcycle = self._greedy_cycle_backward(word[0])
+        ftail, fcycle = self._greedy_tail(word[-1])
+        btail, bcycle = self._greedy_tail(word[0], forward=False)
         return self.validate_point(symbolic_point(
             bcycle, btail + word + ftail, fcycle, offset - len(btail)))
 
@@ -659,12 +660,7 @@ class ShiftOfFiniteType(DynamicalSystem):
             if not succ:
                 raise ValueError(f"Symbol {word[-1]} has no admissible successor.")
             word.append(rng.choice(succ))
-        ftail, fcycle = self._greedy_cycle_forward(word[-1])
-        btail, bcycle = self._greedy_cycle_backward(word[0])
-        return self.validate_point(
-            symbolic_point(bcycle, btail + tuple(word) + ftail, fcycle,
-                           -half_width - len(btail))
-        )
+        return self.window_point(word, -half_width)
 
     def point_to_text(self, x):
         j = lambda seq: "".join(str(s) for s in seq)

@@ -171,6 +171,69 @@ def test_uncovered_node_is_rejected():
     assert any("cover" in msg for msg in failures)
 
 
+def _swap_nodes(bs, other):
+    return dataclasses.replace(bs, nodes=other.nodes)
+
+
+def _foreign_walks(bs, other):
+    return dataclasses.replace(bs, transitivity=dataclasses.replace(
+        bs.transitivity, demos=other.transitivity.demos))
+
+
+def _foreign_density(bs, other):
+    return dataclasses.replace(bs, periodic_density=dataclasses.replace(
+        bs.periodic_density, demos=other.periodic_density.demos))
+
+
+def _no_walks(bs, other):
+    return dataclasses.replace(bs, transitivity=dataclasses.replace(
+        bs.transitivity, demos=()))
+
+
+def _no_density(bs, other):
+    return dataclasses.replace(bs, periodic_density=dataclasses.replace(
+        bs.periodic_density, demos=()))
+
+
+def _density_as_walks(bs, other):
+    return dataclasses.replace(bs, transitivity=dataclasses.replace(
+        bs.transitivity, demos=bs.periodic_density.demos))
+
+
+def _walks_as_density(bs, other):
+    return dataclasses.replace(bs, periodic_density=dataclasses.replace(
+        bs.periodic_density, demos=bs.transitivity.demos))
+
+
+THREE_CYCLE = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
+
+
+@pytest.mark.parametrize("tamper, system, kwargs", [
+    (_swap_nodes, TWO_BLOCK, {}),
+    (_foreign_walks, TWO_BLOCK, {}),
+    (_foreign_density, TWO_BLOCK, {}),
+    (_no_walks, TWO_BLOCK, {}),
+    (_no_walks, THREE_CYCLE, {}),
+    (_no_walks, CAT, {"resolution": 16}),
+    (_no_density, TWO_BLOCK, {}),
+    (_no_density, THREE_CYCLE, {}),
+    (_density_as_walks, TWO_BLOCK, {}),
+    (_walks_as_density, TWO_BLOCK, {"pairs": 2}),  # as many walks as nodes
+], ids=["swap-nodes", "foreign-walks", "foreign-density", "no-walks-symbolic",
+        "no-walks-exact-orbit", "no-walks-metric-walk", "no-density-symbolic",
+        "no-density-exact-orbit", "density-as-walks", "walks-as-density"])
+def test_certificates_are_bound_to_their_basic_set(tamper, system, kwargs):
+    """Evidence taken from another basic set, or no evidence at all, must
+    not validate; every untampered decomposition here validates clean."""
+    dec = spectral_decompose(system, seed=0, **kwargs)
+    assert dec.validate(system) == []
+    sets = dec.basic_sets
+    other = sets[1] if len(sets) > 1 else sets[0]
+    tampered = [tamper(sets[0], other)] + [
+        tamper(bs, sets[0]) if tamper is _swap_nodes else bs for bs in sets[1:]]
+    assert dataclasses.replace(dec, basic_sets=tuple(tampered)).validate(system)
+
+
 def test_corrupted_lattice_cycle_is_rejected():
     dec = spectral_decompose(CAT, resolution=16, seed=0)
     cert = dec.basic_sets[0].periodic_density
