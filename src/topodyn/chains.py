@@ -529,11 +529,22 @@ def chain_components(graphs):
 
     All graphs must share one node set. A node stays recurrent if it lies on
     a cycle at every ladder step; two nodes stay equivalent if every step
-    keeps them in one SCC.
+    keeps them in one SCC. Components come largest first, then by least
+    node index.
     """
     graphs = list(graphs)
     states, history, stabilization = _refine_ladder(graphs)
-    return _component_set(graphs, states[-1], history, stabilization)
+    nodes = graphs[0].nodes
+    groups = sorted(_cell_groups(states[-1]), key=len, reverse=True)
+    return ChainComponentSet(
+        recurrent_nodes=frozenset(
+            nodes[i] for i in np.flatnonzero(states[-1][0]).tolist()),
+        components=tuple(frozenset(nodes[i] for i in grp.tolist())
+                         for grp in groups),
+        entourage_ladder=tuple(g.entourage_id for g in graphs),
+        stabilization_index=stabilization,
+        history=tuple(history),
+    )
 
 
 def _refine_ladder(graphs):
@@ -574,25 +585,15 @@ def _refine_ladder(graphs):
     return states, history, stabilization
 
 
-def _component_set(graphs, state, history, stabilization):
-    """The ChainComponentSet of the ladder `graphs` whose last refinement
-    state is `state`."""
-    nodes = graphs[0].nodes
+def _cell_groups(state):
+    """The cells of a refinement state as ascending arrays of node indices,
+    ordered by their least index."""
     recurrent, cells = state
     members = np.flatnonzero(recurrent)
     order = np.argsort(cells[members], kind="stable")
     groups = np.split(members[order],
                       np.flatnonzero(np.diff(cells[members][order])) + 1)
-    groups = sorted((grp for grp in groups if len(grp)),
-                    key=lambda grp: (-len(grp), int(grp[0])))
-    return ChainComponentSet(
-        recurrent_nodes=frozenset(nodes[i] for i in members.tolist()),
-        components=tuple(frozenset(nodes[i] for i in grp.tolist())
-                         for grp in groups),
-        entourage_ladder=tuple(g.entourage_id for g in graphs),
-        stabilization_index=stabilization,
-        history=tuple(history),
-    )
+    return sorted((grp for grp in groups if len(grp)), key=lambda grp: int(grp[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -82,10 +82,6 @@ class PseudoOrbit:
         gaps = compute_defects(system, probe)
         return dataclasses.replace(probe, defect_bound=max(gaps) if gaps else 0.0)
 
-    @property
-    def end_index(self):
-        return self.start_index + len(self.window) - 1
-
     def point_at(self, i):
         j = i - self.start_index
         if self.extension == PERIODIC:

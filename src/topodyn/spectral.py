@@ -8,27 +8,30 @@ periodic point inside its entourage ball). Certificates are self-contained:
 they carry the nodes, walks, and parameters needed to re-verify from
 scratch, with no reference to cached graph state.
 
-Three system families are supported. Shift spaces decompose exactly at the
-symbol level, where basic sets are the cycle-containing strongly connected
-components of the transition graph and the component count is exact. Torus
-automorphisms decompose on an n x n lattice over a shrinking entourage
-ladder, and the reported partition is the stabilized one, with the full
-ladder history retained. Finite systems decompose exactly with a
-diagonal-only entourage. Decompositions on compact spaces are finite by
-construction here; unboundedly many basic sets can only arise on noncompact
-spaces, which have no grid discretization at desk scale, and reports say so.
+Three system families are supported, and each only supplies a ladder of
+chain graphs, its radii and its entourages; one pipeline refines the ladder,
+cuts it at stabilization and certifies the cells. Shift spaces give the
+transition graph of their symbols, where basic sets are the cycle-containing
+strongly connected components and the component count is exact. Finite
+systems give the graph of the diagonal entourage, exact as well. Torus
+automorphisms give an n x n lattice over a shrinking entourage ladder, and
+the reported partition is the stabilized one, with the full ladder history
+retained. Decompositions on compact spaces are finite by construction here;
+unboundedly many basic sets can only arise on noncompact spaces, which have
+no grid discretization at desk scale, and reports say so.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import (ChainGraph, _component_set, _concat_ranges, _lattice_map,
-                     _orbit_labels, _refine_ladder, build_chain_graph, is_chain,
+from .chains import (ChainGraph, _cell_groups, _concat_ranges, _lattice_map,
+                     _orbit_labels, _refine_ladder, build_chain_graph,
                      torus_grid_graph)
 from .entourage import finite_relation, metric_ball
 from .report import FAIL, PASS, RESOLUTION_LIMITED, Report
@@ -69,9 +72,10 @@ class WalkDemo:
     gap: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleDemo:
-    """A periodic point certified inside the entourage ball of one node."""
+    """A periodic point certified inside the entourage ball of one node;
+    slotted, as a torus certificate holds one per lattice node."""
 
     node: object
     cycle_length: int
@@ -89,8 +93,11 @@ class Certificate:
 
     mode picks the re-verification routine:
       symbolic        walks are symbol sequences checked against transitions
-      metric-walk     walks are point sequences checked with is_chain + trace
-      exact-orbit     walks are true orbits of a finite system
+      metric-walk     walks are closed D-chains of points, traced to exact
+                      periodic orbits
+      exact-orbit     the metric-walk routine on a finite system, whose D is
+                      the diagonal, so walks are true orbits; density demos
+                      must first return after cycle_length steps
       lattice-cycle   density on the torus grid, re-proved in integers: each
                       node must be exactly the double (i/n, j/n) of a lattice
                       index, and its integer orbit must first close after
@@ -111,6 +118,13 @@ class Certificate:
         routine = _REVALIDATE.get(self.mode)
         if routine is None:
             return [f"unknown certificate mode {self.mode!r}"]
+        # a demo of the wrong type ends the check: the routines read fields
+        # that only the right type has
+        if self.kind == "transitivity":
+            if not all(isinstance(d, WalkDemo) for d in self.demos):
+                return ["a transitivity demo is not a walk"]
+        elif not all(isinstance(d, CycleDemo) for d in self.demos):
+            return ["a density demo is not a cycle demo"]
         return self._binding_failures() + routine(self, system)
 
     def _binding_failures(self):
@@ -121,19 +135,30 @@ class Certificate:
         if self.kind == "transitivity":
             if not demos:
                 return ["no walk demo"]
-            if not all(isinstance(d, WalkDemo) for d in demos):
-                return ["a transitivity demo is not a walk"]
             ends = {d.x for d in demos} | {d.y for d in demos}
             if len(ends.intersection(comp)) != len(ends):
                 return ["a walk starts or aims outside the component"]
             return []
-        if not all(isinstance(d, CycleDemo) for d in demos):
-            return ["a density demo is not a cycle demo"]
         if len(demos) != len(comp) or (
                 any(d.node != c for d, c in zip(demos, comp))
                 and {d.node for d in demos} != set(comp)):
             return ["density demos do not cover the component once each"]
         return []
+
+
+def _walk_failure(demo, step, where):
+    """Why demo.walk is not a closed walk through demo.x that visits demo.y
+    at demo.y_pos, each step (a, b) accepted by step(a, b); None when it
+    is one."""
+    walk = demo.walk
+    if len(walk) < 2 or walk[0] != demo.x or walk[-1] != demo.x:
+        return f"walk at {where} is not closed"
+    if not (type(demo.y_pos) is int and 0 <= demo.y_pos < len(walk)
+            and walk[demo.y_pos] == demo.y):
+        return f"walk at {where} misses its target"
+    if not all(step(a, b) for a, b in zip(walk, walk[1:])):
+        return f"walk at {where} takes a step outside the chain relation"
+    return None
 
 
 def _revalidate_symbolic(cert, system):
@@ -143,19 +168,13 @@ def _revalidate_symbolic(cert, system):
     if cert.kind == "transitivity" and not _symbols_strongly_connected(system, comp):
         bad.append("component symbols are not mutually reachable")
     for demo in cert.demos:
-        if isinstance(demo, WalkDemo):
-            walk = demo.walk
-            if walk[0] != demo.x or walk[-1] != demo.x:
-                bad.append(f"walk through {demo.x} is not closed")
-                continue
-            if walk[demo.y_pos] != demo.y:
-                bad.append(f"walk misses {demo.y} at position {demo.y_pos}")
-                continue
-            if any(not system.allowed(a, b) for a, b in zip(walk, walk[1:])):
-                bad.append(f"walk through {demo.x} uses a forbidden transition")
+        if cert.kind == "transitivity":
+            failure = _walk_failure(demo, system.allowed, demo.x)
+            if failure:
+                bad.append(failure)
                 continue
             p = demo.traced
-            if p != system.periodic_point(walk[:-1]):
+            if p != system.periodic_point(demo.walk[:-1]):
                 bad.append(f"traced point for {demo.x} does not match its walk")
             if p.symbol_at(0) != demo.x:
                 bad.append(f"traced point is outside the cylinder of {demo.x}")
@@ -179,73 +198,47 @@ def _revalidate_symbolic(cert, system):
     return bad
 
 
-def _float_point(z):
-    return (float(z[0]), float(z[1]))
-
-
 def _revalidate_metric(cert, system):
+    """Closed D-chains traced to exact periodic orbits within their gap.
+    A finite system's D is the diagonal, so its walks are orbits, traced to
+    themselves; its density demos must first return after cycle_length
+    steps, by `FiniteSystem.orbit_period` rather than the graph search."""
     bad = []
+    if cert.kind != "transitivity":
+        for demo in cert.demos:
+            if system.orbit_period(demo.node) != demo.cycle_length:
+                bad.append(f"{demo.node} does not first return in "
+                           f"{demo.cycle_length} steps")
+            if demo.traced != demo.node:
+                bad.append(f"certified point at {demo.node} is not the node itself")
+        return bad
     D = cert.chain_entourage
     E = cert.entourage
     # strong connectivity, from a graph built afresh by the float
     # predicate of D and not from the integer offsets that built the ladder
-    if cert.kind == "transitivity":
-        sub = build_chain_graph(system, cert.component, D)
-        if not sub.is_strongly_connected():
-            bad.append("component is not strongly connected under D")
+    if not build_chain_graph(system, cert.component, D).is_strongly_connected():
+        bad.append("component is not strongly connected under D")
+    chained = lambda a, b: D.accepts(system.forward(a), b)
     for demo in cert.demos:
-        walk = demo.walk
+        walk, orbit = demo.walk, demo.traced
         where = system.point_to_text(demo.x)
-        if walk[0] != demo.x or walk[-1] != demo.x:
-            bad.append(f"walk at {where} is not closed")
-            continue
-        if walk[demo.y_pos] != demo.y:
-            bad.append(f"walk at {where} misses its target")
-            continue
-        if not is_chain(system, walk, D):
-            bad.append(f"walk at {where} is not a D-chain")
-            continue
-        orbit = demo.traced
-        if len(orbit) != demo.period:
+        failure = _walk_failure(demo, chained, where)
+        if failure:
+            bad.append(failure)
+        elif len(orbit) != demo.period or demo.period != len(walk) - 1:
             bad.append(f"orbit at {where} has the wrong length")
-            continue
-        # rational coordinates make this an exact periodicity proof
-        if any(system.forward(orbit[k]) != orbit[(k + 1) % demo.period]
-               for k in range(demo.period)):
+        elif any(system.forward(orbit[k]) != orbit[(k + 1) % demo.period]
+                 for k in range(demo.period)):
             bad.append(f"stored loop at {where} is not an orbit")
-            continue
-        shown = [_float_point(z) for z in orbit]
-        if any(system.metric(shown[k], walk[k]) > demo.gap + 1e-12
-               for k in range(demo.period)):
+        # a Fraction minus a float is a float, so these are float distances
+        elif any(system.metric(orbit[k], walk[k]) > demo.gap + 1e-12
+                 for k in range(demo.period)):
             bad.append(f"traced orbit at {where} strays past its gap")
-        elif E is not None:
-            if not E.accepts(demo.x, shown[0]):
-                bad.append(f"traced point at {where} leaves E[x]")
-            elif not E.accepts(demo.y, shown[demo.y_pos]):
-                bad.append(f"orbit visit at {where} leaves E[y]")
-    return bad
-
-
-def _revalidate_exact_orbit(cert, system):
-    bad = []
-    for demo in cert.demos:
-        walk = demo.walk if isinstance(demo, WalkDemo) else None
-        if walk is not None:
-            z = demo.x
-            for w in walk[1:]:
-                z = system.forward(z)
-                if z != w:
-                    bad.append(f"walk at {demo.x} is not the exact orbit")
-                    break
-            else:
-                if walk[demo.y_pos] != demo.y:
-                    bad.append(f"walk at {demo.x} misses its target")
-        else:
-            z = demo.node
-            for _ in range(demo.cycle_length):
-                z = system.forward(z)
-            if z != demo.node:
-                bad.append(f"{demo.node} does not return in {demo.cycle_length}")
+        elif E is not None and not E.accepts(demo.x, orbit[0]):
+            bad.append(f"traced point at {where} leaves E[x]")
+        elif E is not None and not E.accepts(demo.y,
+                                             orbit[demo.y_pos % demo.period]):
+            bad.append(f"orbit visit at {where} leaves E[y]")
     return bad
 
 
@@ -322,7 +315,7 @@ def _revalidate_lattice(cert, system):
 _REVALIDATE = {
     "symbolic": _revalidate_symbolic,
     "metric-walk": _revalidate_metric,
-    "exact-orbit": _revalidate_exact_orbit,
+    "exact-orbit": _revalidate_metric,
     "lattice-cycle": _revalidate_lattice,
 }
 
@@ -441,17 +434,14 @@ def transitivity_certificate(graph, component, system, E, D=None, seed=0,
             traced, gap = _trace_periodic_walk(system, walk)
         demos.append(WalkDemo(x=x, y=y, walk=walk, y_pos=y_pos, traced=traced,
                               period=len(walk) - 1, gap=gap))
-    component = tuple(graph.nodes[i] for i in component)
-    if symbolic:
-        return Certificate(
-            kind="transitivity", mode="symbolic", component=component,
-            demos=tuple(demos),
-            note="walks are admissible words; periodic points are exact")
     return Certificate(
         kind="transitivity",
-        mode="exact-orbit" if isinstance(system, FiniteSystem) else "metric-walk",
-        component=component, demos=tuple(demos), entourage=E,
-        chain_entourage=D)
+        mode="symbolic" if symbolic else "exact-orbit"
+        if isinstance(system, FiniteSystem) else "metric-walk",
+        component=tuple(graph.nodes[i] for i in component), demos=tuple(demos),
+        entourage=E, chain_entourage=D,
+        note="walks are admissible words; periodic points are exact"
+        if symbolic else "")
 
 
 def _trace_periodic_walk(system, walk):
@@ -478,8 +468,10 @@ def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
 
     On the torus grid the periodic point is the node itself, proved by
     integer lattice arithmetic (the lattice is f-invariant and f permutes
-    it), so the gap is zero at every radius. Shift systems use shortest
-    admissible cycles; finite systems their exact orbits.
+    it), so the gap is zero at every radius. Shift and finite systems take
+    the shortest cycle through the node in their exact `graph`: an
+    admissible word, or on the diagonal graph of a finite map the node's
+    own orbit.
     """
     radii = tuple(radii)
     if isinstance(system, TorusAutomorphism):
@@ -493,32 +485,31 @@ def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
             note="grid nodes are rational, hence exactly periodic; the "
                  "certified periodic point of each node is the node itself",
         )
-    if isinstance(system, ShiftOfFiniteType):
-        demos = []
+    if isinstance(system, (ShiftOfFiniteType, FiniteSystem)):
+        # the shortest cycle through a node of an exact graph; on the
+        # diagonal graph of a finite map it is the node's orbit
+        if graph is None:
+            raise ValueError("The exact route needs the chain graph.")
+        symbolic = isinstance(system, ShiftOfFiniteType)
         everywhere = np.ones(graph.node_count, dtype=bool)
         pos = {s: i for i, s in enumerate(graph.nodes)}
+        demos = []
         for a in recurrent_nodes:
             walk_idx = _bfs_path(graph, everywhere, pos[a], pos[a])
             if walk_idx is None:
-                raise CertificateError(f"Recurrent symbol {a} has no cycle; "
+                raise CertificateError(f"Recurrent node {a} has no cycle; "
                                        "internal inconsistency.")
             block = tuple(graph.nodes[i] for i in walk_idx[:-1])
-            p = system.periodic_point(block)
-            gap = sft_metric(p, system.representative_point(a))
+            if symbolic:
+                p = system.periodic_point(block)
+                gap = sft_metric(p, system.representative_point(a))
+            else:
+                p, gap = a, 0.0
             demos.append(CycleDemo(node=a, cycle_length=len(block), traced=p,
                                    gap=gap))
         return Certificate(
-            kind="periodic-density", mode="symbolic",
-            component=tuple(recurrent_nodes), demos=tuple(demos),
-            params={"radii": radii},
-        )
-    if isinstance(system, FiniteSystem):
-        demos = []
-        for x in recurrent_nodes:
-            p = system.orbit_period(x)
-            demos.append(CycleDemo(node=x, cycle_length=p, traced=x, gap=0.0))
-        return Certificate(
-            kind="periodic-density", mode="exact-orbit",
+            kind="periodic-density",
+            mode="symbolic" if symbolic else "exact-orbit",
             component=tuple(recurrent_nodes), demos=tuple(demos),
             params={"radii": radii},
         )
@@ -676,20 +667,78 @@ class SpectralDecomposition:
 
 def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
     """Decompose the recurrent set of a supported system into certified
-    basic sets. Shift and finite systems decompose exactly; torus
-    automorphisms run a grid ladder at the given resolution, with ladder
-    the coarsest entourage radius (default 4 grid cells), halved twice.
+    basic sets. Each family gives a ladder of chain graphs with its radii
+    and its entourages E and D: shift and finite systems one exact graph
+    (the symbol graph, the diagonal graph), stable at step 0; torus
+    automorphisms a grid ladder at the given resolution, with ladder the
+    coarsest entourage radius (default 4 grid cells), halved twice. The
+    ladder is cut at its stabilization step, and each cell there becomes
+    a basic set with certificates of `pairs` walks (four on finite
+    systems) and one density demo per node. Exact basic sets come in
+    order of their least node; torus ones the largest first.
     """
+    if pairs < 1:
+        raise ValueError("A transitivity certificate needs pairs >= 1.")
+    n, walks, note = None, pairs, ""
     if isinstance(system, ShiftOfFiniteType):
-        return _decompose_sft(system, seed=seed, pairs=pairs)
-    if isinstance(system, TorusAutomorphism):
-        return _decompose_torus(system, n=resolution, r0=ladder, seed=seed,
-                                pairs=pairs)
-    if isinstance(system, FiniteSystem):
-        return _decompose_finite(system, seed=seed)
-    raise TypeError(
-        f"No chain-graph discretization is available for {system.name!r}; "
-        "supported families are shift, torus, and finite systems."
+        family, graphs, radii = "symbolic", [symbol_graph_chain(system)], (1.0,)
+        entourages = lambda r: (None, None)
+        note = ("basic sets are the cycle-containing SCCs of the symbol graph, "
+                "computed exactly; the count is the true number of basic sets")
+    elif isinstance(system, TorusAutomorphism):
+        n = resolution
+        r0 = ladder if ladder is not None else 4.0 * (1.0 / n)
+        radii = (r0, r0 / 2.0, r0 / 4.0)
+        family, graphs = "torus-grid", [torus_grid_graph(system, n, r) for r in radii]
+        entourages = lambda r: (
+            metric_ball(system, system.tracing_coefficient() * r + 1e-12),
+            metric_ball(system, r))
+    elif isinstance(system, FiniteSystem):
+        points = tuple(system.points)
+        D = finite_relation({(x, x) for x in points}, space_id=system.space_id,
+                            points=points)
+        family, radii, walks = "finite", (0.5,), 4
+        graphs = [build_chain_graph(system, points, D, entourage_id="diagonal")]
+        entourages = lambda r: (None, D)
+    else:
+        raise TypeError(
+            f"No chain-graph discretization is available for {system.name!r}; "
+            "supported families are shift, torus, and finite systems.")
+    exact = n is None
+    states, history, stab = _refine_ladder(graphs)
+    stab = 0 if len(graphs) == 1 else stab
+    # the basic sets come from the ladder cut at its stabilization step;
+    # the reported history is the whole ladder's
+    step = stab if stab is not None else len(graphs) - 1
+    graph = graphs[step]
+    E, D = entourages(radii[step])
+    groups = _cell_groups(states[step])
+    if not exact:
+        groups.sort(key=len, reverse=True)
+    basic = []
+    for ident, group in enumerate(groups):
+        comp = group.tolist()
+        nodes = tuple(graph.nodes[i] for i in comp)
+        trans = transitivity_certificate(graph, comp, system, E=E, D=D,
+                                         seed=seed + ident, pairs=walks)
+        dens = periodic_density_certificate(system, nodes, radii=radii,
+                                            graph=graph, resolution=n)
+        basic.append(BasicSet(ident=ident, nodes=nodes, transitivity=trans,
+                              periodic_density=dens))
+    return SpectralDecomposition(
+        system_name=system.name,
+        family=family,
+        resolution=n,
+        ladder=tuple(g.entourage_id for g in graphs) if exact else radii,
+        seed=seed,
+        basic_sets=tuple(basic),
+        recurrent_nodes=tuple(sorted(
+            itertools.compress(graph.nodes, states[step][0].tolist()))),
+        stabilization_index=stab,
+        history=tuple(history),
+        finite_flag=True,
+        exact=exact,
+        note=note,
     )
 
 
@@ -699,91 +748,3 @@ def symbol_graph_chain(system):
     nodes = tuple(range(system.size))
     return ChainGraph.from_successors(
         nodes, (system.successors(a) for a in nodes), "symbol-transitions")
-
-
-def _decompose_sft(system, seed, pairs):
-    return _decompose_exact(
-        system, symbol_graph_chain(system), "symbolic", seed,
-        lambda comp: pairs, None, 1.0,
-        note="basic sets are the cycle-containing SCCs of the symbol graph, "
-             "computed exactly; the count is the true number of basic sets")
-
-
-def _decompose_exact(system, graph, family, seed, pairs, D, radius, note=""):
-    """Basic sets that are the cycle-bearing SCCs of an exact graph, each
-    with certificates: walks of `pairs(component)` sampled pairs and one
-    density demo per node at the given radius."""
-    recurrent = graph.recurrent_indices()
-    comps = sorted(sorted(c) for c in graph.scc() if c and set(c) <= recurrent)
-    basic = []
-    for ident, comp in enumerate(comps):
-        nodes = tuple(graph.nodes[i] for i in comp)
-        trans = transitivity_certificate(graph, comp, system, E=None, D=D,
-                                         seed=seed + ident, pairs=pairs(comp))
-        dens = periodic_density_certificate(system, nodes, radii=(radius,),
-                                            graph=graph)
-        basic.append(BasicSet(ident=ident, nodes=nodes, transitivity=trans,
-                              periodic_density=dens))
-    return SpectralDecomposition(
-        system_name=system.name,
-        family=family,
-        resolution=None,
-        ladder=(graph.entourage_id,),
-        seed=seed,
-        basic_sets=tuple(basic),
-        recurrent_nodes=tuple(sorted(graph.nodes[i] for i in recurrent)),
-        stabilization_index=0,
-        history=((len(recurrent), len(comps)),),
-        finite_flag=True,
-        exact=True,
-        note=note,
-    )
-
-
-def _decompose_torus(system, n, r0, seed, pairs):
-    cell = 1.0 / n
-    r0 = r0 if r0 is not None else 4.0 * cell
-    radii = (r0, r0 / 2.0, r0 / 4.0)
-    graphs = [torus_grid_graph(system, n, r) for r in radii]
-    states, history, stab = _refine_ladder(graphs)
-    step = stab if stab is not None else len(radii) - 1
-    # the basic sets come from the ladder cut at its stabilization step;
-    # the reported history is the whole ladder's
-    chosen = _component_set(graphs[:step + 1], states[step],
-                            history[:step + 1], stab)
-    graph = graphs[step]
-    delta = radii[step]
-    pos = {node: i for i, node in enumerate(graph.nodes)}
-    E = metric_ball(system, system.tracing_coefficient() * delta + 1e-12)
-    D = metric_ball(system, delta)
-    basic = []
-    for ident, comp_nodes in enumerate(chosen.components):
-        nodes = tuple(sorted(comp_nodes))
-        trans = transitivity_certificate(graph, [pos[x] for x in nodes], system,
-                                         E=E, D=D, seed=seed + ident, pairs=pairs)
-        dens = periodic_density_certificate(system, nodes, radii=radii,
-                                            resolution=n)
-        basic.append(BasicSet(ident=ident, nodes=nodes, transitivity=trans,
-                              periodic_density=dens))
-    return SpectralDecomposition(
-        system_name=system.name,
-        family="torus-grid",
-        resolution=n,
-        ladder=radii,
-        seed=seed,
-        basic_sets=tuple(basic),
-        recurrent_nodes=tuple(sorted(chosen.recurrent_nodes)),
-        stabilization_index=stab,
-        history=tuple(history),
-        finite_flag=True,
-        exact=False,
-    )
-
-
-def _decompose_finite(system, seed):
-    points = tuple(system.points)
-    D = finite_relation({(x, x) for x in points}, space_id=system.space_id,
-                        points=points)
-    graph = build_chain_graph(system, points, D, entourage_id="diagonal")
-    return _decompose_exact(system, graph, "finite", seed,
-                            lambda comp: min(4, len(comp) ** 2), D, 0.5)

@@ -325,20 +325,13 @@ def _apply_rows(m, pts):
 # linear saddles on the plane
 
 
-def _as_exact(value):
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return Fraction(value)  # exact binary expansion of the float
-
-
 def _matrix_inverse_exact(m):
-    a, b = m[0]
-    c, d = m[1]
-    det = _as_exact(a) * _as_exact(d) - _as_exact(b) * _as_exact(c)
+    # Fraction of a float is its exact binary expansion
+    (a, b), (c, d) = ((Fraction(v) for v in row) for row in m)
+    det = a * d - b * c
     if det == 0:
         raise NotHyperbolicError("Matrix is singular.")
-    inv = ((_as_exact(d) / det, -_as_exact(b) / det),
-           (-_as_exact(c) / det, _as_exact(a) / det))
+    inv = ((d / det, -b / det), (-c / det, a / det))
     out = []
     for row in inv:
         cells = []

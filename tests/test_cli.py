@@ -255,6 +255,12 @@ GOLDEN = [
      "8e56e10df3862b7df5e13f5ded7da8da97e3067a588c754928f1e588753da67b"),
     (["demo", "strips"],
      "09acffb04935f7fd6fda5cf2c884909404622d79805ac037c81c49c272ccf021"),
+    # the exact-orbit route, and a torus ladder of 30 basic sets, which pins
+    # the order of basic sets: the largest first, then by least node
+    (["decompose", "three-cycle"],
+     "d4dec5c96558f74b4e4e971cc2faac272b9538c5fe20dd28596c985efb6e6fc4"),
+    (["decompose", "cat-map", "--resolution", "16", "--ladder", "0.03"],
+     "3858dedf11ae396a10b77b27035945b22f38ae22048dbc2a832100ade267a174"),
 ]
 
 

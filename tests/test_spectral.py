@@ -205,6 +205,23 @@ def _walks_as_density(bs, other):
         bs.periodic_density, demos=bs.transitivity.demos))
 
 
+def _open_walks(bs, other):
+    """Each walk cut after its first step: it still starts at x and visits
+    its new target, but does not come back."""
+    return dataclasses.replace(bs, transitivity=dataclasses.replace(
+        bs.transitivity, demos=tuple(
+            dataclasses.replace(d, walk=d.walk[:2], y=d.walk[1], y_pos=1)
+            for d in bs.transitivity.demos)))
+
+
+def _zero_cycles(bs, other):
+    """Every node returns after zero steps, which proves nothing."""
+    return dataclasses.replace(bs, periodic_density=dataclasses.replace(
+        bs.periodic_density, demos=tuple(
+            dataclasses.replace(d, cycle_length=0)
+            for d in bs.periodic_density.demos)))
+
+
 THREE_CYCLE = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
 
 
@@ -219,12 +236,22 @@ THREE_CYCLE = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
     (_no_density, THREE_CYCLE, {}),
     (_density_as_walks, TWO_BLOCK, {}),
     (_walks_as_density, TWO_BLOCK, {"pairs": 2}),  # as many walks as nodes
+    (_density_as_walks, CAT, {"resolution": 16}),
+    (_walks_as_density, CAT, {"resolution": 16}),
+    (_density_as_walks, THREE_CYCLE, {}),
+    (_walks_as_density, THREE_CYCLE, {}),
+    (_open_walks, THREE_CYCLE, {}),
+    (_zero_cycles, THREE_CYCLE, {}),
 ], ids=["swap-nodes", "foreign-walks", "foreign-density", "no-walks-symbolic",
         "no-walks-exact-orbit", "no-walks-metric-walk", "no-density-symbolic",
-        "no-density-exact-orbit", "density-as-walks", "walks-as-density"])
+        "no-density-exact-orbit", "density-as-walks", "walks-as-density",
+        "density-as-walks-metric-walk", "walks-as-density-lattice-cycle",
+        "density-as-walks-exact-orbit", "walks-as-density-exact-orbit",
+        "open-walks-exact-orbit", "zero-cycles-exact-orbit"])
 def test_certificates_are_bound_to_their_basic_set(tamper, system, kwargs):
-    """Evidence taken from another basic set, or no evidence at all, must
-    not validate; every untampered decomposition here validates clean."""
+    """Evidence taken from another basic set, evidence of the wrong type or
+    that proves nothing, or no evidence at all, must not validate; every
+    untampered decomposition here validates clean."""
     dec = spectral_decompose(system, seed=0, **kwargs)
     assert dec.validate(system) == []
     sets = dec.basic_sets
@@ -232,6 +259,14 @@ def test_certificates_are_bound_to_their_basic_set(tamper, system, kwargs):
     tampered = [tamper(sets[0], other)] + [
         tamper(bs, sets[0]) if tamper is _swap_nodes else bs for bs in sets[1:]]
     assert dataclasses.replace(dec, basic_sets=tuple(tampered)).validate(system)
+
+
+@pytest.mark.parametrize("system, kwargs", [
+    (TWO_BLOCK, {}), (CAT, {"resolution": 16}), (THREE_CYCLE, {})],
+    ids=["symbolic", "torus", "finite"])
+def test_decompose_needs_a_walk_pair(system, kwargs):
+    with pytest.raises(ValueError, match="pairs"):
+        spectral_decompose(system, pairs=0, **kwargs)
 
 
 def test_corrupted_lattice_cycle_is_rejected():
