@@ -29,9 +29,9 @@ from .shadowing import (
     ORBIT_TAIL,
     PERIODIC,
     PseudoOrbit,
+    _diagonal_point,
     _eigen_series,
-    trace_linear_hyperbolic,
-    trace_sft,
+    tracing_tools,
 )
 from .systems import (
     GenericSystem,
@@ -484,11 +484,8 @@ class ProductStructure:
         cross-check the closed form."""
         self._check_domain(x, y)
         pseudo = glued_pseudo_orbit(self.system, x, y, self.half_window)
-        if self.method == "symbolic-splice":
-            result = trace_sft(self.system, pseudo)
-        else:
-            result = trace_linear_hyperbolic(self.system, pseudo)
-        return result.traced_orbit[-pseudo.start_index]
+        trace = tracing_tools(self.system)[1]
+        return trace(self.system, pseudo).traced_orbit[-pseudo.start_index]
 
 
 def product_map_t(system, r_A=0.9, half_window=25):
@@ -763,13 +760,15 @@ def _stability_linear(f, g, samples, window):
     def orbit_block(pts):
         # the g-orbit of a batch of points at k = -W .. W+1, shape
         # (2W+2, N, 2): block[:-1] is the window through x, block[1:] the
-        # window through g(x), the same window moved one step on
+        # window through g(x), the same window moved one step on; orbits
+        # that overflow give inf or nan silently, and the defects report it
         block = np.empty((2 * window + 2, pts.shape[0], 2))
         block[window] = pts
-        for k in range(window + 1, 2 * window + 2):
-            block[k] = g.forward_batch(block[k - 1])
-        for k in range(window - 1, -1, -1):
-            block[k] = g.backward_batch(block[k + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(window + 1, 2 * window + 2):
+                block[k] = g.forward_batch(block[k - 1])
+            for k in range(window - 1, -1, -1):
+                block[k] = g.backward_batch(block[k + 1])
         return block
 
     pts = np.array(samples, dtype=float)
@@ -782,7 +781,8 @@ def _stability_linear(f, g, samples, window):
         for images, windows in ((h_x, block[:-1]), (h_gx, block[1:])):
             traced, defects = _eigen_series(cover, windows, wrap=wrap)
             images[lo:lo + chunk] = traced[window]
-            defect_sup = max(defect_sup, float(np.max(np.hypot(
+            # np.maximum keeps a NaN defect, where max() could drop it
+            defect_sup = float(np.maximum(defect_sup, np.max(np.hypot(
                 defects[..., 0], defects[..., 1]))))
     gaps = f.forward_batch(h_x) - h_gx
     close = h_x - pts
@@ -825,23 +825,23 @@ def _stability_linear(f, g, samples, window):
     )
 
 
-def _sft_window_pseudo(f, g, x, window):
-    orbit = [x]
-    cur = x
+def _sft_windows(f, g, x, window):
+    """The f-pseudo-orbits through x and through g(x), both cut from the
+    g-orbit of x at k = -W .. W+1. An exact g-orbit of period k <= W gives
+    closed loops instead, and g(x) has the same period."""
+    ahead = [x]
+    for _ in range(window + 1):
+        ahead.append(g.forward(ahead[-1]))
+    k = next((k for k in range(1, window + 1) if ahead[k] == x), None)
+    if k is not None:
+        return [PseudoOrbit.measured(f, loop, PERIODIC, period=k)
+                for loop in (ahead[:k], ahead[1:k + 1])]
+    behind = [x]
     for _ in range(window):
-        cur = g.forward(cur)
-        orbit.append(cur)
-        if cur == x:
-            # exact periodic g-orbit found; hand the tracer a closed loop
-            block = orbit[:-1]
-            return PseudoOrbit.measured(f, block, PERIODIC, period=len(block))
-    cur = x
-    back = []
-    for _ in range(window):
-        cur = g.backward(cur)
-        back.append(cur)
-    back.reverse()
-    return PseudoOrbit.measured(f, back + orbit, start_index=-window)
+        behind.append(g.backward(behind[-1]))
+    block = behind[:0:-1] + ahead
+    return [PseudoOrbit.measured(f, w, start_index=-window)
+            for w in (block[:-1], block[1:])]
 
 
 def _stability_sft(f, g, samples, window):
@@ -849,17 +849,15 @@ def _stability_sft(f, g, samples, window):
     defect_sup = 0.0
 
     def h_point(x):
-        pseudo = _sft_window_pseudo(f, g, x, window)
-        # the sample sits at window index 0, not at the window start
-        return trace_sft(f, pseudo).traced_orbit[-pseudo.start_index]
+        return _diagonal_point(f, _sft_windows(f, g, x, window)[0])
 
     for x in samples:
-        pseudo = _sft_window_pseudo(f, g, x, window)
-        defect_sup = max(defect_sup, pseudo.defect_bound)
-        hx = trace_sft(f, pseudo).traced_orbit[-pseudo.start_index]
+        at_x, at_gx = _sft_windows(f, g, x, window)
+        defect_sup = max(defect_sup, at_x.defect_bound)
+        hx = _diagonal_point(f, at_x)
         images.append(hx)
         closenesses.append(sft_metric(hx, x))
-        residuals.append(sft_metric(f.forward(hx), h_point(g.forward(x))))
+        residuals.append(sft_metric(f.forward(hx), _diagonal_point(f, at_gx)))
     collisions = [
         (i, j)
         for i in range(len(images)) for j in range(i)
@@ -875,7 +873,7 @@ def _stability_sft(f, g, samples, window):
         semiconjugacy_residual=max(residuals) if residuals else 0.0,
         closeness=max(closenesses) if closenesses else 0.0,
         defect_sup=defect_sup,
-        guaranteed_closeness=2.0 * defect_sup,
+        guaranteed_closeness=f.tracing_coefficient() * defect_sup,
         injective_flag=not collisions,
         collisions=tuple(collisions),
         uniqueness_note=(

@@ -35,6 +35,7 @@ from .systems import (
     ShiftOfFiniteType,
     StripFamily,
     TorusAutomorphism,
+    periodic_symbolic_point,
     rotate_cycle as _rotate_cycle,
     symbolic_point,
 )
@@ -77,10 +78,11 @@ class PseudoOrbit:
     def measured(cls, system, window, extension=ORBIT_TAIL, start_index=0,
                  period=None):
         """The pseudo-orbit on `window` whose defect bound is its largest
-        measured gap, or 0.0 when it has no gaps."""
+        measured gap (NaN when a gap is), or 0.0 when it has no gaps."""
         probe = cls(tuple(window), extension, 0.0, start_index, period)
         gaps = compute_defects(system, probe)
-        return dataclasses.replace(probe, defect_bound=max(gaps) if gaps else 0.0)
+        return dataclasses.replace(
+            probe, defect_bound=float(np.max(gaps)) if gaps else 0.0)
 
     def point_at(self, i):
         j = i - self.start_index
@@ -105,7 +107,8 @@ def compute_defects(system, pseudo):
 
 def verify_defect_bound(system, pseudo):
     gaps = compute_defects(system, pseudo)
-    return max(gaps) <= pseudo.defect_bound + 1e-15 if gaps else True
+    # a NaN gap fails, where max() could skip it
+    return float(np.max(gaps)) <= pseudo.defect_bound + 1e-15 if gaps else True
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +294,23 @@ class TracingResult:
     period: object = None
 
 
+def _traced(system, pseudo, traced):
+    """The result of tracing `pseudo` by the orbit `traced`, one point per
+    window index: its gaps to the window, their sup (NaN when a gap is)
+    and the bound system.tracing_coefficient() * defect bound."""
+    traced = tuple(traced)
+    gaps = tuple(system.metric(y, x) for y, x in zip(traced, pseudo.window))
+    return TracingResult(
+        point=traced[0],
+        error_bound=float(np.max(gaps)),
+        traced_orbit=traced,
+        gaps=gaps,
+        guaranteed_bound=system.tracing_coefficient() * pseudo.defect_bound,
+        periodic=pseudo.extension == PERIODIC,
+        period=pseudo.period,
+    )
+
+
 def _eigen_series(cover, windows, period=None, wrap=False):
     """Trace N pseudo-orbit windows of the linear saddle `cover` at once.
 
@@ -356,8 +376,6 @@ def trace_linear_hyperbolic(system, pseudo, exact=False):
         cover = system
     else:
         raise TypeError("trace_linear_hyperbolic needs a linear saddle system.")
-    if not pseudo.window:
-        raise ValueError("Empty pseudo-orbit window.")
 
     if exact:
         if pseudo.extension != PERIODIC:
@@ -369,18 +387,7 @@ def trace_linear_hyperbolic(system, pseudo, exact=False):
     points, _ = _eigen_series(cover, windows,
                               period=pseudo.period if periodic else None,
                               wrap=isinstance(system, TorusAutomorphism))
-    traced = tuple(map(tuple, points[:, 0].tolist()))
-    gaps = tuple(system.metric(y, x) for y, x in zip(traced, pseudo.window))
-
-    return TracingResult(
-        point=traced[0],
-        error_bound=max(gaps),
-        traced_orbit=traced,
-        gaps=gaps,
-        guaranteed_bound=cover.tracing_coefficient() * pseudo.defect_bound,
-        periodic=periodic,
-        period=pseudo.period,
-    )
+    return _traced(system, pseudo, map(tuple, points[:, 0].tolist()))
 
 
 def _frac_pair(p):
@@ -425,26 +432,16 @@ def _trace_linear_exact(system, cover, pseudo):
     e = ((m[1][1] * rhs[0] - m[0][1] * rhs[1]) / det,
          (m[0][0] * rhs[1] - m[1][0] * rhs[0]) / det)
 
-    traced, gaps = [], []
+    traced = []
     for k in range(p):
         y = (window[k][0] + e[0], window[k][1] + e[1])
         if isinstance(system, TorusAutomorphism):
             y = (y[0] % 1, y[1] % 1)
         traced.append(y)
-        gaps.append(system.metric((float(y[0]), float(y[1])),
-                                  (float(window[k][0]), float(window[k][1]))))
         fe = cover.apply_matrix(a, e)
         e = (fe[0] - defects[k][0], fe[1] - defects[k][1])
-
-    return TracingResult(
-        point=traced[0],
-        error_bound=max(gaps),
-        traced_orbit=tuple(traced),
-        gaps=tuple(gaps),
-        guaranteed_bound=cover.tracing_coefficient() * pseudo.defect_bound,
-        periodic=True,
-        period=p,
-    )
+    # a Fraction minus a float is a float, so the gaps are float distances
+    return _traced(system, pseudo, traced)
 
 
 def trace_sft(system, pseudo):
@@ -456,6 +453,14 @@ def trace_sft(system, pseudo):
     tail) traces the window within twice the defect. Periodic windows yield
     the periodic word.
     """
+    y = _diagonal_point(system, pseudo)
+    m = pseudo.start_index
+    return _traced(system, pseudo, (y.shifted(m + k)
+                                    for k in range(len(pseudo.window))))
+
+
+def _diagonal_point(system, pseudo):
+    """The point at index 0 of the orbit `trace_sft` traces `pseudo` by."""
     if not isinstance(system, ShiftOfFiniteType):
         raise TypeError("trace_sft needs a shift of finite type.")
     if pseudo.defect_bound >= 0.5:
@@ -464,15 +469,8 @@ def trace_sft(system, pseudo):
     window = pseudo.window
 
     if pseudo.extension == PERIODIC:
-        block = tuple(x.symbol_at(0) for x in window[:pseudo.period])
-        try:
-            y = system.periodic_point(block)
-        except ValueError as err:
-            raise ValueError(
-                f"Diagonal word is inadmissible ({err}); the defect bound "
-                "must have been violated."
-            ) from None
-        y = y.shifted(-m)  # align block position 0 with window index m
+        y = periodic_symbolic_point(
+            x.symbol_at(0) for x in window[:pseudo.period])
     else:
         big_m = m + len(window) - 1
         first = window[0].shifted(-m)
@@ -489,31 +487,16 @@ def trace_sft(system, pseudo):
                 word.append(window[i - m].symbol_at(0))
         left = _rotate_cycle(first.left, lo - first.span_start)
         right = _rotate_cycle(last.right, hi - last.span_end)
-        try:
-            y = system.validate_point(
-                symbolic_point(left, tuple(word), right, lo))
-        except ValueError as err:
-            raise ValueError(
-                f"Diagonal word is inadmissible ({err}); the defect bound "
-                "must have been violated."
-            ) from None
-
-    traced, gaps = [], []
-    z = y.shifted(m)
-    for k in range(len(window)):
-        traced.append(z)
-        gaps.append(system.metric(z, window[k]))
-        z = z.shifted(1)
-
-    return TracingResult(
-        point=traced[0],
-        error_bound=max(gaps),
-        traced_orbit=tuple(traced),
-        gaps=tuple(gaps),
-        guaranteed_bound=2.0 * pseudo.defect_bound,
-        periodic=pseudo.extension == PERIODIC,
-        period=pseudo.period,
-    )
+        y = symbolic_point(left, tuple(word), right, lo)
+    try:
+        system.validate_point(y)
+    except ValueError as err:
+        raise ValueError(
+            f"Diagonal word is inadmissible ({err}); the defect bound "
+            "must have been violated."
+        ) from None
+    # a periodic block's position 0 sits at window index m
+    return y.shifted(-m) if pseudo.extension == PERIODIC else y
 
 
 def trace_finite_bruteforce(system, pseudo, E):
@@ -576,15 +559,7 @@ def trace_strips(system, pseudo):
         traced[k] = system.forward(traced[k - 1])
     for k in range(anchor - 1, -1, -1):
         traced[k] = system.backward(traced[k + 1])
-    gaps = [system.metric(y, x) for y, x in zip(traced, window)]
-    m = pseudo.start_index
-    return TracingResult(
-        point=traced[0],
-        error_bound=max(gaps),
-        traced_orbit=tuple(traced),
-        gaps=tuple(gaps),
-        guaranteed_bound=2.0 * pseudo.defect_bound,
-    )
+    return _traced(system, pseudo, traced)
 
 
 # ---------------------------------------------------------------------------

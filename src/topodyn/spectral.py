@@ -206,7 +206,9 @@ def _revalidate_metric(cert, system):
     bad = []
     if cert.kind != "transitivity":
         for demo in cert.demos:
-            if system.orbit_period(demo.node) != demo.cycle_length:
+            if demo.node not in system.points:
+                bad.append(f"{demo.node} is not a point of the system")
+            elif system.orbit_period(demo.node) != demo.cycle_length:
                 bad.append(f"{demo.node} does not first return in "
                            f"{demo.cycle_length} steps")
             if demo.traced != demo.node:

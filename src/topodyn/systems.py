@@ -610,6 +610,11 @@ class ShiftOfFiniteType(DynamicalSystem):
     def metric(self, x, y):
         return sft_metric(x, y)
 
+    def tracing_coefficient(self):
+        """Factor C with sup tracing error <= C * defect bound: 2, for the
+        tracing word read off the pseudo-orbit's diagonal."""
+        return 2.0
+
     def _greedy_tail(self, start, forward=True):
         """Follow first successors (first predecessors when not forward)
         from `start` until a symbol repeats. Returns (tail, cycle) in
@@ -783,6 +788,12 @@ class StripFamily(DynamicalSystem):
 
     def metric(self, x, y):
         return euclidean(x, y)
+
+    def tracing_coefficient(self):
+        """Factor C with sup tracing error <= C * defect bound: 2, for the
+        shrinking strips' tracer anchored where fibers start to shrink. The
+        unit strips have no tracer."""
+        return 2.0
 
     def embed(self, x):
         return (float(x[0]), x[1])

@@ -1,8 +1,10 @@
 """Expansivity checks, local sets, the bracket map, and stability."""
 
+import hashlib
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from topodyn import (
     stability_conjugacy_h,
     torus_automorphism,
     trace_linear_hyperbolic,
+    trace_sft,
     trig_perturbation,
     v_n_box_halfwidths,
     v_n_entourage,
@@ -526,6 +529,57 @@ def test_stability_sft_flip_closeness_stays_bounded():
     assert stab.closeness <= stab.guaranteed_closeness + 1e-12
     assert stab.semiconjugacy_residual <= 1e-8
     assert stab.to_report(FULL2).exit_code == 0
+
+
+def test_stability_sft_report_is_pinned():
+    # sha256 of the report over samples of g-period none, none, none, 1 and
+    # 2, so both the open windows and the closed loops through x and g(x)
+    # are pinned
+    g = sft_flip_perturbation(FULL2)
+    samples = [
+        FULL2.periodic_point((1, 1, 0)),
+        FULL2.periodic_point((1, 1, 0, 0)),
+        FULL2.window_point((1, 1, 0, 1, 1, 0, 0, 1), offset=-3),
+        FULL2.periodic_point((0,)),
+        FULL2.periodic_point((0, 1)),
+    ]
+    stab = stability_conjugacy_h(FULL2, g, metric_ball(FULL2, 0.5), samples,
+                                 window=30)
+    text = stab.to_report(FULL2).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "fef052bc9cd3426c0830878fff716762bf1b8c110acd18d4d395af8cdd87cfac"
+
+
+def test_stability_sft_h_is_the_tracer_at_the_sample_index():
+    # the shift twin of the eigen-series check below: h(x) is the f-tracing
+    # point of the g-orbit window through x, read at the sample's index
+    W = 12
+    g = sft_flip_perturbation(FULL2)
+    rng = random.Random(31)
+    samples = [FULL2.random_point(rng, 5) for _ in range(8)]
+    stab = stability_conjugacy_h(FULL2, g, metric_ball(FULL2, 0.5), samples,
+                                 window=W)
+    for x in samples:
+        rows = {0: x}
+        for step, sign in ((g.forward, 1), (g.backward, -1)):
+            for k in range(1, W + 1):
+                rows[sign * k] = step(rows[sign * (k - 1)])
+        assert x not in (rows[k] for k in range(1, W + 1))  # not g-periodic
+        window = [rows[k] for k in range(-W, W + 1)]
+        po = PseudoOrbit.measured(FULL2, window, start_index=-W)
+        assert stab.h(x) == trace_sft(FULL2, po).traced_orbit[W]
+
+
+def test_stability_nan_orbit_fails_without_warnings():
+    # the diagonal saddle's float orbit overflows within 1,100 steps; the
+    # NaN defect must reach defect_sup and the verdict, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stab = stability_conjugacy_h(DIAG, DIAG, metric_ball(DIAG, 1.0),
+                                     [(0.3, 0.2)], window=1100)
+        report = stab.to_report(DIAG)
+    assert math.isnan(stab.defect_sup)
+    assert report.exit_code != 0
 
 
 def test_stability_semiconjugacy_property_spot_check():

@@ -390,6 +390,14 @@ def test_measured_pseudo_orbit_takes_its_largest_gap():
     assert PseudoOrbit.measured(DIAG, [(1.0, 1.0)]).defect_bound == 0.0
 
 
+def test_a_nan_gap_is_never_dropped_from_a_maximum():
+    # max() keeps whichever of 0.0 and nan comes first; the maxima over
+    # gaps must report the NaN wherever it sits
+    w = ((0.0, 0.0), (0.0, 0.0), (math.nan, 0.0))
+    assert math.isnan(PseudoOrbit.measured(DIAG, w).defect_bound)
+    assert not verify_defect_bound(DIAG, PseudoOrbit(w, ORBIT_TAIL, 1.0))
+
+
 def test_noisy_window_dispatches_on_the_system():
     strips = shrinking_intervals().system_a
     for system, delta in ((CAT, 1e-3), (DIAG, 1e-3), (GOLDEN, 0.05),
@@ -413,6 +421,20 @@ def test_tracing_tools_pair_each_generator_with_its_tracer():
     # the unit strips have pseudo-orbits but no tracer
     assert tracing_tools(unit)[1] is None
     assert len(tracing_tools(unit)[0](unit, 0.05, 8, random.Random(1))) == 9
+
+
+def test_every_tracer_guarantees_its_coefficient_times_the_defect():
+    strips = shrinking_intervals().system_a
+    for system, delta in ((CAT, 1e-3), (DIAG, 1e-3), (GOLDEN, 0.05),
+                          (strips, 0.05)):
+        generate, trace = tracing_tools(system)
+        pseudo = PseudoOrbit.measured(
+            system, generate(system, delta, 40, random.Random(8)))
+        result = trace(system, pseudo)
+        assert result.guaranteed_bound == \
+            system.tracing_coefficient() * pseudo.defect_bound
+        assert result.error_bound == max(result.gaps)
+        assert result.error_bound <= result.guaranteed_bound + 1e-12
 
 
 def test_unique_tracing_needs_a_radius():

@@ -222,6 +222,14 @@ def _zero_cycles(bs, other):
             for d in bs.periodic_density.demos)))
 
 
+def _non_point(bs, other):
+    """The first density demo names a point the system does not have."""
+    demos = bs.periodic_density.demos
+    return dataclasses.replace(bs, periodic_density=dataclasses.replace(
+        bs.periodic_density,
+        demos=(dataclasses.replace(demos[0], node="z"),) + demos[1:]))
+
+
 THREE_CYCLE = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
 
 
@@ -242,12 +250,14 @@ THREE_CYCLE = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
     (_walks_as_density, THREE_CYCLE, {}),
     (_open_walks, THREE_CYCLE, {}),
     (_zero_cycles, THREE_CYCLE, {}),
+    (_non_point, THREE_CYCLE, {}),
 ], ids=["swap-nodes", "foreign-walks", "foreign-density", "no-walks-symbolic",
         "no-walks-exact-orbit", "no-walks-metric-walk", "no-density-symbolic",
         "no-density-exact-orbit", "density-as-walks", "walks-as-density",
         "density-as-walks-metric-walk", "walks-as-density-lattice-cycle",
         "density-as-walks-exact-orbit", "walks-as-density-exact-orbit",
-        "open-walks-exact-orbit", "zero-cycles-exact-orbit"])
+        "open-walks-exact-orbit", "zero-cycles-exact-orbit",
+        "non-point-exact-orbit"])
 def test_certificates_are_bound_to_their_basic_set(tamper, system, kwargs):
     """Evidence taken from another basic set, evidence of the wrong type or
     that proves nothing, or no evidence at all, must not validate; every
@@ -259,6 +269,27 @@ def test_certificates_are_bound_to_their_basic_set(tamper, system, kwargs):
     tampered = [tamper(sets[0], other)] + [
         tamper(bs, sets[0]) if tamper is _swap_nodes else bs for bs in sets[1:]]
     assert dataclasses.replace(dec, basic_sets=tuple(tampered)).validate(system)
+
+
+@pytest.mark.parametrize("system, kwargs", [
+    (TWO_BLOCK, {}), (CAT, {"resolution": 16})], ids=["symbolic", "torus"])
+def test_closed_walk_with_a_forbidden_step_is_rejected(system, kwargs):
+    """A walk x -> y -> x that is closed and visits its target, but whose
+    first step is not in the chain relation."""
+    dec = spectral_decompose(system, seed=0, **kwargs)
+    if system is TWO_BLOCK:  # 2 -> 4 is a forbidden transition
+        bs = next(b for b in dec.basic_sets if set(b.nodes) == {2, 3, 4})
+        x, y = 2, 4
+    else:  # the node farthest from f(x) is no D-step from x
+        bs = dec.basic_sets[0]
+        x = bs.nodes[0]
+        y = max(bs.nodes, key=lambda p: CAT.metric(CAT.forward(x), p))
+    cert = bs.transitivity
+    demo = dataclasses.replace(cert.demos[0], x=x, y=y, walk=(x, y, x),
+                               y_pos=1, period=2)
+    failures = dataclasses.replace(cert, demos=(demo,)).revalidate(system)
+    assert any("takes a step outside the chain relation" in msg
+               for msg in failures)
 
 
 @pytest.mark.parametrize("system, kwargs", [
