@@ -133,13 +133,18 @@ def _torus_distances(p, q):
 
 
 def _csr(node_count, src, dst):
-    """int32 CSR arrays of the edges (src[k], dst[k]), each row sorted."""
-    order = np.lexsort((dst, src))
+    """int32 CSR arrays of the edges (src[k], dst[k]), each row sorted: one
+    sort of the int64 keys src * node_count + dst, which order the edges by
+    source and then by target, and give the targets back mod node_count."""
     indptr = np.zeros(node_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
     if indptr[-1] > np.iinfo(np.int32).max:
         raise ValueError("The chain graph has too many edges for int32 CSR.")
-    return indptr.astype(np.int32), np.asarray(dst)[order].astype(np.int32)
+    keys = np.multiply(src, node_count, dtype=np.int64)
+    keys += dst
+    keys.sort()
+    keys %= node_count
+    return indptr.astype(np.int32), keys.astype(np.int32)
 
 
 @dataclass(eq=False)
@@ -293,7 +298,9 @@ def build_chain_graph(system, samples, D, entourage_id=None):
     if _array_ball(system, D, nodes):
         pts = np.array(nodes, dtype=float)
         images = system.forward_batch(pts)
-        keep = lambda q, p: _torus_distances(images[q], pts[p]) < radius
+        # np.take gathers rows several times faster than images[q]
+        keep = lambda q, p: _torus_distances(
+            np.take(images, q, axis=0), np.take(pts, p, axis=0)) < radius
     else:
         fnodes = [system.forward(x) for x in nodes]
         if (radius is None or system.embedding_metric is None
@@ -314,8 +321,10 @@ def build_chain_graph(system, samples, D, entourage_id=None):
         kept = keep(q, p)
         src.append(q[kept])
         dst.append(p[kept])
-    return ChainGraph(nodes, *_csr(len(nodes), np.concatenate(src),
-                                   np.concatenate(dst)), entourage_id)
+    # drop the batch lists first: they and the sort keys are never held
+    # together, which keeps the memory peak of large graphs down
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    return ChainGraph(nodes, *_csr(len(nodes), src, dst), entourage_id)
 
 
 def _describe(D):
@@ -340,9 +349,19 @@ def _array_ball(system, D, nodes):
                     and type(p[1]) is float for p in nodes))
 
 
-def _lattice_map(system, n):
-    """The integer matrix as a map of lattice coordinate arrays, mod n."""
-    (a, b), (c, d) = ((v % n for v in row) for row in system.matrix)
+def _lattice_map(system, n, exponent=1):
+    """The power A^exponent (exponent >= 0) of the integer matrix A as a map
+    of lattice coordinate arrays, mod n; the power comes by squaring on
+    Python ints, reduced mod n at every product."""
+    (p, q), (r, s) = ((v % n for v in row) for row in system.matrix)
+    a, b, c, d = 1 % n, 0, 0, 1 % n
+    while exponent:
+        if exponent & 1:
+            a, b, c, d = ((a * p + b * r) % n, (a * q + b * s) % n,
+                          (c * p + d * r) % n, (c * q + d * s) % n)
+        p, q, r, s = ((p * p + q * r) % n, (p * q + q * s) % n,
+                      (r * p + s * r) % n, (r * q + s * s) % n)
+        exponent >>= 1
     return lambda i, j: ((a * i + b * j) % n, (c * i + d * j) % n)
 
 

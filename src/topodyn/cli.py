@@ -119,7 +119,9 @@ def _cmd_trace(args, parser):
     window = generate(system, args.delta, args.length, random.Random(args.seed))
     pseudo = PseudoOrbit.measured(system, window)
     defect = pseudo.defect_bound
-    if not defect > 0:
+    # only a window that is a true orbit takes the nominal delta; a NaN
+    # defect measured nothing, so it gives no bound either
+    if defect == 0:
         pseudo = dataclasses.replace(pseudo, defect_bound=args.delta)
     result = tracer(system, pseudo)
     ok = result.error_bound <= result.guaranteed_bound + 1e-12

@@ -100,8 +100,10 @@ class Certificate:
                       must first return after cycle_length steps
       lattice-cycle   density on the torus grid, re-proved in integers: each
                       node must be exactly the double (i/n, j/n) of a lattice
-                      index, and its integer orbit must first close after
-                      cycle_length steps; no float orbit is iterated
+                      index x, and cycle_length = k must be its exact order,
+                      A^k x = x mod n and A^(k/p) x != x for every prime p
+                      dividing k, with A^e mod n by squaring; no float orbit
+                      is iterated
     """
 
     kind: str
@@ -119,12 +121,14 @@ class Certificate:
         if routine is None:
             return [f"unknown certificate mode {self.mode!r}"]
         # a demo of the wrong type ends the check: the routines read fields
-        # that only the right type has
+        # that only the right type has, and count with int cycle lengths
         if self.kind == "transitivity":
             if not all(isinstance(d, WalkDemo) for d in self.demos):
                 return ["a transitivity demo is not a walk"]
         elif not all(isinstance(d, CycleDemo) for d in self.demos):
             return ["a density demo is not a cycle demo"]
+        elif not all(type(d.cycle_length) is int for d in self.demos):
+            return ["a density demo's cycle length is not an int"]
         return self._binding_failures() + routine(self, system)
 
     def _binding_failures(self):
@@ -266,27 +270,33 @@ def _lattice_index(points, n):
     return idx, on
 
 
-def _first_returns(system, n, idx, limit):
-    """For each lattice point, the first k in 1..limit with f^k(point) =
-    point, or 0 when there is none. All points step together; those back
-    home drop out. (An integer matrix of determinant +-1 permutes the n x n
-    lattice, so every point returns within n * n steps.)"""
-    step = _lattice_map(system, n)
-    first = np.zeros(len(idx), dtype=np.int64)
-    pending = np.arange(len(idx))
-    i0, j0 = idx[:, 0], idx[:, 1]
-    i, j = i0, j0
-    k = 0
-    while len(pending) and k < limit:
-        k += 1
-        i, j = step(i, j)
-        back = (i == i0) & (j == j0)
-        if back.any():
-            first[pending[back]] = k
-            away = ~back
-            pending, i0, j0, i, j = (pending[away], i0[away], j0[away],
-                                     i[away], j[away])
-    return first
+def _prime_factors(k):
+    """The distinct primes dividing the positive int k, by trial division."""
+    primes, p = [], 2
+    while p * p <= k:
+        if k % p == 0:
+            primes.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    return primes + [k] if k > 1 else primes
+
+
+def _first_return_is(system, n, idx, k):
+    """For each lattice point (row of idx), whether its orbit under the
+    lattice permutation first closes after exactly k >= 1 steps: A^k x = x
+    and A^(k/p) x != x for every prime p dividing k. The order of x divides
+    k by the first test, and no k/p by the others, so it is k."""
+    i, j = idx[:, 0], idx[:, 1]
+
+    def fixed(e):
+        fi, fj = _lattice_map(system, n, e)(i, j)
+        return (fi == i) & (fj == j)
+
+    ok = fixed(k)
+    for p in _prime_factors(k):
+        ok &= ~fixed(k // p)
+    return ok
 
 
 def _revalidate_lattice(cert, system):
@@ -297,14 +307,19 @@ def _revalidate_lattice(cert, system):
     if type(n) is not int or n < 1:
         return [f"grid resolution {n!r} is not a positive integer"]
     idx, on = _lattice_index([demo.node for demo in demos], n)
-    limit = max((d.cycle_length for d in demos if type(d.cycle_length) is int),
-                default=0)
-    first = np.zeros(len(demos), dtype=np.int64)
-    first[on] = _first_returns(system, n, idx[on], min(limit, n * n))
-    for demo, lattice, k in zip(demos, on.tolist(), first.tolist()):
+    # an integer matrix of determinant +-1 permutes the n x n lattice, so no
+    # orbit is longer than n * n, and a length outside 1..n * n (read as 0)
+    # fails with no arithmetic; the rest take one order test per length
+    lengths = np.fromiter((d.cycle_length if 1 <= d.cycle_length <= n * n else 0
+                           for d in demos), dtype=np.int64, count=len(demos))
+    closes = np.zeros(len(demos), dtype=bool)
+    for k in sorted(set(lengths[on].tolist()) - {0}):
+        rows = np.flatnonzero(on & (lengths == k))
+        closes[rows] = _first_return_is(system, n, idx[rows], k)
+    for demo, lattice, ok in zip(demos, on.tolist(), closes.tolist()):
         if not lattice:
             bad.append(f"{demo.node} is not a lattice node (i/{n}, j/{n})")
-        elif k == 0 or k != demo.cycle_length:
+        elif not ok:
             bad.append(f"lattice orbit of {demo.node} does not close in "
                        f"exactly {demo.cycle_length} steps")
         if demo.traced != demo.node:
@@ -344,7 +359,9 @@ def _bfs_path(graph, inside, src, dst):
     The search runs one level at a time on the CSR arrays. The frontier
     stays in discovery order, and each new node takes as its parent the
     first frontier node whose sorted row holds it, which is the parent a
-    first-in first-out queue gives it, so the path is the queue's path."""
+    first-in first-out queue gives it, so the path is the queue's path.
+    That first holder is found without sorting: `np.minimum.at` leaves in
+    `first` the least position at which the level reaches each node."""
     if src == dst:
         best = None
         for s in graph.successors(src):
@@ -358,6 +375,8 @@ def _bfs_path(graph, inside, src, dst):
         return best
     parent = np.full(graph.node_count, -1, dtype=np.int64)
     parent[src] = src
+    unseen = np.iinfo(np.int64).max
+    first = np.full(graph.node_count, unseen, dtype=np.int64)
     frontier = np.array([src], dtype=np.int64)
     while frontier.size and parent[dst] < 0:
         starts = graph.indptr[frontier]
@@ -366,9 +385,12 @@ def _bfs_path(graph, inside, src, dst):
         owner = np.repeat(frontier, counts)
         fresh = inside[reached] & (parent[reached] < 0)
         reached, owner = reached[fresh], owner[fresh]
-        first = np.sort(np.unique(reached, return_index=True)[1])
-        frontier = reached[first].astype(np.int64)
-        parent[frontier] = owner[first]
+        at = np.arange(len(reached))
+        np.minimum.at(first, reached, at)
+        new = first[reached] == at
+        first[reached] = unseen
+        frontier = reached[new].astype(np.int64)
+        parent[frontier] = owner[new]
     if parent[dst] < 0:
         return None
     path = [dst]

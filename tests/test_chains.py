@@ -164,6 +164,32 @@ def test_csr_graph_api():
         ChainGraph.from_successors("ab", [(1,)], "test")
 
 
+def _lexsort_csr(node_count, src, dst):
+    """CSR arrays by a stable sort on (source, target) pairs."""
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+    return indptr, np.asarray(dst)[order]
+
+
+def test_csr_matches_a_lexsort_reference():
+    """Random edge lists with repeated edges, empty lists, node counts 0 and
+    1, and int32 ends whose keys src * node_count + dst pass 2^31."""
+    rng = np.random.default_rng(41)
+    cases = [(0, 0, np.int64), (1, 0, np.int64), (1, 5, np.int64),
+             (3, 0, np.int32), (70000, 3000, np.int32)]
+    cases += [(int(rng.integers(1, 400)), int(rng.integers(0, 4000)), np.int64)
+              for _ in range(40)]
+    for node_count, edges, dtype in cases:
+        src = rng.integers(0, max(node_count, 1), edges).astype(dtype)
+        dst = rng.integers(0, max(node_count, 1), edges).astype(dtype)
+        indptr, indices = chains._csr(node_count, src, dst)
+        want_ptr, want_indices = _lexsort_csr(node_count, src, dst)
+        assert indptr.dtype == np.int32 and indices.dtype == np.int32
+        assert indptr.tolist() == want_ptr.tolist()
+        assert indices.tolist() == want_indices.tolist()
+
+
 def test_strong_connectivity_sweep_matches_scc():
     rng = random.Random(7)
     for trial in range(80):

@@ -62,6 +62,19 @@ def test_trace_overflowing_window_writes_no_warnings(capsys):
     assert code in (0, 1)
 
 
+def test_trace_nan_defect_gives_no_bound(capsys):
+    # a defect that is NaN measured nothing, so the nominal delta must not
+    # stand in for it: no bound, and the verdict fails
+    code, out, err = run_cli(
+        ["trace", "diag-saddle", "--delta", "0.001", "--length", "1100",
+         "--seed", "5"], capsys)
+    rep = parse_report(out)
+    assert err == ""
+    assert rep.header["defect_measured"] == "nan"
+    assert rep.header["guaranteed"] == "nan"
+    assert rep.verdict == "fail" and code == 1
+
+
 def test_trace_sft_and_strips(capsys):
     for system in ("golden-mean", "strips-shrinking"):
         code, out, _ = run_cli(
@@ -265,6 +278,11 @@ GOLDEN = [
     (["stability", "full-2", "--epsilon", "0.1", "--samples", "300",
       "--window", "30", "--seed", "9"],
      "d5085df8d4e7138ec0681e38be06305801a5ae09ee155a928201973c013f7f3b"),
+    # the bench's non-dyadic grids, where lattice orders are not powers of 2
+    (["decompose", "cat-map", "--resolution", "48"],
+     "49de60f23d801d253260955857c465af39892e12527619a314395cc4fef6da85"),
+    (["decompose", "cat-map", "--resolution", "40"],
+     "b7b3c4cdc19fc59cbce3362aa139867b78fc4af9728fafc00555cd4917a618e4"),
 ]
 
 

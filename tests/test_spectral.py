@@ -1,12 +1,15 @@
 """Decomposition into basic sets, and the certificates that back it."""
 
 import dataclasses
+import itertools
 import math
 import random
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topodyn import (
     Certificate,
@@ -21,9 +24,9 @@ from topodyn import (
     transitivity_certificate,
 )
 from topodyn.entourage import metric_ball
-from topodyn.chains import ChainGraph
-from topodyn.spectral import CertificateError, WalkDemo, _bfs_path
-from topodyn.systems import _north_south
+from topodyn.chains import ChainGraph, torus_grid_graph
+from topodyn.spectral import CertificateError, CycleDemo, WalkDemo, _bfs_path
+from topodyn.systems import _north_south, torus_grid
 
 GOLDEN = sft_shift(("11", "10"), name="golden-mean")
 TWO_BLOCK = sft_shift(
@@ -230,6 +233,28 @@ def _non_point(bs, other):
         demos=(dataclasses.replace(demos[0], node="z"),) + demos[1:]))
 
 
+def _cycles_as(convert, first_where=None):
+    """Every density demo's cycle length passed through `convert`, or only
+    the first demo's for which first_where(demo) holds."""
+    def tamper(bs, other):
+        demos = list(bs.periodic_density.demos)
+        picked = range(len(demos)) if first_where is None else [
+            next(k for k, d in enumerate(demos) if first_where(d))]
+        for k in picked:
+            demos[k] = dataclasses.replace(
+                demos[k], cycle_length=convert(demos[k].cycle_length))
+        return dataclasses.replace(bs, periodic_density=dataclasses.replace(
+            bs.periodic_density, demos=tuple(demos)))
+    return tamper
+
+
+_float_cycles = _cycles_as(float)
+_text_cycle = _cycles_as(lambda k: "x", first_where=lambda d: True)
+# at n = 20 most lattice orbits have 30 points, and one node is fixed
+_one_float_cycle = _cycles_as(float, first_where=lambda d: d.cycle_length == 30)
+_bool_fixed_point = _cycles_as(lambda k: True,
+                               first_where=lambda d: d.cycle_length == 1)
+
 THREE_CYCLE = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
 
 
@@ -251,13 +276,21 @@ THREE_CYCLE = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
     (_open_walks, THREE_CYCLE, {}),
     (_zero_cycles, THREE_CYCLE, {}),
     (_non_point, THREE_CYCLE, {}),
+    (_float_cycles, TWO_BLOCK, {}),
+    (_text_cycle, TWO_BLOCK, {}),
+    (_float_cycles, THREE_CYCLE, {}),
+    (_one_float_cycle, CAT, {"resolution": 20}),
+    (_float_cycles, CAT, {"resolution": 20}),
+    (_bool_fixed_point, CAT, {"resolution": 20}),
 ], ids=["swap-nodes", "foreign-walks", "foreign-density", "no-walks-symbolic",
         "no-walks-exact-orbit", "no-walks-metric-walk", "no-density-symbolic",
         "no-density-exact-orbit", "density-as-walks", "walks-as-density",
         "density-as-walks-metric-walk", "walks-as-density-lattice-cycle",
         "density-as-walks-exact-orbit", "walks-as-density-exact-orbit",
         "open-walks-exact-orbit", "zero-cycles-exact-orbit",
-        "non-point-exact-orbit"])
+        "non-point-exact-orbit", "float-cycles-symbolic", "text-cycle-symbolic",
+        "float-cycles-exact-orbit", "one-float-cycle-lattice-cycle",
+        "float-cycles-lattice-cycle", "bool-fixed-point-lattice-cycle"])
 def test_certificates_are_bound_to_their_basic_set(tamper, system, kwargs):
     """Evidence taken from another basic set, evidence of the wrong type or
     that proves nothing, or no evidence at all, must not validate; every
@@ -269,6 +302,21 @@ def test_certificates_are_bound_to_their_basic_set(tamper, system, kwargs):
     tampered = [tamper(sets[0], other)] + [
         tamper(bs, sets[0]) if tamper is _swap_nodes else bs for bs in sets[1:]]
     assert dataclasses.replace(dec, basic_sets=tuple(tampered)).validate(system)
+
+
+@pytest.mark.parametrize("tamper, system, kwargs", [
+    (_float_cycles, TWO_BLOCK, {}), (_text_cycle, TWO_BLOCK, {}),
+    (_float_cycles, THREE_CYCLE, {}), (_one_float_cycle, CAT, {"resolution": 20}),
+    (_bool_fixed_point, CAT, {"resolution": 20})],
+    ids=["float-symbolic", "text-symbolic", "float-exact-orbit",
+         "one-float-lattice-cycle", "bool-lattice-cycle"])
+def test_a_cycle_length_that_is_not_an_int_is_one_failure(tamper, system, kwargs):
+    """Every mode reads cycle lengths as ints, so any other value ends the
+    density check with one failure, before a routine counts with it."""
+    bs = spectral_decompose(system, seed=0, **kwargs).basic_sets[0]
+    cert = tamper(bs, bs).periodic_density
+    assert cert.revalidate(system) == [
+        "a density demo's cycle length is not an int"]
 
 
 @pytest.mark.parametrize("system, kwargs", [
@@ -345,6 +393,60 @@ def test_wrong_cycle_length_is_rejected():
         failures = _with_density_demo(dec, k, cycle_length=wrong).validate(CAT)
         assert any(f"does not close in exactly {wrong} steps" in msg
                    for msg in failures), wrong
+
+
+# the lattice order test against a step-by-step first-return loop
+
+
+def _first_returns_by_steps(matrix, n):
+    """The first return time of every lattice index i * n + j under
+    x -> A x mod n: all points step together, each until it is home."""
+    (a, b), (c, d) = matrix
+    i0, j0 = np.divmod(np.arange(n * n), n)
+    i, j = i0, j0
+    first = np.zeros(n * n, dtype=np.int64)
+    k = 0
+    while not first.all():
+        k += 1
+        i, j = (a * i + b * j) % n, (c * i + d * j) % n
+        first[(first == 0) & (i == i0) & (j == j0)] = k
+    return first
+
+
+def _lattice_density(nodes, lengths, n):
+    return Certificate(
+        kind="periodic-density", mode="lattice-cycle", component=tuple(nodes),
+        demos=tuple(CycleDemo(node=x, cycle_length=k, traced=x, gap=0.0)
+                    for x, k in zip(nodes, lengths)),
+        params={"resolution": n, "radius": 0.0})
+
+
+HYPERBOLIC = [m for m in itertools.product(range(-3, 4), repeat=4)
+              if abs(m[0] * m[3] - m[1] * m[2]) == 1
+              and (abs(m[0] + m[3]) > 2 if m[0] * m[3] - m[1] * m[2] == 1
+                   else m[0] + m[3] != 0)]
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(HYPERBOLIC),
+       st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32]), st.integers(1, 60)),
+       st.data())
+def test_lattice_order_test_matches_the_first_return_loop(matrix, n, data):
+    """Every true first return validates; at one drawn node, every other
+    length fails: one step more or less, twice the order, the order over
+    each prime factor, 0, -1 and n^2 + 1."""
+    system = torus_automorphism((matrix[:2], matrix[2:]), name="drawn")
+    nodes = torus_grid(n)
+    first = _first_returns_by_steps(system.matrix, n).tolist()
+    assert _lattice_density(nodes, first, n).revalidate(system) == []
+    t = data.draw(st.integers(0, n * n - 1))
+    k = first[t]
+    primes = [p for p in range(2, k + 1)
+              if k % p == 0 and all(p % q for q in range(2, p))]
+    wrong = {k - 1, k + 1, 2 * k, 0, -1, n * n + 1} | {k // p for p in primes}
+    for w in sorted(wrong - {k}):
+        assert _lattice_density([nodes[t]], [w], n).revalidate(system) == [
+            f"lattice orbit of {nodes[t]} does not close in exactly {w} steps"]
 
 
 def test_gap_above_radius_is_rejected():
@@ -525,3 +627,33 @@ def test_array_bfs_returns_the_queue_bfs_paths():
         outcomes.add((src == dst, want is None))
     assert outcomes == {(True, True), (True, False), (False, True),
                         (False, False)}
+
+
+def test_array_bfs_returns_the_queue_bfs_paths_on_large_graphs():
+    """Random sparse graphs of a few thousand nodes, whose searches run
+    many levels deep, and torus grid graphs under a partial mask."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(10):
+        n = rng.randint(1000, 4000)
+        degree = rng.choice((1, 2, 4))
+        rows = [rng.sample(range(n), rng.randint(0, 2 * degree))
+                for _ in range(n)]
+        cases.append((ChainGraph.from_successors(range(n), rows, "test"), 0.8))
+    for cells in (1.5, 3.0):
+        cases.append((torus_grid_graph(CAT, 24, cells / 24), 0.6))
+    outcomes = set()
+    for trial, (graph, density) in enumerate(cases):
+        n = graph.node_count
+        inside = {v for v in range(n) if rng.random() < density}
+        mask = np.zeros(n, dtype=bool)
+        mask[sorted(inside)] = True
+        adjacency = [graph.successors(i) for i in range(n)]
+        for _ in range(6):
+            src = rng.randrange(n)
+            dst = src if rng.random() < 0.3 else rng.randrange(n)
+            want = _queue_bfs_path(adjacency, inside, src, dst)
+            assert _bfs_path(graph, mask, src, dst) == want, trial
+            outcomes.add((src == dst, want is None, len(want or ()) > 8))
+    assert {(False, False, True), (False, True, False),
+            (True, False, False)} <= outcomes
