@@ -132,6 +132,10 @@ def _torus_distances(p, q):
 # chain graphs
 
 
+class GraphTooLargeError(ValueError):
+    """The chain graph would have more nodes or edges than int32 CSR holds."""
+
+
 def _csr(node_count, src, dst):
     """int32 CSR arrays of the edges (src[k], dst[k]), each row sorted: one
     sort of the int64 keys src * node_count + dst, which order the edges by
@@ -139,7 +143,7 @@ def _csr(node_count, src, dst):
     indptr = np.zeros(node_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
     if indptr[-1] > np.iinfo(np.int32).max:
-        raise ValueError("The chain graph has too many edges for int32 CSR.")
+        raise GraphTooLargeError("The chain graph has too many edges for int32 CSR.")
     keys = np.multiply(src, node_count, dtype=np.int64)
     keys += dst
     keys.sort()
@@ -441,16 +445,17 @@ def torus_grid_graph(system, n, delta, entourage_id=None):
     labels come from the lattice group (`_lattice_scc_labels`), with no
     graph search.
     """
-    di, dj = _lattice_offsets(n, delta)
+    # each size is tested before the arrays it measures are built
     if n * n > np.iinfo(np.int32).max:
-        raise ValueError("The lattice has too many nodes for int32 CSR.")
+        raise GraphTooLargeError("The lattice has too many nodes for int32 CSR.")
+    di, dj = _lattice_offsets(n, delta)
+    if n * n * len(di) > np.iinfo(np.int32).max:
+        raise GraphTooLargeError("The chain graph has too many edges for int32 CSR.")
     row, col = np.divmod(np.arange(n * n, dtype=np.int64), n)
     fi, fj = (v.astype(np.int32) for v in _lattice_map(system, n)(row, col))
     indices = (fi[:, None] + di) % n * n + (fj[:, None] + dj) % n
     indices.sort(axis=1)
     indptr = np.arange(n * n + 1, dtype=np.int64) * len(di)
-    if indptr[-1] > np.iinfo(np.int32).max:
-        raise ValueError("The chain graph has too many edges for int32 CSR.")
     return ChainGraph(torus_grid(n), indptr.astype(np.int32), indices.ravel(),
                       entourage_id or f"ball({delta!r})",
                       labels=_lattice_scc_labels(system, n, di, dj))

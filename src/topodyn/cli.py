@@ -20,8 +20,8 @@ import sys
 
 import numpy as np
 
-from .chains import (_transitive_closure, chain_recurrent_set, nonwandering_set,
-                     torus_grid_graph)
+from .chains import (GraphTooLargeError, _transitive_closure, chain_recurrent_set,
+                     nonwandering_set, torus_grid_graph)
 from .entourage import metric_ball
 from .demos import DEMOS, run_demo
 from .hyperbolic import sft_flip_perturbation, stability_conjugacy_h, trig_perturbation
@@ -89,7 +89,7 @@ def _cmd_decompose(args, parser):
     try:
         dec = spectral_decompose(system, resolution=args.resolution,
                                  ladder=args.ladder, seed=args.seed)
-    except TypeError as err:
+    except (TypeError, GraphTooLargeError) as err:
         parser.error(str(err))
     failures = dec.validate(system)
     rep = dec.to_report()
@@ -155,7 +155,10 @@ def _symbol_cycle_closure(system):
 def _cmd_chain_recurrent(args, parser):
     system = _build_system(args.system, parser)
     if isinstance(system, TorusAutomorphism):
-        graph = torus_grid_graph(system, args.resolution, args.radius)
+        try:
+            graph = torus_grid_graph(system, args.resolution, args.radius)
+        except GraphTooLargeError as err:
+            parser.error(str(err))
         cr = chain_recurrent_set(graph)
         omega = nonwandering_set(system, graph.nodes,
                                  metric_ball(system, args.radius),

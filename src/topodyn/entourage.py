@@ -90,12 +90,11 @@ class CrossSection:
 
     Always usable as a membership test. `points` is the explicit set when
     the entourage is a finite relation; `radius` the closed-form ball radius
-    about `center` when one exists; `is_all` reports whether the section is
+    about x when one exists; `is_all` reports whether the section is
     the whole space (None when undecidable from the entourage's form).
     """
 
     predicate: object
-    center: object = None
     points: tuple = None
     radius: float = None
     is_all: object = None
@@ -126,7 +125,7 @@ class Entourage:
         raise NotImplementedError
 
     def cross_section(self, x):
-        return CrossSection(predicate=lambda y: self.accepts(x, y), center=x)
+        return CrossSection(predicate=lambda y: self.accepts(x, y))
 
     def transpose(self):
         return PredicateEntourage(lambda x, y: self.accepts(y, x), self.space_id,
@@ -159,7 +158,7 @@ class MetricBall(Entourage):
         return self.delta
 
     def cross_section(self, x):
-        return CrossSection(predicate=lambda y: self.accepts(x, y), center=x,
+        return CrossSection(predicate=lambda y: self.accepts(x, y),
                             radius=self.delta,
                             is_all=_ball_is_all(self.delta, self.space_diameter))
 
@@ -194,9 +193,9 @@ class GaugeBall(Entourage):
 
     def cross_section(self, x):
         if self.at_arrival:
-            return CrossSection(predicate=lambda y: self.accepts(x, y), center=x)
+            return CrossSection(predicate=lambda y: self.accepts(x, y))
         r = self.gauge(x)
-        return CrossSection(predicate=lambda y: self.accepts(x, y), center=x,
+        return CrossSection(predicate=lambda y: self.accepts(x, y),
                             radius=r, is_all=_ball_is_all(r, self.space_diameter))
 
     def transpose(self):
@@ -226,7 +225,7 @@ class FiniteRelation(Entourage):
         if x not in self.points:
             raise ValueError(f"Point {x!r} is outside the relation's space.")
         section = tuple(sorted((y for (a, y) in self.pairs if a == x), key=repr))
-        return CrossSection(predicate=lambda y: (x, y) in self.pairs, center=x,
+        return CrossSection(predicate=lambda y: (x, y) in self.pairs,
                             points=section, is_all=set(section) == self.points)
 
     def transpose(self):
@@ -275,9 +274,7 @@ class CoreWideEntourage(Entourage):
         inside = region_contains(self.core, x)
         return CrossSection(
             predicate=(lambda y: region_contains(self.core, y)) if inside
-            else (lambda y: True),
-            center=x, is_all=not inside,
-        )
+            else (lambda y: True), is_all=not inside)
 
 
 class ComposedEntourage(Entourage):

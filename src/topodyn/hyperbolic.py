@@ -39,11 +39,10 @@ from .systems import (
     NotHyperbolicError,
     ShiftOfFiniteType,
     TorusAutomorphism,
-    rotate_cycle,
+    _respell,
     sequences_agree_on,
     sft_metric,
     splice_symbolic,
-    symbolic_point,
     torus_metric,
 )
 
@@ -183,50 +182,39 @@ def expansive_check(system, N, pair_samples, horizon=60):
             trapped.append(PairSeparation(x, y, index))
         else:
             exhausted.append(PairSeparation(x, y, index))
+    witness, unresolved = None, ()
     if proof is not None:
         if trapped:
             raise RuntimeError(
                 "A cycle certificate contradicts the closed-form expansivity "
                 "proof; one of the two is wrong."
             )
-        note = proof
+        verdict, level, note = CONSISTENT, "closed-form", proof
         if exhausted:
             note += (
                 f"; {len(exhausted)} sampled pair(s) separate beyond the "
                 f"horizon {horizon} and are listed as unresolved"
             )
-        return ExpansivityReport(
-            verdict=CONSISTENT, proof_level="closed-form", note=note,
-            separations=tuple(separations),
-            unresolved=tuple((p.x, p.y) for p in exhausted),
-            horizon=horizon, skipped_equal=skipped,
-        )
-    if trapped:
-        w = trapped[0]
-        return ExpansivityReport(
-            verdict=REFUTED, proof_level="cycle",
-            note=("the witness pair's joint orbit revisits an exact state in "
-                  "both directions while staying inside N, so it never "
-                  "separates; this is a proof"),
-            separations=tuple(separations), unresolved=(),
-            refutation=w, refutation_kind="cycle",
-            horizon=horizon, skipped_equal=skipped,
-        )
-    if exhausted:
-        w = exhausted[0]
-        return ExpansivityReport(
-            verdict=REFUTED, proof_level="horizon",
-            note=(f"the witness pair stayed inside N for every |n| <= "
-                  f"{horizon}; evidence is horizon-bounded, not a proof"),
-            separations=tuple(separations), unresolved=(),
-            refutation=w, refutation_kind="horizon",
-            horizon=horizon, skipped_equal=skipped,
-        )
+            unresolved = tuple((p.x, p.y) for p in exhausted)
+    elif trapped:
+        verdict, level, witness = REFUTED, "cycle", trapped[0]
+        note = ("the witness pair's joint orbit revisits an exact state in "
+                "both directions while staying inside N, so it never "
+                "separates; this is a proof")
+    elif exhausted:
+        verdict, level, witness = REFUTED, "horizon", exhausted[0]
+        note = (f"the witness pair stayed inside N for every |n| <= "
+                f"{horizon}; evidence is horizon-bounded, not a proof")
+    else:
+        verdict, level = CONSISTENT, "horizon"
+        note = ("every sampled pair separated within the horizon; evidence "
+                "is sample-bounded, not a proof")
+    # a refutation's kind is its proof level
     return ExpansivityReport(
-        verdict=CONSISTENT, proof_level="horizon",
-        note=("every sampled pair separated within the horizon; evidence is "
-              "sample-bounded, not a proof"),
-        separations=tuple(separations), unresolved=(),
+        verdict=verdict, proof_level=level, note=note,
+        separations=tuple(separations), unresolved=unresolved,
+        refutation=witness,
+        refutation_kind=level if witness is not None else None,
         horizon=horizon, skipped_equal=skipped,
     )
 
@@ -500,32 +488,19 @@ def product_map_t(system, r_A=0.9, half_window=25):
     threshold.
     """
     if isinstance(system, ShiftOfFiniteType):
-        return ProductStructure(
-            system,
-            A=metric_ball(system, 1.0),
-            B=metric_ball(system, 1.0),
-            D=metric_ball(system, 0.5),
-            method="symbolic-splice",
-            half_window=half_window,
-        )
-    if isinstance(system, (LinearSaddle, TorusAutomorphism)):
+        radii, method = (1.0, 1.0, 0.5), "symbolic-splice"
+    elif isinstance(system, (LinearSaddle, TorusAutomorphism)):
         r_B = r_A / 3.0
-        det_v = system.cover._det_v if isinstance(system, TorusAutomorphism) \
-            else system._det_v
-        r_D = r_B * abs(det_v)
+        r_D = r_B * abs(system.cover._det_v)
         if isinstance(system, TorusAutomorphism):
             r_D = min(r_D, LIFT_AMBIGUITY * 0.96)
-        return ProductStructure(
-            system,
-            A=metric_ball(system, r_A),
-            B=metric_ball(system, r_B),
-            D=metric_ball(system, r_D),
-            method="eigen-closed-form",
-            half_window=half_window,
+        radii, method = (r_A, r_B, r_D), "eigen-closed-form"
+    else:
+        raise NotHyperbolicError(
+            f"No product structure is available for {system.name!r}."
         )
-    raise NotHyperbolicError(
-        f"No product structure is available for {system.name!r}."
-    )
+    A, B, D = (metric_ball(system, r) for r in radii)
+    return ProductStructure(system, A, B, D, method, half_window=half_window)
 
 
 # ---------------------------------------------------------------------------
@@ -667,13 +642,8 @@ def sft_flip_perturbation(system):
     def psi(x):
         if x.symbol_at(0) != 1 or x.symbol_at(1) != 1:
             return x
-        lo = min(x.span_start, 0) - 1
-        hi = max(x.span_end, 4) + 1
-        word = [x.symbol_at(i) for i in range(lo, hi + 1)]
-        word[3 - lo] = 1 - word[3 - lo]
-        left = rotate_cycle(x.left, lo - x.span_start)
-        right = rotate_cycle(x.right, hi - x.span_end)
-        return symbolic_point(left, tuple(word), right, lo)
+        return _respell(x, x, min(x.span_start, 0) - 1, max(x.span_end, 4) + 1,
+                        lambda i: 1 - x.symbol_at(i) if i == 3 else x.symbol_at(i))
 
     return GenericSystem(
         name=f"{system.name}+flip",
@@ -753,9 +723,37 @@ class StabilityReport:
         return rep
 
 
+def _stability_report(f, g, h, samples, images, residuals, closenesses,
+                      defect_sup, collisions, window, method, why):
+    """The StabilityReport of h at the samples, from the per-sample
+    residuals and closenesses as float arrays or lists; `why` ends the
+    uniqueness note with the reason B o B is an expansivity neighborhood."""
+    return StabilityReport(
+        f_name=f.name, g_name=g.name,
+        h=h,
+        samples=tuple(samples),
+        images=tuple(images),
+        residuals=tuple(map(float, residuals)),
+        closenesses=tuple(map(float, closenesses)),
+        # np.max keeps a NaN, where max() could drop it
+        semiconjugacy_residual=float(np.max(residuals)),
+        closeness=float(np.max(closenesses)),
+        defect_sup=defect_sup,
+        guaranteed_closeness=f.tracing_coefficient() * defect_sup,
+        injective_flag=not collisions,
+        collisions=tuple(collisions),
+        uniqueness_note=(
+            "h is the unique map with (h(x), x) in B when B o B is an "
+            "expansivity neighborhood; " + why
+        ),
+        window=window,
+        method=method,
+    )
+
+
 def _stability_linear(f, g, samples, window):
     wrap = isinstance(f, TorusAutomorphism)
-    cover = f.cover if wrap else f
+    cover = f.cover
 
     def orbit_block(pts):
         # the g-orbit of a batch of points at k = -W .. W+1, shape
@@ -797,32 +795,16 @@ def _stability_linear(f, g, samples, window):
         traced, _ = _eigen_series(cover, block[:-1], wrap=wrap)
         return (float(traced[window, 0, 0]), float(traced[window, 0, 1]))
 
-    image_points = [tuple(map(float, p)) for p in h_x]
+    image_points = tuple(tuple(map(float, p)) for p in h_x)
     # pairs of samples whose images are closer than 1e-8
     collisions = [(j, i) for q, p in _near_pairs(h_x, h_x, 1e-8, wrap)
                   for i, j in zip(q.tolist(), p.tolist())
                   if j < i and f.metric(image_points[j], image_points[i]) < 1e-8]
-    return StabilityReport(
-        f_name=f.name, g_name=g.name,
-        h=h_point,
-        samples=tuple(tuple(map(float, p)) for p in pts),
-        images=tuple(image_points),
-        residuals=tuple(float(r) for r in residuals),
-        closenesses=tuple(float(c) for c in closenesses),
-        semiconjugacy_residual=float(np.max(residuals)),
-        closeness=float(np.max(closenesses)),
-        defect_sup=defect_sup,
-        guaranteed_closeness=f.tracing_coefficient() * defect_sup,
-        injective_flag=not collisions,
-        collisions=tuple(collisions),
-        uniqueness_note=(
-            "h is the unique map with (h(x), x) in B when B o B is an "
-            "expansivity neighborhood; for this linear system every metric "
-            "ball is one, so h is unique at this closeness scale"
-        ),
-        window=window,
-        method="eigen-series",
-    )
+    return _stability_report(
+        f, g, h_point, (tuple(map(float, p)) for p in pts), image_points,
+        residuals, closenesses, defect_sup, collisions, window, "eigen-series",
+        "for this linear system every metric ball is one, so h is unique at "
+        "this closeness scale")
 
 
 def _sft_windows(f, g, x, window):
@@ -863,28 +845,11 @@ def _stability_sft(f, g, samples, window):
         for i in range(len(images)) for j in range(i)
         if images[i] == images[j] and samples[i] != samples[j]
     ]
-    return StabilityReport(
-        f_name=f.name, g_name=g.name,
-        h=h_point,
-        samples=tuple(samples),
-        images=tuple(images),
-        residuals=tuple(residuals),
-        closenesses=tuple(closenesses),
-        semiconjugacy_residual=max(residuals) if residuals else 0.0,
-        closeness=max(closenesses) if closenesses else 0.0,
-        defect_sup=defect_sup,
-        guaranteed_closeness=f.tracing_coefficient() * defect_sup,
-        injective_flag=not collisions,
-        collisions=tuple(collisions),
-        uniqueness_note=(
-            "h is the unique map with (h(x), x) in B when B o B is an "
-            "expansivity neighborhood; balls of radius <= 1 are expansivity "
-            "neighborhoods for the shift, and the ultrametric keeps B o B "
-            "inside the unit ball"
-        ),
-        window=window,
-        method="symbol-diagonal",
-    )
+    return _stability_report(
+        f, g, h_point, samples, images, residuals, closenesses, defect_sup,
+        collisions, window, "symbol-diagonal",
+        "balls of radius <= 1 are expansivity neighborhoods for the shift, "
+        "and the ultrametric keeps B o B inside the unit ball")
 
 
 def stability_conjugacy_h(f, g, D, samples, window=30):

@@ -35,9 +35,8 @@ from .systems import (
     ShiftOfFiniteType,
     StripFamily,
     TorusAutomorphism,
+    _respell,
     periodic_symbolic_point,
-    rotate_cycle as _rotate_cycle,
-    symbolic_point,
 )
 
 ORBIT_TAIL = "orbit-tail"
@@ -217,12 +216,7 @@ def _linear_window(system, delta, length, rng):
 
 def _sft_window(system, delta, length, rng):
     half = max(2, math.ceil(math.log2(1.0 / min(delta, 0.5))))
-    word = [rng.randrange(system.size)]
-    while len(word) < length + 2 * half + 1:
-        succ = system.successors(word[-1])
-        if not succ:
-            raise ValueError(f"Symbol {word[-1]} has no successor.")
-        word.append(rng.choice(succ))
+    word = system.random_word(rng, length + 2 * half + 1)
     return tuple(
         system.window_point(word[j:j + 2 * half + 1], offset=-half)
         for j in range(length + 1)
@@ -370,21 +364,17 @@ def trace_linear_hyperbolic(system, pseudo, exact=False):
     rational arithmetic via the (I - A^p) solve, exercising the same
     construction through an independent route.
     """
-    if isinstance(system, TorusAutomorphism):
-        cover = system.cover
-    elif isinstance(system, LinearSaddle):
-        cover = system
-    else:
+    if not isinstance(system, (LinearSaddle, TorusAutomorphism)):
         raise TypeError("trace_linear_hyperbolic needs a linear saddle system.")
 
     if exact:
         if pseudo.extension != PERIODIC:
             raise ValueError("Exact tracing is defined for periodic windows.")
-        return _trace_linear_exact(system, cover, pseudo)
+        return _trace_linear_exact(system, pseudo)
 
     periodic = pseudo.extension == PERIODIC
     windows = np.array(pseudo.window, dtype=float).reshape(-1, 1, 2)
-    points, _ = _eigen_series(cover, windows,
+    points, _ = _eigen_series(system.cover, windows,
                               period=pseudo.period if periodic else None,
                               wrap=isinstance(system, TorusAutomorphism))
     return _traced(system, pseudo, map(tuple, points[:, 0].tolist()))
@@ -398,8 +388,9 @@ def _wrap_half_frac(v):
     return (v + Fraction(1, 2)) % 1 - Fraction(1, 2)
 
 
-def _trace_linear_exact(system, cover, pseudo):
+def _trace_linear_exact(system, pseudo):
     p = pseudo.period
+    cover = system.cover
     a = tuple(tuple(Fraction(v) for v in row) for row in cover.matrix)
 
     def mat_mul(m, q):
@@ -475,19 +466,11 @@ def _diagonal_point(system, pseudo):
         big_m = m + len(window) - 1
         first = window[0].shifted(-m)
         last = window[-1].shifted(-big_m)
-        lo = min(first.span_start, m)
-        hi = max(last.span_end, big_m)
-        word = []
-        for i in range(lo, hi + 1):
-            if i <= m:
-                word.append(first.symbol_at(i))
-            elif i >= big_m:
-                word.append(last.symbol_at(i))
-            else:
-                word.append(window[i - m].symbol_at(0))
-        left = _rotate_cycle(first.left, lo - first.span_start)
-        right = _rotate_cycle(last.right, hi - last.span_end)
-        y = symbolic_point(left, tuple(word), right, lo)
+        y = _respell(first, last, min(first.span_start, m),
+                     max(last.span_end, big_m),
+                     lambda i: first.symbol_at(i) if i <= m
+                     else last.symbol_at(i) if i >= big_m
+                     else window[i - m].symbol_at(0))
     try:
         system.validate_point(y)
     except ValueError as err:

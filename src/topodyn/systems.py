@@ -189,19 +189,25 @@ def periodic_symbolic_point(block):
     return symbolic_point(block, (), block, 0)
 
 
-def splice_symbolic(left_point, right_point, seam=0):
-    """The sequence taking left_point's symbols below `seam` and
-    right_point's symbols at `seam` and above."""
-    lo = min(left_point.span_start, seam) - 1
-    hi = max(right_point.span_end, seam) + 1
-    word = tuple(
-        left_point.symbol_at(i) if i < seam else right_point.symbol_at(i)
-        for i in range(lo, hi + 1)
-    )
+def _respell(left_point, right_point, lo, hi, symbol):
+    """The normalized point reading symbol(i) on [lo, hi], left_point's
+    left tail below lo and right_point's right tail above hi. Needs
+    lo <= left_point.span_start and hi >= right_point.span_end, where the
+    tails are pure cycles."""
+    word = [symbol(i) for i in range(lo, hi + 1)]
     # tail cycles anchor at the new word ends, so re-phase them there
     left = rotate_cycle(left_point.left, lo - left_point.span_start)
     right = rotate_cycle(right_point.right, hi - right_point.span_end)
     return symbolic_point(left, word, right, lo)
+
+
+def splice_symbolic(left_point, right_point, seam=0):
+    """The sequence taking left_point's symbols below `seam` and
+    right_point's symbols at `seam` and above."""
+    return _respell(
+        left_point, right_point, min(left_point.span_start, seam) - 1,
+        max(right_point.span_end, seam) + 1,
+        lambda i: left_point.symbol_at(i) if i < seam else right_point.symbol_at(i))
 
 
 def sft_metric(p, q):
@@ -240,7 +246,6 @@ class DynamicalSystem:
 
     name = "system"
     space_id = "space"
-    kind = "generic"
     space_diameter = math.inf
     embedding_metric = None  # "euclidean" | "torus" | None
 
@@ -352,7 +357,6 @@ class LinearSaddle(DynamicalSystem):
     expanding and one contracting direction.
     """
 
-    kind = "linear-saddle"
     space_id = "plane"
     embedding_metric = "euclidean"
 
@@ -440,6 +444,11 @@ class LinearSaddle(DynamicalSystem):
     def combine(self, cu, cs):
         return (cu * self.v_u[0] + cs * self.v_s[0], cu * self.v_u[1] + cs * self.v_s[1])
 
+    @property
+    def cover(self):
+        """The plane cover of the model: the saddle itself."""
+        return self
+
     def tracing_coefficient(self):
         """Factor C with guaranteed sup tracing error <= C * defect bound.
 
@@ -467,7 +476,6 @@ def linear_hyperbolic(matrix, name="linear-saddle", extra_metrics=None):
 class TorusAutomorphism(DynamicalSystem):
     """x -> M x mod 1 on the unit 2-torus for an integer matrix M, |det| = 1."""
 
-    kind = "torus-automorphism"
     space_id = "torus"
     space_diameter = math.sqrt(2.0) / 2.0
     embedding_metric = "torus"
@@ -543,7 +551,6 @@ class ShiftOfFiniteType(DynamicalSystem):
     them (shift, metric, splicing) is exact.
     """
 
-    kind = "shift-of-finite-type"
     space_id = "shift-space"
     space_diameter = 1.0
 
@@ -650,15 +657,21 @@ class ShiftOfFiniteType(DynamicalSystem):
         return self.validate_point(symbolic_point(
             bcycle, btail + word + ftail, fcycle, offset - len(btail)))
 
-    def random_point(self, rng, half_width):
-        """Random admissible central window with greedy tails, for sampling."""
+    def random_word(self, rng, length):
+        """A random admissible word of `length` symbols (at least one): a
+        random first symbol, then random successors."""
         word = [rng.randrange(self.size)]
-        for _ in range(2 * half_width):
+        while len(word) < length:
             succ = self.successors(word[-1])
             if not succ:
                 raise ValueError(f"Symbol {word[-1]} has no admissible successor.")
             word.append(rng.choice(succ))
-        return self.window_point(word, -half_width)
+        return word
+
+    def random_point(self, rng, half_width):
+        """Random admissible central window with greedy tails, for sampling."""
+        return self.window_point(self.random_word(rng, 2 * half_width + 1),
+                                 -half_width)
 
     def point_to_text(self, x):
         j = lambda seq: "".join(str(s) for s in seq)
@@ -684,7 +697,6 @@ def sft_shift(transitions, name="sft"):
 class FiniteSystem(DynamicalSystem):
     """A bijection of a finite labelled point set, with the discrete metric."""
 
-    kind = "finite"
     space_diameter = 1.0
 
     def __init__(self, points, mapping, name="finite"):
@@ -753,7 +765,6 @@ class StripFamily(DynamicalSystem):
     Both carry the Euclidean metric of the ambient plane.
     """
 
-    kind = "strip-family"
     embedding_metric = "euclidean"
 
     def __init__(self, variant):
@@ -842,7 +853,6 @@ class HarmonicPoints(DynamicalSystem):
     Points are the float partial sums themselves.
     """
 
-    kind = "harmonic"
     space_id = "harmonic"
     embedding_metric = "euclidean"
 
@@ -897,8 +907,6 @@ class GenericSystem(DynamicalSystem):
     """A system assembled from callables; used for perturbations and
     ad-hoc maps where no special structure is available. forward_batch and
     backward_batch, when given, replace the point-by-point batch maps."""
-
-    kind = "generic"
 
     def __init__(self, name, space_id, forward, backward, metric,
                  embed=None, embedding_metric=None, space_diameter=math.inf,
@@ -979,7 +987,6 @@ def torus_grid(n):
 class CatalogEntry:
     name: str
     build: object
-    parameters: dict
     provenance: str
 
 
@@ -987,41 +994,29 @@ def catalog():
     """All ready-made systems, keyed by name."""
     entries = [
         CatalogEntry("diag-saddle", lambda: linear_hyperbolic(((2, 0), (0, 0.5)), name="diag-saddle"),
-                     {"matrix": ((2, 0), (0, 0.5))},
                      "diagonal linear saddle; closed-form stable/unstable axes"),
         CatalogEntry("cat-map", lambda: torus_automorphism(((2, 1), (1, 1)), name="cat-map"),
-                     {"matrix": ((2, 1), (1, 1))},
                      "hyperbolic torus automorphism; dense periodic lattice points"),
         CatalogEntry("plane-two-metrics", plane_two_metrics,
-                     {"matrix": ((2, 0), (0, 0.5)), "metrics": ("euclidean", "sphere")},
                      "one homeomorphism, two metrics: expansivity is metric-dependent"),
         CatalogEntry("golden-mean", lambda: sft_shift(("11", "10"), name="golden-mean"),
-                     {"rows": ("11", "10")},
                      "shift of finite type forbidding the word 11"),
         CatalogEntry("full-2", lambda: sft_shift(("11", "11"), name="full-2"),
-                     {"rows": ("11", "11")},
                      "full shift on two symbols"),
         CatalogEntry("two-block-sft",
                      lambda: sft_shift(("110001", "110000", "000100", "000010",
                                         "001000", "001000"), name="two-block-sft"),
-                     {"rows": ("110001", "110000", "000100", "000010", "001000",
-                               "001000")},
                      "two irreducible blocks joined by a transient symbol"),
         CatalogEntry("three-cycle",
                      lambda: permutation_from_cycles([("a", "b", "c")], name="three-cycle"),
-                     {"cycles": (("a", "b", "c"),)},
                      "three-point cyclic permutation"),
         CatalogEntry("north-south", _north_south,
-                     {"map": "x + 0.1*x*(1-x^2) on [-1,1]"},
                      "interval flow step: attractors at the ends, repeller at 0"),
         CatalogEntry("strips-shrinking", lambda: shrinking_intervals().system_a,
-                     {"heights": "2^-|n|"},
                      "translation-like map on strips with geometrically shrinking fibers"),
         CatalogEntry("strips-unit", lambda: shrinking_intervals().system_b,
-                     {"heights": "1"},
                      "pure translation on unit strips; conjugate partner of strips-shrinking"),
         CatalogEntry("harmonic", harmonic_points,
-                     {"points": "partial sums of 1/n"},
                      "identity on a discrete divergent set; separates recurrence notions"),
     ]
     return {e.name: e for e in entries}

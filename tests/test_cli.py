@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
 import hashlib
+import time
 
 import pytest
 
@@ -246,6 +247,21 @@ def test_out_directory_is_checked_before_any_work(tmp_path, capsys, command):
 ])
 def test_trace_and_stability_inputs_are_checked(capsys, argv, flag):
     _one_line_usage_error(argv, capsys, flag)
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["decompose", "cat-map", "--resolution", "50000"], "nodes"),
+    (["chain-recurrent", "cat-map", "--radius", "0.1", "--resolution", "50000"],
+     "nodes"),
+    # 49 M nodes fit in int32, but 45 offsets per node on the default
+    # ladder's first step do not
+    (["decompose", "cat-map", "--resolution", "7000"], "edges"),
+])
+def test_oversize_grids_end_in_a_usage_error(capsys, argv, size):
+    # the sizes are tested before any grid-sized array is built
+    start = time.perf_counter()
+    _one_line_usage_error(argv, capsys, f"too many {size}")
+    assert time.perf_counter() - start < 1.0
 
 
 # sha256 of the default stdout; any change to these reports shows here

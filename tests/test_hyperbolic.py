@@ -27,6 +27,7 @@ from topodyn import (
     local_stable_set,
     local_unstable_set,
     metric_ball,
+    permutation_from_cycles,
     plane_two_metrics,
     predicate_entourage,
     product_map_t,
@@ -42,8 +43,9 @@ from topodyn import (
     v_n_entourage,
 )
 from topodyn import hyperbolic
-from topodyn.hyperbolic import _BLOCK_POINTS, ProductStructure
-from topodyn.systems import _north_south, sft_metric
+from topodyn.hyperbolic import (_BLOCK_POINTS, ExpansivityReport,
+                                 PairSeparation, ProductStructure)
+from topodyn.systems import _north_south, sft_metric, sphere_metric
 
 DIAG = linear_hyperbolic(((2, 0), (0, 0.5)), name="diag-saddle")
 CAT = torus_automorphism(((2, 1), (1, 1)), name="cat-map")
@@ -121,6 +123,72 @@ def test_expansive_two_metrics_contrast():
     spherical = expansive_check(plane, sphere, [pair], horizon=60)
     assert spherical.verdict == REFUTED
     assert spherical.refutation_kind == "horizon"
+
+
+_LINEAR_PROOF = (
+    "closed form: writing y - x = u*v_u + s*v_s, a nonzero u grows as "
+    "rate_u^n = 2^n forward and a nonzero s grows as rate_s^-n = 0.5^-n "
+    "backward, so every distinct pair leaves any finite-radius ball; every "
+    "metric ball is an expansivity neighborhood")
+_ORIGIN, _RIGHT, _UP = (0.0, 0.0), (0.1, 0.0), (0.0, 0.1)
+
+
+def _expansivity_outcomes():
+    """(name, system, N, pairs, horizon, the whole expected report), one
+    case per way expansive_check can end."""
+    ns = _north_south()
+    cycle3 = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
+    plane = plane_two_metrics()
+    return [
+        ("closed-form", DIAG, metric_ball(DIAG, 0.5),
+         [(_ORIGIN, _RIGHT), (_ORIGIN, _UP), ((1.0, 1.0), (1.0, 1.0))], 60,
+         ExpansivityReport(
+             CONSISTENT, "closed-form", _LINEAR_PROOF,
+             (PairSeparation(_ORIGIN, _RIGHT, 3),
+              PairSeparation(_ORIGIN, _UP, -3)),
+             (), None, None, 60, 1)),
+        ("closed-form-unresolved", DIAG, metric_ball(DIAG, 0.5),
+         [(_ORIGIN, _RIGHT), (_ORIGIN, (1e-9, 0.0))], 3,
+         ExpansivityReport(
+             CONSISTENT, "closed-form",
+             _LINEAR_PROOF + "; 1 sampled pair(s) separate beyond the "
+             "horizon 3 and are listed as unresolved",
+             (PairSeparation(_ORIGIN, _RIGHT, 3),),
+             ((_ORIGIN, (1e-9, 0.0)),), None, None, 3, 0)),
+        ("cycle", cycle3, metric_ball(cycle3, 2.0), [("a", "b"), ("a", "a")],
+         10,
+         ExpansivityReport(
+             REFUTED, "cycle",
+             "the witness pair's joint orbit revisits an exact state in both "
+             "directions while staying inside N, so it never separates; this "
+             "is a proof",
+             (), (), PairSeparation("a", "b", 3), "cycle", 10, 1)),
+        ("horizon", ns, metric_ball(ns, 0.3), [(-0.5, 0.5), (0.9, 0.91)], 10,
+         ExpansivityReport(
+             REFUTED, "horizon",
+             "the witness pair stayed inside N for every |n| <= 10; evidence "
+             "is horizon-bounded, not a proof",
+             (PairSeparation(-0.5, 0.5, 0),), (),
+             PairSeparation(0.9, 0.91, 10), "horizon", 10, 0)),
+        ("sampled-consistent", plane,
+         metric_ball(plane, 0.5, metric=sphere_metric),
+         [(_ORIGIN, _RIGHT), (_ORIGIN, _UP), ((0.2, 0.2), (0.2, 0.2))], 20,
+         ExpansivityReport(
+             CONSISTENT, "horizon",
+             "every sampled pair separated within the horizon; evidence is "
+             "sample-bounded, not a proof",
+             (PairSeparation(_ORIGIN, _RIGHT, 2),
+              PairSeparation(_ORIGIN, _UP, -2)),
+             (), None, None, 20, 1)),
+    ]
+
+
+@pytest.mark.parametrize("case", _expansivity_outcomes(),
+                         ids=lambda case: case[0])
+def test_expansivity_report_pins_every_field(case):
+    # dataclass equality compares all nine fields, the note included
+    _, system, N, pairs, horizon, expected = case
+    assert expansive_check(system, N, pairs, horizon=horizon) == expected
 
 
 def test_expansive_check_horizon_validation():
