@@ -30,7 +30,9 @@ from .shadowing import (
     PERIODIC,
     PseudoOrbit,
     _diagonal_point,
-    _eigen_series,
+    _lifted_defects,
+    _stable_series,
+    _unstable_series,
     tracing_tools,
 )
 from .systems import (
@@ -49,9 +51,11 @@ from .systems import (
 CONSISTENT = "consistent-with-expansive"
 REFUTED = "refuted"
 
-# g-orbit points traced per stability chunk: bounds the block and its
-# defect and series arrays to a few MB however many samples there are
-_BLOCK_POINTS = 1 << 18
+# defect coefficients kept per linear stability chunk: each sample keeps
+# two half-series of W+1 floats, so a chunk holds about 4 MB of them however
+# many samples there are (4,297 samples at W = 60). Measured on the
+# recurrence-tracing bench, 1 << 20 was no faster and peaked 1.6 MB higher.
+_CHUNK_FLOATS = 1 << 19
 # Newton steps a row of the trig perturbation's inverse may take
 _NEWTON_STEPS = 64
 
@@ -751,37 +755,71 @@ def _stability_report(f, g, h, samples, images, residuals, closenesses,
     )
 
 
+def _chunk_samples(window):
+    """Samples per chunk of the linear stability route at this window."""
+    return max(1, _CHUNK_FLOATS // (2 * (window + 1)))
+
+
+def _linear_images(f, g, pts, window):
+    """h(x) and h(g(x)) at every row x of the (N, 2) array pts, and the sup
+    of the defects |d_k| of the g-orbits (NaN when one is).
+
+    h(x) is the f-tracing point, at the sample's index, of the g-orbit
+    window x_k, k = -W .. W, through x_0 = x, and h(g(x)) that of the same
+    window moved one step on. The orbit is stepped W+1 times forward and W
+    times backward; each step's defect d_k = x_{k+1} - A x_k,
+    k = -W .. W, is lifted and split once, and only the halves the two
+    tracing points read are kept: ds_k for k <= 0 and du_k for k >= 0.
+    Each window runs its stable recursion forward from zero and its
+    unstable one backward from zero up to the sample's index, as
+    `_eigen_series` does over the whole window. Orbits that overflow give
+    inf or nan silently, and the sup reports it.
+    """
+    cover = f.cover
+    wrap = isinstance(f, TorusAutomorphism)
+    n = len(pts)
+    # ds[j] is ds_{j-W} and du[j] is du_j, for j = 0 .. W
+    ds, du = np.empty((2, window + 1, n))
+    sup = np.zeros(n)  # per sample; np.maximum keeps a NaN defect
+
+    def lift(points, images):
+        d, d_u, d_s = _lifted_defects(cover, points, images, wrap)
+        np.maximum(sup, np.hypot(d[:, 0], d[:, 1]), out=sup)
+        return d_u, d_s
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = gx = g.forward_batch(pts)
+        du[0], ds[window] = lift(pts, gx)  # d_0 sits in both halves
+        for j in range(1, window + 1):
+            ahead = g.forward_batch(x)
+            du[j] = lift(x, ahead)[0]
+            x = ahead
+        x = pts
+        for j in range(window - 1, -1, -1):
+            behind = g.backward_batch(x)
+            ds[j] = lift(behind, x)[1]
+            x = behind
+        images = []
+        # the window through x reads ds_{-W..-1} and du_{0..W-1}; the one
+        # through g(x) reads both one step on
+        for o, base in ((0, pts), (1, gx)):
+            es = _stable_series(cover.lam_s, ds[o:o + window], np.zeros(n))
+            eu = _unstable_series(cover.lam_u, du[o:o + window], np.zeros(n))
+            y = base + np.stack(cover.combine(eu, es), axis=-1)
+            images.append(y % 1.0 if wrap else y)
+    return images[0], images[1], float(np.max(sup))
+
+
 def _stability_linear(f, g, samples, window):
     wrap = isinstance(f, TorusAutomorphism)
-    cover = f.cover
-
-    def orbit_block(pts):
-        # the g-orbit of a batch of points at k = -W .. W+1, shape
-        # (2W+2, N, 2): block[:-1] is the window through x, block[1:] the
-        # window through g(x), the same window moved one step on; orbits
-        # that overflow give inf or nan silently, and the defects report it
-        block = np.empty((2 * window + 2, pts.shape[0], 2))
-        block[window] = pts
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(window + 1, 2 * window + 2):
-                block[k] = g.forward_batch(block[k - 1])
-            for k in range(window - 1, -1, -1):
-                block[k] = g.backward_batch(block[k + 1])
-        return block
-
     pts = np.array(samples, dtype=float)
     h_x, h_gx = np.empty_like(pts), np.empty_like(pts)
     defect_sup = 0.0
-    # each sample brings two windows of 2W+1 points: through x and g(x)
-    chunk = max(1, _BLOCK_POINTS // (2 * (2 * window + 1)))
+    chunk = _chunk_samples(window)
     for lo in range(0, len(pts), chunk):
-        block = orbit_block(pts[lo:lo + chunk])
-        for images, windows in ((h_x, block[:-1]), (h_gx, block[1:])):
-            traced, defects = _eigen_series(cover, windows, wrap=wrap)
-            images[lo:lo + chunk] = traced[window]
-            # np.maximum keeps a NaN defect, where max() could drop it
-            defect_sup = float(np.maximum(defect_sup, np.max(np.hypot(
-                defects[..., 0], defects[..., 1]))))
+        h_x[lo:lo + chunk], h_gx[lo:lo + chunk], sup = _linear_images(
+            f, g, pts[lo:lo + chunk], window)
+        defect_sup = float(np.maximum(defect_sup, sup))
     gaps = f.forward_batch(h_x) - h_gx
     close = h_x - pts
     if wrap:
@@ -791,9 +829,8 @@ def _stability_linear(f, g, samples, window):
     closenesses = np.hypot(close[:, 0], close[:, 1])
 
     def h_point(x):
-        block = orbit_block(np.array([x], dtype=float))
-        traced, _ = _eigen_series(cover, block[:-1], wrap=wrap)
-        return (float(traced[window, 0, 0]), float(traced[window, 0, 1]))
+        hx = _linear_images(f, g, np.array([x], dtype=float), window)[0]
+        return (float(hx[0, 0]), float(hx[0, 1]))
 
     image_points = tuple(tuple(map(float, p)) for p in h_x)
     # pairs of samples whose images are closer than 1e-8
@@ -855,14 +892,16 @@ def _stability_sft(f, g, samples, window):
 def stability_conjugacy_h(f, g, D, samples, window=30):
     """The conjugating map from a D-perturbation g back to the model f.
 
-    Requires (f(x), g(x)) in D at every sample; h(x) is the f-tracing point
-    of the g-orbit window through x. Windows truncate the true bi-infinite
-    orbit, which shaves a geometric tail of order rate_s^window off the
-    series; at the default window that sits far below the measured residual
-    scale. For shifts, samples on exact g-periodic orbits are traced as
-    closed loops, which makes the residual exactly zero rather than
-    window-limited.
+    Requires (f(x), g(x)) in D at every sample and an int window >= 1;
+    h(x) is the f-tracing point of the g-orbit window x_k, k = -window ..
+    window, through x_0 = x. Windows truncate the true bi-infinite orbit,
+    which shaves a geometric tail of order rate_s^window off the series; at
+    the default window that sits far below the measured residual scale. For
+    shifts, samples on exact g-periodic orbits are traced as closed loops,
+    which makes the residual exactly zero rather than window-limited.
     """
+    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
+        raise ValueError(f"The window must be an integer >= 1, not {window!r}.")
     samples = list(samples)
     if not samples:
         raise ValueError("At least one sample point is needed.")

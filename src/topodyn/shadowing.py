@@ -305,46 +305,86 @@ def _traced(system, pseudo, traced):
     )
 
 
+def _lifted_defects(cover, points, images, wrap):
+    """The defects d = images - A points of (..., 2) float arrays, row by
+    row, lifted to the plane by d - round(d) when wrap is set, and their
+    eigen-coordinates: returns (d, du, ds) with d = du v_u + ds v_s."""
+    d = images - np.stack(cover.forward((points[..., 0], points[..., 1])),
+                          axis=-1)
+    if wrap:
+        d -= np.round(d)
+        d[d == 0.5] = -0.5  # lifts land in [-1/2, 1/2), as exact ones do
+    return (d, *cover.split((d[..., 0], d[..., 1])))
+
+
+def _stable_series(lam_s, ds, e, out=None):
+    """The stable recursion e_{k+1} = lam_s e_k - ds_k from e_0 = e over
+    the rows of ds. Returns the last term; out, when given, receives
+    e_{k+1} at out[k]."""
+    for k in range(len(ds)):
+        e = lam_s * e - ds[k]
+        if out is not None:
+            out[k] = e
+    return e
+
+
+def _unstable_series(lam_u, du, e, out=None):
+    """The unstable recursion e_k = (e_{k+1} + du_k) / lam_u from
+    e_n = e, n = len(du), back to e_0. Returns e_0; out, when given,
+    receives e_k at out[k]."""
+    for k in range(len(du) - 1, -1, -1):
+        e = (e + du[k]) / lam_u
+        if out is not None:
+            out[k] = e
+    return e
+
+
+def _eigen_corrections(cover, du, ds, period=None):
+    """Defects in, corrections out: the corrections e_k, y_k = x_k + e_k,
+    of N windows x_0 .. x_{n-1} of the linear saddle `cover`, from the
+    eigen-coordinates du, ds of their lifted defects (one row per step, one
+    column per window), with no x_k needed.
+
+    The stable coefficient runs forward, e_{k+1} = lam_s e_k - ds_k, and
+    the unstable one backward, e_k = (e_{k+1} + du_k) / lam_u. Orbit tails
+    have n - 1 defects and start both from zero; periodic windows have n,
+    the last one closing the loop, and start them from the closed periodic
+    sums. Returns an (n, N, 2) array.
+    """
+    lam_u, lam_s = cover.lam_u, cover.lam_s
+    n = len(du) + (period is None)
+    es, eu = np.zeros((2, n, du.shape[1]))
+    if period is not None:
+        p = period
+        powers = np.arange(p)
+        # e^s_0 = -sum_{i<p} lam_s^i ds_{p-1-i} / (1 - lam_s^p) and
+        # e^u_{n-1} = sum_{i<p} lam_u^-(i+1) du_{n-1+i} / (1 - lam_u^-p)
+        es[0] = -(lam_s ** powers @ ds[p - 1::-1]) / (1.0 - lam_s ** p)
+        eu[-1] = (lam_u ** -(powers + 1.0) @ du[(n - 1 + powers) % p]) \
+            / (1.0 - lam_u ** -p)
+    _stable_series(lam_s, ds[:n - 1], es[0], out=es[1:])
+    _unstable_series(lam_u, du[:n - 1], eu[-1], out=eu[:-1])
+    return np.stack(cover.combine(eu, es), axis=-1)
+
+
 def _eigen_series(cover, windows, period=None, wrap=False):
     """Trace N pseudo-orbit windows of the linear saddle `cover` at once.
 
     windows is an (n, N, 2) float array with x_k of every window at
-    windows[k]. The defects d_k = x_{k+1} - A x_k (lifted to the plane by
-    d - round(d) when wrap is set) split into eigen-coordinates; the stable
-    coefficient runs forward, e_{k+1} = lam_s e_k - ds_k, and the unstable
-    one backward, e_k = (e_{k+1} + du_k) / lam_u. Orbit tails start both
-    from zero; periodic windows (x_n = x_0) start them from the closed
-    periodic sums. Returns the traced points (mod 1 when wrap is set) and
-    the defects, one row fewer for orbit tails. An orbit that overflows
-    yields inf or nan, without warnings; the measured gaps report it.
+    windows[k]. The defects d_k = x_{k+1} - A x_k (x_n = x_0 for periodic
+    windows) are lifted and split by `_lifted_defects`, and
+    `_eigen_corrections` turns them into the corrections e_k. Returns the
+    traced points x_k + e_k (mod 1 when wrap is set). An orbit that
+    overflows yields inf or nan, without warnings; the measured gaps
+    report it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        n = len(windows)
         nxt = windows[1:] if period is None else np.roll(windows, -1, axis=0)
-        d = nxt - np.stack(cover.forward((windows[:len(nxt), :, 0],
-                                          windows[:len(nxt), :, 1])), axis=-1)
-        if wrap:
-            d -= np.round(d)
-            d[d == 0.5] = -0.5  # lifts land in [-1/2, 1/2), as exact ones do
-        du, ds = cover.split((d[..., 0], d[..., 1]))
-        lam_u, lam_s = cover.lam_u, cover.lam_s
-        es, eu = np.zeros((2, n, windows.shape[1]))
-        if period is not None:
-            p = period
-            powers = np.arange(p)
-            # e^s_0 = -sum_{i<p} lam_s^i ds_{p-1-i} / (1 - lam_s^p) and
-            # e^u_{n-1} = sum_{i<p} lam_u^-(i+1) du_{n-1+i} / (1 - lam_u^-p)
-            es[0] = -(lam_s ** powers @ ds[p - 1::-1]) / (1.0 - lam_s ** p)
-            eu[-1] = (lam_u ** -(powers + 1.0) @ du[(n - 1 + powers) % p]) \
-                / (1.0 - lam_u ** -p)
-        for k in range(n - 1):
-            es[k + 1] = lam_s * es[k] - ds[k]
-        for k in range(n - 2, -1, -1):
-            eu[k] = (eu[k + 1] + du[k]) / lam_u
-        traced = windows + np.stack(cover.combine(eu, es), axis=-1)
+        _, du, ds = _lifted_defects(cover, windows[:len(nxt)], nxt, wrap)
+        traced = windows + _eigen_corrections(cover, du, ds, period)
         if wrap:
             traced %= 1.0
-    return traced, d
+    return traced
 
 
 def trace_linear_hyperbolic(system, pseudo, exact=False):
@@ -374,9 +414,9 @@ def trace_linear_hyperbolic(system, pseudo, exact=False):
 
     periodic = pseudo.extension == PERIODIC
     windows = np.array(pseudo.window, dtype=float).reshape(-1, 1, 2)
-    points, _ = _eigen_series(system.cover, windows,
-                              period=pseudo.period if periodic else None,
-                              wrap=isinstance(system, TorusAutomorphism))
+    points = _eigen_series(system.cover, windows,
+                           period=pseudo.period if periodic else None,
+                           wrap=isinstance(system, TorusAutomorphism))
     return _traced(system, pseudo, map(tuple, points[:, 0].tolist()))
 
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -43,9 +44,10 @@ from topodyn import (
     v_n_entourage,
 )
 from topodyn import hyperbolic
-from topodyn.hyperbolic import (_BLOCK_POINTS, ExpansivityReport,
-                                 PairSeparation, ProductStructure)
-from topodyn.systems import _north_south, sft_metric, sphere_metric
+from topodyn.hyperbolic import (ExpansivityReport, PairSeparation,
+                                 ProductStructure, _chunk_samples)
+from topodyn.systems import (TorusAutomorphism, _north_south, sft_metric,
+                             sphere_metric)
 
 DIAG = linear_hyperbolic(((2, 0), (0, 0.5)), name="diag-saddle")
 CAT = torus_automorphism(((2, 1), (1, 1)), name="cat-map")
@@ -680,16 +682,105 @@ def test_stability_h_is_the_tracer_at_the_sample_index():
         assert stab.h(x) == trace_linear_hyperbolic(CAT, po).traced_orbit[W]
 
 
-def test_stability_chunks_match_one_sample_at_a_time():
+def test_stability_chunks_match_one_sample_at_a_time(monkeypatch):
     W = 10
-    chunk = _BLOCK_POINTS // (2 * (2 * W + 1))  # samples per chunk
+    chunk = _chunk_samples(W)  # the route's own samples per chunk
     g = trig_perturbation(CAT, 0.002)
     rng = random.Random(5)
     samples = [(rng.random(), rng.random()) for _ in range(chunk + 12)]
+    sizes, images = [], hyperbolic._linear_images
+
+    def counted(f, g, pts, w):
+        sizes.append(len(pts))
+        return images(f, g, pts, w)
+
+    monkeypatch.setattr(hyperbolic, "_linear_images", counted)
     stab = stability_conjugacy_h(CAT, g, metric_ball(CAT, 0.05), samples,
                                  window=W)
+    assert sizes == [chunk, 12]  # the samples span two chunks
     for i in list(range(12)) + list(range(chunk - 12, chunk + 12)):
         assert stab.images[i] == stab.h(samples[i])
+
+
+# reference: the block route the streamed linear stability route replaced
+
+
+def ref_eigen_series(cover, windows, wrap):
+    """The eigen-series kernel as it was, on orbit-tail windows: the defects
+    of the whole (n, N, 2) block, then both recursions over every index."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = len(windows)
+        nxt = windows[1:]
+        d = nxt - np.stack(cover.forward((windows[:-1, :, 0],
+                                          windows[:-1, :, 1])), axis=-1)
+        if wrap:
+            d -= np.round(d)
+            d[d == 0.5] = -0.5
+        du, ds = cover.split((d[..., 0], d[..., 1]))
+        es, eu = np.zeros((2, n, windows.shape[1]))
+        for k in range(n - 1):
+            es[k + 1] = cover.lam_s * es[k] - ds[k]
+        for k in range(n - 2, -1, -1):
+            eu[k] = (eu[k + 1] + du[k]) / cover.lam_u
+        traced = windows + np.stack(cover.combine(eu, es), axis=-1)
+        if wrap:
+            traced %= 1.0
+    return traced, d
+
+
+def ref_orbit_block(g, pts, window):
+    """The g-orbit of every row of pts at k = -W .. W+1, shape (2W+2, N, 2)."""
+    block = np.empty((2 * window + 2, pts.shape[0], 2))
+    block[window] = pts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(window + 1, 2 * window + 2):
+            block[k] = g.forward_batch(block[k - 1])
+        for k in range(window - 1, -1, -1):
+            block[k] = g.backward_batch(block[k + 1])
+    return block
+
+
+def ref_linear_images(f, g, pts, window):
+    """h(x), h(g(x)) and the defect sup, read off one stored g-orbit block:
+    block[:-1] is the window through x and block[1:] the one through g(x)."""
+    block = ref_orbit_block(g, pts, window)
+    images, sup = [], 0.0
+    for windows in (block[:-1], block[1:]):
+        traced, defects = ref_eigen_series(
+            f.cover, windows, isinstance(f, TorusAutomorphism))
+        images.append(traced[window])
+        sup = float(np.maximum(sup, np.max(np.hypot(defects[..., 0],
+                                                    defects[..., 1]))))
+    return images[0], images[1], sup
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(TORI), st.floats(0.0, 0.99, exclude_max=True),
+       st.integers(1, 8), st.integers(1, 4), st.integers(1, 12),
+       st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+def test_streamed_stability_equals_the_block_route(system, share, W, chunk,
+                                                   count, repeats, seed):
+    # m from 0 up to 0.99 of the certificate's limit sigma_min / (2 pi);
+    # repeated samples give collisions
+    sigma_min = trig_perturbation(system, 0.0).payload["certificate"]["sigma_min"]
+    g = trig_perturbation(system, share * sigma_min / (2.0 * math.pi))
+    samples = list(map(tuple, np.random.default_rng(seed).random((count, 2))
+                       .tolist()))
+    samples += samples[:repeats]
+    D = metric_ball(system, 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        # `chunk` samples per chunk, so most runs cross a chunk boundary
+        mp.setattr(hyperbolic, "_CHUNK_FLOATS", chunk * 2 * (W + 1))
+        assert hyperbolic._chunk_samples(W) == chunk
+        got = stability_conjugacy_h(system, g, D, samples, window=W)
+        mp.setattr(hyperbolic, "_linear_images", ref_linear_images)
+        want = stability_conjugacy_h(system, g, D, samples, window=W)
+    for name in ("images", "residuals", "closenesses", "defect_sup"):
+        assert (np.array(getattr(got, name)).tobytes()
+                == np.array(getattr(want, name)).tobytes()), name
+    assert got.collisions == want.collisions
+    if repeats:
+        assert got.collisions
 
 
 def test_stability_defect_sup_does_not_depend_on_the_batch():
@@ -703,6 +794,46 @@ def test_stability_defect_sup_does_not_depend_on_the_batch():
     assert batch.defect_sup == max(
         stability_conjugacy_h(CAT, g, D, [x], window=60).defect_sup
         for x in samples)
+
+
+def test_stability_allocation_peak_stays_below_the_block_route():
+    # tracemalloc peak at 5,000 samples and W = 60: 17.0 MB when each chunk
+    # of 1,083 samples stored its (2W+2)-point g-orbit block and traced two
+    # whole windows, 5.7 MB with the streamed half-series (4,297-sample
+    # chunks); the bound sits between the two
+    g = trig_perturbation(CAT, 0.01)
+    rng = random.Random(0)
+    samples = [(rng.random(), rng.random()) for _ in range(5000)]
+    tracemalloc.start()
+    try:
+        stability_conjugacy_h(CAT, g, metric_ball(CAT, 0.03), samples,
+                              window=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
+
+
+class _Unstepped:
+    """A map that fails if anything steps it."""
+
+    name = "unstepped"
+
+    def forward(self, x):
+        raise AssertionError("the orbit was stepped")
+
+    forward_batch = backward = backward_batch = forward
+
+
+@pytest.mark.parametrize("window", [0, -1, 2.5, True, "3"])
+def test_stability_rejects_a_window_that_is_not_a_positive_int(window):
+    # at window 0 the shift route gave a vacuous report (defect_sup 0.0,
+    # h(x) = x) and the torus route a numpy reduction error; -1 and 2.5
+    # raised IndexError, "Empty pseudo-orbit window" or TypeError
+    for f, x in ((CAT, (0.2, 0.3)), (FULL2, FULL2.periodic_point((1, 0)))):
+        with pytest.raises(ValueError, match="window must be an integer"):
+            stability_conjugacy_h(f, _Unstepped(), metric_ball(f, 0.5), [x],
+                                  window=window)
 
 
 def test_stability_rejects_non_d_perturbation():
