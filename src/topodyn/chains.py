@@ -300,7 +300,7 @@ def build_chain_graph(system, samples, D, entourage_id=None):
     entourage_id = entourage_id or _describe(D)
     radius = D.radius
     if _array_ball(system, D, nodes):
-        pts = np.array(nodes, dtype=float)
+        pts = _pair_array(nodes)
         images = system.forward_batch(pts)
         # np.take gathers rows several times faster than images[q]
         keep = lambda q, p: _torus_distances(
@@ -339,6 +339,20 @@ def _describe(D):
     return D.kind
 
 
+def _float_pairs(points):
+    """Whether every point is a tuple of two floats, neither a subclass;
+    true for no points. The types are collected into sets at C level, over
+    the points and over their coordinates, with no Python loop per point."""
+    return (set(map(type, points)) <= {tuple} and set(map(len, points)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(points))) <= {float})
+
+
+def _pair_array(points):
+    """The (m, 2) float array of m points that pass `_float_pairs`."""
+    return np.fromiter(itertools.chain.from_iterable(points), dtype=float,
+                       count=2 * len(points)).reshape(len(points), 2)
+
+
 def _array_ball(system, D, nodes):
     """True when the array routes of `build_chain_graph` and
     `nonwandering_set` reproduce D on these nodes bit for bit: D is a metric
@@ -349,8 +363,7 @@ def _array_ball(system, D, nodes):
             and getattr(D.metric, "__func__", None) is TorusAutomorphism.metric
             and all(type(v) in (int, float)
                     for row in system.matrix for v in row)
-            and all(type(p) is tuple and len(p) == 2 and type(p[0]) is float
-                    and type(p[1]) is float for p in nodes))
+            and _float_pairs(nodes))
 
 
 def _lattice_map(system, n, exponent=1):

@@ -25,14 +25,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import (ChainGraph, _cell_groups, _concat_ranges, _lattice_map,
-                     _orbit_labels, _refine_ladder, build_chain_graph,
-                     torus_grid_graph)
+from .chains import (ChainGraph, _cell_groups, _concat_ranges, _float_pairs,
+                     _lattice_map, _orbit_labels, _pair_array, _refine_ladder,
+                     build_chain_graph, torus_grid_graph)
 from .entourage import finite_relation, metric_ball
 from .report import FAIL, PASS, RESOLUTION_LIMITED, Report
 from .shadowing import PERIODIC, PseudoOrbit, trace_linear_hyperbolic
@@ -59,8 +61,8 @@ class WalkDemo:
     orbit. Metric demos keep rational coordinates so periodicity is an exact
     statement; re-checks step through the stored orbit rather than iterating
     the float map around the loop, which would amplify rounding by
-    rate_u^period. Lattice density demos (`CycleDemo`) avoid float orbits
-    the same way: their re-check is in integers.
+    rate_u^period. Lattice density evidence (`LatticeCycles`) avoids float
+    orbits the same way: its re-check is in integers.
     """
 
     x: object
@@ -74,13 +76,69 @@ class WalkDemo:
 
 @dataclass(frozen=True, slots=True)
 class CycleDemo:
-    """A periodic point certified inside the entourage ball of one node;
-    slotted, as a torus certificate holds one per lattice node."""
+    """A periodic point certified inside the entourage ball of one node.
+    Shift and finite density certificates hold one per node; a torus
+    certificate holds a `LatticeCycles` record, whose entries read back as
+    CycleDemos."""
 
     node: object
     cycle_length: int
     traced: object
     gap: float
+
+
+@dataclass(frozen=True, eq=False)
+class LatticeCycles(Sequence):
+    """The lattice-cycle density evidence of a whole torus component, as
+    two read-only arrays in component order: `indices` holds the lattice
+    index i * n + j of each node (i/n, j/n), n the resolution, and
+    `lengths` the size of its orbit under x -> A x mod n. The certified
+    periodic point of every node is the node itself, at the one gap `gap`.
+
+    To readers of `Certificate.demos` it is a sequence of CycleDemos: len()
+    counts nodes, indexing and iteration build CycleDemo views, a slice is
+    a tuple of them, and records with equal values are equal. The arrays
+    are copied on construction and cannot be written."""
+
+    resolution: int
+    indices: np.ndarray
+    lengths: np.ndarray
+    gap: float = 0.0
+
+    def __post_init__(self):
+        for name in ("indices", "lengths"):
+            values = np.array(getattr(self, name))
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if type(self.resolution) is not int or self.resolution < 1:
+            raise ValueError("The lattice resolution must be a positive int.")
+        if self.indices.ndim != 1 or self.indices.shape != self.lengths.shape:
+            raise ValueError("Give one lattice index and one cycle length per node.")
+
+    def _view(self, index, length):
+        i, j = divmod(index, self.resolution)
+        node = (i / self.resolution, j / self.resolution)
+        return CycleDemo(node=node, cycle_length=length, traced=node, gap=self.gap)
+
+    def __len__(self):
+        return len(self.indices)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self._view, self.indices[k].tolist(),
+                             self.lengths[k].tolist()))
+        k = range(len(self))[operator.index(k)]
+        return self._view(self.indices[k].item(), self.lengths[k].item())
+
+    def __iter__(self):
+        return map(self._view, self.indices.tolist(), self.lengths.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, LatticeCycles):
+            return NotImplemented
+        return (self.resolution == other.resolution and self.gap == other.gap
+                and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.lengths, other.lengths))
 
 
 class CertificateError(ValueError):
@@ -98,12 +156,14 @@ class Certificate:
       exact-orbit     the metric-walk routine on a finite system, whose D is
                       the diagonal, so walks are true orbits; density demos
                       must first return after cycle_length steps
-      lattice-cycle   density on the torus grid, re-proved in integers: each
-                      node must be exactly the double (i/n, j/n) of a lattice
-                      index x, and cycle_length = k must be its exact order,
-                      A^k x = x mod n and A^(k/p) x != x for every prime p
-                      dividing k, with A^e mod n by squaring; no float orbit
-                      is iterated
+      lattice-cycle   density on the torus grid, re-proved in integers on
+                      arrays: the demos are a `LatticeCycles` record (or a
+                      tuple of CycleDemos, read into the same arrays), whose
+                      lattice indices x must be those of the component's
+                      nodes (i/n, j/n) and whose cycle length k must be the
+                      exact order of x, A^k x = x mod n and A^(k/p) x != x
+                      for every prime p dividing k, one power A^e mod n by
+                      squaring per distinct k; no float orbit is iterated
     """
 
     kind: str
@@ -125,6 +185,11 @@ class Certificate:
         if self.kind == "transitivity":
             if not all(isinstance(d, WalkDemo) for d in self.demos):
                 return ["a transitivity demo is not a walk"]
+        elif isinstance(self.demos, LatticeCycles):
+            if not _int_array(self.demos.lengths):
+                return ["a density demo's cycle length is not an int"]
+            if not _int_array(self.demos.indices):
+                return ["a density demo's node is not a lattice index"]
         elif not all(isinstance(d, CycleDemo) for d in self.demos):
             return ["a density demo is not a cycle demo"]
         elif not all(type(d.cycle_length) is int for d in self.demos):
@@ -134,7 +199,8 @@ class Certificate:
     def _binding_failures(self):
         """The demos must be evidence about `component`: at least one walk,
         each from and to a member, for transitivity; one density demo per
-        member, each member once, for periodic density."""
+        member, each member once, for periodic density. The lattice-cycle
+        routine binds its density arrays itself, as it reads them anyway."""
         comp, demos = self.component, self.demos
         if self.kind == "transitivity":
             if not demos:
@@ -142,6 +208,8 @@ class Certificate:
             ends = {d.x for d in demos} | {d.y for d in demos}
             if len(ends.intersection(comp)) != len(ends):
                 return ["a walk starts or aims outside the component"]
+            return []
+        if self.mode == "lattice-cycle":
             return []
         if len(demos) != len(comp) or (
                 any(d.node != c for d, c in zip(demos, comp))
@@ -249,25 +317,32 @@ def _revalidate_metric(cert, system):
 
 
 def _lattice_index(points, n):
-    """Lattice coordinates of points stored as the doubles (i/n, j/n).
-
-    Returns an (m, 2) int array of (i, j) and a mask of the points that are
-    exactly such a pair of Python floats with 0 <= i, j < n; a point off
-    the lattice by one ulp is masked out, and its row means nothing.
-    """
+    """Lattice indices i * n + j of points stored as the doubles (i/n, j/n),
+    as an int64 array with -1 for every point that is not exactly such a
+    pair of Python floats with 0 <= i, j < n; a point off the lattice by one
+    ulp gets -1. The per-point type mask is built only when the type gate
+    `_float_pairs` fails."""
     m = len(points)
     if type(n) is not int or n < 1:
-        return np.zeros((m, 2), dtype=np.int64), np.zeros(m, dtype=bool)
-    typed = [type(p) is tuple and len(p) == 2 and type(p[0]) is float
-             and type(p[1]) is float for p in points]
-    pts = np.array([p if ok else (math.nan, math.nan)
-                    for p, ok in zip(points, typed)], dtype=float).reshape(m, 2)
+        return np.full(m, -1, dtype=np.int64)
+    if _float_pairs(points):
+        pts = _pair_array(points)
+    else:
+        pts = np.array([p if type(p) is tuple and len(p) == 2
+                        and type(p[0]) is float and type(p[1]) is float
+                        else (math.nan, math.nan) for p in points],
+                       dtype=float).reshape(m, 2)
     with np.errstate(invalid="ignore"):
         scaled = np.rint(pts * n)
         on = ((scaled >= 0) & (scaled < n)).all(axis=1)
     idx = np.where(on[:, None], scaled, 0).astype(np.int64)
     on &= (idx / n == pts).all(axis=1)
-    return idx, on
+    return np.where(on, idx[:, 0] * n + idx[:, 1], -1)
+
+
+def _int_array(values):
+    """Whether an array holds integers: an int dtype, and not bool."""
+    return values.dtype.kind in "iu"
 
 
 def _prime_factors(k):
@@ -282,12 +357,12 @@ def _prime_factors(k):
     return primes + [k] if k > 1 else primes
 
 
-def _first_return_is(system, n, idx, k):
-    """For each lattice point (row of idx), whether its orbit under the
-    lattice permutation first closes after exactly k >= 1 steps: A^k x = x
-    and A^(k/p) x != x for every prime p dividing k. The order of x divides
-    k by the first test, and no k/p by the others, so it is k."""
-    i, j = idx[:, 0], idx[:, 1]
+def _first_return_is(system, n, index, k):
+    """For each lattice index, whether its orbit under the lattice
+    permutation first closes after exactly k >= 1 steps: A^k x = x and
+    A^(k/p) x != x for every prime p dividing k. The order of x divides k
+    by the first test, and no k/p by the others, so it is k."""
+    i, j = np.divmod(index, n)
 
     def fixed(e):
         fi, fj = _lattice_map(system, n, e)(i, j)
@@ -299,32 +374,68 @@ def _first_return_is(system, n, idx, k):
     return ok
 
 
+def _lattice_arrays(demos, n, radius):
+    """The density evidence as arrays: each demo's lattice index (-1 off the
+    lattice or out of range), its cycle length (0 outside 1..n * n), and
+    masks of the demos whose certified point is not their node and whose
+    gap exceeds the radius. A record at resolution n is read as it is; any
+    other demos are read node by node."""
+    top = n * n
+    if isinstance(demos, LatticeCycles) and demos.resolution == n:
+        index, length = demos.indices, demos.lengths
+        strays = np.zeros(len(demos), dtype=bool)
+        wide = np.full(len(demos), not demos.gap <= radius)
+    else:
+        index = _lattice_index([d.node for d in demos], n)
+        length = np.fromiter((d.cycle_length if 1 <= d.cycle_length <= top
+                              else 0 for d in demos), dtype=np.int64,
+                             count=len(demos))
+        strays = np.fromiter((d.traced != d.node for d in demos), dtype=bool,
+                             count=len(demos))
+        wide = np.fromiter((not d.gap <= radius for d in demos), dtype=bool,
+                           count=len(demos))
+    # int64 first: an unsigned value past the int64 range turns negative,
+    # and so out of range, instead of failing to mix with -1
+    index, length = index.astype(np.int64), length.astype(np.int64)
+    index = np.where((index >= 0) & (index < top), index, -1)
+    length = np.where((length >= 1) & (length <= top), length, 0)
+    return index, length, strays, wide
+
+
 def _revalidate_lattice(cert, system):
-    bad = []
+    """Density on the torus lattice, checked on arrays: one entry per
+    component node with that node's lattice index, each index in
+    0..n * n - 1, and each cycle length the exact order of its index. Only
+    the entries that fail are read back as demos, for their messages."""
     n = cert.params["resolution"]
-    radius = cert.params["radius"]
-    demos = cert.demos
     if type(n) is not int or n < 1:
         return [f"grid resolution {n!r} is not a positive integer"]
-    idx, on = _lattice_index([demo.node for demo in demos], n)
+    demos = cert.demos
+    index, length, strays, wide = _lattice_arrays(demos, n, cert.params["radius"])
+    bad = []
+    members = _lattice_index(cert.component, n)
+    if len(index) != len(members) or not (
+            np.array_equal(index, members)
+            or np.array_equal(np.sort(index), np.sort(members))):
+        bad.append("density demos do not cover the component once each")
     # an integer matrix of determinant +-1 permutes the n x n lattice, so no
     # orbit is longer than n * n, and a length outside 1..n * n (read as 0)
     # fails with no arithmetic; the rest take one order test per length
-    lengths = np.fromiter((d.cycle_length if 1 <= d.cycle_length <= n * n else 0
-                           for d in demos), dtype=np.int64, count=len(demos))
-    closes = np.zeros(len(demos), dtype=bool)
-    for k in sorted(set(lengths[on].tolist()) - {0}):
-        rows = np.flatnonzero(on & (lengths == k))
-        closes[rows] = _first_return_is(system, n, idx[rows], k)
-    for demo, lattice, ok in zip(demos, on.tolist(), closes.tolist()):
-        if not lattice:
+    on = index >= 0
+    closes = np.zeros(len(index), dtype=bool)
+    for k in (np.flatnonzero(np.bincount(length[on])[1:]) + 1).tolist():
+        rows = np.flatnonzero(on & (length == k))
+        closes[rows] = _first_return_is(system, n, index[rows], k)
+    for r in np.flatnonzero(~closes | strays | wide).tolist():
+        demo = demos[r]
+        if not on[r]:
             bad.append(f"{demo.node} is not a lattice node (i/{n}, j/{n})")
-        elif not ok:
+        elif not closes[r]:
             bad.append(f"lattice orbit of {demo.node} does not close in "
                        f"exactly {demo.cycle_length} steps")
-        if demo.traced != demo.node:
+        if strays[r]:
             bad.append(f"certified point at {demo.node} is not the node itself")
-        if not demo.gap <= radius:
+        if wide[r]:
             bad.append(f"gap at {demo.node} exceeds the entourage radius")
     return bad
 
@@ -361,7 +472,10 @@ def _bfs_path(graph, inside, src, dst):
     first frontier node whose sorted row holds it, which is the parent a
     first-in first-out queue gives it, so the path is the queue's path.
     That first holder is found without sorting: `np.minimum.at` leaves in
-    `first` the least position at which the level reaches each node."""
+    `first` the least position at which the level reaches each node. The
+    level that would reach dst is never expanded: before each expansion,
+    dst is settled by the first frontier node among its in-neighbours,
+    found once per call from the CSR arrays."""
     if src == dst:
         best = None
         for s in graph.successors(src):
@@ -373,12 +487,21 @@ def _bfs_path(graph, inside, src, dst):
             if tail is not None and (best is None or len(tail) + 1 < len(best)):
                 best = [src] + tail
         return best
+    if not inside[dst]:
+        return None
+    into = np.zeros(graph.node_count, dtype=bool)
+    into[np.searchsorted(graph.indptr, np.flatnonzero(graph.indices == dst),
+                         "right") - 1] = True
     parent = np.full(graph.node_count, -1, dtype=np.int64)
     parent[src] = src
     unseen = np.iinfo(np.int64).max
     first = np.full(graph.node_count, unseen, dtype=np.int64)
     frontier = np.array([src], dtype=np.int64)
-    while frontier.size and parent[dst] < 0:
+    while frontier.size:
+        last = into[frontier]
+        if last.any():
+            parent[dst] = frontier[np.argmax(last)]
+            break
         starts = graph.indptr[frontier]
         counts = graph.indptr[frontier + 1] - starts
         reached = graph.indices[_concat_ranges(starts, counts)]
@@ -501,10 +624,10 @@ def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
     if isinstance(system, TorusAutomorphism):
         if resolution is None:
             raise ValueError("The lattice route needs the grid resolution.")
-        demos = _lattice_cycle_demos(system, recurrent_nodes, resolution)
+        nodes = tuple(recurrent_nodes)
         return Certificate(
-            kind="periodic-density", mode="lattice-cycle",
-            component=tuple(recurrent_nodes), demos=tuple(demos),
+            kind="periodic-density", mode="lattice-cycle", component=nodes,
+            demos=_lattice_cycles(system, nodes, resolution),
             params={"resolution": resolution, "radius": min(radii)},
             note="grid nodes are rational, hence exactly periodic; the "
                  "certified periodic point of each node is the node itself",
@@ -540,15 +663,15 @@ def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
     raise TypeError(f"No periodic tracing oracle for {system.name!r}.")
 
 
-def _lattice_cycle_demos(system, nodes, n):
-    """One CycleDemo per lattice node, its cycle length the size of its
-    orbit under the lattice permutation x -> A x mod n."""
+def _lattice_cycles(system, nodes, n):
+    """The density record of lattice nodes: the lattice index of each node
+    and the size of its orbit under the lattice permutation x -> A x mod n."""
+    index = _lattice_index(nodes, n)
+    if (index < 0).any():
+        raise ValueError(f"The lattice route needs nodes (i/{n}, j/{n}).")
     fi, fj = _lattice_map(system, n)(*np.divmod(np.arange(n * n), n))
     labels = _orbit_labels(fi * n + fj)
-    size = np.bincount(labels)[labels]
-    idx = np.rint(np.array(nodes, dtype=float).reshape(-1, 2) * n).astype(np.int64)
-    return [CycleDemo(node=node, traced=node, gap=0.0, cycle_length=length)
-            for node, length in zip(nodes, size[idx[:, 0] * n + idx[:, 1]].tolist())]
+    return LatticeCycles(n, index, np.bincount(labels)[labels][index])
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +715,10 @@ class SpectralDecomposition:
         all_nodes = []
         for bs in self.basic_sets:
             all_nodes.extend(bs.nodes)
-        if len(set(all_nodes)) != len(all_nodes):
+        distinct = set(all_nodes)
+        if len(distinct) != len(all_nodes):
             bad.append("basic sets overlap")
-        if set(all_nodes) != set(self.recurrent_nodes):
+        if distinct != set(self.recurrent_nodes):
             bad.append("basic sets do not cover the recurrent node set")
         bad.extend(self._invariance_failures(system))
         for bs in self.basic_sets:
@@ -634,12 +758,16 @@ class SpectralDecomposition:
         against every member, as before."""
         n = self.resolution
         tol = (1.0 / n) * math.sqrt(2.0) / 2.0 + 1e-12
-        idx, on = _lattice_index(bs.nodes, n)
+        index = _lattice_index(bs.nodes, n)
+        on = index >= 0
         hit = np.zeros(len(bs.nodes), dtype=bool)
         if on.any():
+            i, j = np.divmod(index[on], n)
             inside = np.zeros((n, n), dtype=bool)
-            inside[idx[on, 0], idx[on, 1]] = True
-            hit[on] = inside[_lattice_map(system, n)(idx[on, 0], idx[on, 1])]
+            inside[i, j] = True
+            hit[on] = inside[_lattice_map(system, n)(i, j)]
+        if hit.all():
+            return []
         off = {x for x, flag in zip(bs.nodes, on.tolist()) if not flag}
         every = set(bs.nodes)
         bad = []
@@ -677,7 +805,7 @@ class SpectralDecomposition:
             "basic-sets",
             ["id", "size", "walk_demos", "density_max_gap"],
             [[bs.ident, bs.size, len(bs.transitivity.demos),
-              max((d.gap for d in bs.periodic_density.demos), default=0.0)]
+              _max_gap(bs.periodic_density.demos)]
              for bs in self.basic_sets],
         )
         rep.add_table(
@@ -687,6 +815,13 @@ class SpectralDecomposition:
              for k, (r, c) in enumerate(self.history)],
         )
         return rep
+
+
+def _max_gap(demos):
+    """The largest density gap; a lattice record has one gap for all."""
+    if isinstance(demos, LatticeCycles):
+        return demos.gap if len(demos) else 0.0
+    return max((d.gap for d in demos), default=0.0)
 
 
 def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):

@@ -299,6 +299,9 @@ GOLDEN = [
      "49de60f23d801d253260955857c465af39892e12527619a314395cc4fef6da85"),
     (["decompose", "cat-map", "--resolution", "40"],
      "b7b3c4cdc19fc59cbce3362aa139867b78fc4af9728fafc00555cd4917a618e4"),
+    # the bench's headline operation: 65,536 lattice nodes, one basic set
+    (["decompose", "cat-map", "--resolution", "256"],
+     "5853577cd197d243495652961a16b01fc092a9f83d6434c777e5fd699bcfc2ec"),
 ]
 
 

@@ -26,6 +26,7 @@ from topodyn import (
 from topodyn.entourage import metric_ball
 from topodyn.chains import ChainGraph, torus_grid_graph
 from topodyn.spectral import CertificateError, CycleDemo, WalkDemo, _bfs_path
+from topodyn.spectral import LatticeCycles, _lattice_index
 from topodyn.systems import _north_south, torus_grid
 
 GOLDEN = sft_shift(("11", "10"), name="golden-mean")
@@ -657,3 +658,160 @@ def test_array_bfs_returns_the_queue_bfs_paths_on_large_graphs():
             outcomes.add((src == dst, want is None, len(want or ()) > 8))
     assert {(False, False, True), (False, True, False),
             (True, False, False)} <= outcomes
+
+
+def test_array_bfs_matches_the_queue_bfs_outside_the_mask_and_on_loops():
+    """Targets outside the mask, which no search reaches, and src == dst,
+    the shortest closed walk, on every drawn graph."""
+    rng = random.Random(31)
+    outcomes = set()
+    for trial in range(200):
+        n = rng.randint(2, 60)
+        density = rng.choice((0.03, 0.08, 0.2))
+        rows = [[j for j in range(n) if rng.random() < density]
+                for _ in range(n)]
+        graph = ChainGraph.from_successors(range(n), rows, "test")
+        inside = {v for v in range(n) if rng.random() < 0.7}
+        outside = sorted(set(range(n)) - inside)
+        mask = np.zeros(n, dtype=bool)
+        mask[sorted(inside)] = True
+        adjacency = [graph.successors(i) for i in range(n)]
+        src = rng.randrange(n)
+        targets = [src] + ([rng.choice(outside)] if outside else [])
+        for dst in targets:
+            want = _queue_bfs_path(adjacency, inside, src, dst)
+            assert _bfs_path(graph, mask, src, dst) == want, trial
+            outcomes.add((src == dst, dst in inside, want is None))
+    assert {(True, True, False), (True, True, True), (False, False, True),
+            (True, False, False)} <= outcomes
+
+
+# ---------------------------------------------------------------------------
+# lattice-cycle records against their expansion into CycleDemos
+
+
+def _lattice_record_tampers(record):
+    """Named records that differ from `record` in one way each."""
+    n = record.resolution
+    lengths = record.lengths.tolist()
+    k = next(r for r, v in enumerate(lengths) if v > 1)
+    other = next(r for r, v in enumerate(lengths) if v != lengths[k])
+
+    def at(name, r, value):
+        values = getattr(record, name).copy()
+        values[r] = value
+        return dataclasses.replace(record, **{name: values})
+
+    swapped = record.indices.copy()
+    swapped[[k, other]] = swapped[[other, k]]
+    return {
+        "untampered": record,
+        "length+1": at("lengths", k, lengths[k] + 1),
+        "length-1": at("lengths", k, lengths[k] - 1),
+        "float-lengths": dataclasses.replace(
+            record, lengths=record.lengths.astype(float)),
+        "bool-lengths": dataclasses.replace(record, lengths=record.lengths == 1),
+        "index-too-large": at("indices", k, n * n),
+        "index-negative": at("indices", k, -1),
+        "index-swapped": dataclasses.replace(record, indices=swapped),
+        "index-repeated": at("indices", k, int(record.indices[other])),
+        "one-short": LatticeCycles(n, record.indices[:-1], record.lengths[:-1]),
+    }
+
+
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_a_lattice_record_and_its_demos_fail_alike(n):
+    """A record and the tuple of CycleDemos it expands to are the same
+    evidence: identical failure lists, untampered and under every tamper."""
+    dec = spectral_decompose(CAT, resolution=n, seed=0, pairs=2)
+    assert dec.validate(CAT) == []
+    cert = dec.basic_sets[0].periodic_density
+    assert isinstance(cert.demos, LatticeCycles)
+    seen = {}
+    for name, record in _lattice_record_tampers(cert.demos).items():
+        as_record = dataclasses.replace(cert, demos=record).revalidate(CAT)
+        as_demos = dataclasses.replace(cert, demos=tuple(record)).revalidate(CAT)
+        assert as_record == as_demos, name
+        seen[name] = as_record
+    assert seen["untampered"] == []
+    assert all(seen[name] for name in seen if name != "untampered")
+    for name in ("float-lengths", "bool-lengths"):
+        assert seen[name] == ["a density demo's cycle length is not an int"]
+    assert any("does not close in exactly" in msg for msg in seen["length+1"])
+    assert any("is not a lattice node" in msg for msg in seen["index-too-large"])
+    for name in ("index-repeated", "one-short"):
+        assert "density demos do not cover the component once each" in seen[name]
+
+
+def test_a_lattice_record_reads_as_its_cycle_demos():
+    dec = spectral_decompose(CAT, resolution=20, seed=0, pairs=2)
+    cert = dec.basic_sets[0].periodic_density
+    record, demos = cert.demos, tuple(cert.demos)
+    assert len(record) == len(demos) == len(cert.component)
+    assert all(type(d) is CycleDemo for d in demos)
+    assert [d.node for d in demos] == list(cert.component)
+    assert all(d.traced == d.node and d.gap == 0.0 for d in demos)
+    assert all(type(d.cycle_length) is int for d in demos)
+    assert record[-1] == demos[-1] and record[3] == demos[3]
+    assert record[2:9:3] == demos[2:9:3]
+    assert record.index(demos[5]) == 5
+    assert record == dataclasses.replace(record)
+    assert record != dataclasses.replace(record, lengths=record.lengths + 1)
+    assert record != demos
+    with pytest.raises(IndexError):
+        record[len(record)]
+
+
+def test_a_lattice_record_cannot_be_written():
+    indices, lengths = np.arange(4), np.ones(4, dtype=np.int64)
+    record = LatticeCycles(2, indices, lengths)
+    for values in (record.indices, record.lengths):
+        with pytest.raises(ValueError):
+            values[0] = 3
+    indices[0] = 3  # the record holds its own copies
+    assert record.indices[0] == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.gap = 1.0
+    with pytest.raises(ValueError):
+        LatticeCycles(2, np.arange(4), np.ones(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n, kwargs", [
+    (16, {"ladder": 0.03}), (20, {}), (24, {})])
+def test_torus_density_records_have_one_entry_per_node(n, kwargs):
+    dec = spectral_decompose(CAT, resolution=n, seed=0, pairs=2, **kwargs)
+    assert dec.basic_sets
+    for bs in dec.basic_sets:
+        assert len(bs.periodic_density.demos) == len(bs.nodes)
+    assert sum(len(bs.periodic_density.demos) for bs in dec.basic_sets) == len(
+        dec.recurrent_nodes)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 12), st.data())
+def test_lattice_index_gate_keeps_the_per_point_answer(n, data):
+    """The type gate only picks the route: on any mix of lattice floats, ints,
+    numpy floats, float subclasses, lists, triples and points one ulp off,
+    the indices of the whole list are those of each point alone."""
+    class Real(float):
+        pass
+
+    lattice = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    point = st.one_of(
+        lattice.map(lambda ij: (ij[0] / n, ij[1] / n)),
+        lattice.map(lambda ij: (math.nextafter(ij[0] / n, 1.0), ij[1] / n)),
+        lattice.map(lambda ij: (ij[0], ij[1])),
+        lattice.map(lambda ij: (np.float64(ij[0] / n), ij[1] / n)),
+        lattice.map(lambda ij: (Real(ij[0] / n), ij[1] / n)),
+        lattice.map(lambda ij: [ij[0] / n, ij[1] / n]),
+        lattice.map(lambda ij: (ij[0] / n, ij[1] / n, 0.0)),
+        st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    points = data.draw(st.lists(point, max_size=12))
+    alone = [int(_lattice_index([p], n)[0]) for p in points]
+    assert _lattice_index(points, n).tolist() == alone
+    want = [round(p[0] * n) * n + round(p[1] * n)
+            if type(p) is tuple and len(p) == 2
+            and all(type(v) is float and 0 <= round(v * n) < n
+                    and round(v * n) / n == v for v in p) else -1
+            for p in points]
+    assert alone == want
