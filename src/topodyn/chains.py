@@ -170,6 +170,7 @@ class ChainGraph:
     entourage_id: str
     labels: np.ndarray = field(default=None, repr=False)
     _scc: list = field(default=None, repr=False)
+    _reversed: tuple = field(default=None, repr=False)
 
     @classmethod
     def from_successors(cls, nodes, successors, entourage_id):
@@ -206,6 +207,13 @@ class ChainGraph:
     def _sources(self):
         return np.repeat(np.arange(self.node_count, dtype=np.int32),
                          np.diff(self.indptr))
+
+    def reversed_csr(self):
+        """The (indptr, indices) CSR arrays of the graph with every edge
+        reversed, each row sorted; built on first use and kept."""
+        if self._reversed is None:
+            self._reversed = _csr(self.node_count, self.indices, self._sources())
+        return self._reversed
 
     def scc(self):
         """The SCCs as frozensets of node indices; SCC k holds the nodes
@@ -244,11 +252,12 @@ class ChainGraph:
 
     def is_strongly_connected(self):
         """Whether every node reaches every other: one forward and one
-        backward reachability sweep from node 0, without the SCC partition."""
+        backward breadth-first tree from node 0, without the SCC partition."""
         if not self.nodes:
             return False
-        return (_reaches_all(self.indptr, self.indices) and _reaches_all(
-            *_csr(self.node_count, self.indices, self._sources())))
+        everywhere = np.ones(self.node_count, dtype=bool)
+        return all((_bfs_tree(*csr, everywhere, 0)[1] >= 0).all() for csr in (
+            (self.indptr, self.indices), self.reversed_csr()))
 
     def to_text(self, node_id=None):
         """Adjacency listing, one `node_id: succ_id succ_id ...` line per node."""
@@ -257,20 +266,60 @@ class ChainGraph:
                          for i in range(self.node_count)) + "\n"
 
 
-def _reaches_all(indptr, indices):
-    """Whether a breadth-first sweep from node 0 along the CSR rows reaches
-    every node; each level is one batch of array operations."""
-    seen = np.zeros(len(indptr) - 1, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
+_UNSEEN = np.iinfo(np.int64).max
+
+
+def _bfs_level(indptr, indices, frontier, unseen, parent, first):
+    """One level of breadth-first search on CSR arrays: the nodes that the
+    frontier reaches whose `unseen` mask entry is set, in discovery order,
+    with their entries then cleared. Each takes as its parent the first
+    frontier node whose sorted row holds it, which is the parent a
+    first-in first-out queue gives it. That first holder is found without
+    sorting: `np.minimum.at` leaves in `first`, which is `_UNSEEN`
+    everywhere between levels, the least position at which the level
+    reaches each node. A frontier of one node, as on a thin component,
+    takes its row as it is: a node the row repeats is expanded twice at
+    the next level, which adds no node and changes no parent."""
+    if len(frontier) == 1:
+        f = frontier[0]
+        row = indices[indptr[f]:indptr[f + 1]]
+        frontier = row[unseen[row]].astype(np.int64)
+        parent[frontier] = f
+        unseen[frontier] = False
+        return frontier
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
+    reached = indices[_concat_ranges(starts, counts)]
+    fresh = unseen[reached]
+    reached, owner = reached[fresh], frontier.repeat(counts)[fresh]
+    at = np.arange(len(reached))
+    np.minimum.at(first, reached, at)
+    new = first[reached] == at
+    first[reached] = _UNSEEN
+    frontier = reached[new].astype(np.int64)
+    parent[frontier] = owner[new]
+    unseen[frontier] = False
+    return frontier
+
+
+def _bfs_tree(indptr, indices, inside, root):
+    """The breadth-first tree from root through the nodes whose `inside`
+    mask entry is set, as int64 parent and level arrays over all nodes:
+    the root is its own parent at level 0, and an unreached node has -1 in
+    both. Parents are those of a first-in first-out queue."""
+    parent = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    level = parent.copy()
+    parent[root], level[root] = root, 0
+    unseen = inside.copy()
+    unseen[root] = False
+    first = np.full(len(parent), _UNSEEN, dtype=np.int64)
+    frontier = np.array([root], dtype=np.int64)
+    depth = 0
     while frontier.size:
-        starts = indptr[frontier]
-        reached = indices[_concat_ranges(starts, indptr[frontier + 1] - starts)]
-        # sort and drop repeats by hand: a bare np.unique imports numpy.ma
-        fresh = np.sort(reached[~seen[reached]])
-        frontier = fresh[np.diff(fresh, prepend=-1) != 0]
-        seen[frontier] = True
-    return bool(seen.all())
+        frontier = _bfs_level(indptr, indices, frontier, unseen, parent, first)
+        depth += 1
+        level[frontier] = depth
+    return parent, level
 
 
 def is_chain(system, seq, D):

@@ -6,7 +6,9 @@ sampled node pairs, traced to periodic points that visit both cross-
 sections) and periodic density (every recurrent node receives a verified
 periodic point inside its entourage ball). Certificates are self-contained:
 they carry the nodes, walks, and parameters needed to re-verify from
-scratch, with no reference to cached graph state.
+scratch, with no reference to cached graph state; on torus and finite
+systems a connectivity witness (two spanning trees) stands in for the
+chain graph of each component.
 
 Three system families are supported, and each only supplies a ladder of
 chain graphs, its radii and its entourages; one pipeline refines the ladder,
@@ -32,8 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import (ChainGraph, _cell_groups, _concat_ranges, _float_pairs,
-                     _lattice_map, _orbit_labels, _pair_array, _refine_ladder,
+from .chains import (_UNSEEN, ChainGraph, _array_ball, _bfs_level, _bfs_tree,
+                     _cell_groups, _float_pairs, _lattice_map, _orbit_labels,
+                     _pair_array, _refine_ladder, _torus_distances,
                      build_chain_graph, torus_grid_graph)
 from .entourage import finite_relation, metric_ball
 from .report import FAIL, PASS, RESOLUTION_LIMITED, Report
@@ -87,6 +90,14 @@ class CycleDemo:
     gap: float
 
 
+def _freeze_arrays(record, names):
+    """Replace the named fields of a frozen record by read-only copies."""
+    for name in names:
+        values = np.array(getattr(record, name))
+        values.flags.writeable = False
+        object.__setattr__(record, name, values)
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeCycles(Sequence):
     """The lattice-cycle density evidence of a whole torus component, as
@@ -106,10 +117,7 @@ class LatticeCycles(Sequence):
     gap: float = 0.0
 
     def __post_init__(self):
-        for name in ("indices", "lengths"):
-            values = np.array(getattr(self, name))
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
+        _freeze_arrays(self, ("indices", "lengths"))
         if type(self.resolution) is not int or self.resolution < 1:
             raise ValueError("The lattice resolution must be a positive int.")
         if self.indices.ndim != 1 or self.indices.shape != self.lengths.shape:
@@ -141,6 +149,26 @@ class LatticeCycles(Sequence):
                 and np.array_equal(self.lengths, other.lengths))
 
 
+@dataclass(frozen=True, eq=False)
+class ConnectivityWitness:
+    """Evidence that a component C is strongly connected under D: an
+    out-tree and an in-tree that span C from one root. Each tree is a
+    parent array and a level array of positions into C, with the root at
+    position 0, its own parent at level 0; every other position k sits one
+    level below its parent. The out-tree edge of k is the D-step
+    C[parent[k]] -> C[k], so the root reaches every node, and the in-tree
+    edge is C[k] -> C[parent[k]], so every node reaches the root. The
+    arrays are copied on construction and cannot be written."""
+
+    out_parent: np.ndarray
+    out_level: np.ndarray
+    in_parent: np.ndarray
+    in_level: np.ndarray
+
+    def __post_init__(self):
+        _freeze_arrays(self, ("out_parent", "out_level", "in_parent", "in_level"))
+
+
 class CertificateError(ValueError):
     pass
 
@@ -152,10 +180,14 @@ class Certificate:
     mode picks the re-verification routine:
       symbolic        walks are symbol sequences checked against transitions
       metric-walk     walks are closed D-chains of points, traced to exact
-                      periodic orbits
+                      periodic orbits; strong connectivity under D is
+                      proved by `witness`, a `ConnectivityWitness` whose
+                      2(|C| - 1) tree edges are each re-tested by D's float
+                      predicate, on arrays when D is a torus metric ball
       exact-orbit     the metric-walk routine on a finite system, whose D is
-                      the diagonal, so walks are true orbits; density demos
-                      must first return after cycle_length steps
+                      the diagonal, so walks are true orbits and the
+                      witness's tree edges are steps of the map; density
+                      demos must first return after cycle_length steps
       lattice-cycle   density on the torus grid, re-proved in integers on
                       arrays: the demos are a `LatticeCycles` record (or a
                       tuple of CycleDemos, read into the same arrays), whose
@@ -174,6 +206,7 @@ class Certificate:
     chain_entourage: object = None
     params: dict = field(default_factory=dict)
     note: str = ""
+    witness: object = None
 
     def revalidate(self, system):
         """Re-check every demo from scratch; returns failure strings."""
@@ -288,10 +321,7 @@ def _revalidate_metric(cert, system):
         return bad
     D = cert.chain_entourage
     E = cert.entourage
-    # strong connectivity, from a graph built afresh by the float
-    # predicate of D and not from the integer offsets that built the ladder
-    if not build_chain_graph(system, cert.component, D).is_strongly_connected():
-        bad.append("component is not strongly connected under D")
+    bad.extend(_witness_failures(cert, system))
     chained = lambda a, b: D.accepts(system.forward(a), b)
     for demo in cert.demos:
         walk, orbit = demo.walk, demo.traced
@@ -313,6 +343,67 @@ def _revalidate_metric(cert, system):
         elif E is not None and not E.accepts(demo.y,
                                              orbit[demo.y_pos % demo.period]):
             bad.append(f"orbit visit at {where} leaves E[y]")
+    return bad
+
+
+def _spanning_tree(parent, level):
+    """Whether parent and level arrays make a tree rooted at position 0:
+    the root is its own parent at level 0, and every other position has a
+    parent in range exactly one level above it. From any position the
+    parents then lead down the levels, so with no cycle, to the root; this
+    holds even if a level wraps round, as a cycle would need as many
+    positions as the int64 range holds."""
+    parent, level = parent.astype(np.int64), level.astype(np.int64)
+    up = parent[1:]
+    return bool(parent[0] == 0 and level[0] == 0
+                and ((up >= 0) & (up < len(parent))).all()
+                and (level[1:] == level[up] + 1).all())
+
+
+def _witness_failures(cert, system):
+    """Strong connectivity of the component under D, from its witness: each
+    tree must span the component, and each tree edge (a, b) must pass D's
+    float predicate on (f(a), b), so the check does not trust the integer
+    offsets that built the ladder. When `_array_ball` holds the edges are
+    measured on arrays, as `build_chain_graph` measures its pairs, and
+    otherwise by D.accepts. A tree with bad edges is one failure, with the
+    count and the first bad edge."""
+    witness, comp, D = cert.witness, cert.component, cert.chain_entourage
+    if not isinstance(witness, ConnectivityWitness):
+        return ["no connectivity witness for the component"]
+    trees = (("out-tree", witness.out_parent, witness.out_level),
+             ("in-tree", witness.in_parent, witness.in_level))
+    arrays = [a for _, parent, level in trees for a in (parent, level)]
+    if not all(_int_array(a) for a in arrays):
+        return ["a connectivity witness array is not an int array"]
+    if not comp or any(a.shape != (len(comp),) for a in arrays):
+        return ["the connectivity witness does not have one entry per "
+                "component node"]
+    bad = [f"the {name} witness is not a tree rooted at the first node"
+           for name, parent, level in trees if not _spanning_tree(parent, level)]
+    if bad:
+        return bad
+    if _array_ball(system, D, comp):
+        pts = _pair_array(comp)
+        images = system.forward_batch(pts)
+        steps = lambda a, b: _torus_distances(
+            np.take(images, a, axis=0), np.take(pts, b, axis=0)) < D.radius
+    else:
+        images = [system.forward(x) for x in comp]
+        steps = lambda a, b: np.fromiter(
+            (D.accepts(images[i], comp[j]) for i, j in zip(a.tolist(), b.tolist())),
+            dtype=bool, count=len(a))
+    child = np.arange(1, len(comp))
+    for name, tail, head in (
+            ("out-tree", witness.out_parent[1:].astype(np.int64), child),
+            ("in-tree", child, witness.in_parent[1:].astype(np.int64))):
+        off = np.flatnonzero(~steps(tail, head))
+        if off.size:
+            a, b = comp[tail[off[0]]], comp[head[off[0]]]
+            bad.append(f"component is not strongly connected under D along its "
+                       f"{name}: {off.size} of its edges are not D-steps, the "
+                       f"first from {system.point_to_text(a)} to "
+                       f"{system.point_to_text(b)}")
     return bad
 
 
@@ -467,15 +558,10 @@ def _bfs_path(graph, inside, src, dst):
     set, as an index list; None when unreachable. src == dst asks for a
     shortest closed walk.
 
-    The search runs one level at a time on the CSR arrays. The frontier
-    stays in discovery order, and each new node takes as its parent the
-    first frontier node whose sorted row holds it, which is the parent a
-    first-in first-out queue gives it, so the path is the queue's path.
-    That first holder is found without sorting: `np.minimum.at` leaves in
-    `first` the least position at which the level reaches each node. The
-    level that would reach dst is never expanded: before each expansion,
-    dst is settled by the first frontier node among its in-neighbours,
-    found once per call from the CSR arrays."""
+    The search runs `_bfs_level` one level at a time, so the path is a
+    first-in first-out queue's path. The level that would reach dst is
+    never expanded: before each expansion, dst is settled by the first
+    frontier node among its in-neighbours, read from the reversed graph."""
     if src == dst:
         best = None
         for s in graph.successors(src):
@@ -490,30 +576,21 @@ def _bfs_path(graph, inside, src, dst):
     if not inside[dst]:
         return None
     into = np.zeros(graph.node_count, dtype=bool)
-    into[np.searchsorted(graph.indptr, np.flatnonzero(graph.indices == dst),
-                         "right") - 1] = True
+    indptr, indices = graph.reversed_csr()
+    into[indices[indptr[dst]:indptr[dst + 1]]] = True
     parent = np.full(graph.node_count, -1, dtype=np.int64)
     parent[src] = src
-    unseen = np.iinfo(np.int64).max
-    first = np.full(graph.node_count, unseen, dtype=np.int64)
+    unseen = inside.copy()
+    unseen[src] = False
+    first = np.full(graph.node_count, _UNSEEN, dtype=np.int64)
     frontier = np.array([src], dtype=np.int64)
     while frontier.size:
         last = into[frontier]
         if last.any():
             parent[dst] = frontier[np.argmax(last)]
             break
-        starts = graph.indptr[frontier]
-        counts = graph.indptr[frontier + 1] - starts
-        reached = graph.indices[_concat_ranges(starts, counts)]
-        owner = np.repeat(frontier, counts)
-        fresh = inside[reached] & (parent[reached] < 0)
-        reached, owner = reached[fresh], owner[fresh]
-        at = np.arange(len(reached))
-        np.minimum.at(first, reached, at)
-        new = first[reached] == at
-        first[reached] = unseen
-        frontier = reached[new].astype(np.int64)
-        parent[frontier] = owner[new]
+        frontier = _bfs_level(graph.indptr, graph.indices, frontier, unseen,
+                              parent, first)
     if parent[dst] < 0:
         return None
     path = [dst]
@@ -588,7 +665,26 @@ def transitivity_certificate(graph, component, system, E, D=None, seed=0,
         component=tuple(graph.nodes[i] for i in component), demos=tuple(demos),
         entourage=E, chain_entourage=D,
         note="walks are admissible words; periodic points are exact"
-        if symbolic else "")
+        if symbolic else "",
+        witness=None if symbolic else _connectivity_witness(graph, inside,
+                                                            component))
+
+
+def _connectivity_witness(graph, inside, component):
+    """The out-tree and in-tree from the first of the sorted component
+    nodes, by `_bfs_tree` on the graph and on its reverse inside the
+    component, written as positions into the component."""
+    comp = np.asarray(component, dtype=np.int64)
+    position = np.full(graph.node_count, -1, dtype=np.int32)
+    position[comp] = np.arange(len(comp), dtype=np.int32)
+    trees = [_bfs_tree(*csr, inside, comp[0])
+             for csr in ((graph.indptr, graph.indices), graph.reversed_csr())]
+    (out_parent, out_level), (in_parent, in_level) = trees
+    return ConnectivityWitness(
+        out_parent=position[out_parent[comp]],
+        out_level=out_level[comp].astype(np.int32),
+        in_parent=position[in_parent[comp]],
+        in_level=in_level[comp].astype(np.int32))
 
 
 def _trace_periodic_walk(system, walk):
@@ -718,7 +814,10 @@ class SpectralDecomposition:
         distinct = set(all_nodes)
         if len(distinct) != len(all_nodes):
             bad.append("basic sets overlap")
-        if distinct != set(self.recurrent_nodes):
+        # the same nodes in the same order need no set of the recurrent
+        # nodes, whose float tuples are slow to hash
+        if (all_nodes != list(self.recurrent_nodes)
+                and distinct != set(self.recurrent_nodes)):
             bad.append("basic sets do not cover the recurrent node set")
         bad.extend(self._invariance_failures(system))
         for bs in self.basic_sets:
@@ -870,6 +969,10 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
     # the reported history is the whole ladder's
     step = stab if stab is not None else len(graphs) - 1
     graph = graphs[step]
+    # only the cut step's graph is walked, so the others go before the
+    # certificates allocate their search arrays
+    rungs = tuple(g.entourage_id for g in graphs) if exact else radii
+    del graphs
     E, D = entourages(radii[step])
     groups = _cell_groups(states[step])
     if not exact:
@@ -888,7 +991,7 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
         system_name=system.name,
         family=family,
         resolution=n,
-        ladder=tuple(g.entourage_id for g in graphs) if exact else radii,
+        ladder=rungs,
         seed=seed,
         basic_sets=tuple(basic),
         recurrent_nodes=tuple(sorted(

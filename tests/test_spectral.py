@@ -23,11 +23,13 @@ from topodyn import (
     torus_automorphism,
     transitivity_certificate,
 )
-from topodyn.entourage import metric_ball
-from topodyn.chains import ChainGraph, torus_grid_graph
+from topodyn.entourage import finite_relation, metric_ball
+from topodyn.chains import (ChainGraph, _bfs_tree, _csr, build_chain_graph,
+                            torus_grid_graph)
 from topodyn.spectral import CertificateError, CycleDemo, WalkDemo, _bfs_path
 from topodyn.spectral import LatticeCycles, _lattice_index
-from topodyn.systems import _north_south, torus_grid
+from topodyn.spectral import ConnectivityWitness, _witness_failures
+from topodyn.systems import FiniteSystem, _north_south, torus_grid
 
 GOLDEN = sft_shift(("11", "10"), name="golden-mean")
 TWO_BLOCK = sft_shift(
@@ -815,3 +817,295 @@ def test_lattice_index_gate_keeps_the_per_point_answer(n, data):
                     and round(v * n) / n == v for v in p) else -1
             for p in points]
     assert alone == want
+
+
+# ---------------------------------------------------------------------------
+# connectivity witnesses: out- and in-trees that prove strong connectivity
+
+
+def _with_witness(bs, witness):
+    return dataclasses.replace(bs, transitivity=dataclasses.replace(
+        bs.transitivity, witness=witness))
+
+
+def _leaf_rewired(system, bs, tree):
+    """bs with one leaf of its out- or in-tree hung from a node whose tree
+    edge into (or out of) the leaf is no D-step, with its level one below
+    its new parent's, so the tree still spans the component."""
+    cert = bs.transitivity
+    w, comp, D = cert.witness, cert.component, cert.chain_entourage
+    parent = getattr(w, f"{tree}_parent").copy()
+    level = getattr(w, f"{tree}_level").copy()
+    step = ((lambda q, k: D.accepts(system.forward(comp[q]), comp[k]))
+            if tree == "out" else
+            (lambda q, k: D.accepts(system.forward(comp[k]), comp[q])))
+    leaves = sorted(set(range(1, len(comp))) - set(parent.tolist()))
+    k, q = next((k, q) for k in leaves for q in range(len(comp))
+                if q != k and not step(q, k))
+    parent[k], level[k] = q, level[q] + 1
+    return _with_witness(bs, dataclasses.replace(
+        w, **{f"{tree}_parent": parent, f"{tree}_level": level}))
+
+
+def _out_non_edge(system, bs, other):
+    return _leaf_rewired(system, bs, "out")
+
+
+def _in_non_edge(system, bs, other):
+    return _leaf_rewired(system, bs, "in")
+
+
+def _level_raised(system, bs, other):
+    w = bs.transitivity.witness
+    level = w.out_level.copy()
+    level[-1] += 1
+    return _with_witness(bs, dataclasses.replace(w, out_level=level))
+
+
+def _parent_cycle(system, bs, other):
+    """Two nodes off the root that are each other's parent, the second one
+    level below the first, as a tree edge would put it."""
+    w = bs.transitivity.witness
+    parent, level = w.out_parent.copy(), w.out_level.copy()
+    u, v = len(parent) - 2, len(parent) - 1
+    parent[u], parent[v] = v, u
+    level[u] = level[v] + 1
+    return _with_witness(bs, dataclasses.replace(
+        w, out_parent=parent, out_level=level))
+
+
+def _witness_short(system, bs, other):
+    w = bs.transitivity.witness
+    return _with_witness(bs, ConnectivityWitness(
+        w.out_parent[:-1], w.out_level[:-1], w.in_parent[:-1], w.in_level[:-1]))
+
+
+def _witness_as(dtype):
+    def tamper(system, bs, other):
+        w = bs.transitivity.witness
+        return _with_witness(bs, ConnectivityWitness(
+            *(a.astype(dtype) for a in (w.out_parent, w.out_level,
+                                        w.in_parent, w.in_level))))
+    return tamper
+
+
+def _foreign_witness(system, bs, other):
+    return _with_witness(bs, other.transitivity.witness)
+
+
+def _no_witness(system, bs, other):
+    return _with_witness(bs, None)
+
+
+NOT_A_TREE = "witness is not a tree rooted at the first node"
+WITNESS_TAMPERS = {
+    "out-non-edge": (_out_non_edge,
+                     "component is not strongly connected under D along its "
+                     "out-tree: 1 of its edges are not D-steps"),
+    "in-non-edge": (_in_non_edge,
+                    "component is not strongly connected under D along its "
+                    "in-tree: 1 of its edges are not D-steps"),
+    "level-raised": (_level_raised, f"the out-tree {NOT_A_TREE}"),
+    "parent-cycle": (_parent_cycle, f"the out-tree {NOT_A_TREE}"),
+    "one-short": (_witness_short, "the connectivity witness does not have "
+                                  "one entry per component node"),
+    "float-arrays": (_witness_as(float),
+                     "a connectivity witness array is not an int array"),
+    "bool-arrays": (_witness_as(bool),
+                    "a connectivity witness array is not an int array"),
+    "no-witness": (_no_witness, "no connectivity witness for the component"),
+}
+THREE_AND_TWO = permutation_from_cycles([("a", "b", "c"), ("d", "e")],
+                                        name="three-and-two")
+
+
+def _witness_failures_after(tamper, system, kwargs):
+    """The validate() failures of a decomposition whose first basic set's
+    witness was tampered with, taking `other` from the first basic set of
+    another size."""
+    dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
+    assert dec.validate(system) == []
+    first = dec.basic_sets[0]
+    other = next((bs for bs in dec.basic_sets if bs.size != first.size), first)
+    tampered = (tamper(system, first, other),) + dec.basic_sets[1:]
+    return dataclasses.replace(dec, basic_sets=tampered).validate(system)
+
+
+@pytest.mark.parametrize("system, kwargs", [
+    (CAT, {"resolution": 16}), (CAT, {"resolution": 20}), (THREE_CYCLE, {})],
+    ids=["torus-16", "torus-20", "three-cycle"])
+@pytest.mark.parametrize("kind", sorted(WITNESS_TAMPERS))
+def test_a_tampered_connectivity_witness_is_rejected(kind, system, kwargs):
+    tamper, message = WITNESS_TAMPERS[kind]
+    failures = _witness_failures_after(tamper, system, kwargs)
+    assert any(message in msg for msg in failures), failures
+
+
+@pytest.mark.parametrize("system, kwargs", [
+    (CAT, {"resolution": 16, "ladder": 0.03}),
+    (CAT, {"resolution": 20, "ladder": 0.04}), (THREE_AND_TWO, {})],
+    ids=["torus-16", "torus-20", "three-and-two"])
+def test_the_witness_of_another_basic_set_is_rejected(system, kwargs):
+    failures = _witness_failures_after(_foreign_witness, system, kwargs)
+    assert ("basic set 0 [transitivity]: the connectivity witness does not "
+            "have one entry per component node") in failures
+
+
+@pytest.mark.parametrize("system, kwargs", [
+    (CAT, {"resolution": 20}), (THREE_CYCLE, {})], ids=["torus", "finite"])
+def test_a_witness_with_bad_edges_is_one_failure_per_tree(system, kwargs):
+    """A D under which most tree edges are no step still gives one line per
+    tree, with the count and the first bad edge by its points, as D.accepts
+    finds them edge by edge."""
+    cert = spectral_decompose(system, seed=0, pairs=2,
+                              **kwargs).basic_sets[0].transitivity
+    comp = cert.component
+    if system is CAT:  # only exact lattice steps stay D-steps
+        D = metric_ball(CAT, 1e-9)
+    else:  # the diagonal relation of the reversed map
+        back = {system.forward(x): x for x in comp}
+        D = finite_relation({(back[x], x) for x in comp},
+                            space_id=system.space_id, points=tuple(system.points))
+    cert = dataclasses.replace(cert, chain_entourage=D)
+    w, want = cert.witness, []
+    for name, edges in (
+            ("out-tree", [(w.out_parent[k], k) for k in range(1, len(comp))]),
+            ("in-tree", [(k, w.in_parent[k]) for k in range(1, len(comp))])):
+        off = [(comp[a], comp[b]) for a, b in edges
+               if not D.accepts(system.forward(comp[a]), comp[b])]
+        assert len(off) > len(comp) // 2
+        want.append(f"component is not strongly connected under D along its "
+                    f"{name}: {len(off)} of its edges are not D-steps, the "
+                    f"first from {system.point_to_text(off[0][0])} to "
+                    f"{system.point_to_text(off[0][1])}")
+    assert _witness_failures(cert, system) == want
+
+
+def test_a_connectivity_witness_cannot_be_written():
+    arrays = [np.zeros(3, dtype=np.int32) for _ in range(4)]
+    witness = ConnectivityWitness(*arrays)
+    for values in (witness.out_parent, witness.out_level, witness.in_parent,
+                   witness.in_level):
+        with pytest.raises(ValueError):
+            values[0] = 1
+    arrays[0][0] = 1  # the witness holds its own copies
+    assert witness.out_parent[0] == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        witness.out_parent = arrays[0]
+    cert = spectral_decompose(CAT, resolution=16, seed=0, pairs=1).basic_sets[0]
+    stored = cert.transitivity.witness
+    assert stored.out_parent.dtype == np.int32
+    with pytest.raises(ValueError):
+        stored.in_level[1] = 0
+
+
+# the witness check against the fresh float chain graph of the component
+
+
+def _fresh_witness_passes(system, cert, fresh):
+    """Whether a witness built by the library's tree search on the fresh
+    graph of cert's D spans the component both ways and passes the check;
+    a graph that does not reach every node from node 0, and back, has no
+    such witness."""
+    m = fresh.node_count
+    everywhere = np.ones(m, dtype=bool)
+    trees = [_bfs_tree(*csr, everywhere, 0) for csr in (
+        (fresh.indptr, fresh.indices), fresh.reversed_csr())]
+    if any((level < 0).any() for _, level in trees):
+        return False
+    (op, ol), (ip, il) = trees
+    return _witness_failures(dataclasses.replace(
+        cert, witness=ConnectivityWitness(op, ol, ip, il)), system) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 24), st.floats(0.6, 4.5), st.floats(0.05, 1.0),
+       st.integers(0, 3))
+def test_torus_witness_check_agrees_with_the_fresh_chain_graph(
+        n, cells, tighter, seed):
+    """On the construction's D the stored witness passes and the fresh
+    float graph is strongly connected. On a D tightened at random, a
+    passing stored witness still means a strongly connected fresh graph,
+    it passes exactly when its tree edges are all fresh-graph edges, and
+    a witness built on the fresh graph passes exactly when that graph is
+    strongly connected."""
+    dec = spectral_decompose(CAT, resolution=n, ladder=cells / n, seed=seed,
+                             pairs=1)
+    for bs in dec.basic_sets[:3]:
+        cert = bs.transitivity
+        D = cert.chain_entourage
+        assert _witness_failures(cert, CAT) == []
+        assert build_chain_graph(CAT, cert.component, D).is_strongly_connected()
+        tight = dataclasses.replace(
+            cert, chain_entourage=metric_ball(CAT, D.radius * tighter))
+        fresh = build_chain_graph(CAT, cert.component, tight.chain_entourage)
+        stored = _witness_failures(tight, CAT) == []
+        w = cert.witness
+        edges = [(int(w.out_parent[k]), k) for k in range(1, bs.size)] + [
+            (k, int(w.in_parent[k])) for k in range(1, bs.size)]
+        assert stored == all(fresh.has_edge(a, b) for a, b in edges)
+        assert not stored or fresh.is_strongly_connected()
+        assert _fresh_witness_passes(CAT, tight, fresh) == (
+            fresh.is_strongly_connected())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(range(9)), st.data())
+def test_finite_witness_check_agrees_with_the_fresh_chain_graph(perm, data):
+    """On random permutations, with D the diagonal or a random part of it,
+    the stored witness passes exactly when the fresh graph of the basic set
+    is strongly connected: the two trees of a cycle hold all its steps."""
+    system = FiniteSystem(tuple(range(9)), dict(enumerate(perm)), name="perm")
+    dec = spectral_decompose(system, seed=0)
+    assert dec.validate(system) == []
+    for bs in dec.basic_sets:
+        cert = bs.transitivity
+        kept = data.draw(st.sets(st.sampled_from(bs.nodes)))
+        D = finite_relation({(x, x) for x in kept}, space_id=system.space_id,
+                            points=tuple(system.points))
+        tight = dataclasses.replace(cert, chain_entourage=D)
+        fresh = build_chain_graph(system, cert.component, D)
+        assert (_witness_failures(tight, system) == []) == (
+            fresh.is_strongly_connected())
+        assert _fresh_witness_passes(system, tight, fresh) == (
+            fresh.is_strongly_connected())
+
+
+# the tree search against a first-in first-out queue
+
+
+def _queue_bfs_tree(adjacency, inside, root):
+    """Parent and level of every node a first-in first-out queue reaches
+    from root through the set `inside`, over sorted successor lists."""
+    parent, level = {root: root}, {root: 0}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for w in adjacency[u]:
+            if w in inside and w not in parent:
+                parent[w], level[w] = u, level[u] + 1
+                queue.append(w)
+    return parent, level
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.data())
+def test_array_bfs_paths_and_trees_match_the_queue_bfs(n, data):
+    """On random graphs and masks, `_bfs_path` returns the queue's path and
+    `_bfs_tree` the queue's parents and levels, -1 where it never gets.
+    Rows may repeat a successor, which the one-node frontier step keeps."""
+    rows = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=6),
+                              min_size=n, max_size=n))
+    src = np.repeat(np.arange(n), [len(row) for row in rows])
+    dst = np.array([j for row in rows for j in row], dtype=np.int64)
+    graph = ChainGraph(tuple(range(n)), *_csr(n, src, dst), "test")
+    inside = data.draw(st.sets(st.integers(0, n - 1)))
+    mask = np.zeros(n, dtype=bool)
+    mask[sorted(inside)] = True
+    adjacency = [graph.successors(i) for i in range(n)]
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    assert _bfs_path(graph, mask, a, b) == _queue_bfs_path(adjacency, inside, a, b)
+    parent, level = _bfs_tree(graph.indptr, graph.indices, mask, a)
+    want_parent, want_level = _queue_bfs_tree(adjacency, inside, a)
+    assert parent.tolist() == [want_parent.get(v, -1) for v in range(n)]
+    assert level.tolist() == [want_level.get(v, -1) for v in range(n)]
