@@ -239,11 +239,15 @@ class ChainGraph:
 
     def recurrent_mask(self):
         """Boolean array of the nodes on a directed cycle: an SCC of size
-        >= 2, or a self-loop."""
+        >= 2, or a self-loop. Only the rows of the nodes alone in their SCC
+        are read for the self-loop."""
         labels = self.component_labels()
         mask = np.bincount(labels)[labels] >= 2
-        src = self._sources()
-        mask[src[self.indices == src]] = True
+        alone = np.flatnonzero(~mask)
+        starts = self.indptr[alone]
+        counts = self.indptr[alone + 1] - starts
+        owner = alone.repeat(counts)
+        mask[owner[self.indices[_concat_ranges(starts, counts)] == owner]] = True
         return mask
 
     def recurrent_indices(self):

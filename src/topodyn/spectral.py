@@ -6,9 +6,11 @@ sampled node pairs, traced to periodic points that visit both cross-
 sections) and periodic density (every recurrent node receives a verified
 periodic point inside its entourage ball). Certificates are self-contained:
 they carry the nodes, walks, and parameters needed to re-verify from
-scratch, with no reference to cached graph state; on torus and finite
-systems a connectivity witness (two spanning trees) stands in for the
-chain graph of each component.
+scratch, with no reference to cached graph state. Each claim has one
+evidence format and one check: a connectivity witness (two spanning trees)
+proves the strong connectivity of every component, in every mode, in place
+of its chain graph; torus density is a `LatticeCycles` record and torus
+invariance is checked on lattice integers, so a node off the lattice fails.
 
 Three system families are supported, and each only supplies a ladder of
 chain graphs, its radii and its entourages; one pipeline refines the ladder,
@@ -177,25 +179,26 @@ class CertificateError(ValueError):
 class Certificate:
     """Self-contained evidence for one basic-set property.
 
-    mode picks the re-verification routine:
+    mode picks the re-verification routine, and `_mode_for` fixes the one
+    mode of each system family and kind:
       symbolic        walks are symbol sequences checked against transitions
       metric-walk     walks are closed D-chains of points, traced to exact
-                      periodic orbits; strong connectivity under D is
-                      proved by `witness`, a `ConnectivityWitness` whose
-                      2(|C| - 1) tree edges are each re-tested by D's float
-                      predicate, on arrays when D is a torus metric ball
+                      periodic orbits
       exact-orbit     the metric-walk routine on a finite system, whose D is
-                      the diagonal, so walks are true orbits and the
-                      witness's tree edges are steps of the map; density
-                      demos must first return after cycle_length steps
+                      the diagonal, so walks are true orbits; density demos
+                      must first return after cycle_length steps
       lattice-cycle   density on the torus grid, re-proved in integers on
-                      arrays: the demos are a `LatticeCycles` record (or a
-                      tuple of CycleDemos, read into the same arrays), whose
-                      lattice indices x must be those of the component's
-                      nodes (i/n, j/n) and whose cycle length k must be the
-                      exact order of x, A^k x = x mod n and A^(k/p) x != x
-                      for every prime p dividing k, one power A^e mod n by
-                      squaring per distinct k; no float orbit is iterated
+                      arrays: the demos are one `LatticeCycles` record at
+                      the grid resolution, whose lattice indices x must be
+                      those of the component's nodes (i/n, j/n) and whose
+                      cycle length k must be the exact order of x,
+                      A^k x = x mod n and A^(k/p) x != x for every prime p
+                      dividing k, one power A^e mod n by squaring per
+                      distinct k; no float orbit is iterated
+    In every transitivity mode strong connectivity is proved by `witness`,
+    a `ConnectivityWitness` whose 2(|C| - 1) tree edges are each re-tested
+    by the walks' step relation (`_chain_step`): a transition on symbols,
+    otherwise D's float predicate, on arrays when D is a torus metric ball.
     """
 
     kind: str
@@ -205,25 +208,28 @@ class Certificate:
     entourage: object = None
     chain_entourage: object = None
     params: dict = field(default_factory=dict)
-    note: str = ""
     witness: object = None
 
     def revalidate(self, system):
         """Re-check every demo from scratch; returns failure strings."""
         routine = _REVALIDATE.get(self.mode)
-        if routine is None:
-            return [f"unknown certificate mode {self.mode!r}"]
+        if routine is None or self.mode != _mode_for(system, self.kind):
+            return [f"certificate mode {self.mode!r} does not fit "
+                    f"{self.kind} evidence on {system.name}"]
         # a demo of the wrong type ends the check: the routines read fields
         # that only the right type has, and count with int cycle lengths
         if self.kind == "transitivity":
             if not all(isinstance(d, WalkDemo) for d in self.demos):
                 return ["a transitivity demo is not a walk"]
-        elif isinstance(self.demos, LatticeCycles):
+        elif self.mode == "lattice-cycle":
+            if not isinstance(self.demos, LatticeCycles):
+                return ["lattice density demos are not a LatticeCycles record"]
             if not _int_array(self.demos.lengths):
                 return ["a density demo's cycle length is not an int"]
             if not _int_array(self.demos.indices):
                 return ["a density demo's node is not a lattice index"]
-        elif not all(isinstance(d, CycleDemo) for d in self.demos):
+        elif isinstance(self.demos, LatticeCycles) or not all(
+                isinstance(d, CycleDemo) for d in self.demos):
             return ["a density demo is not a cycle demo"]
         elif not all(type(d.cycle_length) is int for d in self.demos):
             return ["a density demo's cycle length is not an int"]
@@ -251,6 +257,29 @@ class Certificate:
         return []
 
 
+def _mode_for(system, kind):
+    """The one certificate mode for evidence of `kind` on `system`, or None
+    where no route exists: symbolic on shifts, exact-orbit on finite maps,
+    and otherwise metric-walk transitivity and, on torus automorphisms,
+    lattice-cycle density."""
+    if isinstance(system, ShiftOfFiniteType):
+        return "symbolic"
+    if isinstance(system, FiniteSystem):
+        return "exact-orbit"
+    if kind == "transitivity":
+        return "metric-walk"
+    return "lattice-cycle" if isinstance(system, TorusAutomorphism) else None
+
+
+def _chain_step(cert, system):
+    """The step relation of cert's walks and witness trees: a transition of
+    the shift on symbols, otherwise (a, b) with f(a) in D[b]."""
+    if cert.mode == "symbolic":
+        return system.allowed
+    D = cert.chain_entourage
+    return lambda a, b: D.accepts(system.forward(a), b)
+
+
 def _walk_failure(demo, step, where):
     """Why demo.walk is not a closed walk through demo.x that visits demo.y
     at demo.y_pos, each step (a, b) accepted by step(a, b); None when it
@@ -267,14 +296,11 @@ def _walk_failure(demo, step, where):
 
 
 def _revalidate_symbolic(cert, system):
-    bad = []
-    comp = set(cert.component)
-    # strong connectivity, recomputed from the transition matrix alone
-    if cert.kind == "transitivity" and not _symbols_strongly_connected(system, comp):
-        bad.append("component symbols are not mutually reachable")
+    bad = _witness_failures(cert, system) if cert.kind == "transitivity" else []
+    step = _chain_step(cert, system)
     for demo in cert.demos:
         if cert.kind == "transitivity":
-            failure = _walk_failure(demo, system.allowed, demo.x)
+            failure = _walk_failure(demo, step, demo.x)
             if failure:
                 bad.append(failure)
                 continue
@@ -319,10 +345,9 @@ def _revalidate_metric(cert, system):
             if demo.traced != demo.node:
                 bad.append(f"certified point at {demo.node} is not the node itself")
         return bad
-    D = cert.chain_entourage
     E = cert.entourage
     bad.extend(_witness_failures(cert, system))
-    chained = lambda a, b: D.accepts(system.forward(a), b)
+    chained = _chain_step(cert, system)
     for demo in cert.demos:
         walk, orbit = demo.walk, demo.traced
         where = system.point_to_text(demo.x)
@@ -362,12 +387,12 @@ def _spanning_tree(parent, level):
 
 def _witness_failures(cert, system):
     """Strong connectivity of the component under D, from its witness: each
-    tree must span the component, and each tree edge (a, b) must pass D's
-    float predicate on (f(a), b), so the check does not trust the integer
-    offsets that built the ladder. When `_array_ball` holds the edges are
-    measured on arrays, as `build_chain_graph` measures its pairs, and
-    otherwise by D.accepts. A tree with bad edges is one failure, with the
-    count and the first bad edge."""
+    tree must span the component, and each tree edge (a, b) must be a step
+    of `_chain_step`, a transition on symbols and otherwise D's float
+    predicate on (f(a), b), so the check does not trust the integer offsets
+    that built the ladder. When `_array_ball` holds the edges are measured
+    on arrays, as `build_chain_graph` measures its pairs. A tree with bad
+    edges is one failure, with the count and the first bad edge."""
     witness, comp, D = cert.witness, cert.component, cert.chain_entourage
     if not isinstance(witness, ConnectivityWitness):
         return ["no connectivity witness for the component"]
@@ -389,10 +414,11 @@ def _witness_failures(cert, system):
         steps = lambda a, b: _torus_distances(
             np.take(images, a, axis=0), np.take(pts, b, axis=0)) < D.radius
     else:
-        images = [system.forward(x) for x in comp]
+        step = _chain_step(cert, system)
         steps = lambda a, b: np.fromiter(
-            (D.accepts(images[i], comp[j]) for i, j in zip(a.tolist(), b.tolist())),
+            (step(comp[i], comp[j]) for i, j in zip(a.tolist(), b.tolist())),
             dtype=bool, count=len(a))
+    show = str if cert.mode == "symbolic" else system.point_to_text
     child = np.arange(1, len(comp))
     for name, tail, head in (
             ("out-tree", witness.out_parent[1:].astype(np.int64), child),
@@ -402,8 +428,7 @@ def _witness_failures(cert, system):
             a, b = comp[tail[off[0]]], comp[head[off[0]]]
             bad.append(f"component is not strongly connected under D along its "
                        f"{name}: {off.size} of its edges are not D-steps, the "
-                       f"first from {system.point_to_text(a)} to "
-                       f"{system.point_to_text(b)}")
+                       f"first from {show(a)} to {show(b)}")
     return bad
 
 
@@ -465,45 +490,27 @@ def _first_return_is(system, n, index, k):
     return ok
 
 
-def _lattice_arrays(demos, n, radius):
-    """The density evidence as arrays: each demo's lattice index (-1 off the
-    lattice or out of range), its cycle length (0 outside 1..n * n), and
-    masks of the demos whose certified point is not their node and whose
-    gap exceeds the radius. A record at resolution n is read as it is; any
-    other demos are read node by node."""
-    top = n * n
-    if isinstance(demos, LatticeCycles) and demos.resolution == n:
-        index, length = demos.indices, demos.lengths
-        strays = np.zeros(len(demos), dtype=bool)
-        wide = np.full(len(demos), not demos.gap <= radius)
-    else:
-        index = _lattice_index([d.node for d in demos], n)
-        length = np.fromiter((d.cycle_length if 1 <= d.cycle_length <= top
-                              else 0 for d in demos), dtype=np.int64,
-                             count=len(demos))
-        strays = np.fromiter((d.traced != d.node for d in demos), dtype=bool,
-                             count=len(demos))
-        wide = np.fromiter((not d.gap <= radius for d in demos), dtype=bool,
-                           count=len(demos))
-    # int64 first: an unsigned value past the int64 range turns negative,
-    # and so out of range, instead of failing to mix with -1
-    index, length = index.astype(np.int64), length.astype(np.int64)
-    index = np.where((index >= 0) & (index < top), index, -1)
-    length = np.where((length >= 1) & (length <= top), length, 0)
-    return index, length, strays, wide
-
-
 def _revalidate_lattice(cert, system):
-    """Density on the torus lattice, checked on arrays: one entry per
-    component node with that node's lattice index, each index in
+    """Density on the torus lattice, checked on the record's arrays: a
+    record at the grid resolution n, its one gap within the radius, one
+    entry per component node with that node's lattice index, each index in
     0..n * n - 1, and each cycle length the exact order of its index. Only
     the entries that fail are read back as demos, for their messages."""
-    n = cert.params["resolution"]
+    n, record = cert.params["resolution"], cert.demos
     if type(n) is not int or n < 1:
         return [f"grid resolution {n!r} is not a positive integer"]
-    demos = cert.demos
-    index, length, strays, wide = _lattice_arrays(demos, n, cert.params["radius"])
+    if record.resolution != n:
+        return [f"the density record is at resolution {record.resolution}, "
+                f"not at the grid resolution {n}"]
     bad = []
+    if not record.gap <= cert.params["radius"]:
+        bad.append(f"the density gap {record.gap} exceeds the entourage radius")
+    # int64 first: an unsigned value past the int64 range turns negative,
+    # and so out of range, instead of failing to mix with -1
+    top = n * n
+    index, length = record.indices.astype(np.int64), record.lengths.astype(np.int64)
+    on = (index >= 0) & (index < top)
+    index = np.where(on, index, -1)
     members = _lattice_index(cert.component, n)
     if len(index) != len(members) or not (
             np.array_equal(index, members)
@@ -512,22 +519,18 @@ def _revalidate_lattice(cert, system):
     # an integer matrix of determinant +-1 permutes the n x n lattice, so no
     # orbit is longer than n * n, and a length outside 1..n * n (read as 0)
     # fails with no arithmetic; the rest take one order test per length
-    on = index >= 0
+    length = np.where((length >= 1) & (length <= top), length, 0)
     closes = np.zeros(len(index), dtype=bool)
     for k in (np.flatnonzero(np.bincount(length[on])[1:]) + 1).tolist():
         rows = np.flatnonzero(on & (length == k))
         closes[rows] = _first_return_is(system, n, index[rows], k)
-    for r in np.flatnonzero(~closes | strays | wide).tolist():
-        demo = demos[r]
+    for r in np.flatnonzero(~closes).tolist():
+        demo = record[r]
         if not on[r]:
             bad.append(f"{demo.node} is not a lattice node (i/{n}, j/{n})")
-        elif not closes[r]:
+        else:
             bad.append(f"lattice orbit of {demo.node} does not close in "
                        f"exactly {demo.cycle_length} steps")
-        if strays[r]:
-            bad.append(f"certified point at {demo.node} is not the node itself")
-        if wide[r]:
-            bad.append(f"gap at {demo.node} exceeds the entourage radius")
     return bad
 
 
@@ -537,16 +540,6 @@ _REVALIDATE = {
     "exact-orbit": _revalidate_metric,
     "lattice-cycle": _revalidate_lattice,
 }
-
-
-def _symbols_strongly_connected(system, symbols):
-    """Whether the symbols are mutually reachable through transitions among
-    themselves, from the transition matrix alone."""
-    symbols = sorted(set(symbols))
-    index = {a: k for k, a in enumerate(symbols)}
-    return ChainGraph.from_successors(symbols, (
-        [index[w] for w in system.successors(a) if w in index] for a in symbols),
-        "symbols").is_strongly_connected()
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +623,9 @@ def transitivity_certificate(graph, component, system, E, D=None, seed=0,
     p in E[x] and the y-visit landing in E[y].
 
     `component` is a set of node indices of `graph`. Shift systems run the
-    symbol route, where walks are words and traced points are exact.
+    symbol route, where walks are words and traced points are exact. In
+    every mode the certificate carries the component's connectivity
+    witness on `graph`.
     """
     component = sorted(component)
     if not component:
@@ -641,7 +636,8 @@ def transitivity_certificate(graph, component, system, E, D=None, seed=0,
         raise ValueError("The nodes do not form one strongly connected "
                          "component of the graph.")
     rng = random.Random(seed)
-    symbolic = isinstance(system, ShiftOfFiniteType)
+    mode = _mode_for(system, "transitivity")
+    symbolic = mode == "symbolic"
     show = str if symbolic else system.point_to_text
     demos = []
     for xi, yi in _sample_pairs(rng, component, pairs):
@@ -659,15 +655,10 @@ def transitivity_certificate(graph, component, system, E, D=None, seed=0,
         demos.append(WalkDemo(x=x, y=y, walk=walk, y_pos=y_pos, traced=traced,
                               period=len(walk) - 1, gap=gap))
     return Certificate(
-        kind="transitivity",
-        mode="symbolic" if symbolic else "exact-orbit"
-        if isinstance(system, FiniteSystem) else "metric-walk",
+        kind="transitivity", mode=mode,
         component=tuple(graph.nodes[i] for i in component), demos=tuple(demos),
         entourage=E, chain_entourage=D,
-        note="walks are admissible words; periodic points are exact"
-        if symbolic else "",
-        witness=None if symbolic else _connectivity_witness(graph, inside,
-                                                            component))
+        witness=_connectivity_witness(graph, inside, component))
 
 
 def _connectivity_witness(graph, inside, component):
@@ -716,24 +707,22 @@ def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
     admissible word, or on the diagonal graph of a finite map the node's
     own orbit.
     """
-    radii = tuple(radii)
-    if isinstance(system, TorusAutomorphism):
+    mode = _mode_for(system, "periodic-density")
+    if mode == "lattice-cycle":
         if resolution is None:
             raise ValueError("The lattice route needs the grid resolution.")
         nodes = tuple(recurrent_nodes)
         return Certificate(
-            kind="periodic-density", mode="lattice-cycle", component=nodes,
+            kind="periodic-density", mode=mode, component=nodes,
             demos=_lattice_cycles(system, nodes, resolution),
             params={"resolution": resolution, "radius": min(radii)},
-            note="grid nodes are rational, hence exactly periodic; the "
-                 "certified periodic point of each node is the node itself",
         )
-    if isinstance(system, (ShiftOfFiniteType, FiniteSystem)):
+    if mode is not None:
         # the shortest cycle through a node of an exact graph; on the
         # diagonal graph of a finite map it is the node's orbit
         if graph is None:
             raise ValueError("The exact route needs the chain graph.")
-        symbolic = isinstance(system, ShiftOfFiniteType)
+        symbolic = mode == "symbolic"
         everywhere = np.ones(graph.node_count, dtype=bool)
         pos = {s: i for i, s in enumerate(graph.nodes)}
         demos = []
@@ -750,12 +739,8 @@ def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
                 p, gap = a, 0.0
             demos.append(CycleDemo(node=a, cycle_length=len(block), traced=p,
                                    gap=gap))
-        return Certificate(
-            kind="periodic-density",
-            mode="symbolic" if symbolic else "exact-orbit",
-            component=tuple(recurrent_nodes), demos=tuple(demos),
-            params={"radii": radii},
-        )
+        return Certificate(kind="periodic-density", mode=mode,
+                           component=tuple(recurrent_nodes), demos=tuple(demos))
     raise TypeError(f"No periodic tracing oracle for {system.name!r}.")
 
 
@@ -850,35 +835,29 @@ class SpectralDecomposition:
     def _torus_invariance_failures(self, system, bs):
         """Lattice nodes are mapped by the integer matrix and looked up in a
         mask of the basic set's cells. Lattice cells are one cell apart, so
-        for a lattice node this is the float test "f(x) lies within half a
-        cell diagonal of a member", made exact. Members off the lattice can
-        still be near the float image, so a node that misses the mask is
-        measured against them in floats; a node off the lattice is measured
-        against every member, as before."""
+        this is the float test "f(x) lies within half a cell diagonal of a
+        member", made exact. Nodes off the lattice are one failure, with
+        their count and the first of them."""
         n = self.resolution
-        tol = (1.0 / n) * math.sqrt(2.0) / 2.0 + 1e-12
+        if type(n) is not int or n < 1:
+            return [f"grid resolution {n!r} of basic set {bs.ident} is not a "
+                    "positive integer"]
         index = _lattice_index(bs.nodes, n)
         on = index >= 0
-        hit = np.zeros(len(bs.nodes), dtype=bool)
-        if on.any():
-            i, j = np.divmod(index[on], n)
-            inside = np.zeros((n, n), dtype=bool)
-            inside[i, j] = True
-            hit[on] = inside[_lattice_map(system, n)(i, j)]
-        if hit.all():
-            return []
-        off = {x for x, flag in zip(bs.nodes, on.tolist()) if not flag}
-        every = set(bs.nodes)
         bad = []
-        for k in np.flatnonzero(~hit).tolist():
-            x = bs.nodes[k]
-            pool = every if x in off else off
-            fx = system.forward(x)
-            if fx in pool:
-                continue
-            if min((system.metric(fx, y) for y in pool), default=math.inf) > tol:
-                bad.append(f"image of {system.point_to_text(x)} is more than "
-                           f"one grid cell from basic set {bs.ident}")
+        if not on.all():
+            off = np.flatnonzero(~on)
+            bad.append(f"{off.size} nodes of basic set {bs.ident} are off the "
+                       f"lattice: the first, "
+                       f"{system.point_to_text(bs.nodes[off[0]])}, is not a "
+                       f"lattice node (i/{n}, j/{n})")
+        i, j = np.divmod(index[on], n)
+        inside = np.zeros((n, n), dtype=bool)
+        inside[i, j] = True
+        miss = np.flatnonzero(on)[~inside[_lattice_map(system, n)(i, j)]]
+        for k in miss.tolist():
+            bad.append(f"image of {system.point_to_text(bs.nodes[k])} is more "
+                       f"than one grid cell from basic set {bs.ident}")
         return bad
 
     def to_report(self):

@@ -190,6 +190,39 @@ def test_csr_matches_a_lexsort_reference():
         assert indices.tolist() == want_indices.tolist()
 
 
+def _recurrent_by_edges(graph):
+    """The recurrent mask by one test per edge: an SCC of size >= 2, or an
+    edge from a node to itself."""
+    labels = graph.component_labels()
+    mask = np.bincount(labels, minlength=1)[labels] >= 2
+    for i in range(graph.node_count):
+        if i in graph.successors(i):
+            mask[i] = True
+    return mask
+
+
+def test_recurrent_mask_matches_a_per_edge_reference():
+    """Random CSR graphs whose rows may repeat a self-loop, with self-loops
+    on nodes alone in their SCC and on nodes of larger SCCs."""
+    rng = random.Random(43)
+    loops_seen = set()
+    for trial in range(300):
+        n = rng.randint(0, 40)
+        density = rng.choice((0.02, 0.05, 0.15))
+        rows = [[j for j in range(n) if rng.random() < density]
+                + [i] * rng.choice((0, 0, 1, 2)) for i in range(n)]
+        src = np.repeat(np.arange(n, dtype=np.int64), [len(r) for r in rows])
+        dst = np.array([j for r in rows for j in r], dtype=np.int64)
+        graph = ChainGraph(tuple(range(n)), *chains._csr(n, src, dst), "test")
+        assert graph.recurrent_mask().tolist() == (
+            _recurrent_by_edges(graph).tolist()), trial
+        labels = graph.component_labels()
+        sizes = np.bincount(labels, minlength=1)[labels]
+        loops_seen |= {int(sizes[i]) == 1 for i in range(n)
+                       if i in graph.successors(i)}
+    assert loops_seen == {True, False}
+
+
 def test_strong_connectivity_sweep_matches_scc():
     rng = random.Random(7)
     for trial in range(80):

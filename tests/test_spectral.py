@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 from collections import deque
 
 import numpy as np
@@ -309,17 +310,54 @@ def test_certificates_are_bound_to_their_basic_set(tamper, system, kwargs):
 
 @pytest.mark.parametrize("tamper, system, kwargs", [
     (_float_cycles, TWO_BLOCK, {}), (_text_cycle, TWO_BLOCK, {}),
-    (_float_cycles, THREE_CYCLE, {}), (_one_float_cycle, CAT, {"resolution": 20}),
-    (_bool_fixed_point, CAT, {"resolution": 20})],
-    ids=["float-symbolic", "text-symbolic", "float-exact-orbit",
-         "one-float-lattice-cycle", "bool-lattice-cycle"])
+    (_float_cycles, THREE_CYCLE, {})],
+    ids=["float-symbolic", "text-symbolic", "float-exact-orbit"])
 def test_a_cycle_length_that_is_not_an_int_is_one_failure(tamper, system, kwargs):
     """Every mode reads cycle lengths as ints, so any other value ends the
-    density check with one failure, before a routine counts with it."""
+    density check with one failure, before a routine counts with it. The
+    lattice record's `float-lengths` and `bool-lengths` tampers check the
+    same for the lattice-cycle mode."""
     bs = spectral_decompose(system, seed=0, **kwargs).basic_sets[0]
     cert = tamper(bs, bs).periodic_density
     assert cert.revalidate(system) == [
         "a density demo's cycle length is not an int"]
+
+
+MODES = ("symbolic", "metric-walk", "exact-orbit", "lattice-cycle", "no-such-mode")
+
+
+@pytest.mark.parametrize("system, kwargs", [
+    (TWO_BLOCK, {}), (THREE_CYCLE, {}), (CAT, {"resolution": 16})],
+    ids=["symbolic", "finite", "torus"])
+def test_a_certificate_in_the_wrong_mode_is_one_failure(system, kwargs):
+    """Each family and kind has one mode; relabelled to any other, a
+    certificate is one failure, and validate() reports it, never raising."""
+    dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
+    bs = dec.basic_sets[0]
+    for name in ("transitivity", "periodic_density"):
+        cert = getattr(bs, name)
+        for mode in MODES:
+            if mode == cert.mode:
+                continue
+            wrong = dataclasses.replace(cert, mode=mode)
+            assert wrong.revalidate(system) == [
+                f"certificate mode {mode!r} does not fit {cert.kind} evidence "
+                f"on {system.name}"]
+            tampered = dataclasses.replace(bs, **{name: wrong})
+            assert dataclasses.replace(
+                dec, basic_sets=(tampered,) + dec.basic_sets[1:]).validate(system)
+
+
+@pytest.mark.parametrize("system", [TWO_BLOCK, THREE_CYCLE],
+                         ids=["symbolic", "exact-orbit"])
+def test_a_lattice_record_is_no_evidence_in_another_mode(system):
+    """A record reads as CycleDemos, but only the lattice-cycle mode takes
+    it: elsewhere it is one failure, before a routine reads its views."""
+    cert = spectral_decompose(system, seed=0).basic_sets[0].periodic_density
+    record = spectral_decompose(CAT, resolution=16, seed=0,
+                                pairs=1).basic_sets[0].periodic_density.demos
+    assert dataclasses.replace(cert, demos=record).revalidate(system) == [
+        "a density demo is not a cycle demo"]
 
 
 @pytest.mark.parametrize("system, kwargs", [
@@ -351,13 +389,19 @@ def test_decompose_needs_a_walk_pair(system, kwargs):
         spectral_decompose(system, pairs=0, **kwargs)
 
 
+def _with_length(record, k, value):
+    """The record with the cycle length of entry k set to value."""
+    lengths = record.lengths.copy()
+    lengths[k] = value
+    return dataclasses.replace(record, lengths=lengths)
+
+
 def test_corrupted_lattice_cycle_is_rejected():
     dec = spectral_decompose(CAT, resolution=16, seed=0)
     cert = dec.basic_sets[0].periodic_density
-    demo = next(d for d in cert.demos if d.cycle_length > 1)
-    broken = dataclasses.replace(demo, cycle_length=demo.cycle_length + 1)
-    bad_cert = dataclasses.replace(cert, demos=(broken,))
-    failures = bad_cert.revalidate(CAT)
+    k = int(np.flatnonzero(cert.demos.lengths > 1)[0])
+    broken = _with_length(cert.demos, k, cert.demos.lengths[k] + 1)
+    failures = dataclasses.replace(cert, demos=broken).revalidate(CAT)
     assert any("does not close" in msg for msg in failures)
 
 
@@ -368,32 +412,39 @@ def _torus_dec(n=20):
     return spectral_decompose(CAT, resolution=n, seed=1, pairs=4)
 
 
-def _with_density_demo(dec, k, **changes):
-    """dec with density demo k of basic set 0 altered."""
+def _with_density_record(dec, record):
+    """dec with the density record of basic set 0 replaced."""
     bs = dec.basic_sets[0]
-    cert = bs.periodic_density
-    demos = list(cert.demos)
-    demos[k] = dataclasses.replace(demos[k], **changes)
-    bs = dataclasses.replace(
-        bs, periodic_density=dataclasses.replace(cert, demos=tuple(demos)))
+    bs = dataclasses.replace(bs, periodic_density=dataclasses.replace(
+        bs.periodic_density, demos=record))
     return dataclasses.replace(dec, basic_sets=(bs,))
 
 
 def test_lattice_node_moved_by_one_ulp_is_rejected():
+    """Node 7 of basic set 0 moved by one ulp, in the basic set and in the
+    component of both its certificates."""
     dec = _torus_dec()
-    x, y = dec.basic_sets[0].periodic_density.demos[7].node
-    moved = (math.nextafter(x, 2.0), y)
-    failures = _with_density_demo(dec, 7, node=moved, traced=moved).validate(CAT)
+    bs = dec.basic_sets[0]
+    x, y = bs.nodes[7]
+    nodes = bs.nodes[:7] + ((math.nextafter(x, 2.0), y),) + bs.nodes[8:]
+    bs = dataclasses.replace(
+        bs, nodes=nodes,
+        transitivity=dataclasses.replace(bs.transitivity, component=nodes),
+        periodic_density=dataclasses.replace(bs.periodic_density,
+                                             component=nodes))
+    failures = dataclasses.replace(
+        dec, basic_sets=(bs,) + dec.basic_sets[1:]).validate(CAT)
     assert any("is not a lattice node" in msg for msg in failures)
 
 
 def test_wrong_cycle_length_is_rejected():
     dec = _torus_dec()
-    demo = next(d for d in dec.basic_sets[0].periodic_density.demos
-                if d.cycle_length > 1)
-    k = dec.basic_sets[0].periodic_density.demos.index(demo)
-    for wrong in (demo.cycle_length - 1, 2 * demo.cycle_length, 0):
-        failures = _with_density_demo(dec, k, cycle_length=wrong).validate(CAT)
+    record = dec.basic_sets[0].periodic_density.demos
+    k = int(np.flatnonzero(record.lengths > 1)[0])
+    right = int(record.lengths[k])
+    for wrong in (right - 1, 2 * right, 0):
+        failures = _with_density_record(
+            dec, _with_length(record, k, wrong)).validate(CAT)
         assert any(f"does not close in exactly {wrong} steps" in msg
                    for msg in failures), wrong
 
@@ -417,10 +468,11 @@ def _first_returns_by_steps(matrix, n):
 
 
 def _lattice_density(nodes, lengths, n):
+    indices = [round(x * n) * n + round(y * n) for x, y in nodes]
     return Certificate(
         kind="periodic-density", mode="lattice-cycle", component=tuple(nodes),
-        demos=tuple(CycleDemo(node=x, cycle_length=k, traced=x, gap=0.0)
-                    for x, k in zip(nodes, lengths)),
+        demos=LatticeCycles(n, np.array(indices, dtype=np.int64),
+                            np.array(lengths, dtype=np.int64)),
         params={"resolution": n, "radius": 0.0})
 
 
@@ -454,8 +506,9 @@ def test_lattice_order_test_matches_the_first_return_loop(matrix, n, data):
 
 def test_gap_above_radius_is_rejected():
     dec = _torus_dec()
-    radius = dec.basic_sets[0].periodic_density.params["radius"]
-    failures = _with_density_demo(dec, 3, gap=2.0 * radius).validate(CAT)
+    cert = dec.basic_sets[0].periodic_density
+    wide = dataclasses.replace(cert.demos, gap=2.0 * cert.params["radius"])
+    failures = _with_density_record(dec, wide).validate(CAT)
     assert any("exceeds the entourage radius" in msg for msg in failures)
 
 
@@ -489,6 +542,21 @@ def test_cat_grid_validates_clean_off_dyadic_resolutions(n):
     assert dec.component_count == 1
     assert len(dec.recurrent_nodes) == n * n
     assert dec.validate(CAT) == []
+
+
+@pytest.mark.parametrize("relabel", [24, 48.0], ids=["24", "48.0"])
+def test_a_relabelled_torus_resolution_fails_fast(relabel):
+    """Invariance reads nodes as lattice integers only: nodes of the 48-grid
+    read at resolution 24 are mostly off that lattice, and 48.0 is no
+    resolution. Either is one failure per basic set, found in well under a
+    second, as no node is measured against the members in floats."""
+    dec = spectral_decompose(CAT, resolution=48, seed=0, pairs=2)
+    assert dec.validate(CAT) == []
+    relabelled = dataclasses.replace(dec, resolution=relabel)
+    start = time.perf_counter()
+    failures = relabelled.validate(CAT)
+    assert time.perf_counter() - start < 1.0
+    assert len(failures) == len(dec.basic_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -718,23 +786,23 @@ def _lattice_record_tampers(record):
         "index-swapped": dataclasses.replace(record, indices=swapped),
         "index-repeated": at("indices", k, int(record.indices[other])),
         "one-short": LatticeCycles(n, record.indices[:-1], record.lengths[:-1]),
+        "other-resolution": dataclasses.replace(record, resolution=2 * n),
+        "gap-too-wide": dataclasses.replace(record, gap=1.0),
     }
 
 
 @pytest.mark.parametrize("n", [16, 20, 24])
 def test_a_lattice_record_and_its_demos_fail_alike(n):
-    """A record and the tuple of CycleDemos it expands to are the same
-    evidence: identical failure lists, untampered and under every tamper."""
+    """Every tamper of a record fails, and the record's own CycleDemos, as a
+    tuple, are no lattice evidence: one failure names the format."""
     dec = spectral_decompose(CAT, resolution=n, seed=0, pairs=2)
     assert dec.validate(CAT) == []
     cert = dec.basic_sets[0].periodic_density
     assert isinstance(cert.demos, LatticeCycles)
-    seen = {}
-    for name, record in _lattice_record_tampers(cert.demos).items():
-        as_record = dataclasses.replace(cert, demos=record).revalidate(CAT)
-        as_demos = dataclasses.replace(cert, demos=tuple(record)).revalidate(CAT)
-        assert as_record == as_demos, name
-        seen[name] = as_record
+    assert dataclasses.replace(cert, demos=tuple(cert.demos)).revalidate(CAT) == [
+        "lattice density demos are not a LatticeCycles record"]
+    seen = {name: dataclasses.replace(cert, demos=record).revalidate(CAT)
+            for name, record in _lattice_record_tampers(cert.demos).items()}
     assert seen["untampered"] == []
     assert all(seen[name] for name in seen if name != "untampered")
     for name in ("float-lengths", "bool-lengths"):
@@ -743,6 +811,11 @@ def test_a_lattice_record_and_its_demos_fail_alike(n):
     assert any("is not a lattice node" in msg for msg in seen["index-too-large"])
     for name in ("index-repeated", "one-short"):
         assert "density demos do not cover the component once each" in seen[name]
+    assert seen["other-resolution"] == [
+        f"the density record is at resolution {2 * n}, not at the grid "
+        f"resolution {n}"]
+    assert seen["gap-too-wide"] == [
+        "the density gap 1.0 exceeds the entourage radius"]
 
 
 def test_a_lattice_record_reads_as_its_cycle_demos():
@@ -836,9 +909,10 @@ def _leaf_rewired(system, bs, tree):
     w, comp, D = cert.witness, cert.component, cert.chain_entourage
     parent = getattr(w, f"{tree}_parent").copy()
     level = getattr(w, f"{tree}_level").copy()
-    step = ((lambda q, k: D.accepts(system.forward(comp[q]), comp[k]))
-            if tree == "out" else
-            (lambda q, k: D.accepts(system.forward(comp[k]), comp[q])))
+    chained = (system.allowed if cert.mode == "symbolic" else
+               lambda a, b: D.accepts(system.forward(a), b))
+    step = ((lambda q, k: chained(comp[q], comp[k])) if tree == "out" else
+            (lambda q, k: chained(comp[k], comp[q])))
     leaves = sorted(set(range(1, len(comp))) - set(parent.tolist()))
     k, q = next((k, q) for k in leaves for q in range(len(comp))
                 if q != k and not step(q, k))
@@ -920,35 +994,39 @@ THREE_AND_TWO = permutation_from_cycles([("a", "b", "c"), ("d", "e")],
 
 
 def _witness_failures_after(tamper, system, kwargs):
-    """The validate() failures of a decomposition whose first basic set's
-    witness was tampered with, taking `other` from the first basic set of
-    another size."""
+    """The ident of the first largest basic set of a decomposition, and the
+    validate() failures after its witness was tampered with, taking `other`
+    from the first basic set of another size. On two-block-sft that is
+    {2, 3, 4}, as every step inside {0, 1} is allowed."""
     dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
     assert dec.validate(system) == []
-    first = dec.basic_sets[0]
+    first = max(dec.basic_sets, key=lambda bs: bs.size)
     other = next((bs for bs in dec.basic_sets if bs.size != first.size), first)
-    tampered = (tamper(system, first, other),) + dec.basic_sets[1:]
-    return dataclasses.replace(dec, basic_sets=tampered).validate(system)
+    tampered = tuple(tamper(system, bs, other) if bs is first else bs
+                     for bs in dec.basic_sets)
+    return first.ident, dataclasses.replace(
+        dec, basic_sets=tampered).validate(system)
 
 
 @pytest.mark.parametrize("system, kwargs", [
-    (CAT, {"resolution": 16}), (CAT, {"resolution": 20}), (THREE_CYCLE, {})],
-    ids=["torus-16", "torus-20", "three-cycle"])
+    (CAT, {"resolution": 16}), (CAT, {"resolution": 20}), (THREE_CYCLE, {}),
+    (TWO_BLOCK, {})], ids=["torus-16", "torus-20", "three-cycle", "two-block-sft"])
 @pytest.mark.parametrize("kind", sorted(WITNESS_TAMPERS))
 def test_a_tampered_connectivity_witness_is_rejected(kind, system, kwargs):
     tamper, message = WITNESS_TAMPERS[kind]
-    failures = _witness_failures_after(tamper, system, kwargs)
+    _, failures = _witness_failures_after(tamper, system, kwargs)
     assert any(message in msg for msg in failures), failures
 
 
 @pytest.mark.parametrize("system, kwargs", [
     (CAT, {"resolution": 16, "ladder": 0.03}),
-    (CAT, {"resolution": 20, "ladder": 0.04}), (THREE_AND_TWO, {})],
-    ids=["torus-16", "torus-20", "three-and-two"])
+    (CAT, {"resolution": 20, "ladder": 0.04}), (THREE_AND_TWO, {}),
+    (TWO_BLOCK, {})],
+    ids=["torus-16", "torus-20", "three-and-two", "two-block-sft"])
 def test_the_witness_of_another_basic_set_is_rejected(system, kwargs):
-    failures = _witness_failures_after(_foreign_witness, system, kwargs)
-    assert ("basic set 0 [transitivity]: the connectivity witness does not "
-            "have one entry per component node") in failures
+    ident, failures = _witness_failures_after(_foreign_witness, system, kwargs)
+    assert (f"basic set {ident} [transitivity]: the connectivity witness does "
+            "not have one entry per component node") in failures
 
 
 @pytest.mark.parametrize("system, kwargs", [
