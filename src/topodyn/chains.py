@@ -273,37 +273,43 @@ class ChainGraph:
 _UNSEEN = np.iinfo(np.int64).max
 
 
-def _bfs_level(indptr, indices, frontier, unseen, parent, first):
-    """One level of breadth-first search on CSR arrays: the nodes that the
-    frontier reaches whose `unseen` mask entry is set, in discovery order,
-    with their entries then cleared. Each takes as its parent the first
-    frontier node whose sorted row holds it, which is the parent a
-    first-in first-out queue gives it. That first holder is found without
-    sorting: `np.minimum.at` leaves in `first`, which is `_UNSEEN`
-    everywhere between levels, the least position at which the level
-    reaches each node. A frontier of one node, as on a thin component,
+def _bfs_levels(indptr, indices, inside, root, parent):
+    """Breadth-first search on CSR arrays from root through the nodes whose
+    `inside` mask entry is set: yields each frontier as an int64 array in
+    discovery order, the root alone first, and expands the next level only
+    when it is asked for. Each reached node gets in `parent` the first
+    frontier node whose sorted row holds it, the parent a first-in
+    first-out queue gives it; the root is its own. That first holder is
+    found without sorting: `np.minimum.at` leaves in `first`, which is
+    `_UNSEEN` everywhere between levels, the least position at which the
+    level reaches each node. A one-node frontier, as on a thin component,
     takes its row as it is: a node the row repeats is expanded twice at
     the next level, which adds no node and changes no parent."""
-    if len(frontier) == 1:
-        f = frontier[0]
-        row = indices[indptr[f]:indptr[f + 1]]
-        frontier = row[unseen[row]].astype(np.int64)
-        parent[frontier] = f
+    parent[root] = root
+    unseen = inside.copy()
+    unseen[root] = False
+    first = np.full(len(parent), _UNSEEN, dtype=np.int64)
+    frontier = np.array([root], dtype=np.int64)
+    while frontier.size:
+        yield frontier
+        if len(frontier) == 1:
+            f = frontier[0]
+            row = indices[indptr[f]:indptr[f + 1]]
+            frontier = row[unseen[row]].astype(np.int64)
+            parent[frontier] = f
+        else:
+            starts = indptr[frontier]
+            counts = indptr[frontier + 1] - starts
+            reached = indices[_concat_ranges(starts, counts)]
+            fresh = unseen[reached]
+            reached, owner = reached[fresh], frontier.repeat(counts)[fresh]
+            at = np.arange(len(reached))
+            np.minimum.at(first, reached, at)
+            new = first[reached] == at
+            first[reached] = _UNSEEN
+            frontier = reached[new].astype(np.int64)
+            parent[frontier] = owner[new]
         unseen[frontier] = False
-        return frontier
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    reached = indices[_concat_ranges(starts, counts)]
-    fresh = unseen[reached]
-    reached, owner = reached[fresh], frontier.repeat(counts)[fresh]
-    at = np.arange(len(reached))
-    np.minimum.at(first, reached, at)
-    new = first[reached] == at
-    first[reached] = _UNSEEN
-    frontier = reached[new].astype(np.int64)
-    parent[frontier] = owner[new]
-    unseen[frontier] = False
-    return frontier
 
 
 def _bfs_tree(indptr, indices, inside, root):
@@ -313,15 +319,8 @@ def _bfs_tree(indptr, indices, inside, root):
     both. Parents are those of a first-in first-out queue."""
     parent = np.full(len(indptr) - 1, -1, dtype=np.int64)
     level = parent.copy()
-    parent[root], level[root] = root, 0
-    unseen = inside.copy()
-    unseen[root] = False
-    first = np.full(len(parent), _UNSEEN, dtype=np.int64)
-    frontier = np.array([root], dtype=np.int64)
-    depth = 0
-    while frontier.size:
-        frontier = _bfs_level(indptr, indices, frontier, unseen, parent, first)
-        depth += 1
+    for depth, frontier in enumerate(
+            _bfs_levels(indptr, indices, inside, root, parent)):
         level[frontier] = depth
     return parent, level
 

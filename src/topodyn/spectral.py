@@ -9,8 +9,9 @@ they carry the nodes, walks, and parameters needed to re-verify from
 scratch, with no reference to cached graph state. Each claim has one
 evidence format and one check: a connectivity witness (two spanning trees)
 proves the strong connectivity of every component, in every mode, in place
-of its chain graph; torus density is a `LatticeCycles` record and torus
-invariance is checked on lattice integers, so a node off the lattice fails.
+of its chain graph; every certified density cycle must lie in the
+component, which proves invariance; torus density is a `LatticeCycles`
+record checked on lattice integers, so a node off the lattice fails.
 
 Three system families are supported, and each only supplies a ladder of
 chain graphs, its radii and its entourages; one pipeline refines the ladder,
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import (_UNSEEN, ChainGraph, _array_ball, _bfs_level, _bfs_tree,
+from .chains import (ChainGraph, _array_ball, _bfs_levels, _bfs_tree,
                      _cell_groups, _float_pairs, _lattice_map, _orbit_labels,
                      _pair_array, _refine_ladder, _torus_distances,
                      build_chain_graph, torus_grid_graph)
@@ -44,6 +45,10 @@ from .entourage import finite_relation, metric_ball
 from .report import FAIL, PASS, RESOLUTION_LIMITED, Report
 from .shadowing import PERIODIC, PseudoOrbit, trace_linear_hyperbolic
 from .systems import FiniteSystem, ShiftOfFiniteType, TorusAutomorphism, sft_metric
+
+# the family that spectral_decompose reports, by the system's density mode
+_FAMILIES = {"symbolic": "symbolic", "exact-orbit": "finite",
+             "lattice-cycle": "torus-grid"}
 
 NONCOMPACT_NOTE = (
     "decompositions here are finite because every discretized space is "
@@ -199,6 +204,8 @@ class Certificate:
     a `ConnectivityWitness` whose 2(|C| - 1) tree edges are each re-tested
     by the walks' step relation (`_chain_step`): a transition on symbols,
     otherwise D's float predicate, on arrays when D is a torus metric ball.
+    In every density mode each certified cycle must lie in the component,
+    so the density certificate proves that the component is invariant.
     """
 
     kind: str
@@ -296,10 +303,26 @@ def _walk_failure(demo, step, where):
 
 
 def _revalidate_symbolic(cert, system):
-    bad = _witness_failures(cert, system) if cert.kind == "transitivity" else []
+    """Walks and cycle words on symbols. Every symbol read must be an int
+    in 0..size - 1 before a transition is looked up, as a negative one
+    would index the transition rows from the end; each cycle word must
+    stay in the component."""
+    walks = cert.kind == "transitivity"
+    words = [() if walks else tuple(map(d.traced.symbol_at,
+                                        range(d.cycle_length)))
+             for d in cert.demos]
+    read = [s for d, word in zip(cert.demos, words)
+            for s in (d.walk if walks else (d.node,) + word)]
+    off = [s for s in itertools.chain(cert.component, read)
+           if type(s) is not int or not 0 <= s < system.size]
+    if off:
+        return [f"{len(off)} symbols read are outside the alphabet "
+                f"0..{system.size - 1}: the first is {off[0]!r}"]
+    bad = _witness_failures(cert, system) if walks else []
     step = _chain_step(cert, system)
-    for demo in cert.demos:
-        if cert.kind == "transitivity":
+    members = set(cert.component)
+    for demo, block in zip(cert.demos, words):
+        if walks:
             failure = _walk_failure(demo, step, demo.x)
             if failure:
                 bad.append(failure)
@@ -313,7 +336,8 @@ def _revalidate_symbolic(cert, system):
                 bad.append(f"traced orbit misses the cylinder of {demo.y}")
         else:
             p = demo.traced
-            block = tuple(p.symbol_at(i) for i in range(demo.cycle_length))
+            if not members.issuperset(block):
+                bad.append(f"cycle word at {demo.node} leaves the component")
             try:
                 rebuilt = system.periodic_point(block)
             except ValueError:
@@ -333,15 +357,19 @@ def _revalidate_metric(cert, system):
     """Closed D-chains traced to exact periodic orbits within their gap.
     A finite system's D is the diagonal, so its walks are orbits, traced to
     themselves; its density demos must first return after cycle_length
-    steps, by `FiniteSystem.orbit_period` rather than the graph search."""
+    steps, by `FiniteSystem.orbit_period` rather than the graph search,
+    and each one's image must be in the component."""
     bad = []
     if cert.kind != "transitivity":
+        members = set(cert.component)
         for demo in cert.demos:
             if demo.node not in system.points:
                 bad.append(f"{demo.node} is not a point of the system")
             elif system.orbit_period(demo.node) != demo.cycle_length:
                 bad.append(f"{demo.node} does not first return in "
                            f"{demo.cycle_length} steps")
+            elif system.forward(demo.node) not in members:
+                bad.append(f"image of {demo.node} leaves the component")
             if demo.traced != demo.node:
                 bad.append(f"certified point at {demo.node} is not the node itself")
         return bad
@@ -495,15 +523,21 @@ def _revalidate_lattice(cert, system):
     record at the grid resolution n, its one gap within the radius, one
     entry per component node with that node's lattice index, each index in
     0..n * n - 1, and each cycle length the exact order of its index. Only
-    the entries that fail are read back as demos, for their messages."""
-    n, record = cert.params["resolution"], cert.demos
+    the entries that fail are read back as demos, for their messages. The
+    certified orbits lie in the component when A x mod n does for every
+    member x; members off the lattice are one failure, with their count
+    and the first of them."""
+    n, radius = cert.params.get("resolution"), cert.params.get("radius")
+    record = cert.demos
     if type(n) is not int or n < 1:
         return [f"grid resolution {n!r} is not a positive integer"]
     if record.resolution != n:
         return [f"the density record is at resolution {record.resolution}, "
                 f"not at the grid resolution {n}"]
     bad = []
-    if not record.gap <= cert.params["radius"]:
+    if not isinstance(radius, (int, float)):
+        bad.append(f"the entourage radius {radius!r} is not a number")
+    elif not record.gap <= radius:
         bad.append(f"the density gap {record.gap} exceeds the entourage radius")
     # int64 first: an unsigned value past the int64 range turns negative,
     # and so out of range, instead of failing to mix with -1
@@ -516,6 +550,19 @@ def _revalidate_lattice(cert, system):
             np.array_equal(index, members)
             or np.array_equal(np.sort(index), np.sort(members))):
         bad.append("density demos do not cover the component once each")
+    member = members >= 0
+    if not member.all():
+        off = np.flatnonzero(~member)
+        bad.append(f"{off.size} nodes of the component are off the lattice: "
+                   f"the first, {system.point_to_text(cert.component[off[0]])}"
+                   f", is not a lattice node (i/{n}, j/{n})")
+    i, j = np.divmod(members[member], n)
+    inside = np.zeros((n, n), dtype=bool)
+    inside[i, j] = True
+    for k in np.flatnonzero(member)[
+            ~inside[_lattice_map(system, n)(i, j)]].tolist():
+        bad.append(f"image of {system.point_to_text(cert.component[k])} is "
+                   "more than one grid cell from the component")
     # an integer matrix of determinant +-1 permutes the n x n lattice, so no
     # orbit is longer than n * n, and a length outside 1..n * n (read as 0)
     # fails with no arithmetic; the rest take one order test per length
@@ -549,44 +596,27 @@ _REVALIDATE = {
 def _bfs_path(graph, inside, src, dst):
     """Shortest path src -> dst through nodes whose `inside` mask entry is
     set, as an index list; None when unreachable. src == dst asks for a
-    shortest closed walk.
+    shortest closed walk, and only a self-loop closes one through a node
+    outside the mask.
 
-    The search runs `_bfs_level` one level at a time, so the path is a
-    first-in first-out queue's path. The level that would reach dst is
-    never expanded: before each expansion, dst is settled by the first
-    frontier node among its in-neighbours, read from the reversed graph."""
-    if src == dst:
-        best = None
-        for s in graph.successors(src):
-            if s == src:
-                return [src, src]
-            if not inside[s]:
-                continue
-            tail = _bfs_path(graph, inside, s, dst)
-            if tail is not None and (best is None or len(tail) + 1 < len(best)):
-                best = [src] + tail
-        return best
-    if not inside[dst]:
-        return None
+    The path is a first-in first-out queue's path, read from the parents
+    of `_bfs_levels`. The level that would reach dst is never expanded:
+    dst is settled by the first node of the first frontier that holds one
+    of its in-neighbours, read from the reversed graph."""
     into = np.zeros(graph.node_count, dtype=bool)
     indptr, indices = graph.reversed_csr()
     into[indices[indptr[dst]:indptr[dst + 1]]] = True
+    if not inside[dst]:
+        return [src, src] if src == dst and into[src] else None
     parent = np.full(graph.node_count, -1, dtype=np.int64)
-    parent[src] = src
-    unseen = inside.copy()
-    unseen[src] = False
-    first = np.full(graph.node_count, _UNSEEN, dtype=np.int64)
-    frontier = np.array([src], dtype=np.int64)
-    while frontier.size:
+    for frontier in _bfs_levels(graph.indptr, graph.indices, inside, src,
+                                parent):
         last = into[frontier]
         if last.any():
-            parent[dst] = frontier[np.argmax(last)]
+            path = [dst, int(frontier[np.argmax(last)])]
             break
-        frontier = _bfs_level(graph.indptr, graph.indices, frontier, unseen,
-                              parent, first)
-    if parent[dst] < 0:
+    else:
         return None
-    path = [dst]
     while path[-1] != src:
         path.append(int(parent[path[-1]]))
     return path[::-1]
@@ -705,7 +735,8 @@ def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
     it), so the gap is zero at every radius. Shift and finite systems take
     the shortest cycle through the node in their exact `graph`: an
     admissible word, or on the diagonal graph of a finite map the node's
-    own orbit.
+    own orbit. Each cycle must lie in the node set, so the certificate
+    also proves that the set is invariant.
     """
     mode = _mode_for(system, "periodic-density")
     if mode == "lattice-cycle":
@@ -791,7 +822,8 @@ class SpectralDecomposition:
         return len(self.basic_sets)
 
     def validate(self, system):
-        """Partition, invariance, and certificate checks; failure strings."""
+        """Partition checks, family and resolution bindings, and
+        certificate re-checks, which prove invariance; failure strings."""
         bad = []
         all_nodes = []
         for bs in self.basic_sets:
@@ -804,60 +836,22 @@ class SpectralDecomposition:
         if (all_nodes != list(self.recurrent_nodes)
                 and distinct != set(self.recurrent_nodes)):
             bad.append("basic sets do not cover the recurrent node set")
-        bad.extend(self._invariance_failures(system))
+        family = _FAMILIES.get(_mode_for(system, "periodic-density"))
+        if self.family != family:
+            bad.append(f"family {self.family!r} does not fit {system.name}, "
+                       f"whose family is {family!r}")
         for bs in self.basic_sets:
+            n = bs.periodic_density.params.get("resolution")
+            if type(n) is not type(self.resolution) or n != self.resolution:
+                bad.append(f"basic set {bs.ident}: resolution "
+                           f"{self.resolution!r} is not the density "
+                           f"certificate's {n!r}")
             for cert in (bs.transitivity, bs.periodic_density):
                 if cert.component != bs.nodes:
                     bad.append(f"basic set {bs.ident} [{cert.kind}]: "
                                "certificate is for another node set")
                 for msg in cert.revalidate(system):
                     bad.append(f"basic set {bs.ident} [{cert.kind}]: {msg}")
-        return bad
-
-    def _invariance_failures(self, system):
-        bad = []
-        for bs in self.basic_sets:
-            if self.family == "symbolic":
-                members = set(bs.nodes)
-                for a in bs.nodes:
-                    if not any(b in members for b in system.successors(a)):
-                        bad.append(f"symbol {a} has no successor inside its "
-                                   f"basic set {bs.ident}")
-            elif self.family == "finite":
-                members = set(bs.nodes)
-                for x in bs.nodes:
-                    if system.forward(x) not in members:
-                        bad.append(f"image of {x} leaves basic set {bs.ident}")
-            else:
-                bad.extend(self._torus_invariance_failures(system, bs))
-        return bad
-
-    def _torus_invariance_failures(self, system, bs):
-        """Lattice nodes are mapped by the integer matrix and looked up in a
-        mask of the basic set's cells. Lattice cells are one cell apart, so
-        this is the float test "f(x) lies within half a cell diagonal of a
-        member", made exact. Nodes off the lattice are one failure, with
-        their count and the first of them."""
-        n = self.resolution
-        if type(n) is not int or n < 1:
-            return [f"grid resolution {n!r} of basic set {bs.ident} is not a "
-                    "positive integer"]
-        index = _lattice_index(bs.nodes, n)
-        on = index >= 0
-        bad = []
-        if not on.all():
-            off = np.flatnonzero(~on)
-            bad.append(f"{off.size} nodes of basic set {bs.ident} are off the "
-                       f"lattice: the first, "
-                       f"{system.point_to_text(bs.nodes[off[0]])}, is not a "
-                       f"lattice node (i/{n}, j/{n})")
-        i, j = np.divmod(index[on], n)
-        inside = np.zeros((n, n), dtype=bool)
-        inside[i, j] = True
-        miss = np.flatnonzero(on)[~inside[_lattice_map(system, n)(i, j)]]
-        for k in miss.tolist():
-            bad.append(f"image of {system.point_to_text(bs.nodes[k])} is more "
-                       f"than one grid cell from basic set {bs.ident}")
         return bad
 
     def to_report(self):
@@ -918,7 +912,7 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
         raise ValueError("A transitivity certificate needs pairs >= 1.")
     n, walks, note = None, pairs, ""
     if isinstance(system, ShiftOfFiniteType):
-        family, graphs, radii = "symbolic", [symbol_graph_chain(system)], (1.0,)
+        graphs, radii = [symbol_graph_chain(system)], (1.0,)
         entourages = lambda r: (None, None)
         note = ("basic sets are the cycle-containing SCCs of the symbol graph, "
                 "computed exactly; the count is the true number of basic sets")
@@ -926,7 +920,7 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
         n = resolution
         r0 = ladder if ladder is not None else 4.0 * (1.0 / n)
         radii = (r0, r0 / 2.0, r0 / 4.0)
-        family, graphs = "torus-grid", [torus_grid_graph(system, n, r) for r in radii]
+        graphs = [torus_grid_graph(system, n, r) for r in radii]
         entourages = lambda r: (
             metric_ball(system, system.tracing_coefficient() * r + 1e-12),
             metric_ball(system, r))
@@ -934,7 +928,7 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
         points = tuple(system.points)
         D = finite_relation({(x, x) for x in points}, space_id=system.space_id,
                             points=points)
-        family, radii, walks = "finite", (0.5,), 4
+        radii, walks = (0.5,), 4
         graphs = [build_chain_graph(system, points, D, entourage_id="diagonal")]
         entourages = lambda r: (None, D)
     else:
@@ -968,7 +962,7 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
                               periodic_density=dens))
     return SpectralDecomposition(
         system_name=system.name,
-        family=family,
+        family=_FAMILIES[_mode_for(system, "periodic-density")],
         resolution=n,
         ladder=rungs,
         seed=seed,

@@ -500,7 +500,8 @@ def test_lattice_order_test_matches_the_first_return_loop(matrix, n, data):
               if k % p == 0 and all(p % q for q in range(2, p))]
     wrong = {k - 1, k + 1, 2 * k, 0, -1, n * n + 1} | {k // p for p in primes}
     for w in sorted(wrong - {k}):
-        assert _lattice_density([nodes[t]], [w], n).revalidate(system) == [
+        lengths = first[:t] + [w] + first[t + 1:]
+        assert _lattice_density(nodes, lengths, n).revalidate(system) == [
             f"lattice orbit of {nodes[t]} does not close in exactly {w} steps"]
 
 
@@ -513,16 +514,39 @@ def test_gap_above_radius_is_rejected():
 
 
 def test_basic_set_missing_an_image_fails_invariance():
+    """The density certificate proves invariance: with one node dropped
+    from its component and record, the one member whose image that node
+    was fails, and nothing else does."""
     n = 20
-    dec = _torus_dec(n)
+    cert = _torus_dec(n).basic_sets[0].periodic_density
     # drop the image of lattice node (3, 5); the cat map sends (3, 5) to (11, 8)
     gone = (11 / n, 8 / n)
-    bs = dec.basic_sets[0]
-    bs = dataclasses.replace(bs, nodes=tuple(x for x in bs.nodes if x != gone))
-    failures = dataclasses.replace(dec, basic_sets=(bs,)).validate(CAT)
-    assert any(msg.startswith(f"image of {CAT.point_to_text((3 / n, 5 / n))} ")
-               for msg in failures)
-    assert sum(msg.startswith("image of ") for msg in failures) == 1
+    keep = np.array([x != gone for x in cert.component])
+    assert not keep.all()
+    record = dataclasses.replace(cert.demos, indices=cert.demos.indices[keep],
+                                 lengths=cert.demos.lengths[keep])
+    cut = dataclasses.replace(
+        cert, demos=record,
+        component=tuple(itertools.compress(cert.component, keep)))
+    assert cut.revalidate(CAT) == [
+        f"image of {CAT.point_to_text((3 / n, 5 / n))} is more than one grid "
+        "cell from the component"]
+
+
+@pytest.mark.parametrize("system, node, message", [
+    (TWO_BLOCK, 2, "cycle word at 2 leaves the component"),
+    (THREE_CYCLE, "a", "image of a leaves the component")],
+    ids=["symbolic", "exact-orbit"])
+def test_a_density_cycle_that_leaves_its_component_fails(system, node, message):
+    """A density certificate cut to one node of its component, with that
+    node's demo: the node's cycle (2 3 4 on two-block-sft, a b c on
+    three-cycle) leaves the cut component, so it proves no invariance."""
+    dec = spectral_decompose(system, seed=0)
+    cert = next(bs.periodic_density for bs in dec.basic_sets
+                if node in bs.nodes)
+    demo = next(d for d in cert.demos if d.node == node)
+    cut = dataclasses.replace(cert, component=(node,), demos=(demo,))
+    assert message in cut.revalidate(system)
 
 
 def test_too_small_chain_entourage_breaks_transitivity():
@@ -557,6 +581,63 @@ def test_a_relabelled_torus_resolution_fails_fast(relabel):
     failures = relabelled.validate(CAT)
     assert time.perf_counter() - start < 1.0
     assert len(failures) == len(dec.basic_sets)
+
+
+@pytest.mark.parametrize("system, kwargs", [
+    (TWO_BLOCK, {}), (THREE_CYCLE, {}), (CAT, {"resolution": 16})],
+    ids=["symbolic", "finite", "torus-grid"])
+@pytest.mark.parametrize("label", ["symbolic", "finite", "torus-grid"])
+def test_a_relabelled_family_is_one_failure(system, kwargs, label):
+    """No check reads the family to pick a proof, so a family that does
+    not fit the system is one failure of its own, never an exception."""
+    dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
+    failures = dataclasses.replace(dec, family=label).validate(system)
+    if label == dec.family:
+        assert failures == []
+    else:
+        assert failures == [f"family {label!r} does not fit {system.name}, "
+                            f"whose family is {dec.family!r}"]
+
+
+def test_symbols_outside_the_alphabet_are_one_failure():
+    """A negative symbol passes `allowed`, which indexes the transition
+    rows from the end, and a symbol past the alphabet raises there; the
+    symbolic routines read every symbol first, and either is one failure
+    per certificate, never an exception."""
+    dec = spectral_decompose(TWO_BLOCK, seed=0)
+    bs = next(b for b in dec.basic_sets if b.nodes == (2, 3, 4))
+    assert TWO_BLOCK.allowed(-1, 2)
+    point = TWO_BLOCK.periodic_point((2, -3, 4))
+    dens = dataclasses.replace(bs.periodic_density, demos=tuple(
+        dataclasses.replace(d, traced=point) if d.node == 2 else d
+        for d in bs.periodic_density.demos))
+    assert dens.revalidate(TWO_BLOCK) == [
+        "1 symbols read are outside the alphabet 0..5: the first is -3"]
+    demo = dataclasses.replace(bs.transitivity.demos[0], x=2, y=4,
+                               walk=(2, -3, 4, 2), y_pos=2, period=3)
+    trans = dataclasses.replace(bs.transitivity, demos=(demo,))
+    assert trans.revalidate(TWO_BLOCK) == [
+        "1 symbols read are outside the alphabet 0..5: the first is -3"]
+    # on golden-mean, basic set 1's symbols 2, 3, 4 are outside the alphabet
+    failures = dec.validate(GOLDEN)
+    for kind in ("transitivity", "periodic-density"):
+        mine = [m for m in failures if m.startswith(f"basic set 1 [{kind}]: ")]
+        assert len(mine) == 1
+        assert mine[0].endswith("outside the alphabet 0..1: the first is 2")
+
+
+@pytest.mark.parametrize("params, message", [
+    ({}, "grid resolution None is not a positive integer"),
+    ({"resolution": 16}, "the entourage radius None is not a number"),
+    ({"radius": 0.25}, "grid resolution None is not a positive integer"),
+    ({"resolution": 16, "radius": "0.25"},
+     "the entourage radius '0.25' is not a number")],
+    ids=["none", "no-radius", "no-resolution", "text-radius"])
+def test_a_lattice_certificate_with_bad_params_is_one_failure(params, message):
+    cert = spectral_decompose(CAT, resolution=16, seed=0,
+                              pairs=1).basic_sets[0].periodic_density
+    assert cert.revalidate(CAT) == []
+    assert dataclasses.replace(cert, params=params).revalidate(CAT) == [message]
 
 
 # ---------------------------------------------------------------------------
