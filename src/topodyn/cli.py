@@ -123,7 +123,10 @@ def _cmd_trace(args, parser):
     # defect measured nothing, so it gives no bound either
     if defect == 0:
         pseudo = dataclasses.replace(pseudo, defect_bound=args.delta)
-    result = tracer(system, pseudo)
+    try:
+        result = tracer(system, pseudo)
+    except ValueError as err:  # a window the tracer cannot take
+        parser.error(str(err))
     ok = result.error_bound <= result.guaranteed_bound + 1e-12
     rep = Report(
         operation="trace",

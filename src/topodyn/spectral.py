@@ -5,8 +5,10 @@ attaches two certificates to each: transitivity (closed chains through
 sampled node pairs, traced to periodic points that visit both cross-
 sections) and periodic density (every recurrent node receives a verified
 periodic point inside its entourage ball). Certificates are self-contained:
-they carry the nodes, walks, and parameters needed to re-verify from
-scratch, with no reference to cached graph state. Each claim has one
+they carry the nodes, walks and orbits needed to re-verify from scratch,
+with no reference to cached graph state, and store each fact once: the
+tracing entourage E is derived from D, density demo k is about node k, and
+a lattice record holds its resolution and radius. Each claim has one
 evidence format and one check: a connectivity witness (two spanning trees)
 proves the strong connectivity of every component, in every mode, in place
 of its chain graph; every certified density cycle must lie in the
@@ -14,16 +16,17 @@ component, which proves invariance; torus density is a `LatticeCycles`
 record checked on lattice integers, so a node off the lattice fails.
 
 Three system families are supported, and each only supplies a ladder of
-chain graphs, its radii and its entourages; one pipeline refines the ladder,
-cuts it at stabilization and certifies the cells. Shift spaces give the
-transition graph of their symbols, where basic sets are the cycle-containing
-strongly connected components and the component count is exact. Finite
-systems give the graph of the diagonal entourage, exact as well. Torus
-automorphisms give an n x n lattice over a shrinking entourage ladder, and
-the reported partition is the stabilized one, with the full ladder history
-retained. Decompositions on compact spaces are finite by construction here;
-unboundedly many basic sets can only arise on noncompact spaces, which have
-no grid discretization at desk scale, and reports say so.
+chain graphs, its radii and its chain entourage D; one pipeline refines
+the ladder, cuts it at stabilization and certifies the cells. Shift spaces
+give the transition graph of their symbols, where basic sets are the
+cycle-containing strongly connected components and the component count is
+exact. Finite systems give the graph of the diagonal entourage, exact as
+well. Torus automorphisms give an n x n lattice over a shrinking entourage
+ladder, and the reported partition is the stabilized one, with the full
+ladder history retained. Decompositions on compact spaces are finite by
+construction here; unboundedly many basic sets can only arise on
+noncompact spaces, which have no grid discretization at desk scale, and
+reports say so.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ import itertools
 import math
 import operator
 import random
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +43,11 @@ from .chains import (ChainGraph, _array_ball, _bfs_levels, _bfs_tree,
                      _cell_groups, _float_pairs, _lattice_map, _orbit_labels,
                      _pair_array, _refine_ladder, _torus_distances,
                      build_chain_graph, torus_grid_graph)
-from .entourage import finite_relation, metric_ball
+from .entourage import Entourage, finite_relation, metric_ball
 from .report import FAIL, PASS, RESOLUTION_LIMITED, Report
 from .shadowing import PERIODIC, PseudoOrbit, trace_linear_hyperbolic
-from .systems import FiniteSystem, ShiftOfFiniteType, TorusAutomorphism, sft_metric
+from .systems import (FiniteSystem, LinearSaddle, ShiftOfFiniteType, SymbolicPoint,
+                      TorusAutomorphism, sft_metric)
 
 # the family that spectral_decompose reports, by the system's density mode
 _FAMILIES = {"symbolic": "symbolic", "exact-orbit": "finite",
@@ -64,7 +67,7 @@ NONCOMPACT_NOTE = (
 @dataclass(frozen=True)
 class WalkDemo:
     """A closed chain through x that visits y, with the traced periodic
-    orbit and the measured tracing gap.
+    orbit and the measured tracing gap; the period is len(walk) - 1.
 
     `traced` holds the full orbit, one point per walk step. Symbolic demos
     store a single periodic sequence instead, since it carries its whole
@@ -80,18 +83,17 @@ class WalkDemo:
     walk: tuple
     y_pos: int
     traced: object
-    period: int
     gap: float
 
 
 @dataclass(frozen=True, slots=True)
 class CycleDemo:
-    """A periodic point certified inside the entourage ball of one node.
+    """A periodic point certified inside the entourage ball of one node:
+    demo k of a density certificate is about node k of its component.
     Shift and finite density certificates hold one per node; a torus
     certificate holds a `LatticeCycles` record, whose entries read back as
     CycleDemos."""
 
-    node: object
     cycle_length: int
     traced: object
     gap: float
@@ -106,19 +108,20 @@ def _freeze_arrays(record, names):
 
 
 @dataclass(frozen=True, eq=False)
-class LatticeCycles(Sequence):
-    """The lattice-cycle density evidence of a whole torus component, as
-    two read-only arrays in component order: `indices` holds the lattice
-    index i * n + j of each node (i/n, j/n), n the resolution, and
-    `lengths` the size of its orbit under x -> A x mod n. The certified
-    periodic point of every node is the node itself, at the one gap `gap`.
+class LatticeCycles:
+    """The lattice-cycle density evidence of a whole torus component, at
+    resolution n and entourage radius `radius`, as two read-only arrays in
+    component order: `indices` holds the lattice index i * n + j of each
+    node (i/n, j/n), and `lengths` the size of its orbit under
+    x -> A x mod n. The certified periodic point of every node is the node
+    itself, at the one gap `gap`.
 
-    To readers of `Certificate.demos` it is a sequence of CycleDemos: len()
-    counts nodes, indexing and iteration build CycleDemo views, a slice is
-    a tuple of them, and records with equal values are equal. The arrays
-    are copied on construction and cannot be written."""
+    len() counts nodes, and an int index or iteration reads entries back as
+    CycleDemos. The arrays are copied on construction and cannot be
+    written."""
 
     resolution: int
+    radius: float
     indices: np.ndarray
     lengths: np.ndarray
     gap: float = 0.0
@@ -133,27 +136,17 @@ class LatticeCycles(Sequence):
     def _view(self, index, length):
         i, j = divmod(index, self.resolution)
         node = (i / self.resolution, j / self.resolution)
-        return CycleDemo(node=node, cycle_length=length, traced=node, gap=self.gap)
+        return CycleDemo(cycle_length=length, traced=node, gap=self.gap)
 
     def __len__(self):
         return len(self.indices)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(self._view, self.indices[k].tolist(),
-                             self.lengths[k].tolist()))
         k = range(len(self))[operator.index(k)]
         return self._view(self.indices[k].item(), self.lengths[k].item())
 
     def __iter__(self):
         return map(self._view, self.indices.tolist(), self.lengths.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, LatticeCycles):
-            return NotImplemented
-        return (self.resolution == other.resolution and self.gap == other.gap
-                and np.array_equal(self.indices, other.indices)
-                and np.array_equal(self.lengths, other.lengths))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,33 +181,35 @@ class Certificate:
     mode of each system family and kind:
       symbolic        walks are symbol sequences checked against transitions
       metric-walk     walks are closed D-chains of points, traced to exact
-                      periodic orbits
+                      periodic orbits that start in E[x] and visit E[y]; E
+                      is not stored but derived, as the ball of the tracing
+                      coefficient times D's radius
       exact-orbit     the metric-walk routine on a finite system, whose D is
-                      the diagonal, so walks are true orbits; density demos
-                      must first return after cycle_length steps
+                      the diagonal, so walks are true orbits and E is D;
+                      density demos must first return after cycle_length
+                      steps
       lattice-cycle   density on the torus grid, re-proved in integers on
                       arrays: the demos are one `LatticeCycles` record at
-                      the grid resolution, whose lattice indices x must be
-                      those of the component's nodes (i/n, j/n) and whose
-                      cycle length k must be the exact order of x,
-                      A^k x = x mod n and A^(k/p) x != x for every prime p
-                      dividing k, one power A^e mod n by squaring per
-                      distinct k; no float orbit is iterated
+                      its own resolution n and radius, whose lattice indices
+                      x must be those of the component's nodes (i/n, j/n),
+                      in order, and whose cycle length k must be the exact
+                      order of x, A^k x = x mod n and A^(k/p) x != x for
+                      every prime p dividing k, one power A^e mod n by
+                      squaring per distinct k; no float orbit is iterated
     In every transitivity mode strong connectivity is proved by `witness`,
     a `ConnectivityWitness` whose 2(|C| - 1) tree edges are each re-tested
     by the walks' step relation (`_chain_step`): a transition on symbols,
     otherwise D's float predicate, on arrays when D is a torus metric ball.
-    In every density mode each certified cycle must lie in the component,
-    so the density certificate proves that the component is invariant.
+    In every density mode demo k certifies node k of the component, and
+    each certified cycle must lie in the component, so the density
+    certificate proves that the component is invariant.
     """
 
     kind: str
     mode: str
     component: tuple
     demos: tuple
-    entourage: object = None
     chain_entourage: object = None
-    params: dict = field(default_factory=dict)
     witness: object = None
 
     def revalidate(self, system):
@@ -223,58 +218,78 @@ class Certificate:
         if routine is None or self.mode != _mode_for(system, self.kind):
             return [f"certificate mode {self.mode!r} does not fit "
                     f"{self.kind} evidence on {system.name}"]
-        # a demo of the wrong type ends the check: the routines read fields
-        # that only the right type has, and count with int cycle lengths
-        if self.kind == "transitivity":
-            if not all(isinstance(d, WalkDemo) for d in self.demos):
-                return ["a transitivity demo is not a walk"]
-        elif self.mode == "lattice-cycle":
-            if not isinstance(self.demos, LatticeCycles):
-                return ["lattice density demos are not a LatticeCycles record"]
-            if not _int_array(self.demos.lengths):
-                return ["a density demo's cycle length is not an int"]
-            if not _int_array(self.demos.indices):
-                return ["a density demo's node is not a lattice index"]
-        elif isinstance(self.demos, LatticeCycles) or not all(
-                isinstance(d, CycleDemo) for d in self.demos):
-            return ["a density demo is not a cycle demo"]
-        elif not all(type(d.cycle_length) is int for d in self.demos):
-            return ["a density demo's cycle length is not an int"]
-        return self._binding_failures() + routine(self, system)
+        failure = self._evidence_failure()
+        return [failure] if failure else routine(self, system)
 
-    def _binding_failures(self):
-        """The demos must be evidence about `component`: at least one walk,
-        each from and to a member, for transitivity; one density demo per
-        member, each member once, for periodic density. The lattice-cycle
-        routine binds its density arrays itself, as it reads them anyway."""
-        comp, demos = self.component, self.demos
+    def _evidence_failure(self):
+        """Why the demos are not evidence of the form the routine reads, or
+        not about `component`, or None. The routines read fields that only
+        the right type has, count with int cycle lengths, compare number
+        gaps, read SymbolicPoints, step through tuple orbits and derive E
+        from D. There must be a walk, each from and to a member, and demo k
+        must be about member k; the lattice-cycle routine binds its arrays
+        itself, as it reads them anyway."""
+        demos, symbolic = self.demos, self.mode == "symbolic"
+        D = self.chain_entourage
         if self.kind == "transitivity":
+            if not all(isinstance(d, WalkDemo) for d in demos):
+                return "a transitivity demo is not a walk"
             if not demos:
-                return ["no walk demo"]
+                return "no walk demo"
             ends = {d.x for d in demos} | {d.y for d in demos}
-            if len(ends.intersection(comp)) != len(ends):
-                return ["a walk starts or aims outside the component"]
-            return []
-        if self.mode == "lattice-cycle":
-            return []
-        if len(demos) != len(comp) or (
-                any(d.node != c for d, c in zip(demos, comp))
-                and {d.node for d in demos} != set(comp)):
-            return ["density demos do not cover the component once each"]
-        return []
+            if len(ends.intersection(self.component)) != len(ends):
+                return "a walk starts or aims outside the component"
+            if not symbolic and not all(type(d.traced) is tuple for d in demos):
+                return "a traced orbit is not a tuple of points"
+            if not symbolic and not isinstance(D, Entourage):
+                return f"the chain entourage {D!r} is not an entourage"
+            if self.mode == "metric-walk" and not _is_number(D.radius):
+                return f"the chain entourage {D!r} has no radius"
+        elif self.mode == "lattice-cycle":
+            if not isinstance(demos, LatticeCycles):
+                return "lattice density demos are not a LatticeCycles record"
+            if not _int_array(demos.lengths):
+                return "a density demo's cycle length is not an int"
+            if not _int_array(demos.indices):
+                return "a density demo's node is not a lattice index"
+            if not _is_number(demos.radius):
+                return f"the entourage radius {demos.radius!r} is not a number"
+            demos = (demos,)  # one gap for the whole record
+        elif isinstance(demos, LatticeCycles) or not all(
+                isinstance(d, CycleDemo) for d in demos):
+            return "a density demo is not a cycle demo"
+        elif not all(type(d.cycle_length) is int for d in demos):
+            return "a density demo's cycle length is not an int"
+        elif len(demos) != len(self.component):
+            return "density demos do not cover the component once each"
+        if not all(_is_number(d.gap) for d in demos):
+            return "a demo's gap is not a number"
+        if symbolic and not all(isinstance(d.traced, SymbolicPoint)
+                                for d in demos):
+            return "a traced point is not a SymbolicPoint"
+        return None
+
+
+def _is_number(value):
+    """Whether a recorded gap or radius is a number to compare with: an
+    int or a float, not a bool and not NaN."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and not math.isnan(value))
 
 
 def _mode_for(system, kind):
     """The one certificate mode for evidence of `kind` on `system`, or None
     where no route exists: symbolic on shifts, exact-orbit on finite maps,
-    and otherwise metric-walk transitivity and, on torus automorphisms,
-    lattice-cycle density."""
+    metric-walk transitivity on linear saddles and torus automorphisms,
+    whose tracing coefficient derives E, and lattice-cycle density on
+    torus automorphisms."""
     if isinstance(system, ShiftOfFiniteType):
         return "symbolic"
     if isinstance(system, FiniteSystem):
         return "exact-orbit"
     if kind == "transitivity":
-        return "metric-walk"
+        walks = isinstance(system, (LinearSaddle, TorusAutomorphism))
+        return "metric-walk" if walks else None
     return "lattice-cycle" if isinstance(system, TorusAutomorphism) else None
 
 
@@ -308,12 +323,10 @@ def _revalidate_symbolic(cert, system):
     would index the transition rows from the end; each cycle word must
     stay in the component."""
     walks = cert.kind == "transitivity"
-    words = [() if walks else tuple(map(d.traced.symbol_at,
-                                        range(d.cycle_length)))
+    words = [d.walk if walks else tuple(map(d.traced.symbol_at,
+                                            range(d.cycle_length)))
              for d in cert.demos]
-    read = [s for d, word in zip(cert.demos, words)
-            for s in (d.walk if walks else (d.node,) + word)]
-    off = [s for s in itertools.chain(cert.component, read)
+    off = [s for s in itertools.chain(cert.component, *words)
            if type(s) is not int or not 0 <= s < system.size]
     if off:
         return [f"{len(off)} symbols read are outside the alphabet "
@@ -321,13 +334,14 @@ def _revalidate_symbolic(cert, system):
     bad = _witness_failures(cert, system) if walks else []
     step = _chain_step(cert, system)
     members = set(cert.component)
-    for demo, block in zip(cert.demos, words):
+    nodes = itertools.repeat(None) if walks else cert.component
+    for node, demo, block in zip(nodes, cert.demos, words):
+        p = demo.traced
         if walks:
             failure = _walk_failure(demo, step, demo.x)
             if failure:
                 bad.append(failure)
                 continue
-            p = demo.traced
             if p != system.periodic_point(demo.walk[:-1]):
                 bad.append(f"traced point for {demo.x} does not match its walk")
             if p.symbol_at(0) != demo.x:
@@ -335,66 +349,68 @@ def _revalidate_symbolic(cert, system):
             if p.symbol_at(demo.y_pos) != demo.y:
                 bad.append(f"traced orbit misses the cylinder of {demo.y}")
         else:
-            p = demo.traced
             if not members.issuperset(block):
-                bad.append(f"cycle word at {demo.node} leaves the component")
+                bad.append(f"cycle word at {node} leaves the component")
             try:
                 rebuilt = system.periodic_point(block)
             except ValueError:
-                bad.append(f"cycle word at {demo.node} is not admissible")
+                bad.append(f"cycle word at {node} is not admissible")
                 continue
             if p != rebuilt:
-                bad.append(f"cycle point at {demo.node} is not periodic")
-            if p.symbol_at(0) != demo.node:
-                bad.append(f"cycle point is outside the cylinder of {demo.node}")
-            rep = system.representative_point(demo.node)
-            if sft_metric(p, rep) > demo.gap + 1e-15:
-                bad.append(f"gap at {demo.node} is larger than recorded")
+                bad.append(f"cycle point at {node} is not periodic")
+            if p.symbol_at(0) != node:
+                bad.append(f"cycle point is outside the cylinder of {node}")
+            rep = system.representative_point(node)
+            if not sft_metric(p, rep) <= demo.gap + 1e-15:
+                bad.append(f"gap at {node} is larger than recorded")
     return bad
 
 
 def _revalidate_metric(cert, system):
-    """Closed D-chains traced to exact periodic orbits within their gap.
-    A finite system's D is the diagonal, so its walks are orbits, traced to
-    themselves; its density demos must first return after cycle_length
-    steps, by `FiniteSystem.orbit_period` rather than the graph search,
-    and each one's image must be in the component."""
+    """Closed D-chains traced to exact periodic orbits within their gap,
+    each starting in E[x] and visiting E[y], with E the ball of the tracing
+    coefficient times D's radius. A finite system's D is the diagonal, and
+    so is E: its walks are orbits, traced to themselves. Its density demos
+    must first return after cycle_length steps, by `orbit_period` rather
+    than the graph search, and each node's image must be in the component."""
     bad = []
     if cert.kind != "transitivity":
         members = set(cert.component)
-        for demo in cert.demos:
-            if demo.node not in system.points:
-                bad.append(f"{demo.node} is not a point of the system")
-            elif system.orbit_period(demo.node) != demo.cycle_length:
-                bad.append(f"{demo.node} does not first return in "
+        for node, demo in zip(cert.component, cert.demos):
+            if node not in system.points:
+                bad.append(f"{node} is not a point of the system")
+            elif system.orbit_period(node) != demo.cycle_length:
+                bad.append(f"{node} does not first return in "
                            f"{demo.cycle_length} steps")
-            elif system.forward(demo.node) not in members:
-                bad.append(f"image of {demo.node} leaves the component")
-            if demo.traced != demo.node:
-                bad.append(f"certified point at {demo.node} is not the node itself")
+            elif system.forward(node) not in members:
+                bad.append(f"image of {node} leaves the component")
+            if demo.traced != node:
+                bad.append(f"certified point at {node} is not the node itself")
         return bad
-    E = cert.entourage
+    D = cert.chain_entourage
+    E = D if cert.mode == "exact-orbit" else metric_ball(
+        system, system.tracing_coefficient() * D.radius + 1e-12)
     bad.extend(_witness_failures(cert, system))
     chained = _chain_step(cert, system)
     for demo in cert.demos:
         walk, orbit = demo.walk, demo.traced
         where = system.point_to_text(demo.x)
         failure = _walk_failure(demo, chained, where)
+        period = len(walk) - 1
         if failure:
             bad.append(failure)
-        elif len(orbit) != demo.period or demo.period != len(walk) - 1:
+        elif len(orbit) != period:
             bad.append(f"orbit at {where} has the wrong length")
-        elif any(system.forward(orbit[k]) != orbit[(k + 1) % demo.period]
-                 for k in range(demo.period)):
+        elif any(system.forward(orbit[k]) != orbit[(k + 1) % period]
+                 for k in range(period)):
             bad.append(f"stored loop at {where} is not an orbit")
         # a Fraction minus a float is a float, so these are float distances
-        elif any(system.metric(orbit[k], walk[k]) > demo.gap + 1e-12
-                 for k in range(demo.period)):
+        elif not all(system.metric(orbit[k], walk[k]) <= demo.gap + 1e-12
+                     for k in range(period)):
             bad.append(f"traced orbit at {where} strays past its gap")
-        elif E is not None and not E.accepts(demo.x, orbit[0]):
+        elif not E.accepts(demo.x, orbit[0]):
             bad.append(f"traced point at {where} leaves E[x]")
-        elif E is not None and not E.accepts(demo.y,
-                                             orbit[demo.y_pos % demo.period]):
+        elif not E.accepts(demo.y, orbit[demo.y_pos % period]):
             bad.append(f"orbit visit at {where} leaves E[y]")
     return bad
 
@@ -519,43 +535,30 @@ def _first_return_is(system, n, index, k):
 
 
 def _revalidate_lattice(cert, system):
-    """Density on the torus lattice, checked on the record's arrays: a
-    record at the grid resolution n, its one gap within the radius, one
-    entry per component node with that node's lattice index, each index in
-    0..n * n - 1, and each cycle length the exact order of its index. Only
-    the entries that fail are read back as demos, for their messages. The
+    """Density on the torus lattice, checked on the record's arrays: its
+    one gap within its radius, and one entry per component node, in order,
+    with that node's lattice index at the record's resolution n. Indices
+    that do not bind end the check with that one failure; the members off
+    the lattice are one failure, with their count and the first of them.
+    Each cycle length must then be the exact order of its index, and the
     certified orbits lie in the component when A x mod n does for every
-    member x; members off the lattice are one failure, with their count
-    and the first of them."""
-    n, radius = cert.params.get("resolution"), cert.params.get("radius")
+    member x."""
     record = cert.demos
-    if type(n) is not int or n < 1:
-        return [f"grid resolution {n!r} is not a positive integer"]
-    if record.resolution != n:
-        return [f"the density record is at resolution {record.resolution}, "
-                f"not at the grid resolution {n}"]
+    n = record.resolution
     bad = []
-    if not isinstance(radius, (int, float)):
-        bad.append(f"the entourage radius {radius!r} is not a number")
-    elif not record.gap <= radius:
+    if not record.gap <= record.radius:
         bad.append(f"the density gap {record.gap} exceeds the entourage radius")
-    # int64 first: an unsigned value past the int64 range turns negative,
-    # and so out of range, instead of failing to mix with -1
-    top = n * n
-    index, length = record.indices.astype(np.int64), record.lengths.astype(np.int64)
-    on = (index >= 0) & (index < top)
-    index = np.where(on, index, -1)
     members = _lattice_index(cert.component, n)
-    if len(index) != len(members) or not (
-            np.array_equal(index, members)
-            or np.array_equal(np.sort(index), np.sort(members))):
-        bad.append("density demos do not cover the component once each")
     member = members >= 0
     if not member.all():
         off = np.flatnonzero(~member)
         bad.append(f"{off.size} nodes of the component are off the lattice: "
                    f"the first, {system.point_to_text(cert.component[off[0]])}"
                    f", is not a lattice node (i/{n}, j/{n})")
+    # int64 first: an unsigned value past the int64 range turns negative,
+    # and so binds to no member, instead of failing to compare
+    if not np.array_equal(record.indices.astype(np.int64), members):
+        return bad + ["density demos do not cover the component once each"]
     i, j = np.divmod(members[member], n)
     inside = np.zeros((n, n), dtype=bool)
     inside[i, j] = True
@@ -566,18 +569,15 @@ def _revalidate_lattice(cert, system):
     # an integer matrix of determinant +-1 permutes the n x n lattice, so no
     # orbit is longer than n * n, and a length outside 1..n * n (read as 0)
     # fails with no arithmetic; the rest take one order test per length
-    length = np.where((length >= 1) & (length <= top), length, 0)
-    closes = np.zeros(len(index), dtype=bool)
-    for k in (np.flatnonzero(np.bincount(length[on])[1:]) + 1).tolist():
-        rows = np.flatnonzero(on & (length == k))
-        closes[rows] = _first_return_is(system, n, index[rows], k)
+    length = record.lengths.astype(np.int64)
+    length = np.where((length >= 1) & (length <= n * n), length, 0)
+    closes = ~member
+    for k in (np.flatnonzero(np.bincount(length[member])[1:]) + 1).tolist():
+        rows = np.flatnonzero(member & (length == k))
+        closes[rows] = _first_return_is(system, n, members[rows], k)
     for r in np.flatnonzero(~closes).tolist():
-        demo = record[r]
-        if not on[r]:
-            bad.append(f"{demo.node} is not a lattice node (i/{n}, j/{n})")
-        else:
-            bad.append(f"lattice orbit of {demo.node} does not close in "
-                       f"exactly {demo.cycle_length} steps")
+        bad.append(f"lattice orbit of {cert.component[r]} does not close in "
+                   f"exactly {record.lengths[r]} steps")
     return bad
 
 
@@ -645,12 +645,12 @@ def _sample_pairs(rng, members, count):
 # transitivity certificates
 
 
-def transitivity_certificate(graph, component, system, E, D=None, seed=0,
+def transitivity_certificate(graph, component, system, D=None, seed=0,
                              pairs=8):
     """Evidence that the restriction of f to one chain component is
     topologically transitive: for sampled node pairs (x, y), a closed
     D-chain through x visiting y is traced to a periodic point p with
-    p in E[x] and the y-visit landing in E[y].
+    p in E[x] and the y-visit in E[y], for the E the check derives from D.
 
     `component` is a set of node indices of `graph`. Shift systems run the
     symbol route, where walks are words and traced points are exact. In
@@ -683,11 +683,11 @@ def transitivity_certificate(graph, component, system, E, D=None, seed=0,
         else:
             traced, gap = _trace_periodic_walk(system, walk)
         demos.append(WalkDemo(x=x, y=y, walk=walk, y_pos=y_pos, traced=traced,
-                              period=len(walk) - 1, gap=gap))
+                              gap=gap))
     return Certificate(
         kind="transitivity", mode=mode,
         component=tuple(graph.nodes[i] for i in component), demos=tuple(demos),
-        entourage=E, chain_entourage=D,
+        chain_entourage=D,
         witness=_connectivity_witness(graph, inside, component))
 
 
@@ -745,9 +745,7 @@ def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
         nodes = tuple(recurrent_nodes)
         return Certificate(
             kind="periodic-density", mode=mode, component=nodes,
-            demos=_lattice_cycles(system, nodes, resolution),
-            params={"resolution": resolution, "radius": min(radii)},
-        )
+            demos=_lattice_cycles(system, nodes, resolution, min(radii)))
     if mode is not None:
         # the shortest cycle through a node of an exact graph; on the
         # diagonal graph of a finite map it is the node's orbit
@@ -768,22 +766,22 @@ def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
                 gap = sft_metric(p, system.representative_point(a))
             else:
                 p, gap = a, 0.0
-            demos.append(CycleDemo(node=a, cycle_length=len(block), traced=p,
-                                   gap=gap))
+            demos.append(CycleDemo(cycle_length=len(block), traced=p, gap=gap))
         return Certificate(kind="periodic-density", mode=mode,
                            component=tuple(recurrent_nodes), demos=tuple(demos))
     raise TypeError(f"No periodic tracing oracle for {system.name!r}.")
 
 
-def _lattice_cycles(system, nodes, n):
-    """The density record of lattice nodes: the lattice index of each node
-    and the size of its orbit under the lattice permutation x -> A x mod n."""
+def _lattice_cycles(system, nodes, n, radius):
+    """The density record of lattice nodes at resolution n and radius: the
+    lattice index of each node and the size of its orbit under the lattice
+    permutation x -> A x mod n."""
     index = _lattice_index(nodes, n)
     if (index < 0).any():
         raise ValueError(f"The lattice route needs nodes (i/{n}, j/{n}).")
     fi, fj = _lattice_map(system, n)(*np.divmod(np.arange(n * n), n))
     labels = _orbit_labels(fi * n + fj)
-    return LatticeCycles(n, index, np.bincount(labels)[labels][index])
+    return LatticeCycles(n, radius, index, np.bincount(labels)[labels][index])
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +811,6 @@ class SpectralDecomposition:
     recurrent_nodes: tuple
     stabilization_index: object
     history: tuple
-    finite_flag: bool
     exact: bool
     note: str = ""
 
@@ -841,7 +838,7 @@ class SpectralDecomposition:
             bad.append(f"family {self.family!r} does not fit {system.name}, "
                        f"whose family is {family!r}")
         for bs in self.basic_sets:
-            n = bs.periodic_density.params.get("resolution")
+            n = getattr(bs.periodic_density.demos, "resolution", None)
             if type(n) is not type(self.resolution) or n != self.resolution:
                 bad.append(f"basic set {bs.ident}: resolution "
                            f"{self.resolution!r} is not the density "
@@ -868,7 +865,7 @@ class SpectralDecomposition:
             stabilization_index=(self.stabilization_index
                                  if self.stabilization_index is not None
                                  else "none"),
-            finite=self.finite_flag,
+            finite=True,
             exact=self.exact,
             verdict=RESOLUTION_LIMITED if limited else PASS,
             note=self.note or NONCOMPACT_NOTE,
@@ -899,7 +896,7 @@ def _max_gap(demos):
 def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
     """Decompose the recurrent set of a supported system into certified
     basic sets. Each family gives a ladder of chain graphs with its radii
-    and its entourages E and D: shift and finite systems one exact graph
+    and its chain entourage D: shift and finite systems one exact graph
     (the symbol graph, the diagonal graph), stable at step 0; torus
     automorphisms a grid ladder at the given resolution, with ladder the
     coarsest entourage radius (default 4 grid cells), halved twice. The
@@ -912,8 +909,7 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
         raise ValueError("A transitivity certificate needs pairs >= 1.")
     n, walks, note = None, pairs, ""
     if isinstance(system, ShiftOfFiniteType):
-        graphs, radii = [symbol_graph_chain(system)], (1.0,)
-        entourages = lambda r: (None, None)
+        graphs, radii, D = [symbol_graph_chain(system)], (1.0,), None
         note = ("basic sets are the cycle-containing SCCs of the symbol graph, "
                 "computed exactly; the count is the true number of basic sets")
     elif isinstance(system, TorusAutomorphism):
@@ -921,16 +917,12 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
         r0 = ladder if ladder is not None else 4.0 * (1.0 / n)
         radii = (r0, r0 / 2.0, r0 / 4.0)
         graphs = [torus_grid_graph(system, n, r) for r in radii]
-        entourages = lambda r: (
-            metric_ball(system, system.tracing_coefficient() * r + 1e-12),
-            metric_ball(system, r))
     elif isinstance(system, FiniteSystem):
         points = tuple(system.points)
         D = finite_relation({(x, x) for x in points}, space_id=system.space_id,
                             points=points)
         radii, walks = (0.5,), 4
         graphs = [build_chain_graph(system, points, D, entourage_id="diagonal")]
-        entourages = lambda r: (None, D)
     else:
         raise TypeError(
             f"No chain-graph discretization is available for {system.name!r}; "
@@ -946,15 +938,15 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
     # certificates allocate their search arrays
     rungs = tuple(g.entourage_id for g in graphs) if exact else radii
     del graphs
-    E, D = entourages(radii[step])
     groups = _cell_groups(states[step])
     if not exact:
+        D = metric_ball(system, radii[step])
         groups.sort(key=len, reverse=True)
     basic = []
     for ident, group in enumerate(groups):
         comp = group.tolist()
         nodes = tuple(graph.nodes[i] for i in comp)
-        trans = transitivity_certificate(graph, comp, system, E=E, D=D,
+        trans = transitivity_certificate(graph, comp, system, D=D,
                                          seed=seed + ident, pairs=walks)
         dens = periodic_density_certificate(system, nodes, radii=radii,
                                             graph=graph, resolution=n)
@@ -971,7 +963,6 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
             itertools.compress(graph.nodes, states[step][0].tolist()))),
         stabilization_index=stab,
         history=tuple(history),
-        finite_flag=True,
         exact=exact,
         note=note,
     )

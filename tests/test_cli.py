@@ -1,12 +1,18 @@
 """End-to-end command line behavior, run in process."""
 
+import contextlib
 import hashlib
+import io
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from topodyn import parse_report
 from topodyn.cli import main
+from topodyn.demos import DEMOS
+from topodyn.systems import catalog
 
 
 def run_cli(argv, capsys):
@@ -95,6 +101,17 @@ def test_trace_rejects_bad_delta(capsys):
     code, _, err = run_cli(
         ["trace", "cat-map", "--delta", "-0.5", "--length", "10"], capsys)
     assert code == 1
+
+
+def test_trace_refuses_a_window_its_tracer_cannot_take(capsys):
+    # the strips tracer needs a defect below 1; a larger one is a one-line
+    # usage error, not a traceback
+    code, out, err = run_cli(
+        ["trace", "strips-shrinking", "--delta", "5", "--length", "20",
+         "--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("topodyn: error: A defect below 1 is needed to pin the "
+                   "fiber walk.\n")
 
 
 def test_chain_recurrent_finite_exact(capsys):
@@ -312,3 +329,53 @@ def test_default_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# every subcommand on every catalog system, at small sizes
+
+_REALS = st.sampled_from(["1e-06", "0.001", "0.05", "0.3", "1.5", "5"])
+_SEEDS = st.integers(0, 40).map(str)
+
+
+def _up_to(top):
+    return st.integers(1, top).map(str)
+
+
+_OPTIONS = {
+    "decompose": [("--resolution", _up_to(12)), ("--ladder", st.none() | _REALS),
+                  ("--seed", _SEEDS)],
+    "trace": [("--delta", _REALS), ("--length", _up_to(40)), ("--seed", _SEEDS)],
+    "chain-recurrent": [("--resolution", _up_to(12)), ("--radius", _REALS),
+                        ("--horizon", _up_to(20)), ("--seed", _SEEDS)],
+    "stability": [("--epsilon", _REALS), ("--window", _up_to(10)),
+                  ("--samples", _up_to(20)), ("--seed", _SEEDS)],
+    "demo": [("--seed", _SEEDS)],
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    names = sorted(DEMOS) if command == "demo" else sorted(catalog())
+    argv = [command, draw(st.sampled_from(names))]
+    for flag, values in _OPTIONS[command]:
+        value = draw(values)
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_cli_argv())
+@example(["trace", "strips-shrinking", "--delta", "5", "--length", "20",
+          "--seed", "1"])
+def test_every_cli_run_ends_with_an_exit_code(argv):
+    """A report exits 0, 1 or 2 and a usage error exits 1; no exception
+    escapes main."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    assert code in (0, 1, 2)

@@ -6,6 +6,7 @@ import math
 import random
 import time
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,13 +25,13 @@ from topodyn import (
     torus_automorphism,
     transitivity_certificate,
 )
-from topodyn.entourage import finite_relation, metric_ball
+from topodyn.entourage import finite_relation, metric_ball, predicate_entourage
 from topodyn.chains import (ChainGraph, _bfs_tree, _csr, build_chain_graph,
                             torus_grid_graph)
 from topodyn.spectral import CertificateError, CycleDemo, WalkDemo, _bfs_path
 from topodyn.spectral import LatticeCycles, _lattice_index
 from topodyn.spectral import ConnectivityWitness, _witness_failures
-from topodyn.systems import FiniteSystem, _north_south, torus_grid
+from topodyn.systems import FiniteSystem, _north_south, catalog, torus_grid
 
 GOLDEN = sft_shift(("11", "10"), name="golden-mean")
 TWO_BLOCK = sft_shift(
@@ -78,7 +79,7 @@ def _oracle_basic_sets(system):
 
 def test_two_block_decomposition_frozen():
     dec = spectral_decompose(TWO_BLOCK, seed=0)
-    assert dec.exact and dec.finite_flag
+    assert dec.exact
     assert dec.component_count == 2
     assert {frozenset(bs.nodes) for bs in dec.basic_sets} == {
         frozenset({0, 1}), frozenset({2, 3, 4})
@@ -97,8 +98,9 @@ def test_walk_demos_visit_their_targets():
             assert demo.walk[demo.y_pos] == demo.y
             assert demo.traced.symbol_at(0) == demo.x
             assert demo.traced.symbol_at(demo.y_pos) == demo.y
-        for demo in bs.periodic_density.demos:
-            assert demo.traced.symbol_at(0) == demo.node
+        dens = bs.periodic_density
+        for node, demo in zip(dens.component, dens.demos, strict=True):
+            assert demo.traced.symbol_at(0) == node
 
 
 def test_random_sfts_match_bruteforce_oracle():
@@ -230,11 +232,22 @@ def _zero_cycles(bs, other):
 
 
 def _non_point(bs, other):
-    """The first density demo names a point the system does not have."""
-    demos = bs.periodic_density.demos
+    """The first density demo is about a point the system does not have."""
+    nodes = bs.periodic_density.component
     return dataclasses.replace(bs, periodic_density=dataclasses.replace(
-        bs.periodic_density,
-        demos=(dataclasses.replace(demos[0], node="z"),) + demos[1:]))
+        bs.periodic_density, component=("z",) + nodes[1:]))
+
+
+def _permuted_density(bs, other):
+    """The density demos in reverse order, so demo k is about another node
+    than node k of the component; a lattice record's indices and lengths
+    are reversed together."""
+    demos = bs.periodic_density.demos
+    demos = (dataclasses.replace(demos, indices=demos.indices[::-1],
+                                 lengths=demos.lengths[::-1])
+             if isinstance(demos, LatticeCycles) else demos[::-1])
+    return dataclasses.replace(bs, periodic_density=dataclasses.replace(
+        bs.periodic_density, demos=demos))
 
 
 def _cycles_as(convert, first_where=None):
@@ -286,6 +299,9 @@ THREE_CYCLE = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
     (_one_float_cycle, CAT, {"resolution": 20}),
     (_float_cycles, CAT, {"resolution": 20}),
     (_bool_fixed_point, CAT, {"resolution": 20}),
+    (_permuted_density, TWO_BLOCK, {}),
+    (_permuted_density, THREE_CYCLE, {}),
+    (_permuted_density, CAT, {"resolution": 16}),
 ], ids=["swap-nodes", "foreign-walks", "foreign-density", "no-walks-symbolic",
         "no-walks-exact-orbit", "no-walks-metric-walk", "no-density-symbolic",
         "no-density-exact-orbit", "density-as-walks", "walks-as-density",
@@ -294,7 +310,9 @@ THREE_CYCLE = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
         "open-walks-exact-orbit", "zero-cycles-exact-orbit",
         "non-point-exact-orbit", "float-cycles-symbolic", "text-cycle-symbolic",
         "float-cycles-exact-orbit", "one-float-cycle-lattice-cycle",
-        "float-cycles-lattice-cycle", "bool-fixed-point-lattice-cycle"])
+        "float-cycles-lattice-cycle", "bool-fixed-point-lattice-cycle",
+        "permuted-density-symbolic", "permuted-density-exact-orbit",
+        "permuted-indices-lattice-cycle"])
 def test_certificates_are_bound_to_their_basic_set(tamper, system, kwargs):
     """Evidence taken from another basic set, evidence of the wrong type or
     that proves nothing, or no evidence at all, must not validate; every
@@ -375,7 +393,7 @@ def test_closed_walk_with_a_forbidden_step_is_rejected(system, kwargs):
         y = max(bs.nodes, key=lambda p: CAT.metric(CAT.forward(x), p))
     cert = bs.transitivity
     demo = dataclasses.replace(cert.demos[0], x=x, y=y, walk=(x, y, x),
-                               y_pos=1, period=2)
+                               y_pos=1)
     failures = dataclasses.replace(cert, demos=(demo,)).revalidate(system)
     assert any("takes a step outside the chain relation" in msg
                for msg in failures)
@@ -471,9 +489,8 @@ def _lattice_density(nodes, lengths, n):
     indices = [round(x * n) * n + round(y * n) for x, y in nodes]
     return Certificate(
         kind="periodic-density", mode="lattice-cycle", component=tuple(nodes),
-        demos=LatticeCycles(n, np.array(indices, dtype=np.int64),
-                            np.array(lengths, dtype=np.int64)),
-        params={"resolution": n, "radius": 0.0})
+        demos=LatticeCycles(n, 0.0, np.array(indices, dtype=np.int64),
+                            np.array(lengths, dtype=np.int64)))
 
 
 HYPERBOLIC = [m for m in itertools.product(range(-3, 4), repeat=4)
@@ -508,7 +525,7 @@ def test_lattice_order_test_matches_the_first_return_loop(matrix, n, data):
 def test_gap_above_radius_is_rejected():
     dec = _torus_dec()
     cert = dec.basic_sets[0].periodic_density
-    wide = dataclasses.replace(cert.demos, gap=2.0 * cert.params["radius"])
+    wide = dataclasses.replace(cert.demos, gap=2.0 * cert.demos.radius)
     failures = _with_density_record(dec, wide).validate(CAT)
     assert any("exceeds the entourage radius" in msg for msg in failures)
 
@@ -544,7 +561,7 @@ def test_a_density_cycle_that_leaves_its_component_fails(system, node, message):
     dec = spectral_decompose(system, seed=0)
     cert = next(bs.periodic_density for bs in dec.basic_sets
                 if node in bs.nodes)
-    demo = next(d for d in cert.demos if d.node == node)
+    demo = cert.demos[cert.component.index(node)]
     cut = dataclasses.replace(cert, component=(node,), demos=(demo,))
     assert message in cut.revalidate(system)
 
@@ -609,12 +626,12 @@ def test_symbols_outside_the_alphabet_are_one_failure():
     assert TWO_BLOCK.allowed(-1, 2)
     point = TWO_BLOCK.periodic_point((2, -3, 4))
     dens = dataclasses.replace(bs.periodic_density, demos=tuple(
-        dataclasses.replace(d, traced=point) if d.node == 2 else d
-        for d in bs.periodic_density.demos))
+        dataclasses.replace(d, traced=point) if node == 2 else d
+        for node, d in zip(bs.nodes, bs.periodic_density.demos)))
     assert dens.revalidate(TWO_BLOCK) == [
         "1 symbols read are outside the alphabet 0..5: the first is -3"]
     demo = dataclasses.replace(bs.transitivity.demos[0], x=2, y=4,
-                               walk=(2, -3, 4, 2), y_pos=2, period=3)
+                               walk=(2, -3, 4, 2), y_pos=2)
     trans = dataclasses.replace(bs.transitivity, demos=(demo,))
     assert trans.revalidate(TWO_BLOCK) == [
         "1 symbols read are outside the alphabet 0..5: the first is -3"]
@@ -626,18 +643,111 @@ def test_symbols_outside_the_alphabet_are_one_failure():
         assert mine[0].endswith("outside the alphabet 0..1: the first is 2")
 
 
-@pytest.mark.parametrize("params, message", [
-    ({}, "grid resolution None is not a positive integer"),
-    ({"resolution": 16}, "the entourage radius None is not a number"),
-    ({"radius": 0.25}, "grid resolution None is not a positive integer"),
-    ({"resolution": 16, "radius": "0.25"},
-     "the entourage radius '0.25' is not a number")],
-    ids=["none", "no-radius", "no-resolution", "text-radius"])
-def test_a_lattice_certificate_with_bad_params_is_one_failure(params, message):
+@pytest.mark.parametrize("radius", [None, "0.25"], ids=["no-radius", "text-radius"])
+def test_a_lattice_certificate_with_bad_params_is_one_failure(radius):
+    """The record holds its own radius, and one that is not a number is one
+    failure; its resolution is checked when the record is built."""
     cert = spectral_decompose(CAT, resolution=16, seed=0,
                               pairs=1).basic_sets[0].periodic_density
     assert cert.revalidate(CAT) == []
-    assert dataclasses.replace(cert, params=params).revalidate(CAT) == [message]
+    record = dataclasses.replace(cert.demos, radius=radius)
+    assert dataclasses.replace(cert, demos=record).revalidate(CAT) == [
+        f"the entourage radius {radius!r} is not a number"]
+    for n in (None, 0, 16.0):
+        with pytest.raises(ValueError):
+            dataclasses.replace(cert.demos, resolution=n)
+
+
+def test_a_traced_orbit_forged_to_a_fixed_point_leaves_e():
+    """Each traced orbit replaced by the fixed point 0 and each gap set to
+    10: every step of the forged orbit is exact and within its gap, but
+    the check derives E from D, and the orbit starts outside E[x]."""
+    dec = spectral_decompose(CAT, resolution=16, seed=0)
+    bs = dec.basic_sets[0]
+    zero = (Fraction(0), Fraction(0))
+    forged = dataclasses.replace(bs.transitivity, demos=tuple(
+        dataclasses.replace(d, traced=(zero,) * (len(d.walk) - 1), gap=10)
+        for d in bs.transitivity.demos))
+    failures = forged.revalidate(CAT)
+    assert failures and all("leaves E[x]" in msg for msg in failures)
+    tampered = dataclasses.replace(bs, transitivity=forged)
+    assert dataclasses.replace(dec, basic_sets=(tampered,)).validate(CAT)
+
+
+@pytest.mark.parametrize("system, kwargs, D, message", [
+    (CAT, {"resolution": 16}, None, "the chain entourage None is not an entourage"),
+    (THREE_CYCLE, {}, None, "the chain entourage None is not an entourage"),
+    (CAT, {"resolution": 16}, "ball", "the chain entourage {D!r} has no radius")],
+    ids=["none-metric-walk", "none-exact-orbit", "no-radius-metric-walk"])
+def test_a_walk_certificate_without_a_chain_entourage_is_one_failure(
+        system, kwargs, D, message):
+    """The walk modes derive E from D, so a D that is no entourage, or in
+    metric-walk mode has no radius, ends the check with one failure."""
+    cert = spectral_decompose(system, seed=0, pairs=2,
+                              **kwargs).basic_sets[0].transitivity
+    if D == "ball":  # D's own relation, with no radius to derive E from
+        D = predicate_entourage(cert.chain_entourage.accepts)
+    wrong = dataclasses.replace(cert, chain_entourage=D)
+    assert wrong.revalidate(system) == [message.format(D=D)]
+
+
+def _demo_replaced(cert, **changes):
+    """cert with its first demo, or its lattice record, changed."""
+    if isinstance(cert.demos, LatticeCycles):
+        return dataclasses.replace(
+            cert, demos=dataclasses.replace(cert.demos, **changes))
+    first = dataclasses.replace(cert.demos[0], **changes)
+    return dataclasses.replace(cert, demos=(first,) + cert.demos[1:])
+
+
+@pytest.mark.parametrize("system, kwargs", [
+    (TWO_BLOCK, {}), (THREE_CYCLE, {}), (CAT, {"resolution": 16})],
+    ids=["symbolic", "finite", "torus"])
+@pytest.mark.parametrize("gap", [math.nan, True, "x", None],
+                         ids=["nan", "bool", "text", "none"])
+def test_a_gap_that_is_not_a_number_is_one_failure(system, kwargs, gap):
+    """Every gap, of a walk, a density demo or a lattice record, must be an
+    int or a float, not a bool and not NaN, which passes no comparison."""
+    bs = spectral_decompose(system, seed=0, pairs=2, **kwargs).basic_sets[0]
+    for cert in (bs.transitivity, bs.periodic_density):
+        assert _demo_replaced(cert, gap=gap).revalidate(system) == [
+            "a demo's gap is not a number"]
+
+
+@pytest.mark.parametrize("system, kwargs, kind, message", [
+    (TWO_BLOCK, {}, "transitivity", "a traced point is not a SymbolicPoint"),
+    (TWO_BLOCK, {}, "periodic_density", "a traced point is not a SymbolicPoint"),
+    (CAT, {"resolution": 16}, "transitivity",
+     "a traced orbit is not a tuple of points"),
+    (THREE_CYCLE, {}, "transitivity", "a traced orbit is not a tuple of points")],
+    ids=["symbolic-walk", "symbolic-density", "metric-walk", "exact-orbit"])
+def test_a_traced_point_of_the_wrong_type_is_one_failure(system, kwargs, kind,
+                                                         message):
+    bs = spectral_decompose(system, seed=0, pairs=2, **kwargs).basic_sets[0]
+    cert = getattr(bs, kind)
+    assert _demo_replaced(cert, traced=None).revalidate(system) == [message]
+
+
+FAMILIES = {"cat-map": {"resolution": 12}, "golden-mean": {}, "full-2": {},
+            "two-block-sft": {}, "three-cycle": {}}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_validating_against_any_catalog_system_returns_failures(name):
+    """A decomposition checked against a system of another family is a list
+    of failures, never an exception; only linear saddles and torus
+    automorphisms take metric walks, so a torus decomposition fails on
+    every other system."""
+    systems = {key: entry.build() for key, entry in catalog().items()}
+    dec = spectral_decompose(systems[name], seed=0, pairs=2, **FAMILIES[name])
+    for key, system in systems.items():
+        failures = dec.validate(system)
+        assert isinstance(failures, list)
+        assert all(isinstance(msg, str) for msg in failures)
+        if key == name:
+            assert failures == []
+        elif name == "cat-map":
+            assert failures, key
 
 
 # ---------------------------------------------------------------------------
@@ -682,16 +792,17 @@ def test_cat_grid_certificates_revalidate():
     assert dec.validate(CAT) == []
     dens = dec.basic_sets[0].periodic_density
     assert dens.mode == "lattice-cycle"
-    assert dens.params["resolution"] == 16
+    assert dens.demos.resolution == 16
     assert all(d.gap == 0.0 for d in dens.demos)
     trans = dec.basic_sets[0].transitivity
     assert trans.mode == "metric-walk"
     for demo in trans.demos:
-        assert len(demo.traced) == demo.period
+        period = len(demo.walk) - 1
+        assert len(demo.traced) == period
         # stored loops are exact rational orbits
-        for k in range(demo.period):
+        for k in range(period):
             z = CAT.forward(demo.traced[k])
-            assert z == demo.traced[(k + 1) % demo.period]
+            assert z == demo.traced[(k + 1) % period]
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +817,9 @@ def test_unsupported_system_raises():
 def test_transitivity_needs_a_whole_scc():
     graph = symbol_graph_chain(GOLDEN)
     with pytest.raises(ValueError):
-        transitivity_certificate(graph, [0], GOLDEN, E=None)
+        transitivity_certificate(graph, [0], GOLDEN)
     with pytest.raises(ValueError):
-        transitivity_certificate(graph, [], GOLDEN, E=None)
+        transitivity_certificate(graph, [], GOLDEN)
 
 
 def test_symbol_graph_chain_mirrors_transitions():
@@ -866,7 +977,8 @@ def _lattice_record_tampers(record):
         "index-negative": at("indices", k, -1),
         "index-swapped": dataclasses.replace(record, indices=swapped),
         "index-repeated": at("indices", k, int(record.indices[other])),
-        "one-short": LatticeCycles(n, record.indices[:-1], record.lengths[:-1]),
+        "one-short": LatticeCycles(n, record.radius, record.indices[:-1],
+                                   record.lengths[:-1]),
         "other-resolution": dataclasses.replace(record, resolution=2 * n),
         "gap-too-wide": dataclasses.replace(record, gap=1.0),
     }
@@ -889,38 +1001,35 @@ def test_a_lattice_record_and_its_demos_fail_alike(n):
     for name in ("float-lengths", "bool-lengths"):
         assert seen[name] == ["a density demo's cycle length is not an int"]
     assert any("does not close in exactly" in msg for msg in seen["length+1"])
-    assert any("is not a lattice node" in msg for msg in seen["index-too-large"])
-    for name in ("index-repeated", "one-short"):
-        assert "density demos do not cover the component once each" in seen[name]
-    assert seen["other-resolution"] == [
-        f"the density record is at resolution {2 * n}, not at the grid "
-        f"resolution {n}"]
+    # indices that do not bind to the component, in order, are one failure
+    for name in ("index-too-large", "index-negative", "index-swapped",
+                 "index-repeated", "one-short", "other-resolution"):
+        assert seen[name] == [
+            "density demos do not cover the component once each"], name
     assert seen["gap-too-wide"] == [
         "the density gap 1.0 exceeds the entourage radius"]
 
 
 def test_a_lattice_record_reads_as_its_cycle_demos():
+    """len() counts nodes, and an int index or iteration reads entry k
+    back as the CycleDemo of component node k, certified by itself."""
     dec = spectral_decompose(CAT, resolution=20, seed=0, pairs=2)
     cert = dec.basic_sets[0].periodic_density
     record, demos = cert.demos, tuple(cert.demos)
     assert len(record) == len(demos) == len(cert.component)
     assert all(type(d) is CycleDemo for d in demos)
-    assert [d.node for d in demos] == list(cert.component)
-    assert all(d.traced == d.node and d.gap == 0.0 for d in demos)
+    assert [d.traced for d in demos] == list(cert.component)
+    assert all(d.gap == 0.0 for d in demos)
+    assert [d.cycle_length for d in demos] == record.lengths.tolist()
     assert all(type(d.cycle_length) is int for d in demos)
     assert record[-1] == demos[-1] and record[3] == demos[3]
-    assert record[2:9:3] == demos[2:9:3]
-    assert record.index(demos[5]) == 5
-    assert record == dataclasses.replace(record)
-    assert record != dataclasses.replace(record, lengths=record.lengths + 1)
-    assert record != demos
     with pytest.raises(IndexError):
         record[len(record)]
 
 
 def test_a_lattice_record_cannot_be_written():
     indices, lengths = np.arange(4), np.ones(4, dtype=np.int64)
-    record = LatticeCycles(2, indices, lengths)
+    record = LatticeCycles(2, 0.5, indices, lengths)
     for values in (record.indices, record.lengths):
         with pytest.raises(ValueError):
             values[0] = 3
@@ -929,7 +1038,7 @@ def test_a_lattice_record_cannot_be_written():
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.gap = 1.0
     with pytest.raises(ValueError):
-        LatticeCycles(2, np.arange(4), np.ones(3, dtype=np.int64))
+        LatticeCycles(2, 0.5, np.arange(4), np.ones(3, dtype=np.int64))
 
 
 @pytest.mark.parametrize("n, kwargs", [
