@@ -400,19 +400,9 @@ def glued_pseudo_orbit(system, x, y, half_window):
     Both halves are genuine orbits, so the only defect sits at the seam,
     where f maps f^{-1}(y) to y but the window holds x; the defect bound is
     exactly d(y, x)."""
-    back = []
-    z = y
-    for _ in range(half_window):
-        z = system.backward(z)
-        back.append(z)
-    back.reverse()
-    fwd = [x]
-    z = x
-    for _ in range(half_window):
-        z = system.forward(z)
-        fwd.append(z)
     return PseudoOrbit(
-        window=tuple(back + fwd),
+        window=tuple(system.orbit(y, -half_window)[:0:-1]
+                     + system.orbit(x, half_window)),
         extension=ORBIT_TAIL,
         defect_bound=system.metric(y, x),
         start_index=-half_window,
@@ -848,17 +838,12 @@ def _sft_windows(f, g, x, window):
     """The f-pseudo-orbits through x and through g(x), both cut from the
     g-orbit of x at k = -W .. W+1. An exact g-orbit of period k <= W gives
     closed loops instead, and g(x) has the same period."""
-    ahead = [x]
-    for _ in range(window + 1):
-        ahead.append(g.forward(ahead[-1]))
+    ahead = g.orbit(x, window + 1)
     k = next((k for k in range(1, window + 1) if ahead[k] == x), None)
     if k is not None:
         return [PseudoOrbit.measured(f, loop, PERIODIC, period=k)
                 for loop in (ahead[:k], ahead[1:k + 1])]
-    behind = [x]
-    for _ in range(window):
-        behind.append(g.backward(behind[-1]))
-    block = behind[:0:-1] + ahead
+    block = g.orbit(x, -window)[:0:-1] + ahead
     return [PseudoOrbit.measured(f, w, start_index=-window)
             for w in (block[:-1], block[1:])]
 

@@ -233,9 +233,7 @@ def _strip_window(system, delta, length, rng):
 
 
 def exact_orbit(system, x0, length, extension=ORBIT_TAIL, start_index=0):
-    window = [x0]
-    for _ in range(length):
-        window.append(system.forward(window[-1]))
+    window = system.orbit(x0, length)
     if extension == PERIODIC:
         # the seam defect is zero only if x0 really is length-periodic
         return PseudoOrbit.measured(system, window[:length], PERIODIC,
@@ -576,13 +574,9 @@ def trace_strips(system, pseudo):
                              "the defect bound must have been violated.")
     anchor = next((k for k, z in enumerate(window) if z[0] >= 0),
                   len(window) - 1)
-    traced = [None] * len(window)
-    traced[anchor] = window[anchor]
-    for k in range(anchor + 1, len(window)):
-        traced[k] = system.forward(traced[k - 1])
-    for k in range(anchor - 1, -1, -1):
-        traced[k] = system.backward(traced[k + 1])
-    return _traced(system, pseudo, traced)
+    ahead = system.orbit(window[anchor], len(window) - 1 - anchor)
+    behind = system.orbit(window[anchor], -anchor)
+    return _traced(system, pseudo, behind[::-1] + ahead[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,9 @@ NONCOMPACT_NOTE = (
 
 @dataclass(frozen=True)
 class WalkDemo:
-    """A closed chain through x that visits y, with the traced periodic
-    orbit and the measured tracing gap; the period is len(walk) - 1.
+    """A closed chain, with the traced periodic orbit and the measured
+    tracing gap; the period is len(walk) - 1. The walk holds its own ends:
+    it starts and ends at x = walk[0], and its target is y = walk[y_pos].
 
     `traced` holds the full orbit, one point per walk step. Symbolic demos
     store a single periodic sequence instead, since it carries its whole
@@ -78,8 +79,6 @@ class WalkDemo:
     orbits the same way: its re-check is in integers.
     """
 
-    x: object
-    y: object
     walk: tuple
     y_pos: int
     traced: object
@@ -226,9 +225,9 @@ class Certificate:
         not about `component`, or None. The routines read fields that only
         the right type has, count with int cycle lengths, compare number
         gaps, read SymbolicPoints, step through tuple orbits and derive E
-        from D. There must be a walk, each from and to a member, and demo k
-        must be about member k; the lattice-cycle routine binds its arrays
-        itself, as it reads them anyway."""
+        from D. There must be a walk, each a hashable node tuple that starts
+        and aims at members, and demo k must be about member k; the
+        lattice-cycle routine binds its arrays itself, as it reads them."""
         demos, symbolic = self.demos, self.mode == "symbolic"
         D = self.chain_entourage
         if self.kind == "transitivity":
@@ -236,7 +235,15 @@ class Certificate:
                 return "a transitivity demo is not a walk"
             if not demos:
                 return "no walk demo"
-            ends = {d.x for d in demos} | {d.y for d in demos}
+            if not all(type(d.walk) is tuple and len(d.walk) >= 2
+                       and type(d.y_pos) is int and 0 <= d.y_pos < len(d.walk)
+                       for d in demos):
+                return "a walk is not a node tuple with a target position in it"
+            try:
+                hash(tuple(d.walk for d in demos))  # hashes every node
+            except TypeError:
+                return "a walk node cannot be hashed"
+            ends = {d.walk[k] for d in demos for k in (0, d.y_pos)}
             if len(ends.intersection(self.component)) != len(ends):
                 return "a walk starts or aims outside the component"
             if not symbolic and not all(type(d.traced) is tuple for d in demos):
@@ -302,27 +309,32 @@ def _chain_step(cert, system):
     return lambda a, b: D.accepts(system.forward(a), b)
 
 
-def _walk_failure(demo, step, where):
-    """Why demo.walk is not a closed walk through demo.x that visits demo.y
-    at demo.y_pos, each step (a, b) accepted by step(a, b); None when it
-    is one."""
-    walk = demo.walk
-    if len(walk) < 2 or walk[0] != demo.x or walk[-1] != demo.x:
+def _walk_failure(walk, step, where):
+    """Why `walk` is not a closed walk, ending where it starts, each step
+    (a, b) accepted by step(a, b); None when it is one. Its start and its
+    target are its own nodes, so no stored end is compared, and
+    `Certificate._evidence_failure` has checked its shape."""
+    if walk[0] != walk[-1]:
         return f"walk at {where} is not closed"
-    if not (type(demo.y_pos) is int and 0 <= demo.y_pos < len(walk)
-            and walk[demo.y_pos] == demo.y):
-        return f"walk at {where} misses its target"
     if not all(step(a, b) for a, b in zip(walk, walk[1:])):
         return f"walk at {where} takes a step outside the chain relation"
     return None
 
 
 def _revalidate_symbolic(cert, system):
-    """Walks and cycle words on symbols. Every symbol read must be an int
-    in 0..size - 1 before a transition is looked up, as a negative one
-    would index the transition rows from the end; each cycle word must
-    stay in the component."""
+    """Walks and cycle words on symbols. A cycle length must be the least
+    period of its point, len(traced.right), before its word is read. Every
+    symbol read must be an int in 0..size - 1 before a transition is looked
+    up, as a negative one would index the transition rows from the end;
+    each cycle word must stay in the component. A walk's traced point must
+    be the periodic point of the closed walk, so it reads both walk ends."""
     walks = cert.kind == "transitivity"
+    if not walks:
+        lengths = [f"cycle length at {node} is not the least period of its "
+                   "point" for node, d in zip(cert.component, cert.demos)
+                   if d.cycle_length != len(d.traced.right)]
+        if lengths:
+            return lengths
     words = [d.walk if walks else tuple(map(d.traced.symbol_at,
                                             range(d.cycle_length)))
              for d in cert.demos]
@@ -338,16 +350,12 @@ def _revalidate_symbolic(cert, system):
     for node, demo, block in zip(nodes, cert.demos, words):
         p = demo.traced
         if walks:
-            failure = _walk_failure(demo, step, demo.x)
+            failure = _walk_failure(demo.walk, step, demo.walk[0])
             if failure:
                 bad.append(failure)
-                continue
-            if p != system.periodic_point(demo.walk[:-1]):
-                bad.append(f"traced point for {demo.x} does not match its walk")
-            if p.symbol_at(0) != demo.x:
-                bad.append(f"traced point is outside the cylinder of {demo.x}")
-            if p.symbol_at(demo.y_pos) != demo.y:
-                bad.append(f"traced orbit misses the cylinder of {demo.y}")
+            elif p != system.periodic_point(demo.walk[:-1]):
+                bad.append(f"traced point for {demo.walk[0]} does not match "
+                           "its walk")
         else:
             if not members.issuperset(block):
                 bad.append(f"cycle word at {node} leaves the component")
@@ -368,11 +376,12 @@ def _revalidate_symbolic(cert, system):
 
 def _revalidate_metric(cert, system):
     """Closed D-chains traced to exact periodic orbits within their gap,
-    each starting in E[x] and visiting E[y], with E the ball of the tracing
-    coefficient times D's radius. A finite system's D is the diagonal, and
-    so is E: its walks are orbits, traced to themselves. Its density demos
-    must first return after cycle_length steps, by `orbit_period` rather
-    than the graph search, and each node's image must be in the component."""
+    each starting in E[x] and visiting E[y] for x = walk[0] and y =
+    walk[y_pos], with E the ball of the tracing coefficient times D's
+    radius. A finite system's D is the diagonal, and so is E: its walks
+    are orbits, traced to themselves. Its density demos must first return
+    after cycle_length steps, by `orbit_period` rather than the graph
+    search, and each node's image must be in the component."""
     bad = []
     if cert.kind != "transitivity":
         members = set(cert.component)
@@ -394,8 +403,8 @@ def _revalidate_metric(cert, system):
     chained = _chain_step(cert, system)
     for demo in cert.demos:
         walk, orbit = demo.walk, demo.traced
-        where = system.point_to_text(demo.x)
-        failure = _walk_failure(demo, chained, where)
+        where = system.point_to_text(walk[0])
+        failure = _walk_failure(walk, chained, where)
         period = len(walk) - 1
         if failure:
             bad.append(failure)
@@ -408,9 +417,9 @@ def _revalidate_metric(cert, system):
         elif not all(system.metric(orbit[k], walk[k]) <= demo.gap + 1e-12
                      for k in range(period)):
             bad.append(f"traced orbit at {where} strays past its gap")
-        elif not E.accepts(demo.x, orbit[0]):
+        elif not E.accepts(walk[0], orbit[0]):
             bad.append(f"traced point at {where} leaves E[x]")
-        elif not E.accepts(demo.y, orbit[demo.y_pos % period]):
+        elif not E.accepts(walk[demo.y_pos], orbit[demo.y_pos % period]):
             bad.append(f"orbit visit at {where} leaves E[y]")
     return bad
 
@@ -682,8 +691,7 @@ def transitivity_certificate(graph, component, system, D=None, seed=0,
             gap = sft_metric(traced, system.representative_point(x))
         else:
             traced, gap = _trace_periodic_walk(system, walk)
-        demos.append(WalkDemo(x=x, y=y, walk=walk, y_pos=y_pos, traced=traced,
-                              gap=gap))
+        demos.append(WalkDemo(walk, y_pos, traced, gap))
     return Certificate(
         kind="transitivity", mode=mode,
         component=tuple(graph.nodes[i] for i in component), demos=tuple(demos),

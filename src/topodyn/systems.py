@@ -272,11 +272,16 @@ class DynamicalSystem:
         """Coordinates for spatial indexing, or None when not meaningful."""
         return None
 
-    def iterate(self, x, n):
+    def orbit(self, x, n):
+        """[x, f(x), ..., f^n(x)], stepping by the inverse when n < 0."""
         step = self.forward if n >= 0 else self.backward
+        points = [x]
         for _ in range(abs(n)):
-            x = step(x)
-        return x
+            points.append(step(points[-1]))
+        return points
+
+    def iterate(self, x, n):
+        return self.orbit(x, n)[-1]
 
     def pair_exit(self, x, y, stay, horizon, step=1):
         """Step the pair (x, y) under f x f, or under its inverse when step
@@ -588,9 +593,12 @@ class ShiftOfFiniteType(DynamicalSystem):
         return p
 
     def _coerce(self, symbols):
-        if isinstance(symbols, str):
-            return tuple(int(ch) for ch in symbols)
-        return tuple(int(s) for s in symbols)
+        word = tuple(map(int, symbols))
+        for s in word:
+            if not 0 <= s < self.size:
+                raise ValueError(f"Symbol {s} is outside the alphabet "
+                                 f"0..{self.size - 1}.")
+        return word
 
     def point(self, word, offset=0, left=None, right=None):
         """An admissible point: central word plus tail cycles.

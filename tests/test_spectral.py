@@ -31,7 +31,8 @@ from topodyn.chains import (ChainGraph, _bfs_tree, _csr, build_chain_graph,
 from topodyn.spectral import CertificateError, CycleDemo, WalkDemo, _bfs_path
 from topodyn.spectral import LatticeCycles, _lattice_index
 from topodyn.spectral import ConnectivityWitness, _witness_failures
-from topodyn.systems import FiniteSystem, _north_south, catalog, torus_grid
+from topodyn.systems import (FiniteSystem, _north_south, catalog,
+                             symbolic_point, torus_grid)
 
 GOLDEN = sft_shift(("11", "10"), name="golden-mean")
 TWO_BLOCK = sft_shift(
@@ -90,14 +91,19 @@ def test_two_block_decomposition_frozen():
 
 
 def test_walk_demos_visit_their_targets():
+    """A walk demo stores no end beside its walk: x is walk[0] and the
+    target y is walk[y_pos], both members, and the traced point reads them
+    at positions 0 and y_pos."""
+    assert [f.name for f in dataclasses.fields(WalkDemo)] == [
+        "walk", "y_pos", "traced", "gap"]
     dec = spectral_decompose(TWO_BLOCK, seed=3)
     for bs in dec.basic_sets:
         assert bs.transitivity.kind == "transitivity"
         for demo in bs.transitivity.demos:
-            assert demo.walk[0] == demo.x and demo.walk[-1] == demo.x
-            assert demo.walk[demo.y_pos] == demo.y
-            assert demo.traced.symbol_at(0) == demo.x
-            assert demo.traced.symbol_at(demo.y_pos) == demo.y
+            x, y = demo.walk[0], demo.walk[demo.y_pos]
+            assert demo.walk[-1] == x and {x, y} <= set(bs.nodes)
+            assert demo.traced.symbol_at(0) == x
+            assert demo.traced.symbol_at(demo.y_pos) == y
         dens = bs.periodic_density
         for node, demo in zip(dens.component, dens.demos, strict=True):
             assert demo.traced.symbol_at(0) == node
@@ -215,11 +221,11 @@ def _walks_as_density(bs, other):
 
 
 def _open_walks(bs, other):
-    """Each walk cut after its first step: it still starts at x and visits
-    its new target, but does not come back."""
+    """Each walk cut after its first step: it still starts at x and its
+    target is its second node, but it does not come back."""
     return dataclasses.replace(bs, transitivity=dataclasses.replace(
         bs.transitivity, demos=tuple(
-            dataclasses.replace(d, walk=d.walk[:2], y=d.walk[1], y_pos=1)
+            dataclasses.replace(d, walk=d.walk[:2], y_pos=1)
             for d in bs.transitivity.demos)))
 
 
@@ -392,8 +398,7 @@ def test_closed_walk_with_a_forbidden_step_is_rejected(system, kwargs):
         x = bs.nodes[0]
         y = max(bs.nodes, key=lambda p: CAT.metric(CAT.forward(x), p))
     cert = bs.transitivity
-    demo = dataclasses.replace(cert.demos[0], x=x, y=y, walk=(x, y, x),
-                               y_pos=1)
+    demo = dataclasses.replace(cert.demos[0], walk=(x, y, x), y_pos=1)
     failures = dataclasses.replace(cert, demos=(demo,)).revalidate(system)
     assert any("takes a step outside the chain relation" in msg
                for msg in failures)
@@ -624,14 +629,14 @@ def test_symbols_outside_the_alphabet_are_one_failure():
     dec = spectral_decompose(TWO_BLOCK, seed=0)
     bs = next(b for b in dec.basic_sets if b.nodes == (2, 3, 4))
     assert TWO_BLOCK.allowed(-1, 2)
-    point = TWO_BLOCK.periodic_point((2, -3, 4))
+    point = symbolic_point((2, -3, 4), (), (2, -3, 4))
     dens = dataclasses.replace(bs.periodic_density, demos=tuple(
         dataclasses.replace(d, traced=point) if node == 2 else d
         for node, d in zip(bs.nodes, bs.periodic_density.demos)))
     assert dens.revalidate(TWO_BLOCK) == [
         "1 symbols read are outside the alphabet 0..5: the first is -3"]
-    demo = dataclasses.replace(bs.transitivity.demos[0], x=2, y=4,
-                               walk=(2, -3, 4, 2), y_pos=2)
+    demo = dataclasses.replace(bs.transitivity.demos[0], walk=(2, -3, 4, 2),
+                               y_pos=2)
     trans = dataclasses.replace(bs.transitivity, demos=(demo,))
     assert trans.revalidate(TWO_BLOCK) == [
         "1 symbols read are outside the alphabet 0..5: the first is -3"]
@@ -641,6 +646,56 @@ def test_symbols_outside_the_alphabet_are_one_failure():
         mine = [m for m in failures if m.startswith(f"basic set 1 [{kind}]: ")]
         assert len(mine) == 1
         assert mine[0].endswith("outside the alphabet 0..1: the first is 2")
+
+
+@pytest.mark.parametrize("length", [6, 10**6], ids=["doubled", "million"])
+def test_a_symbolic_cycle_length_must_be_the_least_period(length):
+    """Node 2's cycle has least period 3. A longer length would make the
+    check read that many symbols; it is one failure before any is read."""
+    dec = spectral_decompose(TWO_BLOCK, seed=0)
+    bs = next(b for b in dec.basic_sets if b.nodes == (2, 3, 4))
+    demos = bs.periodic_density.demos
+    assert demos[0].cycle_length == 3
+    cert = dataclasses.replace(bs.periodic_density, demos=(
+        dataclasses.replace(demos[0], cycle_length=length),) + demos[1:])
+    start = time.perf_counter()
+    failures = cert.revalidate(TWO_BLOCK)
+    assert time.perf_counter() - start < 0.1
+    assert failures == ["cycle length at 2 is not the least period of its point"]
+
+
+MALFORMED_WALKS = {
+    "none": lambda walk: {"walk": None},
+    "list": lambda walk: {"walk": list(walk)},
+    "one-node": lambda walk: {"walk": walk[:1], "y_pos": 0},
+    "target-past-end": lambda walk: {"y_pos": len(walk)},
+    "bool-target": lambda walk: {"y_pos": True},
+    "unhashable-node": lambda walk: {"walk": walk[:1] + ([0.5],) + walk[2:]},
+}
+
+
+@pytest.mark.parametrize("system, kwargs", [
+    (TWO_BLOCK, {}), (THREE_CYCLE, {}), (CAT, {"resolution": 16})],
+    ids=["symbolic", "exact-orbit", "metric-walk"])
+@pytest.mark.parametrize("malformed", sorted(MALFORMED_WALKS))
+def test_a_malformed_walk_is_one_failure(system, kwargs, malformed):
+    """A walk demo's ends are read from its walk, so a walk that is no
+    tuple of two or more hashable nodes, or a target position that is no
+    int index into it, ends the check with one failure, never an
+    exception."""
+    dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
+    bs = dec.basic_sets[0]
+    demo = bs.transitivity.demos[0]
+    broken = dataclasses.replace(demo, **MALFORMED_WALKS[malformed](demo.walk))
+    cert = dataclasses.replace(bs.transitivity,
+                               demos=(broken,) + bs.transitivity.demos[1:])
+    message = ("a walk node cannot be hashed" if malformed == "unhashable-node"
+               else "a walk is not a node tuple with a target position in it")
+    assert cert.revalidate(system) == [message]
+    tampered = dataclasses.replace(bs, transitivity=cert)
+    assert dataclasses.replace(
+        dec, basic_sets=(tampered,) + dec.basic_sets[1:]).validate(system) == [
+        f"basic set {bs.ident} [transitivity]: {message}"]
 
 
 @pytest.mark.parametrize("radius", [None, "0.25"], ids=["no-radius", "text-radius"])

@@ -225,6 +225,28 @@ def test_shift_forward_backward_inverse():
         assert TWO_BLOCK.backward(TWO_BLOCK.forward(p)) == p
 
 
+@pytest.mark.parametrize("build", [
+    lambda w: TWO_BLOCK.point(w),
+    lambda w: TWO_BLOCK.point((0,), left=w),
+    lambda w: TWO_BLOCK.periodic_point(w),
+    lambda w: TWO_BLOCK.window_point(w),
+], ids=["point", "point-tail", "periodic_point", "window_point"])
+@pytest.mark.parametrize("word", [(2, -3, 4), (0, 6), (7,)],
+                         ids=["negative", "size", "past-size"])
+def test_shift_constructors_refuse_symbols_outside_the_alphabet(build, word):
+    """A negative symbol would index the transition rows from the end, so
+    no constructor may build a point from it, nor from one past the
+    alphabet 0..5."""
+    with pytest.raises(ValueError, match="outside the alphabet 0..5"):
+        build(word)
+
+
+@pytest.mark.parametrize("text", ["0|06|0@0", "7|0|0@0", "0|0|9@-2"])
+def test_point_from_text_refuses_symbols_outside_the_alphabet(text):
+    with pytest.raises(ValueError, match="outside the alphabet 0..5"):
+        TWO_BLOCK.point_from_text(text)
+
+
 def test_point_to_text_roundtrip_sft():
     rng = random.Random(9)
     for _ in range(20):
@@ -404,3 +426,50 @@ def test_catalog_systems_invert():
             assert max(abs(a - b) for a, b in zip(x, y)) < 1e-9, name
         else:
             assert abs(x - y) < 1e-9, name
+
+
+# ---------------------------------------------------------------------------
+# orbits
+
+CATALOG = {name: entry.build() for name, entry in catalog().items()}
+
+
+def _catalog_point(name, rng):
+    """A point of the catalog system `name`, drawn from rng."""
+    system = CATALOG[name]
+    if isinstance(system, ShiftOfFiniteType):
+        return system.random_point(rng, 3)
+    if isinstance(system, FiniteSystem):
+        return rng.choice(system.points)
+    if name.startswith("strips-"):
+        n = rng.randint(-5, 5)
+        return (n, rng.uniform(0.0, system.fiber_height(n)))
+    if name == "harmonic":
+        return system.point(rng.randint(1, 30))
+    if name == "north-south":
+        return rng.uniform(-0.99, 0.99)
+    return (rng.random(), rng.random())
+
+
+def _reference_orbit(system, x, n):
+    points = [x]
+    for _ in range(abs(n)):
+        step = system.forward if n > 0 else system.backward
+        points.append(step(points[-1]))
+    return points
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(CATALOG)), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(-8, 8))
+def test_orbit_matches_a_stepping_loop(name, seed, n):
+    """orbit(x, n) is [x, f(x), ..., f^n(x)], by the inverse when n < 0,
+    and iterate is its last point; on shifts and finite maps, whose points
+    are exact, the orbit of f^n(x) back by n steps ends at x."""
+    system = CATALOG[name]
+    x = _catalog_point(name, random.Random(seed))
+    orbit = system.orbit(x, n)
+    assert orbit == _reference_orbit(system, x, n)
+    assert system.iterate(x, n) == orbit[-1]
+    if isinstance(system, (ShiftOfFiniteType, FiniteSystem)):
+        assert system.orbit(orbit[-1], -n)[-1] == x
