@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import _near_pairs
+from .chains import _array_ball, _near_pairs, _torus_distances
 from .entourage import MetricBall, PredicateEntourage, metric_ball
 from .report import FAIL, PASS, Report
 from .shadowing import (
@@ -523,8 +523,9 @@ def trig_perturbation(system, magnitude):
     sigma_min - 2 pi m, so a full step d lands within C |d|^2 of the root,
     C = m (2 pi)^2 / (2 (sigma_min - 2 pi m)). A row stops once that bound
     is below 2^-60, so no confirming step is needed; a row still moving
-    after _NEWTON_STEPS steps raises. At m = 0 the inverse is the one exact
-    step A^-1 q.
+    after _NEWTON_STEPS steps raises. Stopped rows are written out and the
+    rest compacted through one index array, so each row gets the floats it
+    gets when inverted alone. At m = 0 the inverse is the one exact step A^-1 q.
     """
     if not isinstance(system, TorusAutomorphism):
         raise TypeError("The trig perturbation family lives on the torus.")
@@ -552,7 +553,8 @@ def trig_perturbation(system, magnitude):
     def forward_batch(p):
         s = np.stack([np.sin(2.0 * np.pi * p[:, 1]), np.sin(2.0 * np.pi * p[:, 0])],
                      axis=1)
-        return (p @ mat.T + m * s) % 1.0
+        y = p @ mat.T + m * s
+        return y - np.floor(y)
 
     def newton(x1, x2, q1, q2):
         # |F|^2 and the Newton step J^-1 F at x, F(x) = A x + m s(x) - q
@@ -567,7 +569,7 @@ def trig_perturbation(system, magnitude):
     def backward_batch(q):
         if m == 0:
             return system.backward_batch(q)  # one exact step: A^-1 q
-        out, rows = np.empty_like(q), np.arange(len(q))
+        out, rows = np.empty((2, len(q))), np.arange(len(q))  # out[k]: coordinate k
         q1, q2 = q.T.copy()
         x1, x2 = system.cover.backward_batch(q).T.copy()  # the lift of A^-1 q
         r, d1, d2 = newton(x1, x2, q1, q2)
@@ -576,12 +578,15 @@ def trig_perturbation(system, magnitude):
             y1, y2 = x1 - t * d1, x2 - t * d2
             # only a full step carries the certified bound C |d|^2
             done = (t == 1.0) & (quad * (d1 * d1 + d2 * d2) < 2.0 ** -60)
+            if done.all():
+                out[0, rows], out[1, rows] = y1, y2
+                out = np.stack(out, axis=1)
+                return out - np.floor(out)
             if done.any():
-                out[rows[done]] = np.stack([y1[done], y2[done]], axis=1)
+                fin, keep = rows[done], np.flatnonzero(~done)  # stopped, moving
+                out[0, fin], out[1, fin] = y1[done], y2[done]
                 rows, q1, q2, x1, x2, y1, y2, r, d1, d2, t = (
-                    v[~done] for v in (rows, q1, q2, x1, x2, y1, y2, r, d1, d2, t))
-            if not rows.size:
-                return out % 1.0
+                    v.take(keep) for v in (rows, q1, q2, x1, x2, y1, y2, r, d1, d2, t))
             ry, e1, e2 = newton(y1, y2, q1, q2)
             ok = ry <= (1.0 - 1e-4 * t) * r  # Armijo: keep y, else halve t
             if not ok.all():
@@ -750,7 +755,7 @@ def _chunk_samples(window):
     return max(1, _CHUNK_FLOATS // (2 * (window + 1)))
 
 
-def _linear_images(f, g, pts, window):
+def _linear_images(f, g, pts, window, radius=None):
     """h(x) and h(g(x)) at every row x of the (N, 2) array pts, and the sup
     of the defects |d_k| of the g-orbits (NaN when one is).
 
@@ -779,6 +784,10 @@ def _linear_images(f, g, pts, window):
 
     with np.errstate(over="ignore", invalid="ignore"):
         x = gx = g.forward_batch(pts)
+        if radius is not None:  # the D-perturbation gate, on a torus ball
+            near = _torus_distances(f.forward_batch(pts), gx) < radius
+            if not near.all():  # name the first failing row; NaN fails too
+                raise _not_perturbation(f, tuple(pts[np.argmin(near)].tolist()))
         du[0], ds[window] = lift(pts, gx)  # d_0 sits in both halves
         for j in range(1, window + 1):
             ahead = g.forward_batch(x)
@@ -796,11 +805,11 @@ def _linear_images(f, g, pts, window):
             es = _stable_series(cover.lam_s, ds[o:o + window], np.zeros(n))
             eu = _unstable_series(cover.lam_u, du[o:o + window], np.zeros(n))
             y = base + np.stack(cover.combine(eu, es), axis=-1)
-            images.append(y % 1.0 if wrap else y)
+            images.append(y - np.floor(y) if wrap else y)
     return images[0], images[1], float(np.max(sup))
 
 
-def _stability_linear(f, g, samples, window):
+def _stability_linear(f, g, samples, window, radius):
     wrap = isinstance(f, TorusAutomorphism)
     pts = np.array(samples, dtype=float)
     h_x, h_gx = np.empty_like(pts), np.empty_like(pts)
@@ -808,7 +817,7 @@ def _stability_linear(f, g, samples, window):
     chunk = _chunk_samples(window)
     for lo in range(0, len(pts), chunk):
         h_x[lo:lo + chunk], h_gx[lo:lo + chunk], sup = _linear_images(
-            f, g, pts[lo:lo + chunk], window)
+            f, g, pts[lo:lo + chunk], window, radius)
         defect_sup = float(np.maximum(defect_sup, sup))
     gaps = f.forward_batch(h_x) - h_gx
     close = h_x - pts
@@ -822,13 +831,13 @@ def _stability_linear(f, g, samples, window):
         hx = _linear_images(f, g, np.array([x], dtype=float), window)[0]
         return (float(hx[0, 0]), float(hx[0, 1]))
 
-    image_points = tuple(tuple(map(float, p)) for p in h_x)
+    image_points = tuple(map(tuple, h_x.tolist()))
     # pairs of samples whose images are closer than 1e-8
     collisions = [(j, i) for q, p in _near_pairs(h_x, h_x, 1e-8, wrap)
                   for i, j in zip(q.tolist(), p.tolist())
                   if j < i and f.metric(image_points[j], image_points[i]) < 1e-8]
     return _stability_report(
-        f, g, h_point, (tuple(map(float, p)) for p in pts), image_points,
+        f, g, h_point, map(tuple, pts.tolist()), image_points,
         residuals, closenesses, defect_sup, collisions, window, "eigen-series",
         "for this linear system every metric ball is one, so h is unique at "
         "this closeness scale")
@@ -843,9 +852,8 @@ def _sft_windows(f, g, x, window):
     if k is not None:
         return [PseudoOrbit.measured(f, loop, PERIODIC, period=k)
                 for loop in (ahead[:k], ahead[1:k + 1])]
-    block = g.orbit(x, -window)[:0:-1] + ahead
-    return [PseudoOrbit.measured(f, w, start_index=-window)
-            for w in (block[:-1], block[1:])]
+    return PseudoOrbit.measured_steps(
+        f, g.orbit(x, -window)[:0:-1] + ahead, start_index=-window)
 
 
 def _stability_sft(f, g, samples, window):
@@ -862,16 +870,20 @@ def _stability_sft(f, g, samples, window):
         images.append(hx)
         closenesses.append(sft_metric(hx, x))
         residuals.append(sft_metric(f.forward(hx), _diagonal_point(f, at_gx)))
-    collisions = [
-        (i, j)
-        for i in range(len(images)) for j in range(i)
-        if images[i] == images[j] and samples[i] != samples[j]
-    ]
+    earlier, collisions = {}, []  # image -> indices of the samples so far
+    for i, hx in enumerate(images):
+        collisions += [(i, j) for j in earlier.get(hx, ()) if samples[i] != samples[j]]
+        earlier.setdefault(hx, []).append(i)
     return _stability_report(
         f, g, h_point, samples, images, residuals, closenesses, defect_sup,
         collisions, window, "symbol-diagonal",
         "balls of radius <= 1 are expansivity neighborhoods for the shift, "
         "and the ultrametric keeps B o B inside the unit ball")
+
+
+def _not_perturbation(f, x):
+    return ValueError(f"g is not a D-perturbation of f: the gap at sample "
+                      f"{f.point_to_text(x)} leaves D.")
 
 
 def stability_conjugacy_h(f, g, D, samples, window=30):
@@ -890,14 +902,13 @@ def stability_conjugacy_h(f, g, D, samples, window=30):
     samples = list(samples)
     if not samples:
         raise ValueError("At least one sample point is needed.")
-    for x in samples:
-        if not D.accepts(f.forward(x), g.forward(x)):
-            raise ValueError(
-                f"g is not a D-perturbation of f: the gap at sample "
-                f"{f.point_to_text(x)} leaves D."
-            )
+    radius = D.radius if _array_ball(f, D, samples) else None  # checked by chunk
+    if radius is None:
+        for x in samples:
+            if not D.accepts(f.forward(x), g.forward(x)):
+                raise _not_perturbation(f, x)
     if isinstance(f, (LinearSaddle, TorusAutomorphism)):
-        return _stability_linear(f, g, samples, window)
+        return _stability_linear(f, g, samples, window, radius)
     if isinstance(f, ShiftOfFiniteType):
         return _stability_sft(f, g, samples, window)
     raise TypeError(

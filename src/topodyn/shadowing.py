@@ -83,6 +83,13 @@ class PseudoOrbit:
         return dataclasses.replace(
             probe, defect_bound=float(np.max(gaps)) if gaps else 0.0)
 
+    @classmethod
+    def measured_steps(cls, system, block, start_index=0):
+        """`measured` on block[:-1] and block[1:], from one pass over their gaps."""
+        gaps = compute_defects(system, cls(tuple(block), ORBIT_TAIL, 0.0))
+        return [cls(tuple(w), ORBIT_TAIL, float(np.max(d)), start_index)
+                for w, d in ((block[:-1], gaps[:-1]), (block[1:], gaps[1:]))]
+
     def point_at(self, i):
         j = i - self.start_index
         if self.extension == PERIODIC:

@@ -225,11 +225,15 @@ class Certificate:
         not about `component`, or None. The routines read fields that only
         the right type has, count with int cycle lengths, compare number
         gaps, read SymbolicPoints, step through tuple orbits and derive E
-        from D. There must be a walk, each a hashable node tuple that starts
-        and aims at members, and demo k must be about member k; the
-        lattice-cycle routine binds its arrays itself, as it reads them."""
+        from D. Nodes must hash; there must be a walk, each a node tuple that
+        starts and aims at members, and demo k must be about member k; the
+        lattice-cycle routine binds its arrays and nodes itself."""
         demos, symbolic = self.demos, self.mode == "symbolic"
         D = self.chain_entourage
+        try:  # hashes every node
+            hash(() if self.mode == "lattice-cycle" else self.component)
+        except TypeError:
+            return "a component node cannot be hashed"
         if self.kind == "transitivity":
             if not all(isinstance(d, WalkDemo) for d in demos):
                 return "a transitivity demo is not a walk"
@@ -833,14 +837,16 @@ class SpectralDecomposition:
         all_nodes = []
         for bs in self.basic_sets:
             all_nodes.extend(bs.nodes)
-        distinct = set(all_nodes)
-        if len(distinct) != len(all_nodes):
-            bad.append("basic sets overlap")
-        # the same nodes in the same order need no set of the recurrent
-        # nodes, whose float tuples are slow to hash
-        if (all_nodes != list(self.recurrent_nodes)
-                and distinct != set(self.recurrent_nodes)):
-            bad.append("basic sets do not cover the recurrent node set")
+        try:  # hashes every node
+            distinct = set(all_nodes)
+            if len(distinct) != len(all_nodes):
+                bad.append("basic sets overlap")
+            # equal node lists need no set of the recurrent nodes (slow to hash)
+            if (all_nodes != list(self.recurrent_nodes)
+                    and distinct != set(self.recurrent_nodes)):
+                bad.append("basic sets do not cover the recurrent node set")
+        except TypeError:
+            bad.append("a basic-set or recurrent node cannot be hashed")
         family = _FAMILIES.get(_mode_for(system, "periodic-density"))
         if self.family != family:
             bad.append(f"family {self.family!r} does not fit {system.name}, "

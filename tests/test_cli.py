@@ -319,6 +319,11 @@ GOLDEN = [
     # the bench's headline operation: 65,536 lattice nodes, one basic set
     (["decompose", "cat-map", "--resolution", "256"],
      "5853577cd197d243495652961a16b01fc092a9f83d6434c777e5fd699bcfc2ec"),
+    # the linear stability route across a chunk boundary: 4,297 + 703
+    # samples at the default window 60
+    (["stability", "cat-map", "--epsilon", "0.01", "--samples", "5000",
+      "--seed", "1"],
+     "e2e359b1a5bd53ac0d3e52effffeeb8620a98f128189e6a11c9729a81b6d98d2"),
 ]
 
 

@@ -519,6 +519,108 @@ def test_trig_inverse_raises_on_a_row_that_has_not_stopped(monkeypatch):
             == CAT.backward_batch(q).tolist())
 
 
+# reference: the trig inverse's Newton loop as it was, which filtered every
+# array by a boolean mask whenever rows stopped, also once every row had,
+# and wrapped with np.remainder
+
+
+def ref_trig_backward(system, m, q):
+    if m == 0:
+        return system.cover.backward_batch(q) % 1.0
+    (a, b), (c, d) = ((float(v) for v in row) for row in system.matrix)
+    sigma_min = hyperbolic._singular_values(system.matrix)[1]
+    lipschitz = 2.0 * math.pi * m
+    quad = m * (2.0 * math.pi) ** 2 / (2.0 * (sigma_min - lipschitz))
+
+    def newton(x1, x2, q1, q2):
+        u1, u2 = 2.0 * np.pi * x1, 2.0 * np.pi * x2
+        f1 = a * x1 + b * x2 + m * np.sin(u2) - q1
+        f2 = c * x1 + d * x2 + m * np.sin(u1) - q2
+        j12, j21 = b + lipschitz * np.cos(u2), c + lipschitz * np.cos(u1)
+        det = a * d - j12 * j21
+        return (f1 * f1 + f2 * f2, (d * f1 - j12 * f2) / det,
+                (a * f2 - j21 * f1) / det)
+
+    out, rows = np.empty_like(q), np.arange(len(q))
+    q1, q2 = q.T.copy()
+    x1, x2 = system.cover.backward_batch(q).T.copy()
+    r, d1, d2 = newton(x1, x2, q1, q2)
+    t = np.ones_like(r)
+    for _ in range(hyperbolic._NEWTON_STEPS):
+        y1, y2 = x1 - t * d1, x2 - t * d2
+        done = (t == 1.0) & (quad * (d1 * d1 + d2 * d2) < 2.0 ** -60)
+        if done.any():
+            out[rows[done]] = np.stack([y1[done], y2[done]], axis=1)
+            rows, q1, q2, x1, x2, y1, y2, r, d1, d2, t = (
+                v[~done] for v in (rows, q1, q2, x1, x2, y1, y2, r, d1, d2, t))
+        if not rows.size:
+            return out % 1.0
+        ry, e1, e2 = newton(y1, y2, q1, q2)
+        ok = ry <= (1.0 - 1e-4 * t) * r
+        if not ok.all():
+            y1, y2, ry, e1, e2 = (np.where(ok, v, w) for v, w in (
+                (y1, x1), (y2, x2), (ry, r), (e1, d1), (e2, d2)))
+        x1, x2, r, d1, d2, t = y1, y2, ry, e1, e2, np.where(ok, 1.0, 0.5 * t)
+    raise ArithmeticError(f"{len(rows)} rows of the trig inverse did not "
+                          f"stop within {hyperbolic._NEWTON_STEPS} Newton steps.")
+
+
+def _outcome(inverse, *args):
+    """The bytes an inverse returns, or the ArithmeticError it raises."""
+    try:
+        return inverse(*args).tobytes()
+    except ArithmeticError as err:
+        return str(err)
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(TORI), st.floats(0.0, 0.99), st.integers(0, 300),
+       st.integers(0, 2 ** 32 - 1))
+def test_trig_inverse_equals_the_masking_loop_byte_for_byte(system, share, n,
+                                                             seed):
+    # m from 0 up to 0.99 of the certificate's limit sigma_min / (2 pi)
+    sigma_min = trig_perturbation(system, 0.0).payload["certificate"]["sigma_min"]
+    m = share * sigma_min / (2.0 * math.pi)
+    g = trig_perturbation(system, m)
+    q = np.random.default_rng(seed).random((n, 2))
+    want = ref_trig_backward(system, m, q)
+    assert g.backward_batch(q).tobytes() == want.tobytes()
+    # a cap of one step stops no row, unless m = 0 or there are none
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperbolic, "_NEWTON_STEPS", 1)
+        assert (_outcome(g.backward_batch, q)
+                == _outcome(ref_trig_backward, system, m, q))
+
+
+def test_trig_inverse_equals_the_masking_loop_on_the_halving_row():
+    system = torus_automorphism(((1, -1), (-2, 1)))
+    sigma_min = trig_perturbation(system, 0.0).payload["certificate"]["sigma_min"]
+    m = 0.99 * sigma_min / (2.0 * math.pi)
+    q = np.array([[0.9824650929766877, 0.98523575531838]])
+    assert (trig_perturbation(system, m).backward_batch(q).tobytes()
+            == ref_trig_backward(system, m, q).tobytes())
+
+
+def test_floor_wrap_equals_remainder_byte_for_byte():
+    # y - floor(y) is exact for y >= 0; for y < 0 it rounds fmod(y, 1) + 1
+    # once, as np.remainder does, and both give nan for inf and nan
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.5, -0.5, 1.0,
+             -1.0, 3.0, -3.0, 1.0 - 2.0 ** -53, 2.0 ** -53 - 1.0,
+             2.0 ** 52 + 0.5, -2.0 ** 52 - 0.5, 2.0 ** 60, -2.0 ** 60,
+             1e300, -1e300, math.inf, -math.inf, math.nan, -math.nan]
+    rng = np.random.default_rng(0)
+    # every binary exponent from the subnormals up, and both signs
+    spread = np.ldexp(rng.random(200_000) * 2.0 - 1.0,
+                      rng.integers(-1074, 1024, 200_000))
+    y = np.concatenate([edges, spread, rng.normal(0.0, 5.0, 200_000)])
+    with np.errstate(invalid="ignore"):
+        wrapped = y - np.floor(y)
+        assert wrapped.tobytes() == (y % 1.0).tobytes()
+    # and so does the scalar maps' Python float %
+    assert (np.array([v % 1.0 for v in y[:50_000].tolist()]).tobytes()
+            == wrapped[:50_000].tobytes())
+
+
 def test_sft_flip_perturbation_displacement():
     g = sft_flip_perturbation(FULL2)
     x = FULL2.window_point((1, 1, 0, 1, 0, 0), offset=0)
@@ -690,9 +792,9 @@ def test_stability_chunks_match_one_sample_at_a_time(monkeypatch):
     samples = [(rng.random(), rng.random()) for _ in range(chunk + 12)]
     sizes, images = [], hyperbolic._linear_images
 
-    def counted(f, g, pts, w):
+    def counted(f, g, pts, w, *gate):
         sizes.append(len(pts))
-        return images(f, g, pts, w)
+        return images(f, g, pts, w, *gate)
 
     monkeypatch.setattr(hyperbolic, "_linear_images", counted)
     stab = stability_conjugacy_h(CAT, g, metric_ball(CAT, 0.05), samples,
@@ -740,9 +842,11 @@ def ref_orbit_block(g, pts, window):
     return block
 
 
-def ref_linear_images(f, g, pts, window):
+def ref_linear_images(f, g, pts, window, radius=None):
     """h(x), h(g(x)) and the defect sup, read off one stored g-orbit block:
-    block[:-1] is the window through x and block[1:] the one through g(x)."""
+    block[:-1] is the window through x and block[1:] the one through g(x).
+    The D-perturbation gate's radius is not read: callers pass a D that
+    holds at every sample."""
     block = ref_orbit_block(g, pts, window)
     images, sup = [], 0.0
     for windows in (block[:-1], block[1:]):
@@ -840,6 +944,68 @@ def test_stability_rejects_non_d_perturbation():
     g = trig_perturbation(CAT, 0.002)
     with pytest.raises(ValueError, match="not a D-perturbation"):
         stability_conjugacy_h(CAT, g, metric_ball(CAT, 1e-6), [(0.2, 0.3)])
+
+
+def _scalar_gate(f, g, D, samples):
+    """The message of the per-sample D-perturbation loop, or None."""
+    for x in samples:
+        if not D.accepts(f.forward(x), g.forward(x)):
+            return (f"g is not a D-perturbation of f: the gap at sample "
+                    f"{f.point_to_text(x)} leaves D.")
+    return None
+
+
+def _no_scalar_calls(*pair):
+    raise AssertionError("the batched gate called D.accepts")
+
+
+# d(f(x), g(x)) = m |(sin 2 pi x_2, sin 2 pi x_1)| reaches m sqrt(2) =
+# 0.0141421 at m = 0.01; at these radii the first of 3,000 samples to fail
+# sits in the first, second or third chunk of 200
+@pytest.mark.parametrize("radius, first", [
+    (0.0141, 500), (0.014, 208), (0.0139, 29), (0.01, 4)])
+def test_batched_gate_raises_the_scalar_loops_message(radius, first):
+    g = trig_perturbation(CAT, 0.01)
+    rng = random.Random(11)
+    samples = [(rng.random(), rng.random()) for _ in range(3000)]
+    D = metric_ball(CAT, radius)
+    want = _scalar_gate(CAT, g, D, samples)
+    assert want == _scalar_gate(CAT, g, D, [samples[first]])
+    assert _scalar_gate(CAT, g, D, samples[:first]) is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperbolic, "_CHUNK_FLOATS", 200 * 2 * (10 + 1))
+        mp.setattr(D, "accepts", _no_scalar_calls)
+        with pytest.raises(ValueError) as err:
+            stability_conjugacy_h(CAT, g, D, samples, window=10)
+    assert str(err.value) == want
+
+
+def test_batched_gate_accepts_and_a_predicate_takes_the_scalar_gate():
+    g = trig_perturbation(CAT, 0.01)
+    rng = random.Random(11)
+    samples = [(rng.random(), rng.random()) for _ in range(3000)]
+    D = metric_ball(CAT, 0.01415)
+    assert _scalar_gate(CAT, g, D, samples) is None
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return CAT.metric(x, y) < 0.01415
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperbolic, "_CHUNK_FLOATS", 200 * 2 * (10 + 1))
+        mp.setattr(D, "accepts", _no_scalar_calls)
+        batched = stability_conjugacy_h(CAT, g, D, samples, window=10)
+        scalar = stability_conjugacy_h(CAT, g, predicate_entourage(counted),
+                                       samples, window=10)
+    assert calls == [(CAT.forward(x), g.forward(x)) for x in samples]
+    assert batched.images == scalar.images
+    assert batched.residuals == scalar.residuals
+    # a predicate that rejects a sample names it, as the loop does
+    late = predicate_entourage(lambda x, y: x != CAT.forward(samples[2500]))
+    with pytest.raises(ValueError) as err:
+        stability_conjugacy_h(CAT, g, late, samples, window=10)
+    assert str(err.value) == _scalar_gate(CAT, g, late, samples)
 
 
 def test_stability_needs_model_f():

@@ -390,6 +390,23 @@ def test_measured_pseudo_orbit_takes_its_largest_gap():
     assert PseudoOrbit.measured(DIAG, [(1.0, 1.0)]).defect_bound == 0.0
 
 
+@pytest.mark.parametrize("block", [
+    ((0.1, 0.2), (0.2, 0.1), (0.45, 0.05), (0.9, 0.0)),
+    ((0.0, 0.0), (math.nan, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)),
+    ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (math.inf, 0.0)),
+    ((1.0, 1.0), (2.0, 0.5), (4.0, 0.25))])
+def test_measured_steps_are_the_two_measured_windows(block):
+    # one measure of the block's gaps gives each window the bound that
+    # measuring it alone gives: the sup of its own gaps, NaN kept
+    pair = PseudoOrbit.measured_steps(DIAG, block, start_index=-1)
+    alone = [PseudoOrbit.measured(DIAG, w, start_index=-1)
+             for w in (block[:-1], block[1:])]
+    assert [p.window for p in pair] == [a.window for a in alone]
+    assert [p.start_index for p in pair] == [-1, -1]
+    assert (np.array([p.defect_bound for p in pair]).tobytes()
+            == np.array([a.defect_bound for a in alone]).tobytes())
+
+
 def test_a_nan_gap_is_never_dropped_from_a_maximum():
     # max() keeps whichever of 0.0 and nan comes first; the maxima over
     # gaps must report the NaN wherever it sits

@@ -372,6 +372,34 @@ def test_a_certificate_in_the_wrong_mode_is_one_failure(system, kwargs):
                 dec, basic_sets=(tampered,) + dec.basic_sets[1:]).validate(system)
 
 
+@pytest.mark.parametrize("system, kwargs", [
+    (TWO_BLOCK, {}), (THREE_CYCLE, {}), (CAT, {"resolution": 16})],
+    ids=["symbolic", "finite", "torus"])
+@pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+def test_an_unhashable_node_is_a_failure_not_an_exception(system, kwargs, where):
+    """A basic-set node that cannot be hashed, such as the list [0], makes
+    revalidate() and validate() return failure strings."""
+    dec = spectral_decompose(system, seed=0, **kwargs)
+    bs = dec.basic_sets[0]
+    nodes = list(bs.nodes)
+    nodes[where] = [0]
+    nodes = tuple(nodes)
+    certs = [dataclasses.replace(c, component=nodes)
+             for c in (bs.transitivity, bs.periodic_density)]
+    for cert in certs:
+        failures = cert.revalidate(system)
+        assert failures and all(type(f) is str for f in failures)
+    assert certs[0].revalidate(system) == ["a component node cannot be hashed"]
+    tampered = dataclasses.replace(bs, nodes=nodes, transitivity=certs[0],
+                                   periodic_density=certs[1])
+    for changed in (
+            dict(basic_sets=(tampered,) + dec.basic_sets[1:]),
+            dict(recurrent_nodes=nodes + dec.recurrent_nodes[len(nodes):])):
+        failures = dataclasses.replace(dec, **changed).validate(system)
+        assert "a basic-set or recurrent node cannot be hashed" in failures
+        assert all(type(f) is str for f in failures)
+
+
 @pytest.mark.parametrize("system", [TWO_BLOCK, THREE_CYCLE],
                          ids=["symbolic", "exact-orbit"])
 def test_a_lattice_record_is_no_evidence_in_another_mode(system):
