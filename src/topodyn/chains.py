@@ -161,7 +161,8 @@ class ChainGraph:
     built with. `labels` holds the SCC index of every node: code that
     knows the partition in closed form may give it (the torus grid does),
     and otherwise Tarjan's algorithm computes it once on demand. The list
-    of SCCs as frozensets is built only when `scc()` asks for it.
+    of SCCs as frozensets is built only when `scc()` asks for it. The
+    torus grid's graphs build their CSR arrays on first read.
     """
 
     nodes: tuple
@@ -239,16 +240,20 @@ class ChainGraph:
 
     def recurrent_mask(self):
         """Boolean array of the nodes on a directed cycle: an SCC of size
-        >= 2, or a self-loop. Only the rows of the nodes alone in their SCC
-        are read for the self-loop."""
+        >= 2, or a self-loop. Only the nodes alone in their SCC are asked
+        for the self-loop."""
         labels = self.component_labels()
         mask = np.bincount(labels)[labels] >= 2
-        alone = np.flatnonzero(~mask)
-        starts = self.indptr[alone]
-        counts = self.indptr[alone + 1] - starts
-        owner = alone.repeat(counts)
-        mask[owner[self.indices[_concat_ranges(starts, counts)] == owner]] = True
+        mask[self._looped(np.flatnonzero(~mask))] = True
         return mask
+
+    def _looped(self, nodes):
+        """Those of the given nodes with an edge to themselves, read from
+        their rows."""
+        starts = self.indptr[nodes]
+        counts = self.indptr[nodes + 1] - starts
+        owner = nodes.repeat(counts)
+        return owner[self.indices[_concat_ranges(starts, counts)] == owner]
 
     def recurrent_indices(self):
         """Indices lying on a directed cycle: SCC of size >= 2 or self-loop."""
@@ -499,16 +504,68 @@ def _lattice_scc_labels(system, n, di, dj):
     return _orbit_labels(perm)[coset(*np.divmod(np.arange(n * n), n))]
 
 
+def _lattice_csr(system, n, di, dj):
+    """The CSR arrays of the lattice graph x -> A x + O, O the offset table
+    (di, dj): one broadcast of the lattice images against the table, mod n,
+    with each row sorted."""
+    row, col = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    fi, fj = (v.astype(np.int32) for v in _lattice_map(system, n)(row, col))
+    indices = (fi[:, None] + di) % n * n + (fj[:, None] + dj) % n
+    indices.sort(axis=1)
+    indptr = np.arange(n * n + 1, dtype=np.int64) * len(di)
+    return indptr.astype(np.int32), indices.ravel()
+
+
+class _LatticeGraph(ChainGraph):
+    """A `torus_grid_graph`: the nodes `torus_grid(n)`, the SCC labels and
+    the offset table are held, and the CSR arrays are built by
+    `_lattice_csr` the first time `indptr` or `indices` is read. The edge
+    count n^2 |O| and the self-loops of the recurrent mask need no build."""
+
+    def __init__(self, system, n, offsets, entourage_id, labels):
+        self.nodes, self.entourage_id, self.labels = torus_grid(n), entourage_id, labels
+        self.system, self.n, self.offsets = system, n, offsets
+        self._csr_arrays = None
+
+    def _built(self):
+        if self._csr_arrays is None:
+            self._csr_arrays = _lattice_csr(self.system, self.n, *self.offsets)
+        return self._csr_arrays
+
+    @property
+    def indptr(self):
+        return self._built()[0]
+
+    @property
+    def indices(self):
+        return self._built()[1]
+
+    @property
+    def edge_count(self):
+        return self.node_count * len(self.offsets[0])
+
+    def _looped(self, nodes):
+        """x -> x is an edge iff x - A x mod n is in the offset table, so
+        no row is built."""
+        n = self.n
+        i, j = np.divmod(nodes, n)
+        fi, fj = _lattice_map(self.system, n)(i, j)
+        table = np.zeros((n, n), dtype=bool)
+        table[self.offsets] = True
+        return nodes[table[(i - fi) % n, (j - fj) % n]]
+
+
 def torus_grid_graph(system, n, delta, entourage_id=None):
     """Chain graph of a torus automorphism on the n x n lattice, built with
     integer arithmetic only.
 
     The lattice is invariant under integer matrices, so f(node) is again a
     lattice point and the delta-ball around it is a fixed set of integer
-    offsets; the edges are one broadcast of the lattice images against the
-    offset table, mod n, and no floating-point distances enter. The SCC
-    labels come from the lattice group (`_lattice_scc_labels`), with no
-    graph search.
+    offsets; the edges are the lattice images plus the offset table, mod
+    n, and no floating-point distances enter. The SCC labels come from the
+    lattice group (`_lattice_scc_labels`), with no graph search, and the
+    edges are built on first read, so a ladder rung that is never walked
+    builds none.
     """
     # each size is tested before the arrays it measures are built
     if n * n > np.iinfo(np.int32).max:
@@ -516,14 +573,8 @@ def torus_grid_graph(system, n, delta, entourage_id=None):
     di, dj = _lattice_offsets(n, delta)
     if n * n * len(di) > np.iinfo(np.int32).max:
         raise GraphTooLargeError("The chain graph has too many edges for int32 CSR.")
-    row, col = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    fi, fj = (v.astype(np.int32) for v in _lattice_map(system, n)(row, col))
-    indices = (fi[:, None] + di) % n * n + (fj[:, None] + dj) % n
-    indices.sort(axis=1)
-    indptr = np.arange(n * n + 1, dtype=np.int64) * len(di)
-    return ChainGraph(torus_grid(n), indptr.astype(np.int32), indices.ravel(),
-                      entourage_id or f"ball({delta!r})",
-                      labels=_lattice_scc_labels(system, n, di, dj))
+    return _LatticeGraph(system, n, (di, dj), entourage_id or f"ball({delta!r})",
+                         _lattice_scc_labels(system, n, di, dj))
 
 
 # ---------------------------------------------------------------------------

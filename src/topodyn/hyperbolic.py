@@ -45,6 +45,7 @@ from .systems import (
     sequences_agree_on,
     sft_metric,
     splice_symbolic,
+    symbolic_point,
     torus_metric,
 )
 
@@ -641,7 +642,11 @@ def sft_flip_perturbation(system):
     def psi(x):
         if x.symbol_at(0) != 1 or x.symbol_at(1) != 1:
             return x
-        return _respell(x, x, min(x.span_start, 0) - 1, max(x.span_end, 4) + 1,
+        if x.span_start <= 3 <= x.span_end:  # flip the word's own symbol
+            word = list(x.word)
+            word[3 - x.offset] = 1 - word[3 - x.offset]
+            return symbolic_point(x.left, word, x.right, x.offset)
+        return _respell(x, x, min(x.span_start, 3), max(x.span_end, 3),
                         lambda i: 1 - x.symbol_at(i) if i == 3 else x.symbol_at(i))
 
     return GenericSystem(

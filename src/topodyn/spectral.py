@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 import random
 from dataclasses import dataclass
@@ -288,6 +289,16 @@ def _is_number(value):
             and not math.isnan(value))
 
 
+def _is_point(system):
+    """The test that a node is a point the walk modes may step through
+    `system.forward`: on a finite system one of its points, otherwise a
+    tuple of two real numbers, neither a bool."""
+    if isinstance(system, FiniteSystem):
+        return set(system.points).__contains__
+    return lambda x: type(x) is tuple and len(x) == 2 and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in x)
+
+
 def _mode_for(system, kind):
     """The one certificate mode for evidence of `kind` on `system`, or None
     where no route exists: symbolic on shifts, exact-orbit on finite maps,
@@ -404,6 +415,11 @@ def _revalidate_metric(cert, system):
     E = D if cert.mode == "exact-orbit" else metric_ball(
         system, system.tracing_coefficient() * D.radius + 1e-12)
     bad.extend(_witness_failures(cert, system))
+    point = _is_point(system)
+    if not all(point(x) for demo in cert.demos
+               for x in itertools.chain(demo.walk, demo.traced)):
+        return bad + ["a walk or traced orbit holds a node that is not a "
+                      "point of the system"]
     chained = _chain_step(cert, system)
     for demo in cert.demos:
         walk, orbit = demo.walk, demo.traced
@@ -448,7 +464,9 @@ def _witness_failures(cert, system):
     of `_chain_step`, a transition on symbols and otherwise D's float
     predicate on (f(a), b), so the check does not trust the integer offsets
     that built the ladder. When `_array_ball` holds the edges are measured
-    on arrays, as `build_chain_graph` measures its pairs. A tree with bad
+    on arrays, as `build_chain_graph` measures its pairs. Otherwise every
+    node outside the symbolic mode must pass `_is_point` before it is
+    stepped, or the check ends with that one failure. A tree with bad
     edges is one failure, with the count and the first bad edge."""
     witness, comp, D = cert.witness, cert.component, cert.chain_entourage
     if not isinstance(witness, ConnectivityWitness):
@@ -470,6 +488,8 @@ def _witness_failures(cert, system):
         images = system.forward_batch(pts)
         steps = lambda a, b: _torus_distances(
             np.take(images, a, axis=0), np.take(pts, b, axis=0)) < D.radius
+    elif cert.mode != "symbolic" and not all(map(_is_point(system), comp)):
+        return ["a component node is not a point of the system"]
     else:
         step = _chain_step(cert, system)
         steps = lambda a, b: np.fromiter(
@@ -737,27 +757,35 @@ def _trace_periodic_walk(system, walk):
 
 
 def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
-                                 resolution=None):
+                                 resolution=None, lattice_index=None):
     """Evidence that periodic points are dense in the recurrent node set:
     every node receives a verified periodic point inside its entourage ball
     at every ladder radius.
 
     On the torus grid the periodic point is the node itself, proved by
     integer lattice arithmetic (the lattice is f-invariant and f permutes
-    it), so the gap is zero at every radius. Shift and finite systems take
-    the shortest cycle through the node in their exact `graph`: an
-    admissible word, or on the diagonal graph of a finite map the node's
-    own orbit. Each cycle must lie in the node set, so the certificate
-    also proves that the set is invariant.
+    it), so the gap is zero at every radius. The lattice index of each node
+    is decoded from its floats unless `lattice_index` gives it, as the
+    positions of the nodes in `torus_grid(resolution)` do; the check
+    decodes the nodes again, so an index that is not the node's fails
+    there. Shift and finite systems take the shortest cycle through the
+    node in their exact `graph`: an admissible word, or on the diagonal
+    graph of a finite map the node's own orbit. Each cycle must lie in the
+    node set, so the certificate also proves that the set is invariant.
     """
     mode = _mode_for(system, "periodic-density")
     if mode == "lattice-cycle":
         if resolution is None:
             raise ValueError("The lattice route needs the grid resolution.")
         nodes = tuple(recurrent_nodes)
+        if lattice_index is None:
+            lattice_index = _lattice_index(nodes, resolution)
+            if (lattice_index < 0).any():
+                raise ValueError(f"The lattice route needs nodes "
+                                 f"(i/{resolution}, j/{resolution}).")
         return Certificate(
             kind="periodic-density", mode=mode, component=nodes,
-            demos=_lattice_cycles(system, nodes, resolution, min(radii)))
+            demos=_lattice_cycles(system, lattice_index, resolution, min(radii)))
     if mode is not None:
         # the shortest cycle through a node of an exact graph; on the
         # diagonal graph of a finite map it is the node's orbit
@@ -784,13 +812,10 @@ def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
     raise TypeError(f"No periodic tracing oracle for {system.name!r}.")
 
 
-def _lattice_cycles(system, nodes, n, radius):
-    """The density record of lattice nodes at resolution n and radius: the
-    lattice index of each node and the size of its orbit under the lattice
-    permutation x -> A x mod n."""
-    index = _lattice_index(nodes, n)
-    if (index < 0).any():
-        raise ValueError(f"The lattice route needs nodes (i/{n}, j/{n}).")
+def _lattice_cycles(system, index, n, radius):
+    """The density record of the lattice nodes with these lattice indices,
+    at resolution n and radius: each index and the size of its orbit under
+    the lattice permutation x -> A x mod n."""
     fi, fj = _lattice_map(system, n)(*np.divmod(np.arange(n * n), n))
     labels = _orbit_labels(fi * n + fj)
     return LatticeCycles(n, radius, index, np.bincount(labels)[labels][index])
@@ -948,10 +973,7 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
     # the reported history is the whole ladder's
     step = stab if stab is not None else len(graphs) - 1
     graph = graphs[step]
-    # only the cut step's graph is walked, so the others go before the
-    # certificates allocate their search arrays
     rungs = tuple(g.entourage_id for g in graphs) if exact else radii
-    del graphs
     groups = _cell_groups(states[step])
     if not exact:
         D = metric_ball(system, radii[step])
@@ -962,8 +984,9 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
         nodes = tuple(graph.nodes[i] for i in comp)
         trans = transitivity_certificate(graph, comp, system, D=D,
                                          seed=seed + ident, pairs=walks)
-        dens = periodic_density_certificate(system, nodes, radii=radii,
-                                            graph=graph, resolution=n)
+        dens = periodic_density_certificate(
+            system, nodes, radii=radii, graph=graph, resolution=n,
+            lattice_index=None if exact else group)
         basic.append(BasicSet(ident=ident, nodes=nodes, transitivity=trans,
                               periodic_density=dens))
     return SpectralDecomposition(

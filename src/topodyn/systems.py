@@ -15,6 +15,7 @@ sequence exactly as left cycle + central word + right cycle.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -988,10 +989,13 @@ def _north_south():
 
 @functools.lru_cache(maxsize=1)
 def torus_grid(n):
-    """The n x n lattice (i/n, j/n) on the torus, as one tuple (exact floats
-    for n a power of 2). The last lattice is kept, so the graphs of one
-    ladder share their nodes."""
-    return tuple((i / n, j / n) for i in range(n) for j in range(n))
+    """The n x n lattice (i/n, j/n) on the torus, as one tuple, node
+    i * n + j at (i/n, j/n) (exact floats for n a power of 2). The last
+    lattice is kept, so the graphs of one ladder share their nodes. numpy
+    divides the exact integers with one correct rounding, as i / n does,
+    and the n^2 pairs share the n coordinate floats."""
+    v = (np.arange(n) / n).tolist()
+    return tuple(itertools.product(v, v))
 
 
 @dataclass(frozen=True)

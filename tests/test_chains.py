@@ -477,20 +477,66 @@ def test_ladder_graphs_share_the_lattice_nodes():
     assert graphs[0].nodes is graphs[1].nodes is torus_grid(12)
 
 
+# the hyperbolic ones, which `torus_automorphism` takes: |trace| > 2 at
+# determinant 1, and a nonzero trace at determinant -1
+HYPERBOLIC = [m for m in UNIMODULAR if abs(m[0] + m[3]) > 2
+              or (m[0] * m[3] - m[1] * m[2] == -1 and m[0] + m[3])]
+
+
 @PROPERTY
 @given(st.integers(3, 40).filter(lambda n: n & (n - 1)),
-       st.floats(0.01, 0.6))
-def test_torus_grid_graph_matches_generic_builder_off_dyadic_grids(n, delta):
+       st.floats(0.01, 0.6), st.sampled_from(HYPERBOLIC))
+def test_torus_grid_graph_matches_generic_builder_off_dyadic_grids(n, delta,
+                                                                   matrix):
     # the radius must avoid exact grid distances, where float rounding of
     # the generic builder's images would decide the edge
     gaps = [abs(delta * n - math.hypot(p, q))
             for p in range(n + 1) for q in range(n + 1)]
     assume(min(gaps) > 1e-6)
-    fast = torus_grid_graph(CAT, n, delta)
-    slow = build_chain_graph(CAT, torus_grid(n), metric_ball(CAT, delta))
+    system = torus_automorphism((matrix[:2], matrix[2:]))
+    fast = torus_grid_graph(system, n, delta)
+    slow = build_chain_graph(system, torus_grid(n), metric_ball(system, delta))
     assert fast.nodes == slow.nodes
+    # the lattice graph counts its edges before it builds them
+    assert fast.edge_count == slow.edge_count
     assert np.array_equal(fast.indptr, slow.indptr)
     assert np.array_equal(fast.indices, slow.indices)
+
+
+@pytest.mark.parametrize("n, delta", [(1, 0.5), (12, 0.3), (64, 1 / 16),
+                                      (64, 1e-3), (30, 0.0)])
+def test_lattice_edge_count_needs_no_build(n, delta):
+    """edge_count is n^2 |O| before the CSR arrays exist and indptr[-1]
+    once they do; the labels and the recurrent mask build no row, and the
+    mask equals the one read from the built rows."""
+    graph = torus_grid_graph(CAT, n, delta)
+    table = len(chains._lattice_offsets(n, delta)[0])
+    mask = graph.recurrent_mask()
+    assert graph._csr_arrays is None
+    assert graph.edge_count == n * n * table
+    assert int(graph.indptr[-1]) == graph.edge_count == len(graph.indices)
+    assert graph._csr_arrays is not None
+    oracle = ChainGraph(graph.nodes, graph.indptr, graph.indices, "oracle",
+                        labels=graph.labels)
+    assert np.array_equal(oracle.recurrent_mask(), mask)
+
+
+def test_decompose_builds_the_lattice_csr_of_the_walked_rung_only(monkeypatch):
+    """Only the stabilization rung of the torus ladder is walked, so its
+    graph is the one lattice CSR built; the wider rung 0 builds none."""
+    built = []
+    real = chains._lattice_csr
+
+    def counted(system, n, di, dj):
+        built.append((n, len(di)))
+        return real(system, n, di, dj)
+
+    monkeypatch.setattr(chains, "_lattice_csr", counted)
+    dec = spectral_decompose(CAT, resolution=64)
+    step = dec.stabilization_index
+    assert step == 1
+    walked = len(chains._lattice_offsets(64, dec.ladder[step])[0])
+    assert built == [(64, walked)]
 
 
 def test_is_chain():

@@ -46,8 +46,8 @@ from topodyn import (
 from topodyn import hyperbolic
 from topodyn.hyperbolic import (ExpansivityReport, PairSeparation,
                                  ProductStructure, _chunk_samples)
-from topodyn.systems import (TorusAutomorphism, _north_south, sft_metric,
-                             sphere_metric)
+from topodyn.systems import (TorusAutomorphism, _north_south, _respell,
+                             sft_metric, sphere_metric, symbolic_point)
 
 DIAG = linear_hyperbolic(((2, 0), (0, 0.5)), name="diag-saddle")
 CAT = torus_automorphism(((2, 1), (1, 1)), name="cat-map")
@@ -641,6 +641,31 @@ def test_sft_flip_backward_inverts_forward():
     for x in pts:
         assert g.backward(g.forward(x)) == x
         assert g.forward(g.backward(x)) == x
+
+
+def _flip_reference(x):
+    """psi by respelling the whole window around the span and indices 0..4,
+    symbol by symbol."""
+    if x.symbol_at(0) != 1 or x.symbol_at(1) != 1:
+        return x
+    return _respell(x, x, min(x.span_start, 0) - 1, max(x.span_end, 4) + 1,
+                    lambda i: 1 - x.symbol_at(i) if i == 3 else x.symbol_at(i))
+
+
+_BITS = st.lists(st.integers(0, 1), min_size=1, max_size=4)
+
+
+@settings(max_examples=300)
+@given(_BITS, st.lists(st.integers(0, 1), max_size=9), _BITS,
+       st.integers(-10, 8))
+def test_sft_flip_matches_the_whole_span_respell(left, word, right, offset):
+    """g = shift after psi and its inverse give the very records that
+    psi by a full respell gives, on points whose span holds index 3, ends
+    short of it, starts past it, or is empty."""
+    g = sft_flip_perturbation(FULL2)
+    x = symbolic_point(left, word, right, offset)
+    assert g.forward(x) == FULL2.forward(_flip_reference(x))
+    assert g.backward(x) == _flip_reference(FULL2.backward(x))
 
 
 def test_sft_flip_guards():

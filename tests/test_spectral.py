@@ -400,6 +400,61 @@ def test_an_unhashable_node_is_a_failure_not_an_exception(system, kwargs, where)
         assert all(type(f) is str for f in failures)
 
 
+@pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+def test_a_hashable_non_point_node_is_one_failure(where):
+    """A component node that hashes but is no point, such as None, is one
+    failure of the connectivity check, before any node is stepped through
+    f, in revalidate() and in validate()."""
+    dec = spectral_decompose(CAT, resolution=16, seed=0)
+    bs = dec.basic_sets[0]
+    nodes = list(bs.nodes)
+    nodes[where] = None
+    nodes = tuple(nodes)
+    certs = [dataclasses.replace(c, component=nodes)
+             for c in (bs.transitivity, bs.periodic_density)]
+    message = "a component node is not a point of the system"
+    assert certs[0].revalidate(CAT) == [message]
+    assert all(type(f) is str for f in certs[1].revalidate(CAT))
+    tampered = dataclasses.replace(bs, nodes=nodes, transitivity=certs[0],
+                                   periodic_density=certs[1])
+    failures = dataclasses.replace(
+        dec, basic_sets=(tampered,) + dec.basic_sets[1:]).validate(CAT)
+    assert f"basic set {bs.ident} [transitivity]: {message}" in failures
+    assert all(type(f) is str for f in failures)
+    # a finite system's nodes must be its points, and its walk ends are
+    # members, so the connectivity check is asked directly
+    fin = spectral_decompose(THREE_CYCLE, seed=0).basic_sets[0].transitivity
+    stray = fin.component[:-1] + ("d",)
+    assert _witness_failures(dataclasses.replace(fin, component=stray),
+                             THREE_CYCLE) == [message]
+
+
+@pytest.mark.parametrize("system, kwargs", [
+    (THREE_CYCLE, {}), (CAT, {"resolution": 16})],
+    ids=["exact-orbit", "metric-walk"])
+@pytest.mark.parametrize("field", ["walk", "traced"])
+def test_a_non_point_inside_a_walk_is_one_failure(system, kwargs, field):
+    """A walk node between the two ends, or a traced orbit entry, that is
+    no point of the system is one failure, before it is stepped."""
+    dec = spectral_decompose(system, seed=0, pairs=4, **kwargs)
+    bs = dec.basic_sets[0]
+    k, demo = next((k, d) for k, d in enumerate(bs.transitivity.demos)
+                   if len(d.walk) >= 3 and d.y_pos != 1)
+    values = list(getattr(demo, field))
+    values[1] = None
+    broken = dataclasses.replace(demo, **{field: tuple(values)})
+    demos = list(bs.transitivity.demos)
+    demos[k] = broken
+    cert = dataclasses.replace(bs.transitivity, demos=tuple(demos))
+    message = ("a walk or traced orbit holds a node that is not a point of "
+               "the system")
+    assert cert.revalidate(system) == [message]
+    tampered = dataclasses.replace(bs, transitivity=cert)
+    assert dataclasses.replace(
+        dec, basic_sets=(tampered,) + dec.basic_sets[1:]).validate(system) == [
+        f"basic set {bs.ident} [transitivity]: {message}"]
+
+
 @pytest.mark.parametrize("system", [TWO_BLOCK, THREE_CYCLE],
                          ids=["symbolic", "exact-orbit"])
 def test_a_lattice_record_is_no_evidence_in_another_mode(system):

@@ -314,6 +314,23 @@ def test_torus_grid_size_and_range():
     assert type(pts) is tuple and torus_grid(8) is pts
 
 
+@pytest.mark.parametrize("sizes", [range(1, 301), [1024]], ids=["1-300", "1024"])
+def test_torus_grid_floats_are_the_quotients_i_over_n(sizes):
+    """Node i * n + j is (i/n, j/n) with the very floats of Python's
+    i / n, by float.hex, and the n^2 nodes share the n coordinate floats."""
+    for n in sizes:
+        pts = torus_grid(n)
+        want = [(i / n).hex() for i in range(n)]
+        assert [x.hex() for x, _ in pts[::n]] == want
+        assert [y.hex() for _, y in pts[:n]] == want
+        assert {type(c) for p in pts[:n] + pts[::n] for c in p} == {float}
+        assert len(pts) == n * n
+        if n <= 40 or n in (255, 256, 300):
+            assert pts == tuple((i / n, j / n)
+                                for i in range(n) for j in range(n))
+            assert len({id(c) for p in pts for c in p}) == n
+
+
 def test_batch_evaluation_equals_the_scalar_maps_bit_for_bit():
     cat = torus_automorphism(((2, 1), (1, 1)))
     systems = [
