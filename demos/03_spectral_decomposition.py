@@ -23,9 +23,9 @@ two_block = sft_shift(
 dec = spectral_decompose(two_block, seed=0)
 print(f"{two_block.name}: {dec.component_count} basic sets,"
       f" recurrent symbols {dec.recurrent_nodes}")
-for bs in dec.basic_sets:
+for k, bs in enumerate(dec.basic_sets):
     demo = bs.transitivity.demos[0]
-    print(f"  basic set {bs.ident}: symbols {sorted(bs.nodes)},"
+    print(f"  basic set {k}: symbols {sorted(bs.nodes)},"
           f" sample walk {demo.walk}")
 print("  certificates revalidate:", dec.validate(two_block) == [])
 print()

@@ -4,29 +4,23 @@ The pipeline partitions chain-recurrent nodes into chain components and
 attaches two certificates to each: transitivity (closed chains through
 sampled node pairs, traced to periodic points that visit both cross-
 sections) and periodic density (every recurrent node receives a verified
-periodic point inside its entourage ball). Certificates are self-contained:
-they carry the nodes, walks and orbits needed to re-verify from scratch,
-with no reference to cached graph state, and store each fact once: the
-tracing entourage E is derived from D, density demo k is about node k, and
-a lattice record holds its resolution and radius. Each claim has one
-evidence format and one check: a connectivity witness (two spanning trees)
-proves the strong connectivity of every component, in every mode, in place
-of its chain graph; every certified density cycle must lie in the
-component, which proves invariance; torus density is a `LatticeCycles`
-record checked on lattice integers, so a node off the lattice fails.
+periodic point inside its entourage ball). Certificates carry the nodes,
+walks and orbits needed to re-verify from scratch, with no cached graph
+state, and each claim has one evidence format and one check (`Certificate`).
 
-Three system families are supported, and each only supplies a ladder of
-chain graphs, its radii and its chain entourage D; one pipeline refines
-the ladder, cuts it at stabilization and certifies the cells. Shift spaces
-give the transition graph of their symbols, where basic sets are the
-cycle-containing strongly connected components and the component count is
-exact. Finite systems give the graph of the diagonal entourage, exact as
-well. Torus automorphisms give an n x n lattice over a shrinking entourage
-ladder, and the reported partition is the stabilized one, with the full
-ladder history retained. Decompositions on compact spaces are finite by
-construction here; unboundedly many basic sets can only arise on
-noncompact spaces, which have no grid discretization at desk scale, and
-reports say so.
+Every fact is stored once. A decomposition derives `recurrent_nodes` (the
+sorted union of the basic sets' nodes), `exact`, `note` and the basic-set
+ids (positions) from its basic sets and family; `validate()` binds the
+family and resolution to the system, the metric-walk D to the ladder's cut
+rung and each lattice radius to its finest rung. `stabilization_index` and
+the ladder history are unchecked diagnostics.
+
+Shift spaces give the transition graph of their symbols, whose
+cycle-containing strongly connected components are exactly the basic
+sets; finite systems the graph of the diagonal entourage, exact as well;
+torus automorphisms an n x n lattice over a shrinking entourage ladder, cut
+where the partition stabilizes. Every discretized space is compact, so
+decompositions are finite here, and reports say so.
 """
 
 from __future__ import annotations
@@ -43,8 +37,8 @@ import numpy as np
 from .chains import (ChainGraph, _array_ball, _bfs_levels, _bfs_tree,
                      _cell_groups, _float_pairs, _lattice_map, _orbit_labels,
                      _pair_array, _refine_ladder, _torus_distances,
-                     build_chain_graph, torus_grid_graph)
-from .entourage import Entourage, finite_relation, metric_ball
+                     torus_grid_graph)
+from .entourage import Entourage, MetricBall, metric_ball
 from .report import FAIL, PASS, RESOLUTION_LIMITED, Report
 from .shadowing import PERIODIC, PseudoOrbit, trace_linear_hyperbolic
 from .systems import (FiniteSystem, LinearSaddle, ShiftOfFiniteType, SymbolicPoint,
@@ -54,6 +48,8 @@ from .systems import (FiniteSystem, LinearSaddle, ShiftOfFiniteType, SymbolicPoi
 _FAMILIES = {"symbolic": "symbolic", "exact-orbit": "finite",
              "lattice-cycle": "torus-grid"}
 
+SHIFT_NOTE = ("basic sets are the cycle-containing SCCs of the symbol graph, "
+              "computed exactly; the count is the true number of basic sets")
 NONCOMPACT_NOTE = (
     "decompositions here are finite because every discretized space is "
     "compact; infinitely many basic sets would need a noncompact space, "
@@ -67,18 +63,13 @@ NONCOMPACT_NOTE = (
 
 @dataclass(frozen=True)
 class WalkDemo:
-    """A closed chain, with the traced periodic orbit and the measured
-    tracing gap; the period is len(walk) - 1. The walk holds its own ends:
-    it starts and ends at x = walk[0], and its target is y = walk[y_pos].
-
-    `traced` holds the full orbit, one point per walk step. Symbolic demos
-    store a single periodic sequence instead, since it carries its whole
-    orbit. Metric demos keep rational coordinates so periodicity is an exact
-    statement; re-checks step through the stored orbit rather than iterating
-    the float map around the loop, which would amplify rounding by
-    rate_u^period. Lattice density evidence (`LatticeCycles`) avoids float
-    orbits the same way: its re-check is in integers.
-    """
+    """A closed chain from x = walk[0] back to x, of period len(walk) - 1,
+    through its target y = walk[y_pos], with the traced periodic orbit and
+    the measured tracing gap. `traced` holds the full orbit, one point per
+    walk step, in rational coordinates, so periodicity is exact and a
+    re-check steps through it rather than iterating the float map, which
+    would amplify rounding by rate_u^period; a symbolic demo stores one
+    periodic sequence, which carries its whole orbit."""
 
     walk: tuple
     y_pos: int
@@ -109,16 +100,12 @@ def _freeze_arrays(record, names):
 
 @dataclass(frozen=True, eq=False)
 class LatticeCycles:
-    """The lattice-cycle density evidence of a whole torus component, at
-    resolution n and entourage radius `radius`, as two read-only arrays in
-    component order: `indices` holds the lattice index i * n + j of each
-    node (i/n, j/n), and `lengths` the size of its orbit under
-    x -> A x mod n. The certified periodic point of every node is the node
-    itself, at the one gap `gap`.
-
-    len() counts nodes, and an int index or iteration reads entries back as
-    CycleDemos. The arrays are copied on construction and cannot be
-    written."""
+    """The density evidence of a whole torus component at resolution n and
+    entourage radius `radius`, as read-only copies of two arrays in
+    component order: the lattice index i * n + j of each node (i/n, j/n),
+    and the size of its orbit under x -> A x mod n. Every node certifies
+    itself, at the one gap `gap`. len() counts nodes, and an int index or
+    iteration reads entries back as CycleDemos."""
 
     resolution: int
     radius: float
@@ -152,13 +139,11 @@ class LatticeCycles:
 @dataclass(frozen=True, eq=False)
 class ConnectivityWitness:
     """Evidence that a component C is strongly connected under D: an
-    out-tree and an in-tree that span C from one root. Each tree is a
-    parent array and a level array of positions into C, with the root at
-    position 0, its own parent at level 0; every other position k sits one
-    level below its parent. The out-tree edge of k is the D-step
-    C[parent[k]] -> C[k], so the root reaches every node, and the in-tree
-    edge is C[k] -> C[parent[k]], so every node reaches the root. The
-    arrays are copied on construction and cannot be written."""
+    out-tree and an in-tree spanning C from its root, position 0, as
+    read-only copies of parent and level arrays of positions into C. The
+    out-tree edge of k is the D-step C[parent[k]] -> C[k], so the root
+    reaches every node, and the in-tree edge is C[k] -> C[parent[k]], so
+    every node reaches the root."""
 
     out_parent: np.ndarray
     out_level: np.ndarray
@@ -184,22 +169,16 @@ class Certificate:
                       periodic orbits that start in E[x] and visit E[y]; E
                       is not stored but derived, as the ball of the tracing
                       coefficient times D's radius
-      exact-orbit     the metric-walk routine on a finite system, whose D is
-                      the diagonal, so walks are true orbits and E is D;
-                      density demos must first return after cycle_length
-                      steps
-      lattice-cycle   density on the torus grid, re-proved in integers on
-                      arrays: the demos are one `LatticeCycles` record at
-                      its own resolution n and radius, whose lattice indices
-                      x must be those of the component's nodes (i/n, j/n),
-                      in order, and whose cycle length k must be the exact
-                      order of x, A^k x = x mod n and A^(k/p) x != x for
-                      every prime p dividing k, one power A^e mod n by
-                      squaring per distinct k; no float orbit is iterated
-    In every transitivity mode strong connectivity is proved by `witness`,
-    a `ConnectivityWitness` whose 2(|C| - 1) tree edges are each re-tested
-    by the walks' step relation (`_chain_step`): a transition on symbols,
-    otherwise D's float predicate, on arrays when D is a torus metric ball.
+      exact-orbit     the metric-walk routine on a finite system, whose steps
+                      are f(a) == b, so walks are true orbits and E is the
+                      diagonal; density demos must first return after
+                      cycle_length steps
+      lattice-cycle   density on the torus grid: one `LatticeCycles` record,
+                      re-proved in lattice integers (`_revalidate_lattice`)
+                      with no float orbit iterated
+    Only metric-walk certificates store a chain entourage D, and only
+    transitivity ones a `witness`: a `ConnectivityWitness` whose 2(|C| - 1)
+    tree edges are each re-tested by the walks' step relation (`_chain_step`).
     In every density mode demo k certifies node k of the component, and
     each certified cycle must lie in the component, so the density
     certificate proves that the component is invariant.
@@ -214,29 +193,43 @@ class Certificate:
 
     def revalidate(self, system):
         """Re-check every demo from scratch; returns failure strings."""
-        routine = _REVALIDATE.get(self.mode)
-        if routine is None or self.mode != _mode_for(system, self.kind):
+        mode = _mode_for(system, self.kind)
+        if mode is None or self.mode != mode:
             return [f"certificate mode {self.mode!r} does not fit "
                     f"{self.kind} evidence on {system.name}"]
         failure = self._evidence_failure()
-        return [failure] if failure else routine(self, system)
+        return [failure] if failure else _REVALIDATE[mode](self, system)
 
     def _evidence_failure(self):
-        """Why the demos are not evidence of the form the routine reads, or
-        not about `component`, or None. The routines read fields that only
-        the right type has, count with int cycle lengths, compare number
-        gaps, read SymbolicPoints, step through tuple orbits and derive E
-        from D. Nodes must hash; there must be a walk, each a node tuple that
-        starts and aims at members, and demo k must be about member k; the
-        lattice-cycle routine binds its arrays and nodes itself."""
+        """Why the fields are not evidence of the form the routine reads,
+        or not about `component`, or None. The routines iterate a tuple
+        component and tuple demos, read fields that only the right type has,
+        count with int cycle lengths, compare number gaps, read
+        SymbolicPoints, step through tuple orbits and derive E from D. Nodes
+        must hash; there must be a walk, each a node tuple that starts and
+        aims at members, and demo k must be about member k; the lattice-cycle
+        routine binds its arrays and nodes itself."""
         demos, symbolic = self.demos, self.mode == "symbolic"
         D = self.chain_entourage
+        if type(self.component) is not tuple or not self.component:
+            return "the component is not a non-empty tuple of nodes"
         try:  # hashes every node
             hash(() if self.mode == "lattice-cycle" else self.component)
         except TypeError:
             return "a component node cannot be hashed"
+        metric = self.mode == "metric-walk"
+        if not metric and D is not None:
+            return (f"the {self.mode} mode reads no chain entourage, yet a "
+                    f"{type(D).__name__} is stored")
+        if metric and not isinstance(D, Entourage):
+            return f"the chain entourage {D!r} is not an entourage"
+        if metric and not _is_number(D.radius):
+            return f"the chain entourage {D!r} has no radius"
+        if self.kind != "transitivity" and self.witness is not None:
+            return "density evidence reads no connectivity witness, yet one is stored"
         if self.kind == "transitivity":
-            if not all(isinstance(d, WalkDemo) for d in demos):
+            if type(demos) is not tuple or not all(
+                    isinstance(d, WalkDemo) for d in demos):
                 return "a transitivity demo is not a walk"
             if not demos:
                 return "no walk demo"
@@ -253,10 +246,6 @@ class Certificate:
                 return "a walk starts or aims outside the component"
             if not symbolic and not all(type(d.traced) is tuple for d in demos):
                 return "a traced orbit is not a tuple of points"
-            if not symbolic and not isinstance(D, Entourage):
-                return f"the chain entourage {D!r} is not an entourage"
-            if self.mode == "metric-walk" and not _is_number(D.radius):
-                return f"the chain entourage {D!r} has no radius"
         elif self.mode == "lattice-cycle":
             if not isinstance(demos, LatticeCycles):
                 return "lattice density demos are not a LatticeCycles record"
@@ -267,7 +256,7 @@ class Certificate:
             if not _is_number(demos.radius):
                 return f"the entourage radius {demos.radius!r} is not a number"
             demos = (demos,)  # one gap for the whole record
-        elif isinstance(demos, LatticeCycles) or not all(
+        elif type(demos) is not tuple or not all(
                 isinstance(d, CycleDemo) for d in demos):
             return "a density demo is not a cycle demo"
         elif not all(type(d.cycle_length) is int for d in demos):
@@ -300,11 +289,10 @@ def _is_point(system):
 
 
 def _mode_for(system, kind):
-    """The one certificate mode for evidence of `kind` on `system`, or None
-    where no route exists: symbolic on shifts, exact-orbit on finite maps,
-    metric-walk transitivity on linear saddles and torus automorphisms,
-    whose tracing coefficient derives E, and lattice-cycle density on
-    torus automorphisms."""
+    """The one certificate mode for evidence of `kind` on `system`, or None:
+    symbolic on shifts, exact-orbit on finite maps, metric-walk transitivity
+    on linear saddles and torus automorphisms, lattice-cycle density on the
+    torus."""
     if isinstance(system, ShiftOfFiniteType):
         return "symbolic"
     if isinstance(system, FiniteSystem):
@@ -317,18 +305,20 @@ def _mode_for(system, kind):
 
 def _chain_step(cert, system):
     """The step relation of cert's walks and witness trees: a transition of
-    the shift on symbols, otherwise (a, b) with f(a) in D[b]."""
+    the shift on symbols, f(a) == b on a finite system, otherwise (a, b)
+    with f(a) in D[b]."""
     if cert.mode == "symbolic":
         return system.allowed
+    if cert.mode == "exact-orbit":
+        return lambda a, b: system.forward(a) == b
     D = cert.chain_entourage
     return lambda a, b: D.accepts(system.forward(a), b)
 
 
 def _walk_failure(walk, step, where):
-    """Why `walk` is not a closed walk, ending where it starts, each step
-    (a, b) accepted by step(a, b); None when it is one. Its start and its
-    target are its own nodes, so no stored end is compared, and
-    `Certificate._evidence_failure` has checked its shape."""
+    """Why `walk`, whose shape `Certificate._evidence_failure` has checked,
+    is not a closed walk with each step (a, b) accepted by step(a, b), or
+    None."""
     if walk[0] != walk[-1]:
         return f"walk at {where} is not closed"
     if not all(step(a, b) for a, b in zip(walk, walk[1:])):
@@ -391,12 +381,11 @@ def _revalidate_symbolic(cert, system):
 
 def _revalidate_metric(cert, system):
     """Closed D-chains traced to exact periodic orbits within their gap,
-    each starting in E[x] and visiting E[y] for x = walk[0] and y =
-    walk[y_pos], with E the ball of the tracing coefficient times D's
-    radius. A finite system's D is the diagonal, and so is E: its walks
-    are orbits, traced to themselves. Its density demos must first return
-    after cycle_length steps, by `orbit_period` rather than the graph
-    search, and each node's image must be in the component."""
+    starting in E[walk[0]] and visiting E[walk[y_pos]], with E the ball of
+    the tracing coefficient times D's radius. A finite system steps by f
+    and its E is the diagonal: walks are orbits, traced to themselves. Its
+    density demos must first return after cycle_length steps, by
+    `orbit_period`, and each node's image must be in the component."""
     bad = []
     if cert.kind != "transitivity":
         members = set(cert.component)
@@ -411,9 +400,9 @@ def _revalidate_metric(cert, system):
             if demo.traced != node:
                 bad.append(f"certified point at {node} is not the node itself")
         return bad
-    D = cert.chain_entourage
-    E = D if cert.mode == "exact-orbit" else metric_ball(
-        system, system.tracing_coefficient() * D.radius + 1e-12)
+    in_E = operator.eq if cert.mode == "exact-orbit" else metric_ball(
+        system, system.tracing_coefficient() * cert.chain_entourage.radius
+        + 1e-12).accepts
     bad.extend(_witness_failures(cert, system))
     point = _is_point(system)
     if not all(point(x) for demo in cert.demos
@@ -437,9 +426,9 @@ def _revalidate_metric(cert, system):
         elif not all(system.metric(orbit[k], walk[k]) <= demo.gap + 1e-12
                      for k in range(period)):
             bad.append(f"traced orbit at {where} strays past its gap")
-        elif not E.accepts(walk[0], orbit[0]):
+        elif not in_E(walk[0], orbit[0]):
             bad.append(f"traced point at {where} leaves E[x]")
-        elif not E.accepts(walk[demo.y_pos], orbit[demo.y_pos % period]):
+        elif not in_E(walk[demo.y_pos], orbit[demo.y_pos % period]):
             bad.append(f"orbit visit at {where} leaves E[y]")
     return bad
 
@@ -447,10 +436,9 @@ def _revalidate_metric(cert, system):
 def _spanning_tree(parent, level):
     """Whether parent and level arrays make a tree rooted at position 0:
     the root is its own parent at level 0, and every other position has a
-    parent in range exactly one level above it. From any position the
-    parents then lead down the levels, so with no cycle, to the root; this
-    holds even if a level wraps round, as a cycle would need as many
-    positions as the int64 range holds."""
+    parent in range one level above it, so parents lead down the levels to
+    the root, even if a level wraps round (a cycle would need as many
+    positions as the int64 range holds)."""
     parent, level = parent.astype(np.int64), level.astype(np.int64)
     up = parent[1:]
     return bool(parent[0] == 0 and level[0] == 0
@@ -459,15 +447,13 @@ def _spanning_tree(parent, level):
 
 
 def _witness_failures(cert, system):
-    """Strong connectivity of the component under D, from its witness: each
-    tree must span the component, and each tree edge (a, b) must be a step
-    of `_chain_step`, a transition on symbols and otherwise D's float
-    predicate on (f(a), b), so the check does not trust the integer offsets
-    that built the ladder. When `_array_ball` holds the edges are measured
-    on arrays, as `build_chain_graph` measures its pairs. Otherwise every
-    node outside the symbolic mode must pass `_is_point` before it is
-    stepped, or the check ends with that one failure. A tree with bad
-    edges is one failure, with the count and the first bad edge."""
+    """Strong connectivity of the component from its witness: each tree
+    must span the component, and each tree edge (a, b) must be a step of
+    `_chain_step`, not of the integer offsets that built the ladder; on
+    arrays when `_array_ball` holds, as `build_chain_graph` measures its
+    pairs. Otherwise a node outside the symbolic mode must pass `_is_point`
+    before it is stepped. A tree with bad edges is one failure, with the
+    count and the first bad edge."""
     witness, comp, D = cert.witness, cert.component, cert.chain_entourage
     if not isinstance(witness, ConnectivityWitness):
         return ["no connectivity witness for the component"]
@@ -511,10 +497,9 @@ def _witness_failures(cert, system):
 
 def _lattice_index(points, n):
     """Lattice indices i * n + j of points stored as the doubles (i/n, j/n),
-    as an int64 array with -1 for every point that is not exactly such a
-    pair of Python floats with 0 <= i, j < n; a point off the lattice by one
-    ulp gets -1. The per-point type mask is built only when the type gate
-    `_float_pairs` fails."""
+    as int64, with -1 for every point that is not exactly such a pair of
+    Python floats with 0 <= i, j < n, one ulp off included; the per-point
+    type mask is built only when the type gate `_float_pairs` fails."""
     m = len(points)
     if type(n) is not int or n < 1:
         return np.full(m, -1, dtype=np.int64)
@@ -569,34 +554,31 @@ def _first_return_is(system, n, index, k):
 
 def _revalidate_lattice(cert, system):
     """Density on the torus lattice, checked on the record's arrays: its
-    one gap within its radius, and one entry per component node, in order,
-    with that node's lattice index at the record's resolution n. Indices
-    that do not bind end the check with that one failure; the members off
-    the lattice are one failure, with their count and the first of them.
-    Each cycle length must then be the exact order of its index, and the
-    certified orbits lie in the component when A x mod n does for every
-    member x."""
+    gap within its radius, and per component node, in order, that node's
+    lattice index at resolution n. Members off the lattice end the check
+    with one failure, and so do indices that do not bind. Each cycle length
+    must be the exact order of its index, one power A^e mod n per distinct
+    length, and the orbits lie in the component when A x mod n does for
+    every member x."""
     record = cert.demos
     n = record.resolution
     bad = []
     if not record.gap <= record.radius:
         bad.append(f"the density gap {record.gap} exceeds the entourage radius")
     members = _lattice_index(cert.component, n)
-    member = members >= 0
-    if not member.all():
-        off = np.flatnonzero(~member)
-        bad.append(f"{off.size} nodes of the component are off the lattice: "
-                   f"the first, {system.point_to_text(cert.component[off[0]])}"
-                   f", is not a lattice node (i/{n}, j/{n})")
+    off = np.flatnonzero(members < 0)
+    if off.size:
+        return bad + [f"{off.size} nodes of the component are off the lattice: "
+                      f"the first, {system.point_to_text(cert.component[off[0]])}"
+                      f", is not a lattice node (i/{n}, j/{n})"]
     # int64 first: an unsigned value past the int64 range turns negative,
     # and so binds to no member, instead of failing to compare
     if not np.array_equal(record.indices.astype(np.int64), members):
         return bad + ["density demos do not cover the component once each"]
-    i, j = np.divmod(members[member], n)
+    i, j = np.divmod(members, n)
     inside = np.zeros((n, n), dtype=bool)
     inside[i, j] = True
-    for k in np.flatnonzero(member)[
-            ~inside[_lattice_map(system, n)(i, j)]].tolist():
+    for k in np.flatnonzero(~inside[_lattice_map(system, n)(i, j)]).tolist():
         bad.append(f"image of {system.point_to_text(cert.component[k])} is "
                    "more than one grid cell from the component")
     # an integer matrix of determinant +-1 permutes the n x n lattice, so no
@@ -604,9 +586,9 @@ def _revalidate_lattice(cert, system):
     # fails with no arithmetic; the rest take one order test per length
     length = record.lengths.astype(np.int64)
     length = np.where((length >= 1) & (length <= n * n), length, 0)
-    closes = ~member
-    for k in (np.flatnonzero(np.bincount(length[member])[1:]) + 1).tolist():
-        rows = np.flatnonzero(member & (length == k))
+    closes = np.zeros(len(members), dtype=bool)
+    for k in (np.flatnonzero(np.bincount(length)[1:]) + 1).tolist():
+        rows = np.flatnonzero(length == k)
         closes[rows] = _first_return_is(system, n, members[rows], k)
     for r in np.flatnonzero(~closes).tolist():
         bad.append(f"lattice orbit of {cert.component[r]} does not close in "
@@ -628,14 +610,11 @@ _REVALIDATE = {
 
 def _bfs_path(graph, inside, src, dst):
     """Shortest path src -> dst through nodes whose `inside` mask entry is
-    set, as an index list; None when unreachable. src == dst asks for a
-    shortest closed walk, and only a self-loop closes one through a node
-    outside the mask.
-
-    The path is a first-in first-out queue's path, read from the parents
-    of `_bfs_levels`. The level that would reach dst is never expanded:
-    dst is settled by the first node of the first frontier that holds one
-    of its in-neighbours, read from the reversed graph."""
+    set, as an index list, or None; src == dst asks for a shortest closed
+    walk, which only a self-loop closes through a node outside the mask.
+    It is a first-in first-out queue's path, read from the parents of
+    `_bfs_levels`; dst is settled, without expanding its level, by the first
+    node of the first frontier that holds one of its in-neighbours."""
     into = np.zeros(graph.node_count, dtype=bool)
     indptr, indices = graph.reversed_csr()
     into[indices[indptr[dst]:indptr[dst + 1]]] = True
@@ -667,29 +646,18 @@ def _closed_walk_through(graph, inside, x, y):
     return there + back[1:], len(there) - 1
 
 
-def _sample_pairs(rng, members, count):
-    members = list(members)
-    if len(members) == 1:
-        return [(members[0], members[0])]
-    return [tuple(rng.sample(members, 2)) for _ in range(count)]
-
-
 # ---------------------------------------------------------------------------
 # transitivity certificates
 
 
 def transitivity_certificate(graph, component, system, D=None, seed=0,
                              pairs=8):
-    """Evidence that the restriction of f to one chain component is
-    topologically transitive: for sampled node pairs (x, y), a closed
-    D-chain through x visiting y is traced to a periodic point p with
-    p in E[x] and the y-visit in E[y], for the E the check derives from D.
-
-    `component` is a set of node indices of `graph`. Shift systems run the
-    symbol route, where walks are words and traced points are exact. In
-    every mode the certificate carries the component's connectivity
-    witness on `graph`.
-    """
+    """Evidence that f restricted to a chain component, a set of node
+    indices of `graph`, is topologically transitive: for sampled node pairs
+    (x, y), a closed walk through x visiting y, traced to a periodic point
+    p in E[x] whose y-visit is in E[y], and the component's connectivity
+    witness on `graph`. D is the chain entourage of metric walks; shift
+    walks are words and finite walks orbits, which take none."""
     component = sorted(component)
     if not component:
         raise ValueError("The component is empty.")
@@ -703,7 +671,8 @@ def transitivity_certificate(graph, component, system, D=None, seed=0,
     symbolic = mode == "symbolic"
     show = str if symbolic else system.point_to_text
     demos = []
-    for xi, yi in _sample_pairs(rng, component, pairs):
+    for xi, yi in ([(component[0],) * 2] if len(component) == 1 else
+                   [tuple(rng.sample(component, 2)) for _ in range(pairs)]):
         x, y = graph.nodes[xi], graph.nodes[yi]
         walk_idx, y_pos = _closed_walk_through(graph, inside, xi, yi)
         if walk_idx is None:
@@ -741,10 +710,9 @@ def _connectivity_witness(graph, inside, component):
 
 
 def _trace_periodic_walk(system, walk):
-    """Close the walk into a periodic pseudo-orbit and trace it, returning
-    (orbit, gap). A walk with zero defect is a true periodic orbit and
-    traces to itself; otherwise the rational tracer runs, so the orbit is
-    exactly periodic."""
+    """(orbit, gap) of the walk closed into a periodic pseudo-orbit: a walk
+    with zero defect is a true orbit, traced to itself; otherwise the
+    rational tracer runs, so the orbit is exactly periodic."""
     pseudo = PseudoOrbit.measured(system, walk[:-1], PERIODIC)
     if pseudo.defect_bound == 0.0:
         return pseudo.window, 0.0
@@ -758,21 +726,14 @@ def _trace_periodic_walk(system, walk):
 
 def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
                                  resolution=None, lattice_index=None):
-    """Evidence that periodic points are dense in the recurrent node set:
-    every node receives a verified periodic point inside its entourage ball
-    at every ladder radius.
-
-    On the torus grid the periodic point is the node itself, proved by
-    integer lattice arithmetic (the lattice is f-invariant and f permutes
-    it), so the gap is zero at every radius. The lattice index of each node
-    is decoded from its floats unless `lattice_index` gives it, as the
-    positions of the nodes in `torus_grid(resolution)` do; the check
-    decodes the nodes again, so an index that is not the node's fails
-    there. Shift and finite systems take the shortest cycle through the
-    node in their exact `graph`: an admissible word, or on the diagonal
-    graph of a finite map the node's own orbit. Each cycle must lie in the
-    node set, so the certificate also proves that the set is invariant.
-    """
+    """Evidence that periodic points are dense in the node set: every node
+    gets a verified periodic point inside its entourage ball at every
+    ladder radius. On the torus grid that is the node itself, at gap zero,
+    proved in lattice integers (f permutes the lattice); each node's lattice
+    index is decoded from its floats unless `lattice_index` gives it, and
+    the check decodes them again. Shift and finite systems take the
+    shortest cycle through the node in their exact `graph`, on a finite map
+    its orbit. Each cycle lies in the node set, which proves invariance."""
     mode = _mode_for(system, "periodic-density")
     if mode == "lattice-cycle":
         if resolution is None:
@@ -827,67 +788,119 @@ def _lattice_cycles(system, index, n, radius):
 
 @dataclass(frozen=True)
 class BasicSet:
-    ident: int
-    nodes: tuple
+    """A basic set is its two certificates: its nodes are the transitivity
+    component, and its id is its position in the decomposition."""
+
     transitivity: Certificate
     periodic_density: Certificate
+
+    @property
+    def nodes(self):
+        return self.transitivity.component
 
     @property
     def size(self):
         return len(self.nodes)
 
 
+def _is_basic_set(bs):
+    """Whether bs is a BasicSet holding a certificate of each kind."""
+    return isinstance(bs, BasicSet) and all(
+        isinstance(cert, Certificate) and cert.kind == kind for cert, kind in (
+            (bs.transitivity, "transitivity"),
+            (bs.periodic_density, "periodic-density")))
+
+
+def _failures_at_rung(cert, system, rung):
+    """cert's failures; first, a metric-walk D must be the ball of the
+    system's own metric at the cut rung, compared as a function as in
+    `_array_ball`, and a lattice record's radius the finest rung. A radius
+    that is not its rung is the one failure, with no re-check."""
+    if cert.mode == "metric-walk":
+        D = cert.chain_entourage
+        function = lambda metric: getattr(metric, "__func__", metric)
+        if (type(D) is not MetricBall or D.radius != rung
+                or function(D.metric) is not function(system.metric)):
+            return [f"the chain entourage is not the ball of the cut rung "
+                    f"{rung} in the metric of {system.name}"]
+    elif (cert.mode == "lattice-cycle" and isinstance(cert.demos, LatticeCycles)
+          and cert.demos.radius != rung):
+        return [f"the density radius {cert.demos.radius!r} is not the finest "
+                f"rung {rung}"]
+    return cert.revalidate(system)
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
+    """The basic sets of a system and the ladder they were cut from;
+    `stabilization_index` picks the cut rung, and with `history` it is a
+    diagnostic that no check proves."""
+
     system_name: str
     family: str
     resolution: object
     ladder: tuple
     seed: int
     basic_sets: tuple
-    recurrent_nodes: tuple
     stabilization_index: object
     history: tuple
-    exact: bool
-    note: str = ""
 
     @property
     def component_count(self):
         return len(self.basic_sets)
 
+    @property
+    def recurrent_nodes(self):
+        """The sorted union of the basic sets' nodes."""
+        return tuple(sorted(itertools.chain.from_iterable(
+            bs.nodes for bs in self.basic_sets)))
+
+    @property
+    def exact(self):
+        return self.family in ("symbolic", "finite")
+
+    @property
+    def note(self):
+        return SHIFT_NOTE if self.family == "symbolic" else ""
+
     def validate(self, system):
-        """Partition checks, family and resolution bindings, and
-        certificate re-checks, which prove invariance; failure strings."""
+        """Certificate re-checks, which prove invariance, then family,
+        resolution and partition bindings; failure strings. Every supported
+        space is compact, so there is a basic set. A basic set is compared
+        with the others only once both its certificates check, so one tamper
+        is one failure."""
+        sets, step = self.basic_sets, self.stabilization_index
+        if type(sets) is not tuple or not sets or not all(map(_is_basic_set, sets)):
+            return ["the basic sets are not a non-empty tuple of BasicSets, each "
+                    "with a transitivity and a periodic-density certificate"]
+        if type(self.ladder) is not tuple or not self.ladder or not (
+                step is None or type(step) is int and 0 <= step < len(self.ladder)):
+            return [f"the stabilization index {step!r} is not a step of the "
+                    f"ladder {self.ladder!r}"]
         bad = []
-        all_nodes = []
-        for bs in self.basic_sets:
-            all_nodes.extend(bs.nodes)
-        try:  # hashes every node
-            distinct = set(all_nodes)
-            if len(distinct) != len(all_nodes):
-                bad.append("basic sets overlap")
-            # equal node lists need no set of the recurrent nodes (slow to hash)
-            if (all_nodes != list(self.recurrent_nodes)
-                    and distinct != set(self.recurrent_nodes)):
-                bad.append("basic sets do not cover the recurrent node set")
-        except TypeError:
-            bad.append("a basic-set or recurrent node cannot be hashed")
         family = _FAMILIES.get(_mode_for(system, "periodic-density"))
         if self.family != family:
             bad.append(f"family {self.family!r} does not fit {system.name}, "
                        f"whose family is {family!r}")
-        for bs in self.basic_sets:
-            n = getattr(bs.periodic_density.demos, "resolution", None)
-            if type(n) is not type(self.resolution) or n != self.resolution:
-                bad.append(f"basic set {bs.ident}: resolution "
-                           f"{self.resolution!r} is not the density "
-                           f"certificate's {n!r}")
-            for cert in (bs.transitivity, bs.periodic_density):
-                if cert.component != bs.nodes:
-                    bad.append(f"basic set {bs.ident} [{cert.kind}]: "
-                               "certificate is for another node set")
-                for msg in cert.revalidate(system):
-                    bad.append(f"basic set {bs.ident} [{cert.kind}]: {msg}")
+        cut, nodes = self.ladder[-1 if step is None else step], []
+        for k, bs in enumerate(sets):
+            trans, dens = bs.transitivity, bs.periodic_density
+            found = [f"basic set {k} [{cert.kind}]: {msg}"
+                     for cert, rung in ((trans, cut), (dens, self.ladder[-1]))
+                     for msg in _failures_at_rung(cert, system, rung)]
+            n = getattr(dens.demos, "resolution", None)
+            if found:
+                bad.extend(found)
+            elif type(n) is not type(self.resolution) or n != self.resolution:
+                bad.append(f"basic set {k}: resolution {self.resolution!r} is "
+                           f"not the density certificate's {n!r}")
+            elif dens.component != trans.component:
+                bad.append(f"basic set {k} [{dens.kind}]: certificate is for "
+                           "another node set")
+            else:  # both certificates hashed or decoded every node
+                nodes.extend(bs.nodes)
+        if len(set(nodes)) != len(nodes):
+            bad.append("basic sets overlap")
         return bad
 
     def to_report(self):
@@ -900,10 +913,9 @@ class SpectralDecomposition:
             ladder=" ".join(str(r) for r in self.ladder),
             seed=self.seed,
             basic_sets=len(self.basic_sets),
-            recurrent_nodes=len(self.recurrent_nodes),
-            stabilization_index=(self.stabilization_index
-                                 if self.stabilization_index is not None
-                                 else "none"),
+            recurrent_nodes=sum(bs.size for bs in self.basic_sets),
+            stabilization_index=("none" if self.stabilization_index is None
+                                 else self.stabilization_index),
             finite=True,
             exact=self.exact,
             verdict=RESOLUTION_LIMITED if limited else PASS,
@@ -912,9 +924,9 @@ class SpectralDecomposition:
         rep.add_table(
             "basic-sets",
             ["id", "size", "walk_demos", "density_max_gap"],
-            [[bs.ident, bs.size, len(bs.transitivity.demos),
+            [[k, bs.size, len(bs.transitivity.demos),
               _max_gap(bs.periodic_density.demos)]
-             for bs in self.basic_sets],
+             for k, bs in enumerate(self.basic_sets)],
         )
         rep.add_table(
             "ladder-history",
@@ -934,34 +946,28 @@ def _max_gap(demos):
 
 def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
     """Decompose the recurrent set of a supported system into certified
-    basic sets. Each family gives a ladder of chain graphs with its radii
-    and its chain entourage D: shift and finite systems one exact graph
-    (the symbol graph, the diagonal graph), stable at step 0; torus
-    automorphisms a grid ladder at the given resolution, with ladder the
-    coarsest entourage radius (default 4 grid cells), halved twice. The
-    ladder is cut at its stabilization step, and each cell there becomes
-    a basic set with certificates of `pairs` walks (four on finite
-    systems) and one density demo per node. Exact basic sets come in
-    order of their least node; torus ones the largest first.
-    """
+    basic sets. Shift and finite systems give one exact graph (of the
+    transitions, of f), stable at step 0; torus automorphisms a grid ladder
+    at the given resolution, from the coarsest entourage radius `ladder`
+    (default 4 grid cells) halved twice. Each cell of the ladder cut at its
+    stabilization step is a basic set, with `pairs` walks (four on finite
+    systems) and one density demo per node; exact basic sets come in order
+    of their least node, torus ones the largest first."""
     if pairs < 1:
         raise ValueError("A transitivity certificate needs pairs >= 1.")
-    n, walks, note = None, pairs, ""
+    n, walks, radii, D = None, pairs, (), None
     if isinstance(system, ShiftOfFiniteType):
-        graphs, radii, D = [symbol_graph_chain(system)], (1.0,), None
-        note = ("basic sets are the cycle-containing SCCs of the symbol graph, "
-                "computed exactly; the count is the true number of basic sets")
+        graphs = [symbol_graph_chain(system)]
     elif isinstance(system, TorusAutomorphism):
         n = resolution
         r0 = ladder if ladder is not None else 4.0 * (1.0 / n)
         radii = (r0, r0 / 2.0, r0 / 4.0)
         graphs = [torus_grid_graph(system, n, r) for r in radii]
     elif isinstance(system, FiniteSystem):
-        points = tuple(system.points)
-        D = finite_relation({(x, x) for x in points}, space_id=system.space_id,
-                            points=points)
-        radii, walks = (0.5,), 4
-        graphs = [build_chain_graph(system, points, D, entourage_id="diagonal")]
+        points, walks = tuple(system.points), 4
+        index = {x: k for k, x in enumerate(points)}
+        graphs = [ChainGraph.from_successors(points, (
+            [index[system.forward(x)]] for x in points), "diagonal")]
     else:
         raise TypeError(
             f"No chain-graph discretization is available for {system.name!r}; "
@@ -973,35 +979,27 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
     # the reported history is the whole ladder's
     step = stab if stab is not None else len(graphs) - 1
     graph = graphs[step]
-    rungs = tuple(g.entourage_id for g in graphs) if exact else radii
     groups = _cell_groups(states[step])
     if not exact:
         D = metric_ball(system, radii[step])
         groups.sort(key=len, reverse=True)
     basic = []
-    for ident, group in enumerate(groups):
-        comp = group.tolist()
-        nodes = tuple(graph.nodes[i] for i in comp)
-        trans = transitivity_certificate(graph, comp, system, D=D,
-                                         seed=seed + ident, pairs=walks)
+    for k, group in enumerate(groups):
+        trans = transitivity_certificate(graph, group.tolist(), system, D=D,
+                                         seed=seed + k, pairs=walks)
         dens = periodic_density_certificate(
-            system, nodes, radii=radii, graph=graph, resolution=n,
+            system, trans.component, radii=radii, graph=graph, resolution=n,
             lattice_index=None if exact else group)
-        basic.append(BasicSet(ident=ident, nodes=nodes, transitivity=trans,
-                              periodic_density=dens))
+        basic.append(BasicSet(transitivity=trans, periodic_density=dens))
     return SpectralDecomposition(
         system_name=system.name,
         family=_FAMILIES[_mode_for(system, "periodic-density")],
         resolution=n,
-        ladder=rungs,
+        ladder=tuple(g.entourage_id for g in graphs) if exact else radii,
         seed=seed,
         basic_sets=tuple(basic),
-        recurrent_nodes=tuple(sorted(
-            itertools.compress(graph.nodes, states[step][0].tolist()))),
         stabilization_index=stab,
         history=tuple(history),
-        exact=exact,
-        note=note,
     )
 
 

@@ -1,6 +1,7 @@
 """Decomposition into basic sets, and the certificates that back it."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -176,18 +177,26 @@ def _admissible(system, block):
 
 
 def test_uncovered_node_is_rejected():
+    """A basic set's nodes are its transitivity component, and its density
+    certificate must be about the same nodes. Basic set {0, 1} given the
+    density certificate of {0} alone, which re-checks by itself as 0 -> 0
+    is allowed, leaves node 1 uncovered: one failure."""
     dec = spectral_decompose(TWO_BLOCK, seed=0)
-    slim = dec.basic_sets[0]
-    pruned = dataclasses.replace(
-        dec,
-        basic_sets=(slim,),  # drop the other component entirely
-    )
-    failures = pruned.validate(TWO_BLOCK)
-    assert any("cover" in msg for msg in failures)
+    bs = dec.basic_sets[0]
+    assert bs.nodes == (0, 1)
+    cut = dataclasses.replace(bs.periodic_density, component=(0,),
+                              demos=bs.periodic_density.demos[:1])
+    assert cut.revalidate(TWO_BLOCK) == []
+    tampered = dataclasses.replace(bs, periodic_density=cut)
+    assert dataclasses.replace(
+        dec, basic_sets=(tampered,) + dec.basic_sets[1:]).validate(TWO_BLOCK) == [
+        "basic set 0 [periodic-density]: certificate is for another node set"]
 
 
 def _swap_nodes(bs, other):
-    return dataclasses.replace(bs, nodes=other.nodes)
+    """The basic set's nodes, its transitivity component, set to other's."""
+    return dataclasses.replace(bs, transitivity=dataclasses.replace(
+        bs.transitivity, component=other.nodes))
 
 
 def _foreign_walks(bs, other):
@@ -378,7 +387,9 @@ def test_a_certificate_in_the_wrong_mode_is_one_failure(system, kwargs):
 @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
 def test_an_unhashable_node_is_a_failure_not_an_exception(system, kwargs, where):
     """A basic-set node that cannot be hashed, such as the list [0], makes
-    revalidate() and validate() return failure strings."""
+    revalidate() and validate() return failure strings; validate() reports
+    it as the transitivity certificate's failure, and no stored copy of the
+    recurrent nodes is left to hold one."""
     dec = spectral_decompose(system, seed=0, **kwargs)
     bs = dec.basic_sets[0]
     nodes = list(bs.nodes)
@@ -390,14 +401,13 @@ def test_an_unhashable_node_is_a_failure_not_an_exception(system, kwargs, where)
         failures = cert.revalidate(system)
         assert failures and all(type(f) is str for f in failures)
     assert certs[0].revalidate(system) == ["a component node cannot be hashed"]
-    tampered = dataclasses.replace(bs, nodes=nodes, transitivity=certs[0],
+    tampered = dataclasses.replace(bs, transitivity=certs[0],
                                    periodic_density=certs[1])
-    for changed in (
-            dict(basic_sets=(tampered,) + dec.basic_sets[1:]),
-            dict(recurrent_nodes=nodes + dec.recurrent_nodes[len(nodes):])):
-        failures = dataclasses.replace(dec, **changed).validate(system)
-        assert "a basic-set or recurrent node cannot be hashed" in failures
-        assert all(type(f) is str for f in failures)
+    failures = dataclasses.replace(
+        dec, basic_sets=(tampered,) + dec.basic_sets[1:]).validate(system)
+    assert ("basic set 0 [transitivity]: a component node cannot be hashed"
+            in failures)
+    assert all(type(f) is str for f in failures)
 
 
 @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
@@ -415,11 +425,11 @@ def test_a_hashable_non_point_node_is_one_failure(where):
     message = "a component node is not a point of the system"
     assert certs[0].revalidate(CAT) == [message]
     assert all(type(f) is str for f in certs[1].revalidate(CAT))
-    tampered = dataclasses.replace(bs, nodes=nodes, transitivity=certs[0],
+    tampered = dataclasses.replace(bs, transitivity=certs[0],
                                    periodic_density=certs[1])
     failures = dataclasses.replace(
         dec, basic_sets=(tampered,) + dec.basic_sets[1:]).validate(CAT)
-    assert f"basic set {bs.ident} [transitivity]: {message}" in failures
+    assert f"basic set 0 [transitivity]: {message}" in failures
     assert all(type(f) is str for f in failures)
     # a finite system's nodes must be its points, and its walk ends are
     # members, so the connectivity check is asked directly
@@ -452,7 +462,7 @@ def test_a_non_point_inside_a_walk_is_one_failure(system, kwargs, field):
     tampered = dataclasses.replace(bs, transitivity=cert)
     assert dataclasses.replace(
         dec, basic_sets=(tampered,) + dec.basic_sets[1:]).validate(system) == [
-        f"basic set {bs.ident} [transitivity]: {message}"]
+        f"basic set 0 [transitivity]: {message}"]
 
 
 @pytest.mark.parametrize("system", [TWO_BLOCK, THREE_CYCLE],
@@ -534,8 +544,7 @@ def test_lattice_node_moved_by_one_ulp_is_rejected():
     x, y = bs.nodes[7]
     nodes = bs.nodes[:7] + ((math.nextafter(x, 2.0), y),) + bs.nodes[8:]
     bs = dataclasses.replace(
-        bs, nodes=nodes,
-        transitivity=dataclasses.replace(bs.transitivity, component=nodes),
+        bs, transitivity=dataclasses.replace(bs.transitivity, component=nodes),
         periodic_density=dataclasses.replace(bs.periodic_density,
                                              component=nodes))
     failures = dataclasses.replace(
@@ -655,14 +664,21 @@ def test_a_density_cycle_that_leaves_its_component_fails(system, node, message):
 
 
 def test_too_small_chain_entourage_breaks_transitivity():
+    """Under a D of half a grid cell the component is not strongly
+    connected, and its certificate fails; in a decomposition that D is not
+    the cut rung's ball, which is the one failure."""
     n = 20
     dec = _torus_dec(n)
     bs = dec.basic_sets[0]
     tight = dataclasses.replace(bs.transitivity,
                                 chain_entourage=metric_ball(CAT, 0.5 / n))
+    assert any("not strongly connected under D" in msg
+               for msg in tight.revalidate(CAT))
     bs = dataclasses.replace(bs, transitivity=tight)
-    failures = dataclasses.replace(dec, basic_sets=(bs,)).validate(CAT)
-    assert any("not strongly connected under D" in msg for msg in failures)
+    cut = dec.ladder[dec.stabilization_index]
+    assert dataclasses.replace(dec, basic_sets=(bs,)).validate(CAT) == [
+        "basic set 0 [transitivity]: the chain entourage is not the ball of "
+        f"the cut rung {cut} in the metric of cat-map"]
 
 
 @pytest.mark.parametrize("n", [10, 20, 50])
@@ -778,7 +794,7 @@ def test_a_malformed_walk_is_one_failure(system, kwargs, malformed):
     tampered = dataclasses.replace(bs, transitivity=cert)
     assert dataclasses.replace(
         dec, basic_sets=(tampered,) + dec.basic_sets[1:]).validate(system) == [
-        f"basic set {bs.ident} [transitivity]: {message}"]
+        f"basic set 0 [transitivity]: {message}"]
 
 
 @pytest.mark.parametrize("radius", [None, "0.25"], ids=["no-radius", "text-radius"])
@@ -814,19 +830,49 @@ def test_a_traced_orbit_forged_to_a_fixed_point_leaves_e():
 
 @pytest.mark.parametrize("system, kwargs, D, message", [
     (CAT, {"resolution": 16}, None, "the chain entourage None is not an entourage"),
-    (THREE_CYCLE, {}, None, "the chain entourage None is not an entourage"),
     (CAT, {"resolution": 16}, "ball", "the chain entourage {D!r} has no radius")],
-    ids=["none-metric-walk", "none-exact-orbit", "no-radius-metric-walk"])
+    ids=["none-metric-walk", "no-radius-metric-walk"])
 def test_a_walk_certificate_without_a_chain_entourage_is_one_failure(
         system, kwargs, D, message):
-    """The walk modes derive E from D, so a D that is no entourage, or in
-    metric-walk mode has no radius, ends the check with one failure."""
+    """The metric-walk mode derives E from D, so a D that is no entourage,
+    or has no radius, ends the check with one failure."""
     cert = spectral_decompose(system, seed=0, pairs=2,
                               **kwargs).basic_sets[0].transitivity
     if D == "ball":  # D's own relation, with no radius to derive E from
         D = predicate_entourage(cert.chain_entourage.accepts)
     wrong = dataclasses.replace(cert, chain_entourage=D)
     assert wrong.revalidate(system) == [message.format(D=D)]
+
+
+@pytest.mark.parametrize("system, kwargs", [
+    (TWO_BLOCK, {}), (THREE_CYCLE, {}), (CAT, {"resolution": 16})],
+    ids=["symbolic", "exact-orbit", "torus"])
+@pytest.mark.parametrize("D", ["anything", "full", "ball"])
+def test_a_chain_entourage_that_no_check_reads_is_one_failure(system, kwargs, D):
+    """Only the metric-walk mode reads D: symbolic walks step by the
+    transitions, finite walks by f itself, and no density check reads one.
+    A D stored on any other certificate is its one failure, in revalidate()
+    and in validate(); so is a density certificate that stores a witness."""
+    dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
+    D = {"anything": "anything", "ball": metric_ball(system, 0.5),
+         "full": finite_relation({(x, y) for x in "abc" for y in "abc"})}[D]
+    bs = dec.basic_sets[0]
+    for name in ("transitivity", "periodic_density"):
+        cert = getattr(bs, name)
+        if cert.mode == "metric-walk":
+            continue
+        stored = dataclasses.replace(cert, chain_entourage=D)
+        message = (f"the {cert.mode} mode reads no chain entourage, yet a "
+                   f"{type(D).__name__} is stored")
+        assert stored.revalidate(system) == [message]
+        tampered = dataclasses.replace(bs, **{name: stored})
+        assert dataclasses.replace(
+            dec, basic_sets=(tampered,) + dec.basic_sets[1:]).validate(system) == [
+            f"basic set 0 [{cert.kind}]: {message}"]
+    witnessed = dataclasses.replace(bs.periodic_density,
+                                    witness=bs.transitivity.witness)
+    assert witnessed.revalidate(system) == [
+        "density evidence reads no connectivity witness, yet one is stored"]
 
 
 def _demo_replaced(cert, **changes):
@@ -886,6 +932,148 @@ def test_validating_against_any_catalog_system_returns_failures(name):
             assert failures == []
         elif name == "cat-map":
             assert failures, key
+
+
+# hostile fields: one failure each, never an exception
+
+HOSTILE = [None, math.nan, True, -1, 10**30, "text", [], [0], (), (0,), 0.0,
+           1.5, ((0,),)]
+HOSTILE_SYSTEMS = {"two-block-sft": (TWO_BLOCK, {}), "three-cycle": (THREE_CYCLE, {}),
+                   "cat-map": (CAT, {"resolution": 16})}
+HOSTILE_TARGETS = ["basic_sets", "transitivity", "periodic_density"] + [
+    f"{slot}.{field.name}" for slot in ("transitivity", "periodic_density")
+    for field in dataclasses.fields(Certificate)]
+
+
+@pytest.mark.parametrize("target", HOSTILE_TARGETS)
+@pytest.mark.parametrize("name", sorted(HOSTILE_SYSTEMS))
+def test_a_hostile_field_is_one_failure(name, target):
+    """Each hostile value in one field of the first basic set's
+    certificates, in one of its certificate slots, or in the decomposition's
+    basic sets, is exactly one failure string; a None where None is stored
+    (a D outside the metric-walk mode, a density witness) stays clean."""
+    system, kwargs = HOSTILE_SYSTEMS[name]
+    dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
+    bs = dec.basic_sets[0]
+    slot, _, field = target.partition(".")
+    for value in HOSTILE:
+        if target == "basic_sets":
+            forged = dataclasses.replace(dec, basic_sets=value)
+        else:
+            if field and value is getattr(getattr(bs, slot), field):
+                continue
+            held = (dataclasses.replace(getattr(bs, slot), **{field: value})
+                    if field else value)
+            forged = dataclasses.replace(dec, basic_sets=(
+                dataclasses.replace(bs, **{slot: held}),) + dec.basic_sets[1:])
+        failures = forged.validate(system)
+        assert len(failures) == 1 and type(failures[0]) is str, (value, failures)
+
+
+# forged radii and chain entourages: the report prints them, so they bind
+
+
+def _first_replaced(dec, slot, **changes):
+    """dec with one certificate of its first basic set changed."""
+    bs = dec.basic_sets[0]
+    cert = dataclasses.replace(getattr(bs, slot), **changes)
+    return dataclasses.replace(dec, basic_sets=(
+        dataclasses.replace(bs, **{slot: cert}),) + dec.basic_sets[1:])
+
+
+def test_forged_decompositions_are_one_failure_each():
+    """Four forgeries that re-check clean certificate by certificate: a
+    metric-walk D raised above the printed cut rung, a D stored where the
+    exact-orbit and symbolic checks read none, and a lattice record whose
+    radius and gap are far above the printed ladder. The torus ones are
+    checked against a fresh instance of the cat map."""
+    fresh = torus_automorphism(((2, 1), (1, 1)), name="cat-map")
+    cat = spectral_decompose(CAT, resolution=16, seed=0)
+    assert cat.ladder == (0.25, 0.125, 0.0625) and cat.stabilization_index == 1
+    record = cat.basic_sets[0].periodic_density.demos
+    three = spectral_decompose(THREE_CYCLE, seed=0)
+    full = finite_relation({(x, y) for x in "abc" for y in "abc"},
+                           space_id=THREE_CYCLE.space_id, points=("a", "b", "c"))
+    forged = [
+        (_first_replaced(cat, "transitivity", chain_entourage=metric_ball(CAT, 0.5)),
+         fresh, "basic set 0 [transitivity]: the chain entourage is not the "
+                "ball of the cut rung 0.125 in the metric of cat-map"),
+        (_first_replaced(three, "transitivity", chain_entourage=full), THREE_CYCLE,
+         "basic set 0 [transitivity]: the exact-orbit mode reads no chain "
+         "entourage, yet a FiniteRelation is stored"),
+        (_first_replaced(spectral_decompose(TWO_BLOCK, seed=0), "transitivity",
+                         chain_entourage="anything"), TWO_BLOCK,
+         "basic set 0 [transitivity]: the symbolic mode reads no chain "
+         "entourage, yet a str is stored"),
+        (_first_replaced(cat, "periodic_density", demos=dataclasses.replace(
+            record, radius=10, gap=5)), fresh,
+         "basic set 0 [periodic-density]: the density radius 10 is not the "
+         "finest rung 0.0625"),
+    ]
+    assert cat.validate(fresh) == []
+    for dec, system, message in forged:
+        assert dec.validate(system) == [message]
+
+
+def test_moving_the_stabilization_index_moves_the_cut_rung():
+    """The stabilization index picks the rung D is bound to, so on the torus
+    moving it, or dropping it for the last rung, is one failure per basic
+    set; an index off the ladder is one failure."""
+    dec = spectral_decompose(CAT, resolution=16, seed=0, pairs=1)
+    assert dec.stabilization_index == 1
+    for moved in (0, 2, None):
+        failures = dataclasses.replace(dec, stabilization_index=moved).validate(CAT)
+        assert len(failures) == len(dec.basic_sets)
+        assert all("is not the ball of the cut rung" in msg for msg in failures)
+    for off in (3, -1, 1.0, True):
+        assert dataclasses.replace(dec, stabilization_index=off).validate(CAT) == [
+            f"the stabilization index {off!r} is not a step of the ladder "
+            f"{dec.ladder!r}"]
+
+
+# what a decomposition derives from its basic sets, against the values it
+# stored before they were derived: sha256 of repr((recurrent_nodes, exact,
+# note)) on every catalog system that decompose supports
+DERIVED = {
+    ("cat-map", 12, None): "f86094e10f3c622d169084c776660fe60e0b73d1d1a6175eb75077422b90c815",
+    ("cat-map", 16, 0.03): "8fb691347162b171d37babbf7d67ee790f37b7e655c50b0cd41990226f664dfd",
+    ("cat-map", 30, 0.01): "c575547c1e0d540f01d765bc3bff74a71eedb2e9e3dfabf8c7225616134fcb33",
+    ("full-2", None, None): "171836510803c2f2a2597cbdb47d7aa2b1f104d9c46e1b35c31118190c7cb020",
+    ("golden-mean", None, None): "171836510803c2f2a2597cbdb47d7aa2b1f104d9c46e1b35c31118190c7cb020",
+    ("three-cycle", None, None): "f69b4ea8e32c12529fe47e0297c35757b1bf6f7e3b978a324b56c6c0e6022b6c",
+    ("two-block-sft", None, None): "9def3f39b9c1e717aad6c844dff02a400ef87dd6dd5cbd2c7b79f48e2685a967",
+}
+
+
+@pytest.mark.parametrize("name, resolution, ladder", sorted(
+    DERIVED, key=str), ids=lambda v: str(v))
+def test_derived_decomposition_facts_keep_their_values(name, resolution, ladder):
+    """recurrent_nodes, exact, note and the ids are derived, not stored:
+    their values are the stored ones of before, the ids are positions, the
+    recurrent count is the ladder's at the cut step, and the report counts
+    the nodes from the basic sets' sizes. Dropping a basic set drops its
+    nodes from the derived set and the report, so the printed counts cannot
+    disagree with the basic sets."""
+    system = catalog()[name].build()
+    kwargs = {"resolution": resolution, "ladder": ladder} if resolution else {}
+    dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
+    assert not any(f.name in ("recurrent_nodes", "exact", "note")
+                   for f in dataclasses.fields(dec))
+    assert [f.name for f in dataclasses.fields(dec.basic_sets[0])] == [
+        "transitivity", "periodic_density"]
+    text = repr((dec.recurrent_nodes, dec.exact, dec.note))
+    assert hashlib.sha256(text.encode()).hexdigest() == DERIVED[
+        name, resolution, ladder]
+    step = dec.stabilization_index
+    assert len(dec.recurrent_nodes) == dec.history[
+        step if step is not None else -1][0]
+    rep = dec.to_report()
+    assert rep.header["recurrent_nodes"] == len(dec.recurrent_nodes)
+    assert [row[0] for row in rep.tables["basic-sets"][1]] == list(
+        range(dec.component_count))
+    kept = dataclasses.replace(dec, basic_sets=dec.basic_sets[:1])
+    assert kept.recurrent_nodes == tuple(sorted(dec.basic_sets[0].nodes))
+    assert kept.to_report().header["recurrent_nodes"] == dec.basic_sets[0].size
 
 
 # ---------------------------------------------------------------------------
@@ -1238,6 +1426,8 @@ def _leaf_rewired(system, bs, tree):
     parent = getattr(w, f"{tree}_parent").copy()
     level = getattr(w, f"{tree}_level").copy()
     chained = (system.allowed if cert.mode == "symbolic" else
+               (lambda a, b: system.forward(a) == b)
+               if cert.mode == "exact-orbit" else
                lambda a, b: D.accepts(system.forward(a), b))
     step = ((lambda q, k: chained(comp[q], comp[k])) if tree == "out" else
             (lambda q, k: chained(comp[k], comp[q])))
@@ -1322,7 +1512,7 @@ THREE_AND_TWO = permutation_from_cycles([("a", "b", "c"), ("d", "e")],
 
 
 def _witness_failures_after(tamper, system, kwargs):
-    """The ident of the first largest basic set of a decomposition, and the
+    """The id (position) of the first largest basic set of a decomposition, and the
     validate() failures after its witness was tampered with, taking `other`
     from the first basic set of another size. On two-block-sft that is
     {2, 3, 4}, as every step inside {0, 1} is allowed."""
@@ -1332,7 +1522,7 @@ def _witness_failures_after(tamper, system, kwargs):
     other = next((bs for bs in dec.basic_sets if bs.size != first.size), first)
     tampered = tuple(tamper(system, bs, other) if bs is first else bs
                      for bs in dec.basic_sets)
-    return first.ident, dataclasses.replace(
+    return dec.basic_sets.index(first), dataclasses.replace(
         dec, basic_sets=tampered).validate(system)
 
 
@@ -1360,25 +1550,26 @@ def test_the_witness_of_another_basic_set_is_rejected(system, kwargs):
 @pytest.mark.parametrize("system, kwargs", [
     (CAT, {"resolution": 20}), (THREE_CYCLE, {})], ids=["torus", "finite"])
 def test_a_witness_with_bad_edges_is_one_failure_per_tree(system, kwargs):
-    """A D under which most tree edges are no step still gives one line per
-    tree, with the count and the first bad edge by its points, as D.accepts
-    finds them edge by edge."""
+    """A step relation under which most tree edges are no step still gives
+    one line per tree, with the count and the first bad edge by its points,
+    as the step finds them edge by edge: on the torus a D of exact lattice
+    steps, on a finite system the reversed map, whose step is f(a) == b."""
     cert = spectral_decompose(system, seed=0, pairs=2,
                               **kwargs).basic_sets[0].transitivity
     comp = cert.component
     if system is CAT:  # only exact lattice steps stay D-steps
         D = metric_ball(CAT, 1e-9)
-    else:  # the diagonal relation of the reversed map
-        back = {system.forward(x): x for x in comp}
-        D = finite_relation({(back[x], x) for x in comp},
-                            space_id=system.space_id, points=tuple(system.points))
-    cert = dataclasses.replace(cert, chain_entourage=D)
+        cert = dataclasses.replace(cert, chain_entourage=D)
+        step = lambda a, b: D.accepts(CAT.forward(a), b)
+    else:
+        system = FiniteSystem(tuple(system.points), {
+            system.forward(x): x for x in system.points}, name="reversed")
+        step = lambda a, b: system.forward(a) == b
     w, want = cert.witness, []
     for name, edges in (
             ("out-tree", [(w.out_parent[k], k) for k in range(1, len(comp))]),
             ("in-tree", [(k, w.in_parent[k]) for k in range(1, len(comp))])):
-        off = [(comp[a], comp[b]) for a, b in edges
-               if not D.accepts(system.forward(comp[a]), comp[b])]
+        off = [(comp[a], comp[b]) for a, b in edges if not step(comp[a], comp[b])]
         assert len(off) > len(comp) // 2
         want.append(f"component is not strongly connected under D along its "
                     f"{name}: {len(off)} of its edges are not D-steps, the "
@@ -1458,22 +1649,27 @@ def test_torus_witness_check_agrees_with_the_fresh_chain_graph(
 @settings(max_examples=40, deadline=None)
 @given(st.permutations(range(9)), st.data())
 def test_finite_witness_check_agrees_with_the_fresh_chain_graph(perm, data):
-    """On random permutations, with D the diagonal or a random part of it,
-    the stored witness passes exactly when the fresh graph of the basic set
-    is strongly connected: the two trees of a cycle hold all its steps."""
+    """On random permutations f, checked against f or against f with the
+    images of two random points swapped, the stored witness passes exactly
+    when the fresh graph of the basic set under the map checked against is
+    strongly connected: the two trees of a cycle hold all its steps, and a
+    swap splits a cycle, or merges two, so it breaks every cycle it
+    touches."""
     system = FiniteSystem(tuple(range(9)), dict(enumerate(perm)), name="perm")
     dec = spectral_decompose(system, seed=0)
     assert dec.validate(system) == []
+    images = list(perm)
+    u, v = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    images[u], images[v] = images[v], images[u]
+    swapped = FiniteSystem(system.points, dict(enumerate(images)), name="swapped")
+    diagonal = finite_relation({(x, x) for x in system.points},
+                               space_id=swapped.space_id, points=system.points)
     for bs in dec.basic_sets:
         cert = bs.transitivity
-        kept = data.draw(st.sets(st.sampled_from(bs.nodes)))
-        D = finite_relation({(x, x) for x in kept}, space_id=system.space_id,
-                            points=tuple(system.points))
-        tight = dataclasses.replace(cert, chain_entourage=D)
-        fresh = build_chain_graph(system, cert.component, D)
-        assert (_witness_failures(tight, system) == []) == (
+        fresh = build_chain_graph(swapped, cert.component, diagonal)
+        assert (_witness_failures(cert, swapped) == []) == (
             fresh.is_strongly_connected())
-        assert _fresh_witness_passes(system, tight, fresh) == (
+        assert _fresh_witness_passes(swapped, cert, fresh) == (
             fresh.is_strongly_connected())
 
 
