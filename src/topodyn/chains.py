@@ -176,13 +176,18 @@ class ChainGraph:
     @classmethod
     def from_successors(cls, nodes, successors, entourage_id):
         """The graph with successors[i] (any iterable of node indices) as
-        the successors of node i."""
+        the successors of node i. An index must be an int or a numpy
+        integer in range: a bool or a float would be read as a node by the
+        int64 edge array."""
         nodes = tuple(nodes)
-        rows = [sorted(set(row)) for row in successors]
+        rows = [tuple(row) for row in successors]
         if len(rows) != len(nodes):
             raise ValueError("Give one successor list per node.")
-        if any(not 0 <= j < len(nodes) for row in rows for j in row):
-            raise ValueError("A successor index is outside the node set.")
+        kinds = set(map(type, itertools.chain.from_iterable(rows)))
+        if (not all(k is int or issubclass(k, np.integer) for k in kinds)
+                or any(not 0 <= j < len(nodes) for row in rows for j in row)):
+            raise ValueError("A successor is not an int index into the node set.")
+        rows = [sorted(set(row)) for row in rows]
         src = np.repeat(np.arange(len(rows), dtype=np.int64),
                         [len(row) for row in rows])
         dst = np.fromiter((j for row in rows for j in row), dtype=np.int64,
@@ -423,19 +428,10 @@ def _array_ball(system, D, nodes):
             and _float_pairs(nodes))
 
 
-def _lattice_map(system, n, exponent=1):
-    """The power A^exponent (exponent >= 0) of the integer matrix A as a map
-    of lattice coordinate arrays, mod n; the power comes by squaring on
-    Python ints, reduced mod n at every product."""
-    (p, q), (r, s) = ((v % n for v in row) for row in system.matrix)
-    a, b, c, d = 1 % n, 0, 0, 1 % n
-    while exponent:
-        if exponent & 1:
-            a, b, c, d = ((a * p + b * r) % n, (a * q + b * s) % n,
-                          (c * p + d * r) % n, (c * q + d * s) % n)
-        p, q, r, s = ((p * p + q * r) % n, (p * q + q * s) % n,
-                      (r * p + s * r) % n, (r * q + s * s) % n)
-        exponent >>= 1
+def _lattice_map(system, n):
+    """The integer matrix A as a map of lattice coordinate arrays, mod n,
+    with its entries reduced mod n on Python ints first."""
+    (a, b), (c, d) = ((v % n for v in row) for row in system.matrix)
     return lambda i, j: ((a * i + b * j) % n, (c * i + d * j) % n)
 
 

@@ -3,17 +3,19 @@
 The pipeline partitions chain-recurrent nodes into chain components and
 attaches two certificates to each: transitivity (closed chains through
 sampled node pairs, traced to periodic points that visit both cross-
-sections) and periodic density (every recurrent node receives a verified
-periodic point inside its entourage ball). Certificates carry the nodes,
-walks and orbits needed to re-verify from scratch, with no cached graph
-state, and each claim has one evidence format and one check (`Certificate`).
+sections) and periodic density (every recurrent node has a verified
+periodic point inside its entourage ball: on a shift a stored cycle, on a
+finite map or the torus lattice the node itself, as both maps permute a
+finite set). Certificates carry the nodes, walks and orbits needed to
+re-verify from scratch, with no cached graph state, and each claim has one
+evidence format and one check (`Certificate`).
 
-Every fact is stored once. A decomposition derives `recurrent_nodes` (the
-sorted union of the basic sets' nodes), `exact`, `note` and the basic-set
-ids (positions) from its basic sets and family; `validate()` binds the
-family and resolution to the system, the metric-walk D to the ladder's cut
-rung and each lattice radius to its finest rung. `stabilization_index` and
-the ladder history are unchecked diagnostics.
+Every fact is stored once, and evidence holds only what its check cannot
+derive. A decomposition derives `recurrent_nodes` (the sorted union of the
+basic sets' nodes), `exact`, `note` and the basic-set ids (positions) from
+its basic sets and family; `validate()` binds the family and the lattice
+resolution to the system and the metric-walk D to the ladder's cut rung.
+`stabilization_index` and the ladder history are unchecked diagnostics.
 
 Shift spaces give the transition graph of their symbols, whose
 cycle-containing strongly connected components are exactly the basic
@@ -35,9 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import (ChainGraph, _array_ball, _bfs_levels, _bfs_tree,
-                     _cell_groups, _float_pairs, _lattice_map, _orbit_labels,
-                     _pair_array, _refine_ladder, _torus_distances,
-                     torus_grid_graph)
+                     _cell_groups, _float_pairs, _lattice_map, _pair_array,
+                     _refine_ladder, _torus_distances, torus_grid_graph)
 from .entourage import Entourage, MetricBall, metric_ball
 from .report import FAIL, PASS, RESOLUTION_LIMITED, Report
 from .shadowing import PERIODIC, PseudoOrbit, trace_linear_hyperbolic
@@ -79,61 +80,13 @@ class WalkDemo:
 
 @dataclass(frozen=True, slots=True)
 class CycleDemo:
-    """A periodic point certified inside the entourage ball of one node:
-    demo k of a density certificate is about node k of its component.
-    Shift and finite density certificates hold one per node; a torus
-    certificate holds a `LatticeCycles` record, whose entries read back as
-    CycleDemos."""
+    """A periodic point of a shift certified inside the entourage ball of
+    one node: demo k of a symbolic density certificate is about node k of
+    its component. Its cycle word is one period of `traced`, the
+    len(traced.right) symbols from position 0, so no length is stored."""
 
-    cycle_length: int
     traced: object
     gap: float
-
-
-def _freeze_arrays(record, names):
-    """Replace the named fields of a frozen record by read-only copies."""
-    for name in names:
-        values = np.array(getattr(record, name))
-        values.flags.writeable = False
-        object.__setattr__(record, name, values)
-
-
-@dataclass(frozen=True, eq=False)
-class LatticeCycles:
-    """The density evidence of a whole torus component at resolution n and
-    entourage radius `radius`, as read-only copies of two arrays in
-    component order: the lattice index i * n + j of each node (i/n, j/n),
-    and the size of its orbit under x -> A x mod n. Every node certifies
-    itself, at the one gap `gap`. len() counts nodes, and an int index or
-    iteration reads entries back as CycleDemos."""
-
-    resolution: int
-    radius: float
-    indices: np.ndarray
-    lengths: np.ndarray
-    gap: float = 0.0
-
-    def __post_init__(self):
-        _freeze_arrays(self, ("indices", "lengths"))
-        if type(self.resolution) is not int or self.resolution < 1:
-            raise ValueError("The lattice resolution must be a positive int.")
-        if self.indices.ndim != 1 or self.indices.shape != self.lengths.shape:
-            raise ValueError("Give one lattice index and one cycle length per node.")
-
-    def _view(self, index, length):
-        i, j = divmod(index, self.resolution)
-        node = (i / self.resolution, j / self.resolution)
-        return CycleDemo(cycle_length=length, traced=node, gap=self.gap)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __getitem__(self, k):
-        k = range(len(self))[operator.index(k)]
-        return self._view(self.indices[k].item(), self.lengths[k].item())
-
-    def __iter__(self):
-        return map(self._view, self.indices.tolist(), self.lengths.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +104,10 @@ class ConnectivityWitness:
     in_level: np.ndarray
 
     def __post_init__(self):
-        _freeze_arrays(self, ("out_parent", "out_level", "in_parent", "in_level"))
+        for name in ("out_parent", "out_level", "in_parent", "in_level"):
+            values = np.array(getattr(self, name))
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
 
 class CertificateError(ValueError):
@@ -164,24 +120,28 @@ class Certificate:
 
     mode picks the re-verification routine, and `_mode_for` fixes the one
     mode of each system family and kind:
-      symbolic        walks are symbol sequences checked against transitions
+      symbolic        walks are symbol sequences checked against transitions;
+                      density demos are periodic points, one per node
       metric-walk     walks are closed D-chains of points, traced to exact
                       periodic orbits that start in E[x] and visit E[y]; E
                       is not stored but derived, as the ball of the tracing
                       coefficient times D's radius
       exact-orbit     the metric-walk routine on a finite system, whose steps
                       are f(a) == b, so walks are true orbits and E is the
-                      diagonal; density demos must first return after
-                      cycle_length steps
-      lattice-cycle   density on the torus grid: one `LatticeCycles` record,
-                      re-proved in lattice integers (`_revalidate_lattice`)
-                      with no float orbit iterated
-    Only metric-walk certificates store a chain entourage D, and only
-    transitivity ones a `witness`: a `ConnectivityWitness` whose 2(|C| - 1)
-    tree edges are each re-tested by the walks' step relation (`_chain_step`).
-    In every density mode demo k certifies node k of the component, and
-    each certified cycle must lie in the component, so the density
-    certificate proves that the component is invariant.
+                      diagonal; density stores no demos, as f is a bijection
+                      of a finite set and every node is its own periodic point
+      lattice-cycle   density on the torus grid at `resolution` n, with no
+                      demos: x -> A x mod n permutes the lattice, so every
+                      node is its own periodic point, and the check runs in
+                      lattice integers (`_revalidate_lattice`)
+    Only metric-walk certificates store a chain entourage D, only
+    transitivity ones a `witness`, a `ConnectivityWitness` whose 2(|C| - 1)
+    tree edges are each re-tested by the walks' step relation (`_chain_step`),
+    and only lattice-cycle ones a `resolution`: an int n >= 1 with n * n in
+    the int32 range, as `torus_grid_graph` builds. Each density check makes
+    every node's cycle lie in the component (on a shift demo k's cycle word,
+    for node k; elsewhere the node's image), so the density certificate
+    proves that the component is invariant.
     """
 
     kind: str
@@ -190,6 +150,7 @@ class Certificate:
     demos: tuple
     chain_entourage: object = None
     witness: object = None
+    resolution: object = None
 
     def revalidate(self, system):
         """Re-check every demo from scratch; returns failure strings."""
@@ -204,17 +165,18 @@ class Certificate:
         """Why the fields are not evidence of the form the routine reads,
         or not about `component`, or None. The routines iterate a tuple
         component and tuple demos, read fields that only the right type has,
-        count with int cycle lengths, compare number gaps, read
-        SymbolicPoints, step through tuple orbits and derive E from D. Nodes
+        compare number gaps, read SymbolicPoints, step through tuple orbits,
+        derive E from D and size lattice arrays by the resolution. Nodes
         must hash; there must be a walk, each a node tuple that starts and
-        aims at members, and demo k must be about member k; the lattice-cycle
-        routine binds its arrays and nodes itself."""
+        aims at members, and symbolic demo k must be about member k; the
+        lattice-cycle routine decodes its nodes itself."""
         demos, symbolic = self.demos, self.mode == "symbolic"
-        D = self.chain_entourage
+        D, n = self.chain_entourage, self.resolution
+        lattice = self.mode == "lattice-cycle"
         if type(self.component) is not tuple or not self.component:
             return "the component is not a non-empty tuple of nodes"
         try:  # hashes every node
-            hash(() if self.mode == "lattice-cycle" else self.component)
+            hash(() if lattice else self.component)
         except TypeError:
             return "a component node cannot be hashed"
         metric = self.mode == "metric-walk"
@@ -225,6 +187,12 @@ class Certificate:
             return f"the chain entourage {D!r} is not an entourage"
         if metric and not _is_number(D.radius):
             return f"the chain entourage {D!r} has no radius"
+        if not lattice and n is not None:
+            return f"the {self.mode} mode reads no resolution, yet {n!r} is stored"
+        if lattice and not (type(n) is int and 1 <= n
+                            and n * n <= np.iinfo(np.int32).max):
+            return (f"the lattice resolution {n!r} is not an int n >= 1 with "
+                    "n * n in the int32 range")
         if self.kind != "transitivity" and self.witness is not None:
             return "density evidence reads no connectivity witness, yet one is stored"
         if self.kind == "transitivity":
@@ -246,21 +214,13 @@ class Certificate:
                 return "a walk starts or aims outside the component"
             if not symbolic and not all(type(d.traced) is tuple for d in demos):
                 return "a traced orbit is not a tuple of points"
-        elif self.mode == "lattice-cycle":
-            if not isinstance(demos, LatticeCycles):
-                return "lattice density demos are not a LatticeCycles record"
-            if not _int_array(demos.lengths):
-                return "a density demo's cycle length is not an int"
-            if not _int_array(demos.indices):
-                return "a density demo's node is not a lattice index"
-            if not _is_number(demos.radius):
-                return f"the entourage radius {demos.radius!r} is not a number"
-            demos = (demos,)  # one gap for the whole record
+        elif not symbolic:
+            if type(demos) is not tuple or demos:
+                return (f"the {self.mode} mode reads no density demos, yet a "
+                        f"{type(demos).__name__} is stored")
         elif type(demos) is not tuple or not all(
                 isinstance(d, CycleDemo) for d in demos):
             return "a density demo is not a cycle demo"
-        elif not all(type(d.cycle_length) is int for d in demos):
-            return "a density demo's cycle length is not an int"
         elif len(demos) != len(self.component):
             return "density demos do not cover the component once each"
         if not all(_is_number(d.gap) for d in demos):
@@ -327,21 +287,16 @@ def _walk_failure(walk, step, where):
 
 
 def _revalidate_symbolic(cert, system):
-    """Walks and cycle words on symbols. A cycle length must be the least
-    period of its point, len(traced.right), before its word is read. Every
-    symbol read must be an int in 0..size - 1 before a transition is looked
-    up, as a negative one would index the transition rows from the end;
-    each cycle word must stay in the component. A walk's traced point must
-    be the periodic point of the closed walk, so it reads both walk ends."""
+    """Walks and cycle words on symbols. A cycle word is one period of its
+    point, the len(traced.right) symbols from position 0, so the check reads
+    no more symbols than the point holds. Every symbol read must be an int
+    in 0..size - 1 before a transition is looked up, as a negative one would
+    index the transition rows from the end; each cycle word must stay in the
+    component. A walk's traced point must be the periodic point of the
+    closed walk, so it reads both walk ends."""
     walks = cert.kind == "transitivity"
-    if not walks:
-        lengths = [f"cycle length at {node} is not the least period of its "
-                   "point" for node, d in zip(cert.component, cert.demos)
-                   if d.cycle_length != len(d.traced.right)]
-        if lengths:
-            return lengths
     words = [d.walk if walks else tuple(map(d.traced.symbol_at,
-                                            range(d.cycle_length)))
+                                            range(len(d.traced.right))))
              for d in cert.demos]
     off = [s for s in itertools.chain(cert.component, *words)
            if type(s) is not int or not 0 <= s < system.size]
@@ -384,21 +339,16 @@ def _revalidate_metric(cert, system):
     starting in E[walk[0]] and visiting E[walk[y_pos]], with E the ball of
     the tracing coefficient times D's radius. A finite system steps by f
     and its E is the diagonal: walks are orbits, traced to themselves. Its
-    density demos must first return after cycle_length steps, by
-    `orbit_period`, and each node's image must be in the component."""
+    density needs each node to be a point, periodic as f is a bijection,
+    whose image is in the component."""
     bad = []
     if cert.kind != "transitivity":
-        members = set(cert.component)
-        for node, demo in zip(cert.component, cert.demos):
-            if node not in system.points:
+        members, point = set(cert.component), _is_point(system)
+        for node in cert.component:
+            if not point(node):
                 bad.append(f"{node} is not a point of the system")
-            elif system.orbit_period(node) != demo.cycle_length:
-                bad.append(f"{node} does not first return in "
-                           f"{demo.cycle_length} steps")
             elif system.forward(node) not in members:
                 bad.append(f"image of {node} leaves the component")
-            if demo.traced != node:
-                bad.append(f"certified point at {node} is not the node itself")
         return bad
     in_E = operator.eq if cert.mode == "exact-orbit" else metric_ball(
         system, system.tracing_coefficient() * cert.chain_entourage.radius
@@ -501,8 +451,6 @@ def _lattice_index(points, n):
     Python floats with 0 <= i, j < n, one ulp off included; the per-point
     type mask is built only when the type gate `_float_pairs` fails."""
     m = len(points)
-    if type(n) is not int or n < 1:
-        return np.full(m, -1, dtype=np.int64)
     if _float_pairs(points):
         pts = _pair_array(points)
     else:
@@ -523,77 +471,26 @@ def _int_array(values):
     return values.dtype.kind in "iu"
 
 
-def _prime_factors(k):
-    """The distinct primes dividing the positive int k, by trial division."""
-    primes, p = [], 2
-    while p * p <= k:
-        if k % p == 0:
-            primes.append(p)
-            while k % p == 0:
-                k //= p
-        p += 1
-    return primes + [k] if k > 1 else primes
-
-
-def _first_return_is(system, n, index, k):
-    """For each lattice index, whether its orbit under the lattice
-    permutation first closes after exactly k >= 1 steps: A^k x = x and
-    A^(k/p) x != x for every prime p dividing k. The order of x divides k
-    by the first test, and no k/p by the others, so it is k."""
-    i, j = np.divmod(index, n)
-
-    def fixed(e):
-        fi, fj = _lattice_map(system, n, e)(i, j)
-        return (fi == i) & (fj == j)
-
-    ok = fixed(k)
-    for p in _prime_factors(k):
-        ok &= ~fixed(k // p)
-    return ok
-
-
 def _revalidate_lattice(cert, system):
-    """Density on the torus lattice, checked on the record's arrays: its
-    gap within its radius, and per component node, in order, that node's
-    lattice index at resolution n. Members off the lattice end the check
-    with one failure, and so do indices that do not bind. Each cycle length
-    must be the exact order of its index, one power A^e mod n per distinct
-    length, and the orbits lie in the component when A x mod n does for
-    every member x."""
-    record = cert.demos
-    n = record.resolution
-    bad = []
-    if not record.gap <= record.radius:
-        bad.append(f"the density gap {record.gap} exceeds the entourage radius")
+    """Density on the torus lattice at the certificate's resolution n:
+    every component node must be the lattice node (i/n, j/n) of its index,
+    or one failure ends the check, and A x mod n must be a member for every
+    member x. As det A = +-1, x -> A x mod n permutes the n * n lattice, so
+    each node is a periodic point of its own, at gap zero, and its orbit
+    stays in the component."""
+    n = cert.resolution
     members = _lattice_index(cert.component, n)
     off = np.flatnonzero(members < 0)
     if off.size:
-        return bad + [f"{off.size} nodes of the component are off the lattice: "
-                      f"the first, {system.point_to_text(cert.component[off[0]])}"
-                      f", is not a lattice node (i/{n}, j/{n})"]
-    # int64 first: an unsigned value past the int64 range turns negative,
-    # and so binds to no member, instead of failing to compare
-    if not np.array_equal(record.indices.astype(np.int64), members):
-        return bad + ["density demos do not cover the component once each"]
-    i, j = np.divmod(members, n)
-    inside = np.zeros((n, n), dtype=bool)
-    inside[i, j] = True
-    for k in np.flatnonzero(~inside[_lattice_map(system, n)(i, j)]).tolist():
-        bad.append(f"image of {system.point_to_text(cert.component[k])} is "
-                   "more than one grid cell from the component")
-    # an integer matrix of determinant +-1 permutes the n x n lattice, so no
-    # orbit is longer than n * n, and a length outside 1..n * n (read as 0)
-    # fails with no arithmetic; the rest take one order test per length
-    length = record.lengths.astype(np.int64)
-    length = np.where((length >= 1) & (length <= n * n), length, 0)
-    closes = np.zeros(len(members), dtype=bool)
-    for k in (np.flatnonzero(np.bincount(length)[1:]) + 1).tolist():
-        rows = np.flatnonzero(length == k)
-        closes[rows] = _first_return_is(system, n, members[rows], k)
-    for r in np.flatnonzero(~closes).tolist():
-        bad.append(f"lattice orbit of {cert.component[r]} does not close in "
-                   f"exactly {record.lengths[r]} steps")
-    return bad
+        return [f"{off.size} nodes of the component are off the lattice: "
+                f"the first, {system.point_to_text(cert.component[off[0]])}, "
+                f"is not a lattice node (i/{n}, j/{n})"]
+    fi, fj = _lattice_map(system, n)(*np.divmod(members, n))
+    # np.isin, not an n x n mask: a resolution may pass the gate up to 46340,
+    # whose mask would take 2 GB however few nodes the component holds
+    return [f"image of {system.point_to_text(cert.component[k])} is more "
+            "than one grid cell from the component"
+            for k in np.flatnonzero(~np.isin(fi * n + fj, members)).tolist()]
 
 
 _REVALIDATE = {
@@ -724,62 +621,34 @@ def _trace_periodic_walk(system, walk):
 # periodic density certificates
 
 
-def periodic_density_certificate(system, recurrent_nodes, radii, graph=None,
-                                 resolution=None, lattice_index=None):
-    """Evidence that periodic points are dense in the node set: every node
-    gets a verified periodic point inside its entourage ball at every
-    ladder radius. On the torus grid that is the node itself, at gap zero,
-    proved in lattice integers (f permutes the lattice); each node's lattice
-    index is decoded from its floats unless `lattice_index` gives it, and
-    the check decodes them again. Shift and finite systems take the
-    shortest cycle through the node in their exact `graph`, on a finite map
-    its orbit. Each cycle lies in the node set, which proves invariance."""
+def periodic_density_certificate(graph, component, system):
+    """Evidence that periodic points are dense in a chain component, a set
+    of node indices of `graph` as for `transitivity_certificate`, and that
+    the component is invariant. On a shift each node gets the shortest
+    cycle through it in the symbol graph, as a periodic point and its gap.
+    A finite map and the torus lattice store no demos, as each permutes a
+    finite set, so every node is its own periodic point; a torus
+    certificate keeps the resolution of its grid graph, in which its check
+    decodes the nodes."""
     mode = _mode_for(system, "periodic-density")
-    if mode == "lattice-cycle":
-        if resolution is None:
-            raise ValueError("The lattice route needs the grid resolution.")
-        nodes = tuple(recurrent_nodes)
-        if lattice_index is None:
-            lattice_index = _lattice_index(nodes, resolution)
-            if (lattice_index < 0).any():
-                raise ValueError(f"The lattice route needs nodes "
-                                 f"(i/{resolution}, j/{resolution}).")
-        return Certificate(
-            kind="periodic-density", mode=mode, component=nodes,
-            demos=_lattice_cycles(system, lattice_index, resolution, min(radii)))
-    if mode is not None:
-        # the shortest cycle through a node of an exact graph; on the
-        # diagonal graph of a finite map it is the node's orbit
-        if graph is None:
-            raise ValueError("The exact route needs the chain graph.")
-        symbolic = mode == "symbolic"
+    if mode is None:
+        raise TypeError(f"No periodic tracing oracle for {system.name!r}.")
+    component = sorted(component)
+    demos = []
+    if mode == "symbolic":
         everywhere = np.ones(graph.node_count, dtype=bool)
-        pos = {s: i for i, s in enumerate(graph.nodes)}
-        demos = []
-        for a in recurrent_nodes:
-            walk_idx = _bfs_path(graph, everywhere, pos[a], pos[a])
+        for a in component:
+            walk_idx = _bfs_path(graph, everywhere, a, a)
             if walk_idx is None:
-                raise CertificateError(f"Recurrent node {a} has no cycle; "
-                                       "internal inconsistency.")
-            block = tuple(graph.nodes[i] for i in walk_idx[:-1])
-            if symbolic:
-                p = system.periodic_point(block)
-                gap = sft_metric(p, system.representative_point(a))
-            else:
-                p, gap = a, 0.0
-            demos.append(CycleDemo(cycle_length=len(block), traced=p, gap=gap))
-        return Certificate(kind="periodic-density", mode=mode,
-                           component=tuple(recurrent_nodes), demos=tuple(demos))
-    raise TypeError(f"No periodic tracing oracle for {system.name!r}.")
-
-
-def _lattice_cycles(system, index, n, radius):
-    """The density record of the lattice nodes with these lattice indices,
-    at resolution n and radius: each index and the size of its orbit under
-    the lattice permutation x -> A x mod n."""
-    fi, fj = _lattice_map(system, n)(*np.divmod(np.arange(n * n), n))
-    labels = _orbit_labels(fi * n + fj)
-    return LatticeCycles(n, radius, index, np.bincount(labels)[labels][index])
+                raise CertificateError(f"Recurrent node {graph.nodes[a]} has "
+                                       "no cycle; internal inconsistency.")
+            p = system.periodic_point(tuple(graph.nodes[i] for i in walk_idx[:-1]))
+            gap = sft_metric(p, system.representative_point(graph.nodes[a]))
+            demos.append(CycleDemo(traced=p, gap=gap))
+    return Certificate(
+        kind="periodic-density", mode=mode,
+        component=tuple(graph.nodes[i] for i in component), demos=tuple(demos),
+        resolution=graph.n if mode == "lattice-cycle" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +683,8 @@ def _is_basic_set(bs):
 def _failures_at_rung(cert, system, rung):
     """cert's failures; first, a metric-walk D must be the ball of the
     system's own metric at the cut rung, compared as a function as in
-    `_array_ball`, and a lattice record's radius the finest rung. A radius
-    that is not its rung is the one failure, with no re-check."""
+    `_array_ball`. A D that is not its rung's ball is the one failure, with
+    no re-check."""
     if cert.mode == "metric-walk":
         D = cert.chain_entourage
         function = lambda metric: getattr(metric, "__func__", metric)
@@ -823,10 +692,6 @@ def _failures_at_rung(cert, system, rung):
                 or function(D.metric) is not function(system.metric)):
             return [f"the chain entourage is not the ball of the cut rung "
                     f"{rung} in the metric of {system.name}"]
-    elif (cert.mode == "lattice-cycle" and isinstance(cert.demos, LatticeCycles)
-          and cert.demos.radius != rung):
-        return [f"the density radius {cert.demos.radius!r} is not the finest "
-                f"rung {rung}"]
     return cert.revalidate(system)
 
 
@@ -885,10 +750,9 @@ class SpectralDecomposition:
         cut, nodes = self.ladder[-1 if step is None else step], []
         for k, bs in enumerate(sets):
             trans, dens = bs.transitivity, bs.periodic_density
-            found = [f"basic set {k} [{cert.kind}]: {msg}"
-                     for cert, rung in ((trans, cut), (dens, self.ladder[-1]))
-                     for msg in _failures_at_rung(cert, system, rung)]
-            n = getattr(dens.demos, "resolution", None)
+            found = [f"basic set {k} [{cert.kind}]: {msg}" for cert in (trans, dens)
+                     for msg in _failures_at_rung(cert, system, cut)]
+            n = dens.resolution
             if found:
                 bad.extend(found)
             elif type(n) is not type(self.resolution) or n != self.resolution:
@@ -925,7 +789,7 @@ class SpectralDecomposition:
             "basic-sets",
             ["id", "size", "walk_demos", "density_max_gap"],
             [[k, bs.size, len(bs.transitivity.demos),
-              _max_gap(bs.periodic_density.demos)]
+              max((d.gap for d in bs.periodic_density.demos), default=0.0)]
              for k, bs in enumerate(self.basic_sets)],
         )
         rep.add_table(
@@ -937,13 +801,6 @@ class SpectralDecomposition:
         return rep
 
 
-def _max_gap(demos):
-    """The largest density gap; a lattice record has one gap for all."""
-    if isinstance(demos, LatticeCycles):
-        return demos.gap if len(demos) else 0.0
-    return max((d.gap for d in demos), default=0.0)
-
-
 def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
     """Decompose the recurrent set of a supported system into certified
     basic sets. Shift and finite systems give one exact graph (of the
@@ -951,8 +808,9 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
     at the given resolution, from the coarsest entourage radius `ladder`
     (default 4 grid cells) halved twice. Each cell of the ladder cut at its
     stabilization step is a basic set, with `pairs` walks (four on finite
-    systems) and one density demo per node; exact basic sets come in order
-    of their least node, torus ones the largest first."""
+    systems) and a density certificate, which holds one demo per node on a
+    shift and none on a finite map or the torus; exact basic sets come in
+    order of their least node, torus ones the largest first."""
     if pairs < 1:
         raise ValueError("A transitivity certificate needs pairs >= 1.")
     n, walks, radii, D = None, pairs, (), None
@@ -987,9 +845,7 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
     for k, group in enumerate(groups):
         trans = transitivity_certificate(graph, group.tolist(), system, D=D,
                                          seed=seed + k, pairs=walks)
-        dens = periodic_density_certificate(
-            system, trans.component, radii=radii, graph=graph, resolution=n,
-            lattice_index=None if exact else group)
+        dens = periodic_density_certificate(graph, group.tolist(), system)
         basic.append(BasicSet(transitivity=trans, periodic_density=dens))
     return SpectralDecomposition(
         system_name=system.name,

@@ -399,21 +399,37 @@ def test_nonwandering_equals_chain_recurrent():
 
 
 def test_torus_recurrent_nodes_carry_certified_periodic_points():
+    """The certificate stores no cycles, as A permutes the lattice; each
+    node's periodic point, the lattice node itself, is confirmed here by
+    stepping it home under x -> A x mod n in integers."""
     failures = []
-    dec = spectral_decompose(CAT, resolution=64)
-    nodes = tuple(sorted(dec.recurrent_nodes))
-    cert = periodic_density_certificate(CAT, nodes, radii=(0.02,),
-                                        resolution=64)
+    n = 64
+    dec = spectral_decompose(CAT, resolution=n)
+    graph = torus_grid_graph(CAT, n, 0.02)
+    index = {p: k for k, p in enumerate(graph.nodes)}
+    cert = periodic_density_certificate(
+        graph, [index[p] for p in dec.recurrent_nodes], CAT)
     problems = cert.revalidate(CAT)
     if problems:
         failures.append(problems[0])
-    if len(cert.demos) != len(nodes):
-        failures.append(f"{len(cert.demos)} demos for {len(nodes)} nodes")
-    worst = max(demo.gap for demo in cert.demos)
+    if cert.component != dec.recurrent_nodes:
+        failures.append("the certificate is not about the recurrent nodes")
+    (a, b), (c, d) = CAT.matrix
+    worst = 0.0
+    for x in cert.component:
+        home = (round(x[0] * n), round(x[1] * n))
+        i, j = home
+        for _ in range(n * n):
+            i, j = (a * i + b * j) % n, (c * i + d * j) % n
+            if (i, j) == home:
+                break
+        else:
+            failures.append(f"{x} does not return under the lattice map")
+        worst = max(worst, CAT.metric(x, (home[0] / n, home[1] / n)))
     if worst > 0.02:
         failures.append(f"max gap {worst:.4f} > 0.02")
-    print(f"  {len(nodes)} recurrent nodes at 1/64, max gap to a certified "
-          f"periodic point: {worst}")
+    print(f"  {len(cert.component)} recurrent nodes at 1/64, max gap to a "
+          f"certified periodic point: {worst}")
     _verdict("every recurrent node at 1/64 has a certified periodic point "
              "within radius 0.02", failures)
 

@@ -164,6 +164,22 @@ def test_csr_graph_api():
         ChainGraph.from_successors("ab", [(1,)], "test")
 
 
+@pytest.mark.parametrize("rows", [
+    [[1.5], [True]], [[1.0], [0]], [[1], [True]], [[True, 1], [0]],
+    [[np.float64(1)], [0]], [["1"], [0]], [[np.bool_(True)], [0]]],
+    ids=["float-and-bool", "float", "bool", "bool-beside-its-int",
+         "numpy-float", "text", "numpy-bool"])
+def test_from_successors_refuses_a_successor_that_is_not_an_int(rows):
+    """An int64 edge array would truncate 1.5 to node 1 and read True as
+    node 1, so any index that is not an int or a numpy integer is refused,
+    even beside the int it equals."""
+    with pytest.raises(ValueError, match="not an int index"):
+        ChainGraph.from_successors("ab", rows, "x")
+    graph = ChainGraph.from_successors(
+        "ab", [[np.int64(1)], [np.int32(1), 0]], "x")
+    assert [graph.successors(i) for i in range(2)] == [(1,), (0, 1)]
+
+
 def _lexsort_csr(node_count, src, dst):
     """CSR arrays by a stable sort on (source, target) pairs."""
     order = np.lexsort((dst, src))

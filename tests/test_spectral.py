@@ -27,10 +27,10 @@ from topodyn import (
     transitivity_certificate,
 )
 from topodyn.entourage import finite_relation, metric_ball, predicate_entourage
-from topodyn.chains import (ChainGraph, _bfs_tree, _csr, build_chain_graph,
-                            torus_grid_graph)
-from topodyn.spectral import CertificateError, CycleDemo, WalkDemo, _bfs_path
-from topodyn.spectral import LatticeCycles, _lattice_index
+from topodyn.chains import (ChainGraph, _bfs_tree, _csr, _lattice_map,
+                            build_chain_graph, torus_grid_graph)
+from topodyn.spectral import CertificateError, WalkDemo, _bfs_path
+from topodyn.spectral import _lattice_index
 from topodyn.spectral import ConnectivityWitness, _witness_failures
 from topodyn.systems import (FiniteSystem, _north_south, catalog,
                              symbolic_point, torus_grid)
@@ -238,14 +238,6 @@ def _open_walks(bs, other):
             for d in bs.transitivity.demos)))
 
 
-def _zero_cycles(bs, other):
-    """Every node returns after zero steps, which proves nothing."""
-    return dataclasses.replace(bs, periodic_density=dataclasses.replace(
-        bs.periodic_density, demos=tuple(
-            dataclasses.replace(d, cycle_length=0)
-            for d in bs.periodic_density.demos)))
-
-
 def _non_point(bs, other):
     """The first density demo is about a point the system does not have."""
     nodes = bs.periodic_density.component
@@ -255,37 +247,14 @@ def _non_point(bs, other):
 
 def _permuted_density(bs, other):
     """The density demos in reverse order, so demo k is about another node
-    than node k of the component; a lattice record's indices and lengths
-    are reversed together."""
-    demos = bs.periodic_density.demos
-    demos = (dataclasses.replace(demos, indices=demos.indices[::-1],
-                                 lengths=demos.lengths[::-1])
-             if isinstance(demos, LatticeCycles) else demos[::-1])
+    than node k of the component; a certificate with no demos has its
+    component reversed instead, which is then not the transitivity one."""
+    cert = bs.periodic_density
+    changed = ({"demos": cert.demos[::-1]} if cert.demos
+               else {"component": cert.component[::-1]})
     return dataclasses.replace(bs, periodic_density=dataclasses.replace(
-        bs.periodic_density, demos=demos))
+        cert, **changed))
 
-
-def _cycles_as(convert, first_where=None):
-    """Every density demo's cycle length passed through `convert`, or only
-    the first demo's for which first_where(demo) holds."""
-    def tamper(bs, other):
-        demos = list(bs.periodic_density.demos)
-        picked = range(len(demos)) if first_where is None else [
-            next(k for k, d in enumerate(demos) if first_where(d))]
-        for k in picked:
-            demos[k] = dataclasses.replace(
-                demos[k], cycle_length=convert(demos[k].cycle_length))
-        return dataclasses.replace(bs, periodic_density=dataclasses.replace(
-            bs.periodic_density, demos=tuple(demos)))
-    return tamper
-
-
-_float_cycles = _cycles_as(float)
-_text_cycle = _cycles_as(lambda k: "x", first_where=lambda d: True)
-# at n = 20 most lattice orbits have 30 points, and one node is fixed
-_one_float_cycle = _cycles_as(float, first_where=lambda d: d.cycle_length == 30)
-_bool_fixed_point = _cycles_as(lambda k: True,
-                               first_where=lambda d: d.cycle_length == 1)
 
 THREE_CYCLE = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
 
@@ -298,7 +267,6 @@ THREE_CYCLE = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
     (_no_walks, THREE_CYCLE, {}),
     (_no_walks, CAT, {"resolution": 16}),
     (_no_density, TWO_BLOCK, {}),
-    (_no_density, THREE_CYCLE, {}),
     (_density_as_walks, TWO_BLOCK, {}),
     (_walks_as_density, TWO_BLOCK, {"pairs": 2}),  # as many walks as nodes
     (_density_as_walks, CAT, {"resolution": 16}),
@@ -306,26 +274,16 @@ THREE_CYCLE = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
     (_density_as_walks, THREE_CYCLE, {}),
     (_walks_as_density, THREE_CYCLE, {}),
     (_open_walks, THREE_CYCLE, {}),
-    (_zero_cycles, THREE_CYCLE, {}),
     (_non_point, THREE_CYCLE, {}),
-    (_float_cycles, TWO_BLOCK, {}),
-    (_text_cycle, TWO_BLOCK, {}),
-    (_float_cycles, THREE_CYCLE, {}),
-    (_one_float_cycle, CAT, {"resolution": 20}),
-    (_float_cycles, CAT, {"resolution": 20}),
-    (_bool_fixed_point, CAT, {"resolution": 20}),
     (_permuted_density, TWO_BLOCK, {}),
     (_permuted_density, THREE_CYCLE, {}),
     (_permuted_density, CAT, {"resolution": 16}),
 ], ids=["swap-nodes", "foreign-walks", "foreign-density", "no-walks-symbolic",
         "no-walks-exact-orbit", "no-walks-metric-walk", "no-density-symbolic",
-        "no-density-exact-orbit", "density-as-walks", "walks-as-density",
+        "density-as-walks", "walks-as-density",
         "density-as-walks-metric-walk", "walks-as-density-lattice-cycle",
         "density-as-walks-exact-orbit", "walks-as-density-exact-orbit",
-        "open-walks-exact-orbit", "zero-cycles-exact-orbit",
-        "non-point-exact-orbit", "float-cycles-symbolic", "text-cycle-symbolic",
-        "float-cycles-exact-orbit", "one-float-cycle-lattice-cycle",
-        "float-cycles-lattice-cycle", "bool-fixed-point-lattice-cycle",
+        "open-walks-exact-orbit", "non-point-exact-orbit",
         "permuted-density-symbolic", "permuted-density-exact-orbit",
         "permuted-indices-lattice-cycle"])
 def test_certificates_are_bound_to_their_basic_set(tamper, system, kwargs):
@@ -339,21 +297,6 @@ def test_certificates_are_bound_to_their_basic_set(tamper, system, kwargs):
     tampered = [tamper(sets[0], other)] + [
         tamper(bs, sets[0]) if tamper is _swap_nodes else bs for bs in sets[1:]]
     assert dataclasses.replace(dec, basic_sets=tuple(tampered)).validate(system)
-
-
-@pytest.mark.parametrize("tamper, system, kwargs", [
-    (_float_cycles, TWO_BLOCK, {}), (_text_cycle, TWO_BLOCK, {}),
-    (_float_cycles, THREE_CYCLE, {})],
-    ids=["float-symbolic", "text-symbolic", "float-exact-orbit"])
-def test_a_cycle_length_that_is_not_an_int_is_one_failure(tamper, system, kwargs):
-    """Every mode reads cycle lengths as ints, so any other value ends the
-    density check with one failure, before a routine counts with it. The
-    lattice record's `float-lengths` and `bool-lengths` tampers check the
-    same for the lattice-cycle mode."""
-    bs = spectral_decompose(system, seed=0, **kwargs).basic_sets[0]
-    cert = tamper(bs, bs).periodic_density
-    assert cert.revalidate(system) == [
-        "a density demo's cycle length is not an int"]
 
 
 MODES = ("symbolic", "metric-walk", "exact-orbit", "lattice-cycle", "no-such-mode")
@@ -468,13 +411,15 @@ def test_a_non_point_inside_a_walk_is_one_failure(system, kwargs, field):
 @pytest.mark.parametrize("system", [TWO_BLOCK, THREE_CYCLE],
                          ids=["symbolic", "exact-orbit"])
 def test_a_lattice_record_is_no_evidence_in_another_mode(system):
-    """A record reads as CycleDemos, but only the lattice-cycle mode takes
-    it: elsewhere it is one failure, before a routine reads its views."""
+    """What a torus density certificate stores beside its nodes, its
+    resolution, is read only in the lattice-cycle mode: on a certificate of
+    another mode it is one failure, before any routine runs."""
     cert = spectral_decompose(system, seed=0).basic_sets[0].periodic_density
-    record = spectral_decompose(CAT, resolution=16, seed=0,
-                                pairs=1).basic_sets[0].periodic_density.demos
-    assert dataclasses.replace(cert, demos=record).revalidate(system) == [
-        "a density demo is not a cycle demo"]
+    lattice = spectral_decompose(CAT, resolution=16, seed=0,
+                                 pairs=1).basic_sets[0].periodic_density
+    assert lattice.demos == () and lattice.resolution == 16
+    assert dataclasses.replace(cert, resolution=16).revalidate(system) == [
+        f"the {cert.mode} mode reads no resolution, yet 16 is stored"]
 
 
 @pytest.mark.parametrize("system, kwargs", [
@@ -505,20 +450,18 @@ def test_decompose_needs_a_walk_pair(system, kwargs):
         spectral_decompose(system, pairs=0, **kwargs)
 
 
-def _with_length(record, k, value):
-    """The record with the cycle length of entry k set to value."""
-    lengths = record.lengths.copy()
-    lengths[k] = value
-    return dataclasses.replace(record, lengths=lengths)
-
-
 def test_corrupted_lattice_cycle_is_rejected():
+    """A node of the lattice cycle through (3/16, 5/16), its image
+    (11/16, 8/16), overwritten by another member breaks that cycle: the
+    image of (3/16, 5/16) leaves the component, and nothing else does."""
     dec = spectral_decompose(CAT, resolution=16, seed=0)
     cert = dec.basic_sets[0].periodic_density
-    k = int(np.flatnonzero(cert.demos.lengths > 1)[0])
-    broken = _with_length(cert.demos, k, cert.demos.lengths[k] + 1)
-    failures = dataclasses.replace(cert, demos=broken).revalidate(CAT)
-    assert any("does not close" in msg for msg in failures)
+    nodes = list(cert.component)
+    k = nodes.index((11 / 16, 8 / 16))
+    nodes[k] = nodes[k - 1]
+    failures = dataclasses.replace(cert, component=tuple(nodes)).revalidate(CAT)
+    assert failures == [f"image of {CAT.point_to_text((3 / 16, 5 / 16))} is "
+                        "more than one grid cell from the component"]
 
 
 # the torus route: every failure kind must survive the array re-checks
@@ -526,14 +469,6 @@ def test_corrupted_lattice_cycle_is_rejected():
 
 def _torus_dec(n=20):
     return spectral_decompose(CAT, resolution=n, seed=1, pairs=4)
-
-
-def _with_density_record(dec, record):
-    """dec with the density record of basic set 0 replaced."""
-    bs = dec.basic_sets[0]
-    bs = dataclasses.replace(bs, periodic_density=dataclasses.replace(
-        bs.periodic_density, demos=record))
-    return dataclasses.replace(dec, basic_sets=(bs,))
 
 
 def test_lattice_node_moved_by_one_ulp_is_rejected():
@@ -552,19 +487,7 @@ def test_lattice_node_moved_by_one_ulp_is_rejected():
     assert any("is not a lattice node" in msg for msg in failures)
 
 
-def test_wrong_cycle_length_is_rejected():
-    dec = _torus_dec()
-    record = dec.basic_sets[0].periodic_density.demos
-    k = int(np.flatnonzero(record.lengths > 1)[0])
-    right = int(record.lengths[k])
-    for wrong in (right - 1, 2 * right, 0):
-        failures = _with_density_record(
-            dec, _with_length(record, k, wrong)).validate(CAT)
-        assert any(f"does not close in exactly {wrong} steps" in msg
-                   for msg in failures), wrong
-
-
-# the lattice order test against a step-by-step first-return loop
+# the lattice check's premise, against a step-by-step first-return loop
 
 
 def _first_returns_by_steps(matrix, n):
@@ -582,66 +505,39 @@ def _first_returns_by_steps(matrix, n):
     return first
 
 
-def _lattice_density(nodes, lengths, n):
-    indices = [round(x * n) * n + round(y * n) for x, y in nodes]
-    return Certificate(
-        kind="periodic-density", mode="lattice-cycle", component=tuple(nodes),
-        demos=LatticeCycles(n, 0.0, np.array(indices, dtype=np.int64),
-                            np.array(lengths, dtype=np.int64)))
-
-
 HYPERBOLIC = [m for m in itertools.product(range(-3, 4), repeat=4)
               if abs(m[0] * m[3] - m[1] * m[2]) == 1
               and (abs(m[0] + m[3]) > 2 if m[0] * m[3] - m[1] * m[2] == 1
                    else m[0] + m[3] != 0)]
 
 
-@settings(max_examples=40)
-@given(st.sampled_from(HYPERBOLIC),
-       st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32]), st.integers(1, 60)),
-       st.data())
-def test_lattice_order_test_matches_the_first_return_loop(matrix, n, data):
-    """Every true first return validates; at one drawn node, every other
-    length fails: one step more or less, twice the order, the order over
-    each prime factor, 0, -1 and n^2 + 1."""
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(HYPERBOLIC), st.integers(1, 40))
+def test_lattice_map_permutes_the_lattice(matrix, n):
+    """The lattice density check stores no cycles because of this theorem:
+    an integer matrix of determinant +-1 maps the n * n lattice indices
+    onto all of them, mod n, so each node is a periodic point. The whole
+    grid then certifies itself at resolution n."""
     system = torus_automorphism((matrix[:2], matrix[2:]), name="drawn")
-    nodes = torus_grid(n)
-    first = _first_returns_by_steps(system.matrix, n).tolist()
-    assert _lattice_density(nodes, first, n).revalidate(system) == []
-    t = data.draw(st.integers(0, n * n - 1))
-    k = first[t]
-    primes = [p for p in range(2, k + 1)
-              if k % p == 0 and all(p % q for q in range(2, p))]
-    wrong = {k - 1, k + 1, 2 * k, 0, -1, n * n + 1} | {k // p for p in primes}
-    for w in sorted(wrong - {k}):
-        lengths = first[:t] + [w] + first[t + 1:]
-        assert _lattice_density(nodes, lengths, n).revalidate(system) == [
-            f"lattice orbit of {nodes[t]} does not close in exactly {w} steps"]
-
-
-def test_gap_above_radius_is_rejected():
-    dec = _torus_dec()
-    cert = dec.basic_sets[0].periodic_density
-    wide = dataclasses.replace(cert.demos, gap=2.0 * cert.demos.radius)
-    failures = _with_density_record(dec, wide).validate(CAT)
-    assert any("exceeds the entourage radius" in msg for msg in failures)
+    i, j = np.divmod(np.arange(n * n), n)
+    fi, fj = _lattice_map(system, n)(i, j)
+    assert np.array_equal(np.sort(fi * n + fj), np.arange(n * n))
+    cert = Certificate(kind="periodic-density", mode="lattice-cycle",
+                       component=torus_grid(n), demos=(), resolution=n)
+    assert cert.revalidate(system) == []
 
 
 def test_basic_set_missing_an_image_fails_invariance():
     """The density certificate proves invariance: with one node dropped
-    from its component and record, the one member whose image that node
-    was fails, and nothing else does."""
+    from its component, the one member whose image that node was fails,
+    and nothing else does."""
     n = 20
     cert = _torus_dec(n).basic_sets[0].periodic_density
     # drop the image of lattice node (3, 5); the cat map sends (3, 5) to (11, 8)
     gone = (11 / n, 8 / n)
-    keep = np.array([x != gone for x in cert.component])
-    assert not keep.all()
-    record = dataclasses.replace(cert.demos, indices=cert.demos.indices[keep],
-                                 lengths=cert.demos.lengths[keep])
+    assert gone in cert.component
     cut = dataclasses.replace(
-        cert, demos=record,
-        component=tuple(itertools.compress(cert.component, keep)))
+        cert, component=tuple(x for x in cert.component if x != gone))
     assert cut.revalidate(CAT) == [
         f"image of {CAT.point_to_text((3 / n, 5 / n))} is more than one grid "
         "cell from the component"]
@@ -653,13 +549,14 @@ def test_basic_set_missing_an_image_fails_invariance():
     ids=["symbolic", "exact-orbit"])
 def test_a_density_cycle_that_leaves_its_component_fails(system, node, message):
     """A density certificate cut to one node of its component, with that
-    node's demo: the node's cycle (2 3 4 on two-block-sft, a b c on
-    three-cycle) leaves the cut component, so it proves no invariance."""
+    node's demo on a shift: the node's cycle (2 3 4 on two-block-sft, a b c
+    on three-cycle, whose certificate stores no demos) leaves the cut
+    component, so it proves no invariance."""
     dec = spectral_decompose(system, seed=0)
     cert = next(bs.periodic_density for bs in dec.basic_sets
                 if node in bs.nodes)
-    demo = cert.demos[cert.component.index(node)]
-    cut = dataclasses.replace(cert, component=(node,), demos=(demo,))
+    demos = cert.demos and (cert.demos[cert.component.index(node)],)
+    cut = dataclasses.replace(cert, component=(node,), demos=demos)
     assert message in cut.revalidate(system)
 
 
@@ -747,22 +644,6 @@ def test_symbols_outside_the_alphabet_are_one_failure():
         assert mine[0].endswith("outside the alphabet 0..1: the first is 2")
 
 
-@pytest.mark.parametrize("length", [6, 10**6], ids=["doubled", "million"])
-def test_a_symbolic_cycle_length_must_be_the_least_period(length):
-    """Node 2's cycle has least period 3. A longer length would make the
-    check read that many symbols; it is one failure before any is read."""
-    dec = spectral_decompose(TWO_BLOCK, seed=0)
-    bs = next(b for b in dec.basic_sets if b.nodes == (2, 3, 4))
-    demos = bs.periodic_density.demos
-    assert demos[0].cycle_length == 3
-    cert = dataclasses.replace(bs.periodic_density, demos=(
-        dataclasses.replace(demos[0], cycle_length=length),) + demos[1:])
-    start = time.perf_counter()
-    failures = cert.revalidate(TWO_BLOCK)
-    assert time.perf_counter() - start < 0.1
-    assert failures == ["cycle length at 2 is not the least period of its point"]
-
-
 MALFORMED_WALKS = {
     "none": lambda walk: {"walk": None},
     "list": lambda walk: {"walk": list(walk)},
@@ -797,19 +678,22 @@ def test_a_malformed_walk_is_one_failure(system, kwargs, malformed):
         f"basic set 0 [transitivity]: {message}"]
 
 
-@pytest.mark.parametrize("radius", [None, "0.25"], ids=["no-radius", "text-radius"])
-def test_a_lattice_certificate_with_bad_params_is_one_failure(radius):
-    """The record holds its own radius, and one that is not a number is one
-    failure; its resolution is checked when the record is built."""
-    cert = spectral_decompose(CAT, resolution=16, seed=0,
-                              pairs=1).basic_sets[0].periodic_density
+@pytest.mark.parametrize("n", [None, 0, -1, 16.0, True, "16", 46341, 2**40,
+                               10**30], ids=repr)
+def test_a_hostile_resolution_is_one_failure(n):
+    """The lattice resolution must be an int n >= 1 (bools refused) with
+    n * n in the int32 range, as `torus_grid_graph` builds, or it is one
+    failure before any node is decoded: 10**30 raised an OverflowError in
+    the decode, and 2**40 overflowed n * n in int64."""
+    dec = spectral_decompose(CAT, resolution=16, seed=0, pairs=1)
+    cert = dec.basic_sets[0].periodic_density
     assert cert.revalidate(CAT) == []
-    record = dataclasses.replace(cert.demos, radius=radius)
-    assert dataclasses.replace(cert, demos=record).revalidate(CAT) == [
-        f"the entourage radius {radius!r} is not a number"]
-    for n in (None, 0, 16.0):
-        with pytest.raises(ValueError):
-            dataclasses.replace(cert.demos, resolution=n)
+    message = (f"the lattice resolution {n!r} is not an int n >= 1 with "
+               "n * n in the int32 range")
+    forged = dataclasses.replace(cert, resolution=n)
+    assert forged.revalidate(CAT) == [message]
+    assert _first_replaced(dec, "periodic_density", resolution=n).validate(
+        CAT) == [f"basic set 0 [periodic-density]: {message}"]
 
 
 def test_a_traced_orbit_forged_to_a_fixed_point_leaves_e():
@@ -876,10 +760,7 @@ def test_a_chain_entourage_that_no_check_reads_is_one_failure(system, kwargs, D)
 
 
 def _demo_replaced(cert, **changes):
-    """cert with its first demo, or its lattice record, changed."""
-    if isinstance(cert.demos, LatticeCycles):
-        return dataclasses.replace(
-            cert, demos=dataclasses.replace(cert.demos, **changes))
+    """cert with its first demo changed."""
     first = dataclasses.replace(cert.demos[0], **changes)
     return dataclasses.replace(cert, demos=(first,) + cert.demos[1:])
 
@@ -890,10 +771,13 @@ def _demo_replaced(cert, **changes):
 @pytest.mark.parametrize("gap", [math.nan, True, "x", None],
                          ids=["nan", "bool", "text", "none"])
 def test_a_gap_that_is_not_a_number_is_one_failure(system, kwargs, gap):
-    """Every gap, of a walk, a density demo or a lattice record, must be an
-    int or a float, not a bool and not NaN, which passes no comparison."""
+    """Every gap, of a walk or of a shift's density demo, must be an int or
+    a float, not a bool and not NaN, which passes no comparison; finite and
+    torus density certificates store no demos, so only walks have gaps."""
     bs = spectral_decompose(system, seed=0, pairs=2, **kwargs).basic_sets[0]
-    for cert in (bs.transitivity, bs.periodic_density):
+    certs = [c for c in (bs.transitivity, bs.periodic_density) if c.demos]
+    assert len(certs) == (2 if system is TWO_BLOCK else 1)
+    for cert in certs:
         assert _demo_replaced(cert, gap=gap).revalidate(system) == [
             "a demo's gap is not a number"]
 
@@ -936,8 +820,8 @@ def test_validating_against_any_catalog_system_returns_failures(name):
 
 # hostile fields: one failure each, never an exception
 
-HOSTILE = [None, math.nan, True, -1, 10**30, "text", [], [0], (), (0,), 0.0,
-           1.5, ((0,),)]
+HOSTILE = [None, math.nan, True, -1, 10**30, 2**40, "text", [], [0], (), (0,),
+           0.0, 1.5, ((0,),)]
 HOSTILE_SYSTEMS = {"two-block-sft": (TWO_BLOCK, {}), "three-cycle": (THREE_CYCLE, {}),
                    "cat-map": (CAT, {"resolution": 16})}
 HOSTILE_TARGETS = ["basic_sets", "transitivity", "periodic_density"] + [
@@ -984,13 +868,15 @@ def _first_replaced(dec, slot, **changes):
 def test_forged_decompositions_are_one_failure_each():
     """Four forgeries that re-check clean certificate by certificate: a
     metric-walk D raised above the printed cut rung, a D stored where the
-    exact-orbit and symbolic checks read none, and a lattice record whose
-    radius and gap are far above the printed ladder. The torus ones are
-    checked against a fresh instance of the cat map."""
+    exact-orbit and symbolic checks read none, and a lattice resolution of
+    32 in a decomposition at 16, whose nodes are lattice nodes at 32 too.
+    The torus ones are checked against a fresh instance of the cat map."""
     fresh = torus_automorphism(((2, 1), (1, 1)), name="cat-map")
     cat = spectral_decompose(CAT, resolution=16, seed=0)
     assert cat.ladder == (0.25, 0.125, 0.0625) and cat.stabilization_index == 1
-    record = cat.basic_sets[0].periodic_density.demos
+    doubled = dataclasses.replace(cat.basic_sets[0].periodic_density,
+                                  resolution=32)
+    assert doubled.revalidate(fresh) == []
     three = spectral_decompose(THREE_CYCLE, seed=0)
     full = finite_relation({(x, y) for x in "abc" for y in "abc"},
                            space_id=THREE_CYCLE.space_id, points=("a", "b", "c"))
@@ -1005,10 +891,8 @@ def test_forged_decompositions_are_one_failure_each():
                          chain_entourage="anything"), TWO_BLOCK,
          "basic set 0 [transitivity]: the symbolic mode reads no chain "
          "entourage, yet a str is stored"),
-        (_first_replaced(cat, "periodic_density", demos=dataclasses.replace(
-            record, radius=10, gap=5)), fresh,
-         "basic set 0 [periodic-density]: the density radius 10 is not the "
-         "finest rung 0.0625"),
+        (_first_replaced(cat, "periodic_density", resolution=32), fresh,
+         "basic set 0: resolution 16 is not the density certificate's 32"),
     ]
     assert cat.validate(fresh) == []
     for dec, system, message in forged:
@@ -1088,7 +972,8 @@ def test_three_cycle_decomposition():
     assert set(dec.basic_sets[0].nodes) == {"a", "b", "c"}
     assert dec.validate(perm) == []
     dens = dec.basic_sets[0].periodic_density
-    assert all(d.cycle_length == 3 and d.gap == 0.0 for d in dens.demos)
+    assert dens.demos == () and dens.resolution is None
+    assert all(perm.orbit_period(x) == 3 for x in dens.component)
 
 
 def test_two_fixed_points_make_two_basic_sets():
@@ -1118,8 +1003,8 @@ def test_cat_grid_certificates_revalidate():
     assert dec.validate(CAT) == []
     dens = dec.basic_sets[0].periodic_density
     assert dens.mode == "lattice-cycle"
-    assert dens.demos.resolution == 16
-    assert all(d.gap == 0.0 for d in dens.demos)
+    assert dens.resolution == 16 and dens.demos == ()
+    assert dec.to_report().tables["basic-sets"][1][0][3] == 0.0
     trans = dec.basic_sets[0].transitivity
     assert trans.mode == "metric-walk"
     for demo in trans.demos:
@@ -1155,9 +1040,19 @@ def test_symbol_graph_chain_mirrors_transitions():
     assert graph.successors(5) == (2,)
 
 
-def test_density_certificate_needs_resolution_on_torus():
-    with pytest.raises(ValueError):
-        periodic_density_certificate(CAT, ((0.0, 0.0),), radii=(0.1,))
+def test_density_certificate_reads_the_resolution_from_the_grid_graph():
+    """A density certificate takes the graph and node indices that a
+    transitivity certificate takes; on the torus it keeps the resolution of
+    the grid graph and no demos, and on a system with no density route it
+    raises."""
+    graph = torus_grid_graph(CAT, 12, 4 / 12)
+    nodes = range(graph.node_count)
+    dens = periodic_density_certificate(graph, nodes, CAT)
+    assert dens.component == transitivity_certificate(graph, nodes, CAT).component
+    assert (dens.mode, dens.resolution, dens.demos) == ("lattice-cycle", 12, ())
+    assert dens.revalidate(CAT) == []
+    with pytest.raises(TypeError):
+        periodic_density_certificate(graph, nodes, _north_south())
 
 
 # ---------------------------------------------------------------------------
@@ -1275,107 +1170,63 @@ def test_array_bfs_matches_the_queue_bfs_outside_the_mask_and_on_loops():
 
 
 # ---------------------------------------------------------------------------
-# lattice-cycle records against their expansion into CycleDemos
+# lattice certificates and lattice indices
 
 
-def _lattice_record_tampers(record):
-    """Named records that differ from `record` in one way each."""
-    n = record.resolution
-    lengths = record.lengths.tolist()
-    k = next(r for r, v in enumerate(lengths) if v > 1)
-    other = next(r for r, v in enumerate(lengths) if v != lengths[k])
-
-    def at(name, r, value):
-        values = getattr(record, name).copy()
-        values[r] = value
-        return dataclasses.replace(record, **{name: values})
-
-    swapped = record.indices.copy()
-    swapped[[k, other]] = swapped[[other, k]]
+def _lattice_node_tampers(cert):
+    """Named density certificates that differ from `cert`, about a whole
+    n x n grid in grid order, in one way each, with the failures each
+    must give."""
+    n, nodes = cert.resolution, cert.component
+    show = CAT.point_to_text
+    with_nodes = lambda changed: dataclasses.replace(cert, component=changed)
+    k = len(nodes) // 2
+    i, j = round(nodes[k][0] * n), round(nodes[k][1] * n)
+    pre = nodes[((i - j) % n) * n + (2 * j - i) % n]  # the cat map sends it to k
+    image_fails = [f"image of {show(pre)} is more than one grid cell from "
+                   "the component"]
+    moved = (math.nextafter(nodes[k][0], 2.0), nodes[k][1])
+    off = "nodes of the component are off the lattice: the first,"
     return {
-        "untampered": record,
-        "length+1": at("lengths", k, lengths[k] + 1),
-        "length-1": at("lengths", k, lengths[k] - 1),
-        "float-lengths": dataclasses.replace(
-            record, lengths=record.lengths.astype(float)),
-        "bool-lengths": dataclasses.replace(record, lengths=record.lengths == 1),
-        "index-too-large": at("indices", k, n * n),
-        "index-negative": at("indices", k, -1),
-        "index-swapped": dataclasses.replace(record, indices=swapped),
-        "index-repeated": at("indices", k, int(record.indices[other])),
-        "one-short": LatticeCycles(n, record.radius, record.indices[:-1],
-                                   record.lengths[:-1]),
-        "other-resolution": dataclasses.replace(record, resolution=2 * n),
-        "gap-too-wide": dataclasses.replace(record, gap=1.0),
+        "untampered": (cert, []),
+        "dropped": (with_nodes(nodes[:k] + nodes[k + 1:]), image_fails),
+        "repeated": (with_nodes(nodes[:k] + nodes[k - 1:k] + nodes[k + 1:]),
+                     image_fails),
+        "one-ulp": (with_nodes(nodes[:k] + (moved,) + nodes[k + 1:]), [
+            f"1 {off} {show(moved)}, is not a lattice node (i/{n}, j/{n})"]),
+        # (i/n, j/n) is on the lattice of n/2 when i and j are both even
+        "halved": (dataclasses.replace(cert, resolution=n // 2), [
+            f"{3 * n * n // 4} {off} {show(nodes[1])}, is not a lattice node "
+            f"(i/{n // 2}, j/{n // 2})"]),
     }
 
 
 @pytest.mark.parametrize("n", [16, 20, 24])
-def test_a_lattice_record_and_its_demos_fail_alike(n):
-    """Every tamper of a record fails, and the record's own CycleDemos, as a
-    tuple, are no lattice evidence: one failure names the format."""
+def test_every_lattice_node_tamper_fails(n):
+    """A torus density certificate stores its nodes and resolution alone:
+    a node dropped or overwritten fails at its preimage's image, a node one
+    ulp off the lattice is one failure, and so are the nodes off the
+    lattice of half the resolution."""
     dec = spectral_decompose(CAT, resolution=n, seed=0, pairs=2)
-    assert dec.validate(CAT) == []
-    cert = dec.basic_sets[0].periodic_density
-    assert isinstance(cert.demos, LatticeCycles)
-    assert dataclasses.replace(cert, demos=tuple(cert.demos)).revalidate(CAT) == [
-        "lattice density demos are not a LatticeCycles record"]
-    seen = {name: dataclasses.replace(cert, demos=record).revalidate(CAT)
-            for name, record in _lattice_record_tampers(cert.demos).items()}
-    assert seen["untampered"] == []
-    assert all(seen[name] for name in seen if name != "untampered")
-    for name in ("float-lengths", "bool-lengths"):
-        assert seen[name] == ["a density demo's cycle length is not an int"]
-    assert any("does not close in exactly" in msg for msg in seen["length+1"])
-    # indices that do not bind to the component, in order, are one failure
-    for name in ("index-too-large", "index-negative", "index-swapped",
-                 "index-repeated", "one-short", "other-resolution"):
-        assert seen[name] == [
-            "density demos do not cover the component once each"], name
-    assert seen["gap-too-wide"] == [
-        "the density gap 1.0 exceeds the entourage radius"]
-
-
-def test_a_lattice_record_reads_as_its_cycle_demos():
-    """len() counts nodes, and an int index or iteration reads entry k
-    back as the CycleDemo of component node k, certified by itself."""
-    dec = spectral_decompose(CAT, resolution=20, seed=0, pairs=2)
-    cert = dec.basic_sets[0].periodic_density
-    record, demos = cert.demos, tuple(cert.demos)
-    assert len(record) == len(demos) == len(cert.component)
-    assert all(type(d) is CycleDemo for d in demos)
-    assert [d.traced for d in demos] == list(cert.component)
-    assert all(d.gap == 0.0 for d in demos)
-    assert [d.cycle_length for d in demos] == record.lengths.tolist()
-    assert all(type(d.cycle_length) is int for d in demos)
-    assert record[-1] == demos[-1] and record[3] == demos[3]
-    with pytest.raises(IndexError):
-        record[len(record)]
-
-
-def test_a_lattice_record_cannot_be_written():
-    indices, lengths = np.arange(4), np.ones(4, dtype=np.int64)
-    record = LatticeCycles(2, 0.5, indices, lengths)
-    for values in (record.indices, record.lengths):
-        with pytest.raises(ValueError):
-            values[0] = 3
-    indices[0] = 3  # the record holds its own copies
-    assert record.indices[0] == 0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        record.gap = 1.0
-    with pytest.raises(ValueError):
-        LatticeCycles(2, 0.5, np.arange(4), np.ones(3, dtype=np.int64))
+    assert dec.validate(CAT) == [] and dec.component_count == 1
+    for name, (forged, want) in _lattice_node_tampers(
+            dec.basic_sets[0].periodic_density).items():
+        assert forged.revalidate(CAT) == want, name
 
 
 @pytest.mark.parametrize("n, kwargs", [
     (16, {"ladder": 0.03}), (20, {}), (24, {})])
 def test_torus_density_records_have_one_entry_per_node(n, kwargs):
+    """A torus density certificate's one per-node column is its component:
+    one entry per node of its basic set, and one per recurrent node over
+    all basic sets. It stores no demo rows."""
     dec = spectral_decompose(CAT, resolution=n, seed=0, pairs=2, **kwargs)
     assert dec.basic_sets
     for bs in dec.basic_sets:
-        assert len(bs.periodic_density.demos) == len(bs.nodes)
-    assert sum(len(bs.periodic_density.demos) for bs in dec.basic_sets) == len(
-        dec.recurrent_nodes)
+        assert bs.periodic_density.component == bs.nodes
+        assert bs.periodic_density.demos == ()
+    assert sum(len(bs.periodic_density.component)
+               for bs in dec.basic_sets) == len(dec.recurrent_nodes)
 
 
 @settings(max_examples=60)
