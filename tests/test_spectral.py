@@ -29,8 +29,7 @@ from topodyn import (
 from topodyn.entourage import finite_relation, metric_ball, predicate_entourage
 from topodyn.chains import (ChainGraph, _bfs_tree, _csr, _lattice_map,
                             build_chain_graph, torus_grid_graph)
-from topodyn.spectral import CertificateError, WalkDemo, _bfs_path
-from topodyn.spectral import _lattice_index
+from topodyn.spectral import WalkDemo, _bfs_path, _lattice_index
 from topodyn.spectral import ConnectivityWitness, _witness_failures
 from topodyn.systems import (FiniteSystem, _north_south, catalog,
                              symbolic_point, torus_grid)
@@ -487,22 +486,7 @@ def test_lattice_node_moved_by_one_ulp_is_rejected():
     assert any("is not a lattice node" in msg for msg in failures)
 
 
-# the lattice check's premise, against a step-by-step first-return loop
-
-
-def _first_returns_by_steps(matrix, n):
-    """The first return time of every lattice index i * n + j under
-    x -> A x mod n: all points step together, each until it is home."""
-    (a, b), (c, d) = matrix
-    i0, j0 = np.divmod(np.arange(n * n), n)
-    i, j = i0, j0
-    first = np.zeros(n * n, dtype=np.int64)
-    k = 0
-    while not first.all():
-        k += 1
-        i, j = (a * i + b * j) % n, (c * i + d * j) % n
-        first[(first == 0) & (i == i0) & (j == j0)] = k
-    return first
+# the lattice check's premise: the lattice map is a permutation
 
 
 HYPERBOLIC = [m for m in itertools.product(range(-3, 4), repeat=4)
