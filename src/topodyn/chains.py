@@ -273,10 +273,9 @@ class ChainGraph:
         return all((_bfs_tree(*csr, everywhere, 0)[1] >= 0).all() for csr in (
             (self.indptr, self.indices), self.reversed_csr()))
 
-    def to_text(self, node_id=None):
-        """Adjacency listing, one `node_id: succ_id succ_id ...` line per node."""
-        label = node_id or (lambda i: str(i))
-        return "\n".join(f"{label(i)}: " + " ".join(map(label, self.successors(i)))
+    def to_text(self):
+        """Adjacency listing, one `i: j j ...` line per node index i."""
+        return "\n".join(f"{i}: " + " ".join(map(str, self.successors(i)))
                          for i in range(self.node_count)) + "\n"
 
 
@@ -345,7 +344,7 @@ def is_chain(system, seq, D):
     )
 
 
-def build_chain_graph(system, samples, D, entourage_id=None):
+def build_chain_graph(system, samples, D):
     """Edges exactly {(i, j) : (f(node_i), node_j) in D}.
 
     When D has a radius in the system's own metric and the system embeds
@@ -359,7 +358,7 @@ def build_chain_graph(system, samples, D, entourage_id=None):
     nodes = tuple(samples)
     if not nodes:
         raise ValueError("Chain graphs need a nonempty sample set.")
-    entourage_id = entourage_id or _describe(D)
+    entourage_id = _describe(D)
     radius = D.radius
     if _array_ball(system, D, nodes):
         pts = _pair_array(nodes)
@@ -370,7 +369,7 @@ def build_chain_graph(system, samples, D, entourage_id=None):
     else:
         fnodes = [system.forward(x) for x in nodes]
         if (radius is None or system.embedding_metric is None
-                or D.metric != system.metric):
+                or not system.is_own_metric(D.metric)):
             if type(D) is GaugeBall and not D.at_arrival:
                 src, dst = np.nonzero(_gauge_steps(D.metric, D.gauge, fnodes, nodes))
                 return ChainGraph(nodes, *_csr(len(nodes), src, dst), entourage_id)
@@ -418,20 +417,19 @@ def _pair_array(points):
 def _array_ball(system, D, nodes):
     """True when the array routes of `build_chain_graph` and
     `nonwandering_set` reproduce D on these nodes bit for bit: D is a metric
-    ball in the metric of torus automorphisms (one function for every
-    instance), the system a plain torus automorphism with int or float
-    matrix entries, and the nodes are pairs of floats."""
+    ball in the system's own metric, the system a plain torus automorphism
+    with int or float matrix entries, and the nodes are pairs of floats."""
     return (type(system) is TorusAutomorphism and type(D) is MetricBall
-            and getattr(D.metric, "__func__", None) is TorusAutomorphism.metric
+            and system.is_own_metric(D.metric)
             and all(type(v) in (int, float)
                     for row in system.matrix for v in row)
             and _float_pairs(nodes))
 
 
-def _lattice_map(system, n):
+def _lattice_map(matrix, n):
     """The integer matrix A as a map of lattice coordinate arrays, mod n,
     with its entries reduced mod n on Python ints first."""
-    (a, b), (c, d) = ((v % n for v in row) for row in system.matrix)
+    (a, b), (c, d) = ((v % n for v in row) for row in matrix)
     return lambda i, j: ((a * i + b * j) % n, (c * i + d * j) % n)
 
 
@@ -496,16 +494,16 @@ def _lattice_scc_labels(system, n, di, dj):
         q, r = np.divmod(i, a)
         return r * d + (j - q * b) % d
 
-    perm = coset(*_lattice_map(system, n)(*np.divmod(np.arange(a * d), d)))
+    perm = coset(*_lattice_map(system.matrix, n)(*np.divmod(np.arange(a * d), d)))
     return _orbit_labels(perm)[coset(*np.divmod(np.arange(n * n), n))]
 
 
-def _lattice_csr(system, n, di, dj):
-    """The CSR arrays of the lattice graph x -> A x + O, O the offset table
-    (di, dj): one broadcast of the lattice images against the table, mod n,
-    with each row sorted."""
+def _lattice_csr(matrix, n, di, dj):
+    """The CSR arrays of the lattice graph x -> A x + O, A the integer
+    matrix and O the offset table (di, dj): one broadcast of the lattice
+    images against the table, mod n, with each row sorted."""
     row, col = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    fi, fj = (v.astype(np.int32) for v in _lattice_map(system, n)(row, col))
+    fi, fj = (v.astype(np.int32) for v in _lattice_map(matrix, n)(row, col))
     indices = (fi[:, None] + di) % n * n + (fj[:, None] + dj) % n
     indices.sort(axis=1)
     indptr = np.arange(n * n + 1, dtype=np.int64) * len(di)
@@ -515,8 +513,9 @@ def _lattice_csr(system, n, di, dj):
 class _LatticeGraph(ChainGraph):
     """A `torus_grid_graph`: the nodes `torus_grid(n)`, the SCC labels and
     the offset table are held, and the CSR arrays are built by
-    `_lattice_csr` the first time `indptr` or `indices` is read. The edge
-    count n^2 |O| and the self-loops of the recurrent mask need no build."""
+    `_lattice_csr` the first time `indptr` or `indices` is read, and so is
+    the reverse. The edge count n^2 |O| and the self-loops of the recurrent
+    mask need no build."""
 
     def __init__(self, system, n, offsets, entourage_id, labels):
         self.nodes, self.entourage_id, self.labels = torus_grid(n), entourage_id, labels
@@ -525,8 +524,26 @@ class _LatticeGraph(ChainGraph):
 
     def _built(self):
         if self._csr_arrays is None:
-            self._csr_arrays = _lattice_csr(self.system, self.n, *self.offsets)
+            self._csr_arrays = _lattice_csr(self.system.matrix, self.n,
+                                            *self.offsets)
         return self._csr_arrays
+
+    def reversed_csr(self):
+        """The lattice graph of A^-1 with the offsets -A^-1 O: y = A x + o
+        exactly when x = A^-1 y - A^-1 o, so the reverse needs no key sort."""
+        if self._reversed is None:
+            # the forward arrays first, which every walk search reads too:
+            # the other order peaked 1.6 MB higher in resident memory at
+            # n = 256 (heap layout), though it allocates no more
+            self._built()
+            ((a, b), (c, d)), n = self.system.matrix, self.n
+            det = a * d - b * c  # +-1, its own inverse
+            inverse = ((det * d, -det * b), (-det * c, det * a))
+            ei, ej = _lattice_map(inverse, n)(
+                *(v.astype(np.int64) for v in self.offsets))
+            self._reversed = _lattice_csr(inverse, n, (-ei % n).astype(np.int32),
+                                          (-ej % n).astype(np.int32))
+        return self._reversed
 
     @property
     def indptr(self):
@@ -545,13 +562,13 @@ class _LatticeGraph(ChainGraph):
         no row is built."""
         n = self.n
         i, j = np.divmod(nodes, n)
-        fi, fj = _lattice_map(self.system, n)(i, j)
+        fi, fj = _lattice_map(self.system.matrix, n)(i, j)
         table = np.zeros((n, n), dtype=bool)
         table[self.offsets] = True
         return nodes[table[(i - fi) % n, (j - fj) % n]]
 
 
-def torus_grid_graph(system, n, delta, entourage_id=None):
+def torus_grid_graph(system, n, delta):
     """Chain graph of a torus automorphism on the n x n lattice, built with
     integer arithmetic only.
 
@@ -569,7 +586,7 @@ def torus_grid_graph(system, n, delta, entourage_id=None):
     di, dj = _lattice_offsets(n, delta)
     if n * n * len(di) > np.iinfo(np.int32).max:
         raise GraphTooLargeError("The chain graph has too many edges for int32 CSR.")
-    return _LatticeGraph(system, n, (di, dj), entourage_id or f"ball({delta!r})",
+    return _LatticeGraph(system, n, (di, dj), f"ball({delta!r})",
                          _lattice_scc_labels(system, n, di, dj))
 
 
@@ -774,7 +791,7 @@ def _nonwandering_lattice(system, n, delta, horizon):
     di, dj = (v.astype(np.int64) for v in _lattice_offsets(n, delta))
     row, col = np.divmod(np.arange(n * n, dtype=np.int64), n)
     found = np.full(n * n, 2 * len(di) > n * n)
-    step = _lattice_map(system, n)
+    step = _lattice_map(system.matrix, n)
     pi, pj, ai, aj = row, col, di, dj
     for _ in range(horizon):
         if found.all():
@@ -842,9 +859,9 @@ def strong_chain_recurrent_set(system, samples, gauge):
 # reporting
 
 
-def _component_diameter(system, comp, cap=1200):
+def _component_diameter(system, comp):
     pts = sorted(comp, key=repr)
-    if len(pts) > cap:
+    if len(pts) > 1200:
         stride = len(pts) // 512 + 1
         pts = pts[::stride]
     return max(itertools.chain([0.0], (system.metric(p, q) for p, q

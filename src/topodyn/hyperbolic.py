@@ -51,6 +51,8 @@ from .systems import (
 
 CONSISTENT = "consistent-with-expansive"
 REFUTED = "refuted"
+# the semi-conjugacy residual a stability report passes at
+RESIDUAL_TOL = 1e-8
 
 # defect coefficients kept per linear stability chunk: each sample keeps
 # two half-series of W+1 floats, so a chunk holds about 4 MB of them however
@@ -138,11 +140,12 @@ def _scan_pair(system, x, y, N, horizon):
 
 def _closed_form_note(system, N):
     """A proof note when (system, N) is expansive by a closed-form argument,
-    else None. Only the system's own metric qualifies; a ball in a different
-    metric on the same space is a genuinely different question."""
+    else None. Only the system's own metric qualifies
+    (`DynamicalSystem.is_own_metric`); a ball in a different metric on the
+    same space is a genuinely different question."""
     if not isinstance(N, MetricBall):
         return None
-    if isinstance(system, LinearSaddle) and N.metric == system.metric:
+    if isinstance(system, LinearSaddle) and system.is_own_metric(N.metric):
         return (
             "closed form: writing y - x = u*v_u + s*v_s, a nonzero u grows as "
             f"rate_u^n = {system.rate_u:g}^n forward and a nonzero s grows as "
@@ -150,7 +153,7 @@ def _closed_form_note(system, N):
             "pair leaves any finite-radius ball; every metric ball is an "
             "expansivity neighborhood"
         )
-    if isinstance(system, ShiftOfFiniteType) and N.metric == system.metric \
+    if isinstance(system, ShiftOfFiniteType) and system.is_own_metric(N.metric) \
             and N.delta <= 1.0:
         return (
             "closed form: distinct admissible sequences differ at some index "
@@ -307,7 +310,7 @@ class LocalInvariantSet:
         return bool(self.membership(y))
 
 
-def _linear_segment(system, x, B, side, coord_tol=1e-9):
+def _linear_segment(system, x, B, side):
     wrap = isinstance(system, TorusAutomorphism)
 
     def member(y):
@@ -316,7 +319,7 @@ def _linear_segment(system, x, B, side, coord_tol=1e-9):
         gap = (y[0] - x[0], y[1] - x[1])
         cu, cs = system.split(gap)
         off, along = (cu, cs) if side == "stable" else (cs, cu)
-        return abs(off) <= coord_tol and abs(along) < B.delta
+        return abs(off) <= 1e-9 and abs(along) < B.delta
 
     return LocalInvariantSet(
         kind="segment",
@@ -358,10 +361,10 @@ def _sampled_local_set(system, x, B, side, horizon):
 
 def _local_set(system, x, B, side, horizon):
     if isinstance(system, (LinearSaddle, TorusAutomorphism)) \
-            and isinstance(B, MetricBall) and B.metric == system.metric:
+            and isinstance(B, MetricBall) and system.is_own_metric(B.metric):
         return _linear_segment(system, x, B, side)
     if isinstance(system, ShiftOfFiniteType) and isinstance(B, MetricBall) \
-            and B.metric == system.metric and B.delta <= 1.0:
+            and system.is_own_metric(B.metric) and B.delta <= 1.0:
         return _sft_cylinder(x, B, side)
     return _sampled_local_set(system, x, B, side, horizon)
 
@@ -696,8 +699,8 @@ class StabilityReport:
     window: int = 0
     method: str = ""
 
-    def to_report(self, system, residual_tol=1e-8, max_rows=None):
-        ok = (self.semiconjugacy_residual <= residual_tol
+    def to_report(self, system, max_rows=None):
+        ok = (self.semiconjugacy_residual <= RESIDUAL_TOL
               and self.closeness <= self.guaranteed_closeness + 1e-12)
         rep = Report(
             operation="stability",
@@ -711,7 +714,7 @@ class StabilityReport:
             defect_sup=self.defect_sup,
             guaranteed_closeness=self.guaranteed_closeness,
             injective=self.injective_flag,
-            residual_tol=residual_tol,
+            residual_tol=RESIDUAL_TOL,
             verdict=PASS if ok else FAIL,
             note=self.uniqueness_note,
         )

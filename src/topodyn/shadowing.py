@@ -30,7 +30,6 @@ import numpy as np
 
 from .systems import (
     FiniteSystem,
-    HarmonicPoints,
     LinearSaddle,
     ShiftOfFiniteType,
     StripFamily,
@@ -127,50 +126,17 @@ def _unit_disk_draw(rng):
     return (r * math.cos(t), r * math.sin(t))
 
 
-def _perturb(system, z, noise, rng):
-    """One noise application of magnitude <= noise, staying inside the space."""
-    if noise == 0:
-        return z
-    if isinstance(z, tuple) and isinstance(system, StripFamily):
-        n, y = z
-        return system.clamp(n, y + noise * (2.0 * rng.random() - 1.0))
-    if isinstance(system, TorusAutomorphism):
-        v = _unit_disk_draw(rng)
-        return ((z[0] + noise * v[0]) % 1.0, (z[1] + noise * v[1]) % 1.0)
-    if isinstance(system, ShiftOfFiniteType):
-        if noise >= 1.0:
-            return system.random_point(rng, 3)
-        depth = max(1, math.ceil(-math.log2(noise)))
-        if rng.random() < 0.5:
-            return z
-        word = z.window(-(depth - 1), depth - 1)
-        return system.window_point(word, -(depth - 1))
-    if isinstance(system, FiniteSystem):
-        if noise >= 1.0 and rng.random() < 0.5:
-            return rng.choice(system.points)
-        return z
-    if isinstance(system, HarmonicPoints):
-        n = system.index_of(z)
-        options = [z]
-        if system.gap_after(n) <= noise:
-            options.append(system.point(n + 1))
-        if n > 1 and system.gap_after(n - 1) <= noise:
-            options.append(system.point(n - 1))
-        return rng.choice(options)
-    if isinstance(z, tuple) and len(z) == 2:
-        v = _unit_disk_draw(rng)
-        return (z[0] + noise * v[0], z[1] + noise * v[1])
-    return z + noise * (2.0 * rng.random() - 1.0)
-
-
 def perturbed_pseudo_orbit(system, x0, length, noise, seed, extension=ORBIT_TAIL):
-    """Window x_0 ... x_{length}: each step applies f, then a noise draw of
-    magnitude <= noise. Deterministic for a fixed seed.
+    """Window x_0 ... x_{length} on a plane saddle or a torus: each step
+    applies f, then adds a draw from the disk of radius noise (mod 1 on the
+    torus). Deterministic for a fixed seed.
 
     With extension="periodic" the final point is forced back to x_0 and the
     window tagged with period = length; the seam defect is whatever that
     closure costs, measured and folded into defect_bound exactly.
     """
+    if not isinstance(system, (LinearSaddle, TorusAutomorphism)):
+        raise TypeError(f"No noise draw for system {system.name!r}.")
     if noise < 0:
         raise ValueError("Noise bound must be nonnegative.")
     if length < 1:
@@ -178,7 +144,13 @@ def perturbed_pseudo_orbit(system, x0, length, noise, seed, extension=ORBIT_TAIL
     rng = random.Random(seed)
     window = [x0]
     for _ in range(length):
-        window.append(_perturb(system, system.forward(window[-1]), noise, rng))
+        z = system.forward(window[-1])
+        if noise:
+            v = _unit_disk_draw(rng)
+            z = (z[0] + noise * v[0], z[1] + noise * v[1])
+            if isinstance(system, TorusAutomorphism):
+                z = (z[0] % 1.0, z[1] % 1.0)
+        window.append(z)
     if extension == PERIODIC:
         return PseudoOrbit.measured(system, window[:length], PERIODIC,
                                     period=length)

@@ -4,18 +4,20 @@ The pipeline partitions chain-recurrent nodes into chain components and
 attaches two certificates to each: transitivity (closed chains through
 sampled node pairs, traced to periodic points that visit both cross-
 sections) and periodic density (every recurrent node has a verified
-periodic point inside its entourage ball: on a shift a stored cycle, on a
+periodic point inside its entourage ball: on a shift a stored cycle word, on a
 finite map or the torus lattice the node itself, as both maps permute a
 finite set). Certificates carry the nodes, walks and orbits needed to
 re-verify from scratch, with no cached graph state, and each claim has one
 evidence format and one check (`Certificate`).
 
 Every fact is stored once, and evidence holds only what its check cannot
-derive. A decomposition derives `recurrent_nodes` (the sorted union of the
-basic sets' nodes), `exact`, `note` and the basic-set ids (positions) from
-its basic sets and family; `validate()` binds the family and the lattice
-resolution to the system and the metric-walk D to the ladder's cut rung.
-`stabilization_index` and the ladder history are unchecked diagnostics.
+rebuild. A decomposition derives `recurrent_nodes` (the sorted union of the
+basic sets' nodes), its family and resolution (read off the density
+certificates' mode and resolution), `exact`, `note` and the basic-set ids
+(positions) from its basic sets; `validate()` binds each metric-walk
+radius to the ladder's cut rung and the density certificates to one
+resolution. `stabilization_index` and the ladder history are unchecked
+diagnostics.
 
 Shift spaces give the transition graph of their symbols, whose
 cycle-containing strongly connected components are exactly the basic
@@ -30,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import operator
 import random
 from dataclasses import dataclass
 
@@ -39,10 +40,10 @@ import numpy as np
 from .chains import (ChainGraph, _array_ball, _bfs_levels, _bfs_tree,
                      _cell_groups, _float_pairs, _lattice_map, _pair_array,
                      _refine_ladder, _torus_distances, torus_grid_graph)
-from .entourage import Entourage, MetricBall, metric_ball
-from .report import FAIL, PASS, RESOLUTION_LIMITED, Report
+from .entourage import metric_ball
+from .report import PASS, RESOLUTION_LIMITED, Report
 from .shadowing import PERIODIC, PseudoOrbit, trace_linear_hyperbolic
-from .systems import (FiniteSystem, LinearSaddle, ShiftOfFiniteType, SymbolicPoint,
+from .systems import (FiniteSystem, LinearSaddle, ShiftOfFiniteType,
                       TorusAutomorphism, sft_metric)
 
 # the family that spectral_decompose reports, by the system's density mode
@@ -65,27 +66,32 @@ NONCOMPACT_NOTE = (
 @dataclass(frozen=True)
 class WalkDemo:
     """A closed chain from x = walk[0] back to x, of period len(walk) - 1,
-    through its target y = walk[y_pos], with the traced periodic orbit and
-    the measured tracing gap. `traced` holds the full orbit, one point per
-    walk step, in rational coordinates, so periodicity is exact and a
-    re-check steps through it rather than iterating the float map, which
-    would amplify rounding by rate_u^period; a symbolic demo stores one
-    periodic sequence, which carries its whole orbit."""
+    through its target y = walk[y_pos]. A shift's walk is a cycle word,
+    whose periodic point starts at x and reads y at y_pos, and a finite
+    map's walk is a periodic orbit, so neither stores a traced point."""
 
     walk: tuple
     y_pos: int
-    traced: object
-    gap: float
+
+
+@dataclass(frozen=True)
+class TracedWalk(WalkDemo):
+    """A metric walk with the periodic orbit it was traced to, one point per
+    walk step, in rational coordinates, so periodicity is exact and a
+    re-check steps through it rather than iterating the float map, which
+    would amplify rounding by rate_u^period."""
+
+    traced: tuple
 
 
 @dataclass(frozen=True, slots=True)
 class CycleDemo:
-    """A periodic point of a shift certified inside the entourage ball of
-    one node: demo k of a symbolic density certificate is about node k of
-    its component. Its cycle word is one period of `traced`, the
-    len(traced.right) symbols from position 0, so no length is stored."""
+    """A cycle word of a shift, one period of the periodic point that the
+    check builds from it, and that point's gap to the representative point
+    of one node: demo k of a symbolic density certificate is about node k
+    of its component, and its word starts at that node."""
 
-    traced: object
+    word: tuple
     gap: float
 
 
@@ -120,35 +126,36 @@ class Certificate:
 
     mode picks the re-verification routine, and `_mode_for` fixes the one
     mode of each system family and kind:
-      symbolic        walks are symbol sequences checked against transitions;
-                      density demos are periodic points, one per node
-      metric-walk     walks are closed D-chains of points, traced to exact
-                      periodic orbits that start in E[x] and visit E[y]; E
-                      is not stored but derived, as the ball of the tracing
-                      coefficient times D's radius
+      symbolic        walks are bare `WalkDemo` symbol sequences checked
+                      against transitions; density demos are cycle words,
+                      one per node
+      metric-walk     walks are `TracedWalk` D-chains of points, traced to
+                      exact periodic orbits that start in E[x] and visit
+                      E[y]; D and E are built from the stored `radius`, E as
+                      the ball of the tracing coefficient times it
       exact-orbit     the metric-walk routine on a finite system, whose steps
-                      are f(a) == b, so walks are true orbits and E is the
-                      diagonal; density stores no demos, as f is a bijection
-                      of a finite set and every node is its own periodic point
+                      are f(a) == b, so bare walks are periodic orbits;
+                      density stores no demos, as f is a bijection of a
+                      finite set and every node is its own periodic point
       lattice-cycle   density on the torus grid at `resolution` n, with no
                       demos: x -> A x mod n permutes the lattice, so every
                       node is its own periodic point, and the check runs in
                       lattice integers (`_revalidate_lattice`)
-    Only metric-walk certificates store a chain entourage D, only
-    transitivity ones a `witness`, a `ConnectivityWitness` whose 2(|C| - 1)
-    tree edges are each re-tested by the walks' step relation (`_chain_step`),
-    and only lattice-cycle ones a `resolution`: an int n >= 1 with n * n in
-    the int32 range, as `torus_grid_graph` builds. Each density check makes
-    every node's cycle lie in the component (on a shift demo k's cycle word,
-    for node k; elsewhere the node's image), so the density certificate
-    proves that the component is invariant.
+    Only metric-walk certificates store a chain `radius`, a positive number,
+    only transitivity ones a `witness`, a `ConnectivityWitness` whose
+    2(|C| - 1) tree edges are each re-tested by the walks' step relation
+    (`_chain_step`), and only lattice-cycle ones a `resolution`: an int
+    n >= 1 with n * n in the int32 range, as `torus_grid_graph` builds.
+    Each density check makes every node's cycle lie in the component (on a
+    shift demo k's cycle word, for node k; elsewhere the node's image), so
+    the density certificate proves that the component is invariant.
     """
 
     kind: str
     mode: str
     component: tuple
     demos: tuple
-    chain_entourage: object = None
+    radius: object = None
     witness: object = None
     resolution: object = None
 
@@ -165,28 +172,24 @@ class Certificate:
         """Why the fields are not evidence of the form the routine reads,
         or not about `component`, or None. The routines iterate a tuple
         component and tuple demos, read fields that only the right type has,
-        compare number gaps, read SymbolicPoints, step through tuple orbits,
-        derive E from D and size lattice arrays by the resolution. Nodes
-        must hash; there must be a walk, each a node tuple that starts and
-        aims at members, and symbolic demo k must be about member k; the
-        lattice-cycle routine decodes its nodes itself."""
+        compare number gaps, read symbol tuples, step through tuple orbits,
+        build D and E from the radius and size lattice arrays by the
+        resolution. Nodes must hash; there must be a walk, each a node tuple
+        that starts and aims at members, and symbolic demo k must be about
+        member k; the lattice-cycle routine decodes its nodes itself."""
         demos, symbolic = self.demos, self.mode == "symbolic"
-        D, n = self.chain_entourage, self.resolution
-        lattice = self.mode == "lattice-cycle"
+        r, n = self.radius, self.resolution
+        lattice, metric = self.mode == "lattice-cycle", self.mode == "metric-walk"
         if type(self.component) is not tuple or not self.component:
             return "the component is not a non-empty tuple of nodes"
         try:  # hashes every node
             hash(() if lattice else self.component)
         except TypeError:
             return "a component node cannot be hashed"
-        metric = self.mode == "metric-walk"
-        if not metric and D is not None:
-            return (f"the {self.mode} mode reads no chain entourage, yet a "
-                    f"{type(D).__name__} is stored")
-        if metric and not isinstance(D, Entourage):
-            return f"the chain entourage {D!r} is not an entourage"
-        if metric and not _is_number(D.radius):
-            return f"the chain entourage {D!r} has no radius"
+        if not metric and r is not None:
+            return f"the {self.mode} mode reads no radius, yet {r!r} is stored"
+        if metric and not (_is_number(r) and r > 0):
+            return f"the chain radius {r!r} is not a positive number"
         if not lattice and n is not None:
             return f"the {self.mode} mode reads no resolution, yet {n!r} is stored"
         if lattice and not (type(n) is int and 1 <= n
@@ -196,9 +199,9 @@ class Certificate:
         if self.kind != "transitivity" and self.witness is not None:
             return "density evidence reads no connectivity witness, yet one is stored"
         if self.kind == "transitivity":
-            if type(demos) is not tuple or not all(
-                    isinstance(d, WalkDemo) for d in demos):
-                return "a transitivity demo is not a walk"
+            form = TracedWalk if metric else WalkDemo
+            if type(demos) is not tuple or not all(type(d) is form for d in demos):
+                return f"a transitivity demo is not a {form.__name__}"
             if not demos:
                 return "no walk demo"
             if not all(type(d.walk) is tuple and len(d.walk) >= 2
@@ -212,22 +215,21 @@ class Certificate:
             ends = {d.walk[k] for d in demos for k in (0, d.y_pos)}
             if len(ends.intersection(self.component)) != len(ends):
                 return "a walk starts or aims outside the component"
-            if not symbolic and not all(type(d.traced) is tuple for d in demos):
+            if metric and not all(type(d.traced) is tuple for d in demos):
                 return "a traced orbit is not a tuple of points"
         elif not symbolic:
             if type(demos) is not tuple or demos:
                 return (f"the {self.mode} mode reads no density demos, yet a "
                         f"{type(demos).__name__} is stored")
         elif type(demos) is not tuple or not all(
-                isinstance(d, CycleDemo) for d in demos):
+                type(d) is CycleDemo for d in demos):
             return "a density demo is not a cycle demo"
         elif len(demos) != len(self.component):
             return "density demos do not cover the component once each"
-        if not all(_is_number(d.gap) for d in demos):
+        elif not all(type(d.word) is tuple and d.word for d in demos):
+            return "a cycle word is not a non-empty tuple of symbols"
+        elif not all(_is_number(d.gap) for d in demos):
             return "a demo's gap is not a number"
-        if symbolic and not all(isinstance(d.traced, SymbolicPoint)
-                                for d in demos):
-            return "a traced point is not a SymbolicPoint"
         return None
 
 
@@ -266,12 +268,12 @@ def _mode_for(system, kind):
 def _chain_step(cert, system):
     """The step relation of cert's walks and witness trees: a transition of
     the shift on symbols, f(a) == b on a finite system, otherwise (a, b)
-    with f(a) in D[b]."""
+    with f(a) in D[b], D the ball of the certificate's radius."""
     if cert.mode == "symbolic":
         return system.allowed
     if cert.mode == "exact-orbit":
         return lambda a, b: system.forward(a) == b
-    D = cert.chain_entourage
+    D = metric_ball(system, cert.radius)
     return lambda a, b: D.accepts(system.forward(a), b)
 
 
@@ -287,60 +289,54 @@ def _walk_failure(walk, step, where):
 
 
 def _revalidate_symbolic(cert, system):
-    """Walks and cycle words on symbols. A cycle word is one period of its
-    point, the len(traced.right) symbols from position 0, so the check reads
-    no more symbols than the point holds. Every symbol read must be an int
+    """Walks and cycle words on symbols. Every symbol read must be an int
     in 0..size - 1 before a transition is looked up, as a negative one would
-    index the transition rows from the end; each cycle word must stay in the
-    component. A walk's traced point must be the periodic point of the
-    closed walk, so it reads both walk ends."""
+    index the transition rows from the end. A walk must be closed and
+    allowed: its periodic point, that of walk[:-1], starts at x and reads y
+    at y_pos. Each cycle word is `_cycle_failure`'s."""
     walks = cert.kind == "transitivity"
-    words = [d.walk if walks else tuple(map(d.traced.symbol_at,
-                                            range(len(d.traced.right))))
-             for d in cert.demos]
+    words = [d.walk if walks else d.word for d in cert.demos]
     off = [s for s in itertools.chain(cert.component, *words)
            if type(s) is not int or not 0 <= s < system.size]
     if off:
         return [f"{len(off)} symbols read are outside the alphabet "
                 f"0..{system.size - 1}: the first is {off[0]!r}"]
-    bad = _witness_failures(cert, system) if walks else []
-    step = _chain_step(cert, system)
+    if walks:
+        step = _chain_step(cert, system)
+        return _witness_failures(cert, system) + [
+            failure for failure in (_walk_failure(d.walk, step, d.walk[0])
+                                    for d in cert.demos) if failure]
     members = set(cert.component)
-    nodes = itertools.repeat(None) if walks else cert.component
-    for node, demo, block in zip(nodes, cert.demos, words):
-        p = demo.traced
-        if walks:
-            failure = _walk_failure(demo.walk, step, demo.walk[0])
-            if failure:
-                bad.append(failure)
-            elif p != system.periodic_point(demo.walk[:-1]):
-                bad.append(f"traced point for {demo.walk[0]} does not match "
-                           "its walk")
-        else:
-            if not members.issuperset(block):
-                bad.append(f"cycle word at {node} leaves the component")
-            try:
-                rebuilt = system.periodic_point(block)
-            except ValueError:
-                bad.append(f"cycle word at {node} is not admissible")
-                continue
-            if p != rebuilt:
-                bad.append(f"cycle point at {node} is not periodic")
-            if p.symbol_at(0) != node:
-                bad.append(f"cycle point is outside the cylinder of {node}")
-            rep = system.representative_point(node)
-            if not sft_metric(p, rep) <= demo.gap + 1e-15:
-                bad.append(f"gap at {node} is larger than recorded")
-    return bad
+    return [failure for failure in (
+        _cycle_failure(system, members, node, demo)
+        for node, demo in zip(cert.component, cert.demos)) if failure]
+
+
+def _cycle_failure(system, members, node, demo):
+    """Why demo's cycle word is not a cycle of the component's symbol graph
+    through `node` whose periodic point, built here, lies within the
+    recorded gap of the node's representative point, or None; a word stays
+    in the component, so its periodic point belongs to the basic set."""
+    word = demo.word
+    if not members.issuperset(word):
+        return f"cycle word at {node} leaves the component"
+    if word[0] != node:
+        return f"cycle point is outside the cylinder of {node}"
+    try:
+        point = system.periodic_point(word)
+    except ValueError:
+        return f"cycle word at {node} is not admissible"
+    if not sft_metric(point, system.representative_point(node)) <= demo.gap + 1e-15:
+        return f"gap at {node} is larger than recorded"
+    return None
 
 
 def _revalidate_metric(cert, system):
-    """Closed D-chains traced to exact periodic orbits within their gap,
-    starting in E[walk[0]] and visiting E[walk[y_pos]], with E the ball of
-    the tracing coefficient times D's radius. A finite system steps by f
-    and its E is the diagonal: walks are orbits, traced to themselves. Its
-    density needs each node to be a point, periodic as f is a bijection,
-    whose image is in the component."""
+    """Closed chains; on a finite system they step by f, so they are
+    periodic orbits, and its density needs each node to be a point,
+    periodic as f is a bijection, whose image is in the component. Metric
+    walks are D-chains, each traced to an exact periodic orbit
+    (`_orbit_failure`)."""
     bad = []
     if cert.kind != "transitivity":
         members, point = set(cert.component), _is_point(system)
@@ -350,37 +346,41 @@ def _revalidate_metric(cert, system):
             elif system.forward(node) not in members:
                 bad.append(f"image of {node} leaves the component")
         return bad
-    in_E = operator.eq if cert.mode == "exact-orbit" else metric_ball(
-        system, system.tracing_coefficient() * cert.chain_entourage.radius
-        + 1e-12).accepts
     bad.extend(_witness_failures(cert, system))
+    traced = cert.mode == "metric-walk"
     point = _is_point(system)
-    if not all(point(x) for demo in cert.demos
-               for x in itertools.chain(demo.walk, demo.traced)):
+    if not all(point(x) for demo in cert.demos for x in itertools.chain(
+            demo.walk, demo.traced if traced else ())):
         return bad + ["a walk or traced orbit holds a node that is not a "
                       "point of the system"]
     chained = _chain_step(cert, system)
+    in_E = traced and metric_ball(
+        system, system.tracing_coefficient() * cert.radius + 1e-12).accepts
     for demo in cert.demos:
-        walk, orbit = demo.walk, demo.traced
-        where = system.point_to_text(walk[0])
-        failure = _walk_failure(walk, chained, where)
-        period = len(walk) - 1
+        where = system.point_to_text(demo.walk[0])
+        failure = (_walk_failure(demo.walk, chained, where)
+                   or traced and _orbit_failure(system, demo, in_E, where))
         if failure:
             bad.append(failure)
-        elif len(orbit) != period:
-            bad.append(f"orbit at {where} has the wrong length")
-        elif any(system.forward(orbit[k]) != orbit[(k + 1) % period]
-                 for k in range(period)):
-            bad.append(f"stored loop at {where} is not an orbit")
-        # a Fraction minus a float is a float, so these are float distances
-        elif not all(system.metric(orbit[k], walk[k]) <= demo.gap + 1e-12
-                     for k in range(period)):
-            bad.append(f"traced orbit at {where} strays past its gap")
-        elif not in_E(walk[0], orbit[0]):
-            bad.append(f"traced point at {where} leaves E[x]")
-        elif not in_E(walk[demo.y_pos], orbit[demo.y_pos % period]):
-            bad.append(f"orbit visit at {where} leaves E[y]")
     return bad
+
+
+def _orbit_failure(system, demo, in_E, where):
+    """Why the traced orbit of a closed metric walk is not an exact periodic
+    orbit of its period that starts in E[walk[0]] and visits
+    E[walk[y_pos]] at y_pos, or None."""
+    walk, orbit = demo.walk, demo.traced
+    period = len(walk) - 1
+    if len(orbit) != period:
+        return f"orbit at {where} has the wrong length"
+    if any(system.forward(orbit[k]) != orbit[(k + 1) % period]
+           for k in range(period)):
+        return f"stored loop at {where} is not an orbit"
+    if not in_E(walk[0], orbit[0]):
+        return f"traced point at {where} leaves E[x]"
+    if not in_E(walk[demo.y_pos], orbit[demo.y_pos % period]):
+        return f"orbit visit at {where} leaves E[y]"
+    return None
 
 
 def _spanning_tree(parent, level):
@@ -404,7 +404,7 @@ def _witness_failures(cert, system):
     pairs. Otherwise a node outside the symbolic mode must pass `_is_point`
     before it is stepped. A tree with bad edges is one failure, with the
     count and the first bad edge."""
-    witness, comp, D = cert.witness, cert.component, cert.chain_entourage
+    witness, comp = cert.witness, cert.component
     if not isinstance(witness, ConnectivityWitness):
         return ["no connectivity witness for the component"]
     trees = (("out-tree", witness.out_parent, witness.out_level),
@@ -419,11 +419,12 @@ def _witness_failures(cert, system):
            for name, parent, level in trees if not _spanning_tree(parent, level)]
     if bad:
         return bad
-    if _array_ball(system, D, comp):
+    if cert.mode == "metric-walk" and _array_ball(
+            system, metric_ball(system, cert.radius), comp):
         pts = _pair_array(comp)
         images = system.forward_batch(pts)
         steps = lambda a, b: _torus_distances(
-            np.take(images, a, axis=0), np.take(pts, b, axis=0)) < D.radius
+            np.take(images, a, axis=0), np.take(pts, b, axis=0)) < cert.radius
     elif cert.mode != "symbolic" and not all(map(_is_point(system), comp)):
         return ["a component node is not a point of the system"]
     else:
@@ -485,7 +486,7 @@ def _revalidate_lattice(cert, system):
         return [f"{off.size} nodes of the component are off the lattice: "
                 f"the first, {system.point_to_text(cert.component[off[0]])}, "
                 f"is not a lattice node (i/{n}, j/{n})"]
-    fi, fj = _lattice_map(system, n)(*np.divmod(members, n))
+    fi, fj = _lattice_map(system.matrix, n)(*np.divmod(members, n))
     # np.isin, not an n x n mask: a resolution may pass the gate up to 46340,
     # whose mask would take 2 GB however few nodes the component holds
     return [f"image of {system.point_to_text(cert.component[k])} is more "
@@ -547,14 +548,15 @@ def _closed_walk_through(graph, inside, x, y):
 # transitivity certificates
 
 
-def transitivity_certificate(graph, component, system, D=None, seed=0,
+def transitivity_certificate(graph, component, system, radius=None, seed=0,
                              pairs=8):
     """Evidence that f restricted to a chain component, a set of node
     indices of `graph`, is topologically transitive: for sampled node pairs
     (x, y), a closed walk through x visiting y, traced to a periodic point
     p in E[x] whose y-visit is in E[y], and the component's connectivity
-    witness on `graph`. D is the chain entourage of metric walks; shift
-    walks are words and finite walks orbits, which take none."""
+    witness on `graph`. `radius` is that of the chain entourage D of metric
+    walks, whose traced orbits are stored; shift walks are words and finite
+    walks orbits, which take no radius and are their own periodic points."""
     component = sorted(component)
     if not component:
         raise ValueError("The component is empty.")
@@ -565,8 +567,7 @@ def transitivity_certificate(graph, component, system, D=None, seed=0,
                          "component of the graph.")
     rng = random.Random(seed)
     mode = _mode_for(system, "transitivity")
-    symbolic = mode == "symbolic"
-    show = str if symbolic else system.point_to_text
+    show = str if mode == "symbolic" else system.point_to_text
     demos = []
     for xi, yi in ([(component[0],) * 2] if len(component) == 1 else
                    [tuple(rng.sample(component, 2)) for _ in range(pairs)]):
@@ -576,17 +577,12 @@ def transitivity_certificate(graph, component, system, D=None, seed=0,
             raise CertificateError(
                 f"No closed walk through {show(x)} and {show(y)}.")
         walk = tuple(graph.nodes[i] for i in walk_idx)
-        if symbolic:
-            traced = system.periodic_point(walk[:-1])
-            gap = sft_metric(traced, system.representative_point(x))
-        else:
-            traced, gap = _trace_periodic_walk(system, walk)
-        demos.append(WalkDemo(walk, y_pos, traced, gap))
+        demos.append(TracedWalk(walk, y_pos, _trace_periodic_walk(system, walk))
+                     if mode == "metric-walk" else WalkDemo(walk, y_pos))
     return Certificate(
         kind="transitivity", mode=mode,
         component=tuple(graph.nodes[i] for i in component), demos=tuple(demos),
-        chain_entourage=D,
-        witness=_connectivity_witness(graph, inside, component))
+        radius=radius, witness=_connectivity_witness(graph, inside, component))
 
 
 def _connectivity_witness(graph, inside, component):
@@ -607,14 +603,13 @@ def _connectivity_witness(graph, inside, component):
 
 
 def _trace_periodic_walk(system, walk):
-    """(orbit, gap) of the walk closed into a periodic pseudo-orbit: a walk
-    with zero defect is a true orbit, traced to itself; otherwise the
-    rational tracer runs, so the orbit is exactly periodic."""
+    """The orbit that the walk, closed into a periodic pseudo-orbit, is
+    traced to: a walk with zero defect is a true orbit, traced to itself;
+    otherwise the rational tracer runs, so the orbit is exactly periodic."""
     pseudo = PseudoOrbit.measured(system, walk[:-1], PERIODIC)
     if pseudo.defect_bound == 0.0:
-        return pseudo.window, 0.0
-    result = trace_linear_hyperbolic(system, pseudo, exact=True)
-    return result.traced_orbit, result.error_bound
+        return pseudo.window
+    return trace_linear_hyperbolic(system, pseudo, exact=True).traced_orbit
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +620,8 @@ def periodic_density_certificate(graph, component, system):
     """Evidence that periodic points are dense in a chain component, a set
     of node indices of `graph` as for `transitivity_certificate`, and that
     the component is invariant. On a shift each node gets the shortest
-    cycle through it in the symbol graph, as a periodic point and its gap.
+    cycle through it in the symbol graph, as a cycle word and the gap of
+    its periodic point.
     A finite map and the torus lattice store no demos, as each permutes a
     finite set, so every node is its own periodic point; a torus
     certificate keeps the resolution of its grid graph, in which its check
@@ -642,9 +638,10 @@ def periodic_density_certificate(graph, component, system):
             if walk_idx is None:
                 raise CertificateError(f"Recurrent node {graph.nodes[a]} has "
                                        "no cycle; internal inconsistency.")
-            p = system.periodic_point(tuple(graph.nodes[i] for i in walk_idx[:-1]))
-            gap = sft_metric(p, system.representative_point(graph.nodes[a]))
-            demos.append(CycleDemo(traced=p, gap=gap))
+            word = tuple(graph.nodes[i] for i in walk_idx[:-1])
+            gap = sft_metric(system.periodic_point(word),
+                             system.representative_point(word[0]))
+            demos.append(CycleDemo(word, gap))
     return Certificate(
         kind="periodic-density", mode=mode,
         component=tuple(graph.nodes[i] for i in component), demos=tuple(demos),
@@ -680,21 +677,6 @@ def _is_basic_set(bs):
             (bs.periodic_density, "periodic-density")))
 
 
-def _failures_at_rung(cert, system, rung):
-    """cert's failures; first, a metric-walk D must be the ball of the
-    system's own metric at the cut rung, compared as a function as in
-    `_array_ball`. A D that is not its rung's ball is the one failure, with
-    no re-check."""
-    if cert.mode == "metric-walk":
-        D = cert.chain_entourage
-        function = lambda metric: getattr(metric, "__func__", metric)
-        if (type(D) is not MetricBall or D.radius != rung
-                or function(D.metric) is not function(system.metric)):
-            return [f"the chain entourage is not the ball of the cut rung "
-                    f"{rung} in the metric of {system.name}"]
-    return cert.revalidate(system)
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """The basic sets of a system and the ladder they were cut from;
@@ -702,8 +684,6 @@ class SpectralDecomposition:
     diagnostic that no check proves."""
 
     system_name: str
-    family: str
-    resolution: object
     ladder: tuple
     seed: int
     basic_sets: tuple
@@ -721,6 +701,17 @@ class SpectralDecomposition:
             bs.nodes for bs in self.basic_sets)))
 
     @property
+    def family(self):
+        """The family, read off the density certificates' mode."""
+        return _FAMILIES.get(self.basic_sets[0].periodic_density.mode)
+
+    @property
+    def resolution(self):
+        """The lattice resolution of the density certificates; None on an
+        exact decomposition."""
+        return self.basic_sets[0].periodic_density.resolution
+
+    @property
     def exact(self):
         return self.family in ("symbolic", "finite")
 
@@ -729,11 +720,12 @@ class SpectralDecomposition:
         return SHIFT_NOTE if self.family == "symbolic" else ""
 
     def validate(self, system):
-        """Certificate re-checks, which prove invariance, then family,
-        resolution and partition bindings; failure strings. Every supported
-        space is compact, so there is a basic set. A basic set is compared
-        with the others only once both its certificates check, so one tamper
-        is one failure."""
+        """Certificate re-checks, which prove invariance, then the partition
+        and one resolution over the density certificates; failure strings.
+        A metric-walk radius off the cut rung is its certificate's one
+        failure, with no re-check. Every supported space is compact, so
+        there is a basic set. A basic set is compared with the others only
+        once both its certificates check, so one tamper is one failure."""
         sets, step = self.basic_sets, self.stabilization_index
         if type(sets) is not tuple or not sets or not all(map(_is_basic_set, sets)):
             return ["the basic sets are not a non-empty tuple of BasicSets, each "
@@ -742,29 +734,28 @@ class SpectralDecomposition:
                 step is None or type(step) is int and 0 <= step < len(self.ladder)):
             return [f"the stabilization index {step!r} is not a step of the "
                     f"ladder {self.ladder!r}"]
-        bad = []
-        family = _FAMILIES.get(_mode_for(system, "periodic-density"))
-        if self.family != family:
-            bad.append(f"family {self.family!r} does not fit {system.name}, "
-                       f"whose family is {family!r}")
-        cut, nodes = self.ladder[-1 if step is None else step], []
+        bad, nodes, resolutions = [], [], set()
+        cut = self.ladder[-1 if step is None else step]
         for k, bs in enumerate(sets):
             trans, dens = bs.transitivity, bs.periodic_density
             found = [f"basic set {k} [{cert.kind}]: {msg}" for cert in (trans, dens)
-                     for msg in _failures_at_rung(cert, system, cut)]
-            n = dens.resolution
+                     for msg in ([f"the chain radius {cert.radius!r} is not the "
+                                  f"cut rung {cut}"]
+                                 if cert.mode == "metric-walk" and cert.radius != cut
+                                 else cert.revalidate(system))]
             if found:
                 bad.extend(found)
-            elif type(n) is not type(self.resolution) or n != self.resolution:
-                bad.append(f"basic set {k}: resolution {self.resolution!r} is "
-                           f"not the density certificate's {n!r}")
             elif dens.component != trans.component:
                 bad.append(f"basic set {k} [{dens.kind}]: certificate is for "
                            "another node set")
             else:  # both certificates hashed or decoded every node
                 nodes.extend(bs.nodes)
+                resolutions.add(dens.resolution)
         if len(set(nodes)) != len(nodes):
             bad.append("basic sets overlap")
+        if len(resolutions) > 1:
+            bad.append(f"the density certificates are at resolutions "
+                       f"{sorted(resolutions)}, not one")
         return bad
 
     def to_report(self):
@@ -813,7 +804,7 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
     order of their least node, torus ones the largest first."""
     if pairs < 1:
         raise ValueError("A transitivity certificate needs pairs >= 1.")
-    n, walks, radii, D = None, pairs, (), None
+    n, walks, radii, radius = None, pairs, (), None
     if isinstance(system, ShiftOfFiniteType):
         graphs = [symbol_graph_chain(system)]
     elif isinstance(system, TorusAutomorphism):
@@ -839,18 +830,17 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
     graph = graphs[step]
     groups = _cell_groups(states[step])
     if not exact:
-        D = metric_ball(system, radii[step])
+        radius = radii[step]
         groups.sort(key=len, reverse=True)
     basic = []
     for k, group in enumerate(groups):
-        trans = transitivity_certificate(graph, group.tolist(), system, D=D,
-                                         seed=seed + k, pairs=walks)
+        trans = transitivity_certificate(graph, group.tolist(), system,
+                                         radius=radius, seed=seed + k,
+                                         pairs=walks)
         dens = periodic_density_certificate(graph, group.tolist(), system)
         basic.append(BasicSet(transitivity=trans, periodic_density=dens))
     return SpectralDecomposition(
         system_name=system.name,
-        family=_FAMILIES[_mode_for(system, "periodic-density")],
-        resolution=n,
         ladder=tuple(g.entourage_id for g in graphs) if exact else radii,
         seed=seed,
         basic_sets=tuple(basic),

@@ -269,6 +269,12 @@ class DynamicalSystem:
     def metrics(self):
         return {"default": self.metric}
 
+    def is_own_metric(self, metric):
+        """Whether `metric` is this system's metric: its class's metric
+        function bound to any instance, as that function reads no instance
+        data, so a ball built on a second, equal instance is in it too."""
+        return getattr(metric, "__func__", None) is type(self).metric
+
     def embed(self, x):
         """Coordinates for spatial indexing, or None when not meaningful."""
         return None
@@ -352,6 +358,11 @@ def _matrix_inverse_exact(m):
     return tuple(out)
 
 
+# how close to the unit circle an eigenvalue of a saddle matrix counts as of
+# modulus one, and how close to zero an entry counts as zero
+_TOL = 1e-12
+
+
 class LinearSaddle(DynamicalSystem):
     """x -> A x on the plane for a 2x2 saddle matrix A.
 
@@ -366,7 +377,7 @@ class LinearSaddle(DynamicalSystem):
     space_id = "plane"
     embedding_metric = "euclidean"
 
-    def __init__(self, matrix, name="linear-saddle", extra_metrics=None, tol=1e-12):
+    def __init__(self, matrix, name="linear-saddle", extra_metrics=None):
         matrix = (tuple(matrix[0]), tuple(matrix[1]))
         a, b = float(matrix[0][0]), float(matrix[0][1])
         c, d = float(matrix[1][0]), float(matrix[1][1])
@@ -376,14 +387,14 @@ class LinearSaddle(DynamicalSystem):
         disc = tr * tr - 4.0 * det
         if disc <= 0:
             modulus = math.sqrt(abs(det))
-            if abs(modulus - 1.0) <= tol:
+            if abs(modulus - 1.0) <= _TOL:
                 raise NotHyperbolicError("Matrix has an eigenvalue of modulus one.")
             raise NotHyperbolicError(
                 "Matrix has no saddle splitting (complex or repeated spectrum)."
             )
         root = math.sqrt(disc)
         lam1, lam2 = (tr + root) / 2.0, (tr - root) / 2.0
-        if abs(abs(lam1) - 1.0) <= tol or abs(abs(lam2) - 1.0) <= tol:
+        if abs(abs(lam1) - 1.0) <= _TOL or abs(abs(lam2) - 1.0) <= _TOL:
             raise NotHyperbolicError("Matrix has an eigenvalue of modulus one.")
         if (abs(lam1) - 1.0) * (abs(lam2) - 1.0) > 0:
             raise NotHyperbolicError(
@@ -394,8 +405,8 @@ class LinearSaddle(DynamicalSystem):
         self.inverse_matrix = _matrix_inverse_exact(matrix)
         self.lam_u, self.lam_s = (lam1, lam2) if abs(lam1) > 1 else (lam2, lam1)
         self.rate_u, self.rate_s = abs(self.lam_u), abs(self.lam_s)
-        self.v_u = self._eigenvector(self.lam_u, a, b, c, d, tol)
-        self.v_s = self._eigenvector(self.lam_s, a, b, c, d, tol)
+        self.v_u = self._eigenvector(self.lam_u, a, b, c, d)
+        self.v_s = self._eigenvector(self.lam_s, a, b, c, d)
         self._det_v = self.v_u[0] * self.v_s[1] - self.v_u[1] * self.v_s[0]
         self.orthogonal_splitting = (
             abs(self.v_u[0] * self.v_s[0] + self.v_u[1] * self.v_s[1]) <= 1e-12
@@ -404,13 +415,13 @@ class LinearSaddle(DynamicalSystem):
         self._extra_metrics = dict(extra_metrics or {})
 
     @staticmethod
-    def _eigenvector(lam, a, b, c, d, tol):
-        if abs(b) > tol:
+    def _eigenvector(lam, a, b, c, d):
+        if abs(b) > _TOL:
             v = (b, lam - a)
-        elif abs(c) > tol:
+        elif abs(c) > _TOL:
             v = (lam - d, c)
         else:
-            v = (1.0, 0.0) if abs(a - lam) <= tol else (0.0, 1.0)
+            v = (1.0, 0.0) if abs(a - lam) <= _TOL else (0.0, 1.0)
         norm = math.hypot(*v)
         return (v[0] / norm, v[1] / norm)
 
@@ -945,6 +956,10 @@ class GenericSystem(DynamicalSystem):
 
     def metric(self, x, y):
         return self._metric(x, y)
+
+    def is_own_metric(self, metric):
+        """The metric is instance data here, so only this instance's."""
+        return metric == self.metric
 
     def embed(self, x):
         return self._embed(x) if self._embed else None

@@ -537,22 +537,56 @@ def test_lattice_edge_count_needs_no_build(n, delta):
     assert np.array_equal(oracle.recurrent_mask(), mask)
 
 
+def test_a_ball_on_a_twin_saddle_takes_the_near_pairs_route(monkeypatch):
+    """A ball built on a second, equal instance of a saddle is in the
+    saddle's own metric, so its candidate pairs come from `_near_pairs`, as
+    for the saddle's own ball, and the two graphs are equal."""
+    twin = linear_hyperbolic(((2.0, 1.0), (1.0, 1.0)), name="saddle")
+    searches = []
+    real = chains._near_pairs
+    monkeypatch.setattr(chains, "_near_pairs",
+                        lambda *args: searches.append(args) or real(*args))
+    samples = [(i / 7, j / 7) for i in range(7) for j in range(7)]
+    own = build_chain_graph(SADDLE, samples, metric_ball(SADDLE, 0.3))
+    graph = build_chain_graph(SADDLE, samples, metric_ball(twin, 0.3))
+    assert len(searches) == 2
+    assert np.array_equal(own.indptr, graph.indptr)
+    assert np.array_equal(own.indices, graph.indices)
+
+
 def test_decompose_builds_the_lattice_csr_of_the_walked_rung_only(monkeypatch):
     """Only the stabilization rung of the torus ladder is walked, so its
-    graph is the one lattice CSR built; the wider rung 0 builds none."""
+    graph and its reverse, the lattice graph of the inverse matrix, are the
+    two lattice CSRs built; the wider rung 0 builds none."""
     built = []
     real = chains._lattice_csr
 
-    def counted(system, n, di, dj):
-        built.append((n, len(di)))
-        return real(system, n, di, dj)
+    def counted(matrix, n, di, dj):
+        built.append((matrix, n, len(di)))
+        return real(matrix, n, di, dj)
 
     monkeypatch.setattr(chains, "_lattice_csr", counted)
     dec = spectral_decompose(CAT, resolution=64)
     step = dec.stabilization_index
     assert step == 1
     walked = len(chains._lattice_offsets(64, dec.ladder[step])[0])
-    assert built == [(64, walked)]
+    assert sorted(built) == [(((1, -1), (-1, 2)), 64, walked),
+                             (CAT.matrix, 64, walked)]
+
+
+@PROPERTY
+@given(_lattice_graphs())
+def test_lattice_reverse_matches_the_generic_reverse(case):
+    """The reverse of x -> A x + O is the lattice graph of A^-1 with the
+    offsets -A^-1 O, built with no key sort; on random unimodular matrices,
+    the hyperbolic ones among them, and random sizes and radii its arrays
+    equal the generic reverse's, dtypes included."""
+    system, n, radius = case
+    graph = torus_grid_graph(system, n, radius)
+    generic = ChainGraph(graph.nodes, graph.indptr, graph.indices,
+                         "oracle").reversed_csr()
+    for got, want in zip(graph.reversed_csr(), generic, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_is_chain():

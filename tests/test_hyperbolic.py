@@ -46,7 +46,7 @@ from topodyn import (
 from topodyn import hyperbolic
 from topodyn.hyperbolic import (ExpansivityReport, PairSeparation,
                                  ProductStructure, _chunk_samples)
-from topodyn.systems import (TorusAutomorphism, _north_south, _respell,
+from topodyn.systems import (TorusAutomorphism, _north_south, _respell, catalog,
                              sft_metric, sphere_metric, symbolic_point)
 
 DIAG = linear_hyperbolic(((2, 0), (0, 0.5)), name="diag-saddle")
@@ -274,6 +274,35 @@ def test_local_sets_sft_cylinders():
     assert wu.contains(y3)  # agrees with x on (-inf, 1]
     y4 = FULL2.validate_point(splice_symbolic(x, zeros, seam=1))
     assert not wu.contains(y4)
+
+
+@pytest.mark.parametrize("name, kind", [("diag-saddle", "segment"),
+                                        ("golden-mean", "cylinder")])
+def test_a_ball_on_a_twin_instance_is_in_the_own_metric(name, kind):
+    """A second, equal instance of a system has the same metric, as the
+    class's metric reads no instance data: a ball built on the twin keeps
+    the closed-form expansivity proof and the closed-form local sets."""
+    entry = catalog()[name]
+    system, twin = entry.build(), entry.build()
+    assert system.metric != twin.metric and system.is_own_metric(twin.metric)
+    if kind == "segment":
+        x, y = (0.1, 0.2), (0.3, 0.2)
+    else:
+        x, y = system.periodic_point((0,)), system.periodic_point((0, 0, 1))
+    for B in (metric_ball(system, 0.5), metric_ball(twin, 0.5)):
+        report = expansive_check(system, B, [(x, y)], horizon=20)
+        assert report.proof_level == "closed-form"
+        assert local_stable_set(system, x, B).kind == kind
+        assert local_unstable_set(system, x, B).kind == kind
+
+
+def test_a_generic_system_owns_only_its_own_metric():
+    """A GenericSystem's metric is instance data, so the metric of another
+    instance built the same way is not its own, and its local sets are
+    sampled either way."""
+    ns, twin = _north_south(), _north_south()
+    assert ns.is_own_metric(ns.metric) and not ns.is_own_metric(twin.metric)
+    assert local_stable_set(ns, 0.5, metric_ball(twin, 0.3)).kind == "sampled"
 
 
 def test_local_set_sampled_fallback():

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from topodyn import (
     Certificate,
-    Report,
     parse_report,
     periodic_density_certificate,
     permutation_from_cycles,
@@ -26,13 +25,13 @@ from topodyn import (
     torus_automorphism,
     transitivity_certificate,
 )
-from topodyn.entourage import finite_relation, metric_ball, predicate_entourage
+from topodyn.entourage import finite_relation, metric_ball
 from topodyn.chains import (ChainGraph, _bfs_tree, _csr, _lattice_map,
                             build_chain_graph, torus_grid_graph)
-from topodyn.spectral import WalkDemo, _bfs_path, _lattice_index
-from topodyn.spectral import ConnectivityWitness, _witness_failures
-from topodyn.systems import (FiniteSystem, _north_south, catalog,
-                             symbolic_point, torus_grid)
+from topodyn.spectral import (_FAMILIES, ConnectivityWitness, CycleDemo,
+                              TracedWalk, WalkDemo, _bfs_path, _lattice_index,
+                              _witness_failures)
+from topodyn.systems import FiniteSystem, _north_south, catalog, torus_grid
 
 GOLDEN = sft_shift(("11", "10"), name="golden-mean")
 TWO_BLOCK = sft_shift(
@@ -92,21 +91,26 @@ def test_two_block_decomposition_frozen():
 
 def test_walk_demos_visit_their_targets():
     """A walk demo stores no end beside its walk: x is walk[0] and the
-    target y is walk[y_pos], both members, and the traced point reads them
-    at positions 0 and y_pos."""
-    assert [f.name for f in dataclasses.fields(WalkDemo)] == [
-        "walk", "y_pos", "traced", "gap"]
+    target y is walk[y_pos], both members. No walk stores a gap, and a
+    shift's walk no traced point: the periodic point of its word reads x
+    and y at positions 0 and y_pos. A shift's density demo is a cycle word
+    that starts at its node, and the gap the report prints."""
+    assert [f.name for f in dataclasses.fields(WalkDemo)] == ["walk", "y_pos"]
+    assert [f.name for f in dataclasses.fields(TracedWalk)] == [
+        "walk", "y_pos", "traced"]
+    assert [f.name for f in dataclasses.fields(CycleDemo)] == ["word", "gap"]
     dec = spectral_decompose(TWO_BLOCK, seed=3)
     for bs in dec.basic_sets:
         assert bs.transitivity.kind == "transitivity"
         for demo in bs.transitivity.demos:
+            assert type(demo) is WalkDemo
             x, y = demo.walk[0], demo.walk[demo.y_pos]
             assert demo.walk[-1] == x and {x, y} <= set(bs.nodes)
-            assert demo.traced.symbol_at(0) == x
-            assert demo.traced.symbol_at(demo.y_pos) == y
+            point = TWO_BLOCK.periodic_point(demo.walk[:-1])
+            assert point.symbol_at(0) == x and point.symbol_at(demo.y_pos) == y
         dens = bs.periodic_density
         for node, demo in zip(dens.component, dens.demos, strict=True):
-            assert demo.traced.symbol_at(0) == node
+            assert type(demo.word) is tuple and demo.word[0] == node
 
 
 def test_random_sfts_match_bruteforce_oracle():
@@ -155,24 +159,18 @@ def test_corrupted_walk_is_rejected():
 
 
 def test_corrupted_traced_point_is_rejected():
-    dec = spectral_decompose(TWO_BLOCK, seed=0)
-    by_nodes = {frozenset(bs.nodes): bs for bs in dec.basic_sets}
-    cert = by_nodes[frozenset({2, 3, 4})].transitivity
+    """Only metric walks store a traced orbit; with its first point moved by
+    1/1000 it is no orbit, which is the one failure."""
+    dec = spectral_decompose(CAT, resolution=16, seed=0)
+    cert = dec.basic_sets[0].transitivity
     demo = cert.demos[0]
-    impostor = TWO_BLOCK.periodic_point(
-        tuple(reversed(demo.walk[:-1]))
-    ) if _admissible(TWO_BLOCK, tuple(reversed(demo.walk[:-1]))) else \
-        TWO_BLOCK.periodic_point((2, 3, 4))
-    if impostor == demo.traced:
-        impostor = TWO_BLOCK.periodic_point((3, 4, 2))
-    broken = dataclasses.replace(demo, traced=impostor)
+    (u, v), rest = demo.traced[0], demo.traced[1:]
+    broken = dataclasses.replace(demo, traced=((u + Fraction(1, 1000), v),) + rest)
     bad_cert = dataclasses.replace(cert, demos=(broken,) + cert.demos[1:])
-    assert bad_cert.revalidate(TWO_BLOCK)
-
-
-def _admissible(system, block):
-    pairs = list(zip(block, block[1:])) + [(block[-1], block[0])]
-    return all(system.allowed(a, b) for a, b in pairs)
+    message = f"stored loop at {CAT.point_to_text(demo.walk[0])} is not an orbit"
+    assert bad_cert.revalidate(CAT) == [message]
+    assert _first_replaced(dec, "transitivity", demos=bad_cert.demos).validate(
+        CAT) == [f"basic set 0 [transitivity]: {message}"]
 
 
 def test_uncovered_node_is_rejected():
@@ -381,13 +379,14 @@ def test_a_hashable_non_point_node_is_one_failure(where):
                              THREE_CYCLE) == [message]
 
 
-@pytest.mark.parametrize("system, kwargs", [
-    (THREE_CYCLE, {}), (CAT, {"resolution": 16})],
-    ids=["exact-orbit", "metric-walk"])
-@pytest.mark.parametrize("field", ["walk", "traced"])
+@pytest.mark.parametrize("system, kwargs, field", [
+    (THREE_CYCLE, {}, "walk"), (CAT, {"resolution": 16}, "walk"),
+    (CAT, {"resolution": 16}, "traced")],
+    ids=["walk-exact-orbit", "walk-metric-walk", "traced-metric-walk"])
 def test_a_non_point_inside_a_walk_is_one_failure(system, kwargs, field):
-    """A walk node between the two ends, or a traced orbit entry, that is
-    no point of the system is one failure, before it is stepped."""
+    """A walk node between the two ends, or a metric walk's traced orbit
+    entry, that is no point of the system is one failure, before it is
+    stepped."""
     dec = spectral_decompose(system, seed=0, pairs=4, **kwargs)
     bs = dec.basic_sets[0]
     k, demo = next((k, d) for k, d in enumerate(bs.transitivity.demos)
@@ -421,24 +420,53 @@ def test_a_lattice_record_is_no_evidence_in_another_mode(system):
         f"the {cert.mode} mode reads no resolution, yet 16 is stored"]
 
 
-@pytest.mark.parametrize("system, kwargs", [
-    (TWO_BLOCK, {}), (CAT, {"resolution": 16})], ids=["symbolic", "torus"])
+WALK_SYSTEMS = pytest.mark.parametrize("system, kwargs", [
+    (TWO_BLOCK, {}), (CAT, {"resolution": 16}), (THREE_CYCLE, {})],
+    ids=["symbolic", "torus", "finite"])
+
+
+def _one_walk_failure(system, kwargs, walk_of, message):
+    """The first demo of the first basic set of three or more nodes given
+    the walk `walk_of(demo, nodes)` with target position 1: exactly one
+    failure, `walk at x {message}`, in revalidate() and in validate()."""
+    dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
+    k, bs = next((k, b) for k, b in enumerate(dec.basic_sets) if b.size >= 3)
+    cert = bs.transitivity
+    walk = walk_of(cert.demos[0], bs.nodes)
+    forged = _demo_replaced(cert, walk=walk, y_pos=1)
+    where = str(walk[0]) if system is TWO_BLOCK else system.point_to_text(walk[0])
+    assert forged.revalidate(system) == [f"walk at {where} {message}"]
+    sets = list(dec.basic_sets)
+    sets[k] = dataclasses.replace(bs, transitivity=forged)
+    assert dataclasses.replace(dec, basic_sets=tuple(sets)).validate(system) == [
+        f"basic set {k} [transitivity]: walk at {where} {message}"]
+
+
+@WALK_SYSTEMS
 def test_closed_walk_with_a_forbidden_step_is_rejected(system, kwargs):
     """A walk x -> y -> x that is closed and visits its target, but whose
-    first step is not in the chain relation."""
-    dec = spectral_decompose(system, seed=0, **kwargs)
-    if system is TWO_BLOCK:  # 2 -> 4 is a forbidden transition
-        bs = next(b for b in dec.basic_sets if set(b.nodes) == {2, 3, 4})
-        x, y = 2, 4
-    else:  # the node farthest from f(x) is no D-step from x
-        bs = dec.basic_sets[0]
-        x = bs.nodes[0]
-        y = max(bs.nodes, key=lambda p: CAT.metric(CAT.forward(x), p))
-    cert = bs.transitivity
-    demo = dataclasses.replace(cert.demos[0], walk=(x, y, x), y_pos=1)
-    failures = dataclasses.replace(cert, demos=(demo,)).revalidate(system)
-    assert any("takes a step outside the chain relation" in msg
-               for msg in failures)
+    first step is not in the chain relation: 2 -> 4 on the shift, a -> c
+    where f(a) = b, and on the torus the node farthest from f(x). It is one
+    failure; a metric walk's traced orbit is checked only once its walk
+    is."""
+    def forbidden(demo, nodes):
+        x = nodes[0]
+        y = {TWO_BLOCK: 4, THREE_CYCLE: "c"}.get(system) or max(
+            nodes, key=lambda p: CAT.metric(CAT.forward(x), p))
+        return (x, y, x)
+
+    _one_walk_failure(system, kwargs, forbidden,
+                      "takes a step outside the chain relation")
+
+
+@WALK_SYSTEMS
+def test_an_unclosed_walk_is_one_failure(system, kwargs):
+    """A walk whose last node is another member than its first is one
+    failure in every mode."""
+    def unclosed(demo, nodes):
+        return demo.walk[:-1] + (next(v for v in nodes if v != demo.walk[0]),)
+
+    _one_walk_failure(system, kwargs, unclosed, "is not closed")
 
 
 @pytest.mark.parametrize("system, kwargs", [
@@ -504,7 +532,7 @@ def test_lattice_map_permutes_the_lattice(matrix, n):
     grid then certifies itself at resolution n."""
     system = torus_automorphism((matrix[:2], matrix[2:]), name="drawn")
     i, j = np.divmod(np.arange(n * n), n)
-    fi, fj = _lattice_map(system, n)(i, j)
+    fi, fj = _lattice_map(system.matrix, n)(i, j)
     assert np.array_equal(np.sort(fi * n + fj), np.arange(n * n))
     cert = Certificate(kind="periodic-density", mode="lattice-cycle",
                        component=torus_grid(n), demos=(), resolution=n)
@@ -546,20 +574,19 @@ def test_a_density_cycle_that_leaves_its_component_fails(system, node, message):
 
 def test_too_small_chain_entourage_breaks_transitivity():
     """Under a D of half a grid cell the component is not strongly
-    connected, and its certificate fails; in a decomposition that D is not
-    the cut rung's ball, which is the one failure."""
+    connected, and its certificate fails; in a decomposition that radius is
+    not the cut rung, which is the one failure."""
     n = 20
     dec = _torus_dec(n)
     bs = dec.basic_sets[0]
-    tight = dataclasses.replace(bs.transitivity,
-                                chain_entourage=metric_ball(CAT, 0.5 / n))
+    tight = dataclasses.replace(bs.transitivity, radius=0.5 / n)
     assert any("not strongly connected under D" in msg
                for msg in tight.revalidate(CAT))
     bs = dataclasses.replace(bs, transitivity=tight)
     cut = dec.ladder[dec.stabilization_index]
     assert dataclasses.replace(dec, basic_sets=(bs,)).validate(CAT) == [
-        "basic set 0 [transitivity]: the chain entourage is not the ball of "
-        f"the cut rung {cut} in the metric of cat-map"]
+        f"basic set 0 [transitivity]: the chain radius {0.5 / n!r} is not "
+        f"the cut rung {cut}"]
 
 
 @pytest.mark.parametrize("n", [10, 20, 50])
@@ -574,11 +601,16 @@ def test_cat_grid_validates_clean_off_dyadic_resolutions(n):
 def test_a_relabelled_torus_resolution_fails_fast(relabel):
     """Invariance reads nodes as lattice integers only: nodes of the 48-grid
     read at resolution 24 are mostly off that lattice, and 48.0 is no
-    resolution. Either is one failure per basic set, found in well under a
-    second, as no node is measured against the members in floats."""
+    resolution. Either, on every density certificate, is one failure per
+    basic set, found in well under a second, as no node is measured against
+    the members in floats."""
     dec = spectral_decompose(CAT, resolution=48, seed=0, pairs=2)
     assert dec.validate(CAT) == []
-    relabelled = dataclasses.replace(dec, resolution=relabel)
+    relabelled = dataclasses.replace(dec, basic_sets=tuple(
+        dataclasses.replace(bs, periodic_density=dataclasses.replace(
+            bs.periodic_density, resolution=relabel))
+        for bs in dec.basic_sets))
+    assert relabelled.resolution == relabel
     start = time.perf_counter()
     failures = relabelled.validate(CAT)
     assert time.perf_counter() - start < 1.0
@@ -590,15 +622,21 @@ def test_a_relabelled_torus_resolution_fails_fast(relabel):
     ids=["symbolic", "finite", "torus-grid"])
 @pytest.mark.parametrize("label", ["symbolic", "finite", "torus-grid"])
 def test_a_relabelled_family_is_one_failure(system, kwargs, label):
-    """No check reads the family to pick a proof, so a family that does
-    not fit the system is one failure of its own, never an exception."""
+    """The family is read off the density certificates' mode, so it is
+    relabelled only by relabelling that mode, and a mode that does not fit
+    the system is one failure, never an exception."""
     dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
-    failures = dataclasses.replace(dec, family=label).validate(system)
+    assert "family" not in {f.name for f in dataclasses.fields(dec)}
+    mode = next(m for m, family in _FAMILIES.items() if family == label)
+    relabelled = _first_replaced(dec, "periodic_density", mode=mode)
+    assert relabelled.family == label
+    failures = relabelled.validate(system)
     if label == dec.family:
         assert failures == []
     else:
-        assert failures == [f"family {label!r} does not fit {system.name}, "
-                            f"whose family is {dec.family!r}"]
+        assert failures == [f"basic set 0 [periodic-density]: certificate mode "
+                            f"{mode!r} does not fit periodic-density evidence "
+                            f"on {system.name}"]
 
 
 def test_symbols_outside_the_alphabet_are_one_failure():
@@ -609,9 +647,8 @@ def test_symbols_outside_the_alphabet_are_one_failure():
     dec = spectral_decompose(TWO_BLOCK, seed=0)
     bs = next(b for b in dec.basic_sets if b.nodes == (2, 3, 4))
     assert TWO_BLOCK.allowed(-1, 2)
-    point = symbolic_point((2, -3, 4), (), (2, -3, 4))
     dens = dataclasses.replace(bs.periodic_density, demos=tuple(
-        dataclasses.replace(d, traced=point) if node == 2 else d
+        dataclasses.replace(d, word=(2, -3, 4)) if node == 2 else d
         for node, d in zip(bs.nodes, bs.periodic_density.demos)))
     assert dens.revalidate(TWO_BLOCK) == [
         "1 symbols read are outside the alphabet 0..5: the first is -3"]
@@ -681,35 +718,37 @@ def test_a_hostile_resolution_is_one_failure(n):
 
 
 def test_a_traced_orbit_forged_to_a_fixed_point_leaves_e():
-    """Each traced orbit replaced by the fixed point 0 and each gap set to
-    10: every step of the forged orbit is exact and within its gap, but
-    the check derives E from D, and the orbit starts outside E[x]."""
+    """Each traced orbit replaced by the fixed point 0: every step of the
+    forged orbit is exact, but the check builds E from the radius, and the
+    orbit starts outside E[x]."""
     dec = spectral_decompose(CAT, resolution=16, seed=0)
     bs = dec.basic_sets[0]
     zero = (Fraction(0), Fraction(0))
     forged = dataclasses.replace(bs.transitivity, demos=tuple(
-        dataclasses.replace(d, traced=(zero,) * (len(d.walk) - 1), gap=10)
+        dataclasses.replace(d, traced=(zero,) * (len(d.walk) - 1))
         for d in bs.transitivity.demos))
     failures = forged.revalidate(CAT)
-    assert failures and all("leaves E[x]" in msg for msg in failures)
+    assert [msg.endswith("leaves E[x]") for msg in failures] == [True] * len(
+        forged.demos)
     tampered = dataclasses.replace(bs, transitivity=forged)
     assert dataclasses.replace(dec, basic_sets=(tampered,)).validate(CAT)
 
 
-@pytest.mark.parametrize("system, kwargs, D, message", [
-    (CAT, {"resolution": 16}, None, "the chain entourage None is not an entourage"),
-    (CAT, {"resolution": 16}, "ball", "the chain entourage {D!r} has no radius")],
+@pytest.mark.parametrize("system, kwargs, radius", [
+    (CAT, {"resolution": 16}, None), (CAT, {"resolution": 16}, "ball")],
     ids=["none-metric-walk", "no-radius-metric-walk"])
 def test_a_walk_certificate_without_a_chain_entourage_is_one_failure(
-        system, kwargs, D, message):
-    """The metric-walk mode derives E from D, so a D that is no entourage,
-    or has no radius, ends the check with one failure."""
+        system, kwargs, radius):
+    """The metric-walk mode builds D and E from its radius, so a radius that
+    is no positive number, such as None or the chain entourage D itself,
+    ends the check with one failure."""
     cert = spectral_decompose(system, seed=0, pairs=2,
                               **kwargs).basic_sets[0].transitivity
-    if D == "ball":  # D's own relation, with no radius to derive E from
-        D = predicate_entourage(cert.chain_entourage.accepts)
-    wrong = dataclasses.replace(cert, chain_entourage=D)
-    assert wrong.revalidate(system) == [message.format(D=D)]
+    if radius == "ball":
+        radius = metric_ball(system, cert.radius)
+    wrong = dataclasses.replace(cert, radius=radius)
+    assert wrong.revalidate(system) == [
+        f"the chain radius {radius!r} is not a positive number"]
 
 
 @pytest.mark.parametrize("system, kwargs", [
@@ -717,21 +756,21 @@ def test_a_walk_certificate_without_a_chain_entourage_is_one_failure(
     ids=["symbolic", "exact-orbit", "torus"])
 @pytest.mark.parametrize("D", ["anything", "full", "ball"])
 def test_a_chain_entourage_that_no_check_reads_is_one_failure(system, kwargs, D):
-    """Only the metric-walk mode reads D: symbolic walks step by the
-    transitions, finite walks by f itself, and no density check reads one.
-    A D stored on any other certificate is its one failure, in revalidate()
-    and in validate(); so is a density certificate that stores a witness."""
+    """Only the metric-walk mode reads a chain radius: symbolic walks step
+    by the transitions, finite walks by f itself, and no density check
+    reads one. A radius, or anything else, stored on any other certificate
+    is its one failure, in revalidate() and in validate(); so is a density
+    certificate that stores a witness."""
     dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
-    D = {"anything": "anything", "ball": metric_ball(system, 0.5),
+    D = {"anything": "anything", "ball": 0.5,
          "full": finite_relation({(x, y) for x in "abc" for y in "abc"})}[D]
     bs = dec.basic_sets[0]
     for name in ("transitivity", "periodic_density"):
         cert = getattr(bs, name)
         if cert.mode == "metric-walk":
             continue
-        stored = dataclasses.replace(cert, chain_entourage=D)
-        message = (f"the {cert.mode} mode reads no chain entourage, yet a "
-                   f"{type(D).__name__} is stored")
+        stored = dataclasses.replace(cert, radius=D)
+        message = f"the {cert.mode} mode reads no radius, yet {D!r} is stored"
         assert stored.revalidate(system) == [message]
         tampered = dataclasses.replace(bs, **{name: stored})
         assert dataclasses.replace(
@@ -755,29 +794,83 @@ def _demo_replaced(cert, **changes):
 @pytest.mark.parametrize("gap", [math.nan, True, "x", None],
                          ids=["nan", "bool", "text", "none"])
 def test_a_gap_that_is_not_a_number_is_one_failure(system, kwargs, gap):
-    """Every gap, of a walk or of a shift's density demo, must be an int or
-    a float, not a bool and not NaN, which passes no comparison; finite and
-    torus density certificates store no demos, so only walks have gaps."""
+    """Only a shift's density demos store a gap, the one the report prints,
+    and it must be an int or a float, not a bool and not NaN, which passes
+    no comparison. No walk stores one, and finite and torus density
+    certificates store no demos, so their basic sets hold no gap."""
     bs = spectral_decompose(system, seed=0, pairs=2, **kwargs).basic_sets[0]
-    certs = [c for c in (bs.transitivity, bs.periodic_density) if c.demos]
-    assert len(certs) == (2 if system is TWO_BLOCK else 1)
+    certs = [c for c in (bs.transitivity, bs.periodic_density)
+             if any(hasattr(d, "gap") for d in c.demos)]
+    assert certs == ([bs.periodic_density] if system is TWO_BLOCK else [])
     for cert in certs:
         assert _demo_replaced(cert, gap=gap).revalidate(system) == [
             "a demo's gap is not a number"]
 
 
 @pytest.mark.parametrize("system, kwargs, kind, message", [
-    (TWO_BLOCK, {}, "transitivity", "a traced point is not a SymbolicPoint"),
-    (TWO_BLOCK, {}, "periodic_density", "a traced point is not a SymbolicPoint"),
+    (TWO_BLOCK, {}, "transitivity", "a transitivity demo is not a WalkDemo"),
+    (TWO_BLOCK, {}, "periodic_density",
+     "a cycle word is not a non-empty tuple of symbols"),
     (CAT, {"resolution": 16}, "transitivity",
      "a traced orbit is not a tuple of points"),
-    (THREE_CYCLE, {}, "transitivity", "a traced orbit is not a tuple of points")],
+    (THREE_CYCLE, {}, "transitivity", "a transitivity demo is not a WalkDemo")],
     ids=["symbolic-walk", "symbolic-density", "metric-walk", "exact-orbit"])
 def test_a_traced_point_of_the_wrong_type_is_one_failure(system, kwargs, kind,
                                                          message):
+    """Only metric walks store a traced orbit, a tuple: a traced walk in the
+    symbolic or exact-orbit mode, whose walks are their own periodic
+    points, is one failure, and so is a shift's cycle word, from which its
+    periodic point is built, that is no tuple."""
     bs = spectral_decompose(system, seed=0, pairs=2, **kwargs).basic_sets[0]
     cert = getattr(bs, kind)
-    assert _demo_replaced(cert, traced=None).revalidate(system) == [message]
+    first = cert.demos[0]
+    forged = (TracedWalk(first.walk, first.y_pos, first.walk[:-1])
+              if type(first) is WalkDemo else
+              dataclasses.replace(first, word=None) if type(first) is CycleDemo
+              else dataclasses.replace(first, traced=None))
+    assert dataclasses.replace(cert, demos=(forged,) + cert.demos[1:]).revalidate(
+        system) == [message]
+
+
+# shift density evidence is a cycle word and a gap: every tamper of either,
+# hostile words included, is one failure of the basic set, never an exception
+CYCLE_TAMPERS = {
+    # (basic set, node, changes, failure)
+    "leaves": (0, 0, {"word": (0, 5)}, "cycle word at 0 leaves the component"),
+    "inadmissible": (1, 2, {"word": (2, 4)}, "cycle word at 2 is not admissible"),
+    "wrong-start": (1, 2, {"word": (3, 4, 2)},
+                    "cycle point is outside the cylinder of 2"),
+    "gap-below": (0, 1, {"gap": 0.25}, "gap at 1 is larger than recorded"),
+    "none": (1, 2, {"word": None}, "a cycle word is not a non-empty tuple of symbols"),
+    "list": (1, 2, {"word": [2, 3, 4]},
+             "a cycle word is not a non-empty tuple of symbols"),
+    "empty": (1, 2, {"word": ()}, "a cycle word is not a non-empty tuple of symbols"),
+    "bool-symbol": (1, 2, {"word": (2, True, 4)},
+                    "1 symbols read are outside the alphabet 0..5: the first is True"),
+    "off-alphabet": (1, 2, {"word": (2, 3, 9)},
+                     "1 symbols read are outside the alphabet 0..5: the first is 9"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(CYCLE_TAMPERS))
+def test_a_tampered_cycle_word_is_one_failure(tamper):
+    """A word that leaves its component, is inadmissible, or starts at
+    another symbol than its node, a gap below the measured 0.5 of node 1,
+    and a word that is no non-empty tuple of alphabet symbols: one failure
+    each, as the check builds the periodic point from the word."""
+    k, node, changes, message = CYCLE_TAMPERS[tamper]
+    dec = spectral_decompose(TWO_BLOCK, seed=0)
+    cert = dec.basic_sets[k].periodic_density
+    assert cert.demos[0].gap == 0.0 and cert.demos[-1].gap == (0.5 if k == 0 else 0.0)
+    at = cert.component.index(node)
+    demos = list(cert.demos)
+    demos[at] = dataclasses.replace(demos[at], **changes)
+    forged = dataclasses.replace(cert, demos=tuple(demos))
+    assert forged.revalidate(TWO_BLOCK) == [message]
+    sets = list(dec.basic_sets)
+    sets[k] = dataclasses.replace(sets[k], periodic_density=forged)
+    assert dataclasses.replace(dec, basic_sets=tuple(sets)).validate(TWO_BLOCK) == [
+        f"basic set {k} [periodic-density]: {message}"]
 
 
 FAMILIES = {"cat-map": {"resolution": 12}, "golden-mean": {}, "full-2": {},
@@ -819,7 +912,8 @@ def test_a_hostile_field_is_one_failure(name, target):
     """Each hostile value in one field of the first basic set's
     certificates, in one of its certificate slots, or in the decomposition's
     basic sets, is exactly one failure string; a None where None is stored
-    (a D outside the metric-walk mode, a density witness) stays clean."""
+    (a radius outside the metric-walk mode, a density witness) stays
+    clean."""
     system, kwargs = HOSTILE_SYSTEMS[name]
     dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
     bs = dec.basic_sets[0]
@@ -838,7 +932,7 @@ def test_a_hostile_field_is_one_failure(name, target):
         assert len(failures) == 1 and type(failures[0]) is str, (value, failures)
 
 
-# forged radii and chain entourages: the report prints them, so they bind
+# forged radii and resolutions: the report prints them, so they bind
 
 
 def _first_replaced(dec, slot, **changes):
@@ -851,40 +945,42 @@ def _first_replaced(dec, slot, **changes):
 
 def test_forged_decompositions_are_one_failure_each():
     """Four forgeries that re-check clean certificate by certificate: a
-    metric-walk D raised above the printed cut rung, a D stored where the
-    exact-orbit and symbolic checks read none, and a lattice resolution of
-    32 in a decomposition at 16, whose nodes are lattice nodes at 32 too.
-    The torus ones are checked against a fresh instance of the cat map."""
+    metric-walk radius raised above the printed cut rung, a radius stored
+    where the exact-orbit and symbolic checks read none, and one density
+    certificate at resolution 32 in a decomposition at 16, whose nodes are
+    lattice nodes at 32 too. The torus ones are checked against a fresh
+    instance of the cat map."""
     fresh = torus_automorphism(((2, 1), (1, 1)), name="cat-map")
     cat = spectral_decompose(CAT, resolution=16, seed=0)
     assert cat.ladder == (0.25, 0.125, 0.0625) and cat.stabilization_index == 1
-    doubled = dataclasses.replace(cat.basic_sets[0].periodic_density,
+    assert cat.basic_sets[0].transitivity.radius == 0.125
+    fine = spectral_decompose(CAT, resolution=16, ladder=0.03, seed=0, pairs=1)
+    assert fine.component_count > 1 and fine.resolution == 16
+    doubled = dataclasses.replace(fine.basic_sets[0].periodic_density,
                                   resolution=32)
     assert doubled.revalidate(fresh) == []
     three = spectral_decompose(THREE_CYCLE, seed=0)
-    full = finite_relation({(x, y) for x in "abc" for y in "abc"},
-                           space_id=THREE_CYCLE.space_id, points=("a", "b", "c"))
     forged = [
-        (_first_replaced(cat, "transitivity", chain_entourage=metric_ball(CAT, 0.5)),
-         fresh, "basic set 0 [transitivity]: the chain entourage is not the "
-                "ball of the cut rung 0.125 in the metric of cat-map"),
-        (_first_replaced(three, "transitivity", chain_entourage=full), THREE_CYCLE,
-         "basic set 0 [transitivity]: the exact-orbit mode reads no chain "
-         "entourage, yet a FiniteRelation is stored"),
+        (_first_replaced(cat, "transitivity", radius=0.5), fresh,
+         "basic set 0 [transitivity]: the chain radius 0.5 is not the cut "
+         "rung 0.125"),
+        (_first_replaced(three, "transitivity", radius=0.125), THREE_CYCLE,
+         "basic set 0 [transitivity]: the exact-orbit mode reads no radius, "
+         "yet 0.125 is stored"),
         (_first_replaced(spectral_decompose(TWO_BLOCK, seed=0), "transitivity",
-                         chain_entourage="anything"), TWO_BLOCK,
-         "basic set 0 [transitivity]: the symbolic mode reads no chain "
-         "entourage, yet a str is stored"),
-        (_first_replaced(cat, "periodic_density", resolution=32), fresh,
-         "basic set 0: resolution 16 is not the density certificate's 32"),
+                         radius="anything"), TWO_BLOCK,
+         "basic set 0 [transitivity]: the symbolic mode reads no radius, yet "
+         "'anything' is stored"),
+        (_first_replaced(fine, "periodic_density", resolution=32), fresh,
+         "the density certificates are at resolutions [16, 32], not one"),
     ]
-    assert cat.validate(fresh) == []
+    assert cat.validate(fresh) == [] and fine.validate(fresh) == []
     for dec, system, message in forged:
         assert dec.validate(system) == [message]
 
 
 def test_moving_the_stabilization_index_moves_the_cut_rung():
-    """The stabilization index picks the rung D is bound to, so on the torus
+    """The stabilization index picks the rung the radius is bound to, so on the torus
     moving it, or dropping it for the last rung, is one failure per basic
     set; an index off the ladder is one failure."""
     dec = spectral_decompose(CAT, resolution=16, seed=0, pairs=1)
@@ -892,7 +988,7 @@ def test_moving_the_stabilization_index_moves_the_cut_rung():
     for moved in (0, 2, None):
         failures = dataclasses.replace(dec, stabilization_index=moved).validate(CAT)
         assert len(failures) == len(dec.basic_sets)
-        assert all("is not the ball of the cut rung" in msg for msg in failures)
+        assert all("is not the cut rung" in msg for msg in failures)
     for off in (3, -1, 1.0, True):
         assert dataclasses.replace(dec, stabilization_index=off).validate(CAT) == [
             f"the stabilization index {off!r} is not a step of the ladder "
@@ -916,17 +1012,18 @@ DERIVED = {
 @pytest.mark.parametrize("name, resolution, ladder", sorted(
     DERIVED, key=str), ids=lambda v: str(v))
 def test_derived_decomposition_facts_keep_their_values(name, resolution, ladder):
-    """recurrent_nodes, exact, note and the ids are derived, not stored:
-    their values are the stored ones of before, the ids are positions, the
-    recurrent count is the ladder's at the cut step, and the report counts
-    the nodes from the basic sets' sizes. Dropping a basic set drops its
+    """recurrent_nodes, family, resolution, exact, note and the ids are
+    derived, not stored: the values of the first and the last two are the
+    stored ones of before, the ids are positions, the recurrent count is
+    the ladder's at the cut step, and the report counts the nodes from the
+    basic sets' sizes. Dropping a basic set drops its
     nodes from the derived set and the report, so the printed counts cannot
     disagree with the basic sets."""
     system = catalog()[name].build()
     kwargs = {"resolution": resolution, "ladder": ladder} if resolution else {}
     dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
-    assert not any(f.name in ("recurrent_nodes", "exact", "note")
-                   for f in dataclasses.fields(dec))
+    assert not any(f.name in ("recurrent_nodes", "family", "resolution",
+                              "exact", "note") for f in dataclasses.fields(dec))
     assert [f.name for f in dataclasses.fields(dec.basic_sets[0])] == [
         "transitivity", "periodic_density"]
     text = repr((dec.recurrent_nodes, dec.exact, dec.note))
@@ -958,6 +1055,8 @@ def test_three_cycle_decomposition():
     dens = dec.basic_sets[0].periodic_density
     assert dens.demos == () and dens.resolution is None
     assert all(perm.orbit_period(x) == 3 for x in dens.component)
+    trans = dec.basic_sets[0].transitivity
+    assert trans.radius is None and all(type(d) is WalkDemo for d in trans.demos)
 
 
 def test_two_fixed_points_make_two_basic_sets():
@@ -991,7 +1090,10 @@ def test_cat_grid_certificates_revalidate():
     assert dec.to_report().tables["basic-sets"][1][0][3] == 0.0
     trans = dec.basic_sets[0].transitivity
     assert trans.mode == "metric-walk"
+    assert type(trans.radius) is float and trans.radius == dec.ladder[
+        dec.stabilization_index]
     for demo in trans.demos:
+        assert type(demo) is TracedWalk
         period = len(demo.walk) - 1
         assert len(demo.traced) == period
         # stored loops are exact rational orbits
@@ -1257,13 +1359,14 @@ def _leaf_rewired(system, bs, tree):
     edge into (or out of) the leaf is no D-step, with its level one below
     its new parent's, so the tree still spans the component."""
     cert = bs.transitivity
-    w, comp, D = cert.witness, cert.component, cert.chain_entourage
+    w, comp = cert.witness, cert.component
     parent = getattr(w, f"{tree}_parent").copy()
     level = getattr(w, f"{tree}_level").copy()
     chained = (system.allowed if cert.mode == "symbolic" else
                (lambda a, b: system.forward(a) == b)
                if cert.mode == "exact-orbit" else
-               lambda a, b: D.accepts(system.forward(a), b))
+               lambda a, b: metric_ball(system, cert.radius).accepts(
+                   system.forward(a), b))
     step = ((lambda q, k: chained(comp[q], comp[k])) if tree == "out" else
             (lambda q, k: chained(comp[k], comp[q])))
     leaves = sorted(set(range(1, len(comp))) - set(parent.tolist()))
@@ -1394,7 +1497,7 @@ def test_a_witness_with_bad_edges_is_one_failure_per_tree(system, kwargs):
     comp = cert.component
     if system is CAT:  # only exact lattice steps stay D-steps
         D = metric_ball(CAT, 1e-9)
-        cert = dataclasses.replace(cert, chain_entourage=D)
+        cert = dataclasses.replace(cert, radius=D.radius)
         step = lambda a, b: D.accepts(CAT.forward(a), b)
     else:
         system = FiniteSystem(tuple(system.points), {
@@ -1465,12 +1568,12 @@ def test_torus_witness_check_agrees_with_the_fresh_chain_graph(
                              pairs=1)
     for bs in dec.basic_sets[:3]:
         cert = bs.transitivity
-        D = cert.chain_entourage
+        D = metric_ball(CAT, cert.radius)
         assert _witness_failures(cert, CAT) == []
         assert build_chain_graph(CAT, cert.component, D).is_strongly_connected()
-        tight = dataclasses.replace(
-            cert, chain_entourage=metric_ball(CAT, D.radius * tighter))
-        fresh = build_chain_graph(CAT, cert.component, tight.chain_entourage)
+        tight = dataclasses.replace(cert, radius=cert.radius * tighter)
+        fresh = build_chain_graph(CAT, cert.component,
+                                  metric_ball(CAT, tight.radius))
         stored = _witness_failures(tight, CAT) == []
         w = cert.witness
         edges = [(int(w.out_parent[k]), k) for k in range(1, bs.size)] + [
