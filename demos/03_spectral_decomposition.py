@@ -24,14 +24,13 @@ dec = spectral_decompose(two_block, seed=0)
 print(f"{two_block.name}: {dec.component_count} basic sets,"
       f" recurrent symbols {dec.recurrent_nodes}")
 for k, bs in enumerate(dec.basic_sets):
-    demo = bs.transitivity.demos[0]
     print(f"  basic set {k}: symbols {sorted(bs.nodes)},"
-          f" sample walk {demo.walk}")
+          f" cycle through the root {bs.transitivity.tree_cycle(0)}")
 print("  certificates revalidate:", dec.validate(two_block) == [])
 print()
 
 # the report form renders as a key: value document with tables
-print(dec.to_report().to_text())
+print(dec.to_report(two_block).to_text())
 
 # the torus automorphism is irreducible: one basic set, stable as the
 # entourage ladder shrinks

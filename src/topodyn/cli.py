@@ -92,7 +92,7 @@ def _cmd_decompose(args, parser):
     except (TypeError, GraphTooLargeError) as err:
         parser.error(str(err))
     failures = dec.validate(system)
-    rep = dec.to_report()
+    rep = dec.to_report(system)
     if failures:
         rep.set("verdict", FAIL)
         rep.add_table("validation-failures", ["message"],

@@ -1,23 +1,25 @@
 """Spectral decomposition of the recurrent set into certified basic sets.
 
 The pipeline partitions chain-recurrent nodes into chain components and
-attaches two certificates to each: transitivity (closed chains through
-sampled node pairs, traced to periodic points that visit both cross-
-sections) and periodic density (every recurrent node has a verified
-periodic point inside its entourage ball: on a shift a stored cycle word, on a
-finite map or the torus lattice the node itself, as both maps permute a
-finite set). Certificates carry the nodes, walks and orbits needed to
-re-verify from scratch, with no cached graph state, and each claim has one
-evidence format and one check (`Certificate`).
+attaches two certificates to each, transitivity and periodic density.
+They carry what re-verifies from scratch, with no cached graph state, and
+each claim has one evidence format and one check (`Certificate`). Every
+transitivity certificate carries out- and in-trees that prove its
+component strongly connected, which on a shift or a finite map is the
+whole proof (`_revalidate_exact`); a shift's density gaps are measured on
+the cycles that the trees close (`Certificate.tree_cycle`). On the torus,
+transitivity also stores closed chains through sampled node pairs, traced
+to periodic points that visit both cross-sections, and density is the
+lattice, which x -> A x mod n permutes.
 
 Every fact is stored once, and evidence holds only what its check cannot
 rebuild. A decomposition derives `recurrent_nodes` (the sorted union of the
 basic sets' nodes), its family and resolution (read off the density
 certificates' mode and resolution), `exact`, `note` and the basic-set ids
 (positions) from its basic sets; `validate()` binds each metric-walk
-radius to the ladder's cut rung and the density certificates to one
-resolution. `stabilization_index` and the ladder history are unchecked
-diagnostics.
+radius to the ladder's cut rung, the density certificates to one
+resolution, and the history row of the cut rung to the counts of nodes and
+basic sets. The other history rows are unchecked diagnostics.
 
 Shift spaces give the transition graph of their symbols, whose
 cycle-containing strongly connected components are exactly the basic
@@ -64,35 +66,17 @@ NONCOMPACT_NOTE = (
 
 
 @dataclass(frozen=True)
-class WalkDemo:
-    """A closed chain from x = walk[0] back to x, of period len(walk) - 1,
-    through its target y = walk[y_pos]. A shift's walk is a cycle word,
-    whose periodic point starts at x and reads y at y_pos, and a finite
-    map's walk is a periodic orbit, so neither stores a traced point."""
+class TracedWalk:
+    """A closed metric D-chain from x = walk[0] back to x, of period
+    len(walk) - 1, through its target y = walk[y_pos], with the periodic
+    orbit it was traced to, one point per walk step, in rational
+    coordinates, so periodicity is exact and a re-check steps through it
+    rather than iterating the float map, which would amplify rounding by
+    rate_u^period."""
 
     walk: tuple
     y_pos: int
-
-
-@dataclass(frozen=True)
-class TracedWalk(WalkDemo):
-    """A metric walk with the periodic orbit it was traced to, one point per
-    walk step, in rational coordinates, so periodicity is exact and a
-    re-check steps through it rather than iterating the float map, which
-    would amplify rounding by rate_u^period."""
-
     traced: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class CycleDemo:
-    """A cycle word of a shift, one period of the periodic point that the
-    check builds from it, and that point's gap to the representative point
-    of one node: demo k of a symbolic density certificate is about node k
-    of its component, and its word starts at that node."""
-
-    word: tuple
-    gap: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,29 +110,26 @@ class Certificate:
 
     mode picks the re-verification routine, and `_mode_for` fixes the one
     mode of each system family and kind:
-      symbolic        walks are bare `WalkDemo` symbol sequences checked
-                      against transitions; density demos are cycle words,
-                      one per node
-      metric-walk     walks are `TracedWalk` D-chains of points, traced to
-                      exact periodic orbits that start in E[x] and visit
-                      E[y]; D and E are built from the stored `radius`, E as
-                      the ball of the tracing coefficient times it
-      exact-orbit     the metric-walk routine on a finite system, whose steps
-                      are f(a) == b, so bare walks are periodic orbits;
-                      density stores no demos, as f is a bijection of a
-                      finite set and every node is its own periodic point
+      symbolic        shifts, proven by the witness trees, whose steps are
+                      transitions; no demos are stored (`_revalidate_exact`)
+      exact-orbit     the same on finite systems, whose step is f(a) == b
+      metric-walk     transitivity demos are `TracedWalk` D-chains of
+                      points, traced to exact periodic orbits that start in
+                      E[x] and visit E[y]; D and E are built from the stored
+                      `radius`, E as the ball of the tracing coefficient
+                      times it
       lattice-cycle   density on the torus grid at `resolution` n, with no
                       demos: x -> A x mod n permutes the lattice, so every
                       node is its own periodic point, and the check runs in
                       lattice integers (`_revalidate_lattice`)
-    Only metric-walk certificates store a chain `radius`, a positive number,
-    only transitivity ones a `witness`, a `ConnectivityWitness` whose
-    2(|C| - 1) tree edges are each re-tested by the walks' step relation
-    (`_chain_step`), and only lattice-cycle ones a `resolution`: an int
-    n >= 1 with n * n in the int32 range, as `torus_grid_graph` builds.
-    Each density check makes every node's cycle lie in the component (on a
-    shift demo k's cycle word, for node k; elsewhere the node's image), so
-    the density certificate proves that the component is invariant.
+    Only metric-walk certificates store demos and a chain `radius`, a
+    positive number, only transitivity ones a `witness`, a
+    `ConnectivityWitness` whose 2(|C| - 1) tree edges are each re-tested by
+    the step relation (`_chain_step`), and only lattice-cycle ones a
+    `resolution`: an int n >= 1 with n * n in the int32 range, as
+    `torus_grid_graph` builds. Each density check makes every node step
+    into the component, so the density certificate proves that the
+    component is invariant.
     """
 
     kind: str
@@ -160,7 +141,7 @@ class Certificate:
     resolution: object = None
 
     def revalidate(self, system):
-        """Re-check every demo from scratch; returns failure strings."""
+        """Re-check the evidence from scratch; returns failure strings."""
         mode = _mode_for(system, self.kind)
         if mode is None or self.mode != mode:
             return [f"certificate mode {self.mode!r} does not fit "
@@ -168,16 +149,37 @@ class Certificate:
         failure = self._evidence_failure()
         return [failure] if failure else _REVALIDATE[mode](self, system)
 
+    def tree_cycle(self, k):
+        """The cycle that the witness trees close through component node k,
+        as one period of nodes from node k: up the in-tree to the root, then
+        down the out-tree back to k. The root's goes down the out-tree to
+        node 1, then up the in-tree, and a one-node component's is the root
+        alone. None when the trees do not lead from node k (node 1 for the
+        root) to the root in at most |C| parents within the component."""
+        comp, w = self.component, self.witness
+        m = len(comp)
+        if m == 1:
+            return comp
+        if not isinstance(w, ConnectivityWitness) or any(
+                a.shape != (m,) for a in (w.in_parent, w.out_parent)):
+            return None
+        j = k or 1
+        up, down = _path_to_root(w.in_parent, j), _path_to_root(w.out_parent, j)
+        if up is None or down is None:
+            return None
+        up, down = up[:-1], down[:0:-1]  # j .. up to the root; root .. to j
+        return tuple(comp[i] for i in (up + down if k else down + up))
+
     def _evidence_failure(self):
         """Why the fields are not evidence of the form the routine reads,
         or not about `component`, or None. The routines iterate a tuple
         component and tuple demos, read fields that only the right type has,
-        compare number gaps, read symbol tuples, step through tuple orbits,
-        build D and E from the radius and size lattice arrays by the
-        resolution. Nodes must hash; there must be a walk, each a node tuple
-        that starts and aims at members, and symbolic demo k must be about
-        member k; the lattice-cycle routine decodes its nodes itself."""
-        demos, symbolic = self.demos, self.mode == "symbolic"
+        step through tuple orbits, build D and E from the radius and size
+        lattice arrays by the resolution. Nodes must hash; only metric walks
+        are demos, and there must be one, each a node tuple that starts and
+        aims at members; the lattice-cycle routine decodes its nodes
+        itself."""
+        demos = self.demos
         r, n = self.radius, self.resolution
         lattice, metric = self.mode == "lattice-cycle", self.mode == "metric-walk"
         if type(self.component) is not tuple or not self.component:
@@ -198,44 +200,49 @@ class Certificate:
                     "n * n in the int32 range")
         if self.kind != "transitivity" and self.witness is not None:
             return "density evidence reads no connectivity witness, yet one is stored"
-        if self.kind == "transitivity":
-            form = TracedWalk if metric else WalkDemo
-            if type(demos) is not tuple or not all(type(d) is form for d in demos):
-                return f"a transitivity demo is not a {form.__name__}"
-            if not demos:
-                return "no walk demo"
-            if not all(type(d.walk) is tuple and len(d.walk) >= 2
-                       and type(d.y_pos) is int and 0 <= d.y_pos < len(d.walk)
-                       for d in demos):
-                return "a walk is not a node tuple with a target position in it"
-            try:
-                hash(tuple(d.walk for d in demos))  # hashes every node
-            except TypeError:
-                return "a walk node cannot be hashed"
-            ends = {d.walk[k] for d in demos for k in (0, d.y_pos)}
-            if len(ends.intersection(self.component)) != len(ends):
-                return "a walk starts or aims outside the component"
-            if metric and not all(type(d.traced) is tuple for d in demos):
-                return "a traced orbit is not a tuple of points"
-        elif not symbolic:
+        if not metric:
             if type(demos) is not tuple or demos:
-                return (f"the {self.mode} mode reads no density demos, yet a "
+                return (f"the {self.mode} mode reads no demos, yet a "
                         f"{type(demos).__name__} is stored")
-        elif type(demos) is not tuple or not all(
-                type(d) is CycleDemo for d in demos):
-            return "a density demo is not a cycle demo"
-        elif len(demos) != len(self.component):
-            return "density demos do not cover the component once each"
-        elif not all(type(d.word) is tuple and d.word for d in demos):
-            return "a cycle word is not a non-empty tuple of symbols"
-        elif not all(_is_number(d.gap) for d in demos):
-            return "a demo's gap is not a number"
+            return None
+        if type(demos) is not tuple or not all(type(d) is TracedWalk for d in demos):
+            return "a transitivity demo is not a TracedWalk"
+        if not demos:
+            return "no walk demo"
+        if not all(type(d.walk) is tuple and len(d.walk) >= 2
+                   and type(d.y_pos) is int and 0 <= d.y_pos < len(d.walk)
+                   for d in demos):
+            return "a walk is not a node tuple with a target position in it"
+        try:
+            hash(tuple(d.walk for d in demos))  # hashes every node
+        except TypeError:
+            return "a walk node cannot be hashed"
+        ends = {d.walk[k] for d in demos for k in (0, d.y_pos)}
+        if len(ends.intersection(self.component)) != len(ends):
+            return "a walk starts or aims outside the component"
+        if not all(type(d.traced) is tuple for d in demos):
+            return "a traced orbit is not a tuple of points"
         return None
 
 
+def _path_to_root(parent, k):
+    """Positions k, parent[k], ... down to the root, position 0, or None
+    when a parent is out of range or the root is not reached in len(parent)
+    steps, as when the parents form a cycle."""
+    path = [k]
+    for _ in range(len(parent)):
+        if path[-1] == 0:
+            return path
+        up = int(parent[path[-1]])
+        if not 0 <= up < len(parent):
+            return None
+        path.append(up)
+    return None
+
+
 def _is_number(value):
-    """Whether a recorded gap or radius is a number to compare with: an
-    int or a float, not a bool and not NaN."""
+    """Whether a recorded radius is a number to compare with: an int or a
+    float, not a bool and not NaN."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and not math.isnan(value))
 
@@ -266,7 +273,7 @@ def _mode_for(system, kind):
 
 
 def _chain_step(cert, system):
-    """The step relation of cert's walks and witness trees: a transition of
+    """The step relation of cert's witness trees and walks: a transition of
     the shift on symbols, f(a) == b on a finite system, otherwise (a, b)
     with f(a) in D[b], D the ball of the certificate's radius."""
     if cert.mode == "symbolic":
@@ -277,100 +284,62 @@ def _chain_step(cert, system):
     return lambda a, b: D.accepts(system.forward(a), b)
 
 
-def _walk_failure(walk, step, where):
-    """Why `walk`, whose shape `Certificate._evidence_failure` has checked,
-    is not a closed walk with each step (a, b) accepted by step(a, b), or
-    None."""
-    if walk[0] != walk[-1]:
-        return f"walk at {where} is not closed"
-    if not all(step(a, b) for a, b in zip(walk, walk[1:])):
-        return f"walk at {where} takes a step outside the chain relation"
-    return None
-
-
-def _revalidate_symbolic(cert, system):
-    """Walks and cycle words on symbols. Every symbol read must be an int
-    in 0..size - 1 before a transition is looked up, as a negative one would
-    index the transition rows from the end. A walk must be closed and
-    allowed: its periodic point, that of walk[:-1], starts at x and reads y
-    at y_pos. Each cycle word is `_cycle_failure`'s."""
-    walks = cert.kind == "transitivity"
-    words = [d.walk if walks else d.word for d in cert.demos]
-    off = [s for s in itertools.chain(cert.component, *words)
-           if type(s) is not int or not 0 <= s < system.size]
-    if off:
-        return [f"{len(off)} symbols read are outside the alphabet "
-                f"0..{system.size - 1}: the first is {off[0]!r}"]
-    if walks:
-        step = _chain_step(cert, system)
-        return _witness_failures(cert, system) + [
-            failure for failure in (_walk_failure(d.walk, step, d.walk[0])
-                                    for d in cert.demos) if failure]
-    members = set(cert.component)
-    return [failure for failure in (
-        _cycle_failure(system, members, node, demo)
-        for node, demo in zip(cert.component, cert.demos)) if failure]
-
-
-def _cycle_failure(system, members, node, demo):
-    """Why demo's cycle word is not a cycle of the component's symbol graph
-    through `node` whose periodic point, built here, lies within the
-    recorded gap of the node's representative point, or None; a word stays
-    in the component, so its periodic point belongs to the basic set."""
-    word = demo.word
-    if not members.issuperset(word):
-        return f"cycle word at {node} leaves the component"
-    if word[0] != node:
-        return f"cycle point is outside the cylinder of {node}"
-    try:
-        point = system.periodic_point(word)
-    except ValueError:
-        return f"cycle word at {node} is not admissible"
-    if not sft_metric(point, system.representative_point(node)) <= demo.gap + 1e-15:
-        return f"gap at {node} is larger than recorded"
-    return None
+def _revalidate_exact(cert, system):
+    """Shifts and finite maps, proven by their witness trees: a strongly
+    connected component of a shift's symbol graph is an irreducible shift,
+    transitive and with a closed walk through every admissible word
+    (Lind-Marcus), and one of a permutation is one cycle. Transitivity is
+    the witness check; density, and invariance with it, needs every node a
+    to step into the component under `_chain_step`: some member among a's
+    successors on a shift, so a one-node component needs a loop, and f(a)
+    on a finite map. Every symbol must first be an int in 0..size - 1, as a
+    negative one would index the transition rows from the end, and every
+    finite node a point before f steps it."""
+    comp = cert.component
+    if cert.mode == "symbolic":
+        off = [s for s in comp if type(s) is not int or not 0 <= s < system.size]
+        if off:
+            return [f"{len(off)} symbols read are outside the alphabet "
+                    f"0..{system.size - 1}: the first is {off[0]!r}"]
+    elif not all(map(_is_point(system), comp)):
+        return ["a component node is not a point of the system"]
+    if cert.kind == "transitivity":
+        return _witness_failures(cert, system)
+    members, symbolic = set(comp), cert.mode == "symbolic"
+    stuck = [a for a in comp if members.isdisjoint(
+        system.successors(a) if symbolic else (system.forward(a),))]
+    show = str if symbolic else system.point_to_text
+    return [f"{len(stuck)} nodes do not step into the component: the first "
+            f"is {show(stuck[0])}"] if stuck else []
 
 
 def _revalidate_metric(cert, system):
-    """Closed chains; on a finite system they step by f, so they are
-    periodic orbits, and its density needs each node to be a point,
-    periodic as f is a bijection, whose image is in the component. Metric
-    walks are D-chains, each traced to an exact periodic orbit
-    (`_orbit_failure`)."""
-    bad = []
-    if cert.kind != "transitivity":
-        members, point = set(cert.component), _is_point(system)
-        for node in cert.component:
-            if not point(node):
-                bad.append(f"{node} is not a point of the system")
-            elif system.forward(node) not in members:
-                bad.append(f"image of {node} leaves the component")
-        return bad
-    bad.extend(_witness_failures(cert, system))
-    traced = cert.mode == "metric-walk"
+    """Metric walks: the witness, then each walk a closed D-chain traced to
+    an exact periodic orbit (`_orbit_failure`)."""
+    bad = _witness_failures(cert, system)
     point = _is_point(system)
-    if not all(point(x) for demo in cert.demos for x in itertools.chain(
-            demo.walk, demo.traced if traced else ())):
+    if not all(point(x) for demo in cert.demos
+               for x in itertools.chain(demo.walk, demo.traced)):
         return bad + ["a walk or traced orbit holds a node that is not a "
                       "point of the system"]
     chained = _chain_step(cert, system)
-    in_E = traced and metric_ball(
+    in_E = metric_ball(
         system, system.tracing_coefficient() * cert.radius + 1e-12).accepts
-    for demo in cert.demos:
-        where = system.point_to_text(demo.walk[0])
-        failure = (_walk_failure(demo.walk, chained, where)
-                   or traced and _orbit_failure(system, demo, in_E, where))
-        if failure:
-            bad.append(failure)
-    return bad
+    failures = (_orbit_failure(system, demo, chained, in_E) for demo in cert.demos)
+    return bad + [failure for failure in failures if failure]
 
 
-def _orbit_failure(system, demo, in_E, where):
-    """Why the traced orbit of a closed metric walk is not an exact periodic
-    orbit of its period that starts in E[walk[0]] and visits
+def _orbit_failure(system, demo, chained, in_E):
+    """Why a metric walk, whose shape `Certificate._evidence_failure` has
+    checked, is not a closed walk of `chained` steps traced to an exact
+    periodic orbit of its period that starts in E[walk[0]] and visits
     E[walk[y_pos]] at y_pos, or None."""
     walk, orbit = demo.walk, demo.traced
-    period = len(walk) - 1
+    where, period = system.point_to_text(walk[0]), len(walk) - 1
+    if walk[0] != walk[-1]:
+        return f"walk at {where} is not closed"
+    if not all(chained(a, b) for a, b in zip(walk, walk[1:])):
+        return f"walk at {where} takes a step outside the chain relation"
     if len(orbit) != period:
         return f"orbit at {where} has the wrong length"
     if any(system.forward(orbit[k]) != orbit[(k + 1) % period]
@@ -495,9 +464,9 @@ def _revalidate_lattice(cert, system):
 
 
 _REVALIDATE = {
-    "symbolic": _revalidate_symbolic,
+    "symbolic": _revalidate_exact,
+    "exact-orbit": _revalidate_exact,
     "metric-walk": _revalidate_metric,
-    "exact-orbit": _revalidate_metric,
     "lattice-cycle": _revalidate_lattice,
 }
 
@@ -551,12 +520,12 @@ def _closed_walk_through(graph, inside, x, y):
 def transitivity_certificate(graph, component, system, radius=None, seed=0,
                              pairs=8):
     """Evidence that f restricted to a chain component, a set of node
-    indices of `graph`, is topologically transitive: for sampled node pairs
-    (x, y), a closed walk through x visiting y, traced to a periodic point
-    p in E[x] whose y-visit is in E[y], and the component's connectivity
-    witness on `graph`. `radius` is that of the chain entourage D of metric
-    walks, whose traced orbits are stored; shift walks are words and finite
-    walks orbits, which take no radius and are their own periodic points."""
+    indices of `graph`, is topologically transitive: the component's
+    connectivity witness on `graph`, which on a shift or a finite map is
+    the whole proof, and no demos there. Metric walks also store, for
+    `pairs` sampled node pairs (x, y), a closed walk through x visiting y,
+    traced to a periodic point p in E[x] whose y-visit is in E[y]; `radius`
+    is that of their chain entourage D."""
     component = sorted(component)
     if not component:
         raise ValueError("The component is empty.")
@@ -565,20 +534,20 @@ def transitivity_certificate(graph, component, system, radius=None, seed=0,
     if inside.sum() != len(component) or not inside[component].all():
         raise ValueError("The nodes do not form one strongly connected "
                          "component of the graph.")
-    rng = random.Random(seed)
-    mode = _mode_for(system, "transitivity")
-    show = str if mode == "symbolic" else system.point_to_text
-    demos = []
-    for xi, yi in ([(component[0],) * 2] if len(component) == 1 else
-                   [tuple(rng.sample(component, 2)) for _ in range(pairs)]):
-        x, y = graph.nodes[xi], graph.nodes[yi]
+    mode, rng, demos = _mode_for(system, "transitivity"), random.Random(seed), []
+    if mode != "metric-walk":
+        ends = []
+    elif len(component) == 1:
+        ends = [(component[0],) * 2]
+    else:
+        ends = [tuple(rng.sample(component, 2)) for _ in range(pairs)]
+    for xi, yi in ends:
         walk_idx, y_pos = _closed_walk_through(graph, inside, xi, yi)
         if walk_idx is None:
-            raise CertificateError(
-                f"No closed walk through {show(x)} and {show(y)}.")
+            x, y = (system.point_to_text(graph.nodes[i]) for i in (xi, yi))
+            raise CertificateError(f"No closed walk through {x} and {y}.")
         walk = tuple(graph.nodes[i] for i in walk_idx)
-        demos.append(TracedWalk(walk, y_pos, _trace_periodic_walk(system, walk))
-                     if mode == "metric-walk" else WalkDemo(walk, y_pos))
+        demos.append(TracedWalk(walk, y_pos, _trace_periodic_walk(system, walk)))
     return Certificate(
         kind="transitivity", mode=mode,
         component=tuple(graph.nodes[i] for i in component), demos=tuple(demos),
@@ -619,32 +588,19 @@ def _trace_periodic_walk(system, walk):
 def periodic_density_certificate(graph, component, system):
     """Evidence that periodic points are dense in a chain component, a set
     of node indices of `graph` as for `transitivity_certificate`, and that
-    the component is invariant. On a shift each node gets the shortest
-    cycle through it in the symbol graph, as a cycle word and the gap of
-    its periodic point.
-    A finite map and the torus lattice store no demos, as each permutes a
-    finite set, so every node is its own periodic point; a torus
+    the component is invariant. No mode stores demos. On a shift the
+    witness trees of the transitivity certificate close a cycle through
+    every node (`Certificate.tree_cycle`), so its check wants each node to
+    step into the component. A finite map and the torus lattice each
+    permute a finite set, so every node is its own periodic point; a torus
     certificate keeps the resolution of its grid graph, in which its check
     decodes the nodes."""
     mode = _mode_for(system, "periodic-density")
     if mode is None:
         raise TypeError(f"No periodic tracing oracle for {system.name!r}.")
-    component = sorted(component)
-    demos = []
-    if mode == "symbolic":
-        everywhere = np.ones(graph.node_count, dtype=bool)
-        for a in component:
-            walk_idx = _bfs_path(graph, everywhere, a, a)
-            if walk_idx is None:
-                raise CertificateError(f"Recurrent node {graph.nodes[a]} has "
-                                       "no cycle; internal inconsistency.")
-            word = tuple(graph.nodes[i] for i in walk_idx[:-1])
-            gap = sft_metric(system.periodic_point(word),
-                             system.representative_point(word[0]))
-            demos.append(CycleDemo(word, gap))
     return Certificate(
         kind="periodic-density", mode=mode,
-        component=tuple(graph.nodes[i] for i in component), demos=tuple(demos),
+        component=tuple(graph.nodes[i] for i in sorted(component)), demos=(),
         resolution=graph.n if mode == "lattice-cycle" else None)
 
 
@@ -680,8 +636,9 @@ def _is_basic_set(bs):
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """The basic sets of a system and the ladder they were cut from;
-    `stabilization_index` picks the cut rung, and with `history` it is a
-    diagnostic that no check proves."""
+    `stabilization_index` picks the cut rung, whose `history` row must hold
+    the counts of recurrent nodes and basic sets; the other rows are
+    diagnostics that no check proves."""
 
     system_name: str
     ladder: tuple
@@ -721,11 +678,13 @@ class SpectralDecomposition:
 
     def validate(self, system):
         """Certificate re-checks, which prove invariance, then the partition
-        and one resolution over the density certificates; failure strings.
-        A metric-walk radius off the cut rung is its certificate's one
-        failure, with no re-check. Every supported space is compact, so
-        there is a basic set. A basic set is compared with the others only
-        once both its certificates check, so one tamper is one failure."""
+        and one resolution over the density certificates, and once all of
+        that holds, the history row of the cut rung against the counts of
+        nodes and basic sets; failure strings. A metric-walk radius off the
+        cut rung is its certificate's one failure, with no re-check. Every
+        supported space is compact, so there is a basic set. A basic set is
+        compared with the others only once both its certificates check, so
+        one tamper is one failure."""
         sets, step = self.basic_sets, self.stabilization_index
         if type(sets) is not tuple or not sets or not all(map(_is_basic_set, sets)):
             return ["the basic sets are not a non-empty tuple of BasicSets, each "
@@ -735,7 +694,8 @@ class SpectralDecomposition:
             return [f"the stabilization index {step!r} is not a step of the "
                     f"ladder {self.ladder!r}"]
         bad, nodes, resolutions = [], [], set()
-        cut = self.ladder[-1 if step is None else step]
+        at = len(self.ladder) - 1 if step is None else step
+        cut = self.ladder[at]
         for k, bs in enumerate(sets):
             trans, dens = bs.transitivity, bs.periodic_density
             found = [f"basic set {k} [{cert.kind}]: {msg}" for cert in (trans, dens)
@@ -756,9 +716,16 @@ class SpectralDecomposition:
         if len(resolutions) > 1:
             bad.append(f"the density certificates are at resolutions "
                        f"{sorted(resolutions)}, not one")
+        rows, counts = self.history, (len(nodes), len(sets))
+        if not bad and not (type(rows) is tuple and len(rows) == len(self.ladder)
+                            and type(rows[at]) is tuple and rows[at] == counts):
+            bad.append(f"the ladder history does not read {counts}, the counts "
+                       f"of recurrent nodes and basic sets, at the cut step {at}")
         return bad
 
-    def to_report(self):
+    def to_report(self, system):
+        """The report; on a shift `density_max_gap` is measured on `system`
+        from the cycles that the witness trees close (`_density_gap`)."""
         limited = (not self.exact) and self.stabilization_index is None
         rep = Report(
             operation="spectral-decomposition",
@@ -780,7 +747,7 @@ class SpectralDecomposition:
             "basic-sets",
             ["id", "size", "walk_demos", "density_max_gap"],
             [[k, bs.size, len(bs.transitivity.demos),
-              max((d.gap for d in bs.periodic_density.demos), default=0.0)]
+              _density_gap(bs.transitivity, system)]
              for k, bs in enumerate(self.basic_sets)],
         )
         rep.add_table(
@@ -792,19 +759,42 @@ class SpectralDecomposition:
         return rep
 
 
+def _density_gap(cert, system):
+    """The printed density_max_gap of a basic set. On a shift it is the
+    largest gap from a node's representative point to the periodic point of
+    the cycle that the transitivity certificate's trees close through it
+    (`Certificate.tree_cycle`), and NaN when a cycle is not closed or not
+    admissible, which validate() fails. Elsewhere every node is its own
+    periodic point, at gap 0.0."""
+    if cert.mode != "symbolic":
+        return 0.0
+    gaps = []
+    for k, node in enumerate(cert.component):
+        word = cert.tree_cycle(k)
+        try:
+            point = None if word is None else system.periodic_point(word)
+        except ValueError:  # a symbol off the alphabet, or a forbidden step
+            point = None
+        if point is None:
+            return math.nan
+        gaps.append(sft_metric(point, system.representative_point(node)))
+    return max(gaps)
+
+
 def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
     """Decompose the recurrent set of a supported system into certified
     basic sets. Shift and finite systems give one exact graph (of the
     transitions, of f), stable at step 0; torus automorphisms a grid ladder
     at the given resolution, from the coarsest entourage radius `ladder`
     (default 4 grid cells) halved twice. Each cell of the ladder cut at its
-    stabilization step is a basic set, with `pairs` walks (four on finite
-    systems) and a density certificate, which holds one demo per node on a
-    shift and none on a finite map or the torus; exact basic sets come in
+    stabilization step is a basic set with two certificates. On shifts and
+    finite maps the witness trees of its transitivity certificate are the
+    proof, and neither certificate holds a demo; a torus transitivity
+    certificate also holds `pairs` traced walks. Exact basic sets come in
     order of their least node, torus ones the largest first."""
     if pairs < 1:
         raise ValueError("A transitivity certificate needs pairs >= 1.")
-    n, walks, radii, radius = None, pairs, (), None
+    n, radii, radius = None, (), None
     if isinstance(system, ShiftOfFiniteType):
         graphs = [symbol_graph_chain(system)]
     elif isinstance(system, TorusAutomorphism):
@@ -813,7 +803,7 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
         radii = (r0, r0 / 2.0, r0 / 4.0)
         graphs = [torus_grid_graph(system, n, r) for r in radii]
     elif isinstance(system, FiniteSystem):
-        points, walks = tuple(system.points), 4
+        points = tuple(system.points)
         index = {x: k for k, x in enumerate(points)}
         graphs = [ChainGraph.from_successors(points, (
             [index[system.forward(x)]] for x in points), "diagonal")]
@@ -836,7 +826,7 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
     for k, group in enumerate(groups):
         trans = transitivity_certificate(graph, group.tolist(), system,
                                          radius=radius, seed=seed + k,
-                                         pairs=walks)
+                                         pairs=pairs)
         dens = periodic_density_certificate(graph, group.tolist(), system)
         basic.append(BasicSet(transitivity=trans, periodic_density=dens))
     return SpectralDecomposition(

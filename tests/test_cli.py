@@ -286,7 +286,7 @@ GOLDEN = [
     (["decompose", "cat-map", "--resolution", "32"],
      "dba36ec4313486303dea74c67666aefa47dc7ba4c937abede3b7584305fb15b2"),
     (["decompose", "two-block-sft"],
-     "3d866a98cb7ebad0ef86140fd4b2b173320f1e12ee76d8ee4484d5e620416bfa"),
+     "6e3cdb16f8193066e618da9a89101f0b970c6e7e92a5dbf886ca5efd545876f5"),
     (["chain-recurrent", "cat-map", "--radius", "0.1", "--resolution", "32"],
      "95684d5d5f4edd6a3fefaf68f26dc50b45b59769b8c802459bf692e27dc32aea"),
     (["trace", "cat-map", "--delta", "0.001", "--length", "200"],
@@ -304,7 +304,7 @@ GOLDEN = [
     # the exact-orbit route, and a torus ladder of 30 basic sets, which pins
     # the order of basic sets: the largest first, then by least node
     (["decompose", "three-cycle"],
-     "d4dec5c96558f74b4e4e971cc2faac272b9538c5fe20dd28596c985efb6e6fc4"),
+     "837ac5ec5c9446e3104284e976351c469be633cfd1fccbb07fc8d66a29735f83"),
     (["decompose", "cat-map", "--resolution", "16", "--ladder", "0.03"],
      "3858dedf11ae396a10b77b27035945b22f38ae22048dbc2a832100ade267a174"),
     # the shift route on 300 samples, some on short exact g-cycles

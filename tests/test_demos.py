@@ -19,7 +19,7 @@ PINNED = {
     "02_shadowing_pseudo_orbits.py":
         "c78796e7887248da4aedaf0353b5beeb479f97d74e422c42a99c16ada6e3fc51",
     "03_spectral_decomposition.py":
-        "f4702bfb8ce244e2bbcb17fdd243781d8a38930df2c5dd45d5ce171aeef2e1a9",
+        "e6335536991b6836e77ca27a0704db194c2e05b8a27d02ae96c19c3feb2f465b",
     "04_recurrence_without_metrics.py":
         "c8a36014a17b501f6a33fa8b62c187dc20f85be7ba73d17e65e192f833b49aca",
     "05_stability_under_perturbation.py":

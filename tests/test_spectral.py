@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topodyn import (
+    BasicSet,
     Certificate,
     parse_report,
     periodic_density_certificate,
@@ -28,10 +29,10 @@ from topodyn import (
 from topodyn.entourage import finite_relation, metric_ball
 from topodyn.chains import (ChainGraph, _bfs_tree, _csr, _lattice_map,
                             build_chain_graph, torus_grid_graph)
-from topodyn.spectral import (_FAMILIES, ConnectivityWitness, CycleDemo,
-                              TracedWalk, WalkDemo, _bfs_path, _lattice_index,
-                              _witness_failures)
-from topodyn.systems import FiniteSystem, _north_south, catalog, torus_grid
+from topodyn.spectral import (_FAMILIES, ConnectivityWitness, TracedWalk,
+                              _bfs_path, _lattice_index, _witness_failures)
+from topodyn.systems import (FiniteSystem, _north_south, catalog, sft_metric,
+                             torus_grid)
 
 GOLDEN = sft_shift(("11", "10"), name="golden-mean")
 TWO_BLOCK = sft_shift(
@@ -86,31 +87,27 @@ def test_two_block_decomposition_frozen():
     }
     assert dec.recurrent_nodes == (0, 1, 2, 3, 4)  # symbol 5 is transient
     assert dec.validate(TWO_BLOCK) == []
-    assert dec.to_report().exit_code == 0
+    assert dec.to_report(TWO_BLOCK).exit_code == 0
 
 
 def test_walk_demos_visit_their_targets():
-    """A walk demo stores no end beside its walk: x is walk[0] and the
-    target y is walk[y_pos], both members. No walk stores a gap, and a
-    shift's walk no traced point: the periodic point of its word reads x
-    and y at positions 0 and y_pos. A shift's density demo is a cycle word
-    that starts at its node, and the gap the report prints."""
-    assert [f.name for f in dataclasses.fields(WalkDemo)] == ["walk", "y_pos"]
+    """Only metric walks are demos: a `TracedWalk` stores no end beside its
+    walk, so x is walk[0] and the target y is walk[y_pos], both members,
+    and its traced orbit, one point per step. Shifts and finite maps are
+    proven by their witness trees, and none of their certificates stores a
+    demo."""
     assert [f.name for f in dataclasses.fields(TracedWalk)] == [
         "walk", "y_pos", "traced"]
-    assert [f.name for f in dataclasses.fields(CycleDemo)] == ["word", "gap"]
-    dec = spectral_decompose(TWO_BLOCK, seed=3)
-    for bs in dec.basic_sets:
-        assert bs.transitivity.kind == "transitivity"
+    for bs in spectral_decompose(CAT, resolution=16, seed=3).basic_sets:
+        assert bs.transitivity.demos
         for demo in bs.transitivity.demos:
-            assert type(demo) is WalkDemo
+            assert type(demo) is TracedWalk
             x, y = demo.walk[0], demo.walk[demo.y_pos]
             assert demo.walk[-1] == x and {x, y} <= set(bs.nodes)
-            point = TWO_BLOCK.periodic_point(demo.walk[:-1])
-            assert point.symbol_at(0) == x and point.symbol_at(demo.y_pos) == y
-        dens = bs.periodic_density
-        for node, demo in zip(dens.component, dens.demos, strict=True):
-            assert type(demo.word) is tuple and demo.word[0] == node
+            assert len(demo.traced) == len(demo.walk) - 1
+    for system in (TWO_BLOCK, THREE_CYCLE):
+        for bs in spectral_decompose(system, seed=3).basic_sets:
+            assert bs.transitivity.demos == bs.periodic_density.demos == ()
 
 
 def test_random_sfts_match_bruteforce_oracle():
@@ -136,7 +133,7 @@ def test_random_sfts_match_bruteforce_oracle():
 
 def test_decomposition_report_roundtrip():
     dec = spectral_decompose(GOLDEN, seed=1)
-    text = dec.to_report().to_text()
+    text = dec.to_report(GOLDEN).to_text()
     rep = parse_report(text)
     assert rep.header["basic_sets"] == "1"
     assert rep.header["exact"] == "True"
@@ -148,14 +145,16 @@ def test_decomposition_report_roundtrip():
 
 
 def test_corrupted_walk_is_rejected():
-    dec = spectral_decompose(TWO_BLOCK, seed=0)
-    bs = dec.basic_sets[0]
-    cert = bs.transitivity
+    """A metric walk whose last node is moved one grid cell is not closed;
+    shift walks, which this once tampered with, are no longer stored."""
+    dec = spectral_decompose(CAT, resolution=16, seed=0)
+    cert = dec.basic_sets[0].transitivity
     demo = cert.demos[0]
-    wrong_walk = demo.walk[:-1] + (demo.walk[0] ^ 1,)
+    (u, v) = demo.walk[-1]
+    wrong_walk = demo.walk[:-1] + (((u + 1 / 16) % 1.0, v),)
     broken = dataclasses.replace(demo, walk=wrong_walk)
     bad_cert = dataclasses.replace(cert, demos=(broken,) + cert.demos[1:])
-    assert any("not closed" in msg for msg in bad_cert.revalidate(TWO_BLOCK))
+    assert any("not closed" in msg for msg in bad_cert.revalidate(CAT))
 
 
 def test_corrupted_traced_point_is_rejected():
@@ -202,37 +201,44 @@ def _foreign_walks(bs, other):
 
 
 def _foreign_density(bs, other):
-    return dataclasses.replace(bs, periodic_density=dataclasses.replace(
-        bs.periodic_density, demos=other.periodic_density.demos))
+    return dataclasses.replace(bs, periodic_density=other.periodic_density)
 
 
 def _no_walks(bs, other):
+    """No transitivity evidence: no walks and no witness trees."""
     return dataclasses.replace(bs, transitivity=dataclasses.replace(
-        bs.transitivity, demos=()))
+        bs.transitivity, demos=(), witness=None))
 
 
 def _no_density(bs, other):
+    """No density evidence: a density certificate about no nodes."""
     return dataclasses.replace(bs, periodic_density=dataclasses.replace(
-        bs.periodic_density, demos=()))
+        bs.periodic_density, component=()))
 
 
 def _density_as_walks(bs, other):
+    """The density certificate offered as the transitivity evidence."""
     return dataclasses.replace(bs, transitivity=dataclasses.replace(
-        bs.transitivity, demos=bs.periodic_density.demos))
+        bs.periodic_density, kind="transitivity"))
 
 
 def _walks_as_density(bs, other):
+    """The transitivity certificate offered as the density evidence."""
     return dataclasses.replace(bs, periodic_density=dataclasses.replace(
-        bs.periodic_density, demos=bs.transitivity.demos))
+        bs.transitivity, kind="periodic-density"))
 
 
 def _open_walks(bs, other):
-    """Each walk cut after its first step: it still starts at x and its
-    target is its second node, but it does not come back."""
+    """Every way back cut open: each walk cut after its first step, so it
+    starts at x and aims at its second node but does not come back, and the
+    in-tree, whose edges lead back to the root, replaced by the out-tree."""
+    cert = bs.transitivity
+    w = cert.witness
     return dataclasses.replace(bs, transitivity=dataclasses.replace(
-        bs.transitivity, demos=tuple(
-            dataclasses.replace(d, walk=d.walk[:2], y_pos=1)
-            for d in bs.transitivity.demos)))
+        cert, demos=tuple(dataclasses.replace(d, walk=d.walk[:2], y_pos=1)
+                          for d in cert.demos),
+        witness=ConnectivityWitness(w.out_parent, w.out_level, w.out_parent,
+                                    w.out_level)))
 
 
 def _non_point(bs, other):
@@ -258,7 +264,7 @@ THREE_CYCLE = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
 
 @pytest.mark.parametrize("tamper, system, kwargs", [
     (_swap_nodes, TWO_BLOCK, {}),
-    (_foreign_walks, TWO_BLOCK, {}),
+    (_foreign_walks, CAT, {"resolution": 16, "ladder": 0.03}),
     (_foreign_density, TWO_BLOCK, {}),
     (_no_walks, TWO_BLOCK, {}),
     (_no_walks, THREE_CYCLE, {}),
@@ -286,7 +292,9 @@ THREE_CYCLE = permutation_from_cycles([("a", "b", "c")], name="three-cycle")
 def test_certificates_are_bound_to_their_basic_set(tamper, system, kwargs):
     """Evidence taken from another basic set, evidence of the wrong type or
     that proves nothing, or no evidence at all, must not validate; every
-    untampered decomposition here validates clean."""
+    untampered decomposition here validates clean. Shifts and finite maps
+    store no walks, so walks are taken from another torus basic set, and
+    in the exact modes the tampers drop, swap or open the witness trees."""
     dec = spectral_decompose(system, seed=0, **kwargs)
     assert dec.validate(system) == []
     sets = dec.basic_sets
@@ -386,18 +394,19 @@ def test_a_hashable_non_point_node_is_one_failure(where):
 def test_a_non_point_inside_a_walk_is_one_failure(system, kwargs, field):
     """A walk node between the two ends, or a metric walk's traced orbit
     entry, that is no point of the system is one failure, before it is
-    stepped."""
+    stepped. A finite map stores no walks: one with a non-point inside,
+    stored in its exact-orbit certificate, is refused whole, once."""
     dec = spectral_decompose(system, seed=0, pairs=4, **kwargs)
     bs = dec.basic_sets[0]
-    k, demo = next((k, d) for k, d in enumerate(bs.transitivity.demos)
-                   if len(d.walk) >= 3 and d.y_pos != 1)
+    demos = list(bs.transitivity.demos) or [_tree_walk(bs.transitivity)]
+    k, demo = next((k, d) for k, d in enumerate(demos)
+                   if len(d.walk) >= 3 and (d.y_pos != 1 or system is THREE_CYCLE))
     values = list(getattr(demo, field))
     values[1] = None
-    broken = dataclasses.replace(demo, **{field: tuple(values)})
-    demos = list(bs.transitivity.demos)
-    demos[k] = broken
+    demos[k] = dataclasses.replace(demo, **{field: tuple(values)})
     cert = dataclasses.replace(bs.transitivity, demos=tuple(demos))
-    message = ("a walk or traced orbit holds a node that is not a point of "
+    message = (NO_DEMOS.format("exact-orbit") if system is THREE_CYCLE else
+               "a walk or traced orbit holds a node that is not a point of "
                "the system")
     assert cert.revalidate(system) == [message]
     tampered = dataclasses.replace(bs, transitivity=cert)
@@ -425,21 +434,40 @@ WALK_SYSTEMS = pytest.mark.parametrize("system, kwargs", [
     ids=["symbolic", "torus", "finite"])
 
 
+def _tree_walk(cert):
+    """The cycle that cert's trees close through the root, as the closed
+    walk that a metric certificate would store: the evidence that shift
+    and finite certificates no longer store, as their trees prove it."""
+    cycle = cert.tree_cycle(0)
+    return TracedWalk(cycle + cycle[:1], 1, cycle)
+
+
+NO_DEMOS = "the {} mode reads no demos, yet a tuple is stored"
+
+
 def _one_walk_failure(system, kwargs, walk_of, message):
     """The first demo of the first basic set of three or more nodes given
     the walk `walk_of(demo, nodes)` with target position 1: exactly one
-    failure, `walk at x {message}`, in revalidate() and in validate()."""
+    failure, `walk at x {message}`, in revalidate() and in validate(). A
+    shift or a finite map stores no walks, so there the walk, built from
+    the tree cycle's and stored as the one demo, is refused whole, once."""
     dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
     k, bs = next((k, b) for k, b in enumerate(dec.basic_sets) if b.size >= 3)
     cert = bs.transitivity
-    walk = walk_of(cert.demos[0], bs.nodes)
-    forged = _demo_replaced(cert, walk=walk, y_pos=1)
-    where = str(walk[0]) if system is TWO_BLOCK else system.point_to_text(walk[0])
-    assert forged.revalidate(system) == [f"walk at {where} {message}"]
+    if cert.demos:
+        walk = walk_of(cert.demos[0], bs.nodes)
+        forged = _demo_replaced(cert, walk=walk, y_pos=1)
+        want = f"walk at {system.point_to_text(walk[0])} {message}"
+    else:
+        walk = walk_of(_tree_walk(cert), bs.nodes)
+        forged = dataclasses.replace(cert, demos=(
+            TracedWalk(walk, 1, walk[:-1]),))
+        want = NO_DEMOS.format(cert.mode)
+    assert forged.revalidate(system) == [want]
     sets = list(dec.basic_sets)
     sets[k] = dataclasses.replace(bs, transitivity=forged)
     assert dataclasses.replace(dec, basic_sets=tuple(sets)).validate(system) == [
-        f"basic set {k} [transitivity]: walk at {where} {message}"]
+        f"basic set {k} [transitivity]: {want}"]
 
 
 @WALK_SYSTEMS
@@ -448,7 +476,7 @@ def test_closed_walk_with_a_forbidden_step_is_rejected(system, kwargs):
     first step is not in the chain relation: 2 -> 4 on the shift, a -> c
     where f(a) = b, and on the torus the node farthest from f(x). It is one
     failure; a metric walk's traced orbit is checked only once its walk
-    is."""
+    is. The exact modes refuse any stored walk, this one too."""
     def forbidden(demo, nodes):
         x = nodes[0]
         y = {TWO_BLOCK: 4, THREE_CYCLE: "c"}.get(system) or max(
@@ -462,7 +490,8 @@ def test_closed_walk_with_a_forbidden_step_is_rejected(system, kwargs):
 @WALK_SYSTEMS
 def test_an_unclosed_walk_is_one_failure(system, kwargs):
     """A walk whose last node is another member than its first is one
-    failure in every mode."""
+    failure in every mode: in the exact modes, which read no walks, as a
+    stored demo."""
     def unclosed(demo, nodes):
         return demo.walk[:-1] + (next(v for v in nodes if v != demo.walk[0]),)
 
@@ -555,21 +584,20 @@ def test_basic_set_missing_an_image_fails_invariance():
         "cell from the component"]
 
 
-@pytest.mark.parametrize("system, node, message", [
-    (TWO_BLOCK, 2, "cycle word at 2 leaves the component"),
-    (THREE_CYCLE, "a", "image of a leaves the component")],
-    ids=["symbolic", "exact-orbit"])
-def test_a_density_cycle_that_leaves_its_component_fails(system, node, message):
-    """A density certificate cut to one node of its component, with that
-    node's demo on a shift: the node's cycle (2 3 4 on two-block-sft, a b c
-    on three-cycle, whose certificate stores no demos) leaves the cut
-    component, so it proves no invariance."""
+@pytest.mark.parametrize("system, node", [(TWO_BLOCK, 2), (THREE_CYCLE, "a")],
+                         ids=["symbolic", "exact-orbit"])
+def test_a_density_cycle_that_leaves_its_component_fails(system, node):
+    """A density certificate cut to one node of its component: the node's
+    cycle (2 3 4 on two-block-sft, a b c on three-cycle) leaves the cut
+    component, as its one step does (2 -> 3, a -> b), so it proves no
+    invariance, and a one-node component with no loop has no periodic
+    point."""
     dec = spectral_decompose(system, seed=0)
     cert = next(bs.periodic_density for bs in dec.basic_sets
                 if node in bs.nodes)
-    demos = cert.demos and (cert.demos[cert.component.index(node)],)
-    cut = dataclasses.replace(cert, component=(node,), demos=demos)
-    assert message in cut.revalidate(system)
+    cut = dataclasses.replace(cert, component=(node,))
+    assert cut.revalidate(system) == [
+        f"1 nodes do not step into the component: the first is {node}"]
 
 
 def test_too_small_chain_entourage_breaks_transitivity():
@@ -647,16 +675,10 @@ def test_symbols_outside_the_alphabet_are_one_failure():
     dec = spectral_decompose(TWO_BLOCK, seed=0)
     bs = next(b for b in dec.basic_sets if b.nodes == (2, 3, 4))
     assert TWO_BLOCK.allowed(-1, 2)
-    dens = dataclasses.replace(bs.periodic_density, demos=tuple(
-        dataclasses.replace(d, word=(2, -3, 4)) if node == 2 else d
-        for node, d in zip(bs.nodes, bs.periodic_density.demos)))
-    assert dens.revalidate(TWO_BLOCK) == [
-        "1 symbols read are outside the alphabet 0..5: the first is -3"]
-    demo = dataclasses.replace(bs.transitivity.demos[0], walk=(2, -3, 4, 2),
-                               y_pos=2)
-    trans = dataclasses.replace(bs.transitivity, demos=(demo,))
-    assert trans.revalidate(TWO_BLOCK) == [
-        "1 symbols read are outside the alphabet 0..5: the first is -3"]
+    for cert in (bs.periodic_density, bs.transitivity):
+        assert dataclasses.replace(cert, component=(2, -3, 4)).revalidate(
+            TWO_BLOCK) == [
+            "1 symbols read are outside the alphabet 0..5: the first is -3"]
     # on golden-mean, basic set 1's symbols 2, 3, 4 are outside the alphabet
     failures = dec.validate(GOLDEN)
     for kind in ("transitivity", "periodic-density"):
@@ -683,14 +705,16 @@ def test_a_malformed_walk_is_one_failure(system, kwargs, malformed):
     """A walk demo's ends are read from its walk, so a walk that is no
     tuple of two or more hashable nodes, or a target position that is no
     int index into it, ends the check with one failure, never an
-    exception."""
+    exception. The exact modes store no walks and refuse any, malformed or
+    not, with one failure."""
     dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
     bs = dec.basic_sets[0]
-    demo = bs.transitivity.demos[0]
-    broken = dataclasses.replace(demo, **MALFORMED_WALKS[malformed](demo.walk))
-    cert = dataclasses.replace(bs.transitivity,
-                               demos=(broken,) + bs.transitivity.demos[1:])
-    message = ("a walk node cannot be hashed" if malformed == "unhashable-node"
+    demos = bs.transitivity.demos or (_tree_walk(bs.transitivity),)
+    broken = dataclasses.replace(demos[0],
+                                 **MALFORMED_WALKS[malformed](demos[0].walk))
+    cert = dataclasses.replace(bs.transitivity, demos=(broken,) + demos[1:])
+    message = (NO_DEMOS.format(cert.mode) if cert.mode != "metric-walk" else
+               "a walk node cannot be hashed" if malformed == "unhashable-node"
                else "a walk is not a node tuple with a target position in it")
     assert cert.revalidate(system) == [message]
     tampered = dataclasses.replace(bs, transitivity=cert)
@@ -794,83 +818,87 @@ def _demo_replaced(cert, **changes):
 @pytest.mark.parametrize("gap", [math.nan, True, "x", None],
                          ids=["nan", "bool", "text", "none"])
 def test_a_gap_that_is_not_a_number_is_one_failure(system, kwargs, gap):
-    """Only a shift's density demos store a gap, the one the report prints,
-    and it must be an int or a float, not a bool and not NaN, which passes
-    no comparison. No walk stores one, and finite and torus density
-    certificates store no demos, so their basic sets hold no gap."""
-    bs = spectral_decompose(system, seed=0, pairs=2, **kwargs).basic_sets[0]
-    certs = [c for c in (bs.transitivity, bs.periodic_density)
-             if any(hasattr(d, "gap") for d in c.demos)]
-    assert certs == ([bs.periodic_density] if system is TWO_BLOCK else [])
-    for cert in certs:
-        assert _demo_replaced(cert, gap=gap).revalidate(system) == [
-            "a demo's gap is not a number"]
+    """No certificate stores a gap: the printed density_max_gap is measured
+    from the cycles that a shift's trees close, and is 0.0 where every node
+    is its own periodic point. A demo that carries a gap, a number or not,
+    is one failure of each certificate, and the printed gaps stay."""
+    dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
+    bs = dec.basic_sets[0]
+    certs = {name: getattr(bs, name) for name in ("transitivity", "periodic_density")}
+    assert not any(hasattr(d, "gap") for c in certs.values() for d in c.demos)
+    gaps = lambda d: [row[3] for row in d.to_report(system).tables["basic-sets"][1]]
+    printed = gaps(dec)
+    for name, cert in certs.items():
+        forged = dataclasses.replace(cert, demos=cert.demos + ((bs.nodes[:1], gap),))
+        assert len(forged.revalidate(system)) == 1
+        tampered = dataclasses.replace(dec, basic_sets=(
+            dataclasses.replace(bs, **{name: forged}),) + dec.basic_sets[1:])
+        assert len(tampered.validate(system)) == 1
+        assert gaps(tampered) == printed
 
 
 @pytest.mark.parametrize("system, kwargs, kind, message", [
-    (TWO_BLOCK, {}, "transitivity", "a transitivity demo is not a WalkDemo"),
-    (TWO_BLOCK, {}, "periodic_density",
-     "a cycle word is not a non-empty tuple of symbols"),
+    (TWO_BLOCK, {}, "transitivity", NO_DEMOS.format("symbolic")),
+    (TWO_BLOCK, {}, "periodic_density", NO_DEMOS.format("symbolic")),
     (CAT, {"resolution": 16}, "transitivity",
      "a traced orbit is not a tuple of points"),
-    (THREE_CYCLE, {}, "transitivity", "a transitivity demo is not a WalkDemo")],
+    (THREE_CYCLE, {}, "transitivity", NO_DEMOS.format("exact-orbit"))],
     ids=["symbolic-walk", "symbolic-density", "metric-walk", "exact-orbit"])
 def test_a_traced_point_of_the_wrong_type_is_one_failure(system, kwargs, kind,
                                                          message):
-    """Only metric walks store a traced orbit, a tuple: a traced walk in the
-    symbolic or exact-orbit mode, whose walks are their own periodic
-    points, is one failure, and so is a shift's cycle word, from which its
-    periodic point is built, that is no tuple."""
+    """Only metric walks store a traced orbit, a tuple, and one that is no
+    tuple is one failure. A traced walk in the symbolic or exact-orbit
+    mode, whose trees are the proof, or as shift density evidence, is one
+    failure too."""
     bs = spectral_decompose(system, seed=0, pairs=2, **kwargs).basic_sets[0]
     cert = getattr(bs, kind)
-    first = cert.demos[0]
-    forged = (TracedWalk(first.walk, first.y_pos, first.walk[:-1])
-              if type(first) is WalkDemo else
-              dataclasses.replace(first, word=None) if type(first) is CycleDemo
-              else dataclasses.replace(first, traced=None))
+    first = cert.demos[0] if cert.demos else _tree_walk(bs.transitivity)
+    forged = dataclasses.replace(first, traced=None)
     assert dataclasses.replace(cert, demos=(forged,) + cert.demos[1:]).revalidate(
         system) == [message]
 
 
-# shift density evidence is a cycle word and a gap: every tamper of either,
-# hostile words included, is one failure of the basic set, never an exception
+# shift density evidence was a cycle word and a gap per node; now the gap is
+# measured from the tree cycles, and any stored word and gap, sound or
+# tampered, is one failure that changes no printed gap
 CYCLE_TAMPERS = {
-    # (basic set, node, changes, failure)
-    "leaves": (0, 0, {"word": (0, 5)}, "cycle word at 0 leaves the component"),
-    "inadmissible": (1, 2, {"word": (2, 4)}, "cycle word at 2 is not admissible"),
-    "wrong-start": (1, 2, {"word": (3, 4, 2)},
-                    "cycle point is outside the cylinder of 2"),
-    "gap-below": (0, 1, {"gap": 0.25}, "gap at 1 is larger than recorded"),
-    "none": (1, 2, {"word": None}, "a cycle word is not a non-empty tuple of symbols"),
-    "list": (1, 2, {"word": [2, 3, 4]},
-             "a cycle word is not a non-empty tuple of symbols"),
-    "empty": (1, 2, {"word": ()}, "a cycle word is not a non-empty tuple of symbols"),
-    "bool-symbol": (1, 2, {"word": (2, True, 4)},
-                    "1 symbols read are outside the alphabet 0..5: the first is True"),
-    "off-alphabet": (1, 2, {"word": (2, 3, 9)},
-                     "1 symbols read are outside the alphabet 0..5: the first is 9"),
+    # (basic set, node, changes)
+    "leaves": (0, 0, {"word": (0, 5)}),
+    "inadmissible": (1, 2, {"word": (2, 4)}),
+    "wrong-start": (1, 2, {"word": (3, 4, 2)}),
+    "gap-below": (0, 1, {"gap": 0.25}),
+    "gap-above": (0, 1, {"gap": 1.5}),
+    "none": (1, 2, {"word": None}),
+    "list": (1, 2, {"word": [2, 3, 4]}),
+    "empty": (1, 2, {"word": ()}),
+    "bool-symbol": (1, 2, {"word": (2, True, 4)}),
+    "off-alphabet": (1, 2, {"word": (2, 3, 9)}),
 }
 
 
 @pytest.mark.parametrize("tamper", sorted(CYCLE_TAMPERS))
 def test_a_tampered_cycle_word_is_one_failure(tamper):
     """A word that leaves its component, is inadmissible, or starts at
-    another symbol than its node, a gap below the measured 0.5 of node 1,
-    and a word that is no non-empty tuple of alphabet symbols: one failure
-    each, as the check builds the periodic point from the word."""
-    k, node, changes, message = CYCLE_TAMPERS[tamper]
+    another symbol than its node, a gap below or above the measured 0.5 of
+    node 1, and a word that is no non-empty tuple of alphabet symbols: each,
+    stored as a density demo, is one failure, and the report still prints
+    the measured gaps 0.5 and 0.0."""
+    k, node, changes = CYCLE_TAMPERS[tamper]
     dec = spectral_decompose(TWO_BLOCK, seed=0)
-    cert = dec.basic_sets[k].periodic_density
-    assert cert.demos[0].gap == 0.0 and cert.demos[-1].gap == (0.5 if k == 0 else 0.0)
-    at = cert.component.index(node)
-    demos = list(cert.demos)
-    demos[at] = dataclasses.replace(demos[at], **changes)
-    forged = dataclasses.replace(cert, demos=tuple(demos))
+    bs = dec.basic_sets[k]
+    record = {"word": bs.transitivity.tree_cycle(bs.nodes.index(node)),
+              "gap": 0.0} | changes
+    forged = dataclasses.replace(bs.periodic_density,
+                                 demos=((record["word"], record["gap"]),))
+    message = NO_DEMOS.format("symbolic")
     assert forged.revalidate(TWO_BLOCK) == [message]
     sets = list(dec.basic_sets)
-    sets[k] = dataclasses.replace(sets[k], periodic_density=forged)
-    assert dataclasses.replace(dec, basic_sets=tuple(sets)).validate(TWO_BLOCK) == [
+    sets[k] = dataclasses.replace(bs, periodic_density=forged)
+    tampered = dataclasses.replace(dec, basic_sets=tuple(sets))
+    assert tampered.validate(TWO_BLOCK) == [
         f"basic set {k} [periodic-density]: {message}"]
+    assert [row[3] for row in tampered.to_report(
+        TWO_BLOCK).tables["basic-sets"][1]] == [0.5, 0.0]
 
 
 FAMILIES = {"cat-map": {"resolution": 12}, "golden-mean": {}, "full-2": {},
@@ -1032,13 +1060,13 @@ def test_derived_decomposition_facts_keep_their_values(name, resolution, ladder)
     step = dec.stabilization_index
     assert len(dec.recurrent_nodes) == dec.history[
         step if step is not None else -1][0]
-    rep = dec.to_report()
+    rep = dec.to_report(system)
     assert rep.header["recurrent_nodes"] == len(dec.recurrent_nodes)
     assert [row[0] for row in rep.tables["basic-sets"][1]] == list(
         range(dec.component_count))
     kept = dataclasses.replace(dec, basic_sets=dec.basic_sets[:1])
     assert kept.recurrent_nodes == tuple(sorted(dec.basic_sets[0].nodes))
-    assert kept.to_report().header["recurrent_nodes"] == dec.basic_sets[0].size
+    assert kept.to_report(system).header["recurrent_nodes"] == dec.basic_sets[0].size
 
 
 # ---------------------------------------------------------------------------
@@ -1056,7 +1084,7 @@ def test_three_cycle_decomposition():
     assert dens.demos == () and dens.resolution is None
     assert all(perm.orbit_period(x) == 3 for x in dens.component)
     trans = dec.basic_sets[0].transitivity
-    assert trans.radius is None and all(type(d) is WalkDemo for d in trans.demos)
+    assert trans.radius is None and trans.demos == ()
 
 
 def test_two_fixed_points_make_two_basic_sets():
@@ -1078,7 +1106,7 @@ def test_cat_grid_decomposition_stabilizes():
     assert dec.stabilization_index <= 1
     assert dec.history[0] == (1024, 1)
     assert dec.history[1] == (1024, 1)
-    assert dec.to_report().exit_code == 0
+    assert dec.to_report(CAT).exit_code == 0
 
 
 def test_cat_grid_certificates_revalidate():
@@ -1087,7 +1115,7 @@ def test_cat_grid_certificates_revalidate():
     dens = dec.basic_sets[0].periodic_density
     assert dens.mode == "lattice-cycle"
     assert dens.resolution == 16 and dens.demos == ()
-    assert dec.to_report().tables["basic-sets"][1][0][3] == 0.0
+    assert dec.to_report(CAT).tables["basic-sets"][1][0][3] == 0.0
     trans = dec.basic_sets[0].transitivity
     assert trans.mode == "metric-walk"
     assert type(trans.radius) is float and trans.radius == dec.ladder[
@@ -1649,3 +1677,169 @@ def test_array_bfs_paths_and_trees_match_the_queue_bfs(n, data):
     want_parent, want_level = _queue_bfs_tree(adjacency, inside, a)
     assert parent.tolist() == [want_parent.get(v, -1) for v in range(n)]
     assert level.tolist() == [want_level.get(v, -1) for v in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# the exact families are proven by their witness trees
+
+
+def _largest(dec):
+    """The position of the first largest basic set, and that basic set."""
+    bs = max(dec.basic_sets, key=lambda b: b.size)
+    return dec.basic_sets.index(bs), bs
+
+
+def _one_node(system, bs):
+    """bs as the one-node component of its first node, with the trivial
+    trees of one node: its transitivity checks, as no tree has an edge."""
+    node, root = bs.nodes[:1], np.zeros(1, dtype=np.int32)
+    return BasicSet(
+        dataclasses.replace(bs.transitivity, component=node,
+                            witness=ConnectivityWitness(root, root, root, root)),
+        dataclasses.replace(bs.periodic_density, component=node))
+
+
+def _dropped(slot):
+    def tamper(system, bs):
+        cert = getattr(bs, slot)
+        return dataclasses.replace(bs, **{slot: dataclasses.replace(
+            cert, component=cert.component[:-1])})
+    return tamper
+
+
+def _stored_demo(slot):
+    def tamper(system, bs):
+        return dataclasses.replace(bs, **{slot: dataclasses.replace(
+            getattr(bs, slot), demos=(_tree_walk(bs.transitivity),))})
+    return tamper
+
+
+EXACT_TAMPERS = {
+    "rewired-out-edge": lambda system, bs: _leaf_rewired(system, bs, "out"),
+    "rewired-in-edge": lambda system, bs: _leaf_rewired(system, bs, "in"),
+    "dropped-node-transitivity": _dropped("transitivity"),
+    "dropped-node-density": _dropped("periodic_density"),
+    "one-node-without-loop": _one_node,
+    "walk-demo-transitivity": _stored_demo("transitivity"),
+    "walk-demo-density": _stored_demo("periodic_density"),
+}
+
+
+@pytest.mark.parametrize("system", [TWO_BLOCK, THREE_CYCLE],
+                         ids=["two-block-sft", "three-cycle"])
+@pytest.mark.parametrize("tamper", sorted(EXACT_TAMPERS))
+def test_an_exact_tamper_is_one_failure(system, tamper):
+    """On a shift and a finite map the trees are the whole proof, so each
+    of these, done to the largest basic set, is exactly one failure: a tree
+    edge rewired to a node it is no step from, a node dropped from either
+    certificate's component, the set cut to its first node, which has no
+    loop (2 on two-block-sft, a on three-cycle), and any demo stored on an
+    exact certificate."""
+    dec = spectral_decompose(system, seed=0)
+    assert dec.validate(system) == []
+    k, bs = _largest(dec)
+    assert bs.transitivity.demos == bs.periodic_density.demos == ()
+    sets = list(dec.basic_sets)
+    sets[k] = EXACT_TAMPERS[tamper](system, bs)
+    failures = dataclasses.replace(dec, basic_sets=tuple(sets)).validate(system)
+    assert len(failures) == 1, failures
+    assert failures[0].startswith(f"basic set {k} ")
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_tree_cycles_are_admissible_cycles_and_give_the_printed_gap(n, data):
+    """On random shifts, the word that the trees close through each node of
+    a basic set starts at that node, stays in the component and is
+    admissible read round, so its periodic point is a point of the basic
+    set in the node's cylinder; the largest gap of those points to the
+    nodes' representative points is the printed density_max_gap."""
+    rows = [[data.draw(st.booleans()) for _ in range(n)] for _ in range(n)]
+    for i in range(n):  # every symbol needs an exit and an entry
+        if not any(rows[i]):
+            rows[i][data.draw(st.integers(0, n - 1))] = True
+    for j in range(n):
+        if not any(row[j] for row in rows):
+            rows[data.draw(st.integers(0, n - 1))][j] = True
+    system = sft_shift(tuple("".join("1" if v else "0" for v in row)
+                             for row in rows), name="drawn")
+    dec = spectral_decompose(system, seed=0)
+    assert dec.validate(system) == []
+    printed = dec.to_report(system).tables["basic-sets"][1]
+    for bs, row in zip(dec.basic_sets, printed, strict=True):
+        gaps = []
+        for k, node in enumerate(bs.nodes):
+            word = bs.transitivity.tree_cycle(k)
+            assert word[0] == node and set(word) <= set(bs.nodes)
+            assert all(system.allowed(a, b)
+                       for a, b in zip(word, word[1:] + word[:1]))
+            assert len(word) <= max(1, 2 * (bs.size - 1))
+            gaps.append(sft_metric(system.periodic_point(word),
+                                   system.representative_point(node)))
+        assert row[3] == max(gaps)
+
+
+@pytest.mark.parametrize("tree", ["out", "in"])
+def test_tree_cycles_on_cyclic_parents_end_and_print_nan(tree):
+    """Two parents of a tree that point at each other never reach the root,
+    so the cycles through them are not closed: the walk up the parents
+    stops after |C| of them, the report prints NaN for that basic set's
+    gap, and validate() fails the tree once."""
+    dec = spectral_decompose(TWO_BLOCK, seed=0)
+    k, bs = _largest(dec)
+    w = bs.transitivity.witness
+    parent = getattr(w, f"{tree}_parent").copy()
+    parent[1], parent[2] = 2, 1
+    forged = _with_witness(bs, dataclasses.replace(
+        w, **{f"{tree}_parent": parent}))
+    assert all(forged.transitivity.tree_cycle(j) is None for j in range(3))
+    sets = list(dec.basic_sets)
+    sets[k] = forged
+    tampered = dataclasses.replace(dec, basic_sets=tuple(sets))
+    gaps = [row[3] for row in tampered.to_report(
+        TWO_BLOCK).tables["basic-sets"][1]]
+    assert math.isnan(gaps[k]) and gaps[1 - k] == 0.5
+    assert tampered.validate(TWO_BLOCK) == [
+        f"basic set {k} [transitivity]: the {tree}-tree {NOT_A_TREE}"]
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("two-block-sft", {}), ("three-cycle", {}), ("golden-mean", {}),
+    ("full-2", {}), ("cat-map", {"resolution": 16, "ladder": 0.03}),
+    ("cat-map", {"resolution": 30, "ladder": 0.01}),
+    ("cat-map", {"resolution": 32}), ("cat-map", {"resolution": 40}),
+    ("cat-map", {"resolution": 5})],
+    ids=["two-block-sft", "three-cycle", "golden-mean", "full-2",
+         "cat-map-16-ladder-0.03", "cat-map-30-ladder-0.01", "cat-map-32",
+         "cat-map-40", "cat-map-5"])
+def test_the_history_row_of_the_cut_rung_is_bound(name, kwargs):
+    """The history row of the cut rung, the last when the index is none,
+    must hold the counts of recurrent nodes and basic sets: it does on
+    every decomposition, and a row one off in either count, or a history
+    that is not one row per rung, is one failure."""
+    system = catalog()[name].build()
+    dec = spectral_decompose(system, seed=0, pairs=1, **kwargs)
+    assert dec.validate(system) == []
+    step = dec.stabilization_index
+    at = len(dec.ladder) - 1 if step is None else step
+    r, c = dec.history[at]
+    assert (r, c) == (len(dec.recurrent_nodes), len(dec.basic_sets))
+    message = (f"the ladder history does not read {(r, c)}, the counts of "
+               f"recurrent nodes and basic sets, at the cut step {at}")
+    for row in ((r + 1, c), (r, c - 1), [r, c]):
+        rows = dec.history[:at] + (row,) + dec.history[at + 1:]
+        assert dataclasses.replace(dec, history=rows).validate(system) == [message]
+    for rows in (dec.history[:-1], list(dec.history), None):
+        assert dataclasses.replace(dec, history=rows).validate(system) == [message]
+
+
+def test_a_dropped_basic_set_fails_at_the_history_row():
+    """Two-block-sft with its last basic set dropped re-checks clean set by
+    set, but the history row of its cut rung still reads 5 recurrent
+    symbols in 2 basic sets: one failure."""
+    dec = spectral_decompose(TWO_BLOCK, seed=0)
+    assert dec.history == ((5, 2),)
+    kept = dataclasses.replace(dec, basic_sets=dec.basic_sets[:1])
+    assert kept.validate(TWO_BLOCK) == [
+        "the ladder history does not read (2, 1), the counts of recurrent "
+        "nodes and basic sets, at the cut step 0"]
