@@ -70,8 +70,9 @@ def _near_pairs(points, queries, radius, wrap):
     coordinate), at most `_MAX_CELLS` per axis, so every pair closer than
     the radius has its point in one of the 3^d cells around its query.
     """
+    same = points is queries
     p_rows = np.flatnonzero(np.isfinite(points).all(axis=1))
-    q_rows = np.flatnonzero(np.isfinite(queries).all(axis=1))
+    q_rows = p_rows if same else np.flatnonzero(np.isfinite(queries).all(axis=1))
     points, queries = points[p_rows], queries[q_rows]
     top = max(np.abs(points).max(initial=0.0), np.abs(queries).max(initial=0.0))
     room = _CELL_ROOM * (1.0 + top)
@@ -85,19 +86,29 @@ def _near_pairs(points, queries, radius, wrap):
     # cell keys, flattened mod span per axis: below span**2 < 2**63
     shape = (span,) * points.shape[1]
     p_keys = np.floor(points / width).astype(np.int64)
-    q_keys = np.floor(queries / width).astype(np.int64)
     p_flat = np.ravel_multi_index(tuple(p_keys.T), shape, mode="wrap")
     order = np.argsort(p_flat, kind="stable")
+    # the queries in cell order, so each search below gets its keys
+    # nearly sorted and walks the hash once instead of hopping about it
+    if same:
+        q_order, q_keys = order, p_keys[order]
+    else:
+        q_keys = np.floor(queries / width).astype(np.int64)
+        q_order = np.argsort(np.ravel_multi_index(tuple(q_keys.T), shape,
+                                                  mode="wrap"))
+        q_keys = q_keys[q_order]
     p_flat = p_flat[order]
     order = p_rows[order]
     steps = sorted({-1 % span, 0, 1 % span})  # no cell twice
     cells = list(itertools.product(steps, repeat=points.shape[1]))
-    starts = np.empty((len(q_rows), len(cells)), dtype=np.int64)
-    counts = np.empty_like(starts)
+    found = np.empty((2, len(cells), len(q_rows)), dtype=np.int64)
     for col, step in enumerate(cells):
         key = np.ravel_multi_index(tuple((q_keys + step).T), shape, mode="wrap")
-        starts[:, col] = np.searchsorted(p_flat, key, "left")
-        counts[:, col] = np.searchsorted(p_flat, key, "right") - starts[:, col]
+        found[0, col] = np.searchsorted(p_flat, key, "left")
+        found[1, col] = np.searchsorted(p_flat, key, "right")
+    found[1] -= found[0]
+    starts, counts = np.empty((2, len(q_rows), len(cells)), dtype=np.int64)
+    starts[q_order], counts[q_order] = found[0].T, found[1].T  # query order
     per_query = counts.sum(axis=1)
     reach = np.cumsum(per_query)
     begin = 0

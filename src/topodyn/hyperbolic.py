@@ -555,48 +555,85 @@ def trig_perturbation(system, magnitude):
     mat = np.array(matrix, dtype=float)
 
     def forward_batch(p):
-        s = np.stack([np.sin(2.0 * np.pi * p[:, 1]), np.sin(2.0 * np.pi * p[:, 0])],
-                     axis=1)
-        y = p @ mat.T + m * s
-        return y - np.floor(y)
+        s = np.sin(2.0 * np.pi * p)  # row (sin 2 pi x_1, sin 2 pi x_2)
+        s *= m
+        y = p @ mat.T
+        y += s[:, ::-1]
+        y -= np.floor(y)
+        return y
 
     def newton(x1, x2, q1, q2):
-        # |F|^2 and the Newton step J^-1 F at x, F(x) = A x + m s(x) - q
+        # |F|^2 and the Newton step J^-1 F at x, F(x) = A x + m s(x) - q:
+        # each float operation of the closed form, in place once its
+        # operand is spent
         u1, u2 = 2.0 * np.pi * x1, 2.0 * np.pi * x2
-        f1 = a * x1 + b * x2 + m * np.sin(u2) - q1
-        f2 = c * x1 + d * x2 + m * np.sin(u1) - q2
-        j12, j21 = b + lipschitz * np.cos(u2), c + lipschitz * np.cos(u1)
-        det = a * d - j12 * j21
-        return (f1 * f1 + f2 * f2, (d * f1 - j12 * f2) / det,
-                (a * f2 - j21 * f1) / det)
+        s1, s2 = np.sin(u1), np.sin(u2)
+        j21, j12 = np.cos(u1, out=u1), np.cos(u2, out=u2)
+        f1 = a * x1
+        f1 += b * x2
+        f1 += np.multiply(m, s2, out=s2)
+        f1 -= q1
+        f2 = c * x1
+        f2 += d * x2
+        f2 += np.multiply(m, s1, out=s1)
+        f2 -= q2
+        j12 *= lipschitz
+        j12 += b
+        j21 *= lipschitz
+        j21 += c
+        det = np.subtract(a * d, np.multiply(j12, j21, out=s1), out=s1)
+        r = f1 * f1
+        r += np.multiply(f2, f2, out=s2)
+        d1 = d * f1
+        d1 -= np.multiply(j12, f2, out=j12)
+        d1 /= det
+        d2 = np.multiply(a, f2, out=f2)
+        d2 -= np.multiply(j21, f1, out=j21)
+        d2 /= det
+        return r, d1, d2
 
     def backward_batch(q):
         if m == 0:
             return system.backward_batch(q)  # one exact step: A^-1 q
-        out, rows = np.empty((2, len(q))), np.arange(len(q))  # out[k]: coordinate k
+        out, rows = np.empty((len(q), 2)), np.arange(len(q))
         q1, q2 = q.T.copy()
-        x1, x2 = system.cover.backward_batch(q).T.copy()  # the lift of A^-1 q
+        x1, x2 = system.cover.backward((q1, q2))  # the lift of A^-1 q
         r, d1, d2 = newton(x1, x2, q1, q2)
-        t = np.ones_like(r)
+        t = None  # the step lengths, while a halved step is in play
         for _ in range(_NEWTON_STEPS):
-            y1, y2 = x1 - t * d1, x2 - t * d2
             # only a full step carries the certified bound C |d|^2
-            done = (t == 1.0) & (quad * (d1 * d1 + d2 * d2) < 2.0 ** -60)
-            if done.all():
-                out[0, rows], out[1, rows] = y1, y2
-                out = np.stack(out, axis=1)
-                return out - np.floor(out)
-            if done.any():
-                fin, keep = rows[done], np.flatnonzero(~done)  # stopped, moving
-                out[0, fin], out[1, fin] = y1[done], y2[done]
-                rows, q1, q2, x1, x2, y1, y2, r, d1, d2, t = (
-                    v.take(keep) for v in (rows, q1, q2, x1, x2, y1, y2, r, d1, d2, t))
+            done = d1 * d1
+            done += d2 * d2
+            done = np.multiply(quad, done, out=done) < 2.0 ** -60
+            if t is not None:
+                done &= t == 1.0
+            fin = np.flatnonzero(done)
+            if len(fin):  # stopped rows take their full step x - d
+                out[rows.take(fin), 0] = x1.take(fin) - d1.take(fin)
+                out[rows.take(fin), 1] = x2.take(fin) - d2.take(fin)
+            if len(fin) == len(rows):
+                out -= np.floor(out)
+                return out
+            if len(fin):  # the moving rows, compacted
+                keep = np.flatnonzero(~done)
+                rows, q1, q2, x1, x2, r, d1, d2 = (
+                    v.take(keep) for v in (rows, q1, q2, x1, x2, r, d1, d2))
+                if t is not None:
+                    t = t.take(keep)
+            if t is None:
+                y1, y2 = x1 - d1, x2 - d2
+            else:
+                y1, y2 = x1 - t * d1, x2 - t * d2
             ry, e1, e2 = newton(y1, y2, q1, q2)
-            ok = ry <= (1.0 - 1e-4 * t) * r  # Armijo: keep y, else halve t
-            if not ok.all():
+            # Armijo: keep y, else halve t
+            ok = ry <= (1.0 - 1e-4 * (1.0 if t is None else t)) * r
+            if ok.all():
+                t = None
+            else:
                 y1, y2, ry, e1, e2 = (np.where(ok, v, w) for v, w in (
                     (y1, x1), (y2, x2), (ry, r), (e1, d1), (e2, d2)))
-            x1, x2, r, d1, d2, t = y1, y2, ry, e1, e2, np.where(ok, 1.0, 0.5 * t)
+                t = np.where(ok, 1.0, 0.5 * (1.0 if t is None else t))
+            x1, x2, r, d1, d2 = y1, y2, ry, e1, e2
         raise ArithmeticError(f"{len(rows)} rows of the trig inverse did not "
                               f"stop within {_NEWTON_STEPS} Newton steps.")
 
@@ -771,8 +808,8 @@ def _linear_images(f, g, pts, window, radius=None):
     window x_k, k = -W .. W, through x_0 = x, and h(g(x)) that of the same
     window moved one step on. The orbit is stepped W+1 times forward and W
     times backward; each step's defect d_k = x_{k+1} - A x_k,
-    k = -W .. W, is lifted and split once, and only the halves the two
-    tracing points read are kept: ds_k for k <= 0 and du_k for k >= 0.
+    k = -W .. W, is lifted once, and only the halves the two tracing
+    points read are split off: ds_k for k <= 0 and du_k for k >= 0.
     Each window runs its stable recursion forward from zero and its
     unstable one backward from zero up to the sample's index, as
     `_eigen_series` does over the whole window. Orbits that overflow give
@@ -783,12 +820,12 @@ def _linear_images(f, g, pts, window, radius=None):
     n = len(pts)
     # ds[j] is ds_{j-W} and du[j] is du_j, for j = 0 .. W
     ds, du = np.empty((2, window + 1, n))
-    sup = np.zeros(n)  # per sample; np.maximum keeps a NaN defect
+    tops = []  # the largest |d_k| of each step; np.max keeps a NaN
 
     def lift(points, images):
-        d, d_u, d_s = _lifted_defects(cover, points, images, wrap)
-        np.maximum(sup, np.hypot(d[:, 0], d[:, 1]), out=sup)
-        return d_u, d_s
+        d = _lifted_defects(cover, points, images, wrap)
+        tops.append(_largest_norm(d))
+        return d[:, 0], d[:, 1]
 
     with np.errstate(over="ignore", invalid="ignore"):
         x = gx = g.forward_batch(pts)
@@ -796,15 +833,15 @@ def _linear_images(f, g, pts, window, radius=None):
             near = _torus_distances(f.forward_batch(pts), gx) < radius
             if not near.all():  # name the first failing row; NaN fails too
                 raise _not_perturbation(f, tuple(pts[np.argmin(near)].tolist()))
-        du[0], ds[window] = lift(pts, gx)  # d_0 sits in both halves
+        du[0], ds[window] = cover.split(lift(pts, gx))  # d_0 sits in both halves
         for j in range(1, window + 1):
             ahead = g.forward_batch(x)
-            du[j] = lift(x, ahead)[0]
+            du[j] = cover.unstable_coefficient(lift(x, ahead))
             x = ahead
         x = pts
         for j in range(window - 1, -1, -1):
             behind = g.backward_batch(x)
-            ds[j] = lift(behind, x)[1]
+            ds[j] = cover.stable_coefficient(lift(behind, x))
             x = behind
         images = []
         # the window through x reads ds_{-W..-1} and du_{0..W-1}; the one
@@ -812,9 +849,28 @@ def _linear_images(f, g, pts, window, radius=None):
         for o, base in ((0, pts), (1, gx)):
             es = _stable_series(cover.lam_s, ds[o:o + window], np.zeros(n))
             eu = _unstable_series(cover.lam_u, du[o:o + window], np.zeros(n))
-            y = base + np.stack(cover.combine(eu, es), axis=-1)
-            images.append(y - np.floor(y) if wrap else y)
-    return images[0], images[1], float(np.max(sup))
+            y = np.empty_like(base)
+            y[:, 0], y[:, 1] = cover.combine(eu, es)
+            y += base
+            if wrap:
+                y -= np.floor(y)
+            images.append(y)
+    return images[0], images[1], float(np.max(tops))
+
+
+def _largest_norm(d):
+    """np.max(np.hypot(d[:, 0], d[:, 1])) of an (N, 2) float array, N >= 1,
+    with hypot taken only at the rows whose squared norm is within 2^-40
+    of the largest. Hypot and the squared norm each err by a few units in
+    the last place, far inside that margin, so the row hypot puts on top is
+    one of them. A largest squared norm that is not finite, or is so small
+    that squares lose bits to underflow, takes every row."""
+    sq = d[:, 0] * d[:, 0]
+    sq += d[:, 1] * d[:, 1]
+    top = sq.max()
+    if 2.0 ** -900 < top < math.inf:
+        d = d[sq >= top * (1.0 - 2.0 ** -40)]
+    return np.hypot(d[:, 0], d[:, 1]).max()
 
 
 def _stability_linear(f, g, samples, window, radius):

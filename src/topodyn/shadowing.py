@@ -284,14 +284,16 @@ def _traced(system, pseudo, traced):
 
 def _lifted_defects(cover, points, images, wrap):
     """The defects d = images - A points of (..., 2) float arrays, row by
-    row, lifted to the plane by d - round(d) when wrap is set, and their
-    eigen-coordinates: returns (d, du, ds) with d = du v_u + ds v_s."""
-    d = images - np.stack(cover.forward((points[..., 0], points[..., 1])),
-                          axis=-1)
+    row, lifted to the plane by d - round(d) when wrap is set; their
+    eigen-coordinates are cover.split((d[..., 0], d[..., 1]))."""
+    ax, ay = cover.forward((points[..., 0], points[..., 1]))
+    d = np.empty(images.shape)
+    np.subtract(images[..., 0], ax, out=d[..., 0])
+    np.subtract(images[..., 1], ay, out=d[..., 1])
     if wrap:
         d -= np.round(d)
         d[d == 0.5] = -0.5  # lifts land in [-1/2, 1/2), as exact ones do
-    return (d, *cover.split((d[..., 0], d[..., 1])))
+    return d
 
 
 def _stable_series(lam_s, ds, e, out=None):
@@ -349,15 +351,16 @@ def _eigen_series(cover, windows, period=None, wrap=False):
 
     windows is an (n, N, 2) float array with x_k of every window at
     windows[k]. The defects d_k = x_{k+1} - A x_k (x_n = x_0 for periodic
-    windows) are lifted and split by `_lifted_defects`, and
-    `_eigen_corrections` turns them into the corrections e_k. Returns the
+    windows) are lifted by `_lifted_defects` and split by `cover.split`,
+    and `_eigen_corrections` turns them into the corrections e_k. Returns the
     traced points x_k + e_k (mod 1 when wrap is set). An orbit that
     overflows yields inf or nan, without warnings; the measured gaps
     report it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         nxt = windows[1:] if period is None else np.roll(windows, -1, axis=0)
-        _, du, ds = _lifted_defects(cover, windows[:len(nxt)], nxt, wrap)
+        d = _lifted_defects(cover, windows[:len(nxt)], nxt, wrap)
+        du, ds = cover.split((d[..., 0], d[..., 1]))
         traced = windows + _eigen_corrections(cover, du, ds, period)
         if wrap:
             traced %= 1.0

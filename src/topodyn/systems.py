@@ -454,9 +454,15 @@ class LinearSaddle(DynamicalSystem):
 
     def split(self, vec):
         """Coefficients (cu, cs) with vec = cu*v_u + cs*v_s."""
-        cu = (vec[0] * self.v_s[1] - vec[1] * self.v_s[0]) / self._det_v
-        cs = (self.v_u[0] * vec[1] - self.v_u[1] * vec[0]) / self._det_v
-        return cu, cs
+        return self.unstable_coefficient(vec), self.stable_coefficient(vec)
+
+    def unstable_coefficient(self, vec):
+        """cu of `split`, alone."""
+        return (vec[0] * self.v_s[1] - vec[1] * self.v_s[0]) / self._det_v
+
+    def stable_coefficient(self, vec):
+        """cs of `split`, alone."""
+        return (self.v_u[0] * vec[1] - self.v_u[1] * vec[0]) / self._det_v
 
     def combine(self, cu, cs):
         return (cu * self.v_u[0] + cs * self.v_s[0], cu * self.v_u[1] + cs * self.v_s[1])
