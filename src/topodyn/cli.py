@@ -140,8 +140,8 @@ def _cmd_trace(args, parser):
         verdict=PASS if ok else FAIL,
     )
     rows = [[k + pseudo.start_index, system.point_to_text(window[k]),
-             result.gaps[k]] for k in range(len(window))]
-    rep.add_table("per-index", ["index", "pseudo_point", "gap"], rows[:64])
+             result.gaps[k]] for k in range(min(len(window), 64))]
+    rep.add_table("per-index", ["index", "pseudo_point", "gap"], rows)
     return _emit(rep, args.out)
 
 

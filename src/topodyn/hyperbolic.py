@@ -17,6 +17,7 @@ collapses without iterating the map over the window.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -682,18 +683,16 @@ def sft_flip_perturbation(system):
     def psi(x):
         if x.symbol_at(0) != 1 or x.symbol_at(1) != 1:
             return x
-        if x.span_start <= 3 <= x.span_end:  # flip the word's own symbol
-            word = list(x.word)
-            word[3 - x.offset] = 1 - word[3 - x.offset]
-            return symbolic_point(x.left, word, x.right, x.offset)
-        return _respell(x, x, min(x.span_start, 3), max(x.span_end, 3),
-                        lambda i: 1 - x.symbol_at(i) if i == 3 else x.symbol_at(i))
+        lo = min(x.span_start, 3)
+        word = list(x.window(lo, max(x.span_end, 3)))  # the word, out to 3
+        word[3 - lo] = 1 - word[3 - lo]
+        return _respell(x, x, lo, word)
 
     return GenericSystem(
         name=f"{system.name}+flip",
         space_id=system.space_id,
-        forward=lambda x: system.forward(psi(x)),
-        backward=lambda x: psi(system.backward(x)),
+        forward=lambda x: psi(x).shifted(1),
+        backward=lambda x: psi(x.shifted(-1)),
         metric=system.metric,
         space_diameter=system.space_diameter,
         payload={
@@ -757,7 +756,7 @@ class StabilityReport:
         )
         rows = zip(self.samples, self.images, self.closenesses, self.residuals)
         if max_rows is not None:
-            rows = list(rows)[:max_rows]
+            rows = itertools.islice(rows, max_rows)
         rep.add_table(
             "per-sample",
             ["sample", "image", "closeness", "residual"],
@@ -895,13 +894,13 @@ def _stability_linear(f, g, samples, window, radius):
         hx = _linear_images(f, g, np.array([x], dtype=float), window)[0]
         return (float(hx[0, 0]), float(hx[0, 1]))
 
-    image_points = tuple(map(tuple, h_x.tolist()))
+    image_points = tuple(zip(*h_x.T.tolist()))  # rows as float pairs
     # pairs of samples whose images are closer than 1e-8
     collisions = [(j, i) for q, p in _near_pairs(h_x, h_x, 1e-8, wrap)
                   for i, j in zip(q.tolist(), p.tolist())
                   if j < i and f.metric(image_points[j], image_points[i]) < 1e-8]
     return _stability_report(
-        f, g, h_point, map(tuple, pts.tolist()), image_points,
+        f, g, h_point, zip(*pts.T.tolist()), image_points,
         residuals, closenesses, defect_sup, collisions, window, "eigen-series",
         "for this linear system every metric ball is one, so h is unique at "
         "this closeness scale")
@@ -930,10 +929,14 @@ def _stability_sft(f, g, samples, window):
     for x in samples:
         at_x, at_gx = _sft_windows(f, g, x, window)
         defect_sup = max(defect_sup, at_x.defect_bound)
-        hx = _diagonal_point(f, at_x)
+        # at_gx's window is at_x's moved one point on, so one read of the
+        # diagonal symbols serves both
+        diagonal = [p.symbol_at(0) for p in at_x.window + at_gx.window[-1:]]
+        hx = _diagonal_point(f, at_x, diagonal[:-1])
         images.append(hx)
         closenesses.append(sft_metric(hx, x))
-        residuals.append(sft_metric(f.forward(hx), _diagonal_point(f, at_gx)))
+        residuals.append(sft_metric(f.forward(hx),
+                                    _diagonal_point(f, at_gx, diagonal[1:])))
     earlier, collisions = {}, []  # image -> indices of the samples so far
     for i, hx in enumerate(images):
         collisions += [(i, j) for j in earlier.get(hx, ()) if samples[i] != samples[j]]

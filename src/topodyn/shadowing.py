@@ -470,27 +470,31 @@ def trace_sft(system, pseudo):
                                     for k in range(len(pseudo.window))))
 
 
-def _diagonal_point(system, pseudo):
-    """The point at index 0 of the orbit `trace_sft` traces `pseudo` by."""
+def _diagonal_point(system, pseudo, diagonal=None):
+    """The point at index 0 of the orbit `trace_sft` traces `pseudo` by.
+    `diagonal`, when given, holds x.symbol_at(0) of each window point x, as
+    read once for windows that share their points."""
     if not isinstance(system, ShiftOfFiniteType):
         raise TypeError("trace_sft needs a shift of finite type.")
     if pseudo.defect_bound >= 0.5:
         raise ValueError("Tracing by diagonal symbols needs defect below 1/2.")
     m = pseudo.start_index
     window = pseudo.window
+    if diagonal is None:
+        diagonal = [x.symbol_at(0) for x in window]
 
     if pseudo.extension == PERIODIC:
-        y = periodic_symbolic_point(
-            x.symbol_at(0) for x in window[:pseudo.period])
+        y = periodic_symbolic_point(diagonal[:pseudo.period])
     else:
         big_m = m + len(window) - 1
         first = window[0].shifted(-m)
         last = window[-1].shifted(-big_m)
-        y = _respell(first, last, min(first.span_start, m),
-                     max(last.span_end, big_m),
-                     lambda i: first.symbol_at(i) if i <= m
-                     else last.symbol_at(i) if i >= big_m
-                     else window[i - m].symbol_at(0))
+        lo = min(first.span_start, m)
+        # first's symbols up to m, one diagonal symbol per inner point,
+        # then last's symbols from big_m (first's own at m when they meet)
+        y = _respell(first, last, lo, (
+            *first.window(lo, m), *diagonal[1:-1],
+            *last.window(max(big_m, m + 1), max(last.span_end, big_m))))
     try:
         system.validate_point(y)
     except ValueError as err:

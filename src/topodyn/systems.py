@@ -109,11 +109,21 @@ class SymbolicPoint:
         A record with a word or a seam only moves its offset; a periodic
         one re-phases its block."""
         if self.word or self.left != self.right:
-            return SymbolicPoint(self.left, self.word, self.right, self.offset - n)
+            # a copy with the offset moved, whose fields are already normal
+            moved = object.__new__(SymbolicPoint)
+            moved.__dict__.update(self.__dict__, offset=self.offset - n)
+            return moved
         return symbolic_point(self.left, self.word, self.right, self.offset - n)
 
     def window(self, lo, hi):
-        return tuple(self.symbol_at(i) for i in range(lo, hi + 1))
+        """The symbols at lo .. hi, read as slices of the left cycle, the
+        word and the right cycle."""
+        start = self.offset
+        end = start + len(self.word)  # the word sits on [start, end)
+        right_from = max(lo, end)
+        return (*_cycle_run(self.left, lo - start, min(hi + 1, start) - lo),
+                *self.word[max(lo - start, 0):max(hi + 1 - start, 0)],
+                *_cycle_run(self.right, right_from - end, hi + 1 - right_from))
 
     @property
     def span_start(self):
@@ -138,10 +148,19 @@ def _primitive(cycle):
     return cycle
 
 
+def _cycle_run(cycle, start, count):
+    """cycle[(start + k) % len(cycle)] for k = 0 .. count - 1, as one
+    slice of the cycle repeated; empty when count <= 0."""
+    if count <= 0:
+        return ()
+    start %= len(cycle)
+    return (cycle * ((start + count - 1) // len(cycle) + 1))[start:start + count]
+
+
 def rotate_cycle(cycle, shift):
     """The cycle re-phased so new[k] = cycle[(k + shift) mod len]."""
-    n = len(cycle)
-    return tuple(cycle[(k + shift) % n] for k in range(n))
+    shift %= len(cycle)
+    return (*cycle[shift:], *cycle[:shift])
 
 
 def symbolic_point(left, word, right, offset=0):
@@ -152,14 +171,18 @@ def symbolic_point(left, word, right, offset=0):
     if not left or not right:
         raise ValueError("Tail cycles must be nonempty.")
 
-    # absorb word symbols that already match the adjacent tail pattern
-    while word and word[-1] == right[-1]:
-        right = (word[-1],) + right[:-1]
-        word = word[:-1]
-    while word and word[0] == left[0]:
-        left = left[1:] + (left[0],)
-        word = word[1:]
-        offset += 1
+    # absorb word symbols that already match the adjacent tail pattern,
+    # turning each tail cycle by one per symbol absorbed
+    k = 0
+    while k < len(word) and word[-1 - k] == right[(-1 - k) % len(right)]:
+        k += 1
+    if k:
+        word, right = word[:len(word) - k], rotate_cycle(right, -k)
+    k = 0
+    while k < len(word) and word[k] == left[k % len(left)]:
+        k += 1
+    if k:
+        word, left, offset = word[k:], rotate_cycle(left, k), offset + k
 
     if word:
         return SymbolicPoint(left, word, right, offset)
@@ -190,12 +213,12 @@ def periodic_symbolic_point(block):
     return symbolic_point(block, (), block, 0)
 
 
-def _respell(left_point, right_point, lo, hi, symbol):
-    """The normalized point reading symbol(i) on [lo, hi], left_point's
-    left tail below lo and right_point's right tail above hi. Needs
-    lo <= left_point.span_start and hi >= right_point.span_end, where the
-    tails are pure cycles."""
-    word = [symbol(i) for i in range(lo, hi + 1)]
+def _respell(left_point, right_point, lo, word):
+    """The normalized point reading `word` on [lo, lo + len(word)),
+    left_point's left tail below it and right_point's right tail above it.
+    Needs lo <= left_point.span_start and lo + len(word) > right_point.span_end,
+    where the tails are pure cycles."""
+    hi = lo + len(word) - 1
     # tail cycles anchor at the new word ends, so re-phase them there
     left = rotate_cycle(left_point.left, lo - left_point.span_start)
     right = rotate_cycle(right_point.right, hi - right_point.span_end)
@@ -205,10 +228,10 @@ def _respell(left_point, right_point, lo, hi, symbol):
 def splice_symbolic(left_point, right_point, seam=0):
     """The sequence taking left_point's symbols below `seam` and
     right_point's symbols at `seam` and above."""
-    return _respell(
-        left_point, right_point, min(left_point.span_start, seam) - 1,
-        max(right_point.span_end, seam) + 1,
-        lambda i: left_point.symbol_at(i) if i < seam else right_point.symbol_at(i))
+    lo = min(left_point.span_start, seam) - 1
+    hi = max(right_point.span_end, seam) + 1
+    return _respell(left_point, right_point, lo,
+                    left_point.window(lo, seam - 1) + right_point.window(seam, hi))
 
 
 def sft_metric(p, q):
@@ -226,7 +249,7 @@ def sft_metric(p, q):
 
 
 def sequences_agree_on(p, q, lo, hi):
-    return all(p.symbol_at(i) == q.symbol_at(i) for i in range(lo, hi + 1))
+    return p.window(lo, hi) == q.window(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +617,9 @@ class ShiftOfFiniteType(DynamicalSystem):
         self.size = size
         self.name = name
         self.space_id = f"shift-{size}"
+        self._pairs = frozenset((a, b) for a in range(size) for b in range(size)
+                                if rows[a][b])  # the allowed transitions
+        self._tails = {}  # (symbol, forward) -> _greedy_tail's (tail, cycle)
 
     def allowed(self, a, b):
         return bool(self.transitions[a][b])
@@ -605,10 +631,14 @@ class ShiftOfFiniteType(DynamicalSystem):
         return tuple(a for a in range(self.size) if self.transitions[a][b])
 
     def validate_point(self, p):
-        lo = p.span_start - len(p.left) - 1
-        hi = p.span_end + len(p.right) + 1
-        for i in range(lo, hi + 1):
-            a, b = p.symbol_at(i), p.symbol_at(i + 1)
+        symbols = p.window(p.span_start - len(p.left) - 1,
+                           p.span_end + len(p.right) + 2)
+        try:
+            if self._pairs.issuperset(zip(symbols, symbols[1:])):
+                return p
+        except TypeError:  # an unhashable symbol: the loop names the fault
+            pass
+        for a, b in zip(symbols, symbols[1:]):
             if not self.allowed(a, b):
                 raise ValueError(f"Word contains forbidden transition {a}->{b}.")
         return p
@@ -656,6 +686,8 @@ class ShiftOfFiniteType(DynamicalSystem):
         from `start` until a symbol repeats. Returns (tail, cycle) in
         sequence order: the sequence reads start, tail, cycle, cycle, ...
         forward and ..., cycle, cycle, tail, start backward."""
+        if (start, forward) in self._tails:
+            return self._tails[start, forward]
         step, what = ((self.successors, "successor") if forward
                       else (self.predecessors, "predecessor"))
         walk = [start]
@@ -667,7 +699,9 @@ class ShiftOfFiniteType(DynamicalSystem):
             nxt = options[0]
             if nxt in seen:
                 tail, cycle = tuple(walk[1:]), tuple(walk[seen[nxt]:])
-                return (tail, cycle) if forward else (tail[::-1], cycle[::-1])
+                found = (tail, cycle) if forward else (tail[::-1], cycle[::-1])
+                self._tails[start, forward] = found
+                return found
             seen[nxt] = len(walk)
             walk.append(nxt)
 

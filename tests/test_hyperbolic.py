@@ -677,8 +677,9 @@ def _flip_reference(x):
     symbol by symbol."""
     if x.symbol_at(0) != 1 or x.symbol_at(1) != 1:
         return x
-    return _respell(x, x, min(x.span_start, 0) - 1, max(x.span_end, 4) + 1,
-                    lambda i: 1 - x.symbol_at(i) if i == 3 else x.symbol_at(i))
+    lo, hi = min(x.span_start, 0) - 1, max(x.span_end, 4) + 1
+    return _respell(x, x, lo, [1 - x.symbol_at(i) if i == 3 else x.symbol_at(i)
+                               for i in range(lo, hi + 1)])
 
 
 _BITS = st.lists(st.integers(0, 1), min_size=1, max_size=4)
