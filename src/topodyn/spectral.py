@@ -684,7 +684,11 @@ class SpectralDecomposition:
         cut rung is its certificate's one failure, with no re-check. Every
         supported space is compact, so there is a basic set. A basic set is
         compared with the others only once both its certificates check, so
-        one tamper is one failure."""
+        one tamper is one failure; a decomposition of another system is one
+        failure, before any check."""
+        if self.system_name != system.name:
+            return [f"the decomposition is of {self.system_name!r}, not of "
+                    f"{system.name!r}"]
         sets, step = self.basic_sets, self.stabilization_index
         if type(sets) is not tuple or not sets or not all(map(_is_basic_set, sets)):
             return ["the basic sets are not a non-empty tuple of BasicSets, each "
@@ -725,30 +729,36 @@ class SpectralDecomposition:
 
     def to_report(self, system):
         """The report; on a shift `density_max_gap` is measured on `system`
-        from the cycles that the witness trees close (`_density_gap`)."""
-        limited = (not self.exact) and self.stabilization_index is None
+        from the cycles that the witness trees close (`_density_gap`). A
+        value that a malformed field keeps from being read, which validate()
+        fails, prints as nan."""
+        sets = self.basic_sets if type(self.basic_sets) is tuple else None
+        exact = _or_nan(lambda: self.exact)
+        resolution = _or_nan(lambda: self.resolution)
         rep = Report(
             operation="spectral-decomposition",
             system=self.system_name,
-            family=self.family,
-            resolution=self.resolution if self.resolution else "exact",
+            family=_or_nan(lambda: self.family),
+            resolution=resolution if resolution else "exact",
             ladder=" ".join(str(r) for r in self.ladder),
             seed=self.seed,
-            basic_sets=len(self.basic_sets),
-            recurrent_nodes=sum(bs.size for bs in self.basic_sets),
+            basic_sets=math.nan if sets is None else len(sets),
+            recurrent_nodes=_or_nan(lambda: sum(bs.size for bs in sets)),
             stabilization_index=("none" if self.stabilization_index is None
                                  else self.stabilization_index),
             finite=True,
-            exact=self.exact,
-            verdict=RESOLUTION_LIMITED if limited else PASS,
-            note=self.note or NONCOMPACT_NOTE,
+            exact=exact,
+            verdict=(RESOLUTION_LIMITED if not exact and self.stabilization_index
+                     is None else PASS),
+            note=_or_nan(lambda: self.note) or NONCOMPACT_NOTE,
         )
         rep.add_table(
             "basic-sets",
             ["id", "size", "walk_demos", "density_max_gap"],
-            [[k, bs.size, len(bs.transitivity.demos),
-              _density_gap(bs.transitivity, system)]
-             for k, bs in enumerate(self.basic_sets)],
+            [[k, _or_nan(lambda: bs.size),
+              _or_nan(lambda: len(bs.transitivity.demos)),
+              _or_nan(lambda: _density_gap(bs.transitivity, system))]
+             for k, bs in enumerate(sets or ())],
         )
         rep.add_table(
             "ladder-history",
@@ -757,6 +767,14 @@ class SpectralDecomposition:
              for k, (r, c) in enumerate(self.history)],
         )
         return rep
+
+
+def _or_nan(read):
+    """read(), or NaN when a malformed field makes it raise."""
+    try:
+        return read()
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+        return math.nan
 
 
 def _density_gap(cert, system):

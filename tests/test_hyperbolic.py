@@ -553,7 +553,9 @@ def test_trig_inverse_raises_on_a_row_that_has_not_stopped(monkeypatch):
 # and wrapped with np.remainder
 
 
-def ref_trig_backward(system, m, q):
+def ref_trig_backward(system, m, q, halved=None):
+    """The loop; `halved`, when given, receives the count of rows whose
+    step is halved at each step."""
     if m == 0:
         return system.cover.backward_batch(q) % 1.0
     (a, b), (c, d) = ((float(v) for v in row) for row in system.matrix)
@@ -586,6 +588,8 @@ def ref_trig_backward(system, m, q):
             return out % 1.0
         ry, e1, e2 = newton(y1, y2, q1, q2)
         ok = ry <= (1.0 - 1e-4 * t) * r
+        if halved is not None:
+            halved.append(int((~ok).sum()))
         if not ok.all():
             y1, y2, ry, e1, e2 = (np.where(ok, v, w) for v, w in (
                 (y1, x1), (y2, x2), (ry, r), (e1, d1), (e2, d2)))
@@ -628,6 +632,60 @@ def test_trig_inverse_equals_the_masking_loop_on_the_halving_row():
     q = np.array([[0.9824650929766877, 0.98523575531838]])
     assert (trig_perturbation(system, m).backward_batch(q).tobytes()
             == ref_trig_backward(system, m, q).tobytes())
+
+
+def _steps_to_stop(g, row):
+    """The least Newton step cap under which the inverse of one row stops."""
+    for cap in range(1, hyperbolic._NEWTON_STEPS + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hyperbolic, "_NEWTON_STEPS", cap)
+            try:
+                g.backward_batch(np.array([row]))
+                return cap
+            except ArithmeticError:
+                pass
+    return None
+
+
+# cat-map rows at m = 0.01 whose inverses stop after 1, 2 and 3 full steps
+# (found by `_steps_to_stop` on random rows); the first is near (1/2, 1/2),
+# where the perturbation is nearly flat
+TRIG_STOPS = [(0.5017273800912887, 0.4993512769116685),
+              (0.12857020276919962, 0.49927786244011496),
+              (0.14792608457745593, 0.9282110229603695)]
+
+
+def test_trig_inverse_equals_the_loop_on_rows_that_stop_apart():
+    # rows stop at three different evaluations: the first two batches of
+    # stopped rows are written out before the moving ones are compacted
+    g = trig_perturbation(CAT, 0.01)
+    assert [_steps_to_stop(g, row) for row in TRIG_STOPS] == [2, 3, 4]
+    q = np.array(TRIG_STOPS[::-1] + TRIG_STOPS + TRIG_STOPS[1:2])
+    assert g.backward_batch(q).tobytes() == ref_trig_backward(CAT, 0.01, q).tobytes()
+
+
+def test_trig_inverse_equals_the_loop_on_a_batch_with_a_halving():
+    # the halving row moves on a halved step among rows that stop on full
+    # steps, and the step lengths are compacted with them
+    system = torus_automorphism(((1, -1), (-2, 1)))
+    sigma_min = trig_perturbation(system, 0.0).payload["certificate"]["sigma_min"]
+    m = 0.99 * sigma_min / (2.0 * math.pi)
+    g = trig_perturbation(system, m)
+    halving = (0.9824650929766877, 0.98523575531838)
+    rows = np.random.default_rng(4).random((40, 2)).tolist()
+    q = np.array(rows[:20] + [halving] + rows[20:])
+    halved = []
+    want = ref_trig_backward(system, m, q, halved)
+    assert any(halved) and not all(halved)  # halvings, and full steps after
+    assert g.backward_batch(q).tobytes() == want.tobytes()
+
+
+def test_trig_inverse_equals_the_loop_on_one_row():
+    # one row takes only full steps and stops with the whole batch
+    g = trig_perturbation(CAT, 0.01)
+    for row in TRIG_STOPS:
+        q = np.array([row])
+        assert g.backward_batch(q).tobytes() == ref_trig_backward(CAT, 0.01, q).tobytes()
 
 
 def test_floor_wrap_equals_remainder_byte_for_byte():

@@ -679,8 +679,9 @@ def test_symbols_outside_the_alphabet_are_one_failure():
         assert dataclasses.replace(cert, component=(2, -3, 4)).revalidate(
             TWO_BLOCK) == [
             "1 symbols read are outside the alphabet 0..5: the first is -3"]
-    # on golden-mean, basic set 1's symbols 2, 3, 4 are outside the alphabet
-    failures = dec.validate(GOLDEN)
+    # relabelled to golden-mean, whose name validate() binds, basic set 1's
+    # symbols 2, 3, 4 are outside the alphabet
+    failures = dataclasses.replace(dec, system_name=GOLDEN.name).validate(GOLDEN)
     for kind in ("transitivity", "periodic-density"):
         mine = [m for m in failures if m.startswith(f"basic set 1 [{kind}]: ")]
         assert len(mine) == 1
@@ -958,6 +959,20 @@ def test_a_hostile_field_is_one_failure(name, target):
                 dataclasses.replace(bs, **{slot: held}),) + dec.basic_sets[1:])
         failures = forged.validate(system)
         assert len(failures) == 1 and type(failures[0]) is str, (value, failures)
+        forged.to_report(system).to_text()  # prints nan where it cannot read
+
+
+def test_a_decomposition_of_another_system_is_one_failure():
+    """validate() binds the printed system name: full-2's decomposition
+    checked against golden-mean, whose transitions it also satisfies, is
+    one failure, and against full-2 under another name too."""
+    full2 = sft_shift(("11", "11"), name="full-2")
+    dec = spectral_decompose(full2, seed=0)
+    assert dec.validate(full2) == []
+    assert dec.validate(GOLDEN) == [
+        "the decomposition is of 'full-2', not of 'golden-mean'"]
+    renamed = sft_shift(("11", "11"), name="full-two")
+    assert len(dec.validate(renamed)) == 1
 
 
 # forged radii and resolutions: the report prints them, so they bind
