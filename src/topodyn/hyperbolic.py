@@ -62,6 +62,9 @@ RESIDUAL_TOL = 1e-8
 _CHUNK_FLOATS = 1 << 19
 # Newton steps a row of the trig perturbation's inverse may take
 _NEWTON_STEPS = 64
+# rows past which `_largest_norm` filters before taking hypot: the filter's
+# own five array calls cost more than the hypot they save on fewer rows
+_NORM_FILTER_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +611,7 @@ def trig_perturbation(system, magnitude):
             done = np.multiply(quad, done, out=done) < 2.0 ** -60
             if t is not None:
                 done &= t == 1.0
-            fin = np.flatnonzero(done)
+            fin = done.nonzero()[0]
             if len(fin):  # stopped rows take their full step x - d
                 out[rows.take(fin), 0] = x1.take(fin) - d1.take(fin)
                 out[rows.take(fin), 1] = x2.take(fin) - d2.take(fin)
@@ -616,7 +619,7 @@ def trig_perturbation(system, magnitude):
                 out -= np.floor(out)
                 return out
             if len(fin):  # the moving rows, compacted
-                keep = np.flatnonzero(~done)
+                keep = (~done).nonzero()[0]
                 rows, q1, q2, x1, x2, r, d1, d2 = (
                     v.take(keep) for v in (rows, q1, q2, x1, x2, r, d1, d2))
                 if t is not None:
@@ -858,17 +861,19 @@ def _linear_images(f, g, pts, window, radius=None):
 
 
 def _largest_norm(d):
-    """np.max(np.hypot(d[:, 0], d[:, 1])) of an (N, 2) float array, N >= 1,
-    with hypot taken only at the rows whose squared norm is within 2^-40
-    of the largest. Hypot and the squared norm each err by a few units in
-    the last place, far inside that margin, so the row hypot puts on top is
-    one of them. A largest squared norm that is not finite, or is so small
-    that squares lose bits to underflow, takes every row."""
-    sq = d[:, 0] * d[:, 0]
-    sq += d[:, 1] * d[:, 1]
-    top = sq.max()
-    if 2.0 ** -900 < top < math.inf:
-        d = d[sq >= top * (1.0 - 2.0 ** -40)]
+    """np.max(np.hypot(d[:, 0], d[:, 1])) of an (N, 2) float array, N >= 1.
+    Past _NORM_FILTER_ROWS rows, hypot is taken only at the rows whose
+    squared norm is within 2^-40 of the largest: hypot and the squared norm
+    each err by a few units in the last place, far inside that margin, so
+    the row hypot puts on top is one of them. A largest squared norm that
+    is not finite, or is so small that squares lose bits to underflow,
+    takes every row."""
+    if len(d) > _NORM_FILTER_ROWS:
+        sq = d[:, 0] * d[:, 0]
+        sq += d[:, 1] * d[:, 1]
+        top = sq.max()
+        if 2.0 ** -900 < top < math.inf:
+            d = d[sq >= top * (1.0 - 2.0 ** -40)]
     return np.hypot(d[:, 0], d[:, 1]).max()
 
 
