@@ -568,32 +568,25 @@ def trig_perturbation(system, magnitude):
 
     def newton(x1, x2, q1, q2):
         # |F|^2 and the Newton step J^-1 F at x, F(x) = A x + m s(x) - q:
-        # each float operation of the closed form, in place once its
-        # operand is spent
-        u1, u2 = 2.0 * np.pi * x1, 2.0 * np.pi * x2
+        # each float operation of the closed form, written into a row whose
+        # value is spent and that is none of its operands, so it costs
+        # neither an allocation nor numpy's check of an output that
+        # overlaps an input
+        mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+        u1, u2 = mul(2.0 * np.pi, x1), mul(2.0 * np.pi, x2)
         s1, s2 = np.sin(u1), np.sin(u2)
-        j21, j12 = np.cos(u1, out=u1), np.cos(u2, out=u2)
-        f1 = a * x1
-        f1 += b * x2
-        f1 += np.multiply(m, s2, out=s2)
-        f1 -= q1
-        f2 = c * x1
-        f2 += d * x2
-        f2 += np.multiply(m, s1, out=s1)
-        f2 -= q2
-        j12 *= lipschitz
-        j12 += b
-        j21 *= lipschitz
-        j21 += c
-        det = np.subtract(a * d, np.multiply(j12, j21, out=s1), out=s1)
-        r = f1 * f1
-        r += np.multiply(f2, f2, out=s2)
-        d1 = d * f1
-        d1 -= np.multiply(j12, f2, out=j12)
-        d1 /= det
-        d2 = np.multiply(a, f2, out=f2)
-        d2 -= np.multiply(j21, f1, out=j21)
-        d2 /= det
+        c1, c2 = np.cos(u1), np.cos(u2)
+        p = mul(a, x1)
+        f1 = add(p, mul(b, x2, u1), u2)
+        f1 = sub(add(f1, mul(m, s2, u1), p), q1, u2)  # rows free: p, u1
+        f2 = add(mul(c, x1, u1), mul(d, x2, p), s2)
+        f2 = sub(add(f2, mul(m, s1, u1), p), q2, u1)  # free: p, s1, s2
+        j12 = add(b, mul(lipschitz, c2, s1), p)
+        j21 = add(c, mul(lipschitz, c1, s1), s2)  # free: s1, c1, c2
+        det = sub(a * d, mul(j12, j21, s1), c1)
+        r = add(mul(f1, f1, s1), mul(f2, f2, c2))
+        d1 = div(sub(mul(d, f1, s1), mul(j12, f2, c2), p), det, s1)
+        d2 = div(sub(mul(a, f2, c2), mul(j21, f1, p), u1), det, u2)
         return r, d1, d2
 
     def backward_batch(q):
@@ -606,20 +599,18 @@ def trig_perturbation(system, magnitude):
         t = None  # the step lengths, while a halved step is in play
         for _ in range(_NEWTON_STEPS):
             # only a full step carries the certified bound C |d|^2
-            done = d1 * d1
-            done += d2 * d2
-            done = np.multiply(quad, done, out=done) < 2.0 ** -60
+            done = quad * (d1 * d1 + d2 * d2) < 2.0 ** -60
             if t is not None:
                 done &= t == 1.0
-            fin = done.nonzero()[0]
-            if len(fin):  # stopped rows take their full step x - d
-                out[rows.take(fin), 0] = x1.take(fin) - d1.take(fin)
-                out[rows.take(fin), 1] = x2.take(fin) - d2.take(fin)
-            if len(fin) == len(rows):
+            # stopped rows take their full step x - d
+            if done.all():  # also when no rows are left
+                out[rows, 0], out[rows, 1] = x1 - d1, x2 - d2
                 out -= np.floor(out)
                 return out
-            if len(fin):  # the moving rows, compacted
-                keep = (~done).nonzero()[0]
+            if done.any():  # written out, then the moving rows compacted
+                fin, keep = done.nonzero()[0], (~done).nonzero()[0]
+                out[rows.take(fin), 0] = x1.take(fin) - d1.take(fin)
+                out[rows.take(fin), 1] = x2.take(fin) - d2.take(fin)
                 rows, q1, q2, x1, x2, r, d1, d2 = (
                     v.take(keep) for v in (rows, q1, q2, x1, x2, r, d1, d2))
                 if t is not None:
