@@ -57,8 +57,12 @@ RESIDUAL_TOL = 1e-8
 
 # defect coefficients kept per linear stability chunk: each sample keeps
 # two half-series of W+1 floats, so a chunk holds about 4 MB of them however
-# many samples there are (4,297 samples at W = 60). Measured on the
-# recurrence-tracing bench, 1 << 20 was no faster and peaked 1.6 MB higher.
+# many samples there are (4,297 samples at W = 60). Every g-step costs some
+# fifty array calls whatever the chunk, so smaller chunks pay them more
+# often: `stability cat-map --samples 20000` took 0.68 s at this size, 0.73
+# and 0.82 s at 1 << 18 and 1 << 17 (best of four, in one process, 2-vCPU
+# host). 1 << 20 took 0.65 s, but on the recurrence-tracing bench it was no
+# faster end to end and peaked 1.6 MB higher.
 _CHUNK_FLOATS = 1 << 19
 # Newton steps a row of the trig perturbation's inverse may take
 _NEWTON_STEPS = 64
