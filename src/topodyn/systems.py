@@ -109,10 +109,7 @@ class SymbolicPoint:
         A record with a word or a seam only moves its offset; a periodic
         one re-phases its block."""
         if self.word or self.left != self.right:
-            # a copy with the offset moved, whose fields are already normal
-            moved = object.__new__(SymbolicPoint)
-            moved.__dict__.update(self.__dict__, offset=self.offset - n)
-            return moved
+            return SymbolicPoint(self.left, self.word, self.right, self.offset - n)
         return symbolic_point(self.left, self.word, self.right, self.offset - n)
 
     def window(self, lo, hi):
