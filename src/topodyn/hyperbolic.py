@@ -66,8 +66,8 @@ RESIDUAL_TOL = 1e-8
 _CHUNK_FLOATS = 1 << 19
 # Newton steps a row of the trig perturbation's inverse may take
 _NEWTON_STEPS = 64
-# rows past which `_largest_norm` filters before taking hypot: the filter's
-# own five array calls cost more than the hypot they save on fewer rows
+# rows past which `_largest_norm` filters before taking hypot: on fewer
+# rows the filter's own array calls cost more than the hypot they save
 _NORM_FILTER_ROWS = 256
 
 
