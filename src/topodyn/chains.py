@@ -88,8 +88,7 @@ def _near_pairs(points, queries, radius, wrap):
     p_keys = np.floor(points / width).astype(np.int64)
     p_flat = np.ravel_multi_index(tuple(p_keys.T), shape, mode="wrap")
     order = np.argsort(p_flat, kind="stable")
-    # the queries in cell order, so each search below gets its keys
-    # nearly sorted and walks the hash once instead of hopping about it
+    # the queries in cell order: each search walks the hash once
     if same:
         q_order, q_keys = order, p_keys[order]
     else:
@@ -98,17 +97,17 @@ def _near_pairs(points, queries, radius, wrap):
                                                   mode="wrap"))
         q_keys = q_keys[q_order]
     p_flat = p_flat[order]
-    order = p_rows[order]
     steps = sorted({-1 % span, 0, 1 % span})  # no cell twice
     cells = list(itertools.product(steps, repeat=points.shape[1]))
-    found = np.empty((2, len(cells), len(q_rows)), dtype=np.int64)
+    starts = np.empty((len(q_rows), len(cells)), dtype=np.int64)
+    counts = np.empty_like(starts)
     for col, step in enumerate(cells):
         key = np.ravel_multi_index(tuple((q_keys + step).T), shape, mode="wrap")
-        found[0, col] = np.searchsorted(p_flat, key, "left")
-        found[1, col] = np.searchsorted(p_flat, key, "right")
-    found[1] -= found[0]
-    starts, counts = np.empty((2, len(q_rows), len(cells)), dtype=np.int64)
-    starts[q_order], counts[q_order] = found[0].T, found[1].T  # query order
+        left = np.searchsorted(p_flat, key, "left")
+        starts[q_order, col] = left
+        counts[q_order, col] = np.searchsorted(p_flat, key, "right") - left
+    del q_keys, q_order
+    order = p_rows[order]
     per_query = counts.sum(axis=1)
     reach = np.cumsum(per_query)
     begin = 0

@@ -66,9 +66,6 @@ RESIDUAL_TOL = 1e-8
 _CHUNK_FLOATS = 1 << 19
 # Newton steps a row of the trig perturbation's inverse may take
 _NEWTON_STEPS = 64
-# rows past which `_largest_norm` filters before taking hypot: on fewer
-# rows the filter's own array calls cost more than the hypot they save
-_NORM_FILTER_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -856,19 +853,17 @@ def _linear_images(f, g, pts, window, radius=None):
 
 
 def _largest_norm(d):
-    """np.max(np.hypot(d[:, 0], d[:, 1])) of an (N, 2) float array, N >= 1.
-    Past _NORM_FILTER_ROWS rows, hypot is taken only at the rows whose
-    squared norm is within 2^-40 of the largest: hypot and the squared norm
-    each err by a few units in the last place, far inside that margin, so
-    the row hypot puts on top is one of them. A largest squared norm that
-    is not finite, or is so small that squares lose bits to underflow,
-    takes every row."""
-    if len(d) > _NORM_FILTER_ROWS:
-        sq = d[:, 0] * d[:, 0]
-        sq += d[:, 1] * d[:, 1]
-        top = sq.max()
-        if 2.0 ** -900 < top < math.inf:
-            d = d[sq >= top * (1.0 - 2.0 ** -40)]
+    """np.max(np.hypot(d[:, 0], d[:, 1])) of an (N, 2) float array, N >= 1,
+    with hypot taken only at the rows whose squared norm is within 2^-40 of
+    the largest: hypot and the squared norm each err by a few units in the
+    last place, far inside that margin, so the row hypot puts on top is one
+    of them. A largest squared norm that is not finite, or is so small that
+    squares lose bits to underflow, takes every row."""
+    sq = d[:, 0] * d[:, 0]
+    sq += d[:, 1] * d[:, 1]
+    top = sq.max()
+    if 2.0 ** -900 < top < math.inf:
+        d = d[sq >= top * (1.0 - 2.0 ** -40)]
     return np.hypot(d[:, 0], d[:, 1]).max()
 
 

@@ -660,7 +660,8 @@ class SpectralDecomposition:
     @property
     def family(self):
         """The family, read off the density certificates' mode."""
-        return _FAMILIES.get(self.basic_sets[0].periodic_density.mode)
+        mode = self.basic_sets[0].periodic_density.mode
+        return _FAMILIES.get(mode) if type(mode) is str else None
 
     @property
     def resolution(self):
@@ -730,34 +731,36 @@ class SpectralDecomposition:
     def to_report(self, system):
         """The report; on a shift `density_max_gap` is measured on `system`
         from the cycles that the witness trees close (`_density_gap`). A
-        value that a malformed field keeps from being read, which validate()
-        fails, prints as nan."""
-        sets = self.basic_sets if type(self.basic_sets) is tuple else None
-        exact = _or_nan(lambda: self.exact)
-        resolution = _or_nan(lambda: self.resolution)
+        malformed field, which validate() fails, prints as nan where it
+        keeps a value from being read, and counts as not exact."""
+        sets = self.basic_sets
+        if not (type(sets) is tuple and sets and all(map(_is_basic_set, sets))):
+            sets = None
+        exact = sets is not None and self.exact
+        size = lambda bs: len(bs.nodes) if type(bs.nodes) is tuple else math.nan
         rep = Report(
             operation="spectral-decomposition",
             system=self.system_name,
-            family=_or_nan(lambda: self.family),
-            resolution=resolution if resolution else "exact",
+            family=math.nan if sets is None else self.family,
+            resolution=math.nan if sets is None else self.resolution or "exact",
             ladder=" ".join(str(r) for r in self.ladder),
             seed=self.seed,
             basic_sets=math.nan if sets is None else len(sets),
-            recurrent_nodes=_or_nan(lambda: sum(bs.size for bs in sets)),
+            recurrent_nodes=math.nan if sets is None else sum(map(size, sets)),
             stabilization_index=("none" if self.stabilization_index is None
                                  else self.stabilization_index),
             finite=True,
             exact=exact,
-            verdict=(RESOLUTION_LIMITED if not exact and self.stabilization_index
-                     is None else PASS),
-            note=_or_nan(lambda: self.note) or NONCOMPACT_NOTE,
+            verdict=(RESOLUTION_LIMITED if not exact
+                     and self.stabilization_index is None else PASS),
+            note=exact and self.note or NONCOMPACT_NOTE,
         )
         rep.add_table(
             "basic-sets",
             ["id", "size", "walk_demos", "density_max_gap"],
-            [[k, _or_nan(lambda: bs.size),
-              _or_nan(lambda: len(bs.transitivity.demos)),
-              _or_nan(lambda: _density_gap(bs.transitivity, system))]
+            [[k, size(bs), (len(bs.transitivity.demos)
+                           if type(bs.transitivity.demos) is tuple else math.nan),
+              _density_gap(bs.transitivity, system)]
              for k, bs in enumerate(sets or ())],
         )
         rep.add_table(
@@ -769,29 +772,26 @@ class SpectralDecomposition:
         return rep
 
 
-def _or_nan(read):
-    """read(), or NaN when a malformed field makes it raise."""
-    try:
-        return read()
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError):
-        return math.nan
-
-
 def _density_gap(cert, system):
     """The printed density_max_gap of a basic set. On a shift it is the
     largest gap from a node's representative point to the periodic point of
     the cycle that the transitivity certificate's trees close through it
     (`Certificate.tree_cycle`), and NaN when a cycle is not closed or not
-    admissible, which validate() fails. Elsewhere every node is its own
-    periodic point, at gap 0.0."""
+    admissible, or when the component is not a non-empty tuple of symbols,
+    which validate() fails too. Elsewhere every node is its own periodic
+    point, at gap 0.0."""
     if cert.mode != "symbolic":
         return 0.0
+    comp = cert.component
+    if type(comp) is not tuple or not comp or not all(
+            type(v) is int and 0 <= v < system.size for v in comp):
+        return math.nan
     gaps = []
-    for k, node in enumerate(cert.component):
+    for k, node in enumerate(comp):
         word = cert.tree_cycle(k)
         try:
             point = None if word is None else system.periodic_point(word)
-        except ValueError:  # a symbol off the alphabet, or a forbidden step
+        except ValueError:  # a forbidden step
             point = None
         if point is None:
             return math.nan

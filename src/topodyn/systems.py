@@ -630,14 +630,11 @@ class ShiftOfFiniteType(DynamicalSystem):
     def validate_point(self, p):
         symbols = p.window(p.span_start - len(p.left) - 1,
                            p.span_end + len(p.right) + 2)
-        try:
-            if self._pairs.issuperset(zip(symbols, symbols[1:])):
-                return p
-        except TypeError:  # an unhashable symbol: the loop names the fault
-            pass
-        for a, b in zip(symbols, symbols[1:]):
-            if not self.allowed(a, b):
-                raise ValueError(f"Word contains forbidden transition {a}->{b}.")
+        # the first pair that is no allowed transition, found at C speed
+        bad = next(itertools.filterfalse(self._pairs.__contains__,
+                                         zip(symbols, symbols[1:])), None)
+        if bad is not None:
+            raise ValueError("Word contains forbidden transition {}->{}.".format(*bad))
         return p
 
     def _coerce(self, symbols):

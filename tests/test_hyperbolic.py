@@ -1000,6 +1000,26 @@ def test_streamed_stability_equals_the_block_route(system, share, W, chunk,
         assert got.collisions
 
 
+def test_largest_norm_is_the_hypot_sup():
+    """The filtered defect sup equals the sup of hypot over every row, on
+    ties, one row, rows with nan or inf, and norms small enough for their
+    squares to underflow."""
+    rng = np.random.default_rng(0)
+    cases = [rng.normal(size=(n, 2)) * scale for n in (1, 2, 300, 5000)
+             for scale in (1.0, 1e-160, 1e-300, 1e150)]
+    tie = np.array([[3.0, 4.0], [4.0, 3.0], [-5.0, 0.0], [0.0, 1.0]])
+    cases += [tie, np.zeros((3, 2)), np.array([[1.0, np.nan], [2.0, 2.0]]),
+              np.array([[np.inf, 1.0], [2.0, 2.0]]),
+              np.array([[5e-324, 0.0], [0.0, -5e-324]]),
+              # squares that underflow put the smaller row on top
+              np.array([[-1.268559616590313e-162, -1.533280477749828e-162],
+                        [-6.806517146139357e-163, 1.5795438221690692e-162]])]
+    for d in cases:
+        want = np.max(np.hypot(d[:, 0], d[:, 1]))
+        got = hyperbolic._largest_norm(d)
+        assert got == want or (np.isnan(got) and np.isnan(want)), (d, got, want)
+
+
 def test_stability_defect_sup_does_not_depend_on_the_batch():
     # the CLI's 200-sample case; a batch-wide stop in the inverse gave
     # 0.014141304645206531 for the batch, 0.014141820540369875 one by one

@@ -27,6 +27,7 @@ from topodyn import (
     transitivity_certificate,
 )
 from topodyn.entourage import finite_relation, metric_ball
+from topodyn.report import RESOLUTION_LIMITED
 from topodyn.chains import (ChainGraph, _bfs_tree, _csr, _lattice_map,
                             build_chain_graph, torus_grid_graph)
 from topodyn.spectral import (_FAMILIES, ConnectivityWitness, TracedWalk,
@@ -959,7 +960,12 @@ def test_a_hostile_field_is_one_failure(name, target):
                 dataclasses.replace(bs, **{slot: held}),) + dec.basic_sets[1:])
         failures = forged.validate(system)
         assert len(failures) == 1 and type(failures[0]) is str, (value, failures)
-        forged.to_report(system).to_text()  # prints nan where it cannot read
+        report = forged.to_report(system)  # prints nan where it cannot read
+        report.to_text()
+        if target == "basic_sets":  # unreadable sets are not exact
+            assert report.header["exact"] is False
+            unstable = dataclasses.replace(forged, stabilization_index=None)
+            assert unstable.to_report(system).verdict == RESOLUTION_LIMITED
 
 
 def test_a_decomposition_of_another_system_is_one_failure():
