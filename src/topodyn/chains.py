@@ -280,7 +280,7 @@ class ChainGraph:
         if not self.nodes:
             return False
         everywhere = np.ones(self.node_count, dtype=bool)
-        return all((_bfs_tree(*csr, everywhere, 0)[1] >= 0).all() for csr in (
+        return all((_bfs_tree(*csr, everywhere, 0) >= 0).all() for csr in (
             (self.indptr, self.indices), self.reversed_csr()))
 
     def to_text(self):
@@ -333,15 +333,13 @@ def _bfs_levels(indptr, indices, inside, root, parent):
 
 def _bfs_tree(indptr, indices, inside, root):
     """The breadth-first tree from root through the nodes whose `inside`
-    mask entry is set, as int64 parent and level arrays over all nodes:
-    the root is its own parent at level 0, and an unreached node has -1 in
-    both. Parents are those of a first-in first-out queue."""
+    mask entry is set, as an int64 parent array over all nodes: the root
+    is its own parent, and an unreached node has -1. Parents are those of
+    a first-in first-out queue."""
     parent = np.full(len(indptr) - 1, -1, dtype=np.int64)
-    level = parent.copy()
-    for depth, frontier in enumerate(
-            _bfs_levels(indptr, indices, inside, root, parent)):
-        level[frontier] = depth
-    return parent, level
+    for _ in _bfs_levels(indptr, indices, inside, root, parent):
+        pass
+    return parent
 
 
 def is_chain(system, seq, D):

@@ -8,9 +8,11 @@ transitivity certificate carries out- and in-trees that prove its
 component strongly connected, which on a shift or a finite map is the
 whole proof (`_revalidate_exact`); a shift's density gaps are measured on
 the cycles that the trees close (`Certificate.tree_cycle`). On the torus,
-transitivity also stores closed chains through sampled node pairs, traced
-to periodic points that visit both cross-sections, and density is the
-lattice, which x -> A x mod n permutes.
+transitivity also stores closed chains through sampled node pairs, as
+positions into the component, each with the exact periodic point it was
+traced to, whose orbit visits both cross-sections; the tree edges and the
+chain steps go through one step test. Density is the lattice, which
+x -> A x mod n permutes.
 
 Every fact is stored once, and evidence holds only what its check cannot
 rebuild. A decomposition derives `recurrent_nodes` (the sorted union of the
@@ -45,8 +47,8 @@ from .chains import (ChainGraph, _array_ball, _bfs_levels, _bfs_tree,
 from .entourage import metric_ball
 from .report import PASS, RESOLUTION_LIMITED, Report
 from .shadowing import PERIODIC, PseudoOrbit, trace_linear_hyperbolic
-from .systems import (FiniteSystem, LinearSaddle, ShiftOfFiniteType,
-                      TorusAutomorphism, sft_metric)
+from .systems import (FiniteSystem, ShiftOfFiniteType, TorusAutomorphism,
+                      sft_metric)
 
 # the family that spectral_decompose reports, by the system's density mode
 _FAMILIES = {"symbolic": "symbolic", "exact-orbit": "finite",
@@ -67,34 +69,34 @@ NONCOMPACT_NOTE = (
 
 @dataclass(frozen=True)
 class TracedWalk:
-    """A closed metric D-chain from x = walk[0] back to x, of period
-    len(walk) - 1, through its target y = walk[y_pos], with the periodic
-    orbit it was traced to, one point per walk step, in rational
-    coordinates, so periodicity is exact and a re-check steps through it
-    rather than iterating the float map, which would amplify rounding by
-    rate_u^period."""
+    """A closed metric D-chain through x = C[walk[0]] and its target
+    y = C[walk[y_pos]], as one period of int positions into the component
+    C, whose closing step walk[-1] -> walk[0] is implied, with the start of
+    the periodic orbit it was traced to. That point is exact (rational
+    coordinates, or the walk's own first node when the walk is an orbit),
+    so a re-check rebuilds its orbit with `system.orbit` and wants it closed
+    after len(walk) steps, rather than iterating the float map, which would
+    amplify rounding by rate_u^period."""
 
     walk: tuple
     y_pos: int
-    traced: tuple
+    start: tuple
 
 
 @dataclass(frozen=True, eq=False)
 class ConnectivityWitness:
     """Evidence that a component C is strongly connected under D: an
     out-tree and an in-tree spanning C from its root, position 0, as
-    read-only copies of parent and level arrays of positions into C. The
-    out-tree edge of k is the D-step C[parent[k]] -> C[k], so the root
-    reaches every node, and the in-tree edge is C[k] -> C[parent[k]], so
-    every node reaches the root."""
+    read-only copies of parent arrays of positions into C, the root its own
+    parent. The out-tree edge of k is the D-step C[parent[k]] -> C[k], so
+    the root reaches every node, and the in-tree edge is C[k] ->
+    C[parent[k]], so every node reaches the root."""
 
     out_parent: np.ndarray
-    out_level: np.ndarray
     in_parent: np.ndarray
-    in_level: np.ndarray
 
     def __post_init__(self):
-        for name in ("out_parent", "out_level", "in_parent", "in_level"):
+        for name in ("out_parent", "in_parent"):
             values = np.array(getattr(self, name))
             values.flags.writeable = False
             object.__setattr__(self, name, values)
@@ -114,18 +116,19 @@ class Certificate:
                       transitions; no demos are stored (`_revalidate_exact`)
       exact-orbit     the same on finite systems, whose step is f(a) == b
       metric-walk     transitivity demos are `TracedWalk` D-chains of
-                      points, traced to exact periodic orbits that start in
-                      E[x] and visit E[y]; D and E are built from the stored
-                      `radius`, E as the ball of the tracing coefficient
-                      times it
+                      positions into the component, each traced to an exact
+                      periodic point whose orbit starts in E[x] and visits
+                      E[y]; D and E are built from the stored `radius`, E as
+                      the ball of the tracing coefficient times it
       lattice-cycle   density on the torus grid at `resolution` n, with no
                       demos: x -> A x mod n permutes the lattice, so every
                       node is its own periodic point, and the check runs in
                       lattice integers (`_revalidate_lattice`)
     Only metric-walk certificates store demos and a chain `radius`, a
     positive number, only transitivity ones a `witness`, a
-    `ConnectivityWitness` whose 2(|C| - 1) tree edges are each re-tested by
-    the step relation (`_chain_step`), and only lattice-cycle ones a
+    `ConnectivityWitness` whose 2(|C| - 1) tree edges go through one step
+    test with every walk step (`_witness_failures`), and only lattice-cycle
+    ones a
     `resolution`: an int n >= 1 with n * n in the int32 range, as
     `torus_grid_graph` builds. Each density check makes every node step
     into the component, so the density certificate proves that the
@@ -174,11 +177,11 @@ class Certificate:
         """Why the fields are not evidence of the form the routine reads,
         or not about `component`, or None. The routines iterate a tuple
         component and tuple demos, read fields that only the right type has,
-        step through tuple orbits, build D and E from the radius and size
-        lattice arrays by the resolution. Nodes must hash; only metric walks
-        are demos, and there must be one, each a node tuple that starts and
-        aims at members; the lattice-cycle routine decodes its nodes
-        itself."""
+        build D and E from the radius and size lattice arrays by the
+        resolution. Nodes must hash; only metric walks are demos, and there
+        must be one, each a non-empty tuple of int positions into the
+        component with its target position in it; the lattice-cycle routine
+        decodes its nodes itself."""
         demos = self.demos
         r, n = self.radius, self.resolution
         lattice, metric = self.mode == "lattice-cycle", self.mode == "metric-walk"
@@ -209,19 +212,13 @@ class Certificate:
             return "a transitivity demo is not a TracedWalk"
         if not demos:
             return "no walk demo"
-        if not all(type(d.walk) is tuple and len(d.walk) >= 2
-                   and type(d.y_pos) is int and 0 <= d.y_pos < len(d.walk)
+        m = len(self.component)
+        if not all(type(d.walk) is tuple and type(d.y_pos) is int
+                   and 0 <= d.y_pos < len(d.walk)
+                   and all(type(k) is int and 0 <= k < m for k in d.walk)
                    for d in demos):
-            return "a walk is not a node tuple with a target position in it"
-        try:
-            hash(tuple(d.walk for d in demos))  # hashes every node
-        except TypeError:
-            return "a walk node cannot be hashed"
-        ends = {d.walk[k] for d in demos for k in (0, d.y_pos)}
-        if len(ends.intersection(self.component)) != len(ends):
-            return "a walk starts or aims outside the component"
-        if not all(type(d.traced) is tuple for d in demos):
-            return "a traced orbit is not a tuple of points"
+            return ("a walk is not a tuple of positions into the component "
+                    "with a target position in it")
         return None
 
 
@@ -259,17 +256,15 @@ def _is_point(system):
 
 def _mode_for(system, kind):
     """The one certificate mode for evidence of `kind` on `system`, or None:
-    symbolic on shifts, exact-orbit on finite maps, metric-walk transitivity
-    on linear saddles and torus automorphisms, lattice-cycle density on the
-    torus."""
+    symbolic on shifts, exact-orbit on finite maps, and on torus
+    automorphisms metric-walk transitivity and lattice-cycle density."""
     if isinstance(system, ShiftOfFiniteType):
         return "symbolic"
     if isinstance(system, FiniteSystem):
         return "exact-orbit"
-    if kind == "transitivity":
-        walks = isinstance(system, (LinearSaddle, TorusAutomorphism))
-        return "metric-walk" if walks else None
-    return "lattice-cycle" if isinstance(system, TorusAutomorphism) else None
+    if not isinstance(system, TorusAutomorphism):
+        return None
+    return "metric-walk" if kind == "transitivity" else "lattice-cycle"
 
 
 def _chain_step(cert, system):
@@ -314,78 +309,72 @@ def _revalidate_exact(cert, system):
 
 
 def _revalidate_metric(cert, system):
-    """Metric walks: the witness, then each walk a closed D-chain traced to
-    an exact periodic orbit (`_orbit_failure`)."""
-    bad = _witness_failures(cert, system)
-    point = _is_point(system)
-    if not all(point(x) for demo in cert.demos
-               for x in itertools.chain(demo.walk, demo.traced)):
-        return bad + ["a walk or traced orbit holds a node that is not a "
-                      "point of the system"]
-    chained = _chain_step(cert, system)
-    in_E = metric_ball(
-        system, system.tracing_coefficient() * cert.radius + 1e-12).accepts
-    failures = (_orbit_failure(system, demo, chained, in_E) for demo in cert.demos)
-    return bad + [failure for failure in failures if failure]
+    """Metric walks: each traced point must be a point of the system before
+    its orbit is stepped, then the witness and the walks
+    (`_witness_failures`)."""
+    if not all(map(_is_point(system), (demo.start for demo in cert.demos))):
+        return ["a traced point is not a point of the system"]
+    return _witness_failures(cert, system)
 
 
-def _orbit_failure(system, demo, chained, in_E):
-    """Why a metric walk, whose shape `Certificate._evidence_failure` has
-    checked, is not a closed walk of `chained` steps traced to an exact
-    periodic orbit of its period that starts in E[walk[0]] and visits
-    E[walk[y_pos]] at y_pos, or None."""
-    walk, orbit = demo.walk, demo.traced
-    where, period = system.point_to_text(walk[0]), len(walk) - 1
-    if walk[0] != walk[-1]:
-        return f"walk at {where} is not closed"
-    if not all(chained(a, b) for a, b in zip(walk, walk[1:])):
-        return f"walk at {where} takes a step outside the chain relation"
-    if len(orbit) != period:
-        return f"orbit at {where} has the wrong length"
-    if any(system.forward(orbit[k]) != orbit[(k + 1) % period]
-           for k in range(period)):
-        return f"stored loop at {where} is not an orbit"
-    if not in_E(walk[0], orbit[0]):
+def _orbit_failure(system, comp, demo, in_E):
+    """Why the orbit of a metric walk's traced point, rebuilt exactly by
+    `system.orbit`, does not close after the walk's period, or does not
+    start in E[x] and visit E[y] at y_pos, or None. The walk's shape and
+    steps are checked before (`_witness_failures`)."""
+    x, period = comp[demo.walk[0]], len(demo.walk)
+    orbit = system.orbit(demo.start, period)
+    where = system.point_to_text(x)
+    if orbit[-1] != orbit[0]:
+        return f"traced point at {where} does not return after {period} steps"
+    if not in_E(x, orbit[0]):
         return f"traced point at {where} leaves E[x]"
-    if not in_E(walk[demo.y_pos], orbit[demo.y_pos % period]):
+    if not in_E(comp[demo.walk[demo.y_pos]], orbit[demo.y_pos]):
         return f"orbit visit at {where} leaves E[y]"
     return None
 
 
-def _spanning_tree(parent, level):
-    """Whether parent and level arrays make a tree rooted at position 0:
-    the root is its own parent at level 0, and every other position has a
-    parent in range one level above it, so parents lead down the levels to
-    the root, even if a level wraps round (a cycle would need as many
-    positions as the int64 range holds)."""
-    parent, level = parent.astype(np.int64), level.astype(np.int64)
-    up = parent[1:]
-    return bool(parent[0] == 0 and level[0] == 0
-                and ((up >= 0) & (up < len(parent))).all()
-                and (level[1:] == level[up] + 1).all())
+def _spanning_tree(parent):
+    """Whether a parent array makes a tree rooted at position 0: every
+    parent is in range, and every position reaches the root, by pointer
+    doubling. After k squarings anc = anc[anc] each entry is its 2^k-th
+    ancestor, so m.bit_length() of them take every path of at most m - 1
+    parents to the root, and a cycle away from the root never gets there.
+    All entries 0 at once also makes the root its own parent: with f the
+    parent map and j = f(0), j = f(f^(2^k)(0)) = f^(2^k)(j) = 0."""
+    m = len(parent)
+    anc = parent.astype(np.int64)
+    if not ((anc >= 0) & (anc < m)).all():
+        return False
+    for _ in range(m.bit_length()):
+        if not anc.any():
+            return True
+        anc = anc[anc]
+    return not anc.any()
 
 
 def _witness_failures(cert, system):
-    """Strong connectivity of the component from its witness: each tree
-    must span the component, and each tree edge (a, b) must be a step of
-    `_chain_step`, not of the integer offsets that built the ladder; on
-    arrays when `_array_ball` holds, as `build_chain_graph` measures its
-    pairs. Otherwise a node outside the symbolic mode must pass `_is_point`
-    before it is stepped. A tree with bad edges is one failure, with the
-    count and the first bad edge."""
+    """Strong connectivity of the component from its witness, and each
+    metric walk. Each tree must span the component, and every tree edge
+    and walk step (a, b), with the step that closes each walk, must be a
+    step of `_chain_step`, not of the integer offsets that built the
+    ladder; all go through one test, on arrays when `_array_ball` holds, as
+    `build_chain_graph` measures its pairs. Otherwise a node outside the
+    symbolic mode must pass `_is_point` before it is stepped. A tree with
+    bad edges is one failure, with the count and the first bad edge, and so
+    is a walk with a bad step; a walk whose steps hold is then checked by
+    `_orbit_failure`."""
     witness, comp = cert.witness, cert.component
     if not isinstance(witness, ConnectivityWitness):
         return ["no connectivity witness for the component"]
-    trees = (("out-tree", witness.out_parent, witness.out_level),
-             ("in-tree", witness.in_parent, witness.in_level))
-    arrays = [a for _, parent, level in trees for a in (parent, level)]
-    if not all(_int_array(a) for a in arrays):
+    trees = (("out-tree", witness.out_parent), ("in-tree", witness.in_parent))
+    if not all(_int_array(parent) for _, parent in trees):
         return ["a connectivity witness array is not an int array"]
-    if not comp or any(a.shape != (len(comp),) for a in arrays):
+    if not comp or any(parent.shape != (len(comp),) for _, parent in trees):
         return ["the connectivity witness does not have one entry per "
                 "component node"]
     bad = [f"the {name} witness is not a tree rooted at the first node"
-           for name, parent, level in trees if not _spanning_tree(parent, level)]
+           for name, parent in trees if not _spanning_tree(parent)]
     if bad:
         return bad
     if cert.mode == "metric-walk" and _array_ball(
@@ -412,6 +401,22 @@ def _witness_failures(cert, system):
             bad.append(f"component is not strongly connected under D along its "
                        f"{name}: {off.size} of its edges are not D-steps, the "
                        f"first from {show(a)} to {show(b)}")
+    walks = [demo.walk for demo in cert.demos]
+    if not walks:
+        return bad
+    tails = np.fromiter(itertools.chain.from_iterable(walks), dtype=np.int64)
+    heads = np.fromiter(itertools.chain.from_iterable(
+        w[1:] + w[:1] for w in walks), dtype=np.int64)
+    firsts = np.cumsum([0] + [len(w) for w in walks[:-1]])
+    held = np.logical_and.reduceat(steps(tails, heads), firsts).tolist()
+    in_E = metric_ball(
+        system, system.tracing_coefficient() * cert.radius + 1e-12).accepts
+    for demo, steps_held in zip(cert.demos, held):
+        failure = (_orbit_failure(system, comp, demo, in_E) if steps_held else
+                   f"walk at {show(comp[demo.walk[0]])} takes a step outside "
+                   "the chain relation")
+        if failure:
+            bad.append(failure)
     return bad
 
 
@@ -534,6 +539,9 @@ def transitivity_certificate(graph, component, system, radius=None, seed=0,
     if inside.sum() != len(component) or not inside[component].all():
         raise ValueError("The nodes do not form one strongly connected "
                          "component of the graph.")
+    comp = np.asarray(component, dtype=np.int64)
+    position = np.full(graph.node_count, -1, dtype=np.int32)
+    position[comp] = np.arange(len(comp), dtype=np.int32)
     mode, rng, demos = _mode_for(system, "transitivity"), random.Random(seed), []
     if mode != "metric-walk":
         ends = []
@@ -546,39 +554,30 @@ def transitivity_certificate(graph, component, system, radius=None, seed=0,
         if walk_idx is None:
             x, y = (system.point_to_text(graph.nodes[i]) for i in (xi, yi))
             raise CertificateError(f"No closed walk through {x} and {y}.")
-        walk = tuple(graph.nodes[i] for i in walk_idx)
-        demos.append(TracedWalk(walk, y_pos, _trace_periodic_walk(system, walk)))
+        period = walk_idx[:-1]
+        demos.append(TracedWalk(
+            tuple(position[period].tolist()), y_pos,
+            _trace_periodic_walk(system, [graph.nodes[i] for i in period])))
+    # the witness: the out-tree and in-tree from the first of the sorted
+    # component nodes, on the graph and on its reverse, as positions
+    out_parent, in_parent = (
+        position[_bfs_tree(*csr, inside, comp[0])[comp]]
+        for csr in ((graph.indptr, graph.indices), graph.reversed_csr()))
     return Certificate(
         kind="transitivity", mode=mode,
         component=tuple(graph.nodes[i] for i in component), demos=tuple(demos),
-        radius=radius, witness=_connectivity_witness(graph, inside, component))
-
-
-def _connectivity_witness(graph, inside, component):
-    """The out-tree and in-tree from the first of the sorted component
-    nodes, by `_bfs_tree` on the graph and on its reverse inside the
-    component, written as positions into the component."""
-    comp = np.asarray(component, dtype=np.int64)
-    position = np.full(graph.node_count, -1, dtype=np.int32)
-    position[comp] = np.arange(len(comp), dtype=np.int32)
-    trees = [_bfs_tree(*csr, inside, comp[0])
-             for csr in ((graph.indptr, graph.indices), graph.reversed_csr())]
-    (out_parent, out_level), (in_parent, in_level) = trees
-    return ConnectivityWitness(
-        out_parent=position[out_parent[comp]],
-        out_level=out_level[comp].astype(np.int32),
-        in_parent=position[in_parent[comp]],
-        in_level=in_level[comp].astype(np.int32))
+        radius=radius, witness=ConnectivityWitness(out_parent, in_parent))
 
 
 def _trace_periodic_walk(system, walk):
-    """The orbit that the walk, closed into a periodic pseudo-orbit, is
-    traced to: a walk with zero defect is a true orbit, traced to itself;
-    otherwise the rational tracer runs, so the orbit is exactly periodic."""
-    pseudo = PseudoOrbit.measured(system, walk[:-1], PERIODIC)
+    """The start of the orbit that one period of a walk, closed into a
+    periodic pseudo-orbit, is traced to: a walk with zero defect is a true
+    orbit, traced to itself; otherwise the rational tracer runs, so the
+    orbit is exactly periodic."""
+    pseudo = PseudoOrbit.measured(system, walk, PERIODIC)
     if pseudo.defect_bound == 0.0:
-        return pseudo.window
-    return trace_linear_hyperbolic(system, pseudo, exact=True).traced_orbit
+        return walk[0]
+    return trace_linear_hyperbolic(system, pseudo, exact=True).traced_orbit[0]
 
 
 # ---------------------------------------------------------------------------

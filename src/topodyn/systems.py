@@ -616,7 +616,6 @@ class ShiftOfFiniteType(DynamicalSystem):
         self.space_id = f"shift-{size}"
         self._pairs = frozenset((a, b) for a in range(size) for b in range(size)
                                 if rows[a][b])  # the allowed transitions
-        self._tails = {}  # (symbol, forward) -> _greedy_tail's (tail, cycle)
 
     def allowed(self, a, b):
         return bool(self.transitions[a][b])
@@ -680,8 +679,6 @@ class ShiftOfFiniteType(DynamicalSystem):
         from `start` until a symbol repeats. Returns (tail, cycle) in
         sequence order: the sequence reads start, tail, cycle, cycle, ...
         forward and ..., cycle, cycle, tail, start backward."""
-        if (start, forward) in self._tails:
-            return self._tails[start, forward]
         step, what = ((self.successors, "successor") if forward
                       else (self.predecessors, "predecessor"))
         walk = [start]
@@ -693,9 +690,7 @@ class ShiftOfFiniteType(DynamicalSystem):
             nxt = options[0]
             if nxt in seen:
                 tail, cycle = tuple(walk[1:]), tuple(walk[seen[nxt]:])
-                found = (tail, cycle) if forward else (tail[::-1], cycle[::-1])
-                self._tails[start, forward] = found
-                return found
+                return (tail, cycle) if forward else (tail[::-1], cycle[::-1])
             seen[nxt] = len(walk)
             walk.append(nxt)
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topodyn import (
@@ -31,7 +31,8 @@ from topodyn.report import RESOLUTION_LIMITED
 from topodyn.chains import (ChainGraph, _bfs_tree, _csr, _lattice_map,
                             build_chain_graph, torus_grid_graph)
 from topodyn.spectral import (_FAMILIES, ConnectivityWitness, TracedWalk,
-                              _bfs_path, _lattice_index, _witness_failures)
+                              _bfs_path, _lattice_index, _spanning_tree,
+                              _witness_failures)
 from topodyn.systems import (FiniteSystem, _north_south, catalog, sft_metric,
                              torus_grid)
 
@@ -92,20 +93,21 @@ def test_two_block_decomposition_frozen():
 
 
 def test_walk_demos_visit_their_targets():
-    """Only metric walks are demos: a `TracedWalk` stores no end beside its
-    walk, so x is walk[0] and the target y is walk[y_pos], both members,
-    and its traced orbit, one point per step. Shifts and finite maps are
-    proven by their witness trees, and none of their certificates stores a
-    demo."""
+    """Only metric walks are demos: a `TracedWalk` stores one period of int
+    positions into the component, so x is node walk[0] and the target y is
+    node walk[y_pos], and the one point its orbit was traced from, whose
+    orbit closes after the period. Shifts and finite maps are proven by
+    their witness trees, and none of their certificates stores a demo."""
     assert [f.name for f in dataclasses.fields(TracedWalk)] == [
-        "walk", "y_pos", "traced"]
+        "walk", "y_pos", "start"]
     for bs in spectral_decompose(CAT, resolution=16, seed=3).basic_sets:
         assert bs.transitivity.demos
         for demo in bs.transitivity.demos:
             assert type(demo) is TracedWalk
-            x, y = demo.walk[0], demo.walk[demo.y_pos]
-            assert demo.walk[-1] == x and {x, y} <= set(bs.nodes)
-            assert len(demo.traced) == len(demo.walk) - 1
+            assert all(type(k) is int and 0 <= k < bs.size for k in demo.walk)
+            assert 0 <= demo.y_pos < len(demo.walk)
+            orbit = CAT.orbit(demo.start, len(demo.walk))
+            assert orbit[-1] == orbit[0]
     for system in (TWO_BLOCK, THREE_CYCLE):
         for bs in spectral_decompose(system, seed=3).basic_sets:
             assert bs.transitivity.demos == bs.periodic_density.demos == ()
@@ -145,32 +147,36 @@ def test_decomposition_report_roundtrip():
 # corrupted certificates must fail revalidation
 
 
+WALK_SHAPE = ("a walk is not a tuple of positions into the component with "
+              "a target position in it")
+
+
 def test_corrupted_walk_is_rejected():
-    """A metric walk whose last node is moved one grid cell is not closed;
-    shift walks, which this once tampered with, are no longer stored."""
+    """A metric walk whose last position is moved one past the component's
+    end names no node: one failure, before any step is tested; shift walks,
+    which this once tampered with, are no longer stored."""
     dec = spectral_decompose(CAT, resolution=16, seed=0)
     cert = dec.basic_sets[0].transitivity
     demo = cert.demos[0]
-    (u, v) = demo.walk[-1]
-    wrong_walk = demo.walk[:-1] + (((u + 1 / 16) % 1.0, v),)
-    broken = dataclasses.replace(demo, walk=wrong_walk)
-    bad_cert = dataclasses.replace(cert, demos=(broken,) + cert.demos[1:])
-    assert any("not closed" in msg for msg in bad_cert.revalidate(CAT))
+    bad_cert = _demo_replaced(cert, walk=demo.walk[:-1] + (len(cert.component),))
+    assert bad_cert.revalidate(CAT) == [WALK_SHAPE]
 
 
 def test_corrupted_traced_point_is_rejected():
-    """Only metric walks store a traced orbit; with its first point moved by
-    1/1000 it is no orbit, which is the one failure."""
+    """Only metric walks store a traced point; moved by 1/1000, or by one
+    grid cell, its orbit does not return after the walk's period, which is
+    the one failure."""
     dec = spectral_decompose(CAT, resolution=16, seed=0)
     cert = dec.basic_sets[0].transitivity
     demo = cert.demos[0]
-    (u, v), rest = demo.traced[0], demo.traced[1:]
-    broken = dataclasses.replace(demo, traced=((u + Fraction(1, 1000), v),) + rest)
-    bad_cert = dataclasses.replace(cert, demos=(broken,) + cert.demos[1:])
-    message = f"stored loop at {CAT.point_to_text(demo.walk[0])} is not an orbit"
-    assert bad_cert.revalidate(CAT) == [message]
-    assert _first_replaced(dec, "transitivity", demos=bad_cert.demos).validate(
-        CAT) == [f"basic set 0 [transitivity]: {message}"]
+    (u, v), period = demo.start, len(demo.walk)
+    message = (f"traced point at {CAT.point_to_text(cert.component[demo.walk[0]])}"
+               f" does not return after {period} steps")
+    for step in (Fraction(1, 1000), Fraction(1, 16)):
+        bad_cert = _demo_replaced(cert, start=((u + step) % 1, v))
+        assert bad_cert.revalidate(CAT) == [message]
+        assert _first_replaced(dec, "transitivity", demos=bad_cert.demos).validate(
+            CAT) == [f"basic set 0 [transitivity]: {message}"]
 
 
 def test_uncovered_node_is_rejected():
@@ -230,16 +236,16 @@ def _walks_as_density(bs, other):
 
 
 def _open_walks(bs, other):
-    """Every way back cut open: each walk cut after its first step, so it
-    starts at x and aims at its second node but does not come back, and the
-    in-tree, whose edges lead back to the root, replaced by the out-tree."""
+    """Every way back cut open: each walk cut to its first two positions,
+    so it aims at its second node and comes back by a step it never took,
+    and the in-tree, whose edges lead back to the root, replaced by the
+    out-tree."""
     cert = bs.transitivity
     w = cert.witness
     return dataclasses.replace(bs, transitivity=dataclasses.replace(
         cert, demos=tuple(dataclasses.replace(d, walk=d.walk[:2], y_pos=1)
                           for d in cert.demos),
-        witness=ConnectivityWitness(w.out_parent, w.out_level, w.out_parent,
-                                    w.out_level)))
+        witness=ConnectivityWitness(w.out_parent, w.out_parent)))
 
 
 def _non_point(bs, other):
@@ -390,13 +396,14 @@ def test_a_hashable_non_point_node_is_one_failure(where):
 
 @pytest.mark.parametrize("system, kwargs, field", [
     (THREE_CYCLE, {}, "walk"), (CAT, {"resolution": 16}, "walk"),
-    (CAT, {"resolution": 16}, "traced")],
+    (CAT, {"resolution": 16}, "start")],
     ids=["walk-exact-orbit", "walk-metric-walk", "traced-metric-walk"])
 def test_a_non_point_inside_a_walk_is_one_failure(system, kwargs, field):
-    """A walk node between the two ends, or a metric walk's traced orbit
-    entry, that is no point of the system is one failure, before it is
-    stepped. A finite map stores no walks: one with a non-point inside,
-    stored in its exact-orbit certificate, is refused whole, once."""
+    """A walk entry between the two ends that is no position, or a metric
+    walk's traced point with a coordinate that is no number, is one failure,
+    before anything is stepped. A finite map stores no walks: one with a
+    non-position inside, stored in its exact-orbit certificate, is refused
+    whole, once."""
     dec = spectral_decompose(system, seed=0, pairs=4, **kwargs)
     bs = dec.basic_sets[0]
     demos = list(bs.transitivity.demos) or [_tree_walk(bs.transitivity)]
@@ -407,8 +414,8 @@ def test_a_non_point_inside_a_walk_is_one_failure(system, kwargs, field):
     demos[k] = dataclasses.replace(demo, **{field: tuple(values)})
     cert = dataclasses.replace(bs.transitivity, demos=tuple(demos))
     message = (NO_DEMOS.format("exact-orbit") if system is THREE_CYCLE else
-               "a walk or traced orbit holds a node that is not a point of "
-               "the system")
+               WALK_SHAPE if field == "walk" else
+               "a traced point is not a point of the system")
     assert cert.revalidate(system) == [message]
     tampered = dataclasses.replace(bs, transitivity=cert)
     assert dataclasses.replace(
@@ -436,11 +443,13 @@ WALK_SYSTEMS = pytest.mark.parametrize("system, kwargs", [
 
 
 def _tree_walk(cert):
-    """The cycle that cert's trees close through the root, as the closed
-    walk that a metric certificate would store: the evidence that shift
-    and finite certificates no longer store, as their trees prove it."""
+    """The cycle that cert's trees close through the root, as the walk of
+    positions that a metric certificate would store, traced to its first
+    node: the evidence that shift and finite certificates no longer store,
+    as their trees prove it."""
     cycle = cert.tree_cycle(0)
-    return TracedWalk(cycle + cycle[:1], 1, cycle)
+    return TracedWalk(tuple(map(cert.component.index, cycle)),
+                      len(cycle) // 2, cycle[0])
 
 
 NO_DEMOS = "the {} mode reads no demos, yet a tuple is stored"
@@ -448,21 +457,22 @@ NO_DEMOS = "the {} mode reads no demos, yet a tuple is stored"
 
 def _one_walk_failure(system, kwargs, walk_of, message):
     """The first demo of the first basic set of three or more nodes given
-    the walk `walk_of(demo, nodes)` with target position 1: exactly one
-    failure, `walk at x {message}`, in revalidate() and in validate(). A
-    shift or a finite map stores no walks, so there the walk, built from
-    the tree cycle's and stored as the one demo, is refused whole, once."""
+    the walk of positions `walk_of(demo, nodes)` with target position 1:
+    exactly one failure, `walk at x {message}`, in revalidate() and in
+    validate(). A shift or a finite map stores no walks, so there the walk,
+    built from the tree cycle's and stored as the one demo, is refused
+    whole, once."""
     dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
     k, bs = next((k, b) for k, b in enumerate(dec.basic_sets) if b.size >= 3)
     cert = bs.transitivity
     if cert.demos:
         walk = walk_of(cert.demos[0], bs.nodes)
         forged = _demo_replaced(cert, walk=walk, y_pos=1)
-        want = f"walk at {system.point_to_text(walk[0])} {message}"
+        want = f"walk at {system.point_to_text(bs.nodes[walk[0]])} {message}"
     else:
         walk = walk_of(_tree_walk(cert), bs.nodes)
         forged = dataclasses.replace(cert, demos=(
-            TracedWalk(walk, 1, walk[:-1]),))
+            TracedWalk(walk, 1, bs.nodes[walk[0]]),))
         want = NO_DEMOS.format(cert.mode)
     assert forged.revalidate(system) == [want]
     sets = list(dec.basic_sets)
@@ -473,16 +483,16 @@ def _one_walk_failure(system, kwargs, walk_of, message):
 
 @WALK_SYSTEMS
 def test_closed_walk_with_a_forbidden_step_is_rejected(system, kwargs):
-    """A walk x -> y -> x that is closed and visits its target, but whose
-    first step is not in the chain relation: 2 -> 4 on the shift, a -> c
-    where f(a) = b, and on the torus the node farthest from f(x). It is one
-    failure; a metric walk's traced orbit is checked only once its walk
-    is. The exact modes refuse any stored walk, this one too."""
+    """A walk x -> y -> x that visits its target, but whose first step is
+    not in the chain relation: 2 -> 4 on the shift, a -> c where f(a) = b,
+    and on the torus the node farthest from f(x). It is one failure; a
+    metric walk's traced point is checked only once its walk is. The exact
+    modes refuse any stored walk, this one too."""
     def forbidden(demo, nodes):
         x = nodes[0]
         y = {TWO_BLOCK: 4, THREE_CYCLE: "c"}.get(system) or max(
             nodes, key=lambda p: CAT.metric(CAT.forward(x), p))
-        return (x, y, x)
+        return (0, nodes.index(y))
 
     _one_walk_failure(system, kwargs, forbidden,
                       "takes a step outside the chain relation")
@@ -490,13 +500,19 @@ def test_closed_walk_with_a_forbidden_step_is_rejected(system, kwargs):
 
 @WALK_SYSTEMS
 def test_an_unclosed_walk_is_one_failure(system, kwargs):
-    """A walk whose last node is another member than its first is one
-    failure in every mode: in the exact modes, which read no walks, as a
-    stored demo."""
+    """A walk is one period, closed by the step from its last position back
+    to its first, which is tested like every other step: a walk given one
+    more node, the member whose image is farthest from x, does not come
+    back to x under D, which is one failure in every mode; in the exact
+    modes, which read no walks, as a stored demo."""
     def unclosed(demo, nodes):
-        return demo.walk[:-1] + (next(v for v in nodes if v != demo.walk[0]),)
+        x = nodes[demo.walk[0]]
+        far = max(range(len(nodes)), key=lambda k: CAT.metric(
+            CAT.forward(nodes[k]), x)) if system is CAT else 0
+        return demo.walk + (far,)
 
-    _one_walk_failure(system, kwargs, unclosed, "is not closed")
+    _one_walk_failure(system, kwargs, unclosed,
+                      "takes a step outside the chain relation")
 
 
 @pytest.mark.parametrize("system, kwargs", [
@@ -692,7 +708,9 @@ def test_symbols_outside_the_alphabet_are_one_failure():
 MALFORMED_WALKS = {
     "none": lambda walk: {"walk": None},
     "list": lambda walk: {"walk": list(walk)},
-    "one-node": lambda walk: {"walk": walk[:1], "y_pos": 0},
+    # the closed walk of one node, (x,), of period 0: one period of it
+    # holds no position
+    "one-node": lambda walk: {"walk": (), "y_pos": 0},
     "target-past-end": lambda walk: {"y_pos": len(walk)},
     "bool-target": lambda walk: {"y_pos": True},
     "unhashable-node": lambda walk: {"walk": walk[:1] + ([0.5],) + walk[2:]},
@@ -705,10 +723,10 @@ MALFORMED_WALKS = {
 @pytest.mark.parametrize("malformed", sorted(MALFORMED_WALKS))
 def test_a_malformed_walk_is_one_failure(system, kwargs, malformed):
     """A walk demo's ends are read from its walk, so a walk that is no
-    tuple of two or more hashable nodes, or a target position that is no
-    int index into it, ends the check with one failure, never an
-    exception. The exact modes store no walks and refuse any, malformed or
-    not, with one failure."""
+    non-empty tuple of int positions into the component, or a target
+    position that is no int index into it, ends the check with one failure,
+    never an exception. The exact modes store no walks and refuse any,
+    malformed or not, with one failure."""
     dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
     bs = dec.basic_sets[0]
     demos = bs.transitivity.demos or (_tree_walk(bs.transitivity),)
@@ -716,8 +734,7 @@ def test_a_malformed_walk_is_one_failure(system, kwargs, malformed):
                                  **MALFORMED_WALKS[malformed](demos[0].walk))
     cert = dataclasses.replace(bs.transitivity, demos=(broken,) + demos[1:])
     message = (NO_DEMOS.format(cert.mode) if cert.mode != "metric-walk" else
-               "a walk node cannot be hashed" if malformed == "unhashable-node"
-               else "a walk is not a node tuple with a target position in it")
+               WALK_SHAPE)
     assert cert.revalidate(system) == [message]
     tampered = dataclasses.replace(bs, transitivity=cert)
     assert dataclasses.replace(
@@ -744,15 +761,14 @@ def test_a_hostile_resolution_is_one_failure(n):
 
 
 def test_a_traced_orbit_forged_to_a_fixed_point_leaves_e():
-    """Each traced orbit replaced by the fixed point 0: every step of the
-    forged orbit is exact, but the check builds E from the radius, and the
+    """Each traced point replaced by the fixed point 0: its orbit closes
+    after every period, but the check builds E from the radius, and the
     orbit starts outside E[x]."""
     dec = spectral_decompose(CAT, resolution=16, seed=0)
     bs = dec.basic_sets[0]
     zero = (Fraction(0), Fraction(0))
     forged = dataclasses.replace(bs.transitivity, demos=tuple(
-        dataclasses.replace(d, traced=(zero,) * (len(d.walk) - 1))
-        for d in bs.transitivity.demos))
+        dataclasses.replace(d, start=zero) for d in bs.transitivity.demos))
     failures = forged.revalidate(CAT)
     assert [msg.endswith("leaves E[x]") for msg in failures] == [True] * len(
         forged.demos)
@@ -843,19 +859,19 @@ def test_a_gap_that_is_not_a_number_is_one_failure(system, kwargs, gap):
     (TWO_BLOCK, {}, "transitivity", NO_DEMOS.format("symbolic")),
     (TWO_BLOCK, {}, "periodic_density", NO_DEMOS.format("symbolic")),
     (CAT, {"resolution": 16}, "transitivity",
-     "a traced orbit is not a tuple of points"),
+     "a traced point is not a point of the system"),
     (THREE_CYCLE, {}, "transitivity", NO_DEMOS.format("exact-orbit"))],
     ids=["symbolic-walk", "symbolic-density", "metric-walk", "exact-orbit"])
 def test_a_traced_point_of_the_wrong_type_is_one_failure(system, kwargs, kind,
                                                          message):
-    """Only metric walks store a traced orbit, a tuple, and one that is no
-    tuple is one failure. A traced walk in the symbolic or exact-orbit
+    """Only metric walks store a traced point, and one that is no point of
+    the system is one failure. A traced walk in the symbolic or exact-orbit
     mode, whose trees are the proof, or as shift density evidence, is one
     failure too."""
     bs = spectral_decompose(system, seed=0, pairs=2, **kwargs).basic_sets[0]
     cert = getattr(bs, kind)
     first = cert.demos[0] if cert.demos else _tree_walk(bs.transitivity)
-    forged = dataclasses.replace(first, traced=None)
+    forged = dataclasses.replace(first, start=None)
     assert dataclasses.replace(cert, demos=(forged,) + cert.demos[1:]).revalidate(
         system) == [message]
 
@@ -910,9 +926,8 @@ FAMILIES = {"cat-map": {"resolution": 12}, "golden-mean": {}, "full-2": {},
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_validating_against_any_catalog_system_returns_failures(name):
     """A decomposition checked against a system of another family is a list
-    of failures, never an exception; only linear saddles and torus
-    automorphisms take metric walks, so a torus decomposition fails on
-    every other system."""
+    of failures, never an exception; only torus automorphisms take metric
+    walks, so a torus decomposition fails on every other system."""
     systems = {key: entry.build() for key, entry in catalog().items()}
     dec = spectral_decompose(systems[name], seed=0, pairs=2, **FAMILIES[name])
     for key, system in systems.items():
@@ -1143,12 +1158,9 @@ def test_cat_grid_certificates_revalidate():
         dec.stabilization_index]
     for demo in trans.demos:
         assert type(demo) is TracedWalk
-        period = len(demo.walk) - 1
-        assert len(demo.traced) == period
-        # stored loops are exact rational orbits
-        for k in range(period):
-            z = CAT.forward(demo.traced[k])
-            assert z == demo.traced[(k + 1) % period]
+        # traced points are exact periodic points
+        orbit = CAT.orbit(demo.start, len(demo.walk))
+        assert orbit[-1] == orbit[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1405,12 +1417,11 @@ def _with_witness(bs, witness):
 
 def _leaf_rewired(system, bs, tree):
     """bs with one leaf of its out- or in-tree hung from a node whose tree
-    edge into (or out of) the leaf is no D-step, with its level one below
-    its new parent's, so the tree still spans the component."""
+    edge into (or out of) the leaf is no D-step; a leaf has no children, so
+    the tree still spans the component."""
     cert = bs.transitivity
     w, comp = cert.witness, cert.component
     parent = getattr(w, f"{tree}_parent").copy()
-    level = getattr(w, f"{tree}_level").copy()
     chained = (system.allowed if cert.mode == "symbolic" else
                (lambda a, b: system.forward(a) == b)
                if cert.mode == "exact-orbit" else
@@ -1421,9 +1432,8 @@ def _leaf_rewired(system, bs, tree):
     leaves = sorted(set(range(1, len(comp))) - set(parent.tolist()))
     k, q = next((k, q) for k in leaves for q in range(len(comp))
                 if q != k and not step(q, k))
-    parent[k], level[k] = q, level[q] + 1
-    return _with_witness(bs, dataclasses.replace(
-        w, **{f"{tree}_parent": parent, f"{tree}_level": level}))
+    parent[k] = q
+    return _with_witness(bs, dataclasses.replace(w, **{f"{tree}_parent": parent}))
 
 
 def _out_non_edge(system, bs, other):
@@ -1434,37 +1444,41 @@ def _in_non_edge(system, bs, other):
     return _leaf_rewired(system, bs, "in")
 
 
-def _level_raised(system, bs, other):
-    w = bs.transitivity.witness
-    level = w.out_level.copy()
-    level[-1] += 1
-    return _with_witness(bs, dataclasses.replace(w, out_level=level))
-
-
 def _parent_cycle(system, bs, other):
-    """Two nodes off the root that are each other's parent, the second one
-    level below the first, as a tree edge would put it."""
+    """Two nodes off the root that are each other's parent."""
     w = bs.transitivity.witness
-    parent, level = w.out_parent.copy(), w.out_level.copy()
+    parent = w.out_parent.copy()
     u, v = len(parent) - 2, len(parent) - 1
     parent[u], parent[v] = v, u
-    level[u] = level[v] + 1
-    return _with_witness(bs, dataclasses.replace(
-        w, out_parent=parent, out_level=level))
+    return _with_witness(bs, dataclasses.replace(w, out_parent=parent))
+
+
+def _root_moved(system, bs, other):
+    """The root hung from the last node, so no node is its own parent."""
+    w = bs.transitivity.witness
+    parent = w.in_parent.copy()
+    parent[0] = len(parent) - 1
+    return _with_witness(bs, dataclasses.replace(w, in_parent=parent))
+
+
+def _parent_out_of_range(system, bs, other):
+    w = bs.transitivity.witness
+    parent = w.out_parent.copy()
+    parent[-1] = len(parent)
+    return _with_witness(bs, dataclasses.replace(w, out_parent=parent))
 
 
 def _witness_short(system, bs, other):
     w = bs.transitivity.witness
-    return _with_witness(bs, ConnectivityWitness(
-        w.out_parent[:-1], w.out_level[:-1], w.in_parent[:-1], w.in_level[:-1]))
+    return _with_witness(bs, ConnectivityWitness(w.out_parent[:-1],
+                                                 w.in_parent[:-1]))
 
 
 def _witness_as(dtype):
     def tamper(system, bs, other):
         w = bs.transitivity.witness
         return _with_witness(bs, ConnectivityWitness(
-            *(a.astype(dtype) for a in (w.out_parent, w.out_level,
-                                        w.in_parent, w.in_level))))
+            w.out_parent.astype(dtype), w.in_parent.astype(dtype)))
     return tamper
 
 
@@ -1484,8 +1498,9 @@ WITNESS_TAMPERS = {
     "in-non-edge": (_in_non_edge,
                     "component is not strongly connected under D along its "
                     "in-tree: 1 of its edges are not D-steps"),
-    "level-raised": (_level_raised, f"the out-tree {NOT_A_TREE}"),
     "parent-cycle": (_parent_cycle, f"the out-tree {NOT_A_TREE}"),
+    "root-moved": (_root_moved, f"the in-tree {NOT_A_TREE}"),
+    "parent-out-of-range": (_parent_out_of_range, f"the out-tree {NOT_A_TREE}"),
     "one-short": (_witness_short, "the connectivity witness does not have "
                                   "one entry per component node"),
     "float-arrays": (_witness_as(float),
@@ -1518,9 +1533,51 @@ def _witness_failures_after(tamper, system, kwargs):
     (TWO_BLOCK, {})], ids=["torus-16", "torus-20", "three-cycle", "two-block-sft"])
 @pytest.mark.parametrize("kind", sorted(WITNESS_TAMPERS))
 def test_a_tampered_connectivity_witness_is_rejected(kind, system, kwargs):
+    """Each witness tamper is exactly one failure, of the basic set whose
+    witness it is."""
     tamper, message = WITNESS_TAMPERS[kind]
-    _, failures = _witness_failures_after(tamper, system, kwargs)
-    assert any(message in msg for msg in failures), failures
+    k, failures = _witness_failures_after(tamper, system, kwargs)
+    assert len(failures) == 1, failures
+    assert failures[0].startswith(f"basic set {k} [transitivity]: ")
+    assert message in failures[0]
+
+
+def _root_walk(witness, k):
+    """A closed walk of positions through the root and position k, made of
+    tree edges: down the out-tree from the root to k, then up the in-tree
+    towards the root, whose last edge is the implied closing step; and the
+    index of k in it."""
+    down, up = [k], [k]
+    while down[-1]:
+        down.append(int(witness.out_parent[down[-1]]))
+    while up[-1]:
+        up.append(int(witness.in_parent[up[-1]]))
+    return tuple(down[:0:-1] + up[:-1]), len(down) - 1
+
+
+def test_a_walk_traced_to_a_point_outside_e_is_one_failure():
+    """A closed walk of tree edges through the root, the lattice node
+    (0, 0), and a node y farther than E's radius from it, traced to the
+    fixed point 0, whose orbit closes after any period: it starts in E[x]
+    but misses E[y], and the same walk turned to start at y starts outside
+    E[x]. Each, as the first demo, is exactly one failure."""
+    dec = spectral_decompose(CAT, resolution=16, seed=0)
+    cert = dec.basic_sets[0].transitivity
+    comp, zero = cert.component, (Fraction(0), Fraction(0))
+    assert comp[0] == (0.0, 0.0)
+    reach = CAT.tracing_coefficient() * cert.radius
+    k = next(k for k, p in enumerate(comp) if CAT.metric(p, zero) > 2 * reach)
+    walk, y_pos = _root_walk(cert.witness, k)
+    turned = walk[y_pos:] + walk[:y_pos]
+    where = CAT.point_to_text
+    for forged, message in (
+            (TracedWalk(walk, y_pos, zero),
+             f"orbit visit at {where(comp[0])} leaves E[y]"),
+            (TracedWalk(turned, len(walk) - y_pos, zero),
+             f"traced point at {where(comp[k])} leaves E[x]")):
+        demos = (forged,) + cert.demos[1:]
+        assert _first_replaced(dec, "transitivity", demos=demos).validate(CAT) == [
+            f"basic set 0 [transitivity]: {message}"]
 
 
 @pytest.mark.parametrize("system, kwargs", [
@@ -1562,14 +1619,111 @@ def test_a_witness_with_bad_edges_is_one_failure_per_tree(system, kwargs):
                     f"{name}: {len(off)} of its edges are not D-steps, the "
                     f"first from {system.point_to_text(off[0][0])} to "
                     f"{system.point_to_text(off[0][1])}")
+    # the walks' steps go through the same test: a walk with a step off
+    # D is one more failure each
+    for demo in cert.demos:
+        walk = [comp[k] for k in demo.walk]
+        if not all(map(step, walk, walk[1:] + walk[:1])):
+            want.append(f"walk at {system.point_to_text(walk[0])} takes a step "
+                        "outside the chain relation")
+    assert len(want) > 2 if cert.demos else len(want) == 2
     assert _witness_failures(cert, system) == want
 
 
+def _follows_to_root(parent):
+    """The test-side tree check: the root, position 0, is its own parent,
+    and from every position, following at most m parents, each in range,
+    reaches the root."""
+    m, up = len(parent), [int(v) for v in parent]
+    if up[0] != 0:
+        return False
+    for k in range(m):
+        for _ in range(m):
+            if k == 0:
+                break
+            if not 0 <= up[k] < m:
+                return False
+            k = up[k]
+        if k != 0:
+            return False
+    return True
+
+
+@st.composite
+def _parent_arrays(draw):
+    """A parent array of 1 to 64 positions in an int8, int64 or uint dtype:
+    a random tree rooted at position 0, then up to three edits, each a
+    cycle of two positions away from the root, a self-loop, or any value
+    from negative to past the end (cast into the dtype, so a negative one
+    wraps round in a uint dtype)."""
+    m = draw(st.integers(1, 64))
+    order = [0] + draw(st.permutations(range(1, m)))
+    parent = [0] * m
+    for i in range(1, m):
+        parent[order[i]] = order[draw(st.integers(0, i - 1))]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, m - 1))
+        edit = draw(st.sampled_from(["cycle", "self", "value"]))
+        if edit == "cycle" and m >= 3:
+            j = draw(st.integers(1, m - 1).filter(lambda j: j != max(k, 1)))
+            parent[max(k, 1)], parent[j] = j, max(k, 1)
+        elif edit == "self":
+            parent[k] = k
+        else:
+            parent[k] = draw(st.integers(-3, m + 3))
+    dtype = draw(st.sampled_from([np.int8, np.int64, np.uint8, np.uint16,
+                                  np.uint64]))
+    return np.array(parent).astype(dtype)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_parent_arrays())
+@example(np.array([0, 2, 1], dtype=np.int8))  # a cycle away from the root
+@example(np.array([0, 0, 2], dtype=np.int64))  # a self-loop
+@example(np.array([0, -1], dtype=np.int8))
+@example(np.array([0, 2], dtype=np.uint64))
+@example(np.array([0, 2**63], dtype=np.uint64))  # negative in int64
+@example(np.array([1, 0], dtype=np.int64))  # no root
+@example(np.array([0], dtype=np.uint8))
+@example(np.array([0, 0, 1, 2, 3], dtype=np.uint16))
+def test_witness_tree_check_matches_following_parents(parent):
+    """The witness's tree check by pointer doubling accepts exactly the
+    parent arrays from which following parents reaches the root."""
+    assert _spanning_tree(parent) == _follows_to_root(parent)
+
+
+WALK_AND_WITNESS_FIELDS = [f"demos.{f.name}" for f in dataclasses.fields(
+    TracedWalk)] + [f"witness.{f.name}" for f in dataclasses.fields(
+        ConnectivityWitness)]
+
+
+@pytest.mark.parametrize("target", WALK_AND_WITNESS_FIELDS)
+def test_a_hostile_walk_or_witness_field_is_one_failure(target):
+    """Each hostile value in one field of the first walk demo, or of the
+    connectivity witness, of cat-map's first basic set at n = 16 is exactly
+    one failure string, and the report still prints."""
+    dec = spectral_decompose(CAT, resolution=16, seed=0, pairs=2)
+    cert = dec.basic_sets[0].transitivity
+    record, _, field = target.partition(".")
+    for value in HOSTILE:
+        if record == "demos":
+            forged = _demo_replaced(cert, **{field: value})
+        else:
+            forged = dataclasses.replace(cert, witness=dataclasses.replace(
+                cert.witness, **{field: value}))
+        tampered = _first_replaced(dec, "transitivity", demos=forged.demos,
+                                   witness=forged.witness)
+        failures = tampered.validate(CAT)
+        assert len(failures) == 1 and type(failures[0]) is str, (value, failures)
+        tampered.to_report(CAT).to_text()
+
+
 def test_a_connectivity_witness_cannot_be_written():
-    arrays = [np.zeros(3, dtype=np.int32) for _ in range(4)]
+    arrays = [np.zeros(3, dtype=np.int32) for _ in range(2)]
     witness = ConnectivityWitness(*arrays)
-    for values in (witness.out_parent, witness.out_level, witness.in_parent,
-                   witness.in_level):
+    assert [f.name for f in dataclasses.fields(ConnectivityWitness)] == [
+        "out_parent", "in_parent"]
+    for values in (witness.out_parent, witness.in_parent):
         with pytest.raises(ValueError):
             values[0] = 1
     arrays[0][0] = 1  # the witness holds its own copies
@@ -1580,7 +1734,7 @@ def test_a_connectivity_witness_cannot_be_written():
     stored = cert.transitivity.witness
     assert stored.out_parent.dtype == np.int32
     with pytest.raises(ValueError):
-        stored.in_level[1] = 0
+        stored.in_parent[1] = 0
 
 
 # the witness check against the fresh float chain graph of the component
@@ -1595,11 +1749,10 @@ def _fresh_witness_passes(system, cert, fresh):
     everywhere = np.ones(m, dtype=bool)
     trees = [_bfs_tree(*csr, everywhere, 0) for csr in (
         (fresh.indptr, fresh.indices), fresh.reversed_csr())]
-    if any((level < 0).any() for _, level in trees):
+    if any((parent < 0).any() for parent in trees):
         return False
-    (op, ol), (ip, il) = trees
     return _witness_failures(dataclasses.replace(
-        cert, witness=ConnectivityWitness(op, ol, ip, il)), system) == []
+        cert, witness=ConnectivityWitness(*trees)), system) == []
 
 
 @settings(max_examples=30, deadline=None)
@@ -1607,12 +1760,12 @@ def _fresh_witness_passes(system, cert, fresh):
        st.integers(0, 3))
 def test_torus_witness_check_agrees_with_the_fresh_chain_graph(
         n, cells, tighter, seed):
-    """On the construction's D the stored witness passes and the fresh
-    float graph is strongly connected. On a D tightened at random, a
-    passing stored witness still means a strongly connected fresh graph,
-    it passes exactly when its tree edges are all fresh-graph edges, and
-    a witness built on the fresh graph passes exactly when that graph is
-    strongly connected."""
+    """On the construction's D the stored witness and walks pass and the
+    fresh float graph is strongly connected. On a D tightened at random,
+    with the walks set aside, a passing stored witness still means a
+    strongly connected fresh graph, it passes exactly when its tree edges
+    are all fresh-graph edges, and a witness built on the fresh graph
+    passes exactly when that graph is strongly connected."""
     dec = spectral_decompose(CAT, resolution=n, ladder=cells / n, seed=seed,
                              pairs=1)
     for bs in dec.basic_sets[:3]:
@@ -1620,7 +1773,8 @@ def test_torus_witness_check_agrees_with_the_fresh_chain_graph(
         D = metric_ball(CAT, cert.radius)
         assert _witness_failures(cert, CAT) == []
         assert build_chain_graph(CAT, cert.component, D).is_strongly_connected()
-        tight = dataclasses.replace(cert, radius=cert.radius * tighter)
+        tight = dataclasses.replace(cert, radius=cert.radius * tighter,
+                                    demos=())
         fresh = build_chain_graph(CAT, cert.component,
                                   metric_ball(CAT, tight.radius))
         stored = _witness_failures(tight, CAT) == []
@@ -1664,25 +1818,25 @@ def test_finite_witness_check_agrees_with_the_fresh_chain_graph(perm, data):
 
 
 def _queue_bfs_tree(adjacency, inside, root):
-    """Parent and level of every node a first-in first-out queue reaches
-    from root through the set `inside`, over sorted successor lists."""
-    parent, level = {root: root}, {root: 0}
+    """The parent of every node a first-in first-out queue reaches from
+    root through the set `inside`, over sorted successor lists."""
+    parent = {root: root}
     queue = deque([root])
     while queue:
         u = queue.popleft()
         for w in adjacency[u]:
             if w in inside and w not in parent:
-                parent[w], level[w] = u, level[u] + 1
+                parent[w] = u
                 queue.append(w)
-    return parent, level
+    return parent
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 30), st.data())
 def test_array_bfs_paths_and_trees_match_the_queue_bfs(n, data):
     """On random graphs and masks, `_bfs_path` returns the queue's path and
-    `_bfs_tree` the queue's parents and levels, -1 where it never gets.
-    Rows may repeat a successor, which the one-node frontier step keeps."""
+    `_bfs_tree` the queue's parents, -1 where it never gets. Rows may
+    repeat a successor, which the one-node frontier step keeps."""
     rows = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=6),
                               min_size=n, max_size=n))
     src = np.repeat(np.arange(n), [len(row) for row in rows])
@@ -1694,10 +1848,9 @@ def test_array_bfs_paths_and_trees_match_the_queue_bfs(n, data):
     adjacency = [graph.successors(i) for i in range(n)]
     a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     assert _bfs_path(graph, mask, a, b) == _queue_bfs_path(adjacency, inside, a, b)
-    parent, level = _bfs_tree(graph.indptr, graph.indices, mask, a)
-    want_parent, want_level = _queue_bfs_tree(adjacency, inside, a)
-    assert parent.tolist() == [want_parent.get(v, -1) for v in range(n)]
-    assert level.tolist() == [want_level.get(v, -1) for v in range(n)]
+    want = _queue_bfs_tree(adjacency, inside, a)
+    assert _bfs_tree(graph.indptr, graph.indices, mask, a).tolist() == [
+        want.get(v, -1) for v in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -1716,7 +1869,7 @@ def _one_node(system, bs):
     node, root = bs.nodes[:1], np.zeros(1, dtype=np.int32)
     return BasicSet(
         dataclasses.replace(bs.transitivity, component=node,
-                            witness=ConnectivityWitness(root, root, root, root)),
+                            witness=ConnectivityWitness(root, root)),
         dataclasses.replace(bs.periodic_density, component=node))
 
 
