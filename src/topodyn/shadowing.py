@@ -380,17 +380,20 @@ def trace_linear_hyperbolic(system, pseudo, exact=False):
     tracing point.
 
     Torus systems are lifted to the cover for the series and projected back
-    at the end. With exact=True (periodic windows) everything runs in
-    rational arithmetic via the (I - A^p) solve, exercising the same
-    construction through an independent route.
+    at the end. With exact=True (periodic windows) the (I - A^p) solve runs
+    in integers (`_exact_periodic_start`), exercising the same construction
+    through an independent route.
     """
     if not isinstance(system, (LinearSaddle, TorusAutomorphism)):
         raise TypeError("trace_linear_hyperbolic needs a linear saddle system.")
 
-    if exact:
+    if exact:  # the orbit point y_k starts the window rotated by k
         if pseudo.extension != PERIODIC:
             raise ValueError("Exact tracing is defined for periodic windows.")
-        return _trace_linear_exact(system, pseudo)
+        w = pseudo.window[:pseudo.period]
+        # a Fraction minus a float is a float, so the gaps are float distances
+        return _traced(system, pseudo, [_exact_periodic_start(
+            system, w[k:] + w[:k]) for k in range(len(w))])
 
     periodic = pseudo.extension == PERIODIC
     windows = np.array(pseudo.window, dtype=float).reshape(-1, 1, 2)
@@ -400,59 +403,39 @@ def trace_linear_hyperbolic(system, pseudo, exact=False):
     return _traced(system, pseudo, map(tuple, points[:, 0].tolist()))
 
 
-def _frac_pair(p):
-    return (Fraction(p[0]), Fraction(p[1]))
-
-
-def _wrap_half_frac(v):
-    return (v + Fraction(1, 2)) % 1 - Fraction(1, 2)
-
-
-def _trace_linear_exact(system, pseudo):
-    p = pseudo.period
-    cover = system.cover
-    a = tuple(tuple(Fraction(v) for v in row) for row in cover.matrix)
-
-    def mat_mul(m, q):
-        return (
-            (m[0][0] * q[0][0] + m[0][1] * q[1][0], m[0][0] * q[0][1] + m[0][1] * q[1][1]),
-            (m[1][0] * q[0][0] + m[1][1] * q[1][0], m[1][0] * q[0][1] + m[1][1] * q[1][1]),
-        )
-
-    window = [_frac_pair(x) for x in pseudo.window]
-    defects = []
+def _exact_periodic_start(system, window):
+    """The start y_0 = x_0 + e_0 of the periodic orbit that traces one
+    period x_0 .. x_(p-1) of a periodic window, mod 1 on the torus, as a
+    pair of Fractions, solved in integers: the window is X_k / L over one
+    even L, A is M / q, and a defect d_k = x_(k+1) - A x_k is D_k / (qL),
+    wrapped on the torus into [-qL/2, qL/2). With B = q^p I - M^p and
+    S = sum_k q^k M^(p-1-k) D_k, the solve (I - A^p) e_0 =
+    -(A^(p-1) d_0 + ... + A^0 d_(p-1)) reads B e_0 = -S / L."""
+    p, torus = len(window), isinstance(system, TorusAutomorphism)
+    ratios = [Fraction(v).as_integer_ratio() for row in system.cover.matrix
+              for v in row]
+    q = math.lcm(*(den for _, den in ratios))
+    a, b, c, d = (num * (q // den) for num, den in ratios)
+    ratios = [v.as_integer_ratio() for x in window for v in x]
+    big = math.lcm(2, *(den for _, den in ratios))
+    xs = [num * (big // den) for num, den in ratios]
+    xs += xs[:2]
+    half, s0, s1, m = q * big // 2, 0, 0, (1, 0, 0, 1)  # m = M^k
     for k in range(p):
-        fa = cover.apply_matrix(a, window[k])
-        nxt = window[(k + 1) % p]
-        d = (nxt[0] - fa[0], nxt[1] - fa[1])
-        if isinstance(system, TorusAutomorphism):
-            d = (_wrap_half_frac(d[0]), _wrap_half_frac(d[1]))
-        defects.append(d)
-
-    a_pow = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    rhs = (Fraction(0), Fraction(0))
-    # (I - A^p) e_0 = -(A^{p-1} d_0 + ... + A^0 d_{p-1})
-    for k in range(p - 1, -1, -1):
-        term = cover.apply_matrix(a_pow, defects[k])
-        rhs = (rhs[0] - term[0], rhs[1] - term[1])
-        a_pow = mat_mul(a, a_pow)
-    m = ((1 - a_pow[0][0], -a_pow[0][1]), (-a_pow[1][0], 1 - a_pow[1][1]))
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        u, v, nu, nv = xs[2 * k:2 * k + 4]
+        d0, d1 = q * nu - a * u - b * v, q * nv - c * u - d * v
+        if torus:
+            d0, d1 = (d0 + half) % (2 * half) - half, (d1 + half) % (2 * half) - half
+        s0, s1 = a * s0 + b * s1 + q ** k * d0, c * s0 + d * s1 + q ** k * d1
+        m = (a * m[0] + b * m[2], a * m[1] + b * m[3],
+             c * m[0] + d * m[2], c * m[1] + d * m[3])
+    b00, b01, b10, b11 = q ** p - m[0], -m[1], -m[2], q ** p - m[3]
+    det = b00 * b11 - b01 * b10
     if det == 0:
         raise ValueError("I - A^p is singular; the matrix is not a saddle.")
-    e = ((m[1][1] * rhs[0] - m[0][1] * rhs[1]) / det,
-         (m[0][0] * rhs[1] - m[1][0] * rhs[0]) / det)
-
-    traced = []
-    for k in range(p):
-        y = (window[k][0] + e[0], window[k][1] + e[1])
-        if isinstance(system, TorusAutomorphism):
-            y = (y[0] % 1, y[1] % 1)
-        traced.append(y)
-        fe = cover.apply_matrix(a, e)
-        e = (fe[0] - defects[k][0], fe[1] - defects[k][1])
-    # a Fraction minus a float is a float, so the gaps are float distances
-    return _traced(system, pseudo, traced)
+    y = (Fraction(xs[0] * det - b11 * s0 + b01 * s1, det * big),
+         Fraction(xs[1] * det - b00 * s1 + b10 * s0, det * big))
+    return (y[0] % 1, y[1] % 1) if torus else y
 
 
 def trace_sft(system, pseudo):

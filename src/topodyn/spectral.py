@@ -46,7 +46,7 @@ from .chains import (ChainGraph, _array_ball, _bfs_levels, _bfs_tree,
                      _refine_ladder, _torus_distances, torus_grid_graph)
 from .entourage import metric_ball
 from .report import PASS, RESOLUTION_LIMITED, Report
-from .shadowing import PERIODIC, PseudoOrbit, trace_linear_hyperbolic
+from .shadowing import PERIODIC, PseudoOrbit, _exact_periodic_start
 from .systems import (FiniteSystem, ShiftOfFiniteType, TorusAutomorphism,
                       sft_metric)
 
@@ -143,14 +143,15 @@ class Certificate:
     witness: object = None
     resolution: object = None
 
-    def revalidate(self, system):
-        """Re-check the evidence from scratch; returns failure strings."""
+    def revalidate(self, system, memo=None):
+        """Re-check the evidence from scratch; returns failure strings.
+        validate() passes a `memo` (`_memo`) to decode a component once."""
         mode = _mode_for(system, self.kind)
         if mode is None or self.mode != mode:
             return [f"certificate mode {self.mode!r} does not fit "
                     f"{self.kind} evidence on {system.name}"]
         failure = self._evidence_failure()
-        return [failure] if failure else _REVALIDATE[mode](self, system)
+        return [failure] if failure else _REVALIDATE[mode](self, system, memo)
 
     def tree_cycle(self, k):
         """The cycle that the witness trees close through component node k,
@@ -279,7 +280,7 @@ def _chain_step(cert, system):
     return lambda a, b: D.accepts(system.forward(a), b)
 
 
-def _revalidate_exact(cert, system):
+def _revalidate_exact(cert, system, memo):
     """Shifts and finite maps, proven by their witness trees: a strongly
     connected component of a shift's symbol graph is an irreducible shift,
     transitive and with a closed walk through every admissible word
@@ -299,7 +300,7 @@ def _revalidate_exact(cert, system):
     elif not all(map(_is_point(system), comp)):
         return ["a component node is not a point of the system"]
     if cert.kind == "transitivity":
-        return _witness_failures(cert, system)
+        return _witness_failures(cert, system, memo)
     members, symbolic = set(comp), cert.mode == "symbolic"
     stuck = [a for a in comp if members.isdisjoint(
         system.successors(a) if symbolic else (system.forward(a),))]
@@ -308,13 +309,13 @@ def _revalidate_exact(cert, system):
             f"is {show(stuck[0])}"] if stuck else []
 
 
-def _revalidate_metric(cert, system):
+def _revalidate_metric(cert, system, memo):
     """Metric walks: each traced point must be a point of the system before
     its orbit is stepped, then the witness and the walks
     (`_witness_failures`)."""
     if not all(map(_is_point(system), (demo.start for demo in cert.demos))):
         return ["a traced point is not a point of the system"]
-    return _witness_failures(cert, system)
+    return _witness_failures(cert, system, memo)
 
 
 def _orbit_failure(system, comp, demo, in_E):
@@ -353,7 +354,7 @@ def _spanning_tree(parent):
     return not anc.any()
 
 
-def _witness_failures(cert, system):
+def _witness_failures(cert, system, memo=None):
     """Strong connectivity of the component from its witness, and each
     metric walk. Each tree must span the component, and every tree edge
     and walk step (a, b), with the step that closes each walk, must be a
@@ -377,9 +378,10 @@ def _witness_failures(cert, system):
            for name, parent in trees if not _spanning_tree(parent)]
     if bad:
         return bad
-    if cert.mode == "metric-walk" and _array_ball(
-            system, metric_ball(system, cert.radius), comp):
-        pts = _pair_array(comp)
+    pts = _pairs(comp, memo) if cert.mode == "metric-walk" else None
+    # the nodes' type gate is `_pairs`
+    if pts is not None and _array_ball(
+            system, metric_ball(system, cert.radius), ()):
         images = system.forward_batch(pts)
         steps = lambda a, b: _torus_distances(
             np.take(images, a, axis=0), np.take(pts, b, axis=0)) < cert.radius
@@ -420,15 +422,37 @@ def _witness_failures(cert, system):
     return bad
 
 
-def _lattice_index(points, n):
+def _memo(memo, nodes, key, build):
+    """build(), kept per component object and key in `memo`, the dict
+    that one validate() call shares, or built each time without one. An
+    entry holds its nodes, so that no other object takes their id."""
+    if memo is None:
+        return build()
+    if (id(nodes), key) not in memo:
+        memo[id(nodes), key] = nodes, build()
+    return memo[id(nodes), key][1]
+
+
+def _pairs(nodes, memo=None):
+    """The (m, 2) float array of nodes that pass `_float_pairs`, or None."""
+    return _memo(memo, nodes, "pairs", lambda: _pair_array(nodes)
+                 if _float_pairs(nodes) else None)
+
+
+def _lattice_members(cert, memo):
+    """`_lattice_index` of a density certificate's nodes, kept in `memo`."""
+    comp, n = cert.component, cert.resolution
+    return _memo(memo, comp, n, lambda: _lattice_index(comp, n, memo))
+
+
+def _lattice_index(points, n, memo=None):
     """Lattice indices i * n + j of points stored as the doubles (i/n, j/n),
     as int64, with -1 for every point that is not exactly such a pair of
     Python floats with 0 <= i, j < n, one ulp off included; the per-point
     type mask is built only when the type gate `_float_pairs` fails."""
     m = len(points)
-    if _float_pairs(points):
-        pts = _pair_array(points)
-    else:
+    pts = _pairs(points, memo)
+    if pts is None:
         pts = np.array([p if type(p) is tuple and len(p) == 2
                         and type(p[0]) is float and type(p[1]) is float
                         else (math.nan, math.nan) for p in points],
@@ -446,7 +470,7 @@ def _int_array(values):
     return values.dtype.kind in "iu"
 
 
-def _revalidate_lattice(cert, system):
+def _revalidate_lattice(cert, system, memo):
     """Density on the torus lattice at the certificate's resolution n:
     every component node must be the lattice node (i/n, j/n) of its index,
     or one failure ends the check, and A x mod n must be a member for every
@@ -454,7 +478,7 @@ def _revalidate_lattice(cert, system):
     each node is a periodic point of its own, at gap zero, and its orbit
     stays in the component."""
     n = cert.resolution
-    members = _lattice_index(cert.component, n)
+    members = _lattice_members(cert, memo)
     off = np.flatnonzero(members < 0)
     if off.size:
         return [f"{off.size} nodes of the component are off the lattice: "
@@ -484,36 +508,52 @@ def _bfs_path(graph, inside, src, dst):
     """Shortest path src -> dst through nodes whose `inside` mask entry is
     set, as an index list, or None; src == dst asks for a shortest closed
     walk, which only a self-loop closes through a node outside the mask.
-    It is a first-in first-out queue's path, read from the parents of
-    `_bfs_levels`; dst is settled, without expanding its level, by the first
-    node of the first frontier that holds one of its in-neighbours."""
-    into = np.zeros(graph.node_count, dtype=bool)
-    indptr, indices = graph.reversed_csr()
-    into[indices[indptr[dst]:indptr[dst + 1]]] = True
-    if not inside[dst]:
-        return [src, src] if src == dst and into[src] else None
-    parent = np.full(graph.node_count, -1, dtype=np.int64)
-    for frontier in _bfs_levels(graph.indptr, graph.indices, inside, src,
-                                parent):
-        last = into[frontier]
-        if last.any():
-            path = [dst, int(frontier[np.argmax(last)])]
-            break
-    else:
+    It is a first-in first-out queue's path, the lexicographically least
+    shortest one, as rows are sorted and a level's discovery order is that
+    of its tree paths. `_bfs_levels` runs from src and, on the reverse,
+    from dst (whose own distance 0 is no meeting), on the smaller frontier
+    and forward on a tie. The first node both reach fixes the length a + b:
+    the path is the tree path to the first node of forward level a at
+    distance b from dst (`back`), then each step's first successor nearer."""
+    if graph.has_edge(src, dst) and (src == dst or inside[dst]):
+        return [src, dst]
+    n = graph.node_count
+    parent, back = np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    forward = _bfs_levels(graph.indptr, graph.indices, inside, src, parent)
+    backward = _bfs_levels(*graph.reversed_csr(), inside, dst,
+                           np.full(n, -1, dtype=np.int64))
+    front, _, rim, b = next(forward), next(backward), next(backward, None), 1
+    if not inside[dst] or rim is None:
         return None
+    back[rim] = 1
+    while True:  # a one-node forward frontier is tested on its one entry
+        if rim is None or len(front) <= len(rim):
+            front = next(forward, None)
+            if front is None:  # src reaches no node that reaches dst
+                return None
+            if back[front[0]] if len(front) == 1 else back[front].any():
+                break
+        elif (rim := next(backward, None)) is not None:
+            b += 1
+            back[rim] = b
+            if (parent[rim] >= 0).any():
+                break
+    path = [int(front[np.argmax(back[front] == b)])]
     while path[-1] != src:
         path.append(int(parent[path[-1]]))
-    return path[::-1]
+    path.reverse()
+    for level in range(b - 1, 0, -1):
+        row = graph.indices[graph.indptr[path[-1]]:graph.indptr[path[-1] + 1]]
+        path.append(int(row[np.argmax(back[row] == level)]))
+    return path + [dst]
 
 
 def _closed_walk_through(graph, inside, x, y):
-    """A closed walk x -> y -> x inside the component, or None."""
-    if x == y:
-        walk = _bfs_path(graph, inside, x, x)
-        return walk, 0 if walk else None
-    there = _bfs_path(graph, inside, x, y)
-    back = _bfs_path(graph, inside, y, x)
-    if there is None or back is None:
+    """A closed walk x -> y -> x inside the component and the position of
+    y in it, or (None, None); for x == y it is a shortest closed walk."""
+    there = [x] if x == y else _bfs_path(graph, inside, x, y)
+    back = there and _bfs_path(graph, inside, y, x)
+    if not back:
         return None, None
     return there + back[1:], len(there) - 1
 
@@ -554,10 +594,14 @@ def transitivity_certificate(graph, component, system, radius=None, seed=0,
         if walk_idx is None:
             x, y = (system.point_to_text(graph.nodes[i]) for i in (xi, yi))
             raise CertificateError(f"No closed walk through {x} and {y}.")
+        # one period as a periodic pseudo-orbit: an orbit, at zero defect,
+        # is traced to itself, any other to an exactly periodic orbit
         period = walk_idx[:-1]
-        demos.append(TracedWalk(
-            tuple(position[period].tolist()), y_pos,
-            _trace_periodic_walk(system, [graph.nodes[i] for i in period])))
+        walk = [graph.nodes[i] for i in period]
+        pseudo = PseudoOrbit.measured(system, walk, PERIODIC)
+        demos.append(TracedWalk(tuple(position[period].tolist()), y_pos, (
+            walk[0] if pseudo.defect_bound == 0.0
+            else _exact_periodic_start(system, walk))))
     # the witness: the out-tree and in-tree from the first of the sorted
     # component nodes, on the graph and on its reverse, as positions
     out_parent, in_parent = (
@@ -569,22 +613,11 @@ def transitivity_certificate(graph, component, system, radius=None, seed=0,
         radius=radius, witness=ConnectivityWitness(out_parent, in_parent))
 
 
-def _trace_periodic_walk(system, walk):
-    """The start of the orbit that one period of a walk, closed into a
-    periodic pseudo-orbit, is traced to: a walk with zero defect is a true
-    orbit, traced to itself; otherwise the rational tracer runs, so the
-    orbit is exactly periodic."""
-    pseudo = PseudoOrbit.measured(system, walk, PERIODIC)
-    if pseudo.defect_bound == 0.0:
-        return walk[0]
-    return trace_linear_hyperbolic(system, pseudo, exact=True).traced_orbit[0]
-
-
 # ---------------------------------------------------------------------------
 # periodic density certificates
 
 
-def periodic_density_certificate(graph, component, system):
+def periodic_density_certificate(graph, component, system, nodes=None):
     """Evidence that periodic points are dense in a chain component, a set
     of node indices of `graph` as for `transitivity_certificate`, and that
     the component is invariant. No mode stores demos. On a shift the
@@ -593,14 +626,16 @@ def periodic_density_certificate(graph, component, system):
     step into the component. A finite map and the torus lattice each
     permute a finite set, so every node is its own periodic point; a torus
     certificate keeps the resolution of its grid graph, in which its check
-    decodes the nodes."""
+    decodes the nodes. Given `nodes`, the component's node tuple that its
+    transitivity certificate holds, the certificate shares that tuple."""
     mode = _mode_for(system, "periodic-density")
     if mode is None:
         raise TypeError(f"No periodic tracing oracle for {system.name!r}.")
     return Certificate(
         kind="periodic-density", mode=mode,
-        component=tuple(graph.nodes[i] for i in sorted(component)), demos=(),
-        resolution=graph.n if mode == "lattice-cycle" else None)
+        component=(tuple(graph.nodes[i] for i in sorted(component))
+                   if nodes is None else nodes),
+        demos=(), resolution=graph.n if mode == "lattice-cycle" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +732,7 @@ class SpectralDecomposition:
                 step is None or type(step) is int and 0 <= step < len(self.ladder)):
             return [f"the stabilization index {step!r} is not a step of the "
                     f"ladder {self.ladder!r}"]
-        bad, nodes, resolutions = [], [], set()
+        bad, checked, resolutions, memo = [], [], set(), {}
         at = len(self.ladder) - 1 if step is None else step
         cut = self.ladder[at]
         for k, bs in enumerate(sets):
@@ -706,21 +741,29 @@ class SpectralDecomposition:
                      for msg in ([f"the chain radius {cert.radius!r} is not the "
                                   f"cut rung {cut}"]
                                  if cert.mode == "metric-walk" and cert.radius != cut
-                                 else cert.revalidate(system))]
+                                 else cert.revalidate(system, memo=memo))]
             if found:
                 bad.extend(found)
             elif dens.component != trans.component:
                 bad.append(f"basic set {k} [{dens.kind}]: certificate is for "
                            "another node set")
             else:  # both certificates hashed or decoded every node
-                nodes.extend(bs.nodes)
+                checked.append(dens)
                 resolutions.add(dens.resolution)
-        if len(set(nodes)) != len(nodes):
+        # lattice nodes at one resolution are equal when their indices are
+        if len(resolutions) == 1 and all(d.mode == "lattice-cycle" for d in checked):
+            index = np.sort(np.concatenate(
+                [_lattice_members(d, memo) for d in checked]))
+            count, overlap = len(index), (index[1:] == index[:-1]).any()
+        else:
+            nodes = list(itertools.chain.from_iterable(d.component for d in checked))
+            count, overlap = len(nodes), len(set(nodes)) != len(nodes)
+        if overlap:
             bad.append("basic sets overlap")
         if len(resolutions) > 1:
             bad.append(f"the density certificates are at resolutions "
                        f"{sorted(resolutions)}, not one")
-        rows, counts = self.history, (len(nodes), len(sets))
+        rows, counts = self.history, (count, len(sets))
         if not bad and not (type(rows) is tuple and len(rows) == len(self.ladder)
                             and type(rows[at]) is tuple and rows[at] == counts):
             bad.append(f"the ladder history does not read {counts}, the counts "
@@ -844,7 +887,8 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
         trans = transitivity_certificate(graph, group.tolist(), system,
                                          radius=radius, seed=seed + k,
                                          pairs=pairs)
-        dens = periodic_density_certificate(graph, group.tolist(), system)
+        dens = periodic_density_certificate(graph, group, system,
+                                            nodes=trans.component)
         basic.append(BasicSet(transitivity=trans, periodic_density=dens))
     return SpectralDecomposition(
         system_name=system.name,

@@ -30,11 +30,14 @@ from topodyn.entourage import finite_relation, metric_ball
 from topodyn.report import RESOLUTION_LIMITED
 from topodyn.chains import (ChainGraph, _bfs_tree, _csr, _lattice_map,
                             build_chain_graph, torus_grid_graph)
+from topodyn.shadowing import (PERIODIC, PseudoOrbit, _exact_periodic_start,
+                               _traced, trace_linear_hyperbolic)
 from topodyn.spectral import (_FAMILIES, ConnectivityWitness, TracedWalk,
                               _bfs_path, _lattice_index, _spanning_tree,
                               _witness_failures)
-from topodyn.systems import (FiniteSystem, _north_south, catalog, sft_metric,
-                             torus_grid)
+from topodyn.systems import (FiniteSystem, NotHyperbolicError,
+                             TorusAutomorphism, _north_south, catalog,
+                             linear_hyperbolic, sft_metric, torus_grid)
 
 GOLDEN = sft_shift(("11", "10"), name="golden-mean")
 TWO_BLOCK = sft_shift(
@@ -1238,6 +1241,123 @@ def _queue_bfs_path(adjacency, inside, src, dst):
     return None
 
 
+def _fraction_trace(system, pseudo):
+    """The traced orbit of a periodic window of a linear saddle or a torus
+    automorphism, by the (I - A^p) solve in Fraction arithmetic: defects
+    wrapped on the torus by (v + 1/2) mod 1 - 1/2, so a tie goes to -1/2,
+    then e_(k+1) = A e_k - d_k along the window."""
+    p, cover = pseudo.period, system.cover
+    torus = isinstance(system, TorusAutomorphism)
+    a = tuple(tuple(Fraction(v) for v in row) for row in cover.matrix)
+    window = [(Fraction(x[0]), Fraction(x[1])) for x in pseudo.window]
+    wrap = lambda v: (v + Fraction(1, 2)) % 1 - Fraction(1, 2)
+    defects = []
+    for k in range(p):
+        fa = cover.apply_matrix(a, window[k])
+        nxt = window[(k + 1) % p]
+        d = (nxt[0] - fa[0], nxt[1] - fa[1])
+        defects.append((wrap(d[0]), wrap(d[1])) if torus else d)
+    a_pow = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    rhs = (Fraction(0), Fraction(0))
+    # (I - A^p) e_0 = -(A^{p-1} d_0 + ... + A^0 d_{p-1})
+    for k in range(p - 1, -1, -1):
+        term = cover.apply_matrix(a_pow, defects[k])
+        rhs = (rhs[0] - term[0], rhs[1] - term[1])
+        a_pow = tuple(tuple(sum(a[i][t] * a_pow[t][j] for t in range(2))
+                            for j in range(2)) for i in range(2))
+    m = ((1 - a_pow[0][0], -a_pow[0][1]), (-a_pow[1][0], 1 - a_pow[1][1]))
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    e = ((m[1][1] * rhs[0] - m[0][1] * rhs[1]) / det,
+         (m[0][0] * rhs[1] - m[1][0] * rhs[0]) / det)
+    traced = []
+    for k in range(p):
+        y = (window[k][0] + e[0], window[k][1] + e[1])
+        traced.append((y[0] % 1, y[1] % 1) if torus else y)
+        fe = cover.apply_matrix(a, e)
+        e = (fe[0] - defects[k][0], fe[1] - defects[k][1])
+    return _traced(system, pseudo, traced)
+
+
+def _saddles():
+    """Every hyperbolic integer matrix with entries in -3..3, as a torus
+    automorphism when its determinant is +-1 and as a plane saddle
+    otherwise."""
+    out = []
+    for entries in itertools.product(range(-3, 4), repeat=4):
+        m = (entries[:2], entries[2:])
+        try:
+            out.append(torus_automorphism(m) if abs(
+                m[0][0] * m[1][1] - m[0][1] * m[1][0]) == 1
+                else linear_hyperbolic(m))
+        except NotHyperbolicError:
+            pass
+    return out
+
+
+_SADDLES = _saddles()
+_DIAG = linear_hyperbolic(((2, 0), (0, 0.5)), name="diag-saddle")
+
+
+@st.composite
+def _periodic_loops(draw):
+    """A saddle and one period of a loop on the floats k/6, k/10, k/12 or
+    i/n, in [0, 1) on the torus and in [-1, 1) in the plane."""
+    system = draw(st.sampled_from(_SADDLES + [_DIAG] * 20))
+    q = draw(st.sampled_from((6, 10, 12)) | st.integers(1, 64))
+    lo = 0 if isinstance(system, TorusAutomorphism) else -q
+    coord = st.integers(lo, q - 1).map(lambda k: k / q)
+    return system, tuple(draw(st.lists(st.tuples(coord, coord),
+                                       min_size=1, max_size=8)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_periodic_loops())
+@example((CAT, ((0.0, 0.0), (0.5, 0.0))))  # defects +1/2 and -1/2: both wrap to -1/2
+@example((CAT, ((0.5, 0.5),)))
+@example((_DIAG, ((0.5, -0.25), (1.0, 0.75), (0.0, 0.5))))
+def test_integer_tracer_matches_the_fraction_reference(loop):
+    """The integer kernel traces every periodic loop to the orbit that the
+    Fraction solve gives: every traced point equal as a Fraction, every gap
+    equal as a float, and the start alone from `_exact_periodic_start`."""
+    system, window = loop
+    pseudo = PseudoOrbit(window, PERIODIC, 1.0)
+    got = trace_linear_hyperbolic(system, pseudo, exact=True)
+    want = _fraction_trace(system, pseudo)
+    assert all(type(v) is Fraction for y in got.traced_orbit for v in y)
+    assert got.traced_orbit == want.traced_orbit
+    assert got.gaps == want.gaps
+    assert _exact_periodic_start(system, list(window)) == want.traced_orbit[0]
+
+
+def test_stored_walks_match_the_queue_search_and_the_fraction_tracer():
+    """On the n = 48 decomposition every stored walk is the queue's closed
+    walk through its two ends and every traced start is the walk's first
+    node, when the walk is an orbit, or else the Fraction tracer's start."""
+    dec = spectral_decompose(CAT, resolution=48)
+    graph = torus_grid_graph(CAT, 48, dec.ladder[dec.stabilization_index])
+    index = {x: i for i, x in enumerate(graph.nodes)}
+    adjacency = [graph.successors(i) for i in range(graph.node_count)]
+    solved = 0
+    for bs in dec.basic_sets:
+        comp = bs.nodes
+        inside = {index[x] for x in comp}
+        for demo in bs.transitivity.demos:
+            x, y = (index[comp[demo.walk[k]]] for k in (0, demo.y_pos))
+            there = [x] if x == y else _queue_bfs_path(adjacency, inside, x, y)
+            walk = there + _queue_bfs_path(adjacency, inside, y, x)[1:-1]
+            assert [index[comp[k]] for k in demo.walk] == walk
+            assert demo.y_pos == len(there) - 1
+            points = [graph.nodes[i] for i in walk]
+            pseudo = PseudoOrbit.measured(CAT, points, PERIODIC)
+            if pseudo.defect_bound == 0.0:
+                assert demo.start == points[0]
+            else:
+                solved += 1
+                assert demo.start == _fraction_trace(CAT, pseudo).traced_orbit[0]
+                assert all(type(v) is Fraction for v in demo.start)
+    assert solved > 0
+
+
 def test_array_bfs_returns_the_queue_bfs_paths():
     rng = random.Random(23)
     outcomes = set()
@@ -1273,6 +1393,14 @@ def test_array_bfs_returns_the_queue_bfs_paths_on_large_graphs():
         cases.append((ChainGraph.from_successors(range(n), rows, "test"), 0.8))
     for cells in (1.5, 3.0):
         cases.append((torus_grid_graph(CAT, 24, cells / 24), 0.6))
+    # out-degree 1, as the cycles of a fine ladder: a random permutation
+    # and one long cycle, whose frontiers on both sides hold one node
+    for n in (300, 2000):
+        perm = rng.sample(range(n), n)
+        cases.append((ChainGraph.from_successors(
+            range(n), ([p] for p in perm), "test"), 1.0))
+        cases.append((ChainGraph.from_successors(
+            range(n), ([(i + 1) % n] for i in range(n)), "test"), 1.0))
     outcomes = set()
     for trial, (graph, density) in enumerate(cases):
         n = graph.node_count
@@ -1287,19 +1415,35 @@ def test_array_bfs_returns_the_queue_bfs_paths_on_large_graphs():
             assert _bfs_path(graph, mask, src, dst) == want, trial
             outcomes.add((src == dst, want is None, len(want or ()) > 8))
     assert {(False, False, True), (False, True, False),
-            (True, False, False)} <= outcomes
+            (True, False, False), (True, False, True)} <= outcomes
+    # a long path 0 -> 1 -> ... -> m - 1 into dst = m - 1, which a fan of
+    # k extra nodes also enters: the backward frontier outgrows the
+    # forward one, so the forward side does every step and meets on its
+    # last level before it runs out of nodes; and the reverse query, whose
+    # forward side runs out at once
+    for m, k in ((2, 0), (3, 5), (40, 0), (40, 60), (700, 900)):
+        rows = [[i + 1] for i in range(m - 1)] + [[]] + [[m - 1]] * k
+        graph = ChainGraph.from_successors(range(m + k), rows, "test")
+        mask = np.ones(m + k, dtype=bool)
+        assert _bfs_path(graph, mask, 0, m - 1) == list(range(m))
+        assert _bfs_path(graph, mask, m - 1, 0) is None
+        if k:
+            assert _bfs_path(graph, mask, m, m - 1) == [m, m - 1]
 
 
 def test_array_bfs_matches_the_queue_bfs_outside_the_mask_and_on_loops():
-    """Targets outside the mask, which no search reaches, and src == dst,
-    the shortest closed walk, on every drawn graph."""
+    """Targets outside the mask, which no search reaches, sources outside
+    it, and src == dst, the shortest closed walk, on every drawn graph,
+    half of them with no self-loop."""
     rng = random.Random(31)
     outcomes = set()
     for trial in range(200):
         n = rng.randint(2, 60)
         density = rng.choice((0.03, 0.08, 0.2))
-        rows = [[j for j in range(n) if rng.random() < density]
-                for _ in range(n)]
+        loops = trial % 2  # odd trials have no self-loop: a closed walk
+        # must then leave src, whose own distance 0 is never a meeting
+        rows = [[j for j in range(n) if rng.random() < density
+                 and (loops or j != i)] for i in range(n)]
         graph = ChainGraph.from_successors(range(n), rows, "test")
         inside = {v for v in range(n) if rng.random() < 0.7}
         outside = sorted(set(range(n)) - inside)
@@ -1307,13 +1451,18 @@ def test_array_bfs_matches_the_queue_bfs_outside_the_mask_and_on_loops():
         mask[sorted(inside)] = True
         adjacency = [graph.successors(i) for i in range(n)]
         src = rng.randrange(n)
-        targets = [src] + ([rng.choice(outside)] if outside else [])
-        for dst in targets:
-            want = _queue_bfs_path(adjacency, inside, src, dst)
-            assert _bfs_path(graph, mask, src, dst) == want, trial
-            outcomes.add((src == dst, dst in inside, want is None))
-    assert {(True, True, False), (True, True, True), (False, False, True),
-            (True, False, False)} <= outcomes
+        queries = [(src, src)] + ([(src, rng.choice(outside)),
+                                   (rng.choice(outside), rng.randrange(n))]
+                                  if outside else [])
+        for a, b in queries:
+            want = _queue_bfs_path(adjacency, inside, a, b)
+            assert _bfs_path(graph, mask, a, b) == want, trial
+            outcomes.add((a == b, a in inside, b in inside, want is None,
+                          bool(loops)))
+    assert {(True, True, True, False, False), (True, True, True, True, False),
+            (True, True, True, False, True), (False, True, False, True, True),
+            (True, False, False, False, True), (False, False, True, False, False),
+            (False, False, True, False, True)} <= outcomes
 
 
 # ---------------------------------------------------------------------------
