@@ -143,15 +143,14 @@ class Certificate:
     witness: object = None
     resolution: object = None
 
-    def revalidate(self, system, memo=None):
-        """Re-check the evidence from scratch; returns failure strings.
-        validate() passes a `memo` (`_memo`) to decode a component once."""
+    def revalidate(self, system):
+        """Re-check the evidence from scratch; returns failure strings."""
         mode = _mode_for(system, self.kind)
         if mode is None or self.mode != mode:
             return [f"certificate mode {self.mode!r} does not fit "
                     f"{self.kind} evidence on {system.name}"]
         failure = self._evidence_failure()
-        return [failure] if failure else _REVALIDATE[mode](self, system, memo)
+        return [failure] if failure else _REVALIDATE[mode](self, system)
 
     def tree_cycle(self, k):
         """The cycle that the witness trees close through component node k,
@@ -280,7 +279,7 @@ def _chain_step(cert, system):
     return lambda a, b: D.accepts(system.forward(a), b)
 
 
-def _revalidate_exact(cert, system, memo):
+def _revalidate_exact(cert, system):
     """Shifts and finite maps, proven by their witness trees: a strongly
     connected component of a shift's symbol graph is an irreducible shift,
     transitive and with a closed walk through every admissible word
@@ -300,7 +299,7 @@ def _revalidate_exact(cert, system, memo):
     elif not all(map(_is_point(system), comp)):
         return ["a component node is not a point of the system"]
     if cert.kind == "transitivity":
-        return _witness_failures(cert, system, memo)
+        return _witness_failures(cert, system)
     members, symbolic = set(comp), cert.mode == "symbolic"
     stuck = [a for a in comp if members.isdisjoint(
         system.successors(a) if symbolic else (system.forward(a),))]
@@ -309,13 +308,13 @@ def _revalidate_exact(cert, system, memo):
             f"is {show(stuck[0])}"] if stuck else []
 
 
-def _revalidate_metric(cert, system, memo):
+def _revalidate_metric(cert, system):
     """Metric walks: each traced point must be a point of the system before
     its orbit is stepped, then the witness and the walks
     (`_witness_failures`)."""
     if not all(map(_is_point(system), (demo.start for demo in cert.demos))):
         return ["a traced point is not a point of the system"]
-    return _witness_failures(cert, system, memo)
+    return _witness_failures(cert, system)
 
 
 def _orbit_failure(system, comp, demo, in_E):
@@ -354,7 +353,7 @@ def _spanning_tree(parent):
     return not anc.any()
 
 
-def _witness_failures(cert, system, memo=None):
+def _witness_failures(cert, system):
     """Strong connectivity of the component from its witness, and each
     metric walk. Each tree must span the component, and every tree edge
     and walk step (a, b), with the step that closes each walk, must be a
@@ -378,10 +377,9 @@ def _witness_failures(cert, system, memo=None):
            for name, parent in trees if not _spanning_tree(parent)]
     if bad:
         return bad
-    pts = _pairs(comp, memo) if cert.mode == "metric-walk" else None
-    # the nodes' type gate is `_pairs`
-    if pts is not None and _array_ball(
-            system, metric_ball(system, cert.radius), ()):
+    if cert.mode == "metric-walk" and _array_ball(
+            system, metric_ball(system, cert.radius), comp):
+        pts = _pair_array(comp)
         images = system.forward_batch(pts)
         steps = lambda a, b: _torus_distances(
             np.take(images, a, axis=0), np.take(pts, b, axis=0)) < cert.radius
@@ -422,37 +420,15 @@ def _witness_failures(cert, system, memo=None):
     return bad
 
 
-def _memo(memo, nodes, key, build):
-    """build(), kept per component object and key in `memo`, the dict
-    that one validate() call shares, or built each time without one. An
-    entry holds its nodes, so that no other object takes their id."""
-    if memo is None:
-        return build()
-    if (id(nodes), key) not in memo:
-        memo[id(nodes), key] = nodes, build()
-    return memo[id(nodes), key][1]
-
-
-def _pairs(nodes, memo=None):
-    """The (m, 2) float array of nodes that pass `_float_pairs`, or None."""
-    return _memo(memo, nodes, "pairs", lambda: _pair_array(nodes)
-                 if _float_pairs(nodes) else None)
-
-
-def _lattice_members(cert, memo):
-    """`_lattice_index` of a density certificate's nodes, kept in `memo`."""
-    comp, n = cert.component, cert.resolution
-    return _memo(memo, comp, n, lambda: _lattice_index(comp, n, memo))
-
-
-def _lattice_index(points, n, memo=None):
+def _lattice_index(points, n):
     """Lattice indices i * n + j of points stored as the doubles (i/n, j/n),
     as int64, with -1 for every point that is not exactly such a pair of
     Python floats with 0 <= i, j < n, one ulp off included; the per-point
     type mask is built only when the type gate `_float_pairs` fails."""
     m = len(points)
-    pts = _pairs(points, memo)
-    if pts is None:
+    if _float_pairs(points):
+        pts = _pair_array(points)
+    else:
         pts = np.array([p if type(p) is tuple and len(p) == 2
                         and type(p[0]) is float and type(p[1]) is float
                         else (math.nan, math.nan) for p in points],
@@ -470,7 +446,7 @@ def _int_array(values):
     return values.dtype.kind in "iu"
 
 
-def _revalidate_lattice(cert, system, memo):
+def _revalidate_lattice(cert, system):
     """Density on the torus lattice at the certificate's resolution n:
     every component node must be the lattice node (i/n, j/n) of its index,
     or one failure ends the check, and A x mod n must be a member for every
@@ -478,7 +454,7 @@ def _revalidate_lattice(cert, system, memo):
     each node is a periodic point of its own, at gap zero, and its orbit
     stays in the component."""
     n = cert.resolution
-    members = _lattice_members(cert, memo)
+    members = _lattice_index(cert.component, n)
     off = np.flatnonzero(members < 0)
     if off.size:
         return [f"{off.size} nodes of the component are off the lattice: "
@@ -617,24 +593,22 @@ def transitivity_certificate(graph, component, system, radius=None, seed=0,
 # periodic density certificates
 
 
-def periodic_density_certificate(graph, component, system, nodes=None):
-    """Evidence that periodic points are dense in a chain component, a set
-    of node indices of `graph` as for `transitivity_certificate`, and that
-    the component is invariant. No mode stores demos. On a shift the
+def periodic_density_certificate(graph, nodes, system):
+    """Evidence that periodic points are dense in a chain component of
+    `graph`, given as the tuple of its nodes in index order that the
+    component's transitivity certificate holds (and shares with this one),
+    and that the component is invariant. No mode stores demos. On a shift the
     witness trees of the transitivity certificate close a cycle through
     every node (`Certificate.tree_cycle`), so its check wants each node to
     step into the component. A finite map and the torus lattice each
     permute a finite set, so every node is its own periodic point; a torus
     certificate keeps the resolution of its grid graph, in which its check
-    decodes the nodes. Given `nodes`, the component's node tuple that its
-    transitivity certificate holds, the certificate shares that tuple."""
+    decodes the nodes."""
     mode = _mode_for(system, "periodic-density")
     if mode is None:
         raise TypeError(f"No periodic tracing oracle for {system.name!r}.")
     return Certificate(
-        kind="periodic-density", mode=mode,
-        component=(tuple(graph.nodes[i] for i in sorted(component))
-                   if nodes is None else nodes),
+        kind="periodic-density", mode=mode, component=tuple(nodes),
         demos=(), resolution=graph.n if mode == "lattice-cycle" else None)
 
 
@@ -732,7 +706,7 @@ class SpectralDecomposition:
                 step is None or type(step) is int and 0 <= step < len(self.ladder)):
             return [f"the stabilization index {step!r} is not a step of the "
                     f"ladder {self.ladder!r}"]
-        bad, checked, resolutions, memo = [], [], set(), {}
+        bad, nodes, resolutions = [], [], set()
         at = len(self.ladder) - 1 if step is None else step
         cut = self.ladder[at]
         for k, bs in enumerate(sets):
@@ -741,29 +715,21 @@ class SpectralDecomposition:
                      for msg in ([f"the chain radius {cert.radius!r} is not the "
                                   f"cut rung {cut}"]
                                  if cert.mode == "metric-walk" and cert.radius != cut
-                                 else cert.revalidate(system, memo=memo))]
+                                 else cert.revalidate(system))]
             if found:
                 bad.extend(found)
             elif dens.component != trans.component:
                 bad.append(f"basic set {k} [{dens.kind}]: certificate is for "
                            "another node set")
             else:  # both certificates hashed or decoded every node
-                checked.append(dens)
+                nodes.extend(bs.nodes)
                 resolutions.add(dens.resolution)
-        # lattice nodes at one resolution are equal when their indices are
-        if len(resolutions) == 1 and all(d.mode == "lattice-cycle" for d in checked):
-            index = np.sort(np.concatenate(
-                [_lattice_members(d, memo) for d in checked]))
-            count, overlap = len(index), (index[1:] == index[:-1]).any()
-        else:
-            nodes = list(itertools.chain.from_iterable(d.component for d in checked))
-            count, overlap = len(nodes), len(set(nodes)) != len(nodes)
-        if overlap:
+        if len(set(nodes)) != len(nodes):
             bad.append("basic sets overlap")
         if len(resolutions) > 1:
             bad.append(f"the density certificates are at resolutions "
                        f"{sorted(resolutions)}, not one")
-        rows, counts = self.history, (count, len(sets))
+        rows, counts = self.history, (len(nodes), len(sets))
         if not bad and not (type(rows) is tuple and len(rows) == len(self.ladder)
                             and type(rows[at]) is tuple and rows[at] == counts):
             bad.append(f"the ladder history does not read {counts}, the counts "
@@ -887,8 +853,7 @@ def spectral_decompose(system, resolution=64, ladder=None, seed=0, pairs=8):
         trans = transitivity_certificate(graph, group.tolist(), system,
                                          radius=radius, seed=seed + k,
                                          pairs=pairs)
-        dens = periodic_density_certificate(graph, group, system,
-                                            nodes=trans.component)
+        dens = periodic_density_certificate(graph, trans.component, system)
         basic.append(BasicSet(transitivity=trans, periodic_density=dens))
     return SpectralDecomposition(
         system_name=system.name,

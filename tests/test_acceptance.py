@@ -406,9 +406,7 @@ def test_torus_recurrent_nodes_carry_certified_periodic_points():
     n = 64
     dec = spectral_decompose(CAT, resolution=n)
     graph = torus_grid_graph(CAT, n, 0.02)
-    index = {p: k for k, p in enumerate(graph.nodes)}
-    cert = periodic_density_certificate(
-        graph, [index[p] for p in dec.recurrent_nodes], CAT)
+    cert = periodic_density_certificate(graph, dec.recurrent_nodes, CAT)
     problems = cert.revalidate(CAT)
     if problems:
         failures.append(problems[0])

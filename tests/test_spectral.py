@@ -314,6 +314,18 @@ def test_certificates_are_bound_to_their_basic_set(tamper, system, kwargs):
     assert dataclasses.replace(dec, basic_sets=tuple(tampered)).validate(system)
 
 
+@pytest.mark.parametrize("system, kwargs", [
+    (TWO_BLOCK, {}), (THREE_CYCLE, {}), (CAT, {"resolution": 16})],
+    ids=["symbolic", "finite", "torus"])
+def test_a_basic_set_given_twice_is_one_overlap(system, kwargs):
+    """A basic set listed twice re-checks clean each time, so the partition
+    check is its one failure."""
+    dec = spectral_decompose(system, seed=0, pairs=2, **kwargs)
+    twice = dataclasses.replace(
+        dec, basic_sets=dec.basic_sets + dec.basic_sets[:1])
+    assert twice.validate(system) == ["basic sets overlap"]
+
+
 MODES = ("symbolic", "metric-walk", "exact-orbit", "lattice-cycle", "no-such-mode")
 
 
@@ -1191,14 +1203,14 @@ def test_symbol_graph_chain_mirrors_transitions():
 
 
 def test_density_certificate_reads_the_resolution_from_the_grid_graph():
-    """A density certificate takes the graph and node indices that a
-    transitivity certificate takes; on the torus it keeps the resolution of
-    the grid graph and no demos, and on a system with no density route it
-    raises."""
+    """A density certificate takes the graph and the node tuple of a
+    transitivity certificate, and shares that tuple; on the torus it keeps
+    the resolution of the grid graph and no demos, and on a system with no
+    density route it raises."""
     graph = torus_grid_graph(CAT, 12, 4 / 12)
-    nodes = range(graph.node_count)
+    nodes = transitivity_certificate(graph, range(graph.node_count), CAT).component
     dens = periodic_density_certificate(graph, nodes, CAT)
-    assert dens.component == transitivity_certificate(graph, nodes, CAT).component
+    assert dens.component is nodes
     assert (dens.mode, dens.resolution, dens.demos) == ("lattice-cycle", 12, ())
     assert dens.revalidate(CAT) == []
     with pytest.raises(TypeError):
